@@ -28,8 +28,8 @@ from .exceptions import (
     LabelOutOfRangeError,
     LengthMismatchError,
     NonPositiveScaleError,
-    NonPositiveTemperatureError,
     QuadratureNotConvergedError,
+    check_temperature,
 )
 from .linalg import log_sum_exp
 
@@ -49,9 +49,7 @@ class ProbeConfig:
     def __post_init__(self):
         if not (np.isfinite(self.latent_scale) and self.latent_scale > 0.0):
             raise NonPositiveScaleError(f"latent_scale must be positive, got {self.latent_scale!r}")
-        if not (np.isfinite(self.temperature) and self.temperature > 0.0):
-            raise NonPositiveTemperatureError(
-                f"temperature must be positive, got {self.temperature!r}")
+        check_temperature(self.temperature)
         if not (np.isfinite(self.quadrature_tolerance) and self.quadrature_tolerance > 0.0):
             raise ValueError("quadrature_tolerance must be positive")
         if not (np.isfinite(self.integration_half_width_sigmas)
@@ -141,12 +139,9 @@ def relabel_ratio_curve(latent_scale: float, temperatures,
     The t = 1 reference is computed once, so a grid containing 1.0 reports
     ratio exactly 1.0 there.
     """
-    temps = [float(t) for t in temperatures]
+    temps = [check_temperature(t) for t in temperatures]
     if not temps:
         raise EmptyInputError("temperature grid is empty")
-    for t in temps:
-        if not (np.isfinite(t) and t > 0.0):
-            raise NonPositiveTemperatureError(f"temperatures must be positive, got {t!r}")
     base = relabel_prob_quadrature(latent_scale, 1.0, quadrature_tolerance,
                                    integration_half_width_sigmas)
     points = []

@@ -5,7 +5,9 @@ covariance is the temperature-scaled Gram matrix t * K(X, X); a softmax
 likelihood raised to the power 1/t ties the latents to the labels.  Neither
 factor is conjugate, so the latent posterior is explored with elliptical
 slice sampling (ESS), which needs only prior draws and log-likelihood
-evaluations and has no step-size parameter.
+evaluations and has no step-size parameter.  The factor of t * K is
+sqrt(t) * chol(K), so a prior draw is sqrt(t) * (L @ z) and one factor of
+the untempered K serves every temperature of a sweep and its predictive.
 
 Prediction: given a sampled training latent matrix F, the test latent for
 class c is Gaussian with mean k*^T K^{-1} F_c (temperature-free, because t
@@ -15,8 +17,6 @@ draws over both the posterior samples and this conditional.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +29,7 @@ from .exceptions import (
     LabelOutOfRangeError,
     LengthMismatchError,
     NonFiniteLikelihoodError,
-    NonPositiveTemperatureError,
+    check_temperature,
 )
 from .kernels import KernelSpec, gram, gram_diag
 from .linalg import SpdFactor, cholesky
@@ -78,7 +78,7 @@ class LatentSampleSet:
 
     ``samples`` is ordered by (chain index, sample index).  ``stats`` carries
     sampler diagnostics: transition counts, proposals per transition, and the
-    jitter used when factoring the scaled prior.
+    absolute jitter on the tempered prior t * K.
     """
 
     samples: list
@@ -104,9 +104,7 @@ def tempered_log_likelihood(latent, labels, t: float) -> float:
 
     (1/t) * sum_i [ latent[i, labels[i]] - logsumexp(latent[i, :]) ].
     """
-    t = float(t)
-    if not (np.isfinite(t) and t > 0.0):
-        raise NonPositiveTemperatureError(f"temperature must be positive, got {t!r}")
+    t = check_temperature(t)
     f = np.asarray(latent, dtype=np.float64)
     if f.ndim != 2:
         raise DimensionMismatchError(f"latent must be (n, class_count), got shape {f.shape}")
@@ -125,16 +123,17 @@ def tempered_log_likelihood(latent, labels, t: float) -> float:
     return float(np.sum(f[np.arange(n), y] - lse) / t)
 
 
-def _ess_step(f, ll, log_lik, prior_lower, rng: RngStream):
+def _ess_step(f, ll, log_lik, prior_lower, prior_scale: float, rng: RngStream):
     """One slice-sampling transition on the ellipse through f and a prior draw.
 
-    Returns (new latent, its log-likelihood, proposals consumed).  The slice
-    always contains the current state (threshold is ll + log u with u < 1 and
-    the proposal at angle 0 is f itself), so bracket shrinkage terminates.
+    The prior draw is prior_scale * (prior_lower @ z).  Returns (new latent,
+    its log-likelihood, proposals consumed).  The slice always contains the
+    current state (threshold is ll + log u with u < 1 and the proposal at
+    angle 0 is f itself), so bracket shrinkage terminates.
     """
     if np.isnan(ll):
         raise NonFiniteLikelihoodError("current state has NaN log-likelihood")
-    nu = prior_lower @ rng.standard_normal(f.shape)
+    nu = prior_scale * (prior_lower @ rng.standard_normal(f.shape))
     with np.errstate(divide="ignore"):
         log_y = ll + float(np.log(rng.uniform()))
     theta = float(rng.uniform(0.0, 2.0 * np.pi))
@@ -168,79 +167,65 @@ def ess_transition(state: LatentState, log_likelihood, prior_factor: SpdFactor, 
         raise DimensionMismatchError(
             f"latent shape {f.shape} does not match prior dimension {prior_factor.dimension}"
         )
-    new_f, new_ll, _ = _ess_step(f, state.log_likelihood, log_likelihood, prior_factor.lower, rng)
+    new_f, new_ll, _ = _ess_step(f, state.log_likelihood, log_likelihood, prior_factor.lower,
+                                 1.0, rng)
     return LatentState(new_f, new_ll)
 
 
-def _worker_count() -> int:
-    try:
-        w = int(os.environ.get("COLDGP_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(w, 1)
-
-
 def sample_latent_posterior(kernel: KernelSpec, train: LabeledDataset, t: float,
-                            config: EssConfig = EssConfig(), seed: int = 0) -> LatentSampleSet:
+                            config: EssConfig = EssConfig(), seed: int = 0, *,
+                            prior_factor: SpdFactor | None = None) -> LatentSampleSet:
     """Run ESS chains on the tempered latent posterior.
 
-    Chain c draws from RngStream(seed, c); chains are independent and may be
-    executed in parallel (COLDGP_THREADS) without changing any result, since
-    aggregation is ordered by chain index.  Chains start from the zero latent
-    matrix.
+    Chain c draws from RngStream(seed, c); chains run in index order from the
+    zero latent matrix.  ``prior_factor`` is the Cholesky factor of the
+    untempered K(X, X); a sweep passes the one it shares across temperatures,
+    and a standalone call factors K itself, with the same samples either way.
     """
     if not train.is_classification:
         raise ValueError("classification requires a labeled classification dataset")
-    t = float(t)
-    if not (np.isfinite(t) and t > 0.0):
-        raise NonPositiveTemperatureError(f"temperature must be positive, got {t!r}")
+    t = check_temperature(t)
     x, y, c = train.inputs, train.targets, train.class_count
-    prior = cholesky(t * gram(kernel, x, x))
+    if prior_factor is None:
+        prior_factor = cholesky(gram(kernel, x, x))
+    lower, scale = prior_factor.lower, float(np.sqrt(t))
 
     def log_lik(f):
         return tempered_log_likelihood(f, y, t)
 
-    def run_chain(chain: int):
+    samples = []
+    proposals = 0
+    for chain in range(config.n_chains):
         rng = RngStream(seed, chain)
         f = np.zeros((train.n, c))
         ll = log_lik(f)
-        proposals = 0
-        kept = []
         for _ in range(config.burn_in):
-            f, ll, k = _ess_step(f, ll, log_lik, prior.lower, rng)
+            f, ll, k = _ess_step(f, ll, log_lik, lower, scale, rng)
             proposals += k
         for _ in range(config.n_samples_per_chain):
             for _ in range(config.thinning):
-                f, ll, k = _ess_step(f, ll, log_lik, prior.lower, rng)
+                f, ll, k = _ess_step(f, ll, log_lik, lower, scale, rng)
                 proposals += k
-            kept.append(f)  # states are fresh arrays, never mutated in place
-        return kept, proposals
+            samples.append(f)  # states are fresh arrays, never mutated in place
 
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chain, range(config.n_chains)))
-    else:
-        results = [run_chain(chain) for chain in range(config.n_chains)]
-
-    samples = [f for kept, _ in results for f in kept]
     transitions = config.n_chains * (config.burn_in + config.n_samples_per_chain * config.thinning)
-    proposals = sum(p for _, p in results)
     stats = {
         "transitions": transitions,
         "proposals": proposals,
         "proposals_per_transition": proposals / max(transitions, 1),
-        "prior_jitter": prior.jitter_used,
+        "prior_jitter": t * prior_factor.jitter_used,
     }
     return LatentSampleSet(samples=samples, temperature=t, kernel=kernel, train_inputs=x,
                            train_labels=y, config=config, seed=int(seed), stats=stats)
 
 
-def _conditional_precompute(kernel: KernelSpec, train_inputs, test_inputs):
+def _conditional_precompute(kernel: KernelSpec, train_inputs, test_inputs,
+                            factor: SpdFactor | None = None):
     """Shared, temperature-free pieces of the test-latent conditional.
 
     Returns (b, schur) with b = K(X,X)^{-1} K(X, X*) of shape (n, p) and
-    schur the vector k** - k*^T K^{-1} k* (clipped at zero).  The empty
+    schur the vector k** - k*^T K^{-1} k* (clipped at zero).  ``factor`` is
+    the Cholesky factor of K(X, X), built here when not given.  The empty
     training set degenerates to the prior: b empty, schur = k**.
     """
     test_inputs = np.asarray(test_inputs, dtype=np.float64)
@@ -252,7 +237,8 @@ def _conditional_precompute(kernel: KernelSpec, train_inputs, test_inputs):
         raise DimensionMismatchError(
             f"train dim {train_inputs.shape[1]} vs test dim {test_inputs.shape[1]}"
         )
-    factor = cholesky(gram(kernel, train_inputs, train_inputs))
+    if factor is None:
+        factor = cholesky(gram(kernel, train_inputs, train_inputs))
     ks = gram(kernel, test_inputs, train_inputs)  # (p, n)
     v = solve_triangular(factor.lower, ks.T, lower=True, check_finite=False)
     b = solve_triangular(factor.lower, v, lower=True, trans="T", check_finite=False)
@@ -266,9 +252,7 @@ def latent_conditional_moments(kernel: KernelSpec, train_inputs, latent, test_in
 
     The mean does not depend on t; only the variance carries the temperature.
     """
-    t = float(t)
-    if not (np.isfinite(t) and t > 0.0):
-        raise NonPositiveTemperatureError(f"temperature must be positive, got {t!r}")
+    t = check_temperature(t)
     train_inputs = np.asarray(train_inputs, dtype=np.float64)
     b, schur = _conditional_precompute(kernel, train_inputs, test_inputs)
     return b.T @ np.asarray(latent, dtype=np.float64), t * schur
@@ -362,24 +346,25 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
 
     Grid position j gets its own derived master seed, so temperatures are
     independent and the grid can be re-partitioned without changing results.
+    One Cholesky factor of K(X, X) serves the sampler at every temperature
+    and the predictive.
     Records carry test_log_likelihood and top1_accuracy, plus between-chain
     Monte Carlo standard errors in ``extras``.  best_temperature maximizes
     test log-likelihood (ties toward smaller temperature).
     """
-    temps = [float(t) for t in temperatures]
+    temps = [check_temperature(t) for t in temperatures]
     if not temps:
         raise EmptyInputError("temperature grid is empty")
-    for t in temps:
-        if not (np.isfinite(t) and t > 0.0):
-            raise NonPositiveTemperatureError(f"temperatures must be positive, got {t!r}")
     if not test.is_classification or test.class_count != train.class_count:
         raise ValueError("train/test class counts differ or test set is not classification")
-    precomputed = _conditional_precompute(kernel, train.inputs, test.inputs)
+    prior_factor = cholesky(gram(kernel, train.inputs, train.inputs))
+    precomputed = _conditional_precompute(kernel, train.inputs, test.inputs, prior_factor)
     records = []
     diagnostics = {}
     for j, t in enumerate(temps):
         seed_t = derive_seed(seed, j)
-        sample_set = sample_latent_posterior(kernel, train, t, config, seed_t)
+        sample_set = sample_latent_posterior(kernel, train, t, config, seed_t,
+                                             prior_factor=prior_factor)
         rng = RngStream(seed_t, config.n_chains)
         chain_means = _chain_prob_means(sample_set, test.inputs, draws_per_sample, rng,
                                         precomputed=precomputed)

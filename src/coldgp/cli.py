@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -79,22 +80,22 @@ def _load_classification_data(config: ExperimentConfig):
 def _run_regress_sweep(config: ExperimentConfig):
     rows, log = [], []
     jitters = set()
-    file_based = config.data.get("source") == "file"
-    if file_based:
-        train = load_dataset(config.data["train_path"], split_tag="train")
-        test = load_dataset(config.data["test_path"], split_tag="test")
+    seeds = [derive_seed(config.seed, k) for k in range(config.regression["n_seeds"])]
+    d = config.data
+    if d.get("source") == "file":
+        train = load_dataset(d["train_path"], split_tag="train")
+        test = load_dataset(d["test_path"], split_tag="test")
         if train.is_classification or test.is_classification:
             raise ConfigError("regress-sweep requires regression datasets (target column)")
+        datasets = [(train, test)] * len(seeds)
+    else:
+        datasets = [gen_rbf_regression(n_train=d["n_train"], n_test=d["n_test"],
+                                       noise_std=d["noise_std"], kernel=config.kernel, seed=s)
+                    for s in seeds]
     for sigma in config.regression["assumed_noise_std"]:
         model = RegressionModel(kernel=config.kernel, noise_std=sigma)
         nll_sum = {}
-        for k in range(config.regression["n_seeds"]):
-            seed_k = derive_seed(config.seed, k)
-            if not file_based:
-                d = config.data
-                train, test = gen_rbf_regression(
-                    n_train=d["n_train"], n_test=d["n_test"], noise_std=d["noise_std"],
-                    kernel=config.kernel, seed=seed_k)
+        for seed_k, (train, test) in zip(seeds, datasets):
             result = regression_temperature_sweep(
                 model, train, test, temperatures=config.temperatures, seed=seed_k)
             jitters.add(result.diagnostics["jitter_used"])
@@ -102,10 +103,9 @@ def _run_regress_sweep(config: ExperimentConfig):
                 nll = rec.metrics["test_nll"]
                 rows.append((rec.temperature, nll, seed_k, float(sigma)))
                 nll_sum[rec.temperature] = nll_sum.get(rec.temperature, 0.0) + nll
-        n_seeds = config.regression["n_seeds"]
         t_best = min(nll_sum, key=lambda t: (nll_sum[t], t))
         log.append(f"assumed_noise_std={float(sigma)!r} argmin_temperature={t_best!r} "
-                   f"mean_test_nll={nll_sum[t_best] / n_seeds!r}")
+                   f"mean_test_nll={nll_sum[t_best] / len(seeds)!r}")
     log.append(f"jitter_used={sorted(jitters)!r}")
     return REGRESS_HEADER, rows, log
 
@@ -178,6 +178,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     header, rows, log = runner(config)
     paths = {}
     if header is not None:
+        bad = [(name, v) for row in rows for name, v in zip(header, row)
+               if isinstance(v, float) and not math.isfinite(v)]
+        if bad:  # a NaN or infinite metric fails the run; it is never written
+            raise ColdGPError(f"non-finite {bad[0][0]}={bad[0][1]!r}; results.csv not written")
         paths["results"] = os.path.join(config.output_dir, "results.csv")
         write_csv(paths["results"], header, rows)
     paths["config"] = os.path.join(config.output_dir, "resolved_config.json")

@@ -152,13 +152,17 @@ def _parse_data(section, experiment: str) -> dict:
             if experiment == "regress-sweep":
                 raise ConfigError("key 'generator'='clusters' in data is classification-only")
             _reject_unknown(section, ("generator", "n_per_class", "class_count", "dim", "separation"), where)
-            return {
+            out = {
                 "generator": "clusters",
                 "n_per_class": _as_int(section.get("n_per_class", 100), "n_per_class", where, minimum=1),
                 "class_count": _as_int(section.get("class_count", 2), "class_count", where, minimum=2),
                 "dim": _as_int(section.get("dim", 8), "dim", where, minimum=1),
                 "separation": _as_number(section.get("separation", 2.0), "separation", where, positive=True),
             }
+            if out["class_count"] > 2 * out["dim"]:
+                raise ConfigError(f"key 'class_count' in {where} must be <= 2 * dim, the number "
+                                  f"of distinct centers, got {out['class_count']}")
+            return out
         raise ConfigError(f"key 'generator' in {where} must be one of {list(GENERATORS)}, got {kind!r}")
     kind = section["source"]
     if experiment == "gen-data":

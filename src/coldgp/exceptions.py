@@ -73,6 +73,14 @@ class ConfigError(ColdGPError):
     """Experiment config is malformed: unknown/missing keys or bad values."""
 
 
+def check_temperature(t) -> float:
+    """``t`` as a float; raises NonPositiveTemperatureError unless 0 < t < inf."""
+    t = float(t)
+    if not 0.0 < t < float("inf"):  # also false for NaN
+        raise NonPositiveTemperatureError(f"temperature must be positive and finite, got {t!r}")
+    return t
+
+
 __all__ = [
     "ColdGPError",
     "DimensionMismatchError",

@@ -21,8 +21,8 @@ from .data import LabeledDataset
 from .exceptions import (
     EmptyInputError,
     LengthMismatchError,
-    NonPositiveTemperatureError,
     ZeroVarianceError,
+    check_temperature,
 )
 from .kernels import KernelSpec, gram, gram_diag
 from .linalg import SpdFactor, cholesky
@@ -104,9 +104,7 @@ def posterior_predict(model: RegressionModel, train: LabeledDataset, test_inputs
 
 def temper_predictive(pred: PredictiveGaussian, t: float) -> PredictiveGaussian:
     """Temper a Gaussian predictive: mean kept, variance multiplied by t."""
-    t = float(t)
-    if not (np.isfinite(t) and t > 0.0):
-        raise NonPositiveTemperatureError(f"temperature must be positive and finite, got {t!r}")
+    t = check_temperature(t)
     return PredictiveGaussian(pred.mean, pred.variance * t)
 
 
@@ -141,12 +139,9 @@ def regression_temperature_sweep(
     best_temperature is the NLL argmin with ties broken toward the smaller
     temperature.
     """
-    temps = [float(t) for t in temperatures]
+    temps = [check_temperature(t) for t in temperatures]
     if not temps:
         raise EmptyInputError("temperature grid is empty")
-    for t in temps:
-        if not (np.isfinite(t) and t > 0.0):
-            raise NonPositiveTemperatureError(f"temperatures must be positive, got {t!r}")
     if seed is None:
         seed = int(train.provenance.get("seed", 0))
     fit = condition(model, train)

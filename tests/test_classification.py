@@ -24,7 +24,7 @@ from coldgp.exceptions import (
 )
 from coldgp.kernels import KernelSpec
 from coldgp.linalg import cholesky
-from coldgp.rng import RngStream
+from coldgp.rng import RngStream, derive_seed
 
 from helpers import batch_means_se
 
@@ -150,15 +150,51 @@ def test_sample_latent_posterior_layout_and_determinism():
     assert any(np.max(np.abs(f1 - f2)) > 0 for f1, f2 in zip(a.samples, c.samples))
 
 
-def test_thread_count_does_not_change_results(monkeypatch):
-    train, _, cfg = _tiny_problem()
+def test_sweep_samples_match_standalone_calls(monkeypatch):
+    # the sweep shares one prior factor; each grid position must still draw
+    # bitwise what a standalone call at that temperature and seed draws
+    import coldgp.classification as cls
+
+    train, test, cfg = _tiny_problem()
     kern = KernelSpec.rbf()
-    serial = sample_latent_posterior(kern, train, 1.0, cfg, seed=3)
-    monkeypatch.setenv("COLDGP_THREADS", "2")
-    threaded = sample_latent_posterior(kern, train, 1.0, cfg, seed=3)
-    for f1, f2 in zip(serial.samples, threaded.samples):
-        np.testing.assert_array_equal(f1, f2)
-    assert serial.stats == threaded.stats
+    temps = [0.05, 1.0, 3.0]
+    swept = []
+
+    def recording(*args, **kwargs):
+        swept.append(sample_latent_posterior(*args, **kwargs))
+        return swept[-1]
+
+    monkeypatch.setattr(cls, "sample_latent_posterior", recording)
+    cls.classification_temperature_sweep(kern, train, test, temps, cfg, seed=5,
+                                         draws_per_sample=2)
+    assert len(swept) == len(temps)
+    for j, (t, got) in enumerate(zip(temps, swept)):
+        ref = sample_latent_posterior(kern, train, t, cfg, derive_seed(5, j))
+        assert got.temperature == t and got.seed == ref.seed
+        for f1, f2 in zip(got.samples, ref.samples):
+            np.testing.assert_array_equal(f1, f2)
+        assert got.stats == ref.stats
+
+
+@pytest.mark.parametrize("n_temps", [1, 4])
+def test_sweep_builds_one_gram_pair_and_one_factor(monkeypatch, n_temps):
+    import coldgp.classification as cls
+
+    calls = {"gram": 0, "cholesky": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cls, "gram", counting("gram", cls.gram))
+    monkeypatch.setattr(cls, "cholesky", counting("cholesky", cls.cholesky))
+    train, test, cfg = _tiny_problem()
+    temps = [0.1 * (j + 1) for j in range(n_temps)]
+    cls.classification_temperature_sweep(KernelSpec.rbf(), train, test, temps, cfg, seed=0,
+                                         draws_per_sample=1)
+    assert calls == {"gram": 2, "cholesky": 1}  # K(X, X), K(X*, X) and chol(K(X, X))
 
 
 def test_conditional_mean_is_temperature_free():

@@ -152,6 +152,47 @@ class TestRunVerb:
         assert "error" in capsys.readouterr().err
 
 
+    def test_exit_2_on_more_clusters_than_centers(self, tmp_path, capsys):
+        payload = classify_payload(tmp_path / "o")
+        payload["data"]["class_count"] = 5  # dim 2 has 4 distinct centers
+        cfg = _write_config(tmp_path, "k.json", payload)
+        assert main(["run", "--config", cfg]) == 2
+        assert "'class_count'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("make_payload,kernel", [
+        (regress_payload, None),
+        # variance 4 puts t * schur past the float range at t = 1e308
+        (classify_payload, {"family": "rbf", "variance": 4.0}),
+    ])
+    def test_exit_3_on_non_finite_metric(self, tmp_path, capsys, make_payload, kernel):
+        out = tmp_path / "o"
+        payload = make_payload(out)
+        payload["temperatures"] = [1.0, 1e308]
+        if kernel is not None:
+            payload["kernel"] = kernel
+        cfg = _write_config(tmp_path, "inf.json", payload)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", cfg]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
+    def test_regress_sweep_generates_each_replicate_once(self, tmp_path, monkeypatch):
+        import coldgp.cli as cli
+
+        seeds = []
+        real = cli.gen_rbf_regression
+
+        def counting(**kwargs):
+            seeds.append(kwargs["seed"])
+            return real(**kwargs)
+
+        monkeypatch.setattr(cli, "gen_rbf_regression", counting)
+        cfg = _write_config(tmp_path, "r.json", regress_payload(tmp_path / "r"))
+        assert main(["run", "--config", cfg]) == 0
+        assert len(seeds) == 2 == len(set(seeds))  # n_seeds, not noise levels x n_seeds
+
+
 class TestGenDataVerb:
     def test_round_trip_through_files(self, tmp_path):
         data_dir = tmp_path / "data"

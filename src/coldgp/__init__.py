@@ -72,13 +72,9 @@ from .records import SweepRecord, SweepResult, format_cell, read_csv, select_bes
 from .regression import (
     DEFAULT_TEMPERATURE_GRID,
     ConditionedRegression,
-    PredictiveGaussian,
     RegressionModel,
-    condition,
     gaussian_test_nll,
-    posterior_predict,
     regression_temperature_sweep,
-    temper_predictive,
 )
 from .rng import RngStream, derive_seed
 
@@ -105,9 +101,8 @@ __all__ = [
     "JITTER_LADDER", "SpdFactor", "cholesky", "log_sum_exp", "mvn_logpdf", "mvn_sample",
     "solve_spd",
     "SweepRecord", "SweepResult", "format_cell", "read_csv", "select_best", "write_csv",
-    "DEFAULT_TEMPERATURE_GRID", "ConditionedRegression", "PredictiveGaussian",
-    "RegressionModel", "condition", "gaussian_test_nll", "posterior_predict",
-    "regression_temperature_sweep", "temper_predictive",
+    "DEFAULT_TEMPERATURE_GRID", "ConditionedRegression", "RegressionModel",
+    "gaussian_test_nll", "regression_temperature_sweep",
     "RngStream", "derive_seed",
     "__version__",
 ]

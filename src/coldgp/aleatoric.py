@@ -23,6 +23,7 @@ from scipy.optimize import brentq
 from scipy.special import expit
 
 from .exceptions import (
+    DimensionMismatchError,
     EmptyInputError,
     IndexOutOfRangeError,
     LabelOutOfRangeError,
@@ -161,13 +162,17 @@ def relabel_disagreement_mc(latent_samples, labels, index: int) -> float:
 
     Averages, over sampled latent matrices, the softmax probability that a
     fresh relabel of training point ``index`` differs from its observed
-    label.
+    label.  ``latent_samples`` is any (..., n, class_count) array, such as a
+    sample set's (chains, samples, n, class_count) array, or a list of
+    (n, class_count) matrices; every leading axis indexes samples.
     """
-    samples = list(latent_samples)
-    if not samples:
+    f = np.asarray(latent_samples, dtype=np.float64)
+    if f.size == 0:
         raise EmptyInputError("no latent samples")
+    if f.ndim < 2:
+        raise DimensionMismatchError(f"latent samples must be (..., n, class_count), got {f.shape}")
+    n, c = f.shape[-2:]
     labels = np.asarray(labels)
-    n, c = np.asarray(samples[0]).shape
     if labels.ndim != 1 or labels.shape[0] != n:
         raise LengthMismatchError(f"labels shape {labels.shape} vs {n} latent rows")
     if not np.issubdtype(labels.dtype, np.integer):
@@ -176,9 +181,6 @@ def relabel_disagreement_mc(latent_samples, labels, index: int) -> float:
         raise LabelOutOfRangeError(f"labels outside [0, {c})")
     if not (0 <= index < n):
         raise IndexOutOfRangeError(f"index {index} outside [0, {n})")
-    total = 0.0
-    for f in samples:
-        row = np.asarray(f, dtype=np.float64)[index]
-        e = np.exp(row - row.max())
-        total += 1.0 - e[labels[index]] / e.sum()
-    return total / len(samples)
+    rows = f.reshape(-1, n, c)[:, index]
+    e = np.exp(rows - rows.max(axis=1, keepdims=True))
+    return float(np.mean(1.0 - e[:, labels[index]] / e.sum(axis=1)))

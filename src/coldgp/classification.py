@@ -76,12 +76,13 @@ class LatentState:
 class LatentSampleSet:
     """Retained posterior samples plus everything needed to replay the run.
 
-    ``samples`` is ordered by (chain index, sample index).  ``stats`` carries
-    sampler diagnostics: transition counts, proposals per transition, and the
-    absolute jitter on the tempered prior t * K.
+    ``samples`` is one array of shape (n_chains, n_samples_per_chain, n_train,
+    class_count).  ``stats`` carries sampler diagnostics: transition counts,
+    proposals per transition, and the absolute jitter on the tempered prior
+    t * K.
     """
 
-    samples: list
+    samples: np.ndarray
     temperature: float
     kernel: KernelSpec
     train_inputs: np.ndarray
@@ -96,7 +97,7 @@ class LatentSampleSet:
 
     @property
     def class_count(self) -> int:
-        return self.samples[0].shape[1]
+        return self.samples.shape[-1]
 
 
 def tempered_log_likelihood(latent, labels, t: float) -> float:
@@ -193,7 +194,7 @@ def sample_latent_posterior(kernel: KernelSpec, train: LabeledDataset, t: float,
     def log_lik(f):
         return tempered_log_likelihood(f, y, t)
 
-    samples = []
+    samples = np.empty((config.n_chains, config.n_samples_per_chain, train.n, c))
     proposals = 0
     for chain in range(config.n_chains):
         rng = RngStream(seed, chain)
@@ -202,11 +203,11 @@ def sample_latent_posterior(kernel: KernelSpec, train: LabeledDataset, t: float,
         for _ in range(config.burn_in):
             f, ll, k = _ess_step(f, ll, log_lik, lower, scale, rng)
             proposals += k
-        for _ in range(config.n_samples_per_chain):
+        for j in range(config.n_samples_per_chain):
             for _ in range(config.thinning):
                 f, ll, k = _ess_step(f, ll, log_lik, lower, scale, rng)
                 proposals += k
-            samples.append(f)  # states are fresh arrays, never mutated in place
+            samples[chain, j] = f
 
     transitions = config.n_chains * (config.burn_in + config.n_samples_per_chain * config.thinning)
     stats = {
@@ -258,10 +259,10 @@ def latent_conditional_moments(kernel: KernelSpec, train_inputs, latent, test_in
     return b.T @ np.asarray(latent, dtype=np.float64), t * schur
 
 
-def _row_softmax(f):
-    m = f.max(axis=1)
-    e = np.exp(f - m[:, None])
-    return e / e.sum(axis=1)[:, None]
+def _softmax(f):
+    """Softmax over the last (class) axis."""
+    e = np.exp(f - f.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _chain_prob_means(samples: LatentSampleSet, test_inputs, draws_per_sample: int,
@@ -273,29 +274,23 @@ def _chain_prob_means(samples: LatentSampleSet, test_inputs, draws_per_sample: i
     """
     if draws_per_sample < 1:
         raise EmptyInputError("draws_per_sample must be >= 1")
-    if not samples.samples:
+    n_chains, per_chain = samples.samples.shape[:2]
+    if n_chains * per_chain == 0:
         raise EmptyInputError("sample set is empty")
     if precomputed is None:
         precomputed = _conditional_precompute(samples.kernel, samples.train_inputs, test_inputs)
     b, schur = precomputed
-    sd = np.sqrt(samples.temperature * schur)
-    n_chains = samples.config.n_chains
-    per_chain = samples.config.n_samples_per_chain
-    if len(samples.samples) != n_chains * per_chain:
-        raise LengthMismatchError(
-            f"{len(samples.samples)} samples inconsistent with config "
-            f"({n_chains} chains x {per_chain})"
-        )
+    sd = np.sqrt(samples.temperature * schur)[:, None]
     p = np.asarray(test_inputs).shape[0]
     c = samples.class_count
     chain_means = np.empty((n_chains, p, c))
     for ci in range(n_chains):
+        means = b.T @ samples.samples[ci]  # (per_chain, p, c)
         acc = np.zeros((p, c))
-        for f in samples.samples[ci * per_chain:(ci + 1) * per_chain]:
-            mean = b.T @ f
-            for _ in range(draws_per_sample):
-                draw = mean + sd[:, None] * rng.standard_normal((p, c))
-                acc += _row_softmax(draw)
+        for mean in means:
+            draws = _softmax(mean + sd * rng.standard_normal((draws_per_sample, p, c)))
+            for probs in draws:
+                acc += probs
         chain_means[ci] = acc / (per_chain * draws_per_sample)
     return chain_means
 

@@ -28,7 +28,6 @@ from .aleatoric import relabel_prob_zero_temperature, relabel_ratio_curve
 from .classification import classification_temperature_sweep
 from .config import ExperimentConfig, apply_overrides, load_config
 from .data import (
-    LabeledDataset,
     gen_cluster_classification,
     gen_rbf_regression,
     input_stats,
@@ -70,6 +69,8 @@ def _load_classification_data(config: ExperimentConfig):
         train = load_dataset(d["train_path"], split_tag="train", class_count=class_count)
         test = load_dataset(d["test_path"], split_tag="test",
                             class_count=class_count or train.class_count)
+        if not (train.is_classification and test.is_classification):
+            raise ConfigError("classify-sweep requires classification datasets (label column)")
     if d["normalize"] == "global-standardize":
         stats = input_stats(train)
         train = normalize_inputs(train, "global-standardize", stats)

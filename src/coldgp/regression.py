@@ -6,9 +6,9 @@ The predictive at a test point x* is Gaussian with
     variance = k** - k*^T (K + sigma_eps^2 I)^{-1} k* + sigma_eps^2
 
 and tempering at temperature T leaves the mean alone while multiplying the
-variance by T.  Tempering is therefore a post-processing step on the
-predictive, which is what makes the temperature sweep cheap: the posterior
-is computed once per model and re-tempered per grid point.
+variance by T.  Prediction returns the means and variances of all test
+points as two arrays, so the temperature sweep conditions once per model
+and each grid point costs one scalar multiply of the variance array.
 """
 from __future__ import annotations
 
@@ -28,8 +28,6 @@ from .kernels import KernelSpec, gram, gram_diag
 from .linalg import SpdFactor, cholesky
 from .records import SweepRecord, SweepResult, select_best
 
-_LOG_2PI = float(np.log(2.0 * np.pi))
-
 # Default sweep grid: 40 log-spaced temperatures covering 1e-2 .. 1e2.
 DEFAULT_TEMPERATURE_GRID = tuple(float(t) for t in np.logspace(-2.0, 2.0, 40))
 
@@ -44,20 +42,6 @@ class RegressionModel:
     def __post_init__(self):
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0.0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
-
-
-@dataclass(frozen=True)
-class PredictiveGaussian:
-    """Marginal predictive distribution at one test input."""
-
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.mean):
-            raise ValueError("predictive mean must be finite")
-        if not (np.isfinite(self.variance) and self.variance >= 0.0):
-            raise ValueError(f"predictive variance must be finite and >= 0, got {self.variance!r}")
 
 
 class ConditionedRegression:
@@ -81,7 +65,8 @@ class ConditionedRegression:
             self.factor.lower, tmp, lower=True, trans="T", check_finite=False
         )
 
-    def predict(self, test_inputs) -> list[PredictiveGaussian]:
+    def predict(self, test_inputs):
+        """Predictive (mean, variance) arrays, one entry per test input."""
         test_inputs = np.asarray(test_inputs, dtype=np.float64)
         ks = gram(self.model.kernel, test_inputs, self.train.inputs)  # (p, n)
         means = ks @ self._alpha
@@ -89,36 +74,20 @@ class ConditionedRegression:
         schur = gram_diag(self.model.kernel, test_inputs) - np.einsum("ij,ij->j", v, v)
         # FP cancellation can leave a tiny negative Schur complement
         np.clip(schur, 0.0, None, out=schur)
-        var = schur + self.model.noise_std**2
-        return [PredictiveGaussian(float(m), float(s)) for m, s in zip(means, var)]
+        return means, schur + self.model.noise_std**2
 
 
-def condition(model: RegressionModel, train: LabeledDataset) -> ConditionedRegression:
-    return ConditionedRegression(model, train)
-
-
-def posterior_predict(model: RegressionModel, train: LabeledDataset, test_inputs) -> list[PredictiveGaussian]:
-    """Exact GP posterior predictive at each test input."""
-    return condition(model, train).predict(test_inputs)
-
-
-def temper_predictive(pred: PredictiveGaussian, t: float) -> PredictiveGaussian:
-    """Temper a Gaussian predictive: mean kept, variance multiplied by t."""
-    t = check_temperature(t)
-    return PredictiveGaussian(pred.mean, pred.variance * t)
-
-
-def gaussian_test_nll(preds: list[PredictiveGaussian], targets) -> float:
+def gaussian_test_nll(mean, variance, targets) -> float:
     """Average Gaussian negative log likelihood of targets under predictions."""
+    mu = np.asarray(mean, dtype=np.float64)
+    var = np.asarray(variance, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim != 1 or len(preds) != targets.shape[0]:
+    if targets.ndim != 1 or mu.shape != targets.shape or var.shape != targets.shape:
         raise LengthMismatchError(
-            f"{len(preds)} predictions vs {targets.shape} targets"
+            f"{mu.shape} means and {var.shape} variances vs {targets.shape} targets"
         )
-    if len(preds) == 0:
+    if targets.shape[0] == 0:
         raise EmptyInputError("need at least one prediction")
-    mu = np.array([p.mean for p in preds])
-    var = np.array([p.variance for p in preds])
     if np.any(var <= 0.0):
         raise ZeroVarianceError("test NLL undefined for non-positive predictive variance")
     nll = 0.5 * (np.log(2.0 * np.pi * var) + (targets - mu) ** 2 / var)
@@ -134,22 +103,21 @@ def regression_temperature_sweep(
 ) -> SweepResult:
     """Evaluate tempered test NLL across a temperature grid.
 
-    The posterior is conditioned once; each grid point only rescales the
-    predictive variances.  Records carry metric ``test_nll``; the result's
-    best_temperature is the NLL argmin with ties broken toward the smaller
-    temperature.
+    The posterior is conditioned once; each grid point only multiplies the
+    predictive variance array by its temperature.  Records carry metric
+    ``test_nll``; the result's best_temperature is the NLL argmin with ties
+    broken toward the smaller temperature.
     """
     temps = [check_temperature(t) for t in temperatures]
     if not temps:
         raise EmptyInputError("temperature grid is empty")
     if seed is None:
         seed = int(train.provenance.get("seed", 0))
-    fit = condition(model, train)
-    base = fit.predict(test.inputs)
+    fit = ConditionedRegression(model, train)
+    mean, variance = fit.predict(test.inputs)
     records = []
     for t in temps:
-        tempered = [temper_predictive(p, t) for p in base]
-        nll = gaussian_test_nll(tempered, test.targets)
+        nll = gaussian_test_nll(mean, variance * t, test.targets)
         records.append(SweepRecord(temperature=t, metrics={"test_nll": nll}, seed=seed))
     best = select_best(records, "test_nll", minimize=True)
     return SweepResult(

@@ -17,6 +17,7 @@ from scipy.special import expit
 from coldgp import (
     CIFAR_TEST_FILE,
     CIFAR_TRAIN_FILES,
+    ConditionedRegression,
     EssConfig,
     KernelSpec,
     LabeledDataset,
@@ -34,7 +35,6 @@ from coldgp import (
     load_cifar10,
     load_config,
     normalize_inputs,
-    posterior_predict,
     read_csv,
     relabel_prob_quadrature,
     relabel_ratio_curve,
@@ -42,7 +42,6 @@ from coldgp import (
     sample_latent_posterior,
     predictive_class_probs,
     scale_kernel,
-    temper_predictive,
 )
 from helpers import batch_means_se, max_rel_err
 
@@ -135,20 +134,17 @@ def test_tempered_posterior_equivalences():
         xs = np.linspace(x.min() - lengthscale, x.max() + lengthscale, 7)[:, None]
         for t in (0.01, 0.1, 1.0, 10.0):
             # scaled-kernel Bayes posterior vs tempered posterior, noiseless
-            direct = posterior_predict(RegressionModel(scale_kernel(spec, t), 0.0), train, xs)
-            via_t = [temper_predictive(p, t)
-                     for p in posterior_predict(RegressionModel(spec, 0.0), train, xs)]
-            worst = max(worst,
-                        max_rel_err([p.mean for p in direct], [p.mean for p in via_t]),
-                        max_rel_err([p.variance for p in direct], [p.variance for p in via_t]))
+            mean, var = ConditionedRegression(
+                RegressionModel(scale_kernel(spec, t), 0.0), train).predict(xs)
+            base_mean, base_var = ConditionedRegression(
+                RegressionModel(spec, 0.0), train).predict(xs)
+            worst = max(worst, max_rel_err(mean, base_mean), max_rel_err(var, base_var * t))
             # scaled kernel plus scaled noise variance vs tempered noisy posterior
-            direct = posterior_predict(
-                RegressionModel(scale_kernel(spec, t), sigma * np.sqrt(t)), train, xs)
-            via_t = [temper_predictive(p, t)
-                     for p in posterior_predict(RegressionModel(spec, sigma), train, xs)]
-            worst = max(worst,
-                        max_rel_err([p.mean for p in direct], [p.mean for p in via_t]),
-                        max_rel_err([p.variance for p in direct], [p.variance for p in via_t]))
+            mean, var = ConditionedRegression(
+                RegressionModel(scale_kernel(spec, t), sigma * np.sqrt(t)), train).predict(xs)
+            base_mean, base_var = ConditionedRegression(
+                RegressionModel(spec, sigma), train).predict(xs)
+            worst = max(worst, max_rel_err(mean, base_mean), max_rel_err(var, base_var * t))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-8 and elapsed < 5.0
     _check("tempered-posterior-equivalences", ok,

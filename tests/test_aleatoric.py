@@ -12,7 +12,10 @@ from coldgp.aleatoric import (
     relabel_prob_zero_temperature,
     relabel_ratio_curve,
 )
+from coldgp.classification import EssConfig, sample_latent_posterior
+from coldgp.data import gen_cluster_classification
 from coldgp.exceptions import (
+    DimensionMismatchError,
     EmptyInputError,
     IndexOutOfRangeError,
     LabelOutOfRangeError,
@@ -20,6 +23,7 @@ from coldgp.exceptions import (
     NonPositiveScaleError,
     NonPositiveTemperatureError,
 )
+from coldgp.kernels import KernelSpec
 
 
 def _quad_oracle(c, t):
@@ -144,6 +148,22 @@ def test_disagreement_mc_hand_values():
                                0.5 * (0.5 + 1.0 - expit(2.0)), rtol=1e-12)
 
 
+def test_disagreement_mc_on_sample_set_array():
+    # the (chains, samples, n, C) array goes in as is and matches the
+    # per-sample average over its matrices
+    train, _ = gen_cluster_classification(6, 3, 2, 2.0, seed=2)
+    cfg = EssConfig(n_chains=2, burn_in=10, n_samples_per_chain=5, thinning=1)
+    ss = sample_latent_posterior(KernelSpec.rbf(), train, 0.5, cfg, seed=3)
+    matrices = ss.samples.reshape(-1, train.n, ss.class_count)
+    for index in (0, train.n - 1):
+        y = train.targets[index]
+        expect = np.mean([1.0 - np.exp(f[index, y]) / np.exp(f[index]).sum()
+                          for f in matrices])
+        got = relabel_disagreement_mc(ss.samples, train.targets, index)
+        np.testing.assert_allclose(got, expect, rtol=1e-12)
+        assert relabel_disagreement_mc(list(matrices), train.targets, index) == got
+
+
 def test_disagreement_mc_validation():
     samples = [np.zeros((2, 2))]
     labels = np.array([0, 1])
@@ -153,6 +173,10 @@ def test_disagreement_mc_validation():
         relabel_disagreement_mc(samples, labels, -1)
     with pytest.raises(EmptyInputError):
         relabel_disagreement_mc([], labels, 0)
+    with pytest.raises(EmptyInputError):
+        relabel_disagreement_mc(np.zeros((2, 0, 2, 2)), labels, 0)
+    with pytest.raises(DimensionMismatchError):
+        relabel_disagreement_mc(np.zeros(2), labels, 0)
     with pytest.raises(LabelOutOfRangeError):
         relabel_disagreement_mc(samples, np.array([0, 2]), 0)
     with pytest.raises(LengthMismatchError):

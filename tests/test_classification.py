@@ -138,16 +138,15 @@ def test_sample_latent_posterior_layout_and_determinism():
     kern = KernelSpec.rbf()
     a = sample_latent_posterior(kern, train, 0.5, cfg, seed=7)
     b = sample_latent_posterior(kern, train, 0.5, cfg, seed=7)
-    assert len(a.samples) == cfg.n_chains * cfg.n_samples_per_chain
-    assert a.samples[0].shape == (train.n, 2)
+    assert a.samples.shape == (cfg.n_chains, cfg.n_samples_per_chain, train.n, 2)
+    assert a.samples.dtype == np.float64 and a.class_count == 2
     assert a.temperature == 0.5 and a.seed == 7
-    for f1, f2 in zip(a.samples, b.samples):
-        np.testing.assert_array_equal(f1, f2)
+    np.testing.assert_array_equal(a.samples, b.samples)
     assert a.stats["transitions"] == cfg.n_chains * (cfg.burn_in +
                                                      cfg.n_samples_per_chain * cfg.thinning)
     assert a.stats["proposals"] >= a.stats["transitions"]
     c = sample_latent_posterior(kern, train, 0.5, cfg, seed=8)
-    assert any(np.max(np.abs(f1 - f2)) > 0 for f1, f2 in zip(a.samples, c.samples))
+    assert np.max(np.abs(a.samples - c.samples)) > 0
 
 
 def test_sweep_samples_match_standalone_calls(monkeypatch):
@@ -171,8 +170,7 @@ def test_sweep_samples_match_standalone_calls(monkeypatch):
     for j, (t, got) in enumerate(zip(temps, swept)):
         ref = sample_latent_posterior(kern, train, t, cfg, derive_seed(5, j))
         assert got.temperature == t and got.seed == ref.seed
-        for f1, f2 in zip(got.samples, ref.samples):
-            np.testing.assert_array_equal(f1, f2)
+        np.testing.assert_array_equal(got.samples, ref.samples)
         assert got.stats == ref.stats
 
 
@@ -233,7 +231,7 @@ def test_predictive_probs_prior_path_is_symmetric():
     # no training data: test latents are prior draws, classes exchangeable
     cfg = EssConfig(n_chains=1, burn_in=0, n_samples_per_chain=1, thinning=1)
     ss = LatentSampleSet(
-        samples=[np.zeros((0, 2))], temperature=1.0, kernel=KernelSpec.rbf(),
+        samples=np.zeros((1, 1, 0, 2)), temperature=1.0, kernel=KernelSpec.rbf(),
         train_inputs=np.zeros((0, 1)), train_labels=np.zeros(0, dtype=np.int64),
         config=cfg, seed=0, stats={})
     probs = predictive_class_probs(ss, np.array([[0.0], [5.0]]),

@@ -6,10 +6,14 @@ import numpy as np
 import pytest
 
 from coldgp import (
+    KernelSpec,
     MalformedRecordError,
     format_cell,
+    gen_cluster_classification,
+    gen_rbf_regression,
     load_dataset,
     read_csv,
+    save_dataset,
     write_csv,
 )
 from coldgp.cli import (
@@ -48,6 +52,13 @@ def regress_payload(out_dir):
         "data": {"generator": "rbf-regression", "n_train": 8, "n_test": 4, "noise_std": 0.1},
         "regression": {"assumed_noise_std": [0.1, 1.0], "n_seeds": 2},
     }
+
+
+def overflow_regress_payload(out_dir):
+    # assumed noise variance 100 puts variance * t past the float range at t = 1e308
+    payload = regress_payload(out_dir)
+    payload["regression"]["assumed_noise_std"] = [10.0]
+    return payload
 
 
 def classify_payload(out_dir):
@@ -152,6 +163,23 @@ class TestRunVerb:
         assert "error" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("regression_split", ["train", "test"])
+    def test_exit_2_on_regression_file_in_classify_sweep(self, tmp_path, capsys,
+                                                         regression_split):
+        splits = dict(zip(("train", "test"), gen_cluster_classification(6, 2, 2, 2.0, seed=0)))
+        splits[regression_split] = gen_rbf_regression(6, 6, 0.1, KernelSpec.rbf(), seed=0)[0]
+        paths = {}
+        for split, dataset in splits.items():
+            paths[split] = str(tmp_path / f"{split}.csv")
+            save_dataset(dataset, paths[split])
+        payload = classify_payload(tmp_path / "o")
+        payload["data"] = {"source": "file", "train_path": paths["train"],
+                           "test_path": paths["test"]}
+        cfg = _write_config(tmp_path, "mixed.json", payload)
+        assert main(["run", "--config", cfg]) == 2
+        assert "classification datasets" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "results.csv").exists()
+
     def test_exit_2_on_more_clusters_than_centers(self, tmp_path, capsys):
         payload = classify_payload(tmp_path / "o")
         payload["data"]["class_count"] = 5  # dim 2 has 4 distinct centers
@@ -164,6 +192,7 @@ class TestRunVerb:
         (regress_payload, None),
         # variance 4 puts t * schur past the float range at t = 1e308
         (classify_payload, {"family": "rbf", "variance": 4.0}),
+        (overflow_regress_payload, None),
     ])
     def test_exit_3_on_non_finite_metric(self, tmp_path, capsys, make_payload, kernel):
         out = tmp_path / "o"

@@ -12,13 +12,10 @@ from coldgp.kernels import KernelSpec, scale_kernel
 from coldgp.records import SweepRecord, select_best
 from coldgp.regression import (
     DEFAULT_TEMPERATURE_GRID,
-    PredictiveGaussian,
+    ConditionedRegression,
     RegressionModel,
-    condition,
     gaussian_test_nll,
-    posterior_predict,
     regression_temperature_sweep,
-    temper_predictive,
 )
 
 from helpers import max_rel_err
@@ -41,17 +38,17 @@ def test_single_point_conjugate_posterior():
     # 1 - 1/2 + 1 = 3/2
     model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=1.0)
     train = _dataset([[0.0]], [1.0])
-    pred = posterior_predict(model, train, [[0.0]])[0]
-    np.testing.assert_allclose(pred.mean, 0.5, rtol=1e-12)
-    np.testing.assert_allclose(pred.variance, 1.5, rtol=1e-12)
+    mean, var = ConditionedRegression(model, train).predict([[0.0]])
+    np.testing.assert_allclose(mean, [0.5], rtol=1e-12)
+    np.testing.assert_allclose(var, [1.5], rtol=1e-12)
 
 
 def test_far_point_reverts_to_prior():
     model = RegressionModel(kernel=KernelSpec.rbf(variance=2.0), noise_std=0.5)
     train = _dataset([[0.0]], [3.0])
-    pred = posterior_predict(model, train, [[60.0]])[0]
-    np.testing.assert_allclose(pred.mean, 0.0, atol=1e-12)
-    np.testing.assert_allclose(pred.variance, 2.0 + 0.25, rtol=1e-12)
+    mean, var = ConditionedRegression(model, train).predict([[60.0]])
+    np.testing.assert_allclose(mean, [0.0], atol=1e-12)
+    np.testing.assert_allclose(var, [2.0 + 0.25], rtol=1e-12)
 
 
 def test_noiseless_interpolation():
@@ -59,41 +56,46 @@ def test_noiseless_interpolation():
     x = _spaced_inputs(12, rng)
     y = np.sin(x[:, 0])
     model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.0)
-    preds = posterior_predict(model, _dataset(x, y), x)
-    means = np.array([p.mean for p in preds])
+    means, var = ConditionedRegression(model, _dataset(x, y)).predict(x)
     np.testing.assert_allclose(means, y, atol=1e-7)
-    assert all(p.variance >= 0.0 for p in preds)
+    assert np.all(var >= 0.0)
 
 
 def test_gaussian_test_nll_hand_value():
     # standard normal at its mean: 0.5 log(2 pi)
-    pred = PredictiveGaussian(mean=0.0, variance=1.0)
-    np.testing.assert_allclose(gaussian_test_nll([pred], [0.0]),
+    np.testing.assert_allclose(gaussian_test_nll([0.0], [1.0], [0.0]),
                                0.9189385332046727, rtol=1e-15)
     # one sd away adds 1/2
-    np.testing.assert_allclose(gaussian_test_nll([pred], [1.0]),
+    np.testing.assert_allclose(gaussian_test_nll([0.0], [1.0], [1.0]),
                                0.9189385332046727 + 0.5, rtol=1e-14)
 
 
 def test_gaussian_test_nll_validation():
-    pred = PredictiveGaussian(mean=0.0, variance=1.0)
     with pytest.raises(LengthMismatchError):
-        gaussian_test_nll([pred], [0.0, 1.0])
+        gaussian_test_nll([0.0], [1.0], [0.0, 1.0])
+    with pytest.raises(LengthMismatchError):
+        gaussian_test_nll([0.0, 0.0], [1.0], [0.0, 1.0])
     with pytest.raises(EmptyInputError):
-        gaussian_test_nll([], [])
+        gaussian_test_nll([], [], [])
     with pytest.raises(ZeroVarianceError):
-        gaussian_test_nll([PredictiveGaussian(mean=0.0, variance=0.0)], [0.0])
+        gaussian_test_nll([0.0], [0.0], [0.0])
+    with pytest.raises(ZeroVarianceError):
+        gaussian_test_nll([0.0], [-1e-3], [0.0])
 
 
-def test_temper_predictive():
-    pred = PredictiveGaussian(mean=1.25, variance=0.8)
-    cold = temper_predictive(pred, 0.1)
-    assert cold.mean == 1.25  # mean untouched
-    np.testing.assert_allclose(cold.variance, 0.08, rtol=1e-15)
+def test_sweep_tempers_variance_only():
+    # each grid point scores the untempered means with variance * t
+    train, test = gen_rbf_regression(12, 6, 0.1, KernelSpec.rbf(), seed=4)
+    model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.3)
+    mean, var = ConditionedRegression(model, train).predict(test.inputs)
+    temps = [0.1, 1.0, 7.0]
+    result = regression_temperature_sweep(model, train, test, temps, seed=4)
+    for t, rec in zip(temps, result.records):
+        assert rec.metrics["test_nll"] == gaussian_test_nll(mean, var * t, test.targets)
     with pytest.raises(NonPositiveTemperatureError):
-        temper_predictive(pred, 0.0)
+        regression_temperature_sweep(model, train, test, [0.0])
     with pytest.raises(NonPositiveTemperatureError):
-        temper_predictive(pred, -1.0)
+        regression_temperature_sweep(model, train, test, [-1.0])
 
 
 @pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 10.0])
@@ -107,10 +109,10 @@ def test_tempering_identity_noiseless(t):
     base = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.0)
     scaled = RegressionModel(kernel=scale_kernel(KernelSpec.rbf(), t), noise_std=0.0)
     train = _dataset(x, y)
-    ref = [temper_predictive(p, t) for p in posterior_predict(base, train, xs)]
-    got = posterior_predict(scaled, train, xs)
-    assert max_rel_err([p.mean for p in got], [p.mean for p in ref]) < 1e-8
-    assert max_rel_err([p.variance for p in got], [p.variance for p in ref]) < 1e-8
+    ref_mean, ref_var = ConditionedRegression(base, train).predict(xs)
+    got_mean, got_var = ConditionedRegression(scaled, train).predict(xs)
+    assert max_rel_err(got_mean, ref_mean) < 1e-8
+    assert max_rel_err(got_var, ref_var * t) < 1e-8
 
 
 @pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 10.0])
@@ -126,10 +128,10 @@ def test_tempering_identity_with_noise(t):
     scaled = RegressionModel(kernel=scale_kernel(KernelSpec.rbf(), t),
                              noise_std=sigma * np.sqrt(t))
     train = _dataset(x, y)
-    ref = [temper_predictive(p, t) for p in posterior_predict(base, train, xs)]
-    got = posterior_predict(scaled, train, xs)
-    assert max_rel_err([p.mean for p in got], [p.mean for p in ref]) < 1e-8
-    assert max_rel_err([p.variance for p in got], [p.variance for p in ref]) < 1e-8
+    ref_mean, ref_var = ConditionedRegression(base, train).predict(xs)
+    got_mean, got_var = ConditionedRegression(scaled, train).predict(xs)
+    assert max_rel_err(got_mean, ref_mean) < 1e-8
+    assert max_rel_err(got_var, ref_var * t) < 1e-8
 
 
 def test_condition_reuses_factorization():
@@ -137,27 +139,28 @@ def test_condition_reuses_factorization():
     x = _spaced_inputs(10, rng)
     y = rng.standard_normal(10)
     model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.2)
-    fit = condition(model, _dataset(x, y))
-    a = fit.predict(x[:4])
-    b = posterior_predict(model, _dataset(x, y), x[:4])
-    np.testing.assert_array_equal([p.mean for p in a], [p.mean for p in b])
-    np.testing.assert_array_equal([p.variance for p in a], [p.variance for p in b])
+    fit = ConditionedRegression(model, _dataset(x, y))
+    a_mean, a_var = fit.predict(x[:4])
+    b_mean, b_var = fit.predict(x[:4])
+    c_mean, c_var = ConditionedRegression(model, _dataset(x, y)).predict(x[:4])
+    np.testing.assert_array_equal(a_mean, b_mean)
+    np.testing.assert_array_equal(a_var, b_var)
+    np.testing.assert_array_equal(a_mean, c_mean)
+    np.testing.assert_array_equal(a_var, c_var)
 
 
 def test_model_validation():
     with pytest.raises(ValueError):
         RegressionModel(kernel=KernelSpec.rbf(), noise_std=-0.1)
     with pytest.raises(ValueError):
-        PredictiveGaussian(mean=np.nan, variance=1.0)
-    with pytest.raises(ValueError):
-        PredictiveGaussian(mean=0.0, variance=-1e-3)
+        RegressionModel(kernel=KernelSpec.rbf(), noise_std=np.nan)
 
 
 def test_classification_data_rejected():
     train, _ = gen_cluster_classification(5, 2, 2, 2.0, seed=0)
     model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.1)
     with pytest.raises(ValueError):
-        condition(model, train)
+        ConditionedRegression(model, train)
 
 
 def test_default_temperature_grid():

@@ -16,11 +16,9 @@ from .aleatoric import (
 from .classification import (
     EssConfig,
     LatentSampleSet,
-    LatentState,
     classification_metrics,
     classification_temperature_sweep,
     ess_transition,
-    latent_conditional_moments,
     predictive_class_probs,
     sample_latent_posterior,
     tempered_log_likelihood,
@@ -59,15 +57,7 @@ from .exceptions import (
     ZeroVarianceError,
 )
 from .kernels import FAMILIES, KernelSpec, gram, gram_diag, kernel_eval, scale_kernel
-from .linalg import (
-    JITTER_LADDER,
-    SpdFactor,
-    cholesky,
-    log_sum_exp,
-    mvn_logpdf,
-    mvn_sample,
-    solve_spd,
-)
+from .linalg import JITTER_LADDER, SpdFactor, cholesky, log_sum_exp
 from .records import SweepRecord, SweepResult, format_cell, read_csv, select_best, write_csv
 from .regression import (
     DEFAULT_TEMPERATURE_GRID,
@@ -83,9 +73,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ProbeConfig", "ProbePoint", "relabel_disagreement_mc", "relabel_prob_quadrature",
     "relabel_prob_zero_temperature", "relabel_ratio_curve",
-    "EssConfig", "LatentSampleSet", "LatentState", "classification_metrics",
-    "classification_temperature_sweep", "ess_transition", "latent_conditional_moments",
-    "predictive_class_probs", "sample_latent_posterior", "tempered_log_likelihood",
+    "EssConfig", "LatentSampleSet", "classification_metrics",
+    "classification_temperature_sweep", "ess_transition", "predictive_class_probs",
+    "sample_latent_posterior", "tempered_log_likelihood",
     "emit_plot_data", "main", "run_experiment",
     "ExperimentConfig", "apply_overrides", "load_config", "parse_config",
     "CIFAR_TEST_FILE", "CIFAR_TRAIN_FILES",
@@ -98,8 +88,7 @@ __all__ = [
     "NotSymmetricError", "QuadratureNotConvergedError", "SchemaMismatchError",
     "ZeroVarianceError",
     "FAMILIES", "KernelSpec", "gram", "gram_diag", "kernel_eval", "scale_kernel",
-    "JITTER_LADDER", "SpdFactor", "cholesky", "log_sum_exp", "mvn_logpdf", "mvn_sample",
-    "solve_spd",
+    "JITTER_LADDER", "SpdFactor", "cholesky", "log_sum_exp",
     "SweepRecord", "SweepResult", "format_cell", "read_csv", "select_best", "write_csv",
     "DEFAULT_TEMPERATURE_GRID", "ConditionedRegression", "RegressionModel",
     "gaussian_test_nll", "regression_temperature_sweep",

@@ -24,6 +24,7 @@ from scipy.linalg import solve_triangular
 
 from .data import LabeledDataset
 from .exceptions import (
+    ColdGPError,
     DimensionMismatchError,
     EmptyInputError,
     LabelOutOfRangeError,
@@ -65,29 +66,21 @@ class EssConfig:
 
 
 @dataclass(frozen=True)
-class LatentState:
-    """Latent matrix (n_train, class_count) with its cached log-likelihood."""
-
-    latent: np.ndarray
-    log_likelihood: float
-
-
-@dataclass(frozen=True)
 class LatentSampleSet:
-    """Retained posterior samples plus everything needed to replay the run.
+    """Retained posterior samples at one temperature, with what prediction needs.
 
     ``samples`` is one array of shape (n_chains, n_samples_per_chain, n_train,
-    class_count).  ``stats`` carries sampler diagnostics: transition counts,
-    proposals per transition, and the absolute jitter on the tempered prior
-    t * K.
+    class_count).  ``kernel`` and ``train_inputs`` define the test-latent
+    conditional; ``seed`` is the master seed the chains drew from (the
+    predictive's default stream is RngStream(seed, n_chains)).  ``stats``
+    carries sampler diagnostics: transition counts, proposals per transition,
+    and the absolute jitter on the tempered prior t * K.
     """
 
     samples: np.ndarray
     temperature: float
     kernel: KernelSpec
     train_inputs: np.ndarray
-    train_labels: np.ndarray
-    config: EssConfig
     seed: int
     stats: dict = field(default_factory=dict)
 
@@ -124,13 +117,23 @@ def tempered_log_likelihood(latent, labels, t: float) -> float:
     return float(np.sum(f[np.arange(n), y] - lse) / t)
 
 
-def _ess_step(f, ll, log_lik, prior_lower, prior_scale: float, rng: RngStream):
-    """One slice-sampling transition on the ellipse through f and a prior draw.
+def ess_transition(f, ll, log_lik, prior_lower, prior_scale: float, rng: RngStream):
+    """One elliptical slice sampling transition from latent matrix ``f``.
 
-    The prior draw is prior_scale * (prior_lower @ z).  Returns (new latent,
-    its log-likelihood, proposals consumed).  The slice always contains the
-    current state (threshold is ll + log u with u < 1 and the proposal at
-    angle 0 is f itself), so bracket shrinkage terminates.
+    ``ll`` is ``log_lik(f)``; ``log_lik`` maps a latent matrix to a scalar
+    log-likelihood (the classification sampler binds the tempered softmax,
+    the unit tests substitute constant or Gaussian surrogates).  The prior is
+    zero-mean Gaussian with factor prior_scale * prior_lower, applied
+    independently to each latent column, so a prior draw is
+    prior_scale * (prior_lower @ z).  Returns (new latent, its
+    log-likelihood, proposals consumed).
+
+    The slice always contains the current state in exact arithmetic (the
+    threshold is ll + log u with u < 1 and the proposal at angle 0 is f
+    itself), so bracket shrinkage terminates.  In floating point, a
+    log-likelihood so large in magnitude that ll + log u rounds back to ll
+    (a tiny temperature) leaves no proposal above the threshold; that
+    raises ColdGPError.
     """
     if np.isnan(ll):
         raise NonFiniteLikelihoodError("current state has NaN log-likelihood")
@@ -151,26 +154,9 @@ def _ess_step(f, ll, log_lik, prior_lower, prior_scale: float, rng: RngStream):
         else:
             hi = theta
         theta = float(rng.uniform(lo, hi))
-    raise RuntimeError("slice bracket failed to terminate")  # unreachable in exact arithmetic
-
-
-def ess_transition(state: LatentState, log_likelihood, prior_factor: SpdFactor, rng: RngStream) -> LatentState:
-    """One elliptical slice sampling transition.
-
-    ``log_likelihood`` maps a latent matrix to a scalar log-likelihood; the
-    classification sampler binds the tempered softmax here, and the unit
-    tests substitute constant or Gaussian surrogates.  The prior is the
-    zero-mean Gaussian factored by ``prior_factor``, applied independently to
-    each latent column.
-    """
-    f = state.latent
-    if f.ndim != 2 or prior_factor.dimension != f.shape[0]:
-        raise DimensionMismatchError(
-            f"latent shape {f.shape} does not match prior dimension {prior_factor.dimension}"
-        )
-    new_f, new_ll, _ = _ess_step(f, state.log_likelihood, log_likelihood, prior_factor.lower,
-                                 1.0, rng)
-    return LatentState(new_f, new_ll)
+    raise ColdGPError(
+        f"slice bracket failed to terminate after {_MAX_BRACKET_SHRINKS} shrinks at "
+        f"log-likelihood {ll!r}: the slice threshold rounds to the current value")
 
 
 def sample_latent_posterior(kernel: KernelSpec, train: LabeledDataset, t: float,
@@ -196,18 +182,21 @@ def sample_latent_posterior(kernel: KernelSpec, train: LabeledDataset, t: float,
 
     samples = np.empty((config.n_chains, config.n_samples_per_chain, train.n, c))
     proposals = 0
-    for chain in range(config.n_chains):
-        rng = RngStream(seed, chain)
-        f = np.zeros((train.n, c))
-        ll = log_lik(f)
-        for _ in range(config.burn_in):
-            f, ll, k = _ess_step(f, ll, log_lik, lower, scale, rng)
-            proposals += k
-        for j in range(config.n_samples_per_chain):
-            for _ in range(config.thinning):
-                f, ll, k = _ess_step(f, ll, log_lik, lower, scale, rng)
+    try:
+        for chain in range(config.n_chains):
+            rng = RngStream(seed, chain)
+            f = np.zeros((train.n, c))
+            ll = log_lik(f)
+            for _ in range(config.burn_in):
+                f, ll, k = ess_transition(f, ll, log_lik, lower, scale, rng)
                 proposals += k
-            samples[chain, j] = f
+            for j in range(config.n_samples_per_chain):
+                for _ in range(config.thinning):
+                    f, ll, k = ess_transition(f, ll, log_lik, lower, scale, rng)
+                    proposals += k
+                samples[chain, j] = f
+    except ColdGPError as exc:
+        raise type(exc)(f"temperature {t!r}: {exc}") from exc
 
     transitions = config.n_chains * (config.burn_in + config.n_samples_per_chain * config.thinning)
     stats = {
@@ -217,7 +206,7 @@ def sample_latent_posterior(kernel: KernelSpec, train: LabeledDataset, t: float,
         "prior_jitter": t * prior_factor.jitter_used,
     }
     return LatentSampleSet(samples=samples, temperature=t, kernel=kernel, train_inputs=x,
-                           train_labels=y, config=config, seed=int(seed), stats=stats)
+                           seed=int(seed), stats=stats)
 
 
 def _conditional_precompute(kernel: KernelSpec, train_inputs, test_inputs,
@@ -246,17 +235,6 @@ def _conditional_precompute(kernel: KernelSpec, train_inputs, test_inputs,
     schur = kss - np.einsum("ij,ij->j", v, v)
     np.clip(schur, 0.0, None, out=schur)
     return b, schur
-
-
-def latent_conditional_moments(kernel: KernelSpec, train_inputs, latent, test_inputs, t: float):
-    """Per-class conditional mean and per-point variance of test latents.
-
-    The mean does not depend on t; only the variance carries the temperature.
-    """
-    t = check_temperature(t)
-    train_inputs = np.asarray(train_inputs, dtype=np.float64)
-    b, schur = _conditional_precompute(kernel, train_inputs, test_inputs)
-    return b.T @ np.asarray(latent, dtype=np.float64), t * schur
 
 
 def _softmax(f):
@@ -304,7 +282,7 @@ def predictive_class_probs(samples: LatentSampleSet, test_inputs, draws_per_samp
     Rows sum to one up to floating point.
     """
     if rng is None:
-        rng = RngStream(samples.seed, samples.config.n_chains)
+        rng = RngStream(samples.seed, samples.samples.shape[0])
     chain_means = _chain_prob_means(samples, test_inputs, draws_per_sample, rng)
     return chain_means.mean(axis=0)
 

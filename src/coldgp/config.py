@@ -173,9 +173,12 @@ def _parse_data(section, experiment: str) -> dict:
         _reject_unknown(section, ("source", "dir", "classes", "n_train", "n_test", "normalize"), where)
         classes = section.get("classes")
         if classes is not None:
-            if not isinstance(classes, list) or not classes:
-                raise ConfigError(f"key 'classes' in {where} must be a non-empty list or null")
+            if not isinstance(classes, list):
+                raise ConfigError(f"key 'classes' in {where} must be a list or null")
             classes = [_as_int(c, "classes", where, minimum=0) for c in classes]
+            if len(classes) < 2 or len(set(classes)) != len(classes) or max(classes) > 9:
+                raise ConfigError(f"key 'classes' in {where} must list at least 2 distinct "
+                                  f"CIFAR-10 classes in [0, 9], got {classes!r}")
         out = {
             "source": "cifar10",
             "dir": str(_need(section, "dir", where)),

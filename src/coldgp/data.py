@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import (
+    ConfigError,
     DimensionMismatchError,
     EmptyInputError,
     LabelOutOfRangeError,
@@ -102,7 +103,7 @@ def gen_rbf_regression(n_train, n_test, noise_std, kernel, seed):
     is fixed, all on stream 0 of the seed.
     """
     from .kernels import gram  # local import: kernels has no data dependency
-    from .linalg import cholesky, mvn_sample
+    from .linalg import cholesky
 
     if kernel.family != "rbf":
         raise ValueError(f"generator requires an rbf kernel, got family {kernel.family!r}")
@@ -116,7 +117,7 @@ def gen_rbf_regression(n_train, n_test, noise_std, kernel, seed):
     rng = RngStream(seed, 0)
     x = rng.standard_normal(n)[:, None]
     factor = cholesky(gram(kernel, x, x))
-    latent = mvn_sample(np.zeros(n), factor, rng)
+    latent = factor.lower @ rng.standard_normal(n)
     y = latent + noise_std * rng.standard_normal(n)
     prov = {"name": "rbf-regression", "seed": int(seed), "noise_std": noise_std}
     train = LabeledDataset(x[:n_train], y[:n_train], None, "train", dict(prov))
@@ -227,8 +228,9 @@ def load_cifar10(dir_path, keep_classes=None, n_train=2000, n_test=1000, seed=0)
         pixels = np.concatenate(all_pixels)
         labels = np.concatenate(all_labels)
         if count > pixels.shape[0]:
-            raise ValueError(
-                f"requested {count} examples but only {pixels.shape[0]} match classes {keep}"
+            key = ("n_train", "n_test")[stream]
+            raise ConfigError(
+                f"{key}={count} requested but only {pixels.shape[0]} examples match classes {keep}"
             )
         perm = RngStream(seed, stream).permutation(pixels.shape[0])[:count]
         chosen = [origin[i] for i in perm]
@@ -323,15 +325,20 @@ def load_dataset(path, split_tag: str = "train", class_count: int | None = None)
                 raise MalformedRecordError(
                     f"{path}:{line_no}: expected {d + 1} fields, got {len(parts)}"
                 )
-            xs.append([float(v) for v in parts[:d]])
-            ys.append(parts[d])
+            try:
+                xs.append([float(v) for v in parts[:d]])
+                ys.append(float(parts[d]) if kind == "target" else int(parts[d]))
+            except ValueError:
+                raise MalformedRecordError(
+                    f"{path}:{line_no}: unparseable field in {line.strip()!r}"
+                ) from None
     if not xs:
         raise EmptyInputError(f"{path}: no data rows")
     inputs = np.asarray(xs, dtype=np.float64)
     if kind == "target":
-        return LabeledDataset(inputs, np.array([float(v) for v in ys]), None, split_tag,
+        return LabeledDataset(inputs, np.array(ys, dtype=np.float64), None, split_tag,
                               {"name": "file", "path": str(path)})
-    labels = np.array([int(v) for v in ys], dtype=np.int64)
+    labels = np.array(ys, dtype=np.int64)
     if class_count is None:
         class_count = int(labels.max()) + 1 if labels.size else 2
         class_count = max(class_count, 2)

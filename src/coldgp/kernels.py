@@ -21,8 +21,14 @@ Two families:
     The final matrix is multiplied by ``scale``.  Defaults are the critical
     initialization sigma_w2 = 2, sigma_b2 = 0 with two hidden layers.
 
-``scale`` is the tempering hook: :func:`scale_kernel` multiplies it, and a
-Gram matrix scales linearly with it.
+A Gram matrix scales linearly with ``scale``, and :func:`scale_kernel`
+multiplies it.  Temperature sweeps do not go through it: classification
+draws its tempered prior as sqrt(T) * chol(K) from one factor of the
+untempered K, and regression multiplies the predictive variance by T.  ``scale_kernel`` is
+the modified-prior device of the tempering identities: the regression
+posterior at temperature T equals the untempered one under prior T * K and
+noise variance T * sigma^2, which the acceptance tests check against the
+sweep's scalar tempering.
 """
 from __future__ import annotations
 

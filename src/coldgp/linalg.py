@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .exceptions import (
     DimensionMismatchError,
@@ -20,14 +19,12 @@ from .exceptions import (
     NotPositiveDefiniteError,
     NotSymmetricError,
 )
-from .rng import RngStream
 
 # Relative jitter rungs; each is multiplied by mean(diag(a)) before being
 # added to the diagonal.  Escalated in order, first success wins.
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 
 _SYM_RTOL = 1e-12
-_LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -44,10 +41,6 @@ class SpdFactor:
     @property
     def dimension(self) -> int:
         return self.lower.shape[0]
-
-    def log_det(self) -> float:
-        """Log-determinant of the factored (jittered) matrix."""
-        return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
 
 
 def cholesky(a, ladder=JITTER_LADDER) -> SpdFactor:
@@ -94,55 +87,6 @@ def cholesky(a, ladder=JITTER_LADDER) -> SpdFactor:
     raise NotPositiveDefiniteError(
         f"Cholesky failed at every jitter rung (largest {ladder[-1]:g} * mean diag)"
     )
-
-
-def solve_spd(factor: SpdFactor, rhs) -> np.ndarray:
-    """Solve A x = rhs given the Cholesky factor of A.
-
-    rhs may be a vector (n,) or a matrix (n, k); the result has the same shape.
-    """
-    rhs = np.asarray(rhs, dtype=np.float64)
-    n = factor.dimension
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
-        raise DimensionMismatchError(
-            f"rhs has shape {rhs.shape}, expected leading dimension {n}"
-        )
-    y = solve_triangular(factor.lower, rhs, lower=True, check_finite=False)
-    return solve_triangular(factor.lower, y, lower=True, trans="T", check_finite=False)
-
-
-def mvn_logpdf(x, mean, factor: SpdFactor) -> float:
-    """Log density of N(mean, A) at x, with A given by its Cholesky factor."""
-    x = np.asarray(x, dtype=np.float64)
-    mean = np.asarray(mean, dtype=np.float64)
-    n = factor.dimension
-    if x.shape != (n,) or mean.shape != (n,):
-        raise DimensionMismatchError(
-            f"x {x.shape} and mean {mean.shape} must both have shape ({n},)"
-        )
-    z = solve_triangular(factor.lower, x - mean, lower=True, check_finite=False)
-    return float(-0.5 * (z @ z) - 0.5 * factor.log_det() - 0.5 * n * _LOG_2PI)
-
-
-def mvn_sample(mean, factor: SpdFactor, rng: RngStream, draws: int | None = None) -> np.ndarray:
-    """Draw from N(mean, A) given the Cholesky factor of A.
-
-    With ``draws=None`` returns one sample of shape (n,); with ``draws=k``
-    returns (n, k) where each column is an independent sample.  The draw is
-    mean + L z with z standard normal, so it is deterministic given the
-    stream state.
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    n = factor.dimension
-    if mean.shape != (n,):
-        raise DimensionMismatchError(f"mean has shape {mean.shape}, expected ({n},)")
-    if draws is None:
-        z = rng.standard_normal(n)
-        return mean + factor.lower @ z
-    if draws < 1:
-        raise EmptyInputError("draws must be >= 1")
-    z = rng.standard_normal((n, int(draws)))
-    return mean[:, None] + factor.lower @ z
 
 
 def log_sum_exp(v, axis=None):

@@ -1,5 +1,7 @@
-"""Shared numerical utilities for the test suite."""
+"""Shared numerical utilities and file fixtures for the test suite."""
 import numpy as np
+
+from coldgp.data import CIFAR_TEST_FILE, CIFAR_TRAIN_FILES
 
 
 def batch_means_se(series, n_batches=25):
@@ -22,3 +24,15 @@ def max_rel_err(a, b):
     b = np.asarray(b, dtype=np.float64)
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     return float(np.max(np.abs(a - b)) / scale)
+
+
+def write_cifar_fixture(dir_path, per_file=30, seed=0):
+    """Synthetic CIFAR-10 batch files: labels cycle 0..9, pixel 0 encodes the
+    label as label * 20 so the original class is recoverable after remapping."""
+    rng = np.random.default_rng(seed)
+    for name in CIFAR_TRAIN_FILES + (CIFAR_TEST_FILE,):
+        rec = rng.integers(0, 256, size=(per_file, 3073), dtype=np.uint8)
+        rec[:, 0] = np.arange(per_file) % 10
+        rec[:, 1] = rec[:, 0] * 20
+        with open(dir_path / name, "wb") as fh:
+            fh.write(rec.tobytes())

@@ -21,7 +21,6 @@ from coldgp import (
     EssConfig,
     KernelSpec,
     LabeledDataset,
-    LatentState,
     RegressionModel,
     RngStream,
     apply_overrides,
@@ -175,16 +174,16 @@ def test_sampler_matches_analytic_oracles():
     n = 20
     x = _spaced_inputs(n, 1.0)
     k = gram(spec, x, x)
-    factor = cholesky(k)
+    lower = cholesky(k).lower
     flat = lambda f: 0.0
     rng = RngStream(11, 0)
-    state = LatentState(np.zeros((n, 1)), 0.0)
+    f, ll = np.zeros((n, 1)), 0.0
     for _ in range(500):
-        state = ess_transition(state, flat, factor, rng)
+        f, ll, _ = ess_transition(f, ll, flat, lower, 1.0, rng)
     keep = np.empty((50_000, n))
     for s in range(keep.shape[0]):
-        state = ess_transition(state, flat, factor, rng)
-        keep[s] = state.latent[:, 0]
+        f, ll, _ = ess_transition(f, ll, flat, lower, 1.0, rng)
+        keep[s] = f[:, 0]
     z_prior = _moment_z_scores(keep, np.zeros(n), np.diag(k), k[0, 1], (0, 1))
 
     # (ii) gaussian likelihood on a tempered prior: conjugate posterior moments
@@ -197,15 +196,16 @@ def test_sampler_matches_analytic_oracles():
     post_cov = np.linalg.inv(np.linalg.inv(prior_cov) + np.eye(m) / s_obs**2)
     post_mean = post_cov @ y / s_obs**2
     gauss = lambda f: float(-0.5 * np.sum((y - f[:, 0]) ** 2) / s_obs**2)
-    factor_g = cholesky(prior_cov)
+    lower_g = cholesky(prior_cov).lower
     rng = RngStream(5, 0)
-    state = LatentState(np.zeros((m, 1)), gauss(np.zeros((m, 1))))
+    f = np.zeros((m, 1))
+    ll = gauss(f)
     for _ in range(1000):
-        state = ess_transition(state, gauss, factor_g, rng)
+        f, ll, _ = ess_transition(f, ll, gauss, lower_g, 1.0, rng)
     keep = np.empty((50_000, m))
     for s in range(keep.shape[0]):
-        state = ess_transition(state, gauss, factor_g, rng)
-        keep[s] = state.latent[:, 0]
+        f, ll, _ = ess_transition(f, ll, gauss, lower_g, 1.0, rng)
+        keep[s] = f[:, 0]
     z_conj = _moment_z_scores(keep, post_mean, np.diag(post_cov) + post_mean**2,
                               post_cov[0, 1] + post_mean[0] * post_mean[1], (0, 1))
 

@@ -5,11 +5,10 @@ import scipy.special
 from coldgp.classification import (
     EssConfig,
     LatentSampleSet,
-    LatentState,
+    _conditional_precompute,
     classification_metrics,
     classification_temperature_sweep,
     ess_transition,
-    latent_conditional_moments,
     predictive_class_probs,
     sample_latent_posterior,
     tempered_log_likelihood,
@@ -22,7 +21,7 @@ from coldgp.exceptions import (
     NonFiniteLikelihoodError,
     NonPositiveTemperatureError,
 )
-from coldgp.kernels import KernelSpec
+from coldgp.kernels import KernelSpec, gram
 from coldgp.linalg import cholesky
 from coldgp.rng import RngStream, derive_seed
 
@@ -59,20 +58,20 @@ def test_tempered_log_likelihood_validation():
 
 
 def test_ess_transition_is_deterministic_given_stream():
-    factor = cholesky(np.eye(3))
+    lower = cholesky(np.eye(3)).lower
     loglik = lambda f: float(-0.5 * np.sum(f**2))
-    state = LatentState(np.zeros((3, 1)), loglik(np.zeros((3, 1))))
-    a = ess_transition(state, loglik, factor, RngStream(4, 0))
-    b = ess_transition(state, loglik, factor, RngStream(4, 0))
-    np.testing.assert_array_equal(a.latent, b.latent)
-    assert a.log_likelihood == b.log_likelihood
+    f0 = np.zeros((3, 1))
+    a = ess_transition(f0, loglik(f0), loglik, lower, 1.0, RngStream(4, 0))
+    b = ess_transition(f0, loglik(f0), loglik, lower, 1.0, RngStream(4, 0))
+    np.testing.assert_array_equal(a[0], b[0])
+    assert a[1:] == b[1:]
 
 
 def test_ess_transition_nan_likelihood_raises():
-    factor = cholesky(np.eye(2))
-    state = LatentState(np.zeros((2, 1)), 0.0)
+    lower = cholesky(np.eye(2)).lower
     with pytest.raises(NonFiniteLikelihoodError):
-        ess_transition(state, lambda f: float("nan"), factor, RngStream(0, 0))
+        ess_transition(np.zeros((2, 1)), 0.0, lambda f: float("nan"), lower, 1.0,
+                       RngStream(0, 0))
 
 
 def test_ess_prior_recovery_constant_likelihood():
@@ -80,16 +79,16 @@ def test_ess_prior_recovery_constant_likelihood():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((5, 5))
     sigma = a @ a.T + 5 * np.eye(5)
-    factor = cholesky(sigma)
-    sigma_hat = factor.lower @ factor.lower.T  # what the sampler actually uses
+    lower = cholesky(sigma).lower
+    sigma_hat = lower @ lower.T  # what the sampler actually uses
     const = lambda f: 0.0
     stream = RngStream(2718, 0)
-    state = LatentState(np.zeros((5, 1)), 0.0)
+    f, ll = np.zeros((5, 1)), 0.0
     draws = np.empty((4000, 5))
     for i in range(4200):
-        state = ess_transition(state, const, factor, stream)
+        f, ll, _ = ess_transition(f, ll, const, lower, 1.0, stream)
         if i >= 200:
-            draws[i - 200] = state.latent[:, 0]
+            draws[i - 200] = f[:, 0]
     for i in range(5):
         se = batch_means_se(draws[:, i])
         assert abs(draws[:, i].mean()) < 3 * se
@@ -105,21 +104,22 @@ def test_ess_conjugate_gaussian_posterior():
     rng = np.random.default_rng(15)
     a = rng.standard_normal((4, 4))
     sigma = a @ a.T + 4 * np.eye(4)
-    factor = cholesky(sigma)
-    sigma_hat = factor.lower @ factor.lower.T
+    lower = cholesky(sigma).lower
+    sigma_hat = lower @ lower.T
     s2 = 0.25
     y = np.array([1.0, -0.5, 2.0, 0.3])
     post_cov = np.linalg.inv(np.linalg.inv(sigma_hat) + np.eye(4) / s2)
     post_mean = post_cov @ (y / s2)
     loglik = lambda f: float(-0.5 * np.sum((f[:, 0] - y) ** 2) / s2)
     stream = RngStream(99, 0)
-    state = LatentState(np.zeros((4, 1)), loglik(np.zeros((4, 1))))
+    f = np.zeros((4, 1))
+    ll = loglik(f)
     n_keep, burn = 20_000, 1000
     draws = np.empty((n_keep, 4))
     for i in range(burn + n_keep):
-        state = ess_transition(state, loglik, factor, stream)
+        f, ll, _ = ess_transition(f, ll, loglik, lower, 1.0, stream)
         if i >= burn:
-            draws[i - burn] = state.latent[:, 0]
+            draws[i - burn] = f[:, 0]
     for i in range(4):
         se = batch_means_se(draws[:, i])
         assert abs(draws[:, i].mean() - post_mean[i]) < 3 * se, f"coord {i}"
@@ -196,16 +196,18 @@ def test_sweep_builds_one_gram_pair_and_one_factor(monkeypatch, n_temps):
 
 
 def test_conditional_mean_is_temperature_free():
+    # the conditional pieces take no temperature; it enters the predictive
+    # only as t * schur, so the conditional mean b^T F cannot depend on it
     train, test, _ = _tiny_problem()
     kern = KernelSpec.rbf()
-    latent = np.random.default_rng(1).standard_normal((train.n, 2))
-    m1, v1 = latent_conditional_moments(kern, train.inputs, latent, test.inputs, 1.0)
-    m2, v2 = latent_conditional_moments(kern, train.inputs, latent, test.inputs, 0.01)
-    np.testing.assert_array_equal(m1, m2)  # bitwise: t never touches the mean
-    np.testing.assert_array_equal(v2, 0.01 * v1)
-    assert np.all(v1 >= 0.0)
-    with pytest.raises(NonPositiveTemperatureError):
-        latent_conditional_moments(kern, train.inputs, latent, test.inputs, 0.0)
+    b, schur = _conditional_precompute(kern, train.inputs, test.inputs)
+    k = gram(kern, train.inputs, train.inputs)
+    np.testing.assert_allclose(b, np.linalg.solve(k, gram(kern, train.inputs, test.inputs)),
+                               rtol=1e-8, atol=1e-10)
+    assert schur.shape == (test.n,) and np.all(schur >= 0.0)
+    b2, schur2 = _conditional_precompute(kern, train.inputs, test.inputs, cholesky(k))
+    np.testing.assert_array_equal(b, b2)
+    np.testing.assert_array_equal(schur, schur2)
 
 
 def test_predictive_probs_rows_sum_to_one():
@@ -229,11 +231,9 @@ def test_predictive_probs_default_rng_matches_explicit():
 
 def test_predictive_probs_prior_path_is_symmetric():
     # no training data: test latents are prior draws, classes exchangeable
-    cfg = EssConfig(n_chains=1, burn_in=0, n_samples_per_chain=1, thinning=1)
     ss = LatentSampleSet(
         samples=np.zeros((1, 1, 0, 2)), temperature=1.0, kernel=KernelSpec.rbf(),
-        train_inputs=np.zeros((0, 1)), train_labels=np.zeros(0, dtype=np.int64),
-        config=cfg, seed=0, stats={})
+        train_inputs=np.zeros((0, 1)), seed=0, stats={})
     probs = predictive_class_probs(ss, np.array([[0.0], [5.0]]),
                                    draws_per_sample=4000, rng=RngStream(0, 1))
     np.testing.assert_allclose(probs, 0.5, atol=0.03)

@@ -25,6 +25,8 @@ from coldgp.cli import (
 )
 from coldgp.exceptions import ConfigError
 
+from helpers import write_cifar_fixture
+
 
 def _write_config(tmp_path, name, payload):
     path = tmp_path / name
@@ -59,6 +61,19 @@ def overflow_regress_payload(out_dir):
     payload = regress_payload(out_dir)
     payload["regression"]["assumed_noise_std"] = [10.0]
     return payload
+
+
+def _cifar_data(dir_path, **overrides):
+    write_cifar_fixture(dir_path)  # 15 train and 3 test records per class
+    return {"source": "cifar10", "dir": str(dir_path), "classes": [0, 1],
+            "n_train": 20, "n_test": 4, **overrides}
+
+
+def _file_data(dir_path, bad_row):
+    train, test = dir_path / "train.csv", dir_path / "test.csv"
+    train.write_text(f"x0,label\n0.5,0\n{bad_row}\n")
+    test.write_text("x0,label\n0.5,0\n1.5,1\n")
+    return {"source": "file", "train_path": str(train), "test_path": str(test)}
 
 
 def classify_payload(out_dir):
@@ -205,6 +220,38 @@ class TestRunVerb:
             assert main(["run", "--config", cfg]) == 3
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("make_data,code", [
+        (lambda p: _cifar_data(p, classes=[1, 1]), 2),
+        (lambda p: _cifar_data(p, classes=[3]), 2),
+        (lambda p: _cifar_data(p, classes=[0, 12]), 2),
+        (lambda p: _cifar_data(p, n_train=31), 2),
+        (lambda p: _file_data(p, "abc,1"), 3),
+        (lambda p: _file_data(p, "1.0,1.5"), 3),
+    ], ids=["cifar-duplicate-class", "cifar-one-class", "cifar-class-12",
+            "cifar-pool-overrun", "file-cell-abc", "file-label-1.5"])
+    def test_bad_data_exit_code(self, tmp_path, capsys, make_data, code):
+        payload = classify_payload(tmp_path / "o")
+        payload["data"] = make_data(tmp_path)
+        cfg = _write_config(tmp_path, "d.json", payload)
+        assert main(["run", "--config", cfg]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "o" / "results.csv").exists()
+
+    def test_exit_3_on_unshrinkable_slice_bracket(self, tmp_path, capsys):
+        # at T = 1e-300 the tempered log-likelihood is about -7e300, so the
+        # slice threshold ll + log(u) rounds back to ll and no proposal clears it
+        payload = classify_payload(tmp_path / "o")
+        payload.update(kernel={"family": "rbf"}, temperatures=[1e-300])
+        payload["data"]["n_per_class"] = 5
+        payload["ess"] = {"n_chains": 1, "burn_in": 1, "n_samples_per_chain": 1,
+                          "thinning": 1, "draws_per_sample": 1}
+        cfg = _write_config(tmp_path, "t.json", payload)
+        assert main(["run", "--config", cfg]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "slice bracket" in err and "1e-300" in err
+        assert not (tmp_path / "o" / "results.csv").exists()
 
     def test_regress_sweep_generates_each_replicate_once(self, tmp_path, monkeypatch):
         import coldgp.cli as cli

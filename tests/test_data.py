@@ -6,6 +6,7 @@ import pytest
 from coldgp import (
     CIFAR_TEST_FILE,
     CIFAR_TRAIN_FILES,
+    ConfigError,
     EmptyInputError,
     KernelSpec,
     LabelOutOfRangeError,
@@ -21,6 +22,8 @@ from coldgp import (
     normalize_inputs,
     save_dataset,
 )
+
+from helpers import write_cifar_fixture
 
 RBF = KernelSpec(family="rbf", rbf_lengthscale=1.0, rbf_variance=1.0)
 
@@ -156,25 +159,13 @@ class TestClusterGenerator:
 
 # ---------------------------------------------------------------- cifar-10
 
-def _write_cifar_fixture(dir_path, per_file=30, seed=0):
-    """Synthetic batch files: labels cycle 0..9, pixel 0 encodes the label
-    as label * 20 so the original class is recoverable after remapping."""
-    rng = np.random.default_rng(seed)
-    for name in CIFAR_TRAIN_FILES + (CIFAR_TEST_FILE,):
-        rec = rng.integers(0, 256, size=(per_file, 3073), dtype=np.uint8)
-        rec[:, 0] = np.arange(per_file) % 10
-        rec[:, 1] = rec[:, 0] * 20
-        with open(dir_path / name, "wb") as fh:
-            fh.write(rec.tobytes())
-
-
 def _original_labels(ds):
     return np.rint(ds.inputs[:, 0] * 255.0 / 20.0).astype(int)
 
 
 class TestCifarLoader:
     def test_load_all_classes(self, tmp_path):
-        _write_cifar_fixture(tmp_path)
+        write_cifar_fixture(tmp_path)
         train, test = load_cifar10(tmp_path, None, n_train=100, n_test=20, seed=0)
         assert train.inputs.shape == (100, 3072)
         assert test.inputs.shape == (20, 3072)
@@ -188,7 +179,7 @@ class TestCifarLoader:
         assert name in CIFAR_TRAIN_FILES and 0 <= row < 30
 
     def test_deterministic(self, tmp_path):
-        _write_cifar_fixture(tmp_path)
+        write_cifar_fixture(tmp_path)
         a, _ = load_cifar10(tmp_path, None, n_train=50, n_test=10, seed=3)
         b, _ = load_cifar10(tmp_path, None, n_train=50, n_test=10, seed=3)
         c, _ = load_cifar10(tmp_path, None, n_train=50, n_test=10, seed=4)
@@ -196,7 +187,7 @@ class TestCifarLoader:
         assert not np.array_equal(a.targets, c.targets)
 
     def test_class_subset_remaps_in_order(self, tmp_path):
-        _write_cifar_fixture(tmp_path)
+        write_cifar_fixture(tmp_path)
         train, test = load_cifar10(tmp_path, [3, 8], n_train=20, n_test=4, seed=0)
         assert train.class_count == 2
         for ds in (train, test):
@@ -205,7 +196,7 @@ class TestCifarLoader:
             assert np.array_equal(ds.targets, np.where(orig == 3, 0, 1))
 
     def test_set_subset_sorted_sequence_order_kept(self, tmp_path):
-        _write_cifar_fixture(tmp_path)
+        write_cifar_fixture(tmp_path)
         from_set, _ = load_cifar10(tmp_path, {8, 3}, n_train=20, n_test=4, seed=0)
         from_list, _ = load_cifar10(tmp_path, [3, 8], n_train=20, n_test=4, seed=0)
         assert np.array_equal(from_set.targets, from_list.targets)
@@ -214,12 +205,12 @@ class TestCifarLoader:
         assert np.array_equal(reversed_order.targets, np.where(orig == 8, 0, 1))
 
     def test_request_exceeding_pool(self, tmp_path):
-        _write_cifar_fixture(tmp_path)  # 15 per class over the train files
-        with pytest.raises(ValueError, match="only"):
+        write_cifar_fixture(tmp_path)  # 15 per class over the train files
+        with pytest.raises(ConfigError, match="only"):
             load_cifar10(tmp_path, [0], n_train=16, n_test=1, seed=0)
 
     def test_keep_classes_validation(self, tmp_path):
-        _write_cifar_fixture(tmp_path)
+        write_cifar_fixture(tmp_path)
         with pytest.raises(ValueError):
             load_cifar10(tmp_path, [1, 1], n_train=5, n_test=2, seed=0)
         with pytest.raises(LabelOutOfRangeError):
@@ -234,14 +225,14 @@ class TestCifarLoader:
             load_cifar10(tmp_path, None, n_train=5, n_test=2, seed=0)
 
     def test_truncated_file(self, tmp_path):
-        _write_cifar_fixture(tmp_path)
+        write_cifar_fixture(tmp_path)
         with open(tmp_path / CIFAR_TRAIN_FILES[2], "wb") as fh:
             fh.write(b"\x00" * 100)
         with pytest.raises(MalformedRecordError, match="multiple"):
             load_cifar10(tmp_path, None, n_train=5, n_test=2, seed=0)
 
     def test_label_byte_out_of_range(self, tmp_path):
-        _write_cifar_fixture(tmp_path)
+        write_cifar_fixture(tmp_path)
         rec = np.zeros(3073, dtype=np.uint8)
         rec[0] = 10
         with open(tmp_path / CIFAR_TEST_FILE, "wb") as fh:
@@ -331,6 +322,14 @@ class TestSaveLoadRoundTrip:
         ragged.write_text("x0,x1,target\n1.0,2.0,3.0\n1.0,2.0\n")
         with pytest.raises(MalformedRecordError, match="expected 3 fields"):
             load_dataset(ragged)
+        bad_cell = tmp_path / "c.csv"
+        bad_cell.write_text("x0,x1,target\n1.0,2.0,3.0\n1.0,abc,3.0\n")
+        with pytest.raises(MalformedRecordError, match="c.csv:3"):
+            load_dataset(bad_cell)
+        bad_label = tmp_path / "l.csv"
+        bad_label.write_text("x0,label\n1.0,0\n2.0,1.5\n")
+        with pytest.raises(MalformedRecordError, match="l.csv:3"):
+            load_dataset(bad_label)
         no_rows = tmp_path / "n.csv"
         no_rows.write_text("x0,target\n")
         with pytest.raises(EmptyInputError):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.special
-import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,15 +11,7 @@ from coldgp.exceptions import (
     NotPositiveDefiniteError,
     NotSymmetricError,
 )
-from coldgp.linalg import (
-    JITTER_LADDER,
-    cholesky,
-    log_sum_exp,
-    mvn_logpdf,
-    mvn_sample,
-    solve_spd,
-)
-from coldgp.rng import RngStream
+from coldgp.linalg import JITTER_LADDER, cholesky, log_sum_exp
 
 
 def _random_spd(n, seed):
@@ -35,45 +26,6 @@ def test_cholesky_hand_worked_2x2():
     np.testing.assert_allclose(f.lower, [[2.0, 0.0], [1.0, np.sqrt(2.0)]], rtol=1e-15)
     assert f.jitter_used == 0.0
     assert f.dimension == 2
-
-
-def test_solve_spd_hand_worked():
-    # inverse of [[4,2],[2,3]] is (1/8)[[3,-2],[-2,4]]; rhs e0 gives (3/8, -1/4)
-    f = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
-    x = solve_spd(f, np.array([1.0, 0.0]))
-    np.testing.assert_allclose(x, [0.375, -0.25], rtol=1e-14)
-
-
-def test_solve_spd_matrix_rhs():
-    a = _random_spd(6, 0)
-    f = cholesky(a)
-    rhs = np.random.default_rng(1).standard_normal((6, 3))
-    x = solve_spd(f, rhs)
-    assert x.shape == (6, 3)
-    np.testing.assert_allclose(a @ x, rhs, rtol=1e-9, atol=1e-9)
-
-
-def test_log_det_matches_slogdet():
-    a = _random_spd(8, 2)
-    sign, ref = np.linalg.slogdet(a)
-    assert sign > 0
-    np.testing.assert_allclose(cholesky(a).log_det(), ref, rtol=1e-12)
-
-
-def test_mvn_logpdf_matches_scipy():
-    a = _random_spd(5, 3)
-    mean = np.arange(5.0)
-    x = np.array([0.3, -1.2, 2.0, 0.0, 4.5])
-    ours = mvn_logpdf(x, mean, cholesky(a))
-    ref = scipy.stats.multivariate_normal(mean=mean, cov=a).logpdf(x)
-    np.testing.assert_allclose(ours, ref, rtol=1e-12)
-
-
-def test_mvn_logpdf_univariate_standard():
-    f = cholesky(np.array([[1.0]]))
-    ours = mvn_logpdf(np.array([0.7]), np.array([0.0]), f)
-    ref = scipy.stats.norm.logpdf(0.7)
-    np.testing.assert_allclose(ours, ref, rtol=1e-14)
 
 
 def test_validation_errors():
@@ -108,22 +60,6 @@ def test_jitter_scales_with_diagonal():
 
 def test_well_conditioned_needs_no_jitter():
     assert cholesky(_random_spd(10, 4)).jitter_used == 0.0
-
-
-def test_mvn_sample_moments():
-    a = np.array([[2.0, 0.6], [0.6, 1.0]])
-    f = cholesky(a)
-    mean = np.array([1.0, -2.0])
-    draws = mvn_sample(mean, f, RngStream(77, 0), draws=40_000)
-    assert draws.shape == (2, 40_000)
-    np.testing.assert_allclose(draws.mean(axis=1), mean, atol=0.03)
-    np.testing.assert_allclose(np.cov(draws), a, atol=0.06)
-
-
-def test_mvn_sample_single_draw_shape():
-    f = cholesky(np.eye(3))
-    d = mvn_sample(np.zeros(3), f, RngStream(1, 0))
-    assert d.shape == (3,)
 
 
 def test_log_sum_exp_matches_scipy():

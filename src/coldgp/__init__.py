@@ -6,8 +6,6 @@ closed-form relabel-disagreement probe for aleatoric uncertainty, and a
 deterministic CLI for running temperature-sweep experiments.
 """
 from .aleatoric import (
-    ProbeConfig,
-    ProbePoint,
     relabel_disagreement_mc,
     relabel_prob_quadrature,
     relabel_prob_zero_temperature,
@@ -58,9 +56,8 @@ from .exceptions import (
 )
 from .kernels import FAMILIES, KernelSpec, gram, gram_diag, kernel_eval, scale_kernel
 from .linalg import JITTER_LADDER, SpdFactor, cholesky, log_sum_exp
-from .records import SweepRecord, SweepResult, format_cell, read_csv, select_best, write_csv
+from .records import best_temperature, format_cell, read_csv, write_csv
 from .regression import (
-    DEFAULT_TEMPERATURE_GRID,
     ConditionedRegression,
     RegressionModel,
     gaussian_test_nll,
@@ -71,8 +68,8 @@ from .rng import RngStream, derive_seed
 __version__ = "0.1.0"
 
 __all__ = [
-    "ProbeConfig", "ProbePoint", "relabel_disagreement_mc", "relabel_prob_quadrature",
-    "relabel_prob_zero_temperature", "relabel_ratio_curve",
+    "relabel_disagreement_mc", "relabel_prob_quadrature", "relabel_prob_zero_temperature",
+    "relabel_ratio_curve",
     "EssConfig", "LatentSampleSet", "classification_metrics",
     "classification_temperature_sweep", "ess_transition", "predictive_class_probs",
     "sample_latent_posterior", "tempered_log_likelihood",
@@ -89,8 +86,8 @@ __all__ = [
     "ZeroVarianceError",
     "FAMILIES", "KernelSpec", "gram", "gram_diag", "kernel_eval", "scale_kernel",
     "JITTER_LADDER", "SpdFactor", "cholesky", "log_sum_exp",
-    "SweepRecord", "SweepResult", "format_cell", "read_csv", "select_best", "write_csv",
-    "DEFAULT_TEMPERATURE_GRID", "ConditionedRegression", "RegressionModel",
+    "best_temperature", "format_cell", "read_csv", "write_csv",
+    "ConditionedRegression", "RegressionModel",
     "gaussian_test_nll", "regression_temperature_sweep",
     "RngStream", "derive_seed",
     "__version__",

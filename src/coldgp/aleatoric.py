@@ -16,8 +16,6 @@ symmetric window, with panel doubling until the value stabilizes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import brentq
 from scipy.special import expit
@@ -26,46 +24,15 @@ from .exceptions import (
     DimensionMismatchError,
     EmptyInputError,
     IndexOutOfRangeError,
-    LabelOutOfRangeError,
-    LengthMismatchError,
     NonPositiveScaleError,
     QuadratureNotConvergedError,
+    check_labels,
     check_temperature,
 )
 from .linalg import log_sum_exp
 
 _INITIAL_PANELS = 256
 _MAX_PANELS = 2 ** 20
-
-
-@dataclass(frozen=True)
-class ProbeConfig:
-    """Quadrature settings for one (latent_scale, temperature) evaluation."""
-
-    latent_scale: float
-    temperature: float
-    quadrature_tolerance: float = 1e-8
-    integration_half_width_sigmas: float = 40.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.latent_scale) and self.latent_scale > 0.0):
-            raise NonPositiveScaleError(f"latent_scale must be positive, got {self.latent_scale!r}")
-        check_temperature(self.temperature)
-        if not (np.isfinite(self.quadrature_tolerance) and self.quadrature_tolerance > 0.0):
-            raise ValueError("quadrature_tolerance must be positive")
-        if not (np.isfinite(self.integration_half_width_sigmas)
-                and self.integration_half_width_sigmas > 0.0):
-            raise ValueError("integration_half_width_sigmas must be positive")
-
-
-@dataclass(frozen=True)
-class ProbePoint:
-    """One evaluated grid point; ratio is probability / probability at t = 1."""
-
-    latent_scale: float
-    temperature: float
-    probability: float
-    ratio: float
 
 
 def _simpson_log_weights(n_points: int):
@@ -76,9 +43,8 @@ def _simpson_log_weights(n_points: int):
     return np.log(w)
 
 
-def _probe_value(cfg: ProbeConfig, panels: int) -> float:
-    c, t = cfg.latent_scale, cfg.temperature
-    half = cfg.integration_half_width_sigmas * np.sqrt(2.0 * c * t)
+def _probe_value(c: float, t: float, half_width_sigmas: float, panels: int) -> float:
+    half = half_width_sigmas * np.sqrt(2.0 * c * t)
     d = np.linspace(-half, half, 2 * panels + 1)
     # log sigmoid(d) = -log(1 + exp(-d)); the Gaussian normalizer cancels.
     log_post = -np.logaddexp(0.0, -d) / t - d * d / (4.0 * c * t)
@@ -97,19 +63,25 @@ def relabel_prob_quadrature(latent_scale: float, temperature: float,
     tolerance; raises QuadratureNotConvergedError if the panel budget runs
     out first.
     """
-    cfg = ProbeConfig(latent_scale=float(latent_scale), temperature=float(temperature),
-                      quadrature_tolerance=float(quadrature_tolerance),
-                      integration_half_width_sigmas=float(integration_half_width_sigmas))
+    c, t = float(latent_scale), float(temperature)
+    tol, width = float(quadrature_tolerance), float(integration_half_width_sigmas)
+    if not (np.isfinite(c) and c > 0.0):
+        raise NonPositiveScaleError(f"latent_scale must be positive, got {c!r}")
+    check_temperature(t)
+    if not (np.isfinite(tol) and tol > 0.0):
+        raise ValueError("quadrature_tolerance must be positive")
+    if not (np.isfinite(width) and width > 0.0):
+        raise ValueError("integration_half_width_sigmas must be positive")
     panels = _INITIAL_PANELS
-    prev = _probe_value(cfg, panels)
+    prev = _probe_value(c, t, width, panels)
     while panels <= _MAX_PANELS:
         panels *= 2
-        cur = _probe_value(cfg, panels)
-        if abs(cur - prev) <= cfg.quadrature_tolerance * max(abs(cur), 1e-300):
+        cur = _probe_value(c, t, width, panels)
+        if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
             return cur
         prev = cur
     raise QuadratureNotConvergedError(
-        f"no convergence to {cfg.quadrature_tolerance!r} within {_MAX_PANELS} panels "
+        f"no convergence to {tol!r} within {_MAX_PANELS} panels "
         f"(latent_scale={latent_scale!r}, temperature={temperature!r})")
 
 
@@ -133,28 +105,24 @@ def relabel_prob_zero_temperature(latent_scale: float) -> float:
 
 def relabel_ratio_curve(latent_scale: float, temperatures,
                         quadrature_tolerance: float = 1e-8,
-                        integration_half_width_sigmas: float = 40.0) -> list:
+                        integration_half_width_sigmas: float = 40.0):
     """Probe values across a temperature grid, normalized by the t = 1 value.
 
-    Returns one ProbePoint per requested temperature, in the given order.
-    The t = 1 reference is computed once, so a grid containing 1.0 reports
-    ratio exactly 1.0 there.
+    Returns (probability, ratio): two float64 arrays with one entry per grid
+    position, in grid order, where ratio is probability / probability at
+    t = 1.  The t = 1 reference is computed once, so a grid containing 1.0
+    reports ratio exactly 1.0 there.
     """
     temps = [check_temperature(t) for t in temperatures]
     if not temps:
         raise EmptyInputError("temperature grid is empty")
     base = relabel_prob_quadrature(latent_scale, 1.0, quadrature_tolerance,
                                    integration_half_width_sigmas)
-    points = []
-    for t in temps:
-        if t == 1.0:
-            p = base
-        else:
-            p = relabel_prob_quadrature(latent_scale, t, quadrature_tolerance,
-                                        integration_half_width_sigmas)
-        points.append(ProbePoint(latent_scale=float(latent_scale), temperature=t,
-                                 probability=p, ratio=p / base))
-    return points
+    probability = np.array([
+        base if t == 1.0 else relabel_prob_quadrature(latent_scale, t, quadrature_tolerance,
+                                                      integration_half_width_sigmas)
+        for t in temps])
+    return probability, probability / base
 
 
 def relabel_disagreement_mc(latent_samples, labels, index: int) -> float:
@@ -172,13 +140,7 @@ def relabel_disagreement_mc(latent_samples, labels, index: int) -> float:
     if f.ndim < 2:
         raise DimensionMismatchError(f"latent samples must be (..., n, class_count), got {f.shape}")
     n, c = f.shape[-2:]
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != n:
-        raise LengthMismatchError(f"labels shape {labels.shape} vs {n} latent rows")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise LabelOutOfRangeError("labels must be integers")
-    if labels.min() < 0 or labels.max() >= c:
-        raise LabelOutOfRangeError(f"labels outside [0, {c})")
+    labels = check_labels(labels, n, c)
     if not (0 <= index < n):
         raise IndexOutOfRangeError(f"index {index} outside [0, {n})")
     rows = f.reshape(-1, n, c)[:, index]

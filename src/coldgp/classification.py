@@ -27,14 +27,12 @@ from .exceptions import (
     ColdGPError,
     DimensionMismatchError,
     EmptyInputError,
-    LabelOutOfRangeError,
-    LengthMismatchError,
     NonFiniteLikelihoodError,
+    check_labels,
     check_temperature,
 )
 from .kernels import KernelSpec, gram, gram_diag
 from .linalg import SpdFactor, cholesky
-from .records import SweepRecord, SweepResult, select_best
 from .rng import RngStream, derive_seed
 
 PROB_FLOOR = 1e-12
@@ -105,13 +103,7 @@ def tempered_log_likelihood(latent, labels, t: float) -> float:
     n, c = f.shape
     if n < 1 or c < 2:
         raise EmptyInputError(f"latent needs n >= 1 rows and >= 2 classes, got {f.shape}")
-    y = np.asarray(labels)
-    if y.ndim != 1 or y.shape[0] != n:
-        raise LengthMismatchError(f"labels shape {y.shape} does not match {n} rows")
-    if not np.issubdtype(y.dtype, np.integer):
-        raise LabelOutOfRangeError("labels must be integers")
-    if y.min() < 0 or y.max() >= c:
-        raise LabelOutOfRangeError(f"labels outside [0, {c})")
+    y = check_labels(labels, n, c)
     m = f.max(axis=1)
     lse = m + np.log(np.sum(np.exp(f - m[:, None]), axis=1))
     return float(np.sum(f[np.arange(n), y] - lse) / t)
@@ -294,17 +286,11 @@ def classification_metrics(probs, labels):
     to the smallest class index.
     """
     probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
     if probs.ndim != 2:
         raise DimensionMismatchError(f"probs must be (n, class_count), got {probs.shape}")
-    if labels.ndim != 1 or labels.shape[0] != probs.shape[0]:
-        raise LengthMismatchError(f"labels shape {labels.shape} vs {probs.shape[0]} prob rows")
+    labels = check_labels(labels, *probs.shape)
     if probs.shape[0] == 0:
         raise EmptyInputError("no rows")
-    if not np.issubdtype(labels.dtype, np.integer):
-        raise LabelOutOfRangeError("labels must be integers")
-    if labels.min() < 0 or labels.max() >= probs.shape[1]:
-        raise LabelOutOfRangeError(f"labels outside [0, {probs.shape[1]})")
     picked = probs[np.arange(probs.shape[0]), labels]
     mean_log = float(np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
     accuracy = float(np.mean(np.argmax(probs, axis=1) == labels))
@@ -314,16 +300,17 @@ def classification_metrics(probs, labels):
 def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
                                      test: LabeledDataset, temperatures,
                                      config: EssConfig = EssConfig(), seed: int = 0,
-                                     draws_per_sample: int = 8) -> SweepResult:
+                                     draws_per_sample: int = 8) -> dict:
     """Posterior sampling and test metrics across a temperature grid.
 
     Grid position j gets its own derived master seed, so temperatures are
     independent and the grid can be re-partitioned without changing results.
     One Cholesky factor of K(X, X) serves the sampler at every temperature
     and the predictive.
-    Records carry test_log_likelihood and top1_accuracy, plus between-chain
-    Monte Carlo standard errors in ``extras``.  best_temperature maximizes
-    test log-likelihood (ties toward smaller temperature).
+    Returns a dict of 1-D float64 arrays in grid order: test_log_likelihood,
+    top1_accuracy, and their between-chain Monte Carlo standard errors
+    mc_se_log_likelihood and mc_se_accuracy (0 for a single chain); ``stats``
+    lists each position's sampler stats (LatentSampleSet.stats).
     """
     temps = [check_temperature(t) for t in temperatures]
     if not temps:
@@ -332,8 +319,8 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
         raise ValueError("train/test class counts differ or test set is not classification")
     prior_factor = cholesky(gram(kernel, train.inputs, train.inputs))
     precomputed = _conditional_precompute(kernel, train.inputs, test.inputs, prior_factor)
-    records = []
-    diagnostics = {}
+    ll, acc, se_ll, se_acc = (np.zeros(len(temps)) for _ in range(4))
+    stats = []
     for j, t in enumerate(temps):
         seed_t = derive_seed(seed, j)
         sample_set = sample_latent_posterior(kernel, train, t, config, seed_t,
@@ -341,19 +328,11 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
         rng = RngStream(seed_t, config.n_chains)
         chain_means = _chain_prob_means(sample_set, test.inputs, draws_per_sample, rng,
                                         precomputed=precomputed)
-        ll, acc = classification_metrics(chain_means.mean(axis=0), test.targets)
-        per_chain = [classification_metrics(cm, test.targets) for cm in chain_means]
+        ll[j], acc[j] = classification_metrics(chain_means.mean(axis=0), test.targets)
         if config.n_chains > 1:
-            se_ll = float(np.std([m[0] for m in per_chain], ddof=1) / np.sqrt(config.n_chains))
-            se_acc = float(np.std([m[1] for m in per_chain], ddof=1) / np.sqrt(config.n_chains))
-        else:
-            se_ll = se_acc = 0.0
-        records.append(SweepRecord(
-            temperature=t,
-            metrics={"test_log_likelihood": ll, "top1_accuracy": acc},
-            seed=int(seed),
-            extras={"mc_se_log_likelihood": se_ll, "mc_se_accuracy": se_acc},
-        ))
-        diagnostics[t] = dict(sample_set.stats)
-    best = select_best(records, "test_log_likelihood", minimize=False)
-    return SweepResult(records=records, best_temperature=best, diagnostics=diagnostics)
+            per_chain = [classification_metrics(cm, test.targets) for cm in chain_means]
+            se_ll[j], se_acc[j] = (np.std(m, ddof=1) / np.sqrt(config.n_chains)
+                                   for m in zip(*per_chain))
+        stats.append(sample_set.stats)
+    return {"test_log_likelihood": ll, "top1_accuracy": acc,
+            "mc_se_log_likelihood": se_ll, "mc_se_accuracy": se_acc, "stats": stats}

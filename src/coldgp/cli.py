@@ -24,6 +24,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from .aleatoric import relabel_prob_zero_temperature, relabel_ratio_curve
 from .classification import classification_temperature_sweep
 from .config import ExperimentConfig, apply_overrides, load_config
@@ -37,7 +39,7 @@ from .data import (
     save_dataset,
 )
 from .exceptions import ColdGPError, ConfigError, SchemaMismatchError
-from .records import read_csv, write_csv
+from .records import best_temperature, read_csv, write_csv
 from .regression import RegressionModel, regression_temperature_sweep
 from .rng import derive_seed
 
@@ -93,42 +95,39 @@ def _run_regress_sweep(config: ExperimentConfig):
         datasets = [gen_rbf_regression(n_train=d["n_train"], n_test=d["n_test"],
                                        noise_std=d["noise_std"], kernel=config.kernel, seed=s)
                     for s in seeds]
+    temps = config.temperatures
     for sigma in config.regression["assumed_noise_std"]:
         model = RegressionModel(kernel=config.kernel, noise_std=sigma)
-        nll_sum = {}
+        nll_sum = np.zeros(len(temps))
         for seed_k, (train, test) in zip(seeds, datasets):
-            result = regression_temperature_sweep(
-                model, train, test, temperatures=config.temperatures, seed=seed_k)
-            jitters.add(result.diagnostics["jitter_used"])
-            for rec in result.records:
-                nll = rec.metrics["test_nll"]
-                rows.append((rec.temperature, nll, seed_k, float(sigma)))
-                nll_sum[rec.temperature] = nll_sum.get(rec.temperature, 0.0) + nll
-        t_best = min(nll_sum, key=lambda t: (nll_sum[t], t))
-        log.append(f"assumed_noise_std={float(sigma)!r} argmin_temperature={t_best!r} "
-                   f"mean_test_nll={nll_sum[t_best] / len(seeds)!r}")
+            nll, jitter = regression_temperature_sweep(model, train, test, temps)
+            jitters.add(jitter)
+            rows.extend((t, v, seed_k, float(sigma)) for t, v in zip(temps, nll))
+            nll_sum += nll
+        log.append(f"assumed_noise_std={float(sigma)!r} "
+                   f"argmin_temperature={best_temperature(temps, nll_sum)!r} "
+                   f"mean_test_nll={float(nll_sum.min()) / len(seeds)!r}")
     log.append(f"jitter_used={sorted(jitters)!r}")
     return REGRESS_HEADER, rows, log
 
 
 def _run_classify_sweep(config: ExperimentConfig):
     train, test = _load_classification_data(config)
-    result = classification_temperature_sweep(
-        config.kernel, train, test, temperatures=config.temperatures,
+    temps = config.temperatures
+    out = classification_temperature_sweep(
+        config.kernel, train, test, temperatures=temps,
         config=config.ess, seed=config.seed, draws_per_sample=config.draws_per_sample)
-    rows = [(rec.temperature, rec.metrics["test_log_likelihood"],
-             rec.metrics["top1_accuracy"], train.n, test.n, rec.seed)
-            for rec in result.records]
+    ll, acc = out["test_log_likelihood"], out["top1_accuracy"]
+    rows = [(t, v, a, train.n, test.n, config.seed) for t, v, a in zip(temps, ll, acc)]
     log = [f"n_train={train.n} n_test={test.n} class_count={train.class_count}"]
-    for rec in result.records:
-        stats = result.diagnostics[rec.temperature]
+    for j, (t, stats) in enumerate(zip(temps, out["stats"])):
         log.append(
-            f"temperature={rec.temperature!r} "
+            f"temperature={t!r} "
             f"proposals_per_transition={stats['proposals_per_transition']!r} "
             f"prior_jitter={stats['prior_jitter']!r} "
-            f"mc_se_log_likelihood={rec.extras['mc_se_log_likelihood']!r} "
-            f"mc_se_accuracy={rec.extras['mc_se_accuracy']!r}")
-    log.append(f"best_temperature={result.best_temperature!r}")
+            f"mc_se_log_likelihood={float(out['mc_se_log_likelihood'][j])!r} "
+            f"mc_se_accuracy={float(out['mc_se_accuracy'][j])!r}")
+    log.append(f"best_temperature={best_temperature(temps, -ll)!r}")
     return CLASSIFY_HEADER, rows, log
 
 
@@ -136,12 +135,12 @@ def _run_probe(config: ExperimentConfig):
     p = config.probe
     rows, log = [], []
     for scale in p["latent_scales"]:
-        points = relabel_ratio_curve(
+        probability, ratio = relabel_ratio_curve(
             scale, p["temperatures"],
             quadrature_tolerance=p["quadrature_tolerance"],
             integration_half_width_sigmas=p["integration_half_width_sigmas"])
-        rows.extend((pt.latent_scale, pt.temperature, pt.probability, pt.ratio)
-                    for pt in points)
+        rows.extend((float(scale), t, q, r)
+                    for t, q, r in zip(p["temperatures"], probability, ratio))
         log.append(f"latent_scale={float(scale)!r} "
                    f"zero_temperature_limit={relabel_prob_zero_temperature(scale)!r}")
     return PROBE_HEADER, rows, log

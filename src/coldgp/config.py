@@ -10,6 +10,7 @@ it parses back to an identical run.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .classification import EssConfig
@@ -87,6 +88,8 @@ def _as_number(value, key: str, where: str, positive=False, nonneg=False) -> flo
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key '{key}' in {where} must be a number, got {value!r}")
     v = float(value)
+    if not math.isfinite(v):
+        raise ConfigError(f"key '{key}' in {where} must be finite, got {value!r}")
     if positive and not v > 0.0:
         raise ConfigError(f"key '{key}' in {where} must be positive, got {value!r}")
     if nonneg and v < 0.0:

@@ -327,8 +327,8 @@ def load_dataset(path, split_tag: str = "train", class_count: int | None = None)
                 )
             try:
                 xs.append([float(v) for v in parts[:d]])
-                ys.append(float(parts[d]) if kind == "target" else int(parts[d]))
-            except ValueError:
+                ys.append(float(parts[d]) if kind == "target" else np.int64(parts[d]))
+            except (ValueError, OverflowError):  # OverflowError: a label beyond int64
                 raise MalformedRecordError(
                     f"{path}:{line_no}: unparseable field in {line.strip()!r}"
                 ) from None

@@ -3,6 +3,7 @@
 Every error raised deliberately by coldgp derives from ColdGPError, so callers
 can catch one base class at the boundary (the CLI maps them to exit codes).
 """
+import numpy as np
 
 
 class ColdGPError(Exception):
@@ -79,6 +80,22 @@ def check_temperature(t) -> float:
     if not 0.0 < t < float("inf"):  # also false for NaN
         raise NonPositiveTemperatureError(f"temperature must be positive and finite, got {t!r}")
     return t
+
+
+def check_labels(labels, n: int, class_count: int) -> np.ndarray:
+    """``labels`` as an array, checked to hold n integer labels in [0, class_count).
+
+    Raises LengthMismatchError unless the array is 1-D of length n, and
+    LabelOutOfRangeError for a non-integer dtype or a label outside the range.
+    """
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.shape[0] != n:
+        raise LengthMismatchError(f"labels shape {labels.shape} vs {n} rows")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise LabelOutOfRangeError("labels must be integers")
+    if labels.size and (labels.min() < 0 or labels.max() >= class_count):
+        raise LabelOutOfRangeError(f"labels outside [0, {class_count})")
+    return labels
 
 
 __all__ = [

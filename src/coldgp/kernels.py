@@ -153,19 +153,17 @@ def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
 def gram(spec: KernelSpec, a, b) -> np.ndarray:
     """Kernel matrix between row sets ``a`` (n, d) and ``b`` (m, d).
 
-    When ``a`` and ``b`` are the same object the result is exactly symmetric.
+    When ``a`` and ``b`` are the same object the result is exactly symmetric:
+    cdist's squared distances are, and the nngp recursion starts from an
+    averaged, exactly symmetric matrix.
     """
     same = a is b
     a, b = _check_inputs(a, b)
     if same:
         b = a
     if spec.family == "rbf":
-        out = _rbf_gram(spec, a, b)
-    else:
-        out = _nngp_gram(spec, a, b, symmetric=same)
-    if same:
-        out = 0.5 * (out + out.T)
-    return out
+        return _rbf_gram(spec, a, b)
+    return _nngp_gram(spec, a, b, symmetric=same)
 
 
 def gram_diag(spec: KernelSpec, a) -> np.ndarray:

@@ -1,45 +1,28 @@
-"""Sweep result containers shared by the regression/classification sweeps and the CLI."""
+"""Results tables and the best-temperature rule shared by the sweeps' callers.
+
+Sweeps return plain arrays in grid order; this module picks the best grid
+temperature from such an array and writes and reads the fixed-layout
+results CSV.
+"""
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .exceptions import EmptyInputError, MalformedRecordError
 
 
-@dataclass
-class SweepRecord:
-    """One temperature grid point.
+def best_temperature(temperatures, values) -> float:
+    """Grid temperature with the smallest value; ties go to the smaller temperature.
 
-    ``metrics`` holds the fixed, serialized metric names for the experiment
-    type; ``extras`` carries diagnostics (Monte Carlo errors and the like)
-    that never reach the results CSV.
+    ``values`` holds one number per grid position.  To maximize a metric,
+    pass its negation.
     """
-
-    temperature: float
-    metrics: dict
-    seed: int
-    extras: dict = field(default_factory=dict)
-
-
-@dataclass
-class SweepResult:
-    records: list
-    best_temperature: float
-    diagnostics: dict = field(default_factory=dict)
-
-
-def select_best(records, metric: str, minimize: bool = True) -> float:
-    """Temperature of the extremal record; ties go to the smaller temperature."""
-    if not records:
-        raise EmptyInputError("no records to select from")
-    if minimize:
-        key = lambda r: (r.metrics[metric], r.temperature)
-    else:
-        key = lambda r: (-r.metrics[metric], r.temperature)
-    return min(records, key=key).temperature
+    pairs = list(zip(values, temperatures))
+    if not pairs:
+        raise EmptyInputError("no temperatures to select from")
+    return min(pairs)[1]
 
 
 def format_cell(value) -> str:

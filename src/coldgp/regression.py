@@ -26,10 +26,6 @@ from .exceptions import (
 )
 from .kernels import KernelSpec, gram, gram_diag
 from .linalg import SpdFactor, cholesky
-from .records import SweepRecord, SweepResult, select_best
-
-# Default sweep grid: 40 log-spaced temperatures covering 1e-2 .. 1e2.
-DEFAULT_TEMPERATURE_GRID = tuple(float(t) for t in np.logspace(-2.0, 2.0, 40))
 
 
 @dataclass(frozen=True)
@@ -94,34 +90,19 @@ def gaussian_test_nll(mean, variance, targets) -> float:
     return float(np.mean(nll))
 
 
-def regression_temperature_sweep(
-    model: RegressionModel,
-    train: LabeledDataset,
-    test: LabeledDataset,
-    temperatures=DEFAULT_TEMPERATURE_GRID,
-    seed: int | None = None,
-) -> SweepResult:
-    """Evaluate tempered test NLL across a temperature grid.
+def regression_temperature_sweep(model: RegressionModel, train: LabeledDataset,
+                                 test: LabeledDataset, temperatures):
+    """Tempered test NLL across a temperature grid: (test_nll, jitter_used).
 
-    The posterior is conditioned once; each grid point only multiplies the
-    predictive variance array by its temperature.  Records carry metric
-    ``test_nll``; the result's best_temperature is the NLL argmin with ties
-    broken toward the smaller temperature.
+    ``test_nll`` is a float64 array with one entry per grid position, in grid
+    order; ``jitter_used`` is the jitter of the factor.  The posterior is
+    conditioned once; each grid point only multiplies the predictive
+    variance array by its temperature.
     """
     temps = [check_temperature(t) for t in temperatures]
     if not temps:
         raise EmptyInputError("temperature grid is empty")
-    if seed is None:
-        seed = int(train.provenance.get("seed", 0))
     fit = ConditionedRegression(model, train)
     mean, variance = fit.predict(test.inputs)
-    records = []
-    for t in temps:
-        nll = gaussian_test_nll(mean, variance * t, test.targets)
-        records.append(SweepRecord(temperature=t, metrics={"test_nll": nll}, seed=seed))
-    best = select_best(records, "test_nll", minimize=True)
-    return SweepResult(
-        records=records,
-        best_temperature=best,
-        diagnostics={"jitter_used": fit.factor.jitter_used},
-    )
+    test_nll = np.array([gaussian_test_nll(mean, variance * t, test.targets) for t in temps])
+    return test_nll, fit.factor.jitter_used

@@ -79,8 +79,7 @@ def test_relabel_ratio_curve_shape():
     worst_rise = -np.inf
     tails = []
     for scale in (1.0, 10.0, 100.0, 1000.0):
-        points = relabel_ratio_curve(scale, temps, quadrature_tolerance=tol)
-        ratios = np.array([pt.ratio for pt in points])
+        _, ratios = relabel_ratio_curve(scale, temps, quadrature_tolerance=tol)
         worst_rise = max(worst_rise, float(np.max(np.diff(ratios))))
         tails.append(float(ratios[-1]))
     elapsed = time.perf_counter() - started
@@ -309,23 +308,23 @@ def test_cold_sweep_improves_test_likelihood():
     train, test, source = _two_class_image_data()
     assert (train.n, test.n) == (2000, 1000)
     spec = KernelSpec.nngp(depth=2, sigma_w2=2.0, sigma_b2=0.0)
-    result = classification_temperature_sweep(
-        spec, train, test, [0.01, 0.03, 0.1, 0.3, 1.0],
+    temps = [0.01, 0.03, 0.1, 0.3, 1.0]
+    out = classification_temperature_sweep(
+        spec, train, test, temps,
         config=EssConfig(n_chains=4, burn_in=300, n_samples_per_chain=200, thinning=2),
         seed=0, draws_per_sample=8)
-    rec = {r.temperature: r for r in result.records}
-    best = rec[result.best_temperature]
-    ref = rec[1.0]
-    ll_ok = best.metrics["test_log_likelihood"] >= ref.metrics["test_log_likelihood"]
-    acc_floor = ref.metrics["top1_accuracy"] - ref.extras["mc_se_accuracy"]
-    acc_ok = best.metrics["top1_accuracy"] >= acc_floor
+    ll, acc = out["test_log_likelihood"], out["top1_accuracy"]
+    b = int(np.argmax(ll))  # first maximum: the grid ascends, so ties go to the smaller T
+    r = temps.index(1.0)
+    ll_ok = ll[b] >= ll[r]
+    acc_floor = acc[r] - out["mc_se_accuracy"][r]
+    acc_ok = acc[b] >= acc_floor
     elapsed = time.perf_counter() - started
     ok = ll_ok and acc_ok and elapsed < 1800.0
     _check("cold-sweep-test-likelihood", ok,
-           f"{source} n_train=2000 n_test=1000, best T={result.best_temperature}: "
-           f"log-lik {best.metrics['test_log_likelihood']:.4f} >= "
-           f"{ref.metrics['test_log_likelihood']:.4f} at T=1, "
-           f"accuracy {best.metrics['top1_accuracy']:.4f} >= {acc_floor:.4f}, "
+           f"{source} n_train=2000 n_test=1000, best T={temps[b]}: "
+           f"log-lik {ll[b]:.4f} >= {ll[r]:.4f} at T=1, "
+           f"accuracy {acc[b]:.4f} >= {acc_floor:.4f}, "
            f"{elapsed:.0f}s (budget 1800s)")
 
 

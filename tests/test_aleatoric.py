@@ -5,8 +5,6 @@ import scipy.stats
 from scipy.special import expit
 
 from coldgp.aleatoric import (
-    ProbeConfig,
-    ProbePoint,
     relabel_disagreement_mc,
     relabel_prob_quadrature,
     relabel_prob_zero_temperature,
@@ -105,30 +103,27 @@ def test_refinement_stability():
 
 def test_ratio_curve():
     temps = [1.0, 0.1, 0.01]
-    points = relabel_ratio_curve(1000.0, temps)
-    assert [p.temperature for p in points] == temps
-    assert points[0].ratio == 1.0  # reference value reused exactly
-    assert all(isinstance(p, ProbePoint) for p in points)
-    for p in points:
-        np.testing.assert_allclose(p.ratio, p.probability / points[0].probability,
-                                   rtol=1e-12)
+    probability, ratio = relabel_ratio_curve(1000.0, temps)
+    assert probability.shape == ratio.shape == (len(temps),)
+    assert ratio[0] == 1.0  # reference value reused exactly
+    np.testing.assert_allclose(ratio, probability / probability[0], rtol=1e-12)
     # grid without the unit temperature still normalizes by it
-    pts = relabel_ratio_curve(10.0, [0.5])
+    _, ratio = relabel_ratio_curve(10.0, [0.5])
     np.testing.assert_allclose(
-        pts[0].ratio,
+        ratio[0],
         relabel_prob_quadrature(10.0, 0.5) / relabel_prob_quadrature(10.0, 1.0),
         rtol=1e-9)
 
 
 def test_config_validation():
     with pytest.raises(NonPositiveScaleError):
-        ProbeConfig(latent_scale=0.0, temperature=1.0)
+        relabel_prob_quadrature(0.0, 1.0)
     with pytest.raises(NonPositiveTemperatureError):
-        ProbeConfig(latent_scale=1.0, temperature=-1.0)
+        relabel_prob_quadrature(1.0, -1.0)
     with pytest.raises(ValueError):
-        ProbeConfig(latent_scale=1.0, temperature=1.0, quadrature_tolerance=0.0)
+        relabel_prob_quadrature(1.0, 1.0, quadrature_tolerance=0.0)
     with pytest.raises(ValueError):
-        ProbeConfig(latent_scale=1.0, temperature=1.0, integration_half_width_sigmas=-2.0)
+        relabel_prob_quadrature(1.0, 1.0, integration_half_width_sigmas=-2.0)
     with pytest.raises(EmptyInputError):
         relabel_ratio_curve(10.0, [])
     with pytest.raises(NonPositiveTemperatureError):

@@ -266,19 +266,16 @@ def test_sweep_shape_and_determinism():
                                          draws_per_sample=2)
     b = classification_temperature_sweep(kern, train, test, temps, cfg, seed=5,
                                          draws_per_sample=2)
-    assert [r.temperature for r in a.records] == temps
-    for ra, rb in zip(a.records, b.records):
-        assert ra.metrics == rb.metrics
-        assert ra.extras == rb.extras
-        assert ra.seed == 5
-        assert set(ra.metrics) == {"test_log_likelihood", "top1_accuracy"}
-        assert ra.extras["mc_se_log_likelihood"] >= 0.0
-    assert a.best_temperature in temps
-    best_ll = max(r.metrics["test_log_likelihood"] for r in a.records)
-    assert (a.records[[r.temperature for r in a.records].index(a.best_temperature)]
-            .metrics["test_log_likelihood"] == best_ll)
-    for t in temps:
-        assert a.diagnostics[t]["proposals_per_transition"] > 0
+    metrics = ("test_log_likelihood", "top1_accuracy", "mc_se_log_likelihood", "mc_se_accuracy")
+    assert set(a) == set(metrics) | {"stats"}
+    for key in metrics:
+        assert a[key].dtype == np.float64 and a[key].shape == (len(temps),)
+        assert np.array_equal(a[key], b[key])
+    assert a["stats"] == b["stats"]
+    assert np.all(a["mc_se_log_likelihood"] >= 0.0)
+    assert len(a["stats"]) == len(temps)
+    for stats in a["stats"]:
+        assert stats["proposals_per_transition"] > 0
 
 
 def test_sweep_rejects_bad_inputs():

@@ -228,8 +228,9 @@ class TestRunVerb:
         (lambda p: _cifar_data(p, n_train=31), 2),
         (lambda p: _file_data(p, "abc,1"), 3),
         (lambda p: _file_data(p, "1.0,1.5"), 3),
+        (lambda p: _file_data(p, "1.0,99999999999999999999"), 3),
     ], ids=["cifar-duplicate-class", "cifar-one-class", "cifar-class-12",
-            "cifar-pool-overrun", "file-cell-abc", "file-label-1.5"])
+            "cifar-pool-overrun", "file-cell-abc", "file-label-1.5", "file-label-65-bits"])
     def test_bad_data_exit_code(self, tmp_path, capsys, make_data, code):
         payload = classify_payload(tmp_path / "o")
         payload["data"] = make_data(tmp_path)
@@ -237,6 +238,28 @@ class TestRunVerb:
         assert main(["run", "--config", cfg]) == code
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "o" / "results.csv").exists()
+
+    @pytest.mark.parametrize("make_payload,path,value", [
+        (regress_payload, ("data", "noise_std"), float("nan")),
+        (regress_payload, ("kernel", "lengthscale"), float("inf")),
+        (probe_payload, ("probe", "quadrature_tolerance"), float("inf")),
+        (classify_payload, ("data", "separation"), float("inf")),
+        (regress_payload, ("temperatures",), [float("inf")]),
+    ], ids=["noise-std-nan", "lengthscale-inf", "quadrature-tolerance-inf",
+            "separation-inf", "temperature-inf"])
+    def test_exit_2_on_non_finite_config_number(self, tmp_path, capsys, make_payload, path,
+                                                value):
+        payload = make_payload(tmp_path / "o")
+        section = payload
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+        cfg = _write_config(tmp_path, "nan.json", payload)  # json writes NaN / Infinity
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert f"'{path[-1]}'" in err and "finite" in err
         assert not (tmp_path / "o" / "results.csv").exists()
 
     def test_exit_3_on_unshrinkable_slice_bracket(self, tmp_path, capsys):
@@ -267,6 +290,42 @@ class TestRunVerb:
         cfg = _write_config(tmp_path, "r.json", regress_payload(tmp_path / "r"))
         assert main(["run", "--config", cfg]) == 0
         assert len(seeds) == 2 == len(set(seeds))  # n_seeds, not noise levels x n_seeds
+
+
+    def _log_lines(self, tmp_path, name, payload, prefix):
+        cfg = _write_config(tmp_path, f"{name}.json", payload)
+        assert main(["run", "--config", cfg]) == 0
+        log = (tmp_path / name / "run.log").read_text().splitlines()
+        return [line for line in log if line.startswith(prefix)]
+
+    def test_regress_sweep_repeated_temperature_is_its_own_grid_point(self, tmp_path):
+        # a repeated grid temperature must not add its NLL into the other's
+        # per-noise summary: both grids report the same argmin and mean NLL
+        def payload(name, temps):
+            return {"experiment": "regress-sweep", "seed": 0, "output_dir": str(tmp_path / name),
+                    "kernel": {"family": "rbf"}, "temperatures": temps,
+                    "data": {"generator": "rbf-regression", "n_train": 100, "n_test": 100,
+                             "noise_std": 0.1},
+                    "regression": {"assumed_noise_std": [1.0, 0.1, 0.01], "n_seeds": 2}}
+
+        lines = {name: self._log_lines(tmp_path, name, payload(name, temps), "assumed_noise_std=")
+                 for name, temps in (("single", [0.5, 2.0]), ("repeated", [0.5, 0.5, 2.0]))}
+        assert len(lines["single"]) == 3
+        assert lines["repeated"] == lines["single"]
+
+    def test_classify_sweep_logs_each_grid_position(self, tmp_path):
+        # grid position j draws from derive_seed(seed, j) whatever the other
+        # temperatures are, so each line of a [0.1, 0.1] grid matches the
+        # line at the same position of a grid that does not repeat 0.1
+        def payload(name, temps):
+            return {**classify_payload(tmp_path / name), "temperatures": temps}
+
+        def run(name, temps):
+            return self._log_lines(tmp_path, name, payload(name, temps), "temperature=")
+
+        repeated = run("repeated", [0.1, 0.1])
+        assert repeated == [run("first", [0.1])[0], run("second", [0.5, 0.1])[1]]
+        assert repeated[0] != repeated[1]
 
 
 class TestGenDataVerb:

@@ -330,6 +330,10 @@ class TestSaveLoadRoundTrip:
         bad_label.write_text("x0,label\n1.0,0\n2.0,1.5\n")
         with pytest.raises(MalformedRecordError, match="l.csv:3"):
             load_dataset(bad_label)
+        wide_label = tmp_path / "w.csv"
+        wide_label.write_text("x0,label\n1.0,0\n2.0,99999999999999999999\n")
+        with pytest.raises(MalformedRecordError, match="w.csv:3"):
+            load_dataset(wide_label)
         no_rows = tmp_path / "n.csv"
         no_rows.write_text("x0,target\n")
         with pytest.raises(EmptyInputError):

@@ -58,11 +58,15 @@ def test_gram_symmetric_and_consistent():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((7, 2))
     b = rng.standard_normal((3, 2))
+    big = rng.standard_normal((300, 8))
     for spec in (KernelSpec.rbf(), KernelSpec.nngp()):
         g = gram(spec, a, a)
         assert np.array_equal(g, g.T)  # symmetric path is exact
         np.testing.assert_allclose(gram(spec, a, b), gram(spec, b, a).T, rtol=1e-12)
         np.testing.assert_allclose(gram_diag(spec, a), np.diag(g), rtol=1e-12)
+        # at this size a gemm of two distinct buffers leaves (i, j), (j, i) pairs ulps apart
+        g = gram(spec, big, big)
+        assert np.array_equal(g, g.T)
 
 
 def test_kernel_eval_matches_gram():

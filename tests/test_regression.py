@@ -9,9 +9,8 @@ from coldgp.exceptions import (
     ZeroVarianceError,
 )
 from coldgp.kernels import KernelSpec, scale_kernel
-from coldgp.records import SweepRecord, select_best
+from coldgp.records import best_temperature
 from coldgp.regression import (
-    DEFAULT_TEMPERATURE_GRID,
     ConditionedRegression,
     RegressionModel,
     gaussian_test_nll,
@@ -89,9 +88,9 @@ def test_sweep_tempers_variance_only():
     model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.3)
     mean, var = ConditionedRegression(model, train).predict(test.inputs)
     temps = [0.1, 1.0, 7.0]
-    result = regression_temperature_sweep(model, train, test, temps, seed=4)
-    for t, rec in zip(temps, result.records):
-        assert rec.metrics["test_nll"] == gaussian_test_nll(mean, var * t, test.targets)
+    nll, _ = regression_temperature_sweep(model, train, test, temps)
+    for j, t in enumerate(temps):
+        assert nll[j] == gaussian_test_nll(mean, var * t, test.targets)
     with pytest.raises(NonPositiveTemperatureError):
         regression_temperature_sweep(model, train, test, [0.0])
     with pytest.raises(NonPositiveTemperatureError):
@@ -163,32 +162,18 @@ def test_classification_data_rejected():
         ConditionedRegression(model, train)
 
 
-def test_default_temperature_grid():
-    g = np.asarray(DEFAULT_TEMPERATURE_GRID)
-    assert g.shape == (40,)
-    np.testing.assert_allclose(g[0], 1e-2, rtol=1e-12)
-    np.testing.assert_allclose(g[-1], 1e2, rtol=1e-12)
-    assert np.all(np.diff(np.log(g)) > 0)
-
-
 def test_sweep_records_and_best():
     train, test = gen_rbf_regression(40, 20, 0.1, KernelSpec.rbf(), seed=9)
     model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.1)
     temps = [0.1, 1.0, 10.0]
-    result = regression_temperature_sweep(model, train, test, temps, seed=9)
-    assert [r.temperature for r in result.records] == temps
-    assert all(np.isfinite(r.metrics["test_nll"]) for r in result.records)
-    assert all(r.seed == 9 for r in result.records)
-    best = min(result.records, key=lambda r: (r.metrics["test_nll"], r.temperature))
-    assert result.best_temperature == best.temperature
-    assert "jitter_used" in result.diagnostics
-
-
-def test_sweep_seed_defaults_to_provenance():
-    train, test = gen_rbf_regression(10, 5, 0.1, KernelSpec.rbf(), seed=31)
-    model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.1)
-    result = regression_temperature_sweep(model, train, test, [1.0])
-    assert result.records[0].seed == 31
+    nll, jitter = regression_temperature_sweep(model, train, test, temps)
+    # one entry per grid position, in grid order: a reversed grid reverses it
+    assert nll.dtype == np.float64 and nll.shape == (len(temps),)
+    assert np.all(np.isfinite(nll))
+    reversed_nll, _ = regression_temperature_sweep(model, train, test, temps[::-1])
+    np.testing.assert_array_equal(reversed_nll, nll[::-1])
+    assert jitter == ConditionedRegression(model, train).factor.jitter_used
+    assert best_temperature(temps, nll) == temps[int(np.argmin(nll))]
 
 
 def test_sweep_rejects_bad_grid():
@@ -200,11 +185,9 @@ def test_sweep_rejects_bad_grid():
         regression_temperature_sweep(model, train, test, [1.0, -2.0])
 
 
-def test_select_best_tie_goes_to_smaller_temperature():
-    recs = [SweepRecord(temperature=2.0, metrics={"m": 1.0}, seed=0),
-            SweepRecord(temperature=0.5, metrics={"m": 1.0}, seed=0),
-            SweepRecord(temperature=1.0, metrics={"m": 3.0}, seed=0)]
-    assert select_best(recs, "m", minimize=True) == 0.5
-    assert select_best(recs, "m", minimize=False) == 1.0
+def test_best_temperature_tie_goes_to_smaller_temperature():
+    temps, values = [2.0, 0.5, 1.0], np.array([1.0, 1.0, 3.0])
+    assert best_temperature(temps, values) == 0.5
+    assert best_temperature(temps, -values) == 1.0  # maximize by negating
     with pytest.raises(EmptyInputError):
-        select_best([], "m")
+        best_temperature([], [])

@@ -8,6 +8,10 @@ slice sampling (ESS), which needs only prior draws and log-likelihood
 evaluations and has no step-size parameter.  The factor of t * K is
 sqrt(t) * chol(K), so a prior draw is sqrt(t) * (L @ z) and one factor of
 the untempered K serves every temperature of a sweep and its predictive.
+A sweep advances all its (temperature, chain) pairs in lock step: each
+transition makes one product L @ Z for every chain's prior draw and one
+likelihood call per shrink round for the chains still shrinking, while each
+chain keeps its own random stream.
 
 Prediction: given a sampled training latent matrix F, the test latent for
 class c is Gaussian with mean k*^T K^{-1} F_c (temperature-free, because t
@@ -91,6 +95,17 @@ class LatentSampleSet:
         return self.samples.shape[-1]
 
 
+def _log_softmax_sums(f, y):
+    """Per-chain sums of the log-softmax at the labels, over validated arrays.
+
+    ``f`` is (k, n, class_count) and ``y`` holds n labels in range; returns
+    the (k,) vector sum_i [ f[:, i, y[i]] - logsumexp(f[:, i, :]) ].
+    """
+    m = f.max(axis=-1)
+    lse = m + np.log(np.sum(np.exp(f - m[..., None]), axis=-1))
+    return np.sum(f[:, np.arange(f.shape[1]), y] - lse, axis=-1)
+
+
 def tempered_log_likelihood(latent, labels, t: float) -> float:
     """Log of the softmax likelihood raised to 1/t.
 
@@ -104,51 +119,135 @@ def tempered_log_likelihood(latent, labels, t: float) -> float:
     if n < 1 or c < 2:
         raise EmptyInputError(f"latent needs n >= 1 rows and >= 2 classes, got {f.shape}")
     y = check_labels(labels, n, c)
-    m = f.max(axis=1)
-    lse = m + np.log(np.sum(np.exp(f - m[:, None]), axis=1))
-    return float(np.sum(f[np.arange(n), y] - lse) / t)
+    return float(_log_softmax_sums(f[None], y)[0] / t)
 
 
-def ess_transition(f, ll, log_lik, prior_lower, prior_scale: float, rng: RngStream):
-    """One elliptical slice sampling transition from latent matrix ``f``.
+def _chain_error(exc_type, chain, message):
+    """``exc_type(message)`` tagged with the index of the chain that raised it."""
+    exc = exc_type(message)
+    exc.chain = int(chain)
+    return exc
 
-    ``ll`` is ``log_lik(f)``; ``log_lik`` maps a latent matrix to a scalar
-    log-likelihood (the classification sampler binds the tempered softmax,
-    the unit tests substitute constant or Gaussian surrogates).  The prior is
-    zero-mean Gaussian with factor prior_scale * prior_lower, applied
-    independently to each latent column, so a prior draw is
-    prior_scale * (prior_lower @ z).  Returns (new latent, its
-    log-likelihood, proposals consumed).
+
+def ess_transition(f, ll, log_lik, prior_lower, prior_scale, rngs):
+    """One elliptical slice sampling transition of k chains in lock step.
+
+    ``f`` is the (k, n, C) stack of latent matrices and ``ll`` their (k,)
+    log-likelihoods; ``log_lik(props, idx)`` returns the (len(idx),)
+    log-likelihoods of the proposals ``props`` of chains ``idx`` (the
+    classification sampler binds the tempered softmax, the unit tests
+    substitute constant or Gaussian surrogates).  Chain i's prior is
+    zero-mean Gaussian with factor prior_scale[i] * prior_lower, applied
+    independently to each latent column, and it draws from ``rngs[i]``
+    alone, in the order of a one-chain transition: the (n, C) normals, the
+    slice height, the first angle, then one angle per shrink.  All k prior
+    draws come from one product prior_lower @ Z.  Each shrink round
+    evaluates the proposals of the chains that have not yet accepted in one
+    ``log_lik`` call.  ``f`` and ``ll`` are updated in place and returned
+    with the (k,) proposal counts.
 
     The slice always contains the current state in exact arithmetic (the
     threshold is ll + log u with u < 1 and the proposal at angle 0 is f
     itself), so bracket shrinkage terminates.  In floating point, a
     log-likelihood so large in magnitude that ll + log u rounds back to ll
     (a tiny temperature) leaves no proposal above the threshold; that
-    raises ColdGPError.
+    raises ColdGPError.  Errors carry the failing chain's index as ``chain``.
     """
-    if np.isnan(ll):
-        raise NonFiniteLikelihoodError("current state has NaN log-likelihood")
-    nu = prior_scale * (prior_lower @ rng.standard_normal(f.shape))
+    k, n, c = f.shape
+    nan = np.isnan(ll)
+    if np.count_nonzero(nan):
+        raise _chain_error(NonFiniteLikelihoodError, np.argmax(nan),
+                           "current state has NaN log-likelihood")
+    z = np.empty((n, k, c))
+    log_y, theta = np.empty(k), np.empty(k)
     with np.errstate(divide="ignore"):
-        log_y = ll + float(np.log(rng.uniform()))
-    theta = float(rng.uniform(0.0, 2.0 * np.pi))
-    lo, hi = theta - 2.0 * np.pi, theta
-    for k in range(_MAX_BRACKET_SHRINKS):
-        prop = f * np.cos(theta) + nu * np.sin(theta)
-        ll_prop = float(log_lik(prop))
-        if np.isnan(ll_prop):
-            raise NonFiniteLikelihoodError("proposal log-likelihood is NaN")
-        if ll_prop > log_y:
-            return prop, ll_prop, k + 1
-        if theta < 0.0:
-            lo = theta
-        else:
-            hi = theta
-        theta = float(rng.uniform(lo, hi))
-    raise ColdGPError(
+        for i, rng in enumerate(rngs):
+            z[:, i] = rng.standard_normal((n, c))
+            log_y[i] = ll[i] + np.log(rng.uniform())
+            theta[i] = rng.uniform(0.0, 2.0 * np.pi)
+    nu = (prior_lower @ z.reshape(n, k * c)).reshape(n, k, c).transpose(1, 0, 2)
+    nu *= np.asarray(prior_scale)[:, None, None]
+    lo, hi = theta - 2.0 * np.pi, theta.copy()
+    proposals = np.zeros(k, dtype=np.int64)
+    active, f_act, nu_act, log_y_act = np.arange(k), f, nu, log_y
+    for rounds in range(1, _MAX_BRACKET_SHRINKS + 1):
+        angle = theta[active][:, None, None]
+        prop = f_act * np.cos(angle) + nu_act * np.sin(angle)
+        ll_prop = log_lik(prop, active)
+        nan = np.isnan(ll_prop)
+        if np.count_nonzero(nan):
+            raise _chain_error(NonFiniteLikelihoodError, active[np.argmax(nan)],
+                               "proposal log-likelihood is NaN")
+        accept = ll_prop > log_y_act
+        if np.count_nonzero(accept):
+            done, keep = active[accept], ~accept
+            f[done], ll[done], proposals[done] = prop[accept], ll_prop[accept], rounds
+            active, f_act, nu_act, log_y_act = (
+                active[keep], f_act[keep], nu_act[keep], log_y_act[keep])
+            if not active.size:
+                return f, ll, proposals
+        for i in active.tolist():
+            if theta[i] < 0.0:
+                lo[i] = theta[i]
+            else:
+                hi[i] = theta[i]
+            theta[i] = rngs[i].uniform(lo[i], hi[i])
+    i = active[0]
+    raise _chain_error(
+        ColdGPError, i,
         f"slice bracket failed to terminate after {_MAX_BRACKET_SHRINKS} shrinks at "
-        f"log-likelihood {ll!r}: the slice threshold rounds to the current value")
+        f"log-likelihood {float(ll[i])!r}: the slice threshold rounds to the current value")
+
+
+def _sample_grid(kernel: KernelSpec, train: LabeledDataset, temps, seeds,
+                 config: EssConfig, prior_factor: SpdFactor) -> list:
+    """Sample every (temperature, chain) pair of a grid in one lock-step pass.
+
+    Chain c at grid position j draws from RngStream(seeds[j], c) and starts
+    from the zero latent matrix; all T * n_chains chains advance together
+    through ``ess_transition``, so a step reads the prior factor once.
+    Returns one LatentSampleSet per temperature; their ``samples`` are views
+    into one (T, n_chains, n_samples_per_chain, n, C) array.
+    """
+    n, c, n_chains = train.n, train.class_count, config.n_chains
+    chain_t = np.repeat(temps, n_chains)
+    rngs = [RngStream(seed, chain) for seed in seeds for chain in range(n_chains)]
+    y = train.targets
+
+    def log_lik(props, idx):
+        return _log_softmax_sums(props, y) / chain_t[idx]
+
+    f = np.zeros((len(rngs), n, c))
+    ll = log_lik(f, np.arange(len(rngs)))
+    scale = np.sqrt(chain_t)
+    samples = np.empty((len(temps), n_chains, config.n_samples_per_chain, n, c))
+    proposals = np.zeros(len(rngs), dtype=np.int64)
+    try:
+        for _ in range(config.burn_in):
+            f, ll, k = ess_transition(f, ll, log_lik, prior_factor.lower, scale, rngs)
+            proposals += k
+        for s in range(config.n_samples_per_chain):
+            for _ in range(config.thinning):
+                f, ll, k = ess_transition(f, ll, log_lik, prior_factor.lower, scale, rngs)
+                proposals += k
+            samples[:, :, s] = f.reshape(len(temps), n_chains, n, c)
+    except ColdGPError as exc:
+        raise type(exc)(f"temperature {float(chain_t[exc.chain])!r}: {exc}") from exc
+
+    transitions = n_chains * (config.burn_in + config.n_samples_per_chain * config.thinning)
+    per_temperature = proposals.reshape(len(temps), n_chains).sum(axis=1)
+    sets = []
+    for j, (t, seed) in enumerate(zip(temps, seeds)):
+        used = int(per_temperature[j])
+        stats = {
+            "transitions": transitions,
+            "proposals": used,
+            "proposals_per_transition": used / max(transitions, 1),
+            "prior_jitter": t * prior_factor.jitter_used,
+        }
+        sets.append(LatentSampleSet(samples=samples[j], temperature=t, kernel=kernel,
+                                    train_inputs=train.inputs, seed=int(seed), stats=stats))
+    return sets
 
 
 def sample_latent_posterior(kernel: KernelSpec, train: LabeledDataset, t: float,
@@ -156,49 +255,18 @@ def sample_latent_posterior(kernel: KernelSpec, train: LabeledDataset, t: float,
                             prior_factor: SpdFactor | None = None) -> LatentSampleSet:
     """Run ESS chains on the tempered latent posterior.
 
-    Chain c draws from RngStream(seed, c); chains run in index order from the
-    zero latent matrix.  ``prior_factor`` is the Cholesky factor of the
-    untempered K(X, X); a sweep passes the one it shares across temperatures,
-    and a standalone call factors K itself, with the same samples either way.
+    Chain c draws from RngStream(seed, c) and starts from the zero latent
+    matrix; the chains advance in lock step (the one-temperature case of a
+    sweep's grid).  ``prior_factor`` is the Cholesky factor of the
+    untempered K(X, X); a sweep passes the one it shares across
+    temperatures, and a standalone call factors K itself.
     """
     if not train.is_classification:
         raise ValueError("classification requires a labeled classification dataset")
     t = check_temperature(t)
-    x, y, c = train.inputs, train.targets, train.class_count
     if prior_factor is None:
-        prior_factor = cholesky(gram(kernel, x, x))
-    lower, scale = prior_factor.lower, float(np.sqrt(t))
-
-    def log_lik(f):
-        return tempered_log_likelihood(f, y, t)
-
-    samples = np.empty((config.n_chains, config.n_samples_per_chain, train.n, c))
-    proposals = 0
-    try:
-        for chain in range(config.n_chains):
-            rng = RngStream(seed, chain)
-            f = np.zeros((train.n, c))
-            ll = log_lik(f)
-            for _ in range(config.burn_in):
-                f, ll, k = ess_transition(f, ll, log_lik, lower, scale, rng)
-                proposals += k
-            for j in range(config.n_samples_per_chain):
-                for _ in range(config.thinning):
-                    f, ll, k = ess_transition(f, ll, log_lik, lower, scale, rng)
-                    proposals += k
-                samples[chain, j] = f
-    except ColdGPError as exc:
-        raise type(exc)(f"temperature {t!r}: {exc}") from exc
-
-    transitions = config.n_chains * (config.burn_in + config.n_samples_per_chain * config.thinning)
-    stats = {
-        "transitions": transitions,
-        "proposals": proposals,
-        "proposals_per_transition": proposals / max(transitions, 1),
-        "prior_jitter": t * prior_factor.jitter_used,
-    }
-    return LatentSampleSet(samples=samples, temperature=t, kernel=kernel, train_inputs=x,
-                           seed=int(seed), stats=stats)
+        prior_factor = cholesky(gram(kernel, train.inputs, train.inputs))
+    return _sample_grid(kernel, train, [t], [seed], config, prior_factor)[0]
 
 
 def _conditional_precompute(kernel: KernelSpec, train_inputs, test_inputs,
@@ -304,9 +372,11 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
     """Posterior sampling and test metrics across a temperature grid.
 
     Grid position j gets its own derived master seed, so temperatures are
-    independent and the grid can be re-partitioned without changing results.
-    One Cholesky factor of K(X, X) serves the sampler at every temperature
-    and the predictive.
+    independent.  One Cholesky factor of K(X, X) serves the sampler at every
+    temperature and the predictive, and one lock-step sampler pass advances
+    every (temperature, chain) pair; the retained samples of the whole grid,
+    T * n_chains * n_samples_per_chain * n * C float64 values, are held at
+    once.
     Returns a dict of 1-D float64 arrays in grid order: test_log_likelihood,
     top1_accuracy, and their between-chain Monte Carlo standard errors
     mc_se_log_likelihood and mc_se_accuracy (0 for a single chain); ``stats``
@@ -319,13 +389,11 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
         raise ValueError("train/test class counts differ or test set is not classification")
     prior_factor = cholesky(gram(kernel, train.inputs, train.inputs))
     precomputed = _conditional_precompute(kernel, train.inputs, test.inputs, prior_factor)
+    seeds = [derive_seed(seed, j) for j in range(len(temps))]
+    sample_sets = _sample_grid(kernel, train, temps, seeds, config, prior_factor)
     ll, acc, se_ll, se_acc = (np.zeros(len(temps)) for _ in range(4))
-    stats = []
-    for j, t in enumerate(temps):
-        seed_t = derive_seed(seed, j)
-        sample_set = sample_latent_posterior(kernel, train, t, config, seed_t,
-                                             prior_factor=prior_factor)
-        rng = RngStream(seed_t, config.n_chains)
+    for j, sample_set in enumerate(sample_sets):
+        rng = RngStream(seeds[j], config.n_chains)
         chain_means = _chain_prob_means(sample_set, test.inputs, draws_per_sample, rng,
                                         precomputed=precomputed)
         ll[j], acc[j] = classification_metrics(chain_means.mean(axis=0), test.targets)
@@ -333,6 +401,6 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
             per_chain = [classification_metrics(cm, test.targets) for cm in chain_means]
             se_ll[j], se_acc[j] = (np.std(m, ddof=1) / np.sqrt(config.n_chains)
                                    for m in zip(*per_chain))
-        stats.append(sample_set.stats)
     return {"test_log_likelihood": ll, "top1_accuracy": acc,
-            "mc_se_log_likelihood": se_ll, "mc_se_accuracy": se_acc, "stats": stats}
+            "mc_se_log_likelihood": se_ll, "mc_se_accuracy": se_acc,
+            "stats": [sample_set.stats for sample_set in sample_sets]}

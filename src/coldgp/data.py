@@ -306,8 +306,8 @@ def load_dataset(path, split_tag: str = "train", class_count: int | None = None)
     """Read a dataset written by :func:`save_dataset`.
 
     The header's last column decides the kind: ``label`` means
-    classification (class_count defaults to max label + 1), ``target`` means
-    regression.
+    classification (class_count defaults to max label + 1, and a label of 2
+    or more must then be below the row count), ``target`` means regression.
     """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
@@ -340,7 +340,13 @@ def load_dataset(path, split_tag: str = "train", class_count: int | None = None)
                               {"name": "file", "path": str(path)})
     labels = np.array(ys, dtype=np.int64)
     if class_count is None:
-        class_count = int(labels.max()) + 1 if labels.size else 2
-        class_count = max(class_count, 2)
+        # bounded by the row count, so one huge label cannot size the latent arrays
+        top = int(np.argmax(labels))
+        if labels[top] >= max(labels.size, 2):
+            raise MalformedRecordError(
+                f"{path}:{top + 2}: label {labels[top]} is not below the {labels.size} data "
+                f"rows; an inferred class count (max label + 1) may not exceed the row count"
+            )
+        class_count = max(int(labels[top]) + 1, 2)
     return LabeledDataset(inputs, labels, class_count, split_tag,
                           {"name": "file", "path": str(path)})

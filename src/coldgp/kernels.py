@@ -132,11 +132,9 @@ def _nngp_self_cov(spec: KernelSpec, a) -> np.ndarray:
 def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
     d = a.shape[1]
     w, bias = spec.sigma_w2, spec.sigma_b2
+    # with b is a, numpy computes a @ a.T as a symmetric rank-k update, so k
+    # starts exactly symmetric and the elementwise recursion keeps it so
     k = bias + w * (a @ b.T) / d
-    if symmetric:
-        # one gemm can leave (i, j) and (j, i) a few ulp apart; average once so
-        # the elementwise recursion below preserves exact symmetry
-        k = 0.5 * (k + k.T)
     ka = bias + w * np.einsum("ij,ij->i", a, a) / d
     kb = ka if symmetric else bias + w * np.einsum("ij,ij->i", b, b) / d
     for _ in range(int(spec.depth)):
@@ -154,8 +152,8 @@ def gram(spec: KernelSpec, a, b) -> np.ndarray:
     """Kernel matrix between row sets ``a`` (n, d) and ``b`` (m, d).
 
     When ``a`` and ``b`` are the same object the result is exactly symmetric:
-    cdist's squared distances are, and the nngp recursion starts from an
-    averaged, exactly symmetric matrix.
+    cdist's squared distances are, and the nngp recursion starts from
+    a @ a.T, which numpy computes as an exactly symmetric rank-k update.
     """
     same = a is b
     a, b = _check_inputs(a, b)

@@ -174,15 +174,15 @@ def test_sampler_matches_analytic_oracles():
     x = _spaced_inputs(n, 1.0)
     k = gram(spec, x, x)
     lower = cholesky(k).lower
-    flat = lambda f: 0.0
-    rng = RngStream(11, 0)
-    f, ll = np.zeros((n, 1)), 0.0
+    flat = lambda props, idx: np.zeros(len(idx))
+    rng, unit = [RngStream(11, 0)], np.ones(1)  # one chain of the lock-step transition
+    f, ll = np.zeros((1, n, 1)), np.zeros(1)
     for _ in range(500):
-        f, ll, _ = ess_transition(f, ll, flat, lower, 1.0, rng)
+        f, ll, _ = ess_transition(f, ll, flat, lower, unit, rng)
     keep = np.empty((50_000, n))
     for s in range(keep.shape[0]):
-        f, ll, _ = ess_transition(f, ll, flat, lower, 1.0, rng)
-        keep[s] = f[:, 0]
+        f, ll, _ = ess_transition(f, ll, flat, lower, unit, rng)
+        keep[s] = f[0, :, 0]
     z_prior = _moment_z_scores(keep, np.zeros(n), np.diag(k), k[0, 1], (0, 1))
 
     # (ii) gaussian likelihood on a tempered prior: conjugate posterior moments
@@ -194,17 +194,17 @@ def test_sampler_matches_analytic_oracles():
     s_obs = 0.5
     post_cov = np.linalg.inv(np.linalg.inv(prior_cov) + np.eye(m) / s_obs**2)
     post_mean = post_cov @ y / s_obs**2
-    gauss = lambda f: float(-0.5 * np.sum((y - f[:, 0]) ** 2) / s_obs**2)
+    gauss = lambda props, idx: -0.5 * np.sum((y - props[:, :, 0]) ** 2, axis=1) / s_obs**2
     lower_g = cholesky(prior_cov).lower
-    rng = RngStream(5, 0)
-    f = np.zeros((m, 1))
-    ll = gauss(f)
+    rng = [RngStream(5, 0)]
+    f = np.zeros((1, m, 1))
+    ll = gauss(f, [0])
     for _ in range(1000):
-        f, ll, _ = ess_transition(f, ll, gauss, lower_g, 1.0, rng)
+        f, ll, _ = ess_transition(f, ll, gauss, lower_g, unit, rng)
     keep = np.empty((50_000, m))
     for s in range(keep.shape[0]):
-        f, ll, _ = ess_transition(f, ll, gauss, lower_g, 1.0, rng)
-        keep[s] = f[:, 0]
+        f, ll, _ = ess_transition(f, ll, gauss, lower_g, unit, rng)
+        keep[s] = f[0, :, 0]
     z_conj = _moment_z_scores(keep, post_mean, np.diag(post_cov) + post_mean**2,
                               post_cov[0, 1] + post_mean[0] * post_mean[1], (0, 1))
 

@@ -6,6 +6,7 @@ from coldgp.classification import (
     EssConfig,
     LatentSampleSet,
     _conditional_precompute,
+    _log_softmax_sums,
     classification_metrics,
     classification_temperature_sweep,
     ess_transition,
@@ -59,19 +60,104 @@ def test_tempered_log_likelihood_validation():
 
 def test_ess_transition_is_deterministic_given_stream():
     lower = cholesky(np.eye(3)).lower
-    loglik = lambda f: float(-0.5 * np.sum(f**2))
-    f0 = np.zeros((3, 1))
-    a = ess_transition(f0, loglik(f0), loglik, lower, 1.0, RngStream(4, 0))
-    b = ess_transition(f0, loglik(f0), loglik, lower, 1.0, RngStream(4, 0))
-    np.testing.assert_array_equal(a[0], b[0])
-    assert a[1:] == b[1:]
+    loglik = lambda props, idx: -0.5 * np.sum(props**2, axis=(1, 2))
+    f0 = np.zeros((1, 3, 1))
+    a = ess_transition(f0.copy(), loglik(f0, [0]), loglik, lower, np.ones(1), [RngStream(4, 0)])
+    b = ess_transition(f0.copy(), loglik(f0, [0]), loglik, lower, np.ones(1), [RngStream(4, 0)])
+    for x, y in zip(a, b):
+        np.testing.assert_array_equal(x, y)
 
 
 def test_ess_transition_nan_likelihood_raises():
     lower = cholesky(np.eye(2)).lower
     with pytest.raises(NonFiniteLikelihoodError):
-        ess_transition(np.zeros((2, 1)), 0.0, lambda f: float("nan"), lower, 1.0,
-                       RngStream(0, 0))
+        ess_transition(np.zeros((1, 2, 1)), np.zeros(1), lambda props, idx: np.full(1, np.nan),
+                       lower, np.ones(1), [RngStream(0, 0)])
+
+
+def test_ess_transition_nan_proposal_in_one_chain_raises():
+    # chains 0 and 2 are well defined; only chain 1's proposals are NaN
+    lower = cholesky(np.eye(4)).lower
+
+    def loglik(props, idx):
+        out = -0.5 * np.sum(props**2, axis=(1, 2))
+        out[np.asarray(idx) == 1] = np.nan
+        return out
+
+    rngs = [RngStream(3, c) for c in range(3)]
+    with pytest.raises(NonFiniteLikelihoodError, match="proposal") as info:
+        ess_transition(np.zeros((3, 4, 2)), np.zeros(3), loglik, lower, np.ones(3), rngs)
+    assert info.value.chain == 1
+
+
+def _reference_transition(f, ll, log_lik, lower, scale, rng):
+    """One chain's ESS transition as a plain loop: the reference for the batch."""
+    nu = scale * (lower @ rng.standard_normal(f.shape))
+    with np.errstate(divide="ignore"):
+        log_y = ll + float(np.log(rng.uniform()))
+    theta = float(rng.uniform(0.0, 2.0 * np.pi))
+    lo, hi = theta - 2.0 * np.pi, theta
+    proposals = 0
+    while True:
+        proposals += 1
+        prop = f * np.cos(theta) + nu * np.sin(theta)
+        ll_prop = log_lik(prop)
+        if ll_prop > log_y:
+            return prop, ll_prop, proposals
+        if theta < 0.0:
+            lo = theta
+        else:
+            hi = theta
+        theta = float(rng.uniform(lo, hi))
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_batched_transition_matches_one_chain_calls(k):
+    # n = 800 keeps L @ Z above OpenBLAS's small-matrix path, where a column's
+    # bits do not depend on how many columns share the product
+    n, c = 800, 2
+    rng = np.random.default_rng(k)
+    a = rng.standard_normal((n, n)) / np.sqrt(n)
+    lower = cholesky(a @ a.T + np.eye(n)).lower
+    target = rng.standard_normal((k, n, c))
+    scales = 0.5 + np.arange(k)
+
+    def loglik(props, idx):  # a narrow Gaussian per chain, so brackets shrink
+        return -8.0 * np.sum((props - target[idx]) ** 2, axis=(1, 2))
+
+    batch_rngs = [RngStream(21, i) for i in range(k)]
+    single_rngs = [RngStream(21, i) for i in range(k)]
+    loop_rngs = [RngStream(21, i) for i in range(k)]
+    f = np.zeros((k, n, c))
+    ll = loglik(f, np.arange(k))
+    singles = [(f[i:i + 1].copy(), ll[i:i + 1].copy()) for i in range(k)]
+    loops = [(f[i].copy(), float(ll[i])) for i in range(k)]
+    for _ in range(4):
+        f, ll, used = ess_transition(f, ll, loglik, lower, scales, batch_rngs)
+        for i in range(k):
+            one = lambda props, idx, i=i: loglik(props, np.full(len(idx), i))
+            fi, lli, used_i = ess_transition(*singles[i], one, lower, scales[i:i + 1],
+                                             single_rngs[i:i + 1])
+            singles[i] = (fi, lli)
+            np.testing.assert_array_equal(f[i], fi[0])
+            assert ll[i] == lli[0] and used[i] == used_i[0]
+            fl, lll, used_l = _reference_transition(
+                *loops[i], lambda prop, i=i: float(one(prop[None], [0])[0]), lower,
+                scales[i], loop_rngs[i])
+            loops[i] = (fl, lll)
+            np.testing.assert_array_equal(f[i], fl)
+            assert ll[i] == lll and used[i] == used_l
+    assert used.max() > 1  # the check covers shrink rounds, not only first proposals
+
+
+def test_log_softmax_kernel_matches_public_likelihood():
+    rng = np.random.default_rng(6)
+    for n, c in [(1, 2), (7, 3), (300, 2), (2000, 8)]:
+        f = 3.0 * rng.standard_normal((4, n, c))
+        y = rng.integers(0, c, size=n)
+        sums = _log_softmax_sums(f, y)
+        for i, t in enumerate([0.01, 0.3, 1.0, 7.0]):
+            assert sums[i] / t == tempered_log_likelihood(f[i], y, t)
 
 
 def test_ess_prior_recovery_constant_likelihood():
@@ -81,14 +167,14 @@ def test_ess_prior_recovery_constant_likelihood():
     sigma = a @ a.T + 5 * np.eye(5)
     lower = cholesky(sigma).lower
     sigma_hat = lower @ lower.T  # what the sampler actually uses
-    const = lambda f: 0.0
-    stream = RngStream(2718, 0)
-    f, ll = np.zeros((5, 1)), 0.0
+    const = lambda props, idx: np.zeros(len(idx))
+    stream = [RngStream(2718, 0)]
+    f, ll = np.zeros((1, 5, 1)), np.zeros(1)
     draws = np.empty((4000, 5))
     for i in range(4200):
-        f, ll, _ = ess_transition(f, ll, const, lower, 1.0, stream)
+        f, ll, _ = ess_transition(f, ll, const, lower, np.ones(1), stream)
         if i >= 200:
-            draws[i - 200] = f[:, 0]
+            draws[i - 200] = f[0, :, 0]
     for i in range(5):
         se = batch_means_se(draws[:, i])
         assert abs(draws[:, i].mean()) < 3 * se
@@ -110,16 +196,16 @@ def test_ess_conjugate_gaussian_posterior():
     y = np.array([1.0, -0.5, 2.0, 0.3])
     post_cov = np.linalg.inv(np.linalg.inv(sigma_hat) + np.eye(4) / s2)
     post_mean = post_cov @ (y / s2)
-    loglik = lambda f: float(-0.5 * np.sum((f[:, 0] - y) ** 2) / s2)
-    stream = RngStream(99, 0)
-    f = np.zeros((4, 1))
-    ll = loglik(f)
+    loglik = lambda props, idx: -0.5 * np.sum((props[:, :, 0] - y) ** 2, axis=1) / s2
+    stream = [RngStream(99, 0)]
+    f = np.zeros((1, 4, 1))
+    ll = loglik(f, [0])
     n_keep, burn = 20_000, 1000
     draws = np.empty((n_keep, 4))
     for i in range(burn + n_keep):
-        f, ll, _ = ess_transition(f, ll, loglik, lower, 1.0, stream)
+        f, ll, _ = ess_transition(f, ll, loglik, lower, np.ones(1), stream)
         if i >= burn:
-            draws[i - burn] = f[:, 0]
+            draws[i - burn] = f[0, :, 0]
     for i in range(4):
         se = batch_means_se(draws[:, i])
         assert abs(draws[:, i].mean() - post_mean[i]) < 3 * se, f"coord {i}"
@@ -150,28 +236,56 @@ def test_sample_latent_posterior_layout_and_determinism():
 
 
 def test_sweep_samples_match_standalone_calls(monkeypatch):
-    # the sweep shares one prior factor; each grid position must still draw
-    # bitwise what a standalone call at that temperature and seed draws
+    # the sweep samples every temperature in one lock-step pass; each grid
+    # position must still draw bitwise what a standalone call at that
+    # temperature and seed draws.  400 points per class keep L @ Z above
+    # OpenBLAS's small-matrix path, where a column's bits do not depend on how
+    # many chains share the product (below it they may differ in the last bit)
     import coldgp.classification as cls
 
-    train, test, cfg = _tiny_problem()
+    train, test = gen_cluster_classification(400, 2, 3, 2.0, seed=0)
+    cfg = EssConfig(n_chains=2, burn_in=10, n_samples_per_chain=4, thinning=2)
     kern = KernelSpec.rbf()
     temps = [0.05, 1.0, 3.0]
-    swept = []
+    swept, real = [], cls._sample_grid
 
     def recording(*args, **kwargs):
-        swept.append(sample_latent_posterior(*args, **kwargs))
-        return swept[-1]
+        swept.extend(real(*args, **kwargs))
+        return swept
 
-    monkeypatch.setattr(cls, "sample_latent_posterior", recording)
+    monkeypatch.setattr(cls, "_sample_grid", recording)
     cls.classification_temperature_sweep(kern, train, test, temps, cfg, seed=5,
-                                         draws_per_sample=2)
+                                         draws_per_sample=1)
+    monkeypatch.undo()
     assert len(swept) == len(temps)
     for j, (t, got) in enumerate(zip(temps, swept)):
         ref = sample_latent_posterior(kern, train, t, cfg, derive_seed(5, j))
         assert got.temperature == t and got.seed == ref.seed
         np.testing.assert_array_equal(got.samples, ref.samples)
         assert got.stats == ref.stats
+
+
+@pytest.mark.parametrize("n_temps,n_chains", [(1, 1), (3, 2), (5, 4)])
+def test_sweep_makes_one_transition_call_per_step(monkeypatch, n_temps, n_chains):
+    # every (temperature, chain) pair advances in the same call, so the call
+    # count is one chain's step count whatever the grid size and chain count
+    import coldgp.classification as cls
+
+    calls = []
+
+    def counting(f, *args):
+        calls.append(f.shape[0])
+        return ess_transition(f, *args)
+
+    monkeypatch.setattr(cls, "ess_transition", counting)
+    train, test, _ = _tiny_problem()
+    cfg = EssConfig(n_chains=n_chains, burn_in=7, n_samples_per_chain=3, thinning=2)
+    temps = [0.1 * (j + 1) for j in range(n_temps)]
+    out = cls.classification_temperature_sweep(KernelSpec.rbf(), train, test, temps, cfg,
+                                               seed=0, draws_per_sample=1)
+    assert len(calls) == cfg.burn_in + cfg.n_samples_per_chain * cfg.thinning
+    assert set(calls) == {n_temps * n_chains}
+    assert [s["transitions"] for s in out["stats"]] == [n_chains * len(calls)] * n_temps
 
 
 @pytest.mark.parametrize("n_temps", [1, 4])

@@ -229,8 +229,10 @@ class TestRunVerb:
         (lambda p: _file_data(p, "abc,1"), 3),
         (lambda p: _file_data(p, "1.0,1.5"), 3),
         (lambda p: _file_data(p, "1.0,99999999999999999999"), 3),
+        (lambda p: _file_data(p, "1.0,1000000000000000"), 3),
     ], ids=["cifar-duplicate-class", "cifar-one-class", "cifar-class-12",
-            "cifar-pool-overrun", "file-cell-abc", "file-label-1.5", "file-label-65-bits"])
+            "cifar-pool-overrun", "file-cell-abc", "file-label-1.5", "file-label-65-bits",
+            "file-label-above-row-count"])
     def test_bad_data_exit_code(self, tmp_path, capsys, make_data, code):
         payload = classify_payload(tmp_path / "o")
         payload["data"] = make_data(tmp_path)
@@ -262,11 +264,11 @@ class TestRunVerb:
         assert f"'{path[-1]}'" in err and "finite" in err
         assert not (tmp_path / "o" / "results.csv").exists()
 
-    def test_exit_3_on_unshrinkable_slice_bracket(self, tmp_path, capsys):
+    def _unshrinkable_bracket_err(self, tmp_path, capsys, temps):
         # at T = 1e-300 the tempered log-likelihood is about -7e300, so the
         # slice threshold ll + log(u) rounds back to ll and no proposal clears it
         payload = classify_payload(tmp_path / "o")
-        payload.update(kernel={"family": "rbf"}, temperatures=[1e-300])
+        payload.update(kernel={"family": "rbf"}, temperatures=temps)
         payload["data"]["n_per_class"] = 5
         payload["ess"] = {"n_chains": 1, "burn_in": 1, "n_samples_per_chain": 1,
                           "thinning": 1, "draws_per_sample": 1}
@@ -275,6 +277,15 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "slice bracket" in err and "1e-300" in err
         assert not (tmp_path / "o" / "results.csv").exists()
+        return err
+
+    def test_exit_3_on_unshrinkable_slice_bracket(self, tmp_path, capsys):
+        self._unshrinkable_bracket_err(tmp_path, capsys, [1e-300])
+
+    def test_unshrinkable_bracket_names_its_own_temperature(self, tmp_path, capsys):
+        # the T = 1.0 chain advances in the same lock-step call and is fine
+        err = self._unshrinkable_bracket_err(tmp_path, capsys, [1.0, 1e-300])
+        assert "1.0" not in err
 
     def test_regress_sweep_generates_each_replicate_once(self, tmp_path, monkeypatch):
         import coldgp.cli as cli

@@ -334,6 +334,16 @@ class TestSaveLoadRoundTrip:
         wide_label.write_text("x0,label\n1.0,0\n2.0,99999999999999999999\n")
         with pytest.raises(MalformedRecordError, match="w.csv:3"):
             load_dataset(wide_label)
+        huge_label = tmp_path / "u.csv"  # inferring 10**15 classes would allocate petabytes
+        huge_label.write_text("x0,label\n1.0,1000000000000000\n2.0,0\n")
+        with pytest.raises(MalformedRecordError, match="u.csv:2"):
+            load_dataset(huge_label)
+        at_bound = tmp_path / "b.csv"  # the largest label the row count allows
+        at_bound.write_text("x0,label\n1.0,2\n2.0,0\n3.0,1\n")
+        assert load_dataset(at_bound).class_count == 3
+        one_row = tmp_path / "o.csv"  # two classes are always allowed
+        one_row.write_text("x0,label\n1.0,1\n")
+        assert load_dataset(one_row).class_count == 2
         no_rows = tmp_path / "n.csv"
         no_rows.write_text("x0,target\n")
         with pytest.raises(EmptyInputError):

@@ -17,7 +17,14 @@ Prediction: given a sampled training latent matrix F, the test latent for
 class c is Gaussian with mean k*^T K^{-1} F_c (temperature-free, because t
 cancels between the scaled cross-covariance and the scaled inverse) and
 variance t * (k** - k*^T K^{-1} k*).  Class probabilities average softmax
-draws over both the posterior samples and this conditional.
+draws over both the posterior samples and this conditional.  The means of
+all of one temperature's retained samples come from a single product
+b^T X with b = K^{-1} K(X, X*), so a sweep reads b once per temperature and
+holds one temperature's means at a time.
+
+The softmax and the log-likelihood take their max and their exp-sum one
+class column at a time, adding the columns in class order, rather than
+reducing along the short class axis.
 """
 from __future__ import annotations
 
@@ -95,14 +102,41 @@ class LatentSampleSet:
         return self.samples.shape[-1]
 
 
+def _class_max(f):
+    """Max over the last (class) axis, taken one class column at a time.
+
+    numpy's reductions along a short contiguous axis are slow; the class
+    counts here are small, so a loop over the columns is faster.
+    """
+    m = f[..., 0].copy()
+    for j in range(1, f.shape[-1]):
+        np.maximum(m, f[..., j], out=m)
+    return m
+
+
+def _class_sum(e):
+    """Sum over the last (class) axis, adding the class columns in order.
+
+    Below 8 classes numpy's own reduction adds in the same order, so the bits
+    agree; from 8 it sums pairwise and the last bit may differ.
+    """
+    s = e[..., 0].copy()
+    for j in range(1, e.shape[-1]):
+        s += e[..., j]
+    return s
+
+
 def _log_softmax_sums(f, y):
     """Per-chain sums of the log-softmax at the labels, over validated arrays.
 
     ``f`` is (k, n, class_count) and ``y`` holds n labels in range; returns
     the (k,) vector sum_i [ f[:, i, y[i]] - logsumexp(f[:, i, :]) ].
     """
-    m = f.max(axis=-1)
-    lse = m + np.log(np.sum(np.exp(f - m[..., None]), axis=-1))
+    m = _class_max(f)
+    s = np.exp(f[..., 0] - m)
+    for j in range(1, f.shape[-1]):
+        s += np.exp(f[..., j] - m)
+    lse = m + np.log(s)
     return np.sum(f[:, np.arange(f.shape[1]), y] - lse, axis=-1)
 
 
@@ -299,33 +333,46 @@ def _conditional_precompute(kernel: KernelSpec, train_inputs, test_inputs,
 
 def _softmax(f):
     """Softmax over the last (class) axis."""
-    e = np.exp(f - f.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(f - _class_max(f)[..., None])
+    e /= _class_sum(e)[..., None]
+    return e
 
 
-def _chain_prob_means(samples: LatentSampleSet, test_inputs, draws_per_sample: int,
-                      rng: RngStream, precomputed=None):
+def _test_latent_means(b, samples):
+    """Conditional test-latent means b^T F of every retained sample, in one product.
+
+    ``b`` is the (n, p) matrix K(X,X)^{-1} K(X, X*) and ``samples`` one
+    temperature's (n_chains, per_chain, n, C) array.  The samples are copied
+    once into an (n, n_chains * per_chain * C) matrix, so one temperature's
+    predictive reads ``b`` once; returns the (n_chains, per_chain, p, C) means
+    as a view of the (p, n_chains * per_chain * C) product.
+    """
+    n_chains, per_chain, n, c = samples.shape
+    x = samples.transpose(2, 0, 1, 3).reshape(n, n_chains * per_chain * c)
+    means = (b.T @ x).reshape(b.shape[1], n_chains, per_chain, c)
+    return means.transpose(1, 2, 0, 3)
+
+
+def _chain_prob_means(means, sd, draws_per_sample: int, rng: RngStream):
     """Predictive class probabilities averaged within each chain.
 
+    ``means`` are one temperature's (n_chains, per_chain, p, C) test-latent
+    means (:func:`_test_latent_means`) and ``sd`` the (p,) conditional
+    standard deviations sqrt(t * schur).  Each retained sample adds
+    ``draws_per_sample`` softmax draws of its test latents, one at a time.
     Randomness is consumed in (chain, sample, draw) order, so the result is
     identical however the caller later combines chains.
     """
     if draws_per_sample < 1:
         raise EmptyInputError("draws_per_sample must be >= 1")
-    n_chains, per_chain = samples.samples.shape[:2]
+    n_chains, per_chain, p, c = means.shape
     if n_chains * per_chain == 0:
         raise EmptyInputError("sample set is empty")
-    if precomputed is None:
-        precomputed = _conditional_precompute(samples.kernel, samples.train_inputs, test_inputs)
-    b, schur = precomputed
-    sd = np.sqrt(samples.temperature * schur)[:, None]
-    p = np.asarray(test_inputs).shape[0]
-    c = samples.class_count
+    sd = sd[:, None]
     chain_means = np.empty((n_chains, p, c))
     for ci in range(n_chains):
-        means = b.T @ samples.samples[ci]  # (per_chain, p, c)
         acc = np.zeros((p, c))
-        for mean in means:
+        for mean in means[ci]:
             draws = _softmax(mean + sd * rng.standard_normal((draws_per_sample, p, c)))
             for probs in draws:
                 acc += probs
@@ -343,7 +390,9 @@ def predictive_class_probs(samples: LatentSampleSet, test_inputs, draws_per_samp
     """
     if rng is None:
         rng = RngStream(samples.seed, samples.samples.shape[0])
-    chain_means = _chain_prob_means(samples, test_inputs, draws_per_sample, rng)
+    b, schur = _conditional_precompute(samples.kernel, samples.train_inputs, test_inputs)
+    chain_means = _chain_prob_means(_test_latent_means(b, samples.samples),
+                                    np.sqrt(samples.temperature * schur), draws_per_sample, rng)
     return chain_means.mean(axis=0)
 
 
@@ -376,7 +425,8 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
     temperature and the predictive, and one lock-step sampler pass advances
     every (temperature, chain) pair; the retained samples of the whole grid,
     T * n_chains * n_samples_per_chain * n * C float64 values, are held at
-    once.
+    once.  The predictive then makes one conditional-mean product per
+    temperature, copying that temperature's samples into its layout.
     Returns a dict of 1-D float64 arrays in grid order: test_log_likelihood,
     top1_accuracy, and their between-chain Monte Carlo standard errors
     mc_se_log_likelihood and mc_se_accuracy (0 for a single chain); ``stats``
@@ -388,14 +438,15 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
     if not test.is_classification or test.class_count != train.class_count:
         raise ValueError("train/test class counts differ or test set is not classification")
     prior_factor = cholesky(gram(kernel, train.inputs, train.inputs))
-    precomputed = _conditional_precompute(kernel, train.inputs, test.inputs, prior_factor)
+    b, schur = _conditional_precompute(kernel, train.inputs, test.inputs, prior_factor)
     seeds = [derive_seed(seed, j) for j in range(len(temps))]
     sample_sets = _sample_grid(kernel, train, temps, seeds, config, prior_factor)
     ll, acc, se_ll, se_acc = (np.zeros(len(temps)) for _ in range(4))
     for j, sample_set in enumerate(sample_sets):
         rng = RngStream(seeds[j], config.n_chains)
-        chain_means = _chain_prob_means(sample_set, test.inputs, draws_per_sample, rng,
-                                        precomputed=precomputed)
+        chain_means = _chain_prob_means(_test_latent_means(b, sample_set.samples),
+                                        np.sqrt(sample_set.temperature * schur),
+                                        draws_per_sample, rng)
         ll[j], acc[j] = classification_metrics(chain_means.mean(axis=0), test.targets)
         if config.n_chains > 1:
             per_chain = [classification_metrics(cm, test.targets) for cm in chain_means]

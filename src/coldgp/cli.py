@@ -69,6 +69,10 @@ def _load_classification_data(config: ExperimentConfig):
     else:
         class_count = d.get("class_count")
         train = load_dataset(d["train_path"], split_tag="train", class_count=class_count)
+        # the bound an inferred count obeys, checked before anything is sized by it
+        if class_count is not None and class_count > max(train.n, 2):
+            raise ConfigError(f"key 'class_count' in data must not exceed the {train.n} "
+                              f"training rows, got {class_count}")
         test = load_dataset(d["test_path"], split_tag="test",
                             class_count=class_count or train.class_count)
         if not (train.is_classification and test.is_classification):

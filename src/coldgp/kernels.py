@@ -133,19 +133,37 @@ def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
     d = a.shape[1]
     w, bias = spec.sigma_w2, spec.sigma_b2
     # with b is a, numpy computes a @ a.T as a symmetric rank-k update, so k
-    # starts exactly symmetric and the elementwise recursion keeps it so
-    k = bias + w * (a @ b.T) / d
+    # starts exactly symmetric and the elementwise recursion keeps it so.  The
+    # recursion works in place but keeps the operation order of the module
+    # docstring's formulas (+ and * commute exactly), so its bits are theirs
+    k = a @ b.T
+    k *= w
+    k /= d
+    k += bias
     ka = bias + w * np.einsum("ij,ij->i", a, a) / d
     kb = ka if symmetric else bias + w * np.einsum("ij,ij->i", b, b) / d
+    q, sin, cos = np.empty_like(k), np.empty_like(k), np.empty_like(k)
     for _ in range(int(spec.depth)):
-        q = np.sqrt(np.multiply.outer(ka, kb))
-        rho = np.divide(k, q, out=np.zeros_like(k), where=q > 0.0)
-        np.clip(rho, -1.0, 1.0, out=rho)
-        theta = np.arccos(rho)
-        k = bias + (w / (2.0 * np.pi)) * q * (np.sin(theta) + (np.pi - theta) * np.cos(theta))
+        np.multiply.outer(ka, kb, out=q)
+        np.sqrt(q, out=q)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k /= q
+        k[q == 0.0] = 0.0  # rho = 0 against a zero-variance row
+        np.clip(k, -1.0, 1.0, out=k)
+        theta = np.arccos(k, out=k)
+        np.sin(theta, out=sin)
+        np.cos(theta, out=cos)
+        np.subtract(np.pi, theta, out=theta)
+        theta *= cos
+        sin += theta
+        q *= w / (2.0 * np.pi)
+        q *= sin
+        q += bias
+        k, q = q, k
         ka = bias + 0.5 * w * ka
         kb = ka if symmetric else bias + 0.5 * w * kb
-    return spec.scale * k
+    k *= spec.scale
+    return k
 
 
 def gram(spec: KernelSpec, a, b) -> np.ndarray:

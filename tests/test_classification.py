@@ -5,8 +5,11 @@ import scipy.special
 from coldgp.classification import (
     EssConfig,
     LatentSampleSet,
+    _chain_prob_means,
     _conditional_precompute,
     _log_softmax_sums,
+    _softmax,
+    _test_latent_means,
     classification_metrics,
     classification_temperature_sweep,
     ess_transition,
@@ -219,6 +222,28 @@ def _tiny_problem(seed=0):
     return train, test, cfg
 
 
+@pytest.mark.parametrize("c", [2, 3, 7, 8, 10])
+def test_class_column_kernels_match_numpy_reductions(c):
+    # the kernels add the class columns in order; numpy's reduction does too
+    # below 8 elements and sums pairwise from 8, where the last bit may differ
+    rng = np.random.default_rng(c)
+    f = 3.0 * rng.standard_normal((4, 300, c))
+    y = rng.integers(0, c, size=300)
+    m = f.max(axis=-1)
+    ref_sums = np.sum(f[:, np.arange(300), y]
+                      - (m + np.log(np.sum(np.exp(f - m[..., None]), axis=-1))), axis=-1)
+    e = np.exp(f - m[..., None])
+    ref_probs = e / e.sum(axis=-1, keepdims=True)
+    sums, probs = _log_softmax_sums(f, y), _softmax(f)
+    if c <= 7:
+        np.testing.assert_array_equal(sums, ref_sums)
+        np.testing.assert_array_equal(probs, ref_probs)
+    else:
+        np.testing.assert_allclose(sums, ref_sums, rtol=1e-14)
+        np.testing.assert_allclose(probs, ref_probs, rtol=1e-14)
+    np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-14)
+
+
 def test_sample_latent_posterior_layout_and_determinism():
     train, _, cfg = _tiny_problem()
     kern = KernelSpec.rbf()
@@ -235,18 +260,10 @@ def test_sample_latent_posterior_layout_and_determinism():
     assert np.max(np.abs(a.samples - c.samples)) > 0
 
 
-def test_sweep_samples_match_standalone_calls(monkeypatch):
-    # the sweep samples every temperature in one lock-step pass; each grid
-    # position must still draw bitwise what a standalone call at that
-    # temperature and seed draws.  400 points per class keep L @ Z above
-    # OpenBLAS's small-matrix path, where a column's bits do not depend on how
-    # many chains share the product (below it they may differ in the last bit)
+def _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, seed, draws_per_sample):
+    """The sweep's output and the LatentSampleSets its one ``_sample_grid`` call made."""
     import coldgp.classification as cls
 
-    train, test = gen_cluster_classification(400, 2, 3, 2.0, seed=0)
-    cfg = EssConfig(n_chains=2, burn_in=10, n_samples_per_chain=4, thinning=2)
-    kern = KernelSpec.rbf()
-    temps = [0.05, 1.0, 3.0]
     swept, real = [], cls._sample_grid
 
     def recording(*args, **kwargs):
@@ -254,15 +271,53 @@ def test_sweep_samples_match_standalone_calls(monkeypatch):
         return swept
 
     monkeypatch.setattr(cls, "_sample_grid", recording)
-    cls.classification_temperature_sweep(kern, train, test, temps, cfg, seed=5,
-                                         draws_per_sample=1)
+    out = cls.classification_temperature_sweep(kern, train, test, temps, cfg, seed=seed,
+                                               draws_per_sample=draws_per_sample)
     monkeypatch.undo()
     assert len(swept) == len(temps)
+    return out, swept
+
+
+def test_sweep_samples_match_standalone_calls(monkeypatch):
+    # the sweep samples every temperature in one lock-step pass; each grid
+    # position must still draw bitwise what a standalone call at that
+    # temperature and seed draws.  400 points per class keep L @ Z above
+    # OpenBLAS's small-matrix path, where a column's bits do not depend on how
+    # many chains share the product (below it they may differ in the last bit)
+    train, test = gen_cluster_classification(400, 2, 3, 2.0, seed=0)
+    cfg = EssConfig(n_chains=2, burn_in=10, n_samples_per_chain=4, thinning=2)
+    kern = KernelSpec.rbf()
+    temps = [0.05, 1.0, 3.0]
+    _, swept = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 5, 1)
     for j, (t, got) in enumerate(zip(temps, swept)):
         ref = sample_latent_posterior(kern, train, t, cfg, derive_seed(5, j))
         assert got.temperature == t and got.seed == ref.seed
         np.testing.assert_array_equal(got.samples, ref.samples)
         assert got.stats == ref.stats
+
+
+def test_sweep_metrics_match_standalone_predictive(monkeypatch):
+    # the sweep makes one conditional-mean product per temperature; each grid
+    # position's metrics must equal the standalone predictive on that
+    # position's samples and stream, bitwise.  400 points per class keep the
+    # product above OpenBLAS's small-matrix path (see the test above)
+    train, test = gen_cluster_classification(400, 3, 3, 2.0, seed=1)
+    cfg = EssConfig(n_chains=3, burn_in=5, n_samples_per_chain=4, thinning=1)
+    kern = KernelSpec.rbf()
+    temps = [0.1, 1.0]
+    out, swept = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 9, 2)
+    b, schur = _conditional_precompute(kern, train.inputs, test.inputs)
+    for j, ss in enumerate(swept):
+        probs = predictive_class_probs(ss, test.inputs, 2, RngStream(derive_seed(9, j), 3))
+        ll, acc = classification_metrics(probs, test.targets)
+        assert out["test_log_likelihood"][j] == ll and out["top1_accuracy"][j] == acc
+        chain_means = _chain_prob_means(_test_latent_means(b, ss.samples),
+                                        np.sqrt(ss.temperature * schur), 2,
+                                        RngStream(derive_seed(9, j), 3))
+        per_chain = [classification_metrics(cm, test.targets) for cm in chain_means]
+        se = [np.std(m, ddof=1) / np.sqrt(3) for m in zip(*per_chain)]
+        assert out["mc_se_log_likelihood"][j] == se[0] and out["mc_se_accuracy"][j] == se[1]
+        assert se[0] > 0.0
 
 
 @pytest.mark.parametrize("n_temps,n_chains", [(1, 1), (3, 2), (5, 4)])

@@ -230,9 +230,10 @@ class TestRunVerb:
         (lambda p: _file_data(p, "1.0,1.5"), 3),
         (lambda p: _file_data(p, "1.0,99999999999999999999"), 3),
         (lambda p: _file_data(p, "1.0,1000000000000000"), 3),
+        (lambda p: {**_file_data(p, "1.5,1"), "class_count": 1000000000000000}, 2),
     ], ids=["cifar-duplicate-class", "cifar-one-class", "cifar-class-12",
             "cifar-pool-overrun", "file-cell-abc", "file-label-1.5", "file-label-65-bits",
-            "file-label-above-row-count"])
+            "file-label-above-row-count", "file-class-count-above-row-count"])
     def test_bad_data_exit_code(self, tmp_path, capsys, make_data, code):
         payload = classify_payload(tmp_path / "o")
         payload["data"] = make_data(tmp_path)

@@ -69,6 +69,39 @@ def test_gram_symmetric_and_consistent():
         assert np.array_equal(g, g.T)
 
 
+def _nngp_reference(spec, a, b):
+    """The arc-cosine recursion written with fresh arrays and a masked divide."""
+    d = a.shape[1]
+    w, bias = spec.sigma_w2, spec.sigma_b2
+    k = bias + w * (a @ b.T) / d
+    ka = bias + w * np.einsum("ij,ij->i", a, a) / d
+    kb = bias + w * np.einsum("ij,ij->i", b, b) / d
+    for _ in range(spec.depth):
+        q = np.sqrt(np.multiply.outer(ka, kb))
+        rho = np.divide(k, q, out=np.zeros_like(k), where=q > 0.0)
+        np.clip(rho, -1.0, 1.0, out=rho)
+        theta = np.arccos(rho)
+        k = bias + (w / (2.0 * np.pi)) * q * (np.sin(theta) + (np.pi - theta) * np.cos(theta))
+        ka = bias + 0.5 * w * ka
+        kb = bias + 0.5 * w * kb
+    return spec.scale * k
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("sigma_b2", [0.0, 0.5])
+def test_nngp_gram_matches_reference_bitwise(depth, sigma_b2):
+    rng = np.random.default_rng(depth)
+    a = rng.standard_normal((300, 8))
+    b = rng.standard_normal((200, 8))
+    a[17] = 0.0  # with sigma_b2 = 0 its variance is 0 at every layer: the q == 0 path
+    spec = KernelSpec.nngp(depth=depth, sigma_b2=sigma_b2, scale=1.7)
+    g = gram(spec, a, a)
+    np.testing.assert_array_equal(g, _nngp_reference(spec, a, a))
+    assert np.array_equal(g, g.T) and np.all(np.isfinite(g))
+    np.testing.assert_array_equal(gram(spec, b, a), _nngp_reference(spec, b, a))
+    np.testing.assert_array_equal(gram(spec, a, b), _nngp_reference(spec, a, b))
+
+
 def test_kernel_eval_matches_gram():
     spec = KernelSpec.nngp(depth=3)
     x, y = np.array([0.5, 1.0]), np.array([-1.0, 2.0])

@@ -11,8 +11,14 @@ with the observed label:
     p(c, t) = E[ sigmoid(-d) ]  under that posterior.
 
 Both the numerator and the normalizer are one-dimensional integrals,
-evaluated with composite Simpson quadrature in log space on a fixed
-symmetric window, with panel doubling until the value stabilizes.
+evaluated with composite Simpson quadrature in log space, with panel
+doubling until the value stabilizes.  The window is centred at the mode d*
+of the tempered posterior, the minimizer of softplus(-d) + d^2 / (4 c),
+which does not depend on t, and reaches 40 prior standard deviations
+sqrt(2 c t) either side of it.  The curvature of that objective is at least
+1 / (2 c), so the posterior's Laplace standard deviation never exceeds
+sqrt(2 c t) and the window covers the posterior at every t; a window
+centred at 0 instead misses it once sqrt(2 c t) is small next to d*.
 """
 from __future__ import annotations
 
@@ -43,9 +49,24 @@ def _simpson_log_weights(n_points: int):
     return np.log(w)
 
 
-def _probe_value(c: float, t: float, half_width_sigmas: float, panels: int) -> float:
+def _posterior_mode(c: float) -> float:
+    """d*, the minimizer of softplus(-d) + d^2 / (4 c), for a checked c > 0."""
+
+    def grad(d):
+        # d/dd [softplus(-d) + d^2/(4c)] = -sigmoid(-d) + d/(2c)
+        return d / (2.0 * c) - expit(-d)
+
+    # grad(hi) > 0: for c <= 1, hi > 2c puts d / (2c) above 1; for c > 1,
+    # hi > log(2c) + 1 puts it above exp(-d) > sigmoid(-d).  Unlike 2c + 1,
+    # this bound stays finite for every finite c
+    hi = 1.0 + (2.0 * c if c <= 1.0 else 2.0 + np.log(c))
+    return brentq(grad, 0.0, hi, xtol=1e-12, rtol=1e-14)
+
+
+def _probe_value(c: float, t: float, half_width_sigmas: float, panels: int,
+                 centre: float) -> float:
     half = half_width_sigmas * np.sqrt(2.0 * c * t)
-    d = np.linspace(-half, half, 2 * panels + 1)
+    d = np.linspace(centre - half, centre + half, 2 * panels + 1)
     # log sigmoid(d) = -log(1 + exp(-d)); the Gaussian normalizer cancels.
     log_post = -np.logaddexp(0.0, -d) / t - d * d / (4.0 * c * t)
     log_w = _simpson_log_weights(d.size)
@@ -54,35 +75,50 @@ def _probe_value(c: float, t: float, half_width_sigmas: float, panels: int) -> f
     return float(np.exp(log_num - log_den))
 
 
-def relabel_prob_quadrature(latent_scale: float, temperature: float,
-                            quadrature_tolerance: float = 1e-8,
-                            integration_half_width_sigmas: float = 40.0) -> float:
-    """Disagreement probability p(latent_scale, temperature) by quadrature.
-
-    Panel count doubles until successive values agree to the relative
-    tolerance; raises QuadratureNotConvergedError if the panel budget runs
-    out first.
-    """
-    c, t = float(latent_scale), float(temperature)
-    tol, width = float(quadrature_tolerance), float(integration_half_width_sigmas)
+def _check_scale(latent_scale) -> float:
+    c = float(latent_scale)
     if not (np.isfinite(c) and c > 0.0):
         raise NonPositiveScaleError(f"latent_scale must be positive, got {c!r}")
-    check_temperature(t)
+    return c
+
+
+def _check_quadrature(quadrature_tolerance, integration_half_width_sigmas):
+    tol, width = float(quadrature_tolerance), float(integration_half_width_sigmas)
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError("quadrature_tolerance must be positive")
     if not (np.isfinite(width) and width > 0.0):
         raise ValueError("integration_half_width_sigmas must be positive")
+    return tol, width
+
+
+def _quadrature(c: float, t: float, tol: float, width: float, centre: float) -> float:
+    """Panel doubling on checked arguments, with the window centred at ``centre``."""
     panels = _INITIAL_PANELS
-    prev = _probe_value(c, t, width, panels)
+    prev = _probe_value(c, t, width, panels, centre)
     while panels <= _MAX_PANELS:
         panels *= 2
-        cur = _probe_value(c, t, width, panels)
+        cur = _probe_value(c, t, width, panels, centre)
         if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
             return cur
         prev = cur
     raise QuadratureNotConvergedError(
         f"no convergence to {tol!r} within {_MAX_PANELS} panels "
-        f"(latent_scale={latent_scale!r}, temperature={temperature!r})")
+        f"(latent_scale={c!r}, temperature={t!r})")
+
+
+def relabel_prob_quadrature(latent_scale: float, temperature: float,
+                            quadrature_tolerance: float = 1e-8,
+                            integration_half_width_sigmas: float = 40.0) -> float:
+    """Disagreement probability p(latent_scale, temperature) by quadrature.
+
+    The window is centred at the posterior mode d*, found here.  Panel count
+    doubles until successive values agree to the relative tolerance; raises
+    QuadratureNotConvergedError if the panel budget runs out first.
+    """
+    c = _check_scale(latent_scale)
+    t = check_temperature(temperature)
+    tol, width = _check_quadrature(quadrature_tolerance, integration_half_width_sigmas)
+    return _quadrature(c, t, tol, width, _posterior_mode(c))
 
 
 def relabel_prob_zero_temperature(latent_scale: float) -> float:
@@ -91,16 +127,7 @@ def relabel_prob_zero_temperature(latent_scale: float) -> float:
     The tempered posterior concentrates at the minimizer d* of
     softplus(-d) + d^2 / (4 c); the limit is sigmoid(-d*).
     """
-    c = float(latent_scale)
-    if not (np.isfinite(c) and c > 0.0):
-        raise NonPositiveScaleError(f"latent_scale must be positive, got {c!r}")
-
-    def grad(d):
-        # d/dd [softplus(-d) + d^2/(4c)] = -sigmoid(-d) + d/(2c)
-        return d / (2.0 * c) - expit(-d)
-
-    d_star = brentq(grad, 0.0, 2.0 * c + 1.0, xtol=1e-12, rtol=1e-14)
-    return float(expit(-d_star))
+    return float(expit(-_posterior_mode(_check_scale(latent_scale))))
 
 
 def relabel_ratio_curve(latent_scale: float, temperatures,
@@ -111,17 +138,18 @@ def relabel_ratio_curve(latent_scale: float, temperatures,
     Returns (probability, ratio): two float64 arrays with one entry per grid
     position, in grid order, where ratio is probability / probability at
     t = 1.  The t = 1 reference is computed once, so a grid containing 1.0
-    reports ratio exactly 1.0 there.
+    reports ratio exactly 1.0 there.  The posterior mode that centres every
+    window is found once for the curve.
     """
     temps = [check_temperature(t) for t in temperatures]
     if not temps:
         raise EmptyInputError("temperature grid is empty")
-    base = relabel_prob_quadrature(latent_scale, 1.0, quadrature_tolerance,
-                                   integration_half_width_sigmas)
-    probability = np.array([
-        base if t == 1.0 else relabel_prob_quadrature(latent_scale, t, quadrature_tolerance,
-                                                      integration_half_width_sigmas)
-        for t in temps])
+    c = _check_scale(latent_scale)
+    tol, width = _check_quadrature(quadrature_tolerance, integration_half_width_sigmas)
+    centre = _posterior_mode(c)
+    base = _quadrature(c, 1.0, tol, width, centre)
+    probability = np.array([base if t == 1.0 else _quadrature(c, t, tol, width, centre)
+                            for t in temps])
     return probability, probability / base
 
 

@@ -9,9 +9,9 @@ evaluations and has no step-size parameter.  The factor of t * K is
 sqrt(t) * chol(K), so a prior draw is sqrt(t) * (L @ z) and one factor of
 the untempered K serves every temperature of a sweep and its predictive.
 A sweep advances all its (temperature, chain) pairs in lock step: each
-transition makes one product L @ Z for every chain's prior draw and one
-likelihood call per shrink round for the chains still shrinking, while each
-chain keeps its own random stream.
+transition makes one triangular product L @ Z for every chain's prior draw
+and one likelihood call per shrink round for the chains still shrinking,
+while each chain keeps its own random stream.
 
 Prediction: given a sampled training latent matrix F, the test latent for
 class c is Gaussian with mean k*^T K^{-1} F_c (temperature-free, because t
@@ -43,7 +43,7 @@ from .exceptions import (
     check_temperature,
 )
 from .kernels import KernelSpec, gram, gram_diag
-from .linalg import SpdFactor, cholesky
+from .linalg import SpdFactor, cholesky, tril_matmul
 from .rng import RngStream, derive_seed
 
 PROB_FLOOR = 1e-12
@@ -175,9 +175,11 @@ def ess_transition(f, ll, log_lik, prior_lower, prior_scale, rngs):
     independently to each latent column, and it draws from ``rngs[i]``
     alone, in the order of a one-chain transition: the (n, C) normals, the
     slice height, the first angle, then one angle per shrink.  All k prior
-    draws come from one product prior_lower @ Z.  Each shrink round
-    evaluates the proposals of the chains that have not yet accepted in one
-    ``log_lik`` call.  ``f`` and ``ll`` are updated in place and returned
+    draws come from one triangular product prior_lower @ Z
+    (:func:`~coldgp.linalg.tril_matmul`): ``prior_lower`` must be
+    lower-triangular, and its strict upper triangle is never read.  Each
+    shrink round evaluates the proposals of the chains that have not yet
+    accepted in one ``log_lik`` call.  ``f`` and ``ll`` are updated in place and returned
     with the (k,) proposal counts.
 
     The slice always contains the current state in exact arithmetic (the
@@ -199,7 +201,7 @@ def ess_transition(f, ll, log_lik, prior_lower, prior_scale, rngs):
             z[:, i] = rng.standard_normal((n, c))
             log_y[i] = ll[i] + np.log(rng.uniform())
             theta[i] = rng.uniform(0.0, 2.0 * np.pi)
-    nu = (prior_lower @ z.reshape(n, k * c)).reshape(n, k, c).transpose(1, 0, 2)
+    nu = tril_matmul(prior_lower, z.reshape(n, k * c)).reshape(n, k, c).transpose(1, 0, 2)
     nu *= np.asarray(prior_scale)[:, None, None]
     lo, hi = theta - 2.0 * np.pi, theta.copy()
     proposals = np.zeros(k, dtype=np.int64)

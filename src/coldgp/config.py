@@ -84,12 +84,19 @@ def _need(section: dict, key: str, where: str):
     return section[key]
 
 
-def _as_number(value, key: str, where: str, positive=False, nonneg=False) -> float:
+def _as_number(value, key: str, where: str, positive=False, nonneg=False,
+               squared=False) -> float:
+    """``value`` as a finite float; ``squared`` also requires a finite square,
+    for the values the computation squares in Python floats (which raise
+    OverflowError instead of giving inf)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key '{key}' in {where} must be a number, got {value!r}")
     v = float(value)
     if not math.isfinite(v):
         raise ConfigError(f"key '{key}' in {where} must be finite, got {value!r}")
+    if squared and not math.isfinite(v * v):
+        raise ConfigError(f"key '{key}' in {where} is squared, so its square must be "
+                          f"finite, got {value!r}")
     if positive and not v > 0.0:
         raise ConfigError(f"key '{key}' in {where} must be positive, got {value!r}")
     if nonneg and v < 0.0:
@@ -105,10 +112,10 @@ def _as_int(value, key: str, where: str, minimum=None) -> int:
     return value
 
 
-def _as_positive_list(value, key: str, where: str) -> tuple:
+def _as_positive_list(value, key: str, where: str, squared=False) -> tuple:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"key '{key}' in {where} must be a non-empty list")
-    return tuple(_as_number(v, key, where, positive=True) for v in value)
+    return tuple(_as_number(v, key, where, positive=True, squared=squared) for v in value)
 
 
 def _parse_kernel(section, where="kernel") -> KernelSpec:
@@ -118,7 +125,8 @@ def _parse_kernel(section, where="kernel") -> KernelSpec:
     if family == "rbf":
         _reject_unknown(section, ("family", "lengthscale", "variance", "scale"), where)
         return KernelSpec.rbf(
-            lengthscale=_as_number(section.get("lengthscale", 1.0), "lengthscale", where, positive=True),
+            lengthscale=_as_number(section.get("lengthscale", 1.0), "lengthscale", where,
+                                   positive=True, squared=True),
             variance=_as_number(section.get("variance", 1.0), "variance", where, positive=True),
             scale=_as_number(section.get("scale", 1.0), "scale", where, positive=True),
         )
@@ -253,7 +261,8 @@ def _parse_regression(section) -> dict:
     if isinstance(assumed, (int, float)) and not isinstance(assumed, bool):
         assumed = [assumed]
     return {
-        "assumed_noise_std": list(_as_positive_list(assumed, "assumed_noise_std", where)),
+        "assumed_noise_std": list(_as_positive_list(assumed, "assumed_noise_std", where,
+                                                    squared=True)),
         "n_seeds": _as_int(section.get("n_seeds", 1), "n_seeds", where, minimum=1),
     }
 

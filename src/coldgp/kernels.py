@@ -11,15 +11,21 @@ Two families:
 
         K0(x, x') = sigma_b2 + sigma_w2 * (x . x') / d,
 
-    and each of ``depth`` hidden layers applies the arc-cosine update
+    and each of ``depth`` hidden layers applies the arc-cosine update of
+    Cho & Saul (2009, "Kernel Methods for Deep Learning")
 
-        q     = sqrt(K(x, x) * K(x', x'))
-        rho   = clip(K(x, x') / q, -1, 1)      # clip: FP drift can leave [-1, 1]
-        theta = arccos(rho)
-        K'    = sigma_b2 + sigma_w2 / (2 pi) * q * (sin theta + (pi - theta) cos theta)
+        q   = sqrt(K(x, x) * K(x', x'))
+        rho = clip(K(x, x') / q, -1, 1)        # clip: FP drift can leave [-1, 1]
+        J   = sqrt((1 - rho) * (1 + rho)) + (pi - arccos(rho)) * rho
+        K'  = sigma_b2 + sigma_w2 / (2 pi) * q * J
 
-    The final matrix is multiplied by ``scale``.  Defaults are the critical
-    initialization sigma_w2 = 2, sigma_b2 = 0 with two hidden layers.
+    J is the textbook sin theta + (pi - theta) cos theta with theta =
+    arccos(rho): cos theta = rho, and sin theta = sqrt(1 - rho^2) because
+    theta lies in [0, pi], where the sine is non-negative.  Writing
+    1 - rho^2 as (1 - rho)(1 + rho) keeps it accurate near rho = +-1, and
+    one sqrt replaces the sin and cos passes.  J(1) = pi and J(-1) = 0
+    exactly.  The final matrix is multiplied by ``scale``.  Defaults are the
+    critical initialization sigma_w2 = 2, sigma_b2 = 0 with two hidden layers.
 
 A Gram matrix scales linearly with ``scale``, and :func:`scale_kernel`
 multiplies it.  Temperature sweeps do not go through it: classification
@@ -129,6 +135,22 @@ def _nngp_self_cov(spec: KernelSpec, a) -> np.ndarray:
     return k
 
 
+def _arc_cosine_j(rho, out, tmp):
+    """J = sqrt((1 - rho)(1 + rho)) + (pi - arccos rho) * rho, written into ``out``.
+
+    ``rho`` is left as it is and ``tmp`` is scratch of the same shape.
+    """
+    np.subtract(1.0, rho, out=out)
+    np.add(1.0, rho, out=tmp)
+    out *= tmp
+    np.sqrt(out, out=out)
+    np.arccos(rho, out=tmp)
+    np.subtract(np.pi, tmp, out=tmp)
+    tmp *= rho
+    out += tmp
+    return out
+
+
 def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
     d = a.shape[1]
     w, bias = spec.sigma_w2, spec.sigma_b2
@@ -142,7 +164,7 @@ def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
     k += bias
     ka = bias + w * np.einsum("ij,ij->i", a, a) / d
     kb = ka if symmetric else bias + w * np.einsum("ij,ij->i", b, b) / d
-    q, sin, cos = np.empty_like(k), np.empty_like(k), np.empty_like(k)
+    q, j, tmp = np.empty_like(k), np.empty_like(k), np.empty_like(k)
     for _ in range(int(spec.depth)):
         np.multiply.outer(ka, kb, out=q)
         np.sqrt(q, out=q)
@@ -150,14 +172,8 @@ def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
             k /= q
         k[q == 0.0] = 0.0  # rho = 0 against a zero-variance row
         np.clip(k, -1.0, 1.0, out=k)
-        theta = np.arccos(k, out=k)
-        np.sin(theta, out=sin)
-        np.cos(theta, out=cos)
-        np.subtract(np.pi, theta, out=theta)
-        theta *= cos
-        sin += theta
         q *= w / (2.0 * np.pi)
-        q *= sin
+        q *= _arc_cosine_j(k, j, tmp)
         q += bias
         k, q = q, k
         ka = bias + 0.5 * w * ka

@@ -90,6 +90,20 @@ def test_zero_temperature_limit():
         relabel_prob_zero_temperature(0.0)
 
 
+@pytest.mark.parametrize("c", [1.0, 10.0, 100.0, 1000.0])
+def test_small_temperature_converges_to_zero_temperature_limit(c):
+    # the window is centred at the mode d*; centred at 0 it missed the
+    # posterior below t ~ 1e-4 (0.4986 instead of 0.3374 at c = 1, t = 1e-8)
+    limit = relabel_prob_zero_temperature(c)
+    temps = np.logspace(0, -8, 33)
+    probs = [relabel_prob_quadrature(c, t) for t in temps]
+    assert all(b <= a + 1e-8 * a for a, b in zip(probs, probs[1:]))  # monotone in t
+    for t, p in zip(temps, probs):
+        # p approaches the limit linearly in t, to within the 1e-8 relative tolerance
+        assert -3e-9 <= p - limit <= 0.1 * t + 3e-9
+    assert abs(probs[-1] - limit) <= 3e-9
+
+
 def test_limit_decreases_with_scale():
     limits = [relabel_prob_zero_temperature(c) for c in (1.0, 10.0, 100.0, 1000.0)]
     assert all(b < a for a, b in zip(limits, limits[1:]))

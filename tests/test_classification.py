@@ -26,7 +26,7 @@ from coldgp.exceptions import (
     NonPositiveTemperatureError,
 )
 from coldgp.kernels import KernelSpec, gram
-from coldgp.linalg import cholesky
+from coldgp.linalg import cholesky, tril_matmul
 from coldgp.rng import RngStream, derive_seed
 
 from helpers import batch_means_se
@@ -95,7 +95,7 @@ def test_ess_transition_nan_proposal_in_one_chain_raises():
 
 def _reference_transition(f, ll, log_lik, lower, scale, rng):
     """One chain's ESS transition as a plain loop: the reference for the batch."""
-    nu = scale * (lower @ rng.standard_normal(f.shape))
+    nu = scale * tril_matmul(lower, rng.standard_normal(f.shape))
     with np.errstate(divide="ignore"):
         log_y = ll + float(np.log(rng.uniform()))
     theta = float(rng.uniform(0.0, 2.0 * np.pi))
@@ -116,8 +116,8 @@ def _reference_transition(f, ll, log_lik, lower, scale, rng):
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_batched_transition_matches_one_chain_calls(k):
-    # n = 800 keeps L @ Z above OpenBLAS's small-matrix path, where a column's
-    # bits do not depend on how many columns share the product
+    # n = 800 is a multiple of 8, where a column of OpenBLAS's triangular
+    # product L @ Z has the same bits however many columns share the product
     n, c = 800, 2
     rng = np.random.default_rng(k)
     a = rng.standard_normal((n, n)) / np.sqrt(n)
@@ -151,6 +151,25 @@ def test_batched_transition_matches_one_chain_calls(k):
             np.testing.assert_array_equal(f[i], fl)
             assert ll[i] == lll and used[i] == used_l
     assert used.max() > 1  # the check covers shrink rounds, not only first proposals
+
+
+def test_transition_never_reads_the_strict_upper_triangle():
+    rng = np.random.default_rng(4)
+    a = rng.standard_normal((30, 30))
+    dirty = cholesky(a @ a.T + np.eye(30)).lower
+    dirty[np.triu_indices(30, 1)] = np.nan
+    loglik = lambda props, idx: -2.0 * np.sum((props - 1.0) ** 2, axis=(1, 2))
+    runs = []
+    for factor in (np.tril(dirty), dirty):
+        f = np.zeros((3, 30, 2))
+        ll = loglik(f, np.arange(3))
+        rngs = [RngStream(9, i) for i in range(3)]
+        for _ in range(5):
+            f, ll, used = ess_transition(f, ll, loglik, factor, np.ones(3), rngs)
+        runs.append((f, ll, used))
+    for x, y in zip(*runs):
+        np.testing.assert_array_equal(x, y)
+    assert np.all(np.isfinite(runs[1][0]))
 
 
 def test_log_softmax_kernel_matches_public_likelihood():
@@ -281,9 +300,9 @@ def _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, seed, draws_per_
 def test_sweep_samples_match_standalone_calls(monkeypatch):
     # the sweep samples every temperature in one lock-step pass; each grid
     # position must still draw bitwise what a standalone call at that
-    # temperature and seed draws.  400 points per class keep L @ Z above
-    # OpenBLAS's small-matrix path, where a column's bits do not depend on how
-    # many chains share the product (below it they may differ in the last bit)
+    # temperature and seed draws.  800 points, a multiple of 8, are where a
+    # column of OpenBLAS's triangular product L @ Z has the same bits however
+    # many chains share the product (for other n it may differ in the last bit)
     train, test = gen_cluster_classification(400, 2, 3, 2.0, seed=0)
     cfg = EssConfig(n_chains=2, burn_in=10, n_samples_per_chain=4, thinning=2)
     kern = KernelSpec.rbf()
@@ -300,7 +319,8 @@ def test_sweep_metrics_match_standalone_predictive(monkeypatch):
     # the sweep makes one conditional-mean product per temperature; each grid
     # position's metrics must equal the standalone predictive on that
     # position's samples and stream, bitwise.  400 points per class keep the
-    # product above OpenBLAS's small-matrix path (see the test above)
+    # product above OpenBLAS's small-matrix gemm path, where a column's bits
+    # may depend on how many columns share the product
     train, test = gen_cluster_classification(400, 3, 3, 2.0, seed=1)
     cfg = EssConfig(n_chains=3, burn_in=5, n_samples_per_chain=4, thinning=1)
     kern = KernelSpec.rbf()

@@ -1,9 +1,13 @@
 """Command-line harness tests: run bundles, overrides, exit codes, the
 plot-data reshaper, and the CSV helpers underneath them."""
+import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coldgp import (
     KernelSpec,
@@ -265,6 +269,22 @@ class TestRunVerb:
         assert f"'{path[-1]}'" in err and "finite" in err
         assert not (tmp_path / "o" / "results.csv").exists()
 
+    @pytest.mark.parametrize("path,value", [
+        (("kernel", "lengthscale"), 1e308),
+        (("regression", "assumed_noise_std"), [0.1, 1e308]),
+        (("regression", "assumed_noise_std"), 1e200),
+    ], ids=["lengthscale", "assumed-noise-std-list", "assumed-noise-std-scalar"])
+    def test_exit_2_on_value_whose_square_overflows(self, tmp_path, capsys, path, value):
+        # both are squared as Python floats, which raise OverflowError past 1.8e308
+        payload = regress_payload(tmp_path / "o")
+        payload[path[0]][path[1]] = value
+        cfg = _write_config(tmp_path, "sq.json", payload)
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert f"'{path[1]}'" in err and "square" in err
+        assert not (tmp_path / "o" / "results.csv").exists()
+
     def _unshrinkable_bracket_err(self, tmp_path, capsys, temps):
         # at T = 1e-300 the tempered log-likelihood is about -7e300, so the
         # slice threshold ll + log(u) rounds back to ll and no proposal clears it
@@ -471,3 +491,68 @@ class TestCsvFormat:
         path.write_text("a,b\n1,2\n3\n")
         with pytest.raises(MalformedRecordError):
             read_csv(path)
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+_DELETE = object()
+
+
+def _shrunk_bundled(name):
+    """A bundled config with its ess and data sections cut down, so that a
+    mutant that is still valid runs in a fraction of a second."""
+    raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    raw["output_dir"] = "out"  # relative: the test runs in a temporary directory
+    if "ess" in raw:
+        raw["ess"] = {"n_chains": 2, "burn_in": 2, "n_samples_per_chain": 2, "thinning": 1,
+                      "draws_per_sample": 1}
+    data = raw.get("data", {})
+    if "n_per_class" in data:
+        data["n_per_class"] = 4
+    if "n_train" in data:
+        data.update(n_train=8, n_test=4)
+    return raw
+
+
+BUNDLED = {name: _shrunk_bundled(name) for name in ("fig1", "fig2a", "fig2b", "fig3b")}
+
+
+def _key_paths(raw):
+    """Every top-level key, and every key of a section that is an object."""
+    return [(key,) for key in raw] + [(key, inner) for key, value in raw.items()
+                                      if isinstance(value, dict) for inner in value]
+
+
+@st.composite
+def _mutants(draw):
+    """One bundled config with one key deleted, nulled, retyped or set to an extreme."""
+    raw = copy.deepcopy(BUNDLED[draw(st.sampled_from(sorted(BUNDLED)))])
+    path = draw(st.sampled_from(_key_paths(raw)))
+    section = raw
+    for key in path[:-1]:
+        section = section[key]
+    wrong_type = 1 if isinstance(section[path[-1]], str) else "wrong type"
+    value = draw(st.sampled_from([_DELETE, None, wrong_type, 0, -1, 1e308, [], {}]))
+    if value is _DELETE:
+        del section[path[-1]]
+    else:
+        section[path[-1]] = value
+    return raw
+
+
+@settings(derandomize=True, max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_mutants())
+def test_mutated_bundled_config_never_ends_in_traceback(tmp_path, monkeypatch, capsys, raw):
+    # the exit-code contract: any config ends in 0, 2 (config) or 3
+    # (computation), with one stderr line when it fails
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(raw))
+    capsys.readouterr()
+    with np.errstate(all="ignore"):  # extreme values may overflow on the way to exit 3
+        code = main(["run", "--config", "cfg.json"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+    else:
+        assert code in (2, 3) and err.count("\n") == 1, (code, err)

@@ -175,6 +175,7 @@ class TestKernelSection:
 
     @pytest.mark.parametrize("patch", [
         {"lengthscale": 0.0}, {"variance": -1.0}, {"scale": 0.0}, {"lengthscale": "1"},
+        {"lengthscale": 1e155},
     ])
     def test_bad_rbf_values(self, patch):
         raw = regress_raw()
@@ -320,6 +321,17 @@ class TestSubsections:
         raw["regression"] = {"sigma": 0.1}
         with pytest.raises(ConfigError, match="'sigma'"):
             parse_config(raw)
+        raw["regression"] = {"assumed_noise_std": [0.1, 1e155]}
+        with pytest.raises(ConfigError, match="'assumed_noise_std'.*square"):
+            parse_config(raw)
+
+    def test_squared_values_up_to_a_finite_square_accepted(self):
+        raw = regress_raw()
+        raw["kernel"] = {"family": "rbf", "lengthscale": 1e154}
+        raw["regression"] = {"assumed_noise_std": 1e154}
+        cfg = parse_config(raw)
+        assert cfg.kernel.rbf_lengthscale == 1e154
+        assert cfg.regression["assumed_noise_std"] == [1e154]
 
 
 class TestLoadAndOverrides:

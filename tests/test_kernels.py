@@ -9,7 +9,15 @@ from coldgp.exceptions import (
     NonFiniteInputError,
     NonPositiveScaleError,
 )
-from coldgp.kernels import FAMILIES, KernelSpec, gram, gram_diag, kernel_eval, scale_kernel
+from coldgp.kernels import (
+    FAMILIES,
+    KernelSpec,
+    _arc_cosine_j,
+    gram,
+    gram_diag,
+    kernel_eval,
+    scale_kernel,
+)
 
 
 def test_families_listed():
@@ -70,7 +78,11 @@ def test_gram_symmetric_and_consistent():
 
 
 def _nngp_reference(spec, a, b):
-    """The arc-cosine recursion written with fresh arrays and a masked divide."""
+    """The arc-cosine recursion written with fresh arrays and a masked divide.
+
+    J is the trig-free sqrt((1 - rho)(1 + rho)) + (pi - arccos rho) * rho;
+    test_arc_cosine_j_matches_trig_form ties it to sin theta + (pi - theta) cos theta.
+    """
     d = a.shape[1]
     w, bias = spec.sigma_w2, spec.sigma_b2
     k = bias + w * (a @ b.T) / d
@@ -80,8 +92,8 @@ def _nngp_reference(spec, a, b):
         q = np.sqrt(np.multiply.outer(ka, kb))
         rho = np.divide(k, q, out=np.zeros_like(k), where=q > 0.0)
         np.clip(rho, -1.0, 1.0, out=rho)
-        theta = np.arccos(rho)
-        k = bias + (w / (2.0 * np.pi)) * q * (np.sin(theta) + (np.pi - theta) * np.cos(theta))
+        j = np.sqrt((1.0 - rho) * (1.0 + rho)) + (np.pi - np.arccos(rho)) * rho
+        k = bias + (w / (2.0 * np.pi)) * q * j
         ka = bias + 0.5 * w * ka
         kb = bias + 0.5 * w * kb
     return spec.scale * k
@@ -100,6 +112,29 @@ def test_nngp_gram_matches_reference_bitwise(depth, sigma_b2):
     assert np.array_equal(g, g.T) and np.all(np.isfinite(g))
     np.testing.assert_array_equal(gram(spec, b, a), _nngp_reference(spec, b, a))
     np.testing.assert_array_equal(gram(spec, a, b), _nngp_reference(spec, a, b))
+
+
+def _j(rho):
+    rho = np.asarray(rho, dtype=np.float64)
+    return _arc_cosine_j(rho, np.empty_like(rho), np.empty_like(rho))
+
+
+def test_arc_cosine_j_matches_trig_form():
+    eps = np.array([0.0, 1.1e-16, 2.2e-16, 5e-16, 1e-15])
+    rho = np.concatenate([np.linspace(-1.0, 1.0, 200_001), [-1.0, 0.0, 1.0],
+                          -1.0 + eps, 1.0 - eps])
+    theta = np.arccos(rho)
+    trig = np.sin(theta) + (np.pi - theta) * np.cos(theta)
+    np.testing.assert_allclose(_j(rho), trig, rtol=0.0, atol=2e-15)
+
+
+def test_arc_cosine_j_endpoints_exact():
+    assert _j([1.0])[0] == np.pi
+    assert _j([-1.0])[0] == 0.0
+    assert _j([0.0])[0] == 1.0  # theta = pi / 2: sin = 1, cos = 0
+    rho = np.array([0.3, -0.7])
+    _j(rho)
+    assert rho.tolist() == [0.3, -0.7]  # rho is left as it is
 
 
 def test_kernel_eval_matches_gram():

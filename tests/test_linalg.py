@@ -11,7 +11,7 @@ from coldgp.exceptions import (
     NotPositiveDefiniteError,
     NotSymmetricError,
 )
-from coldgp.linalg import JITTER_LADDER, cholesky, log_sum_exp
+from coldgp.linalg import JITTER_LADDER, cholesky, log_sum_exp, tril_matmul
 
 
 def _random_spd(n, seed):
@@ -60,6 +60,31 @@ def test_jitter_scales_with_diagonal():
 
 def test_well_conditioned_needs_no_jitter():
     assert cholesky(_random_spd(10, 4)).jitter_used == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 50, 800])
+def test_tril_matmul_matches_tril_product(n):
+    rng = np.random.default_rng(n)
+    lower = rng.standard_normal((n, n))  # the strict upper triangle must be ignored
+    for m in (1, 2, 7, 40, 160):
+        z = rng.standard_normal((n, m))
+        z_before = z.copy()
+        # relative to sum |l_ij z_jk|: an entry whose terms cancel toward 0
+        # keeps an absolute rounding error, which no elementwise rtol bounds
+        err = np.abs(tril_matmul(lower, z) - np.tril(lower) @ z)
+        assert np.all(err <= 1e-13 * (np.abs(np.tril(lower)) @ np.abs(z)))
+        np.testing.assert_array_equal(z, z_before)
+
+
+def test_tril_matmul_edge_shapes():
+    assert tril_matmul(np.zeros((0, 0)), np.zeros((0, 4))).shape == (0, 4)
+    assert tril_matmul(np.eye(3), np.zeros((3, 0))).shape == (3, 0)
+    np.testing.assert_array_equal(tril_matmul([[2.5]], [[1.0, -2.0, 3.0]]), [[2.5, -5.0, 7.5]])
+    for lower, z in [(np.eye(4), np.ones((3, 2))), (np.eye(3), np.ones((4, 2))),
+                     (np.ones((3, 4)), np.ones((3, 2))), (np.ones(3), np.ones((3, 2))),
+                     (np.eye(3), np.ones(3))]:
+        with pytest.raises(DimensionMismatchError):
+            tril_matmul(lower, z)
 
 
 def test_log_sum_exp_matches_scipy():

@@ -4,6 +4,11 @@ Exact GP regression with posterior tempering, latent GP classification via
 elliptical slice sampling (including infinite-width network kernels), a
 closed-form relabel-disagreement probe for aleatoric uncertainty, and a
 deterministic CLI for running temperature-sweep experiments.
+
+The CLI's names (``main``, ``run_experiment``, ``emit_plot_data``) resolve on
+first access through the module ``__getattr__`` (PEP 562), so importing the
+package does not import ``coldgp.cli``, and ``python -m coldgp.cli`` finds
+that module not yet loaded.
 """
 from .aleatoric import (
     relabel_disagreement_mc,
@@ -21,7 +26,6 @@ from .classification import (
     sample_latent_posterior,
     tempered_log_likelihood,
 )
-from .cli import emit_plot_data, main, run_experiment
 from .config import ExperimentConfig, apply_overrides, load_config, parse_config
 from .data import (
     CIFAR_TEST_FILE,
@@ -66,6 +70,14 @@ from .regression import (
 from .rng import RngStream, derive_seed
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in ("emit_plot_data", "main", "run_experiment"):
+        from . import cli
+        return getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "relabel_disagreement_mc", "relabel_prob_quadrature", "relabel_prob_zero_temperature",

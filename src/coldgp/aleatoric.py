@@ -19,12 +19,18 @@ sqrt(2 c t) either side of it.  The curvature of that objective is at least
 1 / (2 c), so the posterior's Laplace standard deviation never exceeds
 sqrt(2 c t) and the window covers the posterior at every t; a window
 centred at 0 instead misses it once sqrt(2 c t) is small next to d*.
+
+Importing this module loads no scipy, so a run that does not probe never
+loads ``scipy.optimize``.  ``brentq`` is imported inside
+:func:`_posterior_mode`, the one function that needs it, and the logistic
+sigmoid is the scalar :func:`_sigmoid` rather than ``scipy.special.expit``,
+whose bits it reproduces.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import expit
 
 from .exceptions import (
     DimensionMismatchError,
@@ -49,12 +55,21 @@ def _simpson_log_weights(n_points: int):
     return np.log(w)
 
 
+def _sigmoid(x: float) -> float:
+    """1 / (1 + exp(-x)) for a float x, bitwise equal to scipy.special.expit."""
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:  # exp(-x) beyond the float range: the sigmoid rounds to 0
+        return 0.0
+
+
 def _posterior_mode(c: float) -> float:
     """d*, the minimizer of softplus(-d) + d^2 / (4 c), for a checked c > 0."""
+    from scipy.optimize import brentq  # local: see the module docstring
 
     def grad(d):
         # d/dd [softplus(-d) + d^2/(4c)] = -sigmoid(-d) + d/(2c)
-        return d / (2.0 * c) - expit(-d)
+        return d / (2.0 * c) - _sigmoid(-d)
 
     # grad(hi) > 0: for c <= 1, hi > 2c puts d / (2c) above 1; for c > 1,
     # hi > log(2c) + 1 puts it above exp(-d) > sigmoid(-d).  Unlike 2c + 1,
@@ -127,7 +142,7 @@ def relabel_prob_zero_temperature(latent_scale: float) -> float:
     The tempered posterior concentrates at the minimizer d* of
     softplus(-d) + d^2 / (4 c); the limit is sigmoid(-d*).
     """
-    return float(expit(-_posterior_mode(_check_scale(latent_scale))))
+    return _sigmoid(-_posterior_mode(_check_scale(latent_scale)))
 
 
 def relabel_ratio_curve(latent_scale: float, temperatures,

@@ -273,19 +273,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.verb in ("run", "gen-data"):
-            config = apply_overrides(load_config(args.config), seed=args.seed,
-                                     output_dir=args.out)
-            if args.verb == "gen-data" and config.experiment != "gen-data":
-                raise ConfigError(
-                    f"gen-data verb requires experiment 'gen-data', config says "
-                    f"{config.experiment!r}")
-            paths = run_experiment(config)
-            for name in sorted(paths):
-                print(f"wrote {paths[name]}")
-        else:
-            out = emit_plot_data(args.input, args.figure, args.out)
-            print(f"wrote {out}")
+        # a failing run says so in one stderr line: numpy's floating-point
+        # warnings on the way to an overflow would print lines of their own
+        with np.errstate(all="ignore"):
+            if args.verb in ("run", "gen-data"):
+                config = apply_overrides(load_config(args.config), seed=args.seed,
+                                         output_dir=args.out)
+                if args.verb == "gen-data" and config.experiment != "gen-data":
+                    raise ConfigError(
+                        f"gen-data verb requires experiment 'gen-data', config says "
+                        f"{config.experiment!r}")
+                paths = run_experiment(config)
+                for name in sorted(paths):
+                    print(f"wrote {paths[name]}")
+            else:
+                out = emit_plot_data(args.input, args.figure, args.out)
+                print(f"wrote {out}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -35,6 +35,12 @@ the modified-prior device of the tempering identities: the regression
 posterior at temperature T equals the untempered one under prior T * K and
 noise variance T * sigma^2, which the acceptance tests check against the
 sweep's scalar tempering.
+
+``scipy.spatial`` (which also loads ``scipy.special`` and ``scipy.sparse``)
+is imported inside :func:`_rbf_gram`, the one function that calls ``cdist``,
+so importing this module, or running an nngp sweep, never loads it.
+``cdist`` stays rather than a numpy replacement: a numpy column loop matches
+its bits but is several times slower.
 """
 from __future__ import annotations
 
@@ -42,7 +48,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .exceptions import (
     DimensionMismatchError,
@@ -122,6 +127,8 @@ def _check_inputs(a, b):
 
 
 def _rbf_gram(spec: KernelSpec, a, b) -> np.ndarray:
+    from scipy.spatial.distance import cdist  # local: see the module docstring
+
     d2 = cdist(a, b, "sqeuclidean")
     amp = spec.scale * spec.rbf_variance
     return amp * np.exp(-d2 / (2.0 * spec.rbf_lengthscale**2))

@@ -1,4 +1,10 @@
-"""Shared numerical utilities and file fixtures for the test suite."""
+"""Shared numerical utilities, file fixtures and a fresh-interpreter runner
+for the test suite."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from coldgp.data import CIFAR_TEST_FILE, CIFAR_TRAIN_FILES
@@ -36,3 +42,20 @@ def write_cifar_fixture(dir_path, per_file=30, seed=0):
         rec[:, 1] = rec[:, 0] * 20
         with open(dir_path / name, "wb") as fh:
             fh.write(rec.tobytes())
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(args, cwd):
+    """Run ``python *args`` in a fresh interpreter with src/ on PYTHONPATH.
+
+    Returns (exit code, stdout, stderr).  A fresh process is the only way to
+    see what a run prints to stderr outside pytest's capture, and which
+    modules it loads.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+    return proc.returncode, proc.stdout, proc.stderr

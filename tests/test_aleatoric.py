@@ -1,16 +1,22 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from scipy.optimize import brentq
 from scipy.special import expit
 
 from coldgp.aleatoric import (
+    _sigmoid,
     relabel_disagreement_mc,
     relabel_prob_quadrature,
     relabel_prob_zero_temperature,
     relabel_ratio_curve,
 )
 from coldgp.classification import EssConfig, sample_latent_posterior
+from coldgp.cli import main
 from coldgp.data import gen_cluster_classification
 from coldgp.exceptions import (
     DimensionMismatchError,
@@ -102,6 +108,42 @@ def test_small_temperature_converges_to_zero_temperature_limit(c):
         # p approaches the limit linearly in t, to within the 1e-8 relative tolerance
         assert -3e-9 <= p - limit <= 0.1 * t + 3e-9
     assert abs(probs[-1] - limit) <= 3e-9
+
+
+def test_sigmoid_matches_expit_bitwise():
+    # the grid steps by 0.002 and adds signed zeros, tiny values, and the
+    # edges where exp(-x) overflows (x just below -709.78) and where
+    # expit underflows to 0 (near -745.13)
+    edges = [0.0, -0.0, 1e-300, -1e-300, 709.78, -709.78, -745.2, -745.13321910194122,
+             709.782712893384, -709.782712893384, 745.2, 800.0, -800.0]
+    edges += [np.nextafter(x, s) for x in edges for s in (-np.inf, np.inf)]
+    x = np.concatenate([np.linspace(-800.0, 800.0, 800_001), edges])
+    ours = np.array([_sigmoid(float(v)) for v in x])
+    assert ours.view(np.uint64).tolist() == expit(x).view(np.uint64).tolist()
+
+
+def _expit_zero_temperature_limit(c):
+    """The zero-temperature limit computed through scipy.special.expit."""
+    hi = 1.0 + (2.0 * c if c <= 1.0 else 2.0 + np.log(c))
+    d = brentq(lambda d: d / (2.0 * c) - expit(-d), 0.0, hi, xtol=1e-12, rtol=1e-14)
+    return float(expit(-d))
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig2b"])
+def test_zero_temperature_log_lines_match_expit(tmp_path, monkeypatch, name):
+    # the run.log lines of the bundled probe configs keep the bits they had
+    # when the limit went through scipy.special.expit
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    raw = json.loads((configs / f"{name}.json").read_text())
+    raw["output_dir"] = "out"
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps(raw))
+    assert main(["run", "--config", "cfg.json"]) == 0
+    lines = [line for line in Path("out/run.log").read_text().splitlines()
+             if "zero_temperature_limit" in line]
+    assert lines == [f"latent_scale={c!r} zero_temperature_limit="
+                     f"{_expit_zero_temperature_limit(c)!r}"
+                     for c in raw["probe"]["latent_scales"]]
 
 
 def test_limit_decreases_with_scale():

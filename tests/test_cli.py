@@ -2,6 +2,7 @@
 plot-data reshaper, and the CSV helpers underneath them."""
 import copy
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,7 @@ from coldgp.cli import (
 )
 from coldgp.exceptions import ConfigError
 
-from helpers import write_cifar_fixture
+from helpers import run_python, write_cifar_fixture
 
 
 def _write_config(tmp_path, name, payload):
@@ -220,8 +221,7 @@ class TestRunVerb:
         if kernel is not None:
             payload["kernel"] = kernel
         cfg = _write_config(tmp_path, "inf.json", payload)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert main(["run", "--config", cfg]) == 3
+        assert main(["run", "--config", cfg]) == 3
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
@@ -548,7 +548,8 @@ def test_mutated_bundled_config_never_ends_in_traceback(tmp_path, monkeypatch, c
     monkeypatch.chdir(tmp_path)
     Path("cfg.json").write_text(json.dumps(raw))
     capsys.readouterr()
-    with np.errstate(all="ignore"):  # extreme values may overflow on the way to exit 3
+    with warnings.catch_warnings():  # a warning would be one more stderr line
+        warnings.simplefilter("error", RuntimeWarning)
         code = main(["run", "--config", "cfg.json"])
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -556,3 +557,45 @@ def test_mutated_bundled_config_never_ends_in_traceback(tmp_path, monkeypatch, c
         assert err == ""
     else:
         assert code in (2, 3) and err.count("\n") == 1, (code, err)
+
+
+@pytest.mark.parametrize("name,section,key", [
+    ("fig1", "kernel", "sigma_w2"),
+    ("fig1", "kernel", "sigma_b2"),
+    ("fig1", "data", "separation"),
+    ("fig3b", "kernel", "variance"),
+    ("fig3b", "data", "noise_std"),
+])
+def test_overflowing_run_prints_one_stderr_line(tmp_path, name, section, key):
+    # each of these overflows in numpy on the way to exit 3; outside pytest's
+    # capture numpy's RuntimeWarnings would print their own stderr lines
+    raw = copy.deepcopy(BUNDLED[name])
+    raw[section][key] = 1e308
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    code, _, err = run_python(["-m", "coldgp.cli", "run", "--config", "cfg.json"], tmp_path)
+    assert code == 3 and err.count("\n") == 1 and err.startswith("error: "), (code, err)
+
+
+def test_module_entry_point_runs_clean(tmp_path):
+    # importing the package does not import coldgp.cli, so runpy does not warn
+    (tmp_path / "cfg.json").write_text(json.dumps(BUNDLED["fig2a"]))
+    code, out, err = run_python(["-m", "coldgp.cli", "run", "--config", "cfg.json"], tmp_path)
+    assert (code, err) == (0, "")
+    assert "results.csv" in out
+
+
+def test_nngp_run_loads_no_optional_scipy(tmp_path):
+    # scipy.optimize, scipy.special and scipy.spatial load inside the functions
+    # that call them; an nngp classify-sweep calls none, so they never load
+    (tmp_path / "cfg.json").write_text(json.dumps(BUNDLED["fig1"]))
+    script = "\n".join([
+        "import json, sys",
+        "import coldgp.cli",
+        "lazy = ('scipy.optimize', 'scipy.special', 'scipy.spatial')",
+        "after_import = [m for m in lazy if m in sys.modules]",
+        "code = coldgp.cli.main(['run', '--config', 'cfg.json'])",
+        "print(json.dumps([after_import, code, [m for m in lazy if m in sys.modules]]))",
+    ])
+    code, out, err = run_python(["-c", script], tmp_path)
+    assert code == 0, err
+    assert json.loads(out.splitlines()[-1]) == [[], 0, []]

@@ -20,11 +20,11 @@ sqrt(2 c t) either side of it.  The curvature of that objective is at least
 sqrt(2 c t) and the window covers the posterior at every t; a window
 centred at 0 instead misses it once sqrt(2 c t) is small next to d*.
 
-Importing this module loads no scipy, so a run that does not probe never
-loads ``scipy.optimize``.  ``brentq`` is imported inside
-:func:`_posterior_mode`, the one function that needs it, and the logistic
-sigmoid is the scalar :func:`_sigmoid` rather than ``scipy.special.expit``,
-whose bits it reproduces.
+This module uses no scipy, so a probe run loads only the scipy that
+``import coldgp`` does.  :func:`_posterior_mode` finds d* by bisection on
+the monotone gradient, to adjacent floats, and the logistic sigmoid is the
+scalar :func:`_sigmoid` rather than ``scipy.special.expit``, whose bits it
+reproduces.
 """
 from __future__ import annotations
 
@@ -64,18 +64,28 @@ def _sigmoid(x: float) -> float:
 
 
 def _posterior_mode(c: float) -> float:
-    """d*, the minimizer of softplus(-d) + d^2 / (4 c), for a checked c > 0."""
-    from scipy.optimize import brentq  # local: see the module docstring
+    """d*, the minimizer of softplus(-d) + d^2 / (4 c), for a checked c > 0.
 
+    Bisection on the gradient d / (2c) - sigmoid(-d), which increases in d,
+    down to adjacent floats: it stops when the midpoint equals an endpoint.
+    """
     def grad(d):
-        # d/dd [softplus(-d) + d^2/(4c)] = -sigmoid(-d) + d/(2c)
-        return d / (2.0 * c) - _sigmoid(-d)
+        # 0.5 * d / c rounds as d / (2c) does but stays finite for c near the
+        # float maximum, where 2c overflows
+        return 0.5 * d / c - _sigmoid(-d)
 
-    # grad(hi) > 0: for c <= 1, hi > 2c puts d / (2c) above 1; for c > 1,
-    # hi > log(2c) + 1 puts it above exp(-d) > sigmoid(-d).  Unlike 2c + 1,
-    # this bound stays finite for every finite c
-    hi = 1.0 + (2.0 * c if c <= 1.0 else 2.0 + np.log(c))
-    return brentq(grad, 0.0, hi, xtol=1e-12, rtol=1e-14)
+    # grad(0) = -1/2 < 0 and grad(hi) > 0: for c <= 1, hi > 2c puts d / (2c)
+    # above 1; for c > 1, hi > log(2c) + 1 puts it above exp(-d) > sigmoid(-d).
+    # Unlike 2c + 1, this bound stays finite for every finite c
+    lo, hi = 0.0, 1.0 + (2.0 * c if c <= 1.0 else 2.0 + math.log(c))
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if grad(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
 
 
 def _probe_value(c: float, t: float, half_width_sigmas: float, panels: int,

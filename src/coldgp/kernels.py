@@ -27,6 +27,12 @@ Two families:
     exactly.  The final matrix is multiplied by ``scale``.  Defaults are the
     critical initialization sigma_w2 = 2, sigma_b2 = 0 with two hidden layers.
 
+    The Gram starts from one product a @ b.T; the recursion then runs in
+    place on one block of rows at a time (``linalg.block_rows``), so past
+    the n x m output only block-sized scratch is held.  A symmetric Gram
+    (b is a) visits only the lower triangle, diagonal blocks whole, and
+    mirrors the strict lower triangle into the upper.
+
 A Gram matrix scales linearly with ``scale``, and :func:`scale_kernel`
 multiplies it.  Temperature sweeps do not go through it: classification
 draws its tempered prior as sqrt(T) * chol(K) from one factor of the
@@ -55,6 +61,7 @@ from .exceptions import (
     NonFiniteInputError,
     NonPositiveScaleError,
 )
+from .linalg import block_rows
 
 FAMILIES = ("rbf", "nngp")
 
@@ -159,33 +166,47 @@ def _arc_cosine_j(rho, out, tmp):
 
 
 def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
-    d = a.shape[1]
+    n, m, d = a.shape[0], b.shape[0], a.shape[1]
     w, bias = spec.sigma_w2, spec.sigma_b2
-    # with b is a, numpy computes a @ a.T as a symmetric rank-k update, so k
-    # starts exactly symmetric and the elementwise recursion keeps it so.  The
-    # recursion works in place but keeps the operation order of the module
-    # docstring's formulas (+ and * commute exactly), so its bits are theirs
+    # one product for the whole Gram: a product per row block would change bits
+    # (with b is a, numpy computes a @ a.T as a symmetric rank-k update)
     k = a @ b.T
-    k *= w
-    k /= d
-    k += bias
     ka = bias + w * np.einsum("ij,ij->i", a, a) / d
     kb = ka if symmetric else bias + w * np.einsum("ij,ij->i", b, b) / d
-    q, j, tmp = np.empty_like(k), np.empty_like(k), np.empty_like(k)
+    variances = []
     for _ in range(int(spec.depth)):
-        np.multiply.outer(ka, kb, out=q)
-        np.sqrt(q, out=q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            k /= q
-        k[q == 0.0] = 0.0  # rho = 0 against a zero-variance row
-        np.clip(k, -1.0, 1.0, out=k)
-        q *= w / (2.0 * np.pi)
-        q *= _arc_cosine_j(k, j, tmp)
-        q += bias
-        k, q = q, k
+        variances.append((ka, kb))
         ka = bias + 0.5 * w * ka
         kb = ka if symmetric else bias + 0.5 * w * kb
-    k *= spec.scale
+    # the recursion runs in place on one row block at a time, with block-sized
+    # scratch, and keeps the operation order of the module docstring's formulas
+    # (+ and * commute exactly), so its bits are theirs.  A symmetric block
+    # stops at its last row's column and is then mirrored into the upper triangle
+    rows = block_rows(m)
+    scratch = [np.empty(rows * m) for _ in range(3)]
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        kk = k[r0:r1, : r1 if symmetric else m]
+        q, j, tmp = (s[: kk.size].reshape(kk.shape) for s in scratch)
+        kk *= w
+        kk /= d
+        kk += bias
+        for va, vb in variances:
+            np.multiply.outer(va[r0:r1], vb[: kk.shape[1]], out=q)
+            np.sqrt(q, out=q)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                kk /= q
+            kk[q == 0.0] = 0.0  # rho = 0 against a zero-variance row
+            np.clip(kk, -1.0, 1.0, out=kk)
+            q *= w / (2.0 * np.pi)
+            np.multiply(q, _arc_cosine_j(kk, j, tmp), out=kk)
+            kk += bias
+        kk *= spec.scale
+        if symmetric:
+            k[:r0, r0:r1] = kk[:, :r0].T
+            diag = kk[:, r0:]
+            upper = np.triu_indices(r1 - r0, 1)
+            diag[upper] = diag.T[upper]
     return k
 
 
@@ -193,8 +214,10 @@ def gram(spec: KernelSpec, a, b) -> np.ndarray:
     """Kernel matrix between row sets ``a`` (n, d) and ``b`` (m, d).
 
     When ``a`` and ``b`` are the same object the result is exactly symmetric:
-    cdist's squared distances are, and the nngp recursion starts from
-    a @ a.T, which numpy computes as an exactly symmetric rank-k update.
+    cdist's squared distances are, and the nngp Gram computes its lower
+    triangle and mirrors it into the upper.  Its entries keep the bits of
+    the elementwise formulas, because the recursion starts from a @ a.T,
+    which numpy computes as an exactly symmetric rank-k update.
     """
     same = a is b
     a, b = _check_inputs(a, b)

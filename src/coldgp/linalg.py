@@ -4,7 +4,8 @@ All factorizations go through :func:`cholesky`, which owns the jitter
 policy; nothing else in the package calls ``numpy.linalg.cholesky``, so
 escalation and failure handling stay in one place.  :func:`tril_matmul`
 multiplies by a factor with a BLAS triangular multiply; the sampler's prior
-draws use it.
+draws use it.  :func:`block_rows` sizes the row blocks that the Cholesky
+checks and the nngp Gram work on, so that no scratch array grows with n^2.
 
 Arrays are float64 throughout.
 """
@@ -29,6 +30,15 @@ JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 
 _SYM_RTOL = 1e-12
 
+# Bytes of one row block of float64 scratch, for work done a block of rows at
+# a time so that no temporary grows with the whole matrix.
+BLOCK_BYTES = 1 << 20
+
+
+def block_rows(width: int) -> int:
+    """Rows of a ``width``-column float64 block that fit in BLOCK_BYTES (at least 1)."""
+    return max(1, BLOCK_BYTES // (8 * width))
+
 
 @dataclass(frozen=True)
 class SpdFactor:
@@ -52,7 +62,9 @@ def cholesky(a, ladder=JITTER_LADDER) -> SpdFactor:
     Parameters
     ----------
     a : (n, n) array_like
-        Symmetric matrix.  Symmetry is checked to relative tolerance 1e-12.
+        Symmetric matrix.  It must be finite, and max |a - a.T| may not
+        exceed 1e-12 * max(max |a|, 1).  Both checks read one block of rows
+        at a time (``block_rows``), so they allocate no n x n temporary.
     ladder : sequence of float
         Relative jitter rungs, multiplied by mean(diag(a)).
 
@@ -70,10 +82,20 @@ def cholesky(a, ladder=JITTER_LADDER) -> SpdFactor:
     n = a.shape[0]
     if n == 0:
         raise EmptyInputError("cannot factor an empty matrix")
-    if not np.all(np.isfinite(a)):
-        raise NonFiniteInputError("matrix contains NaN or infinity")
-    abs_max = float(np.max(np.abs(a)))
-    if float(np.max(np.abs(a - a.T))) > _SYM_RTOL * max(abs_max, 1.0):
+    # one row block at a time, so no check needs an n x n temporary.  A NaN or
+    # an infinity makes its block's max |a| non-finite.  Each pair's asymmetry
+    # is read once, from the row of its lower-triangle entry, and judged only
+    # after every block has passed the finiteness check
+    abs_max = asym_max = 0.0
+    rows = block_rows(n)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        block_max = float(np.max(np.abs(a[r0:r1])))
+        if not np.isfinite(block_max):
+            raise NonFiniteInputError("matrix contains NaN or infinity")
+        abs_max = max(abs_max, block_max)
+        asym_max = max(asym_max, float(np.max(np.abs(a[r0:r1, :r1] - a[:r1, r0:r1].T))))
+    if asym_max > _SYM_RTOL * max(abs_max, 1.0):
         raise NotSymmetricError("matrix is not symmetric within relative tolerance 1e-12")
 
     diag_mean = float(np.mean(np.diag(a)))

@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import expit
 
 from coldgp.aleatoric import (
+    _posterior_mode,
     _sigmoid,
     relabel_disagreement_mc,
     relabel_prob_quadrature,
@@ -123,10 +124,25 @@ def test_sigmoid_matches_expit_bitwise():
 
 
 def _expit_zero_temperature_limit(c):
-    """The zero-temperature limit computed through scipy.special.expit."""
+    """The zero-temperature limit expit(-d*), at the module's posterior mode d*."""
+    return float(expit(-_posterior_mode(c)))
+
+
+def _brentq_mode(c):
     hi = 1.0 + (2.0 * c if c <= 1.0 else 2.0 + np.log(c))
-    d = brentq(lambda d: d / (2.0 * c) - expit(-d), 0.0, hi, xtol=1e-12, rtol=1e-14)
-    return float(expit(-d))
+    return brentq(lambda d: 0.5 * d / c - expit(-d), 0.0, hi, xtol=1e-12, rtol=1e-14)
+
+
+def test_posterior_mode_matches_brentq():
+    # c spans the whole positive float range a config accepts; near 1e308 the
+    # gradient's d / (2c) would overflow 2c, so it is written 0.5 * d / c
+    for c in np.logspace(-300.0, 308.0, 1217):
+        c = float(c)
+        d, ref = _posterior_mode(c), _brentq_mode(c)
+        assert abs(d - ref) <= 1e-12 + 1e-14 * abs(ref), c
+        # bisection ends on adjacent floats: the gradient changes sign within one ulp of d
+        below, above = np.nextafter(d, 0.0), np.nextafter(d, np.inf)
+        assert 0.5 * below / c - expit(-below) <= 0.0 <= 0.5 * above / c - expit(-above), c
 
 
 @pytest.mark.parametrize("name", ["fig2a", "fig2b"])

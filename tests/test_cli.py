@@ -584,18 +584,30 @@ def test_module_entry_point_runs_clean(tmp_path):
     assert "results.csv" in out
 
 
-def test_nngp_run_loads_no_optional_scipy(tmp_path):
-    # scipy.optimize, scipy.special and scipy.spatial load inside the functions
-    # that call them; an nngp classify-sweep calls none, so they never load
-    (tmp_path / "cfg.json").write_text(json.dumps(BUNDLED["fig1"]))
+def _optional_scipy_loaded(tmp_path, name):
+    """Optional scipy subpackages loaded after ``import coldgp.cli`` and after
+    a run of the shrunk bundled config ``name``, in one fresh interpreter."""
+    (tmp_path / "cfg.json").write_text(json.dumps(BUNDLED[name]))
     script = "\n".join([
         "import json, sys",
         "import coldgp.cli",
-        "lazy = ('scipy.optimize', 'scipy.special', 'scipy.spatial')",
+        "lazy = ('scipy.optimize', 'scipy.special', 'scipy.spatial', 'scipy.sparse')",
         "after_import = [m for m in lazy if m in sys.modules]",
         "code = coldgp.cli.main(['run', '--config', 'cfg.json'])",
         "print(json.dumps([after_import, code, [m for m in lazy if m in sys.modules]]))",
     ])
     code, out, err = run_python(["-c", script], tmp_path)
     assert code == 0, err
-    assert json.loads(out.splitlines()[-1]) == [[], 0, []]
+    return json.loads(out.splitlines()[-1])
+
+
+def test_nngp_run_loads_no_optional_scipy(tmp_path):
+    # scipy.spatial (with special and sparse) loads inside the rbf Gram, the
+    # one function that calls it; an nngp classify-sweep never calls it
+    assert _optional_scipy_loaded(tmp_path, "fig1") == [[], 0, []]
+
+
+def test_probe_run_loads_no_optional_scipy(tmp_path):
+    # the posterior mode is a bisection and the sigmoid a scalar function:
+    # a probe run needs no scipy beyond what import coldgp loads
+    assert _optional_scipy_loaded(tmp_path, "fig2a") == [[], 0, []]

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from coldgp.kernels import (
     kernel_eval,
     scale_kernel,
 )
+from coldgp.linalg import block_rows
 
 
 def test_families_listed():
@@ -102,16 +105,39 @@ def _nngp_reference(spec, a, b):
 @pytest.mark.parametrize("depth", [1, 3])
 @pytest.mark.parametrize("sigma_b2", [0.0, 0.5])
 def test_nngp_gram_matches_reference_bitwise(depth, sigma_b2):
-    rng = np.random.default_rng(depth)
-    a = rng.standard_normal((300, 8))
-    b = rng.standard_normal((200, 8))
-    a[17] = 0.0  # with sigma_b2 = 0 its variance is 0 at every layer: the q == 0 path
     spec = KernelSpec.nngp(depth=depth, sigma_b2=sigma_b2, scale=1.7)
-    g = gram(spec, a, a)
-    np.testing.assert_array_equal(g, _nngp_reference(spec, a, a))
-    assert np.array_equal(g, g.T) and np.all(np.isfinite(g))
-    np.testing.assert_array_equal(gram(spec, b, a), _nngp_reference(spec, b, a))
-    np.testing.assert_array_equal(gram(spec, a, b), _nngp_reference(spec, a, b))
+    for n, m, zero_row in [(300, 200, 17), (1100, 700, 500)]:
+        rng = np.random.default_rng(depth)
+        a = rng.standard_normal((n, 8))
+        b = rng.standard_normal((m, 8))
+        a[zero_row] = 0.0  # with sigma_b2 = 0 its variance is 0 at every layer: the q == 0 path
+        if n > 300:
+            # each order spans at least 3 row blocks with a ragged last one,
+            # and the zero row lies outside the first block
+            for rows, cols in [(n, n), (n, m), (m, n)]:
+                assert rows >= 3 * block_rows(cols) and rows % block_rows(cols)
+            assert zero_row >= max(block_rows(n), block_rows(m))
+        g = gram(spec, a, a)
+        np.testing.assert_array_equal(g, _nngp_reference(spec, a, a))
+        assert np.array_equal(g, g.T) and np.all(np.isfinite(g))
+        np.testing.assert_array_equal(gram(spec, b, a), _nngp_reference(spec, b, a))
+        np.testing.assert_array_equal(gram(spec, a, b), _nngp_reference(spec, a, b))
+
+
+@pytest.mark.parametrize("n, m", [(1500, None), (1600, 1500)])
+def test_nngp_gram_memory_stays_near_output_size(n, m):
+    # the recursion runs on row blocks in place: past the output array itself
+    # only block-sized scratch is allocated
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, 8))
+    b = a if m is None else rng.standard_normal((m, 8))
+    tracemalloc.start()
+    try:
+        g = gram(KernelSpec.nngp(), a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * g.nbytes
 
 
 def _j(rho):

@@ -11,7 +11,7 @@ from coldgp.exceptions import (
     NotPositiveDefiniteError,
     NotSymmetricError,
 )
-from coldgp.linalg import JITTER_LADDER, cholesky, log_sum_exp, tril_matmul
+from coldgp.linalg import JITTER_LADDER, block_rows, cholesky, log_sum_exp, tril_matmul
 
 
 def _random_spd(n, seed):
@@ -39,6 +39,43 @@ def test_validation_errors():
         cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
     with pytest.raises(NotPositiveDefiniteError):
         cholesky(-np.eye(3))
+
+
+_BLOCKED_N = 1100
+
+
+def _blocked_diagonal():
+    # checks run on row blocks: this n spans at least 3, the last one ragged
+    n = _BLOCKED_N
+    assert n >= 3 * block_rows(n) and n % block_rows(n)
+    return float(n) * np.eye(n)
+
+
+def test_symmetry_threshold_inside_last_block():
+    a = _blocked_diagonal()
+    i, j = _BLOCKED_N - 3, _BLOCKED_N - 9  # both in the last block
+    assert j >= _BLOCKED_N - _BLOCKED_N % block_rows(_BLOCKED_N)
+    threshold = 1e-12 * max(float(np.max(np.abs(a))), 1.0)
+    a[i, j] = np.nextafter(threshold, np.inf)  # a[j, i] stays 0
+    with pytest.raises(NotSymmetricError):
+        cholesky(a)
+    for below in (np.nextafter(threshold, 0.0), threshold):  # not above it: factors
+        a[i, j] = below
+        assert cholesky(a).jitter_used == 0.0
+    a[i, j] = 0.0
+    a[j, i] = np.nextafter(threshold, np.inf)  # the same pair from its upper-triangle side
+    with pytest.raises(NotSymmetricError):
+        cholesky(a)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("upper", [False, True])
+def test_non_finite_inside_last_block(bad, upper):
+    a = _blocked_diagonal()
+    i, j = _BLOCKED_N - 2, _BLOCKED_N - 7
+    a[(j, i) if upper else (i, j)] = bad
+    with pytest.raises(NonFiniteInputError):
+        cholesky(a)
 
 
 def test_jitter_ladder_rescues_singular_matrix():

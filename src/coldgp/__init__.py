@@ -18,13 +18,9 @@ from .aleatoric import (
 )
 from .classification import (
     EssConfig,
-    LatentSampleSet,
     classification_metrics,
     classification_temperature_sweep,
     ess_transition,
-    predictive_class_probs,
-    sample_latent_posterior,
-    tempered_log_likelihood,
 )
 from .config import ExperimentConfig, apply_overrides, load_config, parse_config
 from .data import (
@@ -82,9 +78,8 @@ def __getattr__(name):
 __all__ = [
     "relabel_disagreement_mc", "relabel_prob_quadrature", "relabel_prob_zero_temperature",
     "relabel_ratio_curve",
-    "EssConfig", "LatentSampleSet", "classification_metrics",
-    "classification_temperature_sweep", "ess_transition", "predictive_class_probs",
-    "sample_latent_posterior", "tempered_log_likelihood",
+    "EssConfig", "classification_metrics", "classification_temperature_sweep",
+    "ess_transition",
     "emit_plot_data", "main", "run_experiment",
     "ExperimentConfig", "apply_overrides", "load_config", "parse_config",
     "CIFAR_TEST_FILE", "CIFAR_TRAIN_FILES",

@@ -183,9 +183,10 @@ def relabel_disagreement_mc(latent_samples, labels, index: int) -> float:
 
     Averages, over sampled latent matrices, the softmax probability that a
     fresh relabel of training point ``index`` differs from its observed
-    label.  ``latent_samples`` is any (..., n, class_count) array, such as a
-    sample set's (chains, samples, n, class_count) array, or a list of
-    (n, class_count) matrices; every leading axis indexes samples.
+    label.  ``latent_samples`` is any (..., n, class_count) array, such as
+    the sampler's (temperatures, chains, samples, n, class_count) array or
+    one temperature's slice of it, or a list of (n, class_count) matrices;
+    every leading axis indexes samples.
     """
     f = np.asarray(latent_samples, dtype=np.float64)
     if f.size == 0:

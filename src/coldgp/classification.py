@@ -22,13 +22,18 @@ all of one temperature's retained samples come from a single product
 b^T X with b = K^{-1} K(X, X*), so a sweep reads b once per temperature and
 holds one temperature's means at a time.
 
+:func:`classification_temperature_sweep` is the one way to sample and
+predict: its sampler keeps the whole grid's retained samples as one
+(T, n_chains, n_samples_per_chain, n, C) array, and the predictive reads one
+temperature's slice of it, with t entering only as a scalar.
+
 The softmax and the log-likelihood take their max and their exp-sum one
 class column at a time, adding the columns in class order, rather than
 reducing along the short class axis.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -74,34 +79,6 @@ class EssConfig:
             raise ValueError("thinning must be >= 1")
 
 
-@dataclass(frozen=True)
-class LatentSampleSet:
-    """Retained posterior samples at one temperature, with what prediction needs.
-
-    ``samples`` is one array of shape (n_chains, n_samples_per_chain, n_train,
-    class_count).  ``kernel`` and ``train_inputs`` define the test-latent
-    conditional; ``seed`` is the master seed the chains drew from (the
-    predictive's default stream is RngStream(seed, n_chains)).  ``stats``
-    carries sampler diagnostics: transition counts, proposals per transition,
-    and the absolute jitter on the tempered prior t * K.
-    """
-
-    samples: np.ndarray
-    temperature: float
-    kernel: KernelSpec
-    train_inputs: np.ndarray
-    seed: int
-    stats: dict = field(default_factory=dict)
-
-    @property
-    def n_train(self) -> int:
-        return self.train_inputs.shape[0]
-
-    @property
-    def class_count(self) -> int:
-        return self.samples.shape[-1]
-
-
 def _class_max(f):
     """Max over the last (class) axis, taken one class column at a time.
 
@@ -138,22 +115,6 @@ def _log_softmax_sums(f, y):
         s += np.exp(f[..., j] - m)
     lse = m + np.log(s)
     return np.sum(f[:, np.arange(f.shape[1]), y] - lse, axis=-1)
-
-
-def tempered_log_likelihood(latent, labels, t: float) -> float:
-    """Log of the softmax likelihood raised to 1/t.
-
-    (1/t) * sum_i [ latent[i, labels[i]] - logsumexp(latent[i, :]) ].
-    """
-    t = check_temperature(t)
-    f = np.asarray(latent, dtype=np.float64)
-    if f.ndim != 2:
-        raise DimensionMismatchError(f"latent must be (n, class_count), got shape {f.shape}")
-    n, c = f.shape
-    if n < 1 or c < 2:
-        raise EmptyInputError(f"latent needs n >= 1 rows and >= 2 classes, got {f.shape}")
-    y = check_labels(labels, n, c)
-    return float(_log_softmax_sums(f[None], y)[0] / t)
 
 
 def _chain_error(exc_type, chain, message):
@@ -235,15 +196,17 @@ def ess_transition(f, ll, log_lik, prior_lower, prior_scale, rngs):
         f"log-likelihood {float(ll[i])!r}: the slice threshold rounds to the current value")
 
 
-def _sample_grid(kernel: KernelSpec, train: LabeledDataset, temps, seeds,
-                 config: EssConfig, prior_factor: SpdFactor) -> list:
+def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
+                 prior_factor: SpdFactor):
     """Sample every (temperature, chain) pair of a grid in one lock-step pass.
 
     Chain c at grid position j draws from RngStream(seeds[j], c) and starts
     from the zero latent matrix; all T * n_chains chains advance together
     through ``ess_transition``, so a step reads the prior factor once.
-    Returns one LatentSampleSet per temperature; their ``samples`` are views
-    into one (T, n_chains, n_samples_per_chain, n, C) array.
+    Returns (samples, stats): the retained samples as one
+    (T, n_chains, n_samples_per_chain, n, C) array, and one dict of sampler
+    diagnostics per temperature: transition counts, proposals per
+    transition, and the absolute jitter on the tempered prior t * K.
     """
     n, c, n_chains = train.n, train.class_count, config.n_chains
     chain_t = np.repeat(temps, n_chains)
@@ -271,60 +234,23 @@ def _sample_grid(kernel: KernelSpec, train: LabeledDataset, temps, seeds,
         raise type(exc)(f"temperature {float(chain_t[exc.chain])!r}: {exc}") from exc
 
     transitions = n_chains * (config.burn_in + config.n_samples_per_chain * config.thinning)
-    per_temperature = proposals.reshape(len(temps), n_chains).sum(axis=1)
-    sets = []
-    for j, (t, seed) in enumerate(zip(temps, seeds)):
-        used = int(per_temperature[j])
-        stats = {
-            "transitions": transitions,
-            "proposals": used,
-            "proposals_per_transition": used / max(transitions, 1),
-            "prior_jitter": t * prior_factor.jitter_used,
-        }
-        sets.append(LatentSampleSet(samples=samples[j], temperature=t, kernel=kernel,
-                                    train_inputs=train.inputs, seed=int(seed), stats=stats))
-    return sets
+    per_temperature = proposals.reshape(len(temps), n_chains).sum(axis=1).tolist()
+    stats = [{"transitions": transitions,
+              "proposals": used,
+              "proposals_per_transition": used / transitions,
+              "prior_jitter": t * prior_factor.jitter_used}
+             for t, used in zip(temps, per_temperature)]
+    return samples, stats
 
 
-def sample_latent_posterior(kernel: KernelSpec, train: LabeledDataset, t: float,
-                            config: EssConfig = EssConfig(), seed: int = 0, *,
-                            prior_factor: SpdFactor | None = None) -> LatentSampleSet:
-    """Run ESS chains on the tempered latent posterior.
-
-    Chain c draws from RngStream(seed, c) and starts from the zero latent
-    matrix; the chains advance in lock step (the one-temperature case of a
-    sweep's grid).  ``prior_factor`` is the Cholesky factor of the
-    untempered K(X, X); a sweep passes the one it shares across
-    temperatures, and a standalone call factors K itself.
-    """
-    if not train.is_classification:
-        raise ValueError("classification requires a labeled classification dataset")
-    t = check_temperature(t)
-    if prior_factor is None:
-        prior_factor = cholesky(gram(kernel, train.inputs, train.inputs))
-    return _sample_grid(kernel, train, [t], [seed], config, prior_factor)[0]
-
-
-def _conditional_precompute(kernel: KernelSpec, train_inputs, test_inputs,
-                            factor: SpdFactor | None = None):
+def _conditional_precompute(kernel: KernelSpec, train_inputs, test_inputs, factor: SpdFactor):
     """Shared, temperature-free pieces of the test-latent conditional.
 
     Returns (b, schur) with b = K(X,X)^{-1} K(X, X*) of shape (n, p) and
     schur the vector k** - k*^T K^{-1} k* (clipped at zero).  ``factor`` is
-    the Cholesky factor of K(X, X), built here when not given.  The empty
-    training set degenerates to the prior: b empty, schur = k**.
+    the Cholesky factor of K(X, X).
     """
-    test_inputs = np.asarray(test_inputs, dtype=np.float64)
     kss = gram_diag(kernel, test_inputs)
-    n = train_inputs.shape[0]
-    if n == 0:
-        return np.zeros((0, test_inputs.shape[0])), kss
-    if train_inputs.shape[1] != test_inputs.shape[1]:
-        raise DimensionMismatchError(
-            f"train dim {train_inputs.shape[1]} vs test dim {test_inputs.shape[1]}"
-        )
-    if factor is None:
-        factor = cholesky(gram(kernel, train_inputs, train_inputs))
     ks = gram(kernel, test_inputs, train_inputs)  # (p, n)
     v = solve_triangular(factor.lower, ks.T, lower=True, check_finite=False)
     b = solve_triangular(factor.lower, v, lower=True, trans="T", check_finite=False)
@@ -340,36 +266,23 @@ def _softmax(f):
     return e
 
 
-def _test_latent_means(b, samples):
-    """Conditional test-latent means b^T F of every retained sample, in one product.
-
-    ``b`` is the (n, p) matrix K(X,X)^{-1} K(X, X*) and ``samples`` one
-    temperature's (n_chains, per_chain, n, C) array.  The samples are copied
-    once into an (n, n_chains * per_chain * C) matrix, so one temperature's
-    predictive reads ``b`` once; returns the (n_chains, per_chain, p, C) means
-    as a view of the (p, n_chains * per_chain * C) product.
-    """
-    n_chains, per_chain, n, c = samples.shape
-    x = samples.transpose(2, 0, 1, 3).reshape(n, n_chains * per_chain * c)
-    means = (b.T @ x).reshape(b.shape[1], n_chains, per_chain, c)
-    return means.transpose(1, 2, 0, 3)
-
-
-def _chain_prob_means(means, sd, draws_per_sample: int, rng: RngStream):
+def _chain_prob_means(b, samples, sd, draws_per_sample: int, rng: RngStream):
     """Predictive class probabilities averaged within each chain.
 
-    ``means`` are one temperature's (n_chains, per_chain, p, C) test-latent
-    means (:func:`_test_latent_means`) and ``sd`` the (p,) conditional
-    standard deviations sqrt(t * schur).  Each retained sample adds
-    ``draws_per_sample`` softmax draws of its test latents, one at a time.
-    Randomness is consumed in (chain, sample, draw) order, so the result is
-    identical however the caller later combines chains.
+    ``b`` is the (n, p) matrix K(X,X)^{-1} K(X, X*), ``samples`` one
+    temperature's (n_chains, per_chain, n, C) array and ``sd`` the (p,)
+    conditional standard deviations sqrt(t * schur).  The samples are copied
+    once into an (n, n_chains * per_chain * C) matrix, so the test-latent
+    means b^T F of every retained sample come from one product that reads
+    ``b`` once.  Each retained sample then adds ``draws_per_sample`` softmax
+    draws of its test latents, one at a time.  Randomness is consumed in
+    (chain, sample, draw) order, so the result is identical however the
+    caller later combines chains.
     """
-    if draws_per_sample < 1:
-        raise EmptyInputError("draws_per_sample must be >= 1")
-    n_chains, per_chain, p, c = means.shape
-    if n_chains * per_chain == 0:
-        raise EmptyInputError("sample set is empty")
+    n_chains, per_chain, n, c = samples.shape
+    p = b.shape[1]
+    x = samples.transpose(2, 0, 1, 3).reshape(n, n_chains * per_chain * c)
+    means = (b.T @ x).reshape(p, n_chains, per_chain, c).transpose(1, 2, 0, 3)
     sd = sd[:, None]
     chain_means = np.empty((n_chains, p, c))
     for ci in range(n_chains):
@@ -380,22 +293,6 @@ def _chain_prob_means(means, sd, draws_per_sample: int, rng: RngStream):
                 acc += probs
         chain_means[ci] = acc / (per_chain * draws_per_sample)
     return chain_means
-
-
-def predictive_class_probs(samples: LatentSampleSet, test_inputs, draws_per_sample: int = 8,
-                           rng: RngStream | None = None) -> np.ndarray:
-    """Monte Carlo predictive class probabilities, one row per test input.
-
-    Averages softmax over retained posterior samples and, for each sample,
-    ``draws_per_sample`` draws of the test latents from their conditional.
-    Rows sum to one up to floating point.
-    """
-    if rng is None:
-        rng = RngStream(samples.seed, samples.samples.shape[0])
-    b, schur = _conditional_precompute(samples.kernel, samples.train_inputs, test_inputs)
-    chain_means = _chain_prob_means(_test_latent_means(b, samples.samples),
-                                    np.sqrt(samples.temperature * schur), draws_per_sample, rng)
-    return chain_means.mean(axis=0)
 
 
 def classification_metrics(probs, labels):
@@ -432,22 +329,24 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
     Returns a dict of 1-D float64 arrays in grid order: test_log_likelihood,
     top1_accuracy, and their between-chain Monte Carlo standard errors
     mc_se_log_likelihood and mc_se_accuracy (0 for a single chain); ``stats``
-    lists each position's sampler stats (LatentSampleSet.stats).
+    lists each position's sampler diagnostics: transitions, proposals,
+    proposals_per_transition and prior_jitter.
     """
     temps = [check_temperature(t) for t in temperatures]
     if not temps:
         raise EmptyInputError("temperature grid is empty")
+    if draws_per_sample < 1:
+        raise EmptyInputError("draws_per_sample must be >= 1")
     if not test.is_classification or test.class_count != train.class_count:
         raise ValueError("train/test class counts differ or test set is not classification")
     prior_factor = cholesky(gram(kernel, train.inputs, train.inputs))
     b, schur = _conditional_precompute(kernel, train.inputs, test.inputs, prior_factor)
     seeds = [derive_seed(seed, j) for j in range(len(temps))]
-    sample_sets = _sample_grid(kernel, train, temps, seeds, config, prior_factor)
+    samples, stats = _sample_grid(train, temps, seeds, config, prior_factor)
     ll, acc, se_ll, se_acc = (np.zeros(len(temps)) for _ in range(4))
-    for j, sample_set in enumerate(sample_sets):
+    for j, t in enumerate(temps):
         rng = RngStream(seeds[j], config.n_chains)
-        chain_means = _chain_prob_means(_test_latent_means(b, sample_set.samples),
-                                        np.sqrt(sample_set.temperature * schur),
+        chain_means = _chain_prob_means(b, samples[j], np.sqrt(t * schur),
                                         draws_per_sample, rng)
         ll[j], acc[j] = classification_metrics(chain_means.mean(axis=0), test.targets)
         if config.n_chains > 1:
@@ -456,4 +355,4 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
                                    for m in zip(*per_chain))
     return {"test_log_likelihood": ll, "top1_accuracy": acc,
             "mc_se_log_likelihood": se_ll, "mc_se_accuracy": se_acc,
-            "stats": [sample_set.stats for sample_set in sample_sets]}
+            "stats": stats}

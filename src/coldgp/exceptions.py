@@ -55,7 +55,7 @@ class NonFiniteLikelihoodError(ColdGPError):
 
 
 class IndexOutOfRangeError(ColdGPError, IndexError):
-    """An index into a dataset or sample set is out of bounds."""
+    """An index into a dataset or a set of latent samples is out of bounds."""
 
 
 class QuadratureNotConvergedError(ColdGPError):

@@ -136,9 +136,14 @@ def _check_inputs(a, b):
 def _rbf_gram(spec: KernelSpec, a, b) -> np.ndarray:
     from scipy.spatial.distance import cdist  # local: see the module docstring
 
-    d2 = cdist(a, b, "sqeuclidean")
-    amp = spec.scale * spec.rbf_variance
-    return amp * np.exp(-d2 / (2.0 * spec.rbf_lengthscale**2))
+    # in place on cdist's output, so the n x m result is the only n x m array;
+    # the operations are those of amp * exp(-d2 / (2 l^2)), so the bits are too
+    k = cdist(a, b, "sqeuclidean")
+    np.negative(k, out=k)
+    k /= 2.0 * spec.rbf_lengthscale**2
+    np.exp(k, out=k)
+    k *= spec.scale * spec.rbf_variance
+    return k
 
 
 def _nngp_self_cov(spec: KernelSpec, a) -> np.ndarray:

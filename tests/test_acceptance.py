@@ -38,10 +38,9 @@ from coldgp import (
     relabel_prob_quadrature,
     relabel_ratio_curve,
     run_experiment,
-    sample_latent_posterior,
-    predictive_class_probs,
     scale_kernel,
 )
+from coldgp.classification import _chain_prob_means, _conditional_precompute, _sample_grid
 from helpers import batch_means_se, max_rel_err
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -241,10 +240,13 @@ def test_sampler_matches_analytic_oracles():
     p_quad = [dblquad(lambda d2, d1: weight(d1, d2) * predictive_sigmoid(j, d1, d2),
                       -lim, lim, -lim, lim, epsabs=1e-12, epsrel=1e-10)[0] / den
               for j in range(2)]
-    samples = sample_latent_posterior(
-        spec, train, t,
-        EssConfig(n_chains=4, burn_in=800, n_samples_per_chain=2500, thinning=2), seed=123)
-    probs = predictive_class_probs(samples, xs, draws_per_sample=16)
+    factor = cholesky(gram(spec, train.inputs, train.inputs))
+    samples, _ = _sample_grid(
+        train, [t], [123],
+        EssConfig(n_chains=4, burn_in=800, n_samples_per_chain=2500, thinning=2), factor)
+    b, schur_c = _conditional_precompute(spec, train.inputs, xs, factor)
+    probs = _chain_prob_means(b, samples[0], np.sqrt(t * schur_c), 16,
+                              RngStream(123, 4)).mean(axis=0)
     gap = float(np.max(np.abs(probs[:, 0] - np.array(p_quad))))
 
     elapsed = time.perf_counter() - started

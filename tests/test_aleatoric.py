@@ -16,7 +16,7 @@ from coldgp.aleatoric import (
     relabel_prob_zero_temperature,
     relabel_ratio_curve,
 )
-from coldgp.classification import EssConfig, sample_latent_posterior
+from coldgp.classification import EssConfig, _sample_grid
 from coldgp.cli import main
 from coldgp.data import gen_cluster_classification
 from coldgp.exceptions import (
@@ -28,7 +28,8 @@ from coldgp.exceptions import (
     NonPositiveScaleError,
     NonPositiveTemperatureError,
 )
-from coldgp.kernels import KernelSpec
+from coldgp.kernels import KernelSpec, gram
+from coldgp.linalg import cholesky
 
 
 def _quad_oracle(c, t):
@@ -220,13 +221,14 @@ def test_disagreement_mc_on_sample_set_array():
     # per-sample average over its matrices
     train, _ = gen_cluster_classification(6, 3, 2, 2.0, seed=2)
     cfg = EssConfig(n_chains=2, burn_in=10, n_samples_per_chain=5, thinning=1)
-    ss = sample_latent_posterior(KernelSpec.rbf(), train, 0.5, cfg, seed=3)
-    matrices = ss.samples.reshape(-1, train.n, ss.class_count)
+    factor = cholesky(gram(KernelSpec.rbf(), train.inputs, train.inputs))
+    samples = _sample_grid(train, [0.5], [3], cfg, factor)[0][0]
+    matrices = samples.reshape(-1, train.n, train.class_count)
     for index in (0, train.n - 1):
         y = train.targets[index]
         expect = np.mean([1.0 - np.exp(f[index, y]) / np.exp(f[index]).sum()
                           for f in matrices])
-        got = relabel_disagreement_mc(ss.samples, train.targets, index)
+        got = relabel_disagreement_mc(samples, train.targets, index)
         np.testing.assert_allclose(got, expect, rtol=1e-12)
         assert relabel_disagreement_mc(list(matrices), train.targets, index) == got
 

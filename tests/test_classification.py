@@ -4,18 +4,14 @@ import scipy.special
 
 from coldgp.classification import (
     EssConfig,
-    LatentSampleSet,
     _chain_prob_means,
     _conditional_precompute,
     _log_softmax_sums,
+    _sample_grid,
     _softmax,
-    _test_latent_means,
     classification_metrics,
     classification_temperature_sweep,
     ess_transition,
-    predictive_class_probs,
-    sample_latent_posterior,
-    tempered_log_likelihood,
 )
 from coldgp.data import gen_cluster_classification
 from coldgp.exceptions import (
@@ -25,7 +21,7 @@ from coldgp.exceptions import (
     NonFiniteLikelihoodError,
     NonPositiveTemperatureError,
 )
-from coldgp.kernels import KernelSpec, gram
+from coldgp.kernels import KernelSpec, gram, gram_diag
 from coldgp.linalg import cholesky, tril_matmul
 from coldgp.rng import RngStream, derive_seed
 
@@ -33,32 +29,11 @@ from helpers import batch_means_se
 
 
 def test_tempered_log_likelihood_matches_log_softmax():
+    # at t = 1 the tempered log-likelihood is the log-softmax at the labels
     f = np.array([[10.0, 0.0], [-1.0, 2.5]])
     y = np.array([0, 1])
     ref = (scipy.special.log_softmax(f[0])[0] + scipy.special.log_softmax(f[1])[1])
-    np.testing.assert_allclose(tempered_log_likelihood(f, y, 1.0), ref, rtol=1e-13)
-
-
-def test_tempered_log_likelihood_scales_as_inverse_temperature():
-    f = np.random.default_rng(0).standard_normal((6, 3))
-    y = np.array([0, 1, 2, 0, 1, 2])
-    base = tempered_log_likelihood(f, y, 1.0)
-    assert tempered_log_likelihood(f, y, 2.0) == base / 2.0
-    assert tempered_log_likelihood(f, y, 0.25) == base / 0.25
-
-
-def test_tempered_log_likelihood_validation():
-    f = np.zeros((2, 2))
-    with pytest.raises(NonPositiveTemperatureError):
-        tempered_log_likelihood(f, [0, 1], 0.0)
-    with pytest.raises(LabelOutOfRangeError):
-        tempered_log_likelihood(f, [0, 2], 1.0)
-    with pytest.raises(LabelOutOfRangeError):
-        tempered_log_likelihood(f, [0.5, 1.0], 1.0)
-    with pytest.raises(LengthMismatchError):
-        tempered_log_likelihood(f, [0], 1.0)
-    with pytest.raises(EmptyInputError):
-        tempered_log_likelihood(np.zeros((0, 2)), np.zeros(0, dtype=int), 1.0)
+    np.testing.assert_allclose(_log_softmax_sums(f[None], y)[0], ref, rtol=1e-13)
 
 
 def test_ess_transition_is_deterministic_given_stream():
@@ -172,14 +147,15 @@ def test_transition_never_reads_the_strict_upper_triangle():
     assert np.all(np.isfinite(runs[1][0]))
 
 
-def test_log_softmax_kernel_matches_public_likelihood():
+def test_log_softmax_kernel_rows_match_one_chain_calls():
+    # a chain's sum has the same bits whichever batch of chains it shares
     rng = np.random.default_rng(6)
     for n, c in [(1, 2), (7, 3), (300, 2), (2000, 8)]:
         f = 3.0 * rng.standard_normal((4, n, c))
         y = rng.integers(0, c, size=n)
         sums = _log_softmax_sums(f, y)
-        for i, t in enumerate([0.01, 0.3, 1.0, 7.0]):
-            assert sums[i] / t == tempered_log_likelihood(f[i], y, t)
+        for i in range(4):
+            assert sums[i] == _log_softmax_sums(f[i:i + 1], y)[0]
 
 
 def test_ess_prior_recovery_constant_likelihood():
@@ -263,43 +239,50 @@ def test_class_column_kernels_match_numpy_reductions(c):
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-14)
 
 
-def test_sample_latent_posterior_layout_and_determinism():
+def _factor(kern, train):
+    return cholesky(gram(kern, train.inputs, train.inputs))
+
+
+def test_sample_grid_layout_and_determinism():
     train, _, cfg = _tiny_problem()
-    kern = KernelSpec.rbf()
-    a = sample_latent_posterior(kern, train, 0.5, cfg, seed=7)
-    b = sample_latent_posterior(kern, train, 0.5, cfg, seed=7)
-    assert a.samples.shape == (cfg.n_chains, cfg.n_samples_per_chain, train.n, 2)
-    assert a.samples.dtype == np.float64 and a.class_count == 2
-    assert a.temperature == 0.5 and a.seed == 7
-    np.testing.assert_array_equal(a.samples, b.samples)
-    assert a.stats["transitions"] == cfg.n_chains * (cfg.burn_in +
-                                                     cfg.n_samples_per_chain * cfg.thinning)
-    assert a.stats["proposals"] >= a.stats["transitions"]
-    c = sample_latent_posterior(kern, train, 0.5, cfg, seed=8)
-    assert np.max(np.abs(a.samples - c.samples)) > 0
+    factor = _factor(KernelSpec.rbf(), train)
+    temps = [0.5, 2.0]
+    a, stats = _sample_grid(train, temps, [7, 9], cfg, factor)
+    b, stats_b = _sample_grid(train, temps, [7, 9], cfg, factor)
+    assert a.shape == (2, cfg.n_chains, cfg.n_samples_per_chain, train.n, 2)
+    assert a.dtype == np.float64
+    np.testing.assert_array_equal(a, b)
+    assert stats == stats_b and len(stats) == len(temps)
+    transitions = cfg.n_chains * (cfg.burn_in + cfg.n_samples_per_chain * cfg.thinning)
+    for t, st in zip(temps, stats):
+        assert st["transitions"] == transitions and st["proposals"] >= transitions
+        assert st["proposals_per_transition"] == st["proposals"] / transitions
+        assert st["prior_jitter"] == t * factor.jitter_used
+    c, _ = _sample_grid(train, [0.5], [8], cfg, factor)
+    assert np.max(np.abs(a[0] - c[0])) > 0
 
 
 def _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, seed, draws_per_sample):
-    """The sweep's output and the LatentSampleSets its one ``_sample_grid`` call made."""
+    """The sweep's output and the (samples, stats) its one ``_sample_grid`` call returned."""
     import coldgp.classification as cls
 
-    swept, real = [], cls._sample_grid
+    returned, real = [], cls._sample_grid
 
-    def recording(*args, **kwargs):
-        swept.extend(real(*args, **kwargs))
-        return swept
+    def recording(*args):
+        returned.append(real(*args))
+        return returned[-1]
 
     monkeypatch.setattr(cls, "_sample_grid", recording)
     out = cls.classification_temperature_sweep(kern, train, test, temps, cfg, seed=seed,
                                                draws_per_sample=draws_per_sample)
     monkeypatch.undo()
-    assert len(swept) == len(temps)
-    return out, swept
+    assert len(returned) == 1 and returned[0][0].shape[0] == len(temps)
+    return out, returned[0]
 
 
 def test_sweep_samples_match_standalone_calls(monkeypatch):
     # the sweep samples every temperature in one lock-step pass; each grid
-    # position must still draw bitwise what a standalone call at that
+    # position must still draw bitwise what a one-temperature grid at that
     # temperature and seed draws.  800 points, a multiple of 8, are where a
     # column of OpenBLAS's triangular product L @ Z has the same bits however
     # many chains share the product (for other n it may differ in the last bit)
@@ -307,37 +290,79 @@ def test_sweep_samples_match_standalone_calls(monkeypatch):
     cfg = EssConfig(n_chains=2, burn_in=10, n_samples_per_chain=4, thinning=2)
     kern = KernelSpec.rbf()
     temps = [0.05, 1.0, 3.0]
-    _, swept = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 5, 1)
-    for j, (t, got) in enumerate(zip(temps, swept)):
-        ref = sample_latent_posterior(kern, train, t, cfg, derive_seed(5, j))
-        assert got.temperature == t and got.seed == ref.seed
-        np.testing.assert_array_equal(got.samples, ref.samples)
-        assert got.stats == ref.stats
+    _, (samples, stats) = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 5, 1)
+    factor = _factor(kern, train)
+    for j, t in enumerate(temps):
+        ref, ref_stats = _sample_grid(train, [t], [derive_seed(5, j)], cfg, factor)
+        np.testing.assert_array_equal(samples[j], ref[0])
+        assert stats[j] == ref_stats[0]
+
+
+def _per_sample_prob_means(b, samples, sd, draws_per_sample, rng):
+    """The predictive with one conditional-mean product per retained sample."""
+    n_chains, per_chain, _, c = samples.shape
+    out = np.zeros((n_chains, b.shape[1], c))
+    for ci in range(n_chains):
+        for f in samples[ci]:
+            z = rng.standard_normal((draws_per_sample, b.shape[1], c))
+            out[ci] += _softmax(b.T @ f + sd[:, None] * z).sum(axis=0)
+    return out / (per_chain * draws_per_sample)
 
 
 def test_sweep_metrics_match_standalone_predictive(monkeypatch):
-    # the sweep makes one conditional-mean product per temperature; each grid
-    # position's metrics must equal the standalone predictive on that
-    # position's samples and stream, bitwise.  400 points per class keep the
-    # product above OpenBLAS's small-matrix gemm path, where a column's bits
-    # may depend on how many columns share the product
+    # the sweep's metrics at each grid position must equal, bitwise, the
+    # predictive kernel run on that position's samples and stream
+    # RngStream(derive_seed(seed, j), n_chains); that kernel's one product per
+    # temperature must agree with one product per retained sample
     train, test = gen_cluster_classification(400, 3, 3, 2.0, seed=1)
     cfg = EssConfig(n_chains=3, burn_in=5, n_samples_per_chain=4, thinning=1)
     kern = KernelSpec.rbf()
     temps = [0.1, 1.0]
-    out, swept = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 9, 2)
-    b, schur = _conditional_precompute(kern, train.inputs, test.inputs)
-    for j, ss in enumerate(swept):
-        probs = predictive_class_probs(ss, test.inputs, 2, RngStream(derive_seed(9, j), 3))
-        ll, acc = classification_metrics(probs, test.targets)
+    out, (samples, _) = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 9, 2)
+    b, schur = _conditional_precompute(kern, train.inputs, test.inputs, _factor(kern, train))
+    for j, t in enumerate(temps):
+        sd = np.sqrt(t * schur)
+        chain_means = _chain_prob_means(b, samples[j], sd, 2, RngStream(derive_seed(9, j), 3))
+        ll, acc = classification_metrics(chain_means.mean(axis=0), test.targets)
         assert out["test_log_likelihood"][j] == ll and out["top1_accuracy"][j] == acc
-        chain_means = _chain_prob_means(_test_latent_means(b, ss.samples),
-                                        np.sqrt(ss.temperature * schur), 2,
-                                        RngStream(derive_seed(9, j), 3))
         per_chain = [classification_metrics(cm, test.targets) for cm in chain_means]
         se = [np.std(m, ddof=1) / np.sqrt(3) for m in zip(*per_chain)]
         assert out["mc_se_log_likelihood"][j] == se[0] and out["mc_se_accuracy"][j] == se[1]
         assert se[0] > 0.0
+        ref = _per_sample_prob_means(b, samples[j], sd, 2, RngStream(derive_seed(9, j), 3))
+        np.testing.assert_allclose(chain_means, ref, rtol=1e-10, atol=1e-14)
+
+
+def test_tempered_log_likelihood_scales_as_inverse_temperature(monkeypatch):
+    # the likelihood the sweep hands the sampler is the log-softmax sum at
+    # the labels divided by each chain's temperature, for the starting
+    # states and for proposals of any subset of chains
+    import coldgp.classification as cls
+
+    first = []
+
+    def recording(f, ll, log_lik, *args):
+        if not first:
+            first.append((f.copy(), ll.copy(), log_lik))
+        return ess_transition(f, ll, log_lik, *args)
+
+    monkeypatch.setattr(cls, "ess_transition", recording)
+    train, test = gen_cluster_classification(4, 3, 3, 2.0, seed=0)
+    cfg = EssConfig(n_chains=2, burn_in=1, n_samples_per_chain=1, thinning=1)
+    temps = [0.25, 1.0, 2.0]
+    cls.classification_temperature_sweep(KernelSpec.rbf(), train, test, temps, cfg, seed=0,
+                                         draws_per_sample=1)
+    f0, ll0, log_lik = first[0]
+    chain_t = np.repeat(temps, cfg.n_chains)
+    y = train.targets
+    np.testing.assert_array_equal(ll0, _log_softmax_sums(f0, y) / chain_t)
+    one = np.random.default_rng(0).standard_normal((1, train.n, 3))
+    base = _log_softmax_sums(one, y)[0]
+    props = np.repeat(one, len(chain_t), axis=0)
+    got = log_lik(props, np.arange(len(chain_t)))
+    assert got.tolist() == [base / 0.25] * 2 + [base] * 2 + [base / 2.0] * 2
+    idx = np.array([1, 4])
+    assert log_lik(props[idx], idx).tolist() == [base / 0.25, base / 2.0]
 
 
 @pytest.mark.parametrize("n_temps,n_chains", [(1, 1), (3, 2), (5, 4)])
@@ -389,43 +414,34 @@ def test_conditional_mean_is_temperature_free():
     # only as t * schur, so the conditional mean b^T F cannot depend on it
     train, test, _ = _tiny_problem()
     kern = KernelSpec.rbf()
-    b, schur = _conditional_precompute(kern, train.inputs, test.inputs)
     k = gram(kern, train.inputs, train.inputs)
+    b, schur = _conditional_precompute(kern, train.inputs, test.inputs, cholesky(k))
     np.testing.assert_allclose(b, np.linalg.solve(k, gram(kern, train.inputs, test.inputs)),
                                rtol=1e-8, atol=1e-10)
     assert schur.shape == (test.n,) and np.all(schur >= 0.0)
-    b2, schur2 = _conditional_precompute(kern, train.inputs, test.inputs, cholesky(k))
-    np.testing.assert_array_equal(b, b2)
-    np.testing.assert_array_equal(schur, schur2)
 
 
 def test_predictive_probs_rows_sum_to_one():
     train, test, cfg = _tiny_problem()
-    ss = sample_latent_posterior(KernelSpec.rbf(), train, 0.3, cfg, seed=11)
-    probs = predictive_class_probs(ss, test.inputs, draws_per_sample=3,
-                                   rng=RngStream(11, cfg.n_chains))
-    assert probs.shape == (test.n, 2)
-    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
+    kern = KernelSpec.rbf()
+    factor = _factor(kern, train)
+    samples, _ = _sample_grid(train, [0.3], [11], cfg, factor)
+    b, schur = _conditional_precompute(kern, train.inputs, test.inputs, factor)
+    probs = _chain_prob_means(b, samples[0], np.sqrt(0.3 * schur), 3,
+                              RngStream(11, cfg.n_chains))
+    assert probs.shape == (cfg.n_chains, test.n, 2)
+    np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
     assert probs.min() >= 0.0
 
 
-def test_predictive_probs_default_rng_matches_explicit():
-    train, test, cfg = _tiny_problem()
-    ss = sample_latent_posterior(KernelSpec.rbf(), train, 0.3, cfg, seed=11)
-    a = predictive_class_probs(ss, test.inputs, draws_per_sample=3)
-    b = predictive_class_probs(ss, test.inputs, draws_per_sample=3,
-                               rng=RngStream(ss.seed, cfg.n_chains))
-    np.testing.assert_array_equal(a, b)
-
-
 def test_predictive_probs_prior_path_is_symmetric():
-    # no training data: test latents are prior draws, classes exchangeable
-    ss = LatentSampleSet(
-        samples=np.zeros((1, 1, 0, 2)), temperature=1.0, kernel=KernelSpec.rbf(),
-        train_inputs=np.zeros((0, 1)), seed=0, stats={})
-    probs = predictive_class_probs(ss, np.array([[0.0], [5.0]]),
-                                   draws_per_sample=4000, rng=RngStream(0, 1))
-    np.testing.assert_allclose(probs, 0.5, atol=0.03)
+    # zero conditional means with sd = sqrt(t * k**): the test latents are
+    # prior draws, so the classes are exchangeable
+    t, xs = 1.0, np.array([[0.0], [5.0]])
+    sd = np.sqrt(t * gram_diag(KernelSpec.rbf(), xs))
+    probs = _chain_prob_means(np.zeros((1, 2)), np.zeros((1, 1, 1, 2)), sd, 4000,
+                              RngStream(0, 1))
+    np.testing.assert_allclose(probs[0], 0.5, atol=0.03)
 
 
 def test_classification_metrics_hand_values():
@@ -467,12 +483,20 @@ def test_sweep_shape_and_determinism():
         assert stats["proposals_per_transition"] > 0
 
 
-def test_sweep_rejects_bad_inputs():
+def test_sweep_rejects_bad_inputs(monkeypatch):
+    import coldgp.classification as cls
+
+    grams = []
+    monkeypatch.setattr(cls, "gram", lambda *args: grams.append(args))
     train, test, cfg = _tiny_problem()
     with pytest.raises(EmptyInputError):
         classification_temperature_sweep(KernelSpec.rbf(), train, test, [], cfg, seed=0)
     with pytest.raises(NonPositiveTemperatureError):
         classification_temperature_sweep(KernelSpec.rbf(), train, test, [-1.0], cfg, seed=0)
+    with pytest.raises(EmptyInputError, match="draws_per_sample"):
+        classification_temperature_sweep(KernelSpec.rbf(), train, test, [1.0], cfg, seed=0,
+                                         draws_per_sample=0)
+    assert grams == []  # rejected before any Gram is built
 
 
 def test_ess_config_validation():

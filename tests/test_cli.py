@@ -74,10 +74,10 @@ def _cifar_data(dir_path, **overrides):
             "n_train": 20, "n_test": 4, **overrides}
 
 
-def _file_data(dir_path, bad_row):
+def _file_data(dir_path, bad_row, test_csv="x0,label\n0.5,0\n1.5,1\n"):
     train, test = dir_path / "train.csv", dir_path / "test.csv"
     train.write_text(f"x0,label\n0.5,0\n{bad_row}\n")
-    test.write_text("x0,label\n0.5,0\n1.5,1\n")
+    test.write_text(test_csv)
     return {"source": "file", "train_path": str(train), "test_path": str(test)}
 
 
@@ -235,9 +235,11 @@ class TestRunVerb:
         (lambda p: _file_data(p, "1.0,99999999999999999999"), 3),
         (lambda p: _file_data(p, "1.0,1000000000000000"), 3),
         (lambda p: {**_file_data(p, "1.5,1"), "class_count": 1000000000000000}, 2),
+        (lambda p: _file_data(p, "1.5,1", "x0,x1,label\n0.5,0.5,0\n1.5,1.5,1\n"), 3),
     ], ids=["cifar-duplicate-class", "cifar-one-class", "cifar-class-12",
             "cifar-pool-overrun", "file-cell-abc", "file-label-1.5", "file-label-65-bits",
-            "file-label-above-row-count", "file-class-count-above-row-count"])
+            "file-label-above-row-count", "file-class-count-above-row-count",
+            "file-test-dim-above-train"])
     def test_bad_data_exit_code(self, tmp_path, capsys, make_data, code):
         payload = classify_payload(tmp_path / "o")
         payload["data"] = make_data(tmp_path)

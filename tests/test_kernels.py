@@ -65,6 +65,34 @@ def test_rbf_gram_matches_bruteforce():
             np.testing.assert_allclose(g[i, j], ref, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n, m", [(300, None), (1500, None), (1600, 1500)])
+def test_rbf_gram_matches_fresh_array_expression_bitwise(n, m):
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, 5))
+    b = a if m is None else rng.standard_normal((m, 5))
+    spec = KernelSpec.rbf(lengthscale=0.7, variance=2.5, scale=1.3)
+    ref = 1.3 * 2.5 * np.exp(-cdist(a, b, "sqeuclidean") / (2.0 * 0.7**2))
+    np.testing.assert_array_equal(gram(spec, a, b), ref)
+
+
+@pytest.mark.parametrize("n, m", [(1500, None), (1600, 1500)])
+def test_rbf_gram_memory_stays_near_output_size(n, m):
+    # the exponential runs in place on cdist's output: no second n x m array
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal((n, 8))
+    b = a if m is None else rng.standard_normal((m, 8))
+    gram(KernelSpec.rbf(), a[:2], a[:2])  # loads scipy.spatial outside the trace
+    tracemalloc.start()
+    try:
+        g = gram(KernelSpec.rbf(), a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * g.nbytes
+
+
 def test_gram_symmetric_and_consistent():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((7, 2))

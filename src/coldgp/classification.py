@@ -8,6 +8,8 @@ slice sampling (ESS), which needs only prior draws and log-likelihood
 evaluations and has no step-size parameter.  The factor of t * K is
 sqrt(t) * chol(K), so a prior draw is sqrt(t) * (L @ z) and one factor of
 the untempered K serves every temperature of a sweep and its predictive.
+That factor is the one n x n array the Cholesky stage allocates (see
+:func:`coldgp.linalg.cholesky`).
 A sweep advances all its (temperature, chain) pairs in lock step: each
 transition makes one triangular product L @ Z for every chain's prior draw
 and one likelihood call per shrink round for the chains still shrinking,
@@ -20,7 +22,8 @@ variance t * (k** - k*^T K^{-1} k*).  Class probabilities average softmax
 draws over both the posterior samples and this conditional.  The means of
 all of one temperature's retained samples come from a single product
 b^T X with b = K^{-1} K(X, X*), so a sweep reads b once per temperature and
-holds one temperature's means at a time.
+holds one temperature's means at a time.  b is solved in place in the
+buffer of K(X*, X), so the conditional pieces hold one n x p array.
 
 :func:`classification_temperature_sweep` is the one way to sample and
 predict: its sampler keeps the whole grid's retained samples as one
@@ -248,14 +251,17 @@ def _conditional_precompute(kernel: KernelSpec, train_inputs, test_inputs, facto
 
     Returns (b, schur) with b = K(X,X)^{-1} K(X, X*) of shape (n, p) and
     schur the vector k** - k*^T K^{-1} k* (clipped at zero).  ``factor`` is
-    the Cholesky factor of K(X, X).
+    the Cholesky factor of K(X, X).  Both triangular solves run in place in
+    the buffer of K(X*, X), whose transpose is F-ordered, so ``b`` is the one
+    n x p array held.
     """
     kss = gram_diag(kernel, test_inputs)
     ks = gram(kernel, test_inputs, train_inputs)  # (p, n)
-    v = solve_triangular(factor.lower, ks.T, lower=True, check_finite=False)
-    b = solve_triangular(factor.lower, v, lower=True, trans="T", check_finite=False)
+    v = solve_triangular(factor.lower, ks.T, lower=True, overwrite_b=True, check_finite=False)
     schur = kss - np.einsum("ij,ij->j", v, v)
     np.clip(schur, 0.0, None, out=schur)
+    b = solve_triangular(factor.lower, v, lower=True, trans="T", overwrite_b=True,
+                         check_finite=False)
     return b, schur
 
 

@@ -1,11 +1,14 @@
 """Dense SPD linear algebra underneath every inference path.
 
 All factorizations go through :func:`cholesky`, which owns the jitter
-policy; nothing else in the package calls ``numpy.linalg.cholesky``, so
-escalation and failure handling stay in one place.  :func:`tril_matmul`
-multiplies by a factor with a BLAS triangular multiply; the sampler's prior
-draws use it.  :func:`block_rows` sizes the row blocks that the Cholesky
-checks and the nngp Gram work on, so that no scratch array grows with n^2.
+policy: it factors with LAPACK ``dpotrf`` in place, in one work copy of its
+input that becomes the factor, and nothing else in the package calls
+``dpotrf`` or ``numpy.linalg.cholesky`` (a source scan in the test suite
+checks this), so escalation and failure handling stay in one place.
+:func:`tril_matmul` multiplies by a factor with a BLAS triangular multiply;
+the sampler's prior draws use it.  :func:`block_rows` sizes the row blocks
+that the Cholesky checks and the nngp Gram work on, so that no scratch array
+grows with n^2.
 
 Arrays are float64 throughout.
 """
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dtrmm
+from scipy.linalg.lapack import dpotrf
 
 from .exceptions import (
     DimensionMismatchError,
@@ -66,15 +70,21 @@ def cholesky(a, ladder=JITTER_LADDER) -> SpdFactor:
         exceed 1e-12 * max(max |a|, 1).  Both checks read one block of rows
         at a time (``block_rows``), so they allocate no n x n temporary.
     ladder : sequence of float
-        Relative jitter rungs, multiplied by mean(diag(a)).
+        Relative jitter rungs, multiplied by mean(diag(a)).  A rung of 0
+        adds exactly 0.0.  Each rung refills one n x n work array with ``a``
+        and adds its jitter to the diagonal in place, which gives the bits
+        of ``a + eps * I``.
 
     Returns
     -------
     SpdFactor with the lower factor and the absolute jitter that was added.
+    The factor is the work array itself: C-ordered, its strict upper
+    triangle zero, so it is the only n x n array this call allocates.
 
     Raises
     ------
-    NotSymmetricError, NotPositiveDefiniteError, NonFiniteInputError
+    NotSymmetricError, NotPositiveDefiniteError, NonFiniteInputError (also
+    when a rung's jitter overflows the diagonal)
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -98,17 +108,29 @@ def cholesky(a, ladder=JITTER_LADDER) -> SpdFactor:
     if asym_max > _SYM_RTOL * max(abs_max, 1.0):
         raise NotSymmetricError("matrix is not symmetric within relative tolerance 1e-12")
 
-    diag_mean = float(np.mean(np.diag(a)))
+    # the mean of finite entries is finite, but their sum may overflow: then
+    # sum the entries divided by n instead
+    diag = np.diag(a)
+    with np.errstate(over="ignore"):
+        diag_mean = float(np.mean(diag))
+    if not np.isfinite(diag_mean):
+        diag_mean = float(np.sum(diag / n))
+    # dpotrf factors the F-ordered work.T in place as upper, a = U^T U, so
+    # work ends as the C-ordered lower factor, strict upper triangle zeroed
+    work = np.empty((n, n))
+    work_diag = work.reshape(-1)[:: n + 1]
     for rung in ladder:
-        eps = rung * diag_mean
-        try:
-            if eps > 0.0:
-                lower = np.linalg.cholesky(a + eps * np.eye(n))
-            else:
-                lower = np.linalg.cholesky(a)
-        except np.linalg.LinAlgError:
-            continue
-        return SpdFactor(lower=lower, jitter_used=eps)
+        eps = rung * diag_mean if rung else 0.0
+        np.copyto(work, a)
+        if eps > 0.0:
+            with np.errstate(over="ignore"):
+                work_diag += eps
+            if not np.all(np.isfinite(work_diag)):
+                raise NonFiniteInputError(
+                    f"jitter {eps:g} overflows the diagonal of the matrix")
+        upper, info = dpotrf(work.T, lower=0, clean=1, overwrite_a=1)
+        if info == 0:
+            return SpdFactor(lower=upper.T, jitter_used=eps)
     raise NotPositiveDefiniteError(
         f"Cholesky failed at every jitter rung (largest {ladder[-1]:g} * mean diag)"
     )

@@ -50,8 +50,8 @@ class ConditionedRegression:
     def __init__(self, model: RegressionModel, train: LabeledDataset):
         if train.is_classification:
             raise ValueError("regression requires real-valued targets")
-        ktt = gram(model.kernel, train.inputs, train.inputs)
-        noisy = ktt + model.noise_std**2 * np.eye(train.n)
+        noisy = gram(model.kernel, train.inputs, train.inputs)
+        noisy.flat[:: train.n + 1] += model.noise_std**2
         self.model = model
         self.train = train
         self.factor: SpdFactor = cholesky(noisy)
@@ -66,7 +66,8 @@ class ConditionedRegression:
         test_inputs = np.asarray(test_inputs, dtype=np.float64)
         ks = gram(self.model.kernel, test_inputs, self.train.inputs)  # (p, n)
         means = ks @ self._alpha
-        v = solve_triangular(self.factor.lower, ks.T, lower=True, check_finite=False)
+        v = solve_triangular(self.factor.lower, ks.T, lower=True, overwrite_b=True,
+                             check_finite=False)
         schur = gram_diag(self.model.kernel, test_inputs) - np.einsum("ij,ij->j", v, v)
         # FP cancellation can leave a tiny negative Schur complement
         np.clip(schur, 0.0, None, out=schur)

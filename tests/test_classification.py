@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.special
+from scipy.linalg import solve_triangular
 
 from coldgp.classification import (
     EssConfig,
@@ -419,6 +422,29 @@ def test_conditional_mean_is_temperature_free():
     np.testing.assert_allclose(b, np.linalg.solve(k, gram(kern, train.inputs, test.inputs)),
                                rtol=1e-8, atol=1e-10)
     assert schur.shape == (test.n,) and np.all(schur >= 0.0)
+
+
+@pytest.mark.parametrize("kern", [KernelSpec.rbf(lengthscale=2.0), KernelSpec.nngp()],
+                         ids=["rbf", "nngp"])
+def test_conditional_precompute_holds_one_test_by_train_array(kern):
+    # both solves run in the buffer of K(X*, X); past it only the Gram's own
+    # block scratch is allocated.  The result is bitwise the fresh-array solves
+    rng = np.random.default_rng(8)
+    x, xs = rng.standard_normal((1500, 4)), rng.standard_normal((1000, 4))
+    factor = cholesky(gram(kern, x, x))
+    gram(kern, xs[:2], x[:2])  # loads scipy.spatial outside the trace
+    tracemalloc.start()
+    try:
+        b, schur = _conditional_precompute(kern, x, xs, factor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * b.nbytes
+    v = solve_triangular(factor.lower, gram(kern, xs, x).T, lower=True, check_finite=False)
+    np.testing.assert_array_equal(b, solve_triangular(factor.lower, v, lower=True, trans="T",
+                                                      check_finite=False))
+    np.testing.assert_array_equal(
+        schur, np.clip(gram_diag(kern, xs) - np.einsum("ij,ij->j", v, v), 0.0, None))
 
 
 def test_predictive_probs_rows_sum_to_one():

@@ -565,7 +565,6 @@ def test_mutated_bundled_config_never_ends_in_traceback(tmp_path, monkeypatch, c
     ("fig1", "kernel", "sigma_w2"),
     ("fig1", "kernel", "sigma_b2"),
     ("fig1", "data", "separation"),
-    ("fig3b", "kernel", "variance"),
     ("fig3b", "data", "noise_std"),
 ])
 def test_overflowing_run_prints_one_stderr_line(tmp_path, name, section, key):
@@ -576,6 +575,20 @@ def test_overflowing_run_prints_one_stderr_line(tmp_path, name, section, key):
     (tmp_path / "cfg.json").write_text(json.dumps(raw))
     code, _, err = run_python(["-m", "coldgp.cli", "run", "--config", "cfg.json"], tmp_path)
     assert code == 3 and err.count("\n") == 1 and err.startswith("error: "), (code, err)
+
+
+def test_huge_kernel_variance_runs_clean(tmp_path):
+    # the Gram's diagonal sum overflows, but each Gram factors at the zero
+    # jitter rung; the predictive variance is about 1e308 times the unit one,
+    # so each test NLL is that of variance 1 plus about ln(1e154), all finite
+    raw = copy.deepcopy(BUNDLED["fig3b"])
+    raw["kernel"]["variance"] = 1e308
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    code, _, err = run_python(["-m", "coldgp.cli", "run", "--config", "cfg.json"], tmp_path)
+    assert (code, err) == (0, "")
+    _, rows = read_csv(tmp_path / "out" / "results.csv")
+    assert rows and all(np.isfinite(float(cell)) for row in rows for cell in row)
+    assert "nan" not in (tmp_path / "out" / "run.log").read_text().lower()
 
 
 def test_module_entry_point_runs_clean(tmp_path):

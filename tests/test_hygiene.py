@@ -1,9 +1,11 @@
-"""Source hygiene: every imported name is used.
+"""Source hygiene: every imported name is used, and one module factors.
 
 No linter ships with the test environment, so this scan is the check for
 unused imports in the package and the test suite.  A name counts as used
 when the module reads it, or when the module lists it in ``__all__``
-(the package's re-exports).
+(the package's re-exports).  A second scan keeps every Cholesky
+factorization of the package inside ``coldgp.linalg``, which owns the
+jitter policy.
 """
 import ast
 from pathlib import Path
@@ -38,3 +40,27 @@ def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(set(_imported(tree)) - _used(tree))
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+def _factor_calls(tree):
+    """Line numbers that reach ``*.linalg.cholesky`` or ``dpotrf``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (
+                node.attr == "dpotrf"
+                or (node.attr == "cholesky" and isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "linalg")):
+            yield node.lineno
+        elif isinstance(node, ast.Name) and node.id == "dpotrf":
+            yield node.lineno
+        elif (isinstance(node, ast.ImportFrom) and node.level == 0
+              and node.module.split(".")[-1] in ("linalg", "lapack")
+              and any(alias.name in ("cholesky", "dpotrf") for alias in node.names)):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parent.name == "coldgp"
+                                  and p.name != "linalg.py"], ids=lambda p: p.name)
+def test_only_linalg_factors(path):
+    # the package's own ``from .linalg import cholesky`` is the one way in
+    lines = sorted(set(_factor_calls(ast.parse(path.read_text(encoding="utf-8")))))
+    assert not lines, f"{path.name} factors outside coldgp.linalg at lines {lines}"

@@ -1,9 +1,14 @@
+import tracemalloc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coldgp import linalg
 from coldgp.exceptions import (
     DimensionMismatchError,
     EmptyInputError,
@@ -12,6 +17,8 @@ from coldgp.exceptions import (
     NotSymmetricError,
 )
 from coldgp.linalg import JITTER_LADDER, block_rows, cholesky, log_sum_exp, tril_matmul
+
+from helpers import run_python
 
 
 def _random_spd(n, seed):
@@ -93,6 +100,76 @@ def test_jitter_scales_with_diagonal():
     f1 = cholesky(a)
     f2 = cholesky(1000.0 * a)
     np.testing.assert_allclose(f2.jitter_used, 1000.0 * f1.jitter_used, rtol=1e-12)
+
+
+def test_jitter_stays_finite_when_the_diagonal_sum_overflows():
+    # mean(diag) sums past the float range here; no rung may report NaN or warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = cholesky(1e308 * np.eye(3))
+        assert f.jitter_used == 0.0  # the zero rung is exactly 0, not 0 * inf
+        np.testing.assert_allclose(f.lower, 1e154 * np.eye(3), rtol=1e-15)
+        f = cholesky(np.full((3, 3), 1e308))  # rank one: the first rung fails
+        np.testing.assert_allclose(f.jitter_used, JITTER_LADDER[1] * 1e308, rtol=1e-15)
+        with pytest.raises(NonFiniteInputError):  # the jittered diagonal overflows
+            cholesky(np.full((2, 2), np.finfo(np.float64).max))
+
+
+def test_jitter_rung_factors_a_plus_eps_identity_bitwise(monkeypatch):
+    x = np.random.default_rng(5).standard_normal((50, 2))
+    a = x @ x.T  # rank two: the zero rung fails
+    fed, real = [], linalg.dpotrf
+
+    def recording_dpotrf(m, **kwargs):
+        fed.append(m.T.copy())
+        return real(m, **kwargs)
+
+    monkeypatch.setattr(linalg, "dpotrf", recording_dpotrf)
+    f = cholesky(a)
+    assert f.jitter_used > 0.0 and len(fed) >= 2
+    np.testing.assert_array_equal(fed[-1].view(np.int64),
+                                  (a + f.jitter_used * np.eye(50)).view(np.int64))
+    assert f.lower.flags.c_contiguous and not np.triu(f.lower, 1).any()
+
+
+def test_jitter_rung_allocates_one_factor():
+    n = 600
+    a = np.ones((n, n))  # rank one: factored at a positive rung
+    tracemalloc.start()
+    try:
+        f = cholesky(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.jitter_used > 0.0
+    assert peak <= 1.25 * f.lower.nbytes
+
+
+def test_factor_raises_peak_rss_by_about_one_factor(tmp_path):
+    # a fresh process, so the peak is this call's: the input, one work array
+    # that becomes the factor, and LAPACK's small buffers.  The peak is read
+    # as VmHWM, which starts afresh at exec; ru_maxrss would start from the
+    # peak of the process that spawned it, this test run's
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("needs /proc/self/status")
+    script = "\n".join([
+        "from pathlib import Path",
+        "import numpy as np",
+        "from coldgp.linalg import cholesky",
+        "def peak_kb():",
+        "    status = Path('/proc/self/status').read_text().splitlines()",
+        "    return int(next(line.split()[1] for line in status if line.startswith('VmHWM:')))",
+        "n = 2000",
+        "a = np.full((n, n), 0.5)",
+        "a.flat[:: n + 1] = 1.0",
+        "cholesky(a[:200, :200])  # loads LAPACK and its buffers",
+        "before = peak_kb()",
+        "f = cholesky(a)",
+        "print((peak_kb() - before) * 1024 / f.lower.nbytes)",
+    ])
+    code, out, err = run_python(["-c", script], tmp_path)
+    assert code == 0, err
+    assert float(out) <= 1.5
 
 
 def test_well_conditioned_needs_no_jitter():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from coldgp.data import LabeledDataset, gen_cluster_classification, gen_rbf_regression
 from coldgp.exceptions import (
@@ -8,7 +9,8 @@ from coldgp.exceptions import (
     NonPositiveTemperatureError,
     ZeroVarianceError,
 )
-from coldgp.kernels import KernelSpec, scale_kernel
+from coldgp.kernels import KernelSpec, gram, gram_diag, scale_kernel
+from coldgp.linalg import cholesky
 from coldgp.records import best_temperature
 from coldgp.regression import (
     ConditionedRegression,
@@ -146,6 +148,20 @@ def test_condition_reuses_factorization():
     np.testing.assert_array_equal(a_var, b_var)
     np.testing.assert_array_equal(a_mean, c_mean)
     np.testing.assert_array_equal(a_var, c_var)
+
+
+def test_in_place_conditioning_matches_fresh_array_expressions():
+    # sigma^2 goes onto the Gram's diagonal in place and the predictive solve
+    # runs in the cross-Gram's buffer; the bits are those of the expressions
+    rng = np.random.default_rng(6)
+    x, xs = _spaced_inputs(30, rng), rng.uniform(0.0, 24.0, (7, 1))
+    model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.3)
+    fit = ConditionedRegression(model, _dataset(x, rng.standard_normal(30)))
+    ref = cholesky(gram(model.kernel, x, x) + 0.3**2 * np.eye(30))
+    np.testing.assert_array_equal(fit.factor.lower, ref.lower)
+    v = solve_triangular(ref.lower, gram(model.kernel, xs, x).T, lower=True)
+    schur = np.clip(gram_diag(model.kernel, xs) - np.einsum("ij,ij->j", v, v), 0.0, None)
+    np.testing.assert_array_equal(fit.predict(xs)[1], schur + 0.3**2)
 
 
 def test_model_validation():

@@ -15,18 +15,24 @@ transition makes one triangular product L @ Z for every chain's prior draw
 and one likelihood call per shrink round for the chains still shrinking,
 while each chain keeps its own random stream.
 
-Prediction: given a sampled training latent matrix F, the test latent for
-class c is Gaussian with mean k*^T K^{-1} F_c (temperature-free, because t
-cancels between the scaled cross-covariance and the scaled inverse) and
-variance t * (k** - k*^T K^{-1} k*).  Class probabilities average softmax
-draws over both the posterior samples and this conditional.  The means of
-all of one temperature's retained samples come from a single product
-b^T X with b = K^{-1} K(X, X*), so a sweep reads b once per temperature and
-holds one temperature's means at a time.  b is solved in place in the
-buffer of K(X*, X), so the conditional pieces hold one n x p array.
+Every ESS state is a rotation of earlier states and prior draws, so each
+latent matrix F is L @ G for a whitened matrix G that the sampler carries
+beside F at O(n) cost per transition (the same rotation applied to
+sqrt(t) * z).  The sampler retains G, not F.
+
+Prediction: the test latent for class c is Gaussian with mean
+k*^T K^{-1} F_c = v^T G_c, where v = L^{-1} K(X, X*) (temperature-free,
+because t cancels between the scaled cross-covariance and the scaled
+inverse), and variance t * (k** - v^T v).  So one triangular solve, in
+place in the buffer of K(X*, X), gives both the means and the variances,
+and the conditional pieces hold one n x p array.  Class probabilities
+average softmax draws over both the posterior samples and this
+conditional.  The means of all of one temperature's retained samples come
+from a single product v^T G, so a sweep reads v once per temperature and
+holds one temperature's means at a time.
 
 :func:`classification_temperature_sweep` is the one way to sample and
-predict: its sampler keeps the whole grid's retained samples as one
+predict: its sampler keeps the whole grid's retained whitened samples as one
 (T, n_chains, n_samples_per_chain, n, C) array, and the predictive reads one
 temperature's slice of it, with t entering only as a scalar.
 
@@ -127,10 +133,11 @@ def _chain_error(exc_type, chain, message):
     return exc
 
 
-def ess_transition(f, ll, log_lik, prior_lower, prior_scale, rngs):
+def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
     """One elliptical slice sampling transition of k chains in lock step.
 
-    ``f`` is the (k, n, C) stack of latent matrices and ``ll`` their (k,)
+    ``f`` is the (k, n, C) stack of latent matrices, ``g`` their whitened
+    coordinates (f = prior_lower @ g, column by column) and ``ll`` their (k,)
     log-likelihoods; ``log_lik(props, idx)`` returns the (len(idx),)
     log-likelihoods of the proposals ``props`` of chains ``idx`` (the
     classification sampler binds the tempered softmax, the unit tests
@@ -143,8 +150,10 @@ def ess_transition(f, ll, log_lik, prior_lower, prior_scale, rngs):
     (:func:`~coldgp.linalg.tril_matmul`): ``prior_lower`` must be
     lower-triangular, and its strict upper triangle is never read.  Each
     shrink round evaluates the proposals of the chains that have not yet
-    accepted in one ``log_lik`` call.  ``f`` and ``ll`` are updated in place and returned
-    with the (k,) proposal counts.
+    accepted in one ``log_lik`` call.  Once every chain has accepted, ``g``
+    takes the accepted rotation g cos(theta) + prior_scale * z sin(theta),
+    computed in the buffer of Z.  ``f``, ``g`` and ``ll`` are updated in
+    place and returned with the (k,) proposal counts.
 
     The slice always contains the current state in exact arithmetic (the
     threshold is ll + log u with u < 1 and the proposal at angle 0 is f
@@ -165,11 +174,14 @@ def ess_transition(f, ll, log_lik, prior_lower, prior_scale, rngs):
             z[:, i] = rng.standard_normal((n, c))
             log_y[i] = ll[i] + np.log(rng.uniform())
             theta[i] = rng.uniform(0.0, 2.0 * np.pi)
-    nu = tril_matmul(prior_lower, z.reshape(n, k * c)).reshape(n, k, c).transpose(1, 0, 2)
-    nu *= np.asarray(prior_scale)[:, None, None]
+    scale = np.asarray(prior_scale)
+    # the prior draws are bound only as the shrinking chains' rows, so the
+    # draws of chains that have accepted are freed
+    nu_act = tril_matmul(prior_lower, z.reshape(n, k * c)).reshape(n, k, c).transpose(1, 0, 2)
+    nu_act *= scale[:, None, None]
     lo, hi = theta - 2.0 * np.pi, theta.copy()
     proposals = np.zeros(k, dtype=np.int64)
-    active, f_act, nu_act, log_y_act = np.arange(k), f, nu, log_y
+    active, f_act, log_y_act = np.arange(k), f, log_y
     for rounds in range(1, _MAX_BRACKET_SHRINKS + 1):
         angle = theta[active][:, None, None]
         prop = f_act * np.cos(angle) + nu_act * np.sin(angle)
@@ -185,7 +197,11 @@ def ess_transition(f, ll, log_lik, prior_lower, prior_scale, rngs):
             active, f_act, nu_act, log_y_act = (
                 active[keep], f_act[keep], nu_act[keep], log_y_act[keep])
             if not active.size:
-                return f, ll, proposals
+                # theta now holds each chain's accepted angle
+                z *= (scale * np.sin(theta))[:, None]
+                g *= np.cos(theta)[:, None, None]
+                g += z.transpose(1, 0, 2)
+                return f, g, ll, proposals
         for i in active.tolist():
             if theta[i] < 0.0:
                 lo[i] = theta[i]
@@ -206,8 +222,9 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
     Chain c at grid position j draws from RngStream(seeds[j], c) and starts
     from the zero latent matrix; all T * n_chains chains advance together
     through ``ess_transition``, so a step reads the prior factor once.
-    Returns (samples, stats): the retained samples as one
-    (T, n_chains, n_samples_per_chain, n, C) array, and one dict of sampler
+    Returns (samples, stats): the retained whitened samples G as one
+    (T, n_chains, n_samples_per_chain, n, C) array, whose latent matrices
+    are F = prior_factor.lower @ G, and one dict of sampler
     diagnostics per temperature: transition counts, proposals per
     transition, and the absolute jitter on the tempered prior t * K.
     """
@@ -220,19 +237,21 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
         return _log_softmax_sums(props, y) / chain_t[idx]
 
     f = np.zeros((len(rngs), n, c))
+    g = np.zeros_like(f)
     ll = log_lik(f, np.arange(len(rngs)))
     scale = np.sqrt(chain_t)
     samples = np.empty((len(temps), n_chains, config.n_samples_per_chain, n, c))
     proposals = np.zeros(len(rngs), dtype=np.int64)
     try:
         for _ in range(config.burn_in):
-            f, ll, k = ess_transition(f, ll, log_lik, prior_factor.lower, scale, rngs)
+            f, g, ll, k = ess_transition(f, g, ll, log_lik, prior_factor.lower, scale, rngs)
             proposals += k
         for s in range(config.n_samples_per_chain):
             for _ in range(config.thinning):
-                f, ll, k = ess_transition(f, ll, log_lik, prior_factor.lower, scale, rngs)
+                f, g, ll, k = ess_transition(f, g, ll, log_lik, prior_factor.lower, scale,
+                                             rngs)
                 proposals += k
-            samples[:, :, s] = f.reshape(len(temps), n_chains, n, c)
+            samples[:, :, s] = g.reshape(len(temps), n_chains, n, c)
     except ColdGPError as exc:
         raise type(exc)(f"temperature {float(chain_t[exc.chain])!r}: {exc}") from exc
 
@@ -249,10 +268,11 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
 def _conditional_precompute(kernel: KernelSpec, train_inputs, test_inputs, factor: SpdFactor):
     """Shared, temperature-free pieces of the test-latent conditional.
 
-    Returns (b, schur) with b = K(X,X)^{-1} K(X, X*) of shape (n, p) and
-    schur the vector k** - k*^T K^{-1} k* (clipped at zero).  ``factor`` is
-    the Cholesky factor of K(X, X).  Both triangular solves run in place in
-    the buffer of K(X*, X), whose transpose is F-ordered, so ``b`` is the one
+    Returns (v, schur) with v = L^{-1} K(X, X*) of shape (n, p), where L is
+    ``factor.lower``, the Cholesky factor of K(X, X), and schur the vector
+    k** - v^T v (clipped at zero).  The conditional means of a whitened
+    sample G are v^T G.  The one triangular solve runs in place in the
+    buffer of K(X*, X), whose transpose is F-ordered, so ``v`` is the one
     n x p array held.
     """
     kss = gram_diag(kernel, test_inputs)
@@ -260,9 +280,7 @@ def _conditional_precompute(kernel: KernelSpec, train_inputs, test_inputs, facto
     v = solve_triangular(factor.lower, ks.T, lower=True, overwrite_b=True, check_finite=False)
     schur = kss - np.einsum("ij,ij->j", v, v)
     np.clip(schur, 0.0, None, out=schur)
-    b = solve_triangular(factor.lower, v, lower=True, trans="T", overwrite_b=True,
-                         check_finite=False)
-    return b, schur
+    return v, schur
 
 
 def _softmax(f):
@@ -272,23 +290,23 @@ def _softmax(f):
     return e
 
 
-def _chain_prob_means(b, samples, sd, draws_per_sample: int, rng: RngStream):
+def _chain_prob_means(v, samples, sd, draws_per_sample: int, rng: RngStream):
     """Predictive class probabilities averaged within each chain.
 
-    ``b`` is the (n, p) matrix K(X,X)^{-1} K(X, X*), ``samples`` one
-    temperature's (n_chains, per_chain, n, C) array and ``sd`` the (p,)
-    conditional standard deviations sqrt(t * schur).  The samples are copied
-    once into an (n, n_chains * per_chain * C) matrix, so the test-latent
-    means b^T F of every retained sample come from one product that reads
-    ``b`` once.  Each retained sample then adds ``draws_per_sample`` softmax
+    ``v`` is the (n, p) matrix L^{-1} K(X, X*), ``samples`` one
+    temperature's (n_chains, per_chain, n, C) array of whitened samples and
+    ``sd`` the (p,) conditional standard deviations sqrt(t * schur).  The
+    samples are copied once into an (n, n_chains * per_chain * C) matrix, so
+    the test-latent means v^T G of every retained sample come from one
+    product that reads ``v`` once.  Each retained sample then adds ``draws_per_sample`` softmax
     draws of its test latents, one at a time.  Randomness is consumed in
     (chain, sample, draw) order, so the result is identical however the
     caller later combines chains.
     """
     n_chains, per_chain, n, c = samples.shape
-    p = b.shape[1]
+    p = v.shape[1]
     x = samples.transpose(2, 0, 1, 3).reshape(n, n_chains * per_chain * c)
-    means = (b.T @ x).reshape(p, n_chains, per_chain, c).transpose(1, 2, 0, 3)
+    means = (v.T @ x).reshape(p, n_chains, per_chain, c).transpose(1, 2, 0, 3)
     sd = sd[:, None]
     chain_means = np.empty((n_chains, p, c))
     for ci in range(n_chains):
@@ -327,8 +345,9 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
 
     Grid position j gets its own derived master seed, so temperatures are
     independent.  One Cholesky factor of K(X, X) serves the sampler at every
-    temperature and the predictive, and one lock-step sampler pass advances
-    every (temperature, chain) pair; the retained samples of the whole grid,
+    temperature and the predictive, whose means and variances come from one
+    triangular solve, and one lock-step sampler pass advances every
+    (temperature, chain) pair; the retained whitened samples of the whole grid,
     T * n_chains * n_samples_per_chain * n * C float64 values, are held at
     once.  The predictive then makes one conditional-mean product per
     temperature, copying that temperature's samples into its layout.
@@ -346,13 +365,13 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
     if not test.is_classification or test.class_count != train.class_count:
         raise ValueError("train/test class counts differ or test set is not classification")
     prior_factor = cholesky(gram(kernel, train.inputs, train.inputs))
-    b, schur = _conditional_precompute(kernel, train.inputs, test.inputs, prior_factor)
+    v, schur = _conditional_precompute(kernel, train.inputs, test.inputs, prior_factor)
     seeds = [derive_seed(seed, j) for j in range(len(temps))]
     samples, stats = _sample_grid(train, temps, seeds, config, prior_factor)
     ll, acc, se_ll, se_acc = (np.zeros(len(temps)) for _ in range(4))
     for j, t in enumerate(temps):
         rng = RngStream(seeds[j], config.n_chains)
-        chain_means = _chain_prob_means(b, samples[j], np.sqrt(t * schur),
+        chain_means = _chain_prob_means(v, samples[j], np.sqrt(t * schur),
                                         draws_per_sample, rng)
         ll[j], acc[j] = classification_metrics(chain_means.mean(axis=0), test.targets)
         if config.n_chains > 1:

@@ -86,7 +86,7 @@ def _load_classification_data(config: ExperimentConfig):
 
 def _run_regress_sweep(config: ExperimentConfig):
     rows, log = [], []
-    jitters = set()
+    jitters, data_jitters = set(), set()
     seeds = [derive_seed(config.seed, k) for k in range(config.regression["n_seeds"])]
     d = config.data
     if d.get("source") == "file":
@@ -99,6 +99,7 @@ def _run_regress_sweep(config: ExperimentConfig):
         datasets = [gen_rbf_regression(n_train=d["n_train"], n_test=d["n_test"],
                                        noise_std=d["noise_std"], kernel=config.kernel, seed=s)
                     for s in seeds]
+        data_jitters = {train.provenance["jitter_used"] for train, _ in datasets}
     temps = config.temperatures
     for sigma in config.regression["assumed_noise_std"]:
         model = RegressionModel(kernel=config.kernel, noise_std=sigma)
@@ -112,6 +113,8 @@ def _run_regress_sweep(config: ExperimentConfig):
                    f"argmin_temperature={best_temperature(temps, nll_sum)!r} "
                    f"mean_test_nll={float(nll_sum.min()) / len(seeds)!r}")
     log.append(f"jitter_used={sorted(jitters)!r}")
+    # the generator's factor of its data Gram; a data file has none
+    log.append(f"data_jitter_used={sorted(data_jitters)!r}")
     return REGRESS_HEADER, rows, log
 
 

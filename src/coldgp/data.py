@@ -100,7 +100,9 @@ def gen_rbf_regression(n_train, n_test, noise_std, kernel, seed):
     from the zero-mean GP with the given kernel over all inputs jointly;
     targets add iid N(0, noise_std^2).  The first n_train positions form the
     train split, the rest the test split.  Draw order (inputs, latent, noise)
-    is fixed, all on stream 0 of the seed.
+    is fixed, all on stream 0 of the seed.  The Gram of many scalar inputs is
+    ill-conditioned, so its factor may need a jitter rung; the absolute
+    jitter added is recorded as ``jitter_used`` in both splits' provenance.
     """
     from .kernels import gram  # local import: kernels has no data dependency
     from .linalg import cholesky
@@ -119,7 +121,8 @@ def gen_rbf_regression(n_train, n_test, noise_std, kernel, seed):
     factor = cholesky(gram(kernel, x, x))
     latent = factor.lower @ rng.standard_normal(n)
     y = latent + noise_std * rng.standard_normal(n)
-    prov = {"name": "rbf-regression", "seed": int(seed), "noise_std": noise_std}
+    prov = {"name": "rbf-regression", "seed": int(seed), "noise_std": noise_std,
+            "jitter_used": factor.jitter_used}
     train = LabeledDataset(x[:n_train], y[:n_train], None, "train", dict(prov))
     test = LabeledDataset(x[n_train:], y[n_train:], None, "test", dict(prov))
     return train, test

@@ -6,9 +6,12 @@ The predictive at a test point x* is Gaussian with
     variance = k** - k*^T (K + sigma_eps^2 I)^{-1} k* + sigma_eps^2
 
 and tempering at temperature T leaves the mean alone while multiplying the
-variance by T.  Prediction returns the means and variances of all test
-points as two arrays, so the temperature sweep conditions once per model
-and each grid point costs one scalar multiply of the variance array.
+variance by T.  With L the Cholesky factor of K + sigma_eps^2 I, the
+conditioning keeps beta = L^{-1} y, and prediction solves v = L^{-1} k* once
+for both moments: mean = v^T beta and variance = k** - v^T v + sigma_eps^2.
+Prediction returns the means and variances of all test points as two
+arrays, so the temperature sweep conditions once per model and each grid
+point costs one scalar multiply of the variance array.
 """
 from __future__ import annotations
 
@@ -43,8 +46,10 @@ class RegressionModel:
 class ConditionedRegression:
     """A regression model conditioned on a training set.
 
-    Holds the factored noisy Gram matrix so repeated prediction (and the
-    temperature sweep) pay for one Cholesky only.
+    Holds the factored noisy Gram matrix and the whitened targets
+    ``beta`` = L^{-1} y, so repeated prediction (and the temperature sweep)
+    pay for one Cholesky and one solve only.  beta . beta is the data-fit
+    term y^T (K + sigma_eps^2 I)^{-1} y of the marginal likelihood.
     """
 
     def __init__(self, model: RegressionModel, train: LabeledDataset):
@@ -55,19 +60,16 @@ class ConditionedRegression:
         self.model = model
         self.train = train
         self.factor: SpdFactor = cholesky(noisy)
-        # alpha = (K + sigma^2 I)^{-1} y via two triangular solves
-        tmp = solve_triangular(self.factor.lower, train.targets, lower=True, check_finite=False)
-        self._alpha = solve_triangular(
-            self.factor.lower, tmp, lower=True, trans="T", check_finite=False
-        )
+        self.beta = solve_triangular(self.factor.lower, train.targets, lower=True,
+                                     check_finite=False)
 
     def predict(self, test_inputs):
         """Predictive (mean, variance) arrays, one entry per test input."""
         test_inputs = np.asarray(test_inputs, dtype=np.float64)
         ks = gram(self.model.kernel, test_inputs, self.train.inputs)  # (p, n)
-        means = ks @ self._alpha
         v = solve_triangular(self.factor.lower, ks.T, lower=True, overwrite_b=True,
                              check_finite=False)
+        means = v.T @ self.beta
         schur = gram_diag(self.model.kernel, test_inputs) - np.einsum("ij,ij->j", v, v)
         # FP cancellation can leave a tiny negative Schur complement
         np.clip(schur, 0.0, None, out=schur)

@@ -32,6 +32,25 @@ def max_rel_err(a, b):
     return float(np.max(np.abs(a - b)) / scale)
 
 
+def count_calls(monkeypatch, module, names):
+    """Wrap each named function of ``module`` to count its calls.
+
+    Returns the dict of counts, keyed by name, which fills as the wrapped
+    functions run; ``monkeypatch`` restores the originals.
+    """
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
 def write_cifar_fixture(dir_path, per_file=30, seed=0):
     """Synthetic CIFAR-10 batch files: labels cycle 0..9, pixel 0 encodes the
     label as label * 20 so the original class is recoverable after remapping."""

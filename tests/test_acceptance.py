@@ -175,12 +175,12 @@ def test_sampler_matches_analytic_oracles():
     lower = cholesky(k).lower
     flat = lambda props, idx: np.zeros(len(idx))
     rng, unit = [RngStream(11, 0)], np.ones(1)  # one chain of the lock-step transition
-    f, ll = np.zeros((1, n, 1)), np.zeros(1)
+    f, g, ll = np.zeros((1, n, 1)), np.zeros((1, n, 1)), np.zeros(1)
     for _ in range(500):
-        f, ll, _ = ess_transition(f, ll, flat, lower, unit, rng)
+        f, g, ll, _ = ess_transition(f, g, ll, flat, lower, unit, rng)
     keep = np.empty((50_000, n))
     for s in range(keep.shape[0]):
-        f, ll, _ = ess_transition(f, ll, flat, lower, unit, rng)
+        f, g, ll, _ = ess_transition(f, g, ll, flat, lower, unit, rng)
         keep[s] = f[0, :, 0]
     z_prior = _moment_z_scores(keep, np.zeros(n), np.diag(k), k[0, 1], (0, 1))
 
@@ -196,13 +196,13 @@ def test_sampler_matches_analytic_oracles():
     gauss = lambda props, idx: -0.5 * np.sum((y - props[:, :, 0]) ** 2, axis=1) / s_obs**2
     lower_g = cholesky(prior_cov).lower
     rng = [RngStream(5, 0)]
-    f = np.zeros((1, m, 1))
+    f, g = np.zeros((1, m, 1)), np.zeros((1, m, 1))
     ll = gauss(f, [0])
     for _ in range(1000):
-        f, ll, _ = ess_transition(f, ll, gauss, lower_g, unit, rng)
+        f, g, ll, _ = ess_transition(f, g, ll, gauss, lower_g, unit, rng)
     keep = np.empty((50_000, m))
     for s in range(keep.shape[0]):
-        f, ll, _ = ess_transition(f, ll, gauss, lower_g, unit, rng)
+        f, g, ll, _ = ess_transition(f, g, ll, gauss, lower_g, unit, rng)
         keep[s] = f[0, :, 0]
     z_conj = _moment_z_scores(keep, post_mean, np.diag(post_cov) + post_mean**2,
                               post_cov[0, 1] + post_mean[0] * post_mean[1], (0, 1))
@@ -244,8 +244,8 @@ def test_sampler_matches_analytic_oracles():
     samples, _ = _sample_grid(
         train, [t], [123],
         EssConfig(n_chains=4, burn_in=800, n_samples_per_chain=2500, thinning=2), factor)
-    b, schur_c = _conditional_precompute(spec, train.inputs, xs, factor)
-    probs = _chain_prob_means(b, samples[0], np.sqrt(t * schur_c), 16,
+    v, schur_c = _conditional_precompute(spec, train.inputs, xs, factor)
+    probs = _chain_prob_means(v, samples[0], np.sqrt(t * schur_c), 16,
                               RngStream(123, 4)).mean(axis=0)
     gap = float(np.max(np.abs(probs[:, 0] - np.array(p_quad))))
 

@@ -28,7 +28,7 @@ from coldgp.kernels import KernelSpec, gram, gram_diag
 from coldgp.linalg import cholesky, tril_matmul
 from coldgp.rng import RngStream, derive_seed
 
-from helpers import batch_means_se
+from helpers import batch_means_se, count_calls
 
 
 def test_tempered_log_likelihood_matches_log_softmax():
@@ -43,8 +43,10 @@ def test_ess_transition_is_deterministic_given_stream():
     lower = cholesky(np.eye(3)).lower
     loglik = lambda props, idx: -0.5 * np.sum(props**2, axis=(1, 2))
     f0 = np.zeros((1, 3, 1))
-    a = ess_transition(f0.copy(), loglik(f0, [0]), loglik, lower, np.ones(1), [RngStream(4, 0)])
-    b = ess_transition(f0.copy(), loglik(f0, [0]), loglik, lower, np.ones(1), [RngStream(4, 0)])
+    a = ess_transition(f0.copy(), f0.copy(), loglik(f0, [0]), loglik, lower, np.ones(1),
+                       [RngStream(4, 0)])
+    b = ess_transition(f0.copy(), f0.copy(), loglik(f0, [0]), loglik, lower, np.ones(1),
+                       [RngStream(4, 0)])
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
 
@@ -52,8 +54,9 @@ def test_ess_transition_is_deterministic_given_stream():
 def test_ess_transition_nan_likelihood_raises():
     lower = cholesky(np.eye(2)).lower
     with pytest.raises(NonFiniteLikelihoodError):
-        ess_transition(np.zeros((1, 2, 1)), np.zeros(1), lambda props, idx: np.full(1, np.nan),
-                       lower, np.ones(1), [RngStream(0, 0)])
+        ess_transition(np.zeros((1, 2, 1)), np.zeros((1, 2, 1)), np.zeros(1),
+                       lambda props, idx: np.full(1, np.nan), lower, np.ones(1),
+                       [RngStream(0, 0)])
 
 
 def test_ess_transition_nan_proposal_in_one_chain_raises():
@@ -67,13 +70,15 @@ def test_ess_transition_nan_proposal_in_one_chain_raises():
 
     rngs = [RngStream(3, c) for c in range(3)]
     with pytest.raises(NonFiniteLikelihoodError, match="proposal") as info:
-        ess_transition(np.zeros((3, 4, 2)), np.zeros(3), loglik, lower, np.ones(3), rngs)
+        ess_transition(np.zeros((3, 4, 2)), np.zeros((3, 4, 2)), np.zeros(3), loglik, lower,
+                       np.ones(3), rngs)
     assert info.value.chain == 1
 
 
-def _reference_transition(f, ll, log_lik, lower, scale, rng):
+def _reference_transition(f, g, ll, log_lik, lower, scale, rng):
     """One chain's ESS transition as a plain loop: the reference for the batch."""
-    nu = scale * tril_matmul(lower, rng.standard_normal(f.shape))
+    z = rng.standard_normal(f.shape)
+    nu = scale * tril_matmul(lower, z)
     with np.errstate(divide="ignore"):
         log_y = ll + float(np.log(rng.uniform()))
     theta = float(rng.uniform(0.0, 2.0 * np.pi))
@@ -84,7 +89,7 @@ def _reference_transition(f, ll, log_lik, lower, scale, rng):
         prop = f * np.cos(theta) + nu * np.sin(theta)
         ll_prop = log_lik(prop)
         if ll_prop > log_y:
-            return prop, ll_prop, proposals
+            return prop, g * np.cos(theta) + z * (scale * np.sin(theta)), ll_prop, proposals
         if theta < 0.0:
             lo = theta
         else:
@@ -109,24 +114,26 @@ def test_batched_transition_matches_one_chain_calls(k):
     batch_rngs = [RngStream(21, i) for i in range(k)]
     single_rngs = [RngStream(21, i) for i in range(k)]
     loop_rngs = [RngStream(21, i) for i in range(k)]
-    f = np.zeros((k, n, c))
+    f, g = np.zeros((k, n, c)), np.zeros((k, n, c))
     ll = loglik(f, np.arange(k))
-    singles = [(f[i:i + 1].copy(), ll[i:i + 1].copy()) for i in range(k)]
-    loops = [(f[i].copy(), float(ll[i])) for i in range(k)]
+    singles = [(f[i:i + 1].copy(), g[i:i + 1].copy(), ll[i:i + 1].copy()) for i in range(k)]
+    loops = [(f[i].copy(), g[i].copy(), float(ll[i])) for i in range(k)]
     for _ in range(4):
-        f, ll, used = ess_transition(f, ll, loglik, lower, scales, batch_rngs)
+        f, g, ll, used = ess_transition(f, g, ll, loglik, lower, scales, batch_rngs)
         for i in range(k):
             one = lambda props, idx, i=i: loglik(props, np.full(len(idx), i))
-            fi, lli, used_i = ess_transition(*singles[i], one, lower, scales[i:i + 1],
-                                             single_rngs[i:i + 1])
-            singles[i] = (fi, lli)
+            fi, gi, lli, used_i = ess_transition(*singles[i], one, lower, scales[i:i + 1],
+                                                 single_rngs[i:i + 1])
+            singles[i] = (fi, gi, lli)
             np.testing.assert_array_equal(f[i], fi[0])
+            np.testing.assert_array_equal(g[i], gi[0])
             assert ll[i] == lli[0] and used[i] == used_i[0]
-            fl, lll, used_l = _reference_transition(
+            fl, gl, lll, used_l = _reference_transition(
                 *loops[i], lambda prop, i=i: float(one(prop[None], [0])[0]), lower,
                 scales[i], loop_rngs[i])
-            loops[i] = (fl, lll)
+            loops[i] = (fl, gl, lll)
             np.testing.assert_array_equal(f[i], fl)
+            np.testing.assert_array_equal(g[i], gl)
             assert ll[i] == lll and used[i] == used_l
     assert used.max() > 1  # the check covers shrink rounds, not only first proposals
 
@@ -139,15 +146,31 @@ def test_transition_never_reads_the_strict_upper_triangle():
     loglik = lambda props, idx: -2.0 * np.sum((props - 1.0) ** 2, axis=(1, 2))
     runs = []
     for factor in (np.tril(dirty), dirty):
-        f = np.zeros((3, 30, 2))
+        f, g = np.zeros((3, 30, 2)), np.zeros((3, 30, 2))
         ll = loglik(f, np.arange(3))
         rngs = [RngStream(9, i) for i in range(3)]
         for _ in range(5):
-            f, ll, used = ess_transition(f, ll, loglik, factor, np.ones(3), rngs)
-        runs.append((f, ll, used))
+            f, g, ll, used = ess_transition(f, g, ll, loglik, factor, np.ones(3), rngs)
+        runs.append((f, g, ll, used))
     for x, y in zip(*runs):
         np.testing.assert_array_equal(x, y)
     assert np.all(np.isfinite(runs[1][0]))
+
+
+def test_whitened_state_tracks_the_latent_along_a_chain():
+    # g is rotated with the angles that rotate f, so L @ g stays f up to
+    # rounding over a long run of tempered softmax transitions
+    train, _ = gen_cluster_classification(25, 2, 3, 2.0, seed=3)
+    lower = _factor(KernelSpec.rbf(), train).lower
+    temps = np.array([0.05, 1.0, 4.0])
+    loglik = lambda props, idx: _log_softmax_sums(props, train.targets) / temps[idx]
+    f, g = np.zeros((3, train.n, 2)), np.zeros((3, train.n, 2))
+    ll = loglik(f, np.arange(3))
+    rngs = [RngStream(17, i) for i in range(3)]
+    for _ in range(250):
+        f, g, ll, _ = ess_transition(f, g, ll, loglik, lower, np.sqrt(temps), rngs)
+    for fi, gi in zip(f, g):
+        assert np.max(np.abs(lower @ gi - fi)) <= 1e-12 * np.max(np.abs(fi))
 
 
 def test_log_softmax_kernel_rows_match_one_chain_calls():
@@ -170,10 +193,10 @@ def test_ess_prior_recovery_constant_likelihood():
     sigma_hat = lower @ lower.T  # what the sampler actually uses
     const = lambda props, idx: np.zeros(len(idx))
     stream = [RngStream(2718, 0)]
-    f, ll = np.zeros((1, 5, 1)), np.zeros(1)
+    f, g, ll = np.zeros((1, 5, 1)), np.zeros((1, 5, 1)), np.zeros(1)
     draws = np.empty((4000, 5))
     for i in range(4200):
-        f, ll, _ = ess_transition(f, ll, const, lower, np.ones(1), stream)
+        f, g, ll, _ = ess_transition(f, g, ll, const, lower, np.ones(1), stream)
         if i >= 200:
             draws[i - 200] = f[0, :, 0]
     for i in range(5):
@@ -199,12 +222,12 @@ def test_ess_conjugate_gaussian_posterior():
     post_mean = post_cov @ (y / s2)
     loglik = lambda props, idx: -0.5 * np.sum((props[:, :, 0] - y) ** 2, axis=1) / s2
     stream = [RngStream(99, 0)]
-    f = np.zeros((1, 4, 1))
+    f, g = np.zeros((1, 4, 1)), np.zeros((1, 4, 1))
     ll = loglik(f, [0])
     n_keep, burn = 20_000, 1000
     draws = np.empty((n_keep, 4))
     for i in range(burn + n_keep):
-        f, ll, _ = ess_transition(f, ll, loglik, lower, np.ones(1), stream)
+        f, g, ll, _ = ess_transition(f, g, ll, loglik, lower, np.ones(1), stream)
         if i >= burn:
             draws[i - burn] = f[0, :, 0]
     for i in range(4):
@@ -301,14 +324,14 @@ def test_sweep_samples_match_standalone_calls(monkeypatch):
         assert stats[j] == ref_stats[0]
 
 
-def _per_sample_prob_means(b, samples, sd, draws_per_sample, rng):
+def _per_sample_prob_means(v, samples, sd, draws_per_sample, rng):
     """The predictive with one conditional-mean product per retained sample."""
     n_chains, per_chain, _, c = samples.shape
-    out = np.zeros((n_chains, b.shape[1], c))
+    out = np.zeros((n_chains, v.shape[1], c))
     for ci in range(n_chains):
-        for f in samples[ci]:
-            z = rng.standard_normal((draws_per_sample, b.shape[1], c))
-            out[ci] += _softmax(b.T @ f + sd[:, None] * z).sum(axis=0)
+        for g in samples[ci]:
+            z = rng.standard_normal((draws_per_sample, v.shape[1], c))
+            out[ci] += _softmax(v.T @ g + sd[:, None] * z).sum(axis=0)
     return out / (per_chain * draws_per_sample)
 
 
@@ -322,17 +345,17 @@ def test_sweep_metrics_match_standalone_predictive(monkeypatch):
     kern = KernelSpec.rbf()
     temps = [0.1, 1.0]
     out, (samples, _) = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 9, 2)
-    b, schur = _conditional_precompute(kern, train.inputs, test.inputs, _factor(kern, train))
+    v, schur = _conditional_precompute(kern, train.inputs, test.inputs, _factor(kern, train))
     for j, t in enumerate(temps):
         sd = np.sqrt(t * schur)
-        chain_means = _chain_prob_means(b, samples[j], sd, 2, RngStream(derive_seed(9, j), 3))
+        chain_means = _chain_prob_means(v, samples[j], sd, 2, RngStream(derive_seed(9, j), 3))
         ll, acc = classification_metrics(chain_means.mean(axis=0), test.targets)
         assert out["test_log_likelihood"][j] == ll and out["top1_accuracy"][j] == acc
         per_chain = [classification_metrics(cm, test.targets) for cm in chain_means]
         se = [np.std(m, ddof=1) / np.sqrt(3) for m in zip(*per_chain)]
         assert out["mc_se_log_likelihood"][j] == se[0] and out["mc_se_accuracy"][j] == se[1]
         assert se[0] > 0.0
-        ref = _per_sample_prob_means(b, samples[j], sd, 2, RngStream(derive_seed(9, j), 3))
+        ref = _per_sample_prob_means(v, samples[j], sd, 2, RngStream(derive_seed(9, j), 3))
         np.testing.assert_allclose(chain_means, ref, rtol=1e-10, atol=1e-14)
 
 
@@ -344,10 +367,10 @@ def test_tempered_log_likelihood_scales_as_inverse_temperature(monkeypatch):
 
     first = []
 
-    def recording(f, ll, log_lik, *args):
+    def recording(f, g, ll, log_lik, *args):
         if not first:
             first.append((f.copy(), ll.copy(), log_lik))
-        return ess_transition(f, ll, log_lik, *args)
+        return ess_transition(f, g, ll, log_lik, *args)
 
     monkeypatch.setattr(cls, "ess_transition", recording)
     train, test = gen_cluster_classification(4, 3, 3, 2.0, seed=0)
@@ -393,58 +416,76 @@ def test_sweep_makes_one_transition_call_per_step(monkeypatch, n_temps, n_chains
 
 @pytest.mark.parametrize("n_temps", [1, 4])
 def test_sweep_builds_one_gram_pair_and_one_factor(monkeypatch, n_temps):
+    # the sweep's work count, whatever the grid size: two Gram builds, one
+    # factor, one triangular solve, and burn_in + samples * thinning
+    # transitions that each advance every (temperature, chain) state
     import coldgp.classification as cls
 
-    calls = {"gram": 0, "cholesky": 0}
+    calls = count_calls(monkeypatch, cls, ["gram", "cholesky", "solve_triangular"])
+    states = []
 
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def transition(f, *args):
+        states.append(f.shape[0])
+        return ess_transition(f, *args)
 
-    monkeypatch.setattr(cls, "gram", counting("gram", cls.gram))
-    monkeypatch.setattr(cls, "cholesky", counting("cholesky", cls.cholesky))
+    monkeypatch.setattr(cls, "ess_transition", transition)
     train, test, cfg = _tiny_problem()
     temps = [0.1 * (j + 1) for j in range(n_temps)]
     cls.classification_temperature_sweep(KernelSpec.rbf(), train, test, temps, cfg, seed=0,
                                          draws_per_sample=1)
-    assert calls == {"gram": 2, "cholesky": 1}  # K(X, X), K(X*, X) and chol(K(X, X))
+    # K(X, X), K(X*, X), chol(K(X, X)) and v = L^{-1} K(X, X*)
+    assert calls == {"gram": 2, "cholesky": 1, "solve_triangular": 1}
+    assert states == [n_temps * cfg.n_chains] * (
+        cfg.burn_in + cfg.n_samples_per_chain * cfg.thinning)
 
 
 def test_conditional_mean_is_temperature_free():
     # the conditional pieces take no temperature; it enters the predictive
-    # only as t * schur, so the conditional mean b^T F cannot depend on it
+    # only as t * schur, so the conditional mean v^T G cannot depend on it
     train, test, _ = _tiny_problem()
     kern = KernelSpec.rbf()
     k = gram(kern, train.inputs, train.inputs)
-    b, schur = _conditional_precompute(kern, train.inputs, test.inputs, cholesky(k))
-    np.testing.assert_allclose(b, np.linalg.solve(k, gram(kern, train.inputs, test.inputs)),
-                               rtol=1e-8, atol=1e-10)
+    factor = cholesky(k)
+    v, schur = _conditional_precompute(kern, train.inputs, test.inputs, factor)
+    np.testing.assert_allclose(factor.lower @ v, gram(kern, train.inputs, test.inputs),
+                               rtol=1e-12, atol=1e-14)
     assert schur.shape == (test.n,) and np.all(schur >= 0.0)
+
+
+def test_whitened_means_match_two_solve_means():
+    # v^T G with one solve is the textbook K(X*, X) K^{-1} F, with F = L G and
+    # b = K^{-1} K(X, X*) from the two solves L^{-T} (L^{-1} K(X, X*))
+    train, test, cfg = _tiny_problem()
+    kern = KernelSpec.rbf()
+    factor = _factor(kern, train)
+    samples, _ = _sample_grid(train, [0.3], [11], cfg, factor)
+    v, _ = _conditional_precompute(kern, train.inputs, test.inputs, factor)
+    b = solve_triangular(factor.lower, solve_triangular(
+        factor.lower, gram(kern, train.inputs, test.inputs), lower=True), lower=True, trans="T")
+    latents = factor.lower @ samples[0]
+    np.testing.assert_allclose(v.T @ samples[0], b.T @ latents, rtol=1e-10)
 
 
 @pytest.mark.parametrize("kern", [KernelSpec.rbf(lengthscale=2.0), KernelSpec.nngp()],
                          ids=["rbf", "nngp"])
 def test_conditional_precompute_holds_one_test_by_train_array(kern):
-    # both solves run in the buffer of K(X*, X); past it only the Gram's own
-    # block scratch is allocated.  The result is bitwise the fresh-array solves
+    # the one solve runs in the buffer of K(X*, X); past it only the Gram's own
+    # block scratch is allocated.  The result is bitwise the fresh-array solve
     rng = np.random.default_rng(8)
     x, xs = rng.standard_normal((1500, 4)), rng.standard_normal((1000, 4))
     factor = cholesky(gram(kern, x, x))
     gram(kern, xs[:2], x[:2])  # loads scipy.spatial outside the trace
     tracemalloc.start()
     try:
-        b, schur = _conditional_precompute(kern, x, xs, factor)
+        v, schur = _conditional_precompute(kern, x, xs, factor)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * b.nbytes
-    v = solve_triangular(factor.lower, gram(kern, xs, x).T, lower=True, check_finite=False)
-    np.testing.assert_array_equal(b, solve_triangular(factor.lower, v, lower=True, trans="T",
-                                                      check_finite=False))
+    assert peak <= 1.5 * v.nbytes
+    ref = solve_triangular(factor.lower, gram(kern, xs, x).T, lower=True, check_finite=False)
+    np.testing.assert_array_equal(v, ref)
     np.testing.assert_array_equal(
-        schur, np.clip(gram_diag(kern, xs) - np.einsum("ij,ij->j", v, v), 0.0, None))
+        schur, np.clip(gram_diag(kern, xs) - np.einsum("ij,ij->j", ref, ref), 0.0, None))
 
 
 def test_predictive_probs_rows_sum_to_one():
@@ -452,8 +493,8 @@ def test_predictive_probs_rows_sum_to_one():
     kern = KernelSpec.rbf()
     factor = _factor(kern, train)
     samples, _ = _sample_grid(train, [0.3], [11], cfg, factor)
-    b, schur = _conditional_precompute(kern, train.inputs, test.inputs, factor)
-    probs = _chain_prob_means(b, samples[0], np.sqrt(0.3 * schur), 3,
+    v, schur = _conditional_precompute(kern, train.inputs, test.inputs, factor)
+    probs = _chain_prob_means(v, samples[0], np.sqrt(0.3 * schur), 3,
                               RngStream(11, cfg.n_chains))
     assert probs.shape == (cfg.n_chains, test.n, 2)
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)

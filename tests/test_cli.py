@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 from coldgp import (
     KernelSpec,
     MalformedRecordError,
+    cholesky,
+    derive_seed,
     format_cell,
     gen_cluster_classification,
     gen_rbf_regression,
+    gram,
     load_dataset,
     read_csv,
     save_dataset,
@@ -30,7 +33,7 @@ from coldgp.cli import (
 )
 from coldgp.exceptions import ConfigError
 
-from helpers import run_python, write_cifar_fixture
+from helpers import count_calls, run_python, write_cifar_fixture
 
 
 def _write_config(tmp_path, name, payload):
@@ -324,6 +327,35 @@ class TestRunVerb:
         cfg = _write_config(tmp_path, "r.json", regress_payload(tmp_path / "r"))
         assert main(["run", "--config", cfg]) == 0
         assert len(seeds) == 2 == len(set(seeds))  # n_seeds, not noise levels x n_seeds
+
+    def test_regress_sweep_work_count_per_fit(self, tmp_path, monkeypatch):
+        # each (noise setting, replicate) fit factors once and solves twice:
+        # beta = L^{-1} y and v = L^{-1} K(X, X*)
+        import coldgp.regression as regression
+
+        calls = count_calls(monkeypatch, regression, ["cholesky", "solve_triangular"])
+        cfg = _write_config(tmp_path, "r.json", regress_payload(tmp_path / "r"))
+        assert main(["run", "--config", cfg]) == 0
+        fits = 2 * 2  # noise settings x replicates
+        assert calls == {"cholesky": fits, "solve_triangular": 2 * fits}
+
+    def test_fig3b_log_records_the_data_generator_jitter(self, tmp_path):
+        # every fig3b replicate's data Gram needs the 1e-10 rung; the fits
+        # themselves factor without jitter
+        raw = json.loads((CONFIG_DIR / "fig3b.json").read_text())
+        raw["output_dir"] = str(tmp_path / "fig3b")
+        cfg = _write_config(tmp_path, "fig3b.json", raw)
+        assert main(["run", "--config", cfg]) == 0
+        log = (tmp_path / "fig3b" / "run.log").read_text().splitlines()
+        assert "jitter_used=[0.0]" in log and "data_jitter_used=[1e-10]" in log
+        d = raw["data"]
+        for k in range(raw["regression"]["n_seeds"]):
+            train, test = gen_rbf_regression(d["n_train"], d["n_test"], d["noise_std"],
+                                             KernelSpec.rbf(), seed=derive_seed(raw["seed"], k))
+            x = np.concatenate([train.inputs, test.inputs])
+            jitter = cholesky(gram(KernelSpec.rbf(), x, x)).jitter_used
+            assert train.provenance["jitter_used"] == test.provenance["jitter_used"] == jitter
+            assert jitter == 1e-10
 
 
     def _log_lines(self, tmp_path, name, payload, prefix):

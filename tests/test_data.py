@@ -14,8 +14,10 @@ from coldgp import (
     MalformedRecordError,
     NonFiniteInputError,
     ZeroVarianceError,
+    cholesky,
     gen_cluster_classification,
     gen_rbf_regression,
+    gram,
     input_stats,
     load_cifar10,
     load_dataset,
@@ -78,6 +80,10 @@ class TestRbfRegressionGenerator:
         assert train.provenance["name"] == "rbf-regression"
         assert train.provenance["seed"] == 3
         assert test.provenance["noise_std"] == 0.1
+        # the jitter of the factor of the joint train + test Gram
+        x = np.concatenate([train.inputs, test.inputs])
+        jitter = cholesky(gram(RBF, x, x)).jitter_used
+        assert train.provenance["jitter_used"] == test.provenance["jitter_used"] == jitter
 
     def test_deterministic(self):
         a_tr, a_te = gen_rbf_regression(10, 5, 0.2, RBF, seed=11)

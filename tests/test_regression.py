@@ -150,6 +150,21 @@ def test_condition_reuses_factorization():
     np.testing.assert_array_equal(a_var, c_var)
 
 
+def test_whitened_targets_give_the_textbook_mean():
+    # beta = L^{-1} y from one solve: v^T beta is K(X*, X) (K + s^2 I)^{-1} y
+    # and beta . beta the marginal likelihood's data-fit term
+    rng = np.random.default_rng(7)
+    x, xs = _spaced_inputs(30, rng), rng.uniform(0.0, 24.0, (9, 1))
+    y = rng.standard_normal(30)
+    model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.3)
+    fit = ConditionedRegression(model, _dataset(x, y))
+    noisy = gram(model.kernel, x, x) + 0.3**2 * np.eye(30)
+    np.testing.assert_allclose(fit.predict(xs)[0],
+                               gram(model.kernel, xs, x) @ np.linalg.solve(noisy, y),
+                               rtol=1e-10)
+    np.testing.assert_allclose(fit.beta @ fit.beta, y @ np.linalg.solve(noisy, y), rtol=1e-10)
+
+
 def test_in_place_conditioning_matches_fresh_array_expressions():
     # sigma^2 goes onto the Gram's diagonal in place and the predictive solve
     # runs in the cross-Gram's buffer; the bits are those of the expressions

@@ -20,6 +20,14 @@ sqrt(2 c t) either side of it.  The curvature of that objective is at least
 sqrt(2 c t) and the window covers the posterior at every t; a window
 centred at 0 instead misses it once sqrt(2 c t) is small next to d*.
 
+A curve's temperatures are the rows of one array, refined in lock step: each
+pass doubles the panels of the rows that have not converged.  The nodes are
+nested, so a pass keeps the previous pass's log posterior and softplus(d) at
+its even nodes and evaluates only the new odd ones.  Every value keeps the
+bits that a fresh np.linspace window per temperature and pass gives.  Rows
+refined together hold a bounded number of nodes, so an input that runs out
+of panels holds a few arrays of the last pass, not one per temperature.
+
 This module uses no scipy, so a probe run loads only the scipy that
 ``import coldgp`` does.  :func:`_posterior_mode` finds d* by bisection on
 the monotone gradient, to adjacent floats, and the logistic sigmoid is the
@@ -45,14 +53,11 @@ from .linalg import log_sum_exp
 
 _INITIAL_PANELS = 256
 _MAX_PANELS = 2 ** 20
-
-
-def _simpson_log_weights(n_points: int):
-    # weights 1, 4, 2, 4, ..., 2, 4, 1 (n_points odd)
-    w = np.full(n_points, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    return np.log(w)
+# Doubles per node array that rows refined in lock step may hold at once:
+# past it, rows advance a chunk at a time, depth-first in row order.
+_NODE_BUDGET = 2 ** 14
+# log Simpson weights of the end, odd and even interior nodes (1, 4, 2)
+_LOG_END, _LOG_ODD, _LOG_EVEN = np.log([1.0, 4.0, 2.0])
 
 
 def _sigmoid(x: float) -> float:
@@ -88,16 +93,80 @@ def _posterior_mode(c: float) -> float:
             lo = mid
 
 
-def _probe_value(c: float, t: float, half_width_sigmas: float, panels: int,
-                 centre: float) -> float:
-    half = half_width_sigmas * np.sqrt(2.0 * c * t)
-    d = np.linspace(centre - half, centre + half, 2 * panels + 1)
-    # log sigmoid(d) = -log(1 + exp(-d)); the Gaussian normalizer cancels.
-    log_post = -np.logaddexp(0.0, -d) / t - d * d / (4.0 * c * t)
-    log_w = _simpson_log_weights(d.size)
-    log_den = log_sum_exp(log_post + log_w)
-    log_num = log_sum_exp(log_post - np.logaddexp(0.0, d) + log_w)
-    return float(np.exp(log_num - log_den))
+def _nodes(lo, hi, div: int, index):
+    """Nodes ``index`` of np.linspace(lo, hi, div + 1) for (rows, 1) ends, bitwise.
+
+    linspace multiplies the index by its step (hi - lo) / div or, where that
+    step underflows to 0, divides the index by div and multiplies by hi - lo;
+    then it adds lo.  Its last node is hi, which the caller sets.
+    """
+    delta = hi - lo
+    step = delta / div
+    d = index * step
+    zero = step[:, 0] == 0.0
+    if zero.any():
+        d[zero] = index / div * delta[zero]
+    d += lo
+    return d
+
+
+def _log_posterior(d, t, c: float):
+    """(log posterior, softplus(d)) at nodes d (rows, k) of rows at temperatures t (rows, 1).
+
+    log sigmoid(d) = -log(1 + exp(-d)); the Gaussian normalizer cancels.
+    """
+    log_post = np.negative(d)
+    np.logaddexp(0.0, log_post, out=log_post)
+    np.negative(log_post, out=log_post)
+    log_post /= t
+    square = np.multiply(d, d)
+    square /= 4.0 * c * t
+    log_post -= square
+    return log_post, np.logaddexp(0.0, d, out=square)
+
+
+def _level(c: float, t, lo, hi, panels: int, previous):
+    """(log posterior, softplus(d)) at the 2 panels + 1 nodes of each row.
+
+    ``previous`` is None or the same pair at panels / 2, whose nodes are this
+    level's even nodes: halving the step doubles the index, so the nodes keep
+    their bits and only the odd nodes are evaluated.  Only a subnormal step
+    can halve inexactly, and then every node lies below 1e-285 in magnitude,
+    where both values are those at d = 0 whatever the node's last bits.
+    """
+    div = 2 * panels
+    if previous is None:
+        d = _nodes(lo, hi, div, np.arange(div + 1.0))
+        d[:, -1] = hi[:, 0]
+        return _log_posterior(d, t, c)
+    log_post, softplus = _log_posterior(_nodes(lo, hi, div, np.arange(1.0, div, 2.0)), t, c)
+    log_post = _interleave(previous[0], log_post)
+    return log_post, _interleave(previous[1], softplus)
+
+
+def _interleave(even, odd):
+    """The rows of ``even`` and ``odd`` merged column by column, starting with ``even``."""
+    out = np.empty((even.shape[0], even.shape[1] + odd.shape[1]))
+    out[:, ::2] = even
+    out[:, 1::2] = odd
+    return out
+
+
+def _add_log_weights(v):
+    """v plus the log Simpson weights 0, log 4, log 2, ..., log 4, 0 along axis 1, in place."""
+    v[:, 1::2] += _LOG_ODD
+    v[:, 2:-1:2] += _LOG_EVEN
+    v[:, [0, -1]] += _LOG_END
+    return v
+
+
+def _probe_values(log_post, softplus):
+    """Simpson estimate of E[sigmoid(-d)] per row: numerator over normalizer, in log space."""
+    work = log_post.copy()
+    log_den = log_sum_exp(_add_log_weights(work), axis=1)
+    np.subtract(log_post, softplus, out=work)
+    log_num = log_sum_exp(_add_log_weights(work), axis=1)
+    return np.exp(log_num - log_den)
 
 
 def _check_scale(latent_scale) -> float:
@@ -116,19 +185,55 @@ def _check_quadrature(quadrature_tolerance, integration_half_width_sigmas):
     return tol, width
 
 
-def _quadrature(c: float, t: float, tol: float, width: float, centre: float) -> float:
-    """Panel doubling on checked arguments, with the window centred at ``centre``."""
-    panels = _INITIAL_PANELS
-    prev = _probe_value(c, t, width, panels, centre)
-    while panels <= _MAX_PANELS:
-        panels *= 2
-        cur = _probe_value(c, t, width, panels, centre)
-        if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    raise QuadratureNotConvergedError(
-        f"no convergence to {tol!r} within {_MAX_PANELS} panels "
-        f"(latent_scale={c!r}, temperature={t!r})")
+def _quadrature(c: float, temps, tol: float, width: float, centre: float):
+    """Probe values at the distinct checked temperatures ``temps``, in their order.
+
+    Every row starts at _INITIAL_PANELS and doubles its panels, in lock step
+    with the rows that have not yet converged, until two successive values
+    agree to the relative tolerance ``tol``; converged rows drop out.  Rows
+    refined together hold at most _NODE_BUDGET doubles per node array (one
+    row always goes ahead); past it they advance a chunk at a time,
+    depth-first, so the first row that runs out of panels raises before any
+    later row is refined further.  Windows are centred at ``centre``.
+    """
+    t = np.array(temps, dtype=np.float64).reshape(-1, 1)
+    half = width * np.sqrt(2.0 * c * t)
+    lo, hi = centre - half, centre + half
+    out = np.empty(t.shape[0])
+
+    def refine(rows, panels, level, value):
+        # level: None, or the (log posterior, softplus) pair of rows at
+        # panels / 2, whose Simpson values are ``value``
+        while True:
+            nodes = 2 * panels + 1
+            if rows.size > 1 and rows.size * nodes > _NODE_BUDGET:
+                k = max(1, _NODE_BUDGET // nodes)
+                for s in range(0, rows.size, k):
+                    part = slice(s, s + k)
+                    refine(rows[part], panels,
+                           None if level is None else (level[0][part], level[1][part]),
+                           None if value is None else value[part])
+                return
+            # rebinding level lets the previous level go before the sums
+            level = _level(c, t[rows], lo[rows], hi[rows], panels, level)
+            cur = _probe_values(*level)
+            if value is not None:
+                done = np.abs(cur - value) <= tol * np.maximum(np.abs(cur), 1e-300)
+                if done.any():
+                    out[rows[done]] = cur[done]
+                    keep = ~done
+                    if not keep.any():
+                        return
+                    rows, cur, level = rows[keep], cur[keep], (level[0][keep], level[1][keep])
+            if panels > _MAX_PANELS:
+                raise QuadratureNotConvergedError(
+                    f"no convergence to {tol!r} within {_MAX_PANELS} panels "
+                    f"(latent_scale={c!r}, temperature={temps[rows[0]]!r})")
+            value = cur
+            panels *= 2
+
+    refine(np.arange(t.shape[0]), _INITIAL_PANELS, None, None)
+    return out
 
 
 def relabel_prob_quadrature(latent_scale: float, temperature: float,
@@ -143,7 +248,7 @@ def relabel_prob_quadrature(latent_scale: float, temperature: float,
     c = _check_scale(latent_scale)
     t = check_temperature(temperature)
     tol, width = _check_quadrature(quadrature_tolerance, integration_half_width_sigmas)
-    return _quadrature(c, t, tol, width, _posterior_mode(c))
+    return float(_quadrature(c, [t], tol, width, _posterior_mode(c))[0])
 
 
 def relabel_prob_zero_temperature(latent_scale: float) -> float:
@@ -171,11 +276,10 @@ def relabel_ratio_curve(latent_scale: float, temperatures,
         raise EmptyInputError("temperature grid is empty")
     c = _check_scale(latent_scale)
     tol, width = _check_quadrature(quadrature_tolerance, integration_half_width_sigmas)
-    centre = _posterior_mode(c)
-    base = _quadrature(c, 1.0, tol, width, centre)
-    probability = np.array([base if t == 1.0 else _quadrature(c, t, tol, width, centre)
-                            for t in temps])
-    return probability, probability / base
+    rows = list(dict.fromkeys([1.0] + temps))
+    value = dict(zip(rows, _quadrature(c, rows, tol, width, _posterior_mode(c))))
+    probability = np.array([value[t] for t in temps])
+    return probability, probability / value[1.0]
 
 
 def relabel_disagreement_mc(latent_samples, labels, index: int) -> float:

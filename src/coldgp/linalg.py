@@ -166,7 +166,8 @@ def log_sum_exp(v, axis=None):
         raise EmptyInputError("log_sum_exp of an empty collection")
     m = np.max(v, axis=axis, keepdims=True)
     with np.errstate(invalid="ignore"):
-        out = m + np.log(np.sum(np.exp(v - m), axis=axis, keepdims=True))
+        e = np.subtract(v, m)
+        out = m + np.log(np.sum(np.exp(e, out=e), axis=axis, keepdims=True))
     if axis is None:
         return float(out.reshape(()))
     return np.squeeze(out, axis=axis)

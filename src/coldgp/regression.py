@@ -76,6 +76,17 @@ class ConditionedRegression:
         return means, schur + self.model.noise_std**2
 
 
+def _mean_gaussian_nll(mean, variance, targets):
+    """Gaussian negative log likelihood averaged over the last axis.
+
+    ``variance`` may carry leading axes, such as one row per temperature.
+    """
+    if np.any(variance <= 0.0):
+        raise ZeroVarianceError("test NLL undefined for non-positive predictive variance")
+    nll = 0.5 * (np.log(2.0 * np.pi * variance) + (targets - mean) ** 2 / variance)
+    return np.mean(nll, axis=-1)
+
+
 def gaussian_test_nll(mean, variance, targets) -> float:
     """Average Gaussian negative log likelihood of targets under predictions."""
     mu = np.asarray(mean, dtype=np.float64)
@@ -87,10 +98,7 @@ def gaussian_test_nll(mean, variance, targets) -> float:
         )
     if targets.shape[0] == 0:
         raise EmptyInputError("need at least one prediction")
-    if np.any(var <= 0.0):
-        raise ZeroVarianceError("test NLL undefined for non-positive predictive variance")
-    nll = 0.5 * (np.log(2.0 * np.pi * var) + (targets - mu) ** 2 / var)
-    return float(np.mean(nll))
+    return float(_mean_gaussian_nll(mu, var, targets))
 
 
 def regression_temperature_sweep(model: RegressionModel, train: LabeledDataset,
@@ -99,13 +107,13 @@ def regression_temperature_sweep(model: RegressionModel, train: LabeledDataset,
 
     ``test_nll`` is a float64 array with one entry per grid position, in grid
     order; ``jitter_used`` is the jitter of the factor.  The posterior is
-    conditioned once; each grid point only multiplies the predictive
-    variance array by its temperature.
+    conditioned once; the grid multiplies the predictive variance array by
+    each temperature in one (temperatures, test points) array.
     """
     temps = [check_temperature(t) for t in temperatures]
     if not temps:
         raise EmptyInputError("temperature grid is empty")
     fit = ConditionedRegression(model, train)
     mean, variance = fit.predict(test.inputs)
-    test_nll = np.array([gaussian_test_nll(mean, variance * t, test.targets) for t in temps])
-    return test_nll, fit.factor.jitter_used
+    tempered = variance * np.array(temps)[:, None]
+    return _mean_gaussian_nll(mean, tempered, test.targets), fit.factor.jitter_used

@@ -1,14 +1,21 @@
 import json
 from pathlib import Path
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import expit
 
+import coldgp.aleatoric as aleatoric
 from coldgp.aleatoric import (
+    _level,
+    _nodes,
     _posterior_mode,
     _sigmoid,
     relabel_disagreement_mc,
@@ -27,6 +34,7 @@ from coldgp.exceptions import (
     LengthMismatchError,
     NonPositiveScaleError,
     NonPositiveTemperatureError,
+    QuadratureNotConvergedError,
 )
 from coldgp.kernels import KernelSpec, gram
 from coldgp.linalg import cholesky
@@ -251,3 +259,182 @@ def test_disagreement_mc_validation():
         relabel_disagreement_mc(samples, np.array([0, 2]), 0)
     with pytest.raises(LengthMismatchError):
         relabel_disagreement_mc(samples, np.array([0]), 0)
+
+
+# --- lock-step quadrature against the per-temperature loop it replaced ------
+
+def _loop_value(c, t, width, panels, centre):
+    """One Simpson pass on fresh np.linspace nodes, as the per-temperature loop made it."""
+    half = width * np.sqrt(2.0 * c * t)
+    d = np.linspace(centre - half, centre + half, 2 * panels + 1)
+    log_post = -np.logaddexp(0.0, -d) / t - d * d / (4.0 * c * t)
+    w = np.full(d.size, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    log_w = np.log(w)
+
+    def lse(v):
+        m = np.max(v)
+        with np.errstate(invalid="ignore"):
+            return float(m + np.log(np.sum(np.exp(v - m))))
+
+    return float(np.exp(lse(log_post - np.logaddexp(0.0, d) + log_w) - lse(log_post + log_w)))
+
+
+def _loop_quadrature(c, t, tol, width, centre, max_panels=2 ** 20):
+    """(value, final panels) of the per-temperature panel doubling, with no node reuse."""
+    panels = 256
+    prev = _loop_value(c, t, width, panels, centre)
+    while panels <= max_panels:
+        panels *= 2
+        cur = _loop_value(c, t, width, panels, centre)
+        if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
+            return cur, panels
+        prev = cur
+    raise QuadratureNotConvergedError(
+        f"no convergence to {tol!r} within {max_panels} panels "
+        f"(latent_scale={c!r}, temperature={t!r})")
+
+
+def _loop_curve(c, temps, tol=1e-8, width=40.0, max_panels=2 ** 20):
+    centre = _posterior_mode(c)
+    base, _ = _loop_quadrature(c, 1.0, tol, width, centre, max_panels)
+    probability = np.array([base if t == 1.0 else
+                            _loop_quadrature(c, t, tol, width, centre, max_panels)[0]
+                            for t in temps])
+    return probability, probability / base
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
+
+
+@st.composite
+def _grids(draw):
+    # a small pool drawn into a grid gives duplicates, one-point grids and
+    # grids with or without 1.0; 1e-300 makes every window a single point
+    temperature = st.one_of(st.floats(min_value=1e-3, max_value=4.0), st.just(1.0),
+                            st.just(1e-300))
+    pool = draw(st.lists(temperature, min_size=1, max_size=4))
+    return draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.floats(min_value=-2.0, max_value=3.0), _grids(),
+       st.sampled_from([1e-8, 1e-6]), st.sampled_from([40.0, 8.0]))
+def test_lock_step_curve_matches_per_temperature_loop_bitwise(log_c, temps, tol, width):
+    c = 10.0 ** log_c
+    probability, ratio = relabel_ratio_curve(c, temps, tol, width)
+    ref_probability, ref_ratio = _loop_curve(c, temps, tol, width)
+    assert _bits(probability) == _bits(ref_probability)
+    assert _bits(ratio) == _bits(ref_ratio)
+    single = relabel_prob_quadrature(c, temps[0], tol, width)
+    assert _bits(single) == _bits(ref_probability[0])
+
+
+def test_even_nodes_keep_their_bits():
+    # every level is np.linspace's, including zero, subnormal and underflowing
+    # steps; nodes 2i at 2P panels are nodes i at P panels wherever the step
+    # is normal or zero, and the reused values equal fresh ones in every row
+    lo = np.array([[-3.0], [0.5], [0.0], [1e-320], [-1e-300], [np.nextafter(0.7, 0.0)]])
+    hi = np.array([[7.0], [0.5], [1e-310], [3e-320], [1e-300], [0.7]])
+    exact = [0, 1, 4, 5]
+    for div in (2, 512, 4096):
+        d = _nodes(lo, hi, div, np.arange(div + 1.0))
+        d[:, -1] = hi[:, 0]
+        for row in range(lo.shape[0]):
+            assert _bits(d[row]) == _bits(np.linspace(lo[row, 0], hi[row, 0], div + 1))
+        fine = _nodes(lo, hi, 2 * div, np.arange(2 * div + 1.0))
+        fine[:, -1] = hi[:, 0]
+        assert _bits(fine[exact, ::2]) == _bits(d[exact])
+    t = np.array([[1.0], [0.5], [2.0], [1.0], [0.01], [3.0]])
+    for c in (10.0, 1e-300):
+        for panels in (1, 256, 2048):
+            coarse = _level(c, t, lo, hi, panels, None)
+            reused = _level(c, t, lo, hi, 2 * panels, coarse)
+            fresh = _level(c, t, lo, hi, 2 * panels, None)
+            for old, new, ref in zip(coarse, reused, fresh):
+                assert _bits(new) == _bits(ref)
+                assert _bits(new[:, ::2]) == _bits(old)
+
+
+def _record_levels(monkeypatch):
+    """Wrap _log_posterior; returns {temperature: [(level nodes, nodes evaluated)]}, with
+    every node array evaluated per temperature and the rows of every call."""
+    seen, nodes, rows = {}, {}, []
+    real = aleatoric._log_posterior
+
+    def recording(d, t, c):
+        k = d.shape[1]
+        level = k if k % 2 else 2 * k + 1  # a whole level, or its odd nodes
+        rows.append((d.shape[0], level))
+        for row, temp in zip(d, t[:, 0]):
+            seen.setdefault(float(temp), []).append((level, k))
+            nodes.setdefault(float(temp), []).append(row.copy())
+        return real(d, t, c)
+
+    monkeypatch.setattr(aleatoric, "_log_posterior", recording)
+    return seen, nodes, rows
+
+
+def test_fig2b_probe_work_count(monkeypatch):
+    # each distinct temperature evaluates the 2 P + 1 nodes of its final level
+    # once each, and rows refined together hold at most _NODE_BUDGET doubles
+    raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / "fig2b.json")
+                     .read_text())["probe"]
+    temps = raw["temperatures"]
+    total = 0
+    seen, nodes, rows = _record_levels(monkeypatch)
+    for c in raw["latent_scales"]:
+        for record in (seen, nodes, rows):
+            record.clear()
+        relabel_ratio_curve(c, temps)
+        centre = _posterior_mode(c)
+        assert set(seen) == set(temps)
+        for t in temps:
+            _, final = _loop_quadrature(c, t, 1e-8, 40.0, centre)
+            assert sum(k for _, k in seen[t]) == 2 * final + 1, (c, t)
+            assert [level for level, _ in seen[t]] == [2 * p + 1 for p in
+                                                       256 * 2 ** np.arange(len(seen[t]))]
+            evaluated = np.concatenate(nodes[t])
+            assert np.unique(evaluated).size == evaluated.size == 2 * final + 1
+            total += evaluated.size
+        assert all(n == 1 or n * level <= aleatoric._NODE_BUDGET for n, level in rows)
+    assert total == 327_780
+
+
+def test_budget_advances_rows_depth_first(monkeypatch):
+    # two first-level rows fit the budget, one row past it: the rows go
+    # depth-first in (t = 1, grid) order, so 16.0 runs out of panels before
+    # 4.0 is refined past its first level or 64.0 is evaluated at all
+    monkeypatch.setattr(aleatoric, "_MAX_PANELS", 1024)
+    monkeypatch.setattr(aleatoric, "_NODE_BUDGET", 2 * 513)
+    temps = [0.1, 16.0, 4.0, 64.0]
+    with pytest.raises(QuadratureNotConvergedError) as loop_error:
+        _loop_curve(10.0, temps, max_panels=1024)
+    seen, _, rows = _record_levels(monkeypatch)
+    with pytest.raises(QuadratureNotConvergedError) as error:
+        relabel_ratio_curve(10.0, temps)
+    assert str(error.value) == str(loop_error.value)
+    assert "temperature=16.0)" in str(error.value)
+    levels = {t: [level for level, _ in seen.get(t, [])] for t in [1.0] + temps}
+    assert levels == {1.0: [513, 1025, 2049], 0.1: [513, 1025],
+                      16.0: [513, 1025, 2049, 4097], 4.0: [513], 64.0: []}
+    assert all(n == 1 or n * level <= 2 * 513 for n, level in rows)
+
+
+def test_failing_probe_holds_a_few_top_level_arrays(monkeypatch):
+    # at c = 1e154 no row converges; the t = 1 reference raises first, and
+    # the memory held is a few arrays of the last level, not a level per row
+    monkeypatch.setattr(aleatoric, "_MAX_PANELS", 2 ** 17)
+    temps = json.loads((Path(__file__).resolve().parent.parent / "configs" / "fig2b.json")
+                       .read_text())["probe"]["temperatures"]
+    tracemalloc.start()
+    try:
+        with pytest.raises(QuadratureNotConvergedError, match=r"temperature=1\.0\)"):
+            relabel_ratio_curve(1e154, temps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    top_level = (2 * 2 ** 18 + 1) * 8
+    assert peak <= 4.5 * top_level, peak / top_level

@@ -214,6 +214,9 @@ def test_sweep_rejects_bad_grid():
         regression_temperature_sweep(model, train, test, [])
     with pytest.raises(NonPositiveTemperatureError):
         regression_temperature_sweep(model, train, test, [1.0, -2.0])
+    # a grid point whose tempered variances underflow to 0 has no NLL
+    with pytest.raises(ZeroVarianceError):
+        regression_temperature_sweep(model, train, test, [1.0, 5e-324])
 
 
 def test_best_temperature_tie_goes_to_smaller_temperature():

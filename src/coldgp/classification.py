@@ -23,9 +23,11 @@ sqrt(t) * z).  The sampler retains G, not F.
 Prediction: the test latent for class c is Gaussian with mean
 k*^T K^{-1} F_c = v^T G_c, where v = L^{-1} K(X, X*) (temperature-free,
 because t cancels between the scaled cross-covariance and the scaled
-inverse), and variance t * (k** - v^T v).  So one triangular solve, in
-place in the buffer of K(X*, X), gives both the means and the variances,
-and the conditional pieces hold one n x p array.  Class probabilities
+inverse), and variance t * (k** - v^T v).  The pair (v, k** - v^T v) is
+:func:`coldgp.regression.conditional`, the Gaussian conditional that
+regression prediction also reads: one triangular solve, in place in the
+buffer of K(X*, X), gives both the means and the variances, and the
+conditional pieces hold one n x p array.  Class probabilities
 average softmax draws over both the posterior samples and this
 conditional.  The means of all of one temperature's retained samples come
 from a single product v^T G, so a sweep reads v once per temperature and
@@ -45,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .data import LabeledDataset
 from .exceptions import (
@@ -56,8 +57,9 @@ from .exceptions import (
     check_labels,
     check_temperature,
 )
-from .kernels import KernelSpec, gram, gram_diag
+from .kernels import KernelSpec, gram
 from .linalg import SpdFactor, cholesky, tril_matmul
+from .regression import conditional
 from .rng import RngStream, derive_seed
 
 PROB_FLOOR = 1e-12
@@ -66,26 +68,25 @@ _MAX_BRACKET_SHRINKS = 10_000
 
 @dataclass(frozen=True)
 class EssConfig:
-    """Chain layout for the latent sampler.
+    """Chain layout for the latent sampler and draws for its predictive.
 
     Total retained samples = n_chains * n_samples_per_chain; each chain runs
     burn_in discarded transitions and then keeps every thinning-th state.
+    The predictive averages draws_per_sample softmax draws of the test
+    latents per retained sample.
     """
 
     n_chains: int = 4
     burn_in: int = 1000
     n_samples_per_chain: int = 500
     thinning: int = 5
+    draws_per_sample: int = 8
 
     def __post_init__(self):
-        if self.n_chains < 1:
-            raise ValueError("n_chains must be >= 1")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be >= 0")
-        if self.n_samples_per_chain < 1:
-            raise ValueError("n_samples_per_chain must be >= 1")
-        if self.thinning < 1:
-            raise ValueError("thinning must be >= 1")
+        for name, minimum in (("n_chains", 1), ("burn_in", 0), ("n_samples_per_chain", 1),
+                              ("thinning", 1), ("draws_per_sample", 1)):
+            if getattr(self, name) < minimum:
+                raise ValueError(f"{name} must be >= {minimum}")
 
 
 def _class_max(f):
@@ -265,24 +266,6 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
     return samples, stats
 
 
-def _conditional_precompute(kernel: KernelSpec, train_inputs, test_inputs, factor: SpdFactor):
-    """Shared, temperature-free pieces of the test-latent conditional.
-
-    Returns (v, schur) with v = L^{-1} K(X, X*) of shape (n, p), where L is
-    ``factor.lower``, the Cholesky factor of K(X, X), and schur the vector
-    k** - v^T v (clipped at zero).  The conditional means of a whitened
-    sample G are v^T G.  The one triangular solve runs in place in the
-    buffer of K(X*, X), whose transpose is F-ordered, so ``v`` is the one
-    n x p array held.
-    """
-    kss = gram_diag(kernel, test_inputs)
-    ks = gram(kernel, test_inputs, train_inputs)  # (p, n)
-    v = solve_triangular(factor.lower, ks.T, lower=True, overwrite_b=True, check_finite=False)
-    schur = kss - np.einsum("ij,ij->j", v, v)
-    np.clip(schur, 0.0, None, out=schur)
-    return v, schur
-
-
 def _softmax(f):
     """Softmax over the last (class) axis."""
     e = np.exp(f - _class_max(f)[..., None])
@@ -339,18 +322,19 @@ def classification_metrics(probs, labels):
 
 def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
                                      test: LabeledDataset, temperatures,
-                                     config: EssConfig = EssConfig(), seed: int = 0,
-                                     draws_per_sample: int = 8) -> dict:
+                                     config: EssConfig = EssConfig(), seed: int = 0) -> dict:
     """Posterior sampling and test metrics across a temperature grid.
 
     Grid position j gets its own derived master seed, so temperatures are
     independent.  One Cholesky factor of K(X, X) serves the sampler at every
-    temperature and the predictive, whose means and variances come from one
-    triangular solve, and one lock-step sampler pass advances every
-    (temperature, chain) pair; the retained whitened samples of the whole grid,
-    T * n_chains * n_samples_per_chain * n * C float64 values, are held at
-    once.  The predictive then makes one conditional-mean product per
-    temperature, copying that temperature's samples into its layout.
+    temperature and the predictive, whose means and variances come from the
+    one triangular solve of :func:`~coldgp.regression.conditional`, and one
+    lock-step sampler pass advances every (temperature, chain) pair; the
+    retained whitened samples of the whole grid, T * n_chains *
+    n_samples_per_chain * n * C float64 values, are held at once.  The
+    predictive then makes one conditional-mean product per temperature,
+    copying that temperature's samples into its layout, and adds
+    ``config.draws_per_sample`` softmax draws per retained sample.
     Returns a dict of 1-D float64 arrays in grid order: test_log_likelihood,
     top1_accuracy, and their between-chain Monte Carlo standard errors
     mc_se_log_likelihood and mc_se_accuracy (0 for a single chain); ``stats``
@@ -360,19 +344,17 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
     temps = [check_temperature(t) for t in temperatures]
     if not temps:
         raise EmptyInputError("temperature grid is empty")
-    if draws_per_sample < 1:
-        raise EmptyInputError("draws_per_sample must be >= 1")
     if not test.is_classification or test.class_count != train.class_count:
         raise ValueError("train/test class counts differ or test set is not classification")
     prior_factor = cholesky(gram(kernel, train.inputs, train.inputs))
-    v, schur = _conditional_precompute(kernel, train.inputs, test.inputs, prior_factor)
+    v, schur = conditional(kernel, train.inputs, test.inputs, prior_factor)
     seeds = [derive_seed(seed, j) for j in range(len(temps))]
     samples, stats = _sample_grid(train, temps, seeds, config, prior_factor)
     ll, acc, se_ll, se_acc = (np.zeros(len(temps)) for _ in range(4))
     for j, t in enumerate(temps):
         rng = RngStream(seeds[j], config.n_chains)
         chain_means = _chain_prob_means(v, samples[j], np.sqrt(t * schur),
-                                        draws_per_sample, rng)
+                                        config.draws_per_sample, rng)
         ll[j], acc[j] = classification_metrics(chain_means.mean(axis=0), test.targets)
         if config.n_chains > 1:
             per_chain = [classification_metrics(cm, test.targets) for cm in chain_means]

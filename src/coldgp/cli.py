@@ -13,7 +13,8 @@ and ``run.log`` (wall time plus solver and sampler diagnostics).  With the
 config and seed fixed, results.csv is byte-identical across runs; run.log
 is where the timing noise lives.
 
-Exit codes: 0 success, 2 config error, 3 computational failure.
+Exit codes: 0 success, 2 config error, 3 computational failure or a file
+that cannot be read or written.
 """
 from __future__ import annotations
 
@@ -57,26 +58,38 @@ _FIGURE_HEADERS = {
 }
 
 
-def _load_classification_data(config: ExperimentConfig):
+def _datasets(config: ExperimentConfig, seed: int):
+    """(train, test) for ``config.data``, input-normalized as it says: a
+    generator's draw at ``seed``, a CIFAR-10 subsample, or two data files,
+    each checked to be of the experiment's kind as soon as it is read."""
     d = config.data
-    if "generator" in d:
+    if d.get("generator") == "rbf-regression":
+        return gen_rbf_regression(n_train=d["n_train"], n_test=d["n_test"],
+                                  noise_std=d["noise_std"], kernel=config.kernel, seed=seed)
+    if d.get("generator") == "clusters":
         return gen_cluster_classification(
             n_per_class=d["n_per_class"], class_count=d["class_count"],
-            dim=d["dim"], separation=d["separation"], seed=config.seed)
+            dim=d["dim"], separation=d["separation"], seed=seed)
     if d["source"] == "cifar10":
         train, test = load_cifar10(d["dir"], keep_classes=d["classes"],
-                                   n_train=d["n_train"], n_test=d["n_test"], seed=config.seed)
+                                   n_train=d["n_train"], n_test=d["n_test"], seed=seed)
     else:
-        class_count = d.get("class_count")
-        train = load_dataset(d["train_path"], split_tag="train", class_count=class_count)
+        classify = config.experiment == "classify-sweep"
+
+        def read(split, class_count):
+            data = load_dataset(d[f"{split}_path"], split_tag=split, class_count=class_count)
+            if data.is_classification != classify:
+                kind = ("classification datasets (label column)" if classify
+                        else "regression datasets (target column)")
+                raise ConfigError(f"{config.experiment} requires {kind}")
+            return data
+
+        train = read("train", d.get("class_count") if classify else None)
         # the bound an inferred count obeys, checked before anything is sized by it
-        if class_count is not None and class_count > max(train.n, 2):
+        if classify and train.class_count > max(train.n, 2):
             raise ConfigError(f"key 'class_count' in data must not exceed the {train.n} "
-                              f"training rows, got {class_count}")
-        test = load_dataset(d["test_path"], split_tag="test",
-                            class_count=class_count or train.class_count)
-        if not (train.is_classification and test.is_classification):
-            raise ConfigError("classify-sweep requires classification datasets (label column)")
+                              f"training rows, got {train.class_count}")
+        test = read("test", train.class_count)
     if d["normalize"] == "global-standardize":
         stats = input_stats(train)
         train = normalize_inputs(train, "global-standardize", stats)
@@ -86,20 +99,13 @@ def _load_classification_data(config: ExperimentConfig):
 
 def _run_regress_sweep(config: ExperimentConfig):
     rows, log = [], []
-    jitters, data_jitters = set(), set()
+    jitters = set()
     seeds = [derive_seed(config.seed, k) for k in range(config.regression["n_seeds"])]
-    d = config.data
-    if d.get("source") == "file":
-        train = load_dataset(d["train_path"], split_tag="train")
-        test = load_dataset(d["test_path"], split_tag="test")
-        if train.is_classification or test.is_classification:
-            raise ConfigError("regress-sweep requires regression datasets (target column)")
-        datasets = [(train, test)] * len(seeds)
-    else:
-        datasets = [gen_rbf_regression(n_train=d["n_train"], n_test=d["n_test"],
-                                       noise_std=d["noise_std"], kernel=config.kernel, seed=s)
-                    for s in seeds]
-        data_jitters = {train.provenance["jitter_used"] for train, _ in datasets}
+    # a file source reads its one pair of files (n_seeds is 1 there)
+    datasets = [_datasets(config, s) for s in seeds]
+    # the generator's factor of its data Gram; a data file has none
+    data_jitters = {train.provenance["jitter_used"] for train, _ in datasets
+                    if "jitter_used" in train.provenance}
     temps = config.temperatures
     for sigma in config.regression["assumed_noise_std"]:
         model = RegressionModel(kernel=config.kernel, noise_std=sigma)
@@ -113,17 +119,15 @@ def _run_regress_sweep(config: ExperimentConfig):
                    f"argmin_temperature={best_temperature(temps, nll_sum)!r} "
                    f"mean_test_nll={float(nll_sum.min()) / len(seeds)!r}")
     log.append(f"jitter_used={sorted(jitters)!r}")
-    # the generator's factor of its data Gram; a data file has none
     log.append(f"data_jitter_used={sorted(data_jitters)!r}")
     return REGRESS_HEADER, rows, log
 
 
 def _run_classify_sweep(config: ExperimentConfig):
-    train, test = _load_classification_data(config)
+    train, test = _datasets(config, config.seed)
     temps = config.temperatures
     out = classification_temperature_sweep(
-        config.kernel, train, test, temperatures=temps,
-        config=config.ess, seed=config.seed, draws_per_sample=config.draws_per_sample)
+        config.kernel, train, test, temperatures=temps, config=config.ess, seed=config.seed)
     ll, acc = out["test_log_likelihood"], out["top1_accuracy"]
     rows = [(t, v, a, train.n, test.n, config.seed) for t, v, a in zip(temps, ll, acc)]
     log = [f"n_train={train.n} n_test={test.n} class_count={train.class_count}"]
@@ -154,15 +158,7 @@ def _run_probe(config: ExperimentConfig):
 
 
 def _run_gen_data(config: ExperimentConfig):
-    d = config.data
-    if d["generator"] == "rbf-regression":
-        train, test = gen_rbf_regression(
-            n_train=d["n_train"], n_test=d["n_test"], noise_std=d["noise_std"],
-            kernel=config.kernel, seed=config.seed)
-    else:
-        train, test = gen_cluster_classification(
-            n_per_class=d["n_per_class"], class_count=d["class_count"],
-            dim=d["dim"], separation=d["separation"], seed=config.seed)
+    train, test = _datasets(config, config.seed)
     out = config.output_dir
     save_dataset(train, os.path.join(out, "train.csv"))
     save_dataset(test, os.path.join(out, "test.csv"))
@@ -209,8 +205,9 @@ def emit_plot_data(results_csv: str, figure: str, out_path: str | None = None) -
     """Reshape a results.csv into long-format (x, y, series) rows.
 
     The input header must match the named figure's experiment schema exactly;
-    an empty or header-only file is a schema mismatch.  fig3b averages
-    test_nll over seeds within each (noise setting, temperature) cell.
+    an empty or header-only file, or a plotted cell that is not a number, is
+    a schema mismatch.  fig3b averages test_nll over seeds within each
+    (noise setting, temperature) cell.
     """
     if figure not in FIGURES:
         raise ConfigError(f"--figure must be one of {list(FIGURES)}, got {figure!r}")
@@ -222,25 +219,32 @@ def emit_plot_data(results_csv: str, figure: str, out_path: str | None = None) -
     if not raw_rows:
         raise SchemaMismatchError(f"{results_csv}: no data rows")
     col = {name: i for i, name in enumerate(header)}
-    out_rows = []
+
+    def number(i, name):
+        cell = raw_rows[i][col[name]]
+        try:
+            return float(cell)
+        except ValueError:
+            raise SchemaMismatchError(f"{results_csv}: data row {i + 1}: {name} {cell!r} "
+                                      f"is not a number") from None
+
+    rows = range(len(raw_rows))
     if figure == "fig1":
-        for metric in ("test_log_likelihood", "top1_accuracy"):
-            out_rows.extend((float(r[col["temperature"]]), float(r[col[metric]]), metric)
-                            for r in raw_rows)
+        out_rows = [(number(i, "temperature"), number(i, metric), metric)
+                    for metric in ("test_log_likelihood", "top1_accuracy") for i in rows]
     elif figure in ("fig2a", "fig2b"):
         y_col = "probability" if figure == "fig2a" else "ratio"
-        for r in raw_rows:
-            out_rows.append((float(r[col["temperature"]]), float(r[col[y_col]]),
-                             f"c={r[col['latent_scale']]}"))
+        out_rows = [(number(i, "temperature"), number(i, y_col),
+                     f"c={raw_rows[i][col['latent_scale']]}") for i in rows]
     else:
         sums, counts, order = {}, {}, []
-        for r in raw_rows:
-            key = (r[col["assumed_noise_std"]], float(r[col["temperature"]]))
+        for i in rows:
+            key = (raw_rows[i][col["assumed_noise_std"]], number(i, "temperature"))
             if key not in sums:
                 order.append(key)
                 sums[key] = 0.0
                 counts[key] = 0
-            sums[key] += float(r[col["test_nll"]])
+            sums[key] += number(i, "test_nll")
             counts[key] += 1
         out_rows = [(t, sums[(s, t)] / counts[(s, t)], f"sigma_eps={s}") for s, t in order]
     if out_path is None:
@@ -295,10 +299,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ColdGPError as exc:
+    except (ColdGPError, OSError) as exc:  # OSError: a file not read or written
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0

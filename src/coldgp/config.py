@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .classification import EssConfig
 from .exceptions import ConfigError
@@ -36,7 +36,6 @@ class ExperimentConfig:
     temperatures: tuple | None = None
     data: dict | None = None
     ess: EssConfig | None = None
-    draws_per_sample: int = 8
     probe: dict | None = None
     regression: dict | None = None
 
@@ -50,13 +49,7 @@ class ExperimentConfig:
         if self.data is not None:
             out["data"] = dict(self.data)
         if self.ess is not None:
-            out["ess"] = {
-                "n_chains": self.ess.n_chains,
-                "burn_in": self.ess.burn_in,
-                "n_samples_per_chain": self.ess.n_samples_per_chain,
-                "thinning": self.ess.thinning,
-                "draws_per_sample": self.draws_per_sample,
-            }
+            out["ess"] = asdict(self.ess)
         if self.probe is not None:
             out["probe"] = dict(self.probe)
         if self.regression is not None:
@@ -216,21 +209,17 @@ def _parse_data(section, experiment: str) -> dict:
     return out
 
 
-def _parse_ess(section) -> tuple:
+def _parse_ess(section) -> EssConfig:
+    """The ``ess`` section: one integer key per EssConfig field, defaulting to
+    that field's default."""
     where = "ess"
     if not isinstance(section, dict):
         raise ConfigError(f"'{where}' must be an object")
-    _reject_unknown(section, ("n_chains", "burn_in", "n_samples_per_chain", "thinning",
-                              "draws_per_sample"), where)
-    cfg = EssConfig(
-        n_chains=_as_int(section.get("n_chains", 4), "n_chains", where, minimum=1),
-        burn_in=_as_int(section.get("burn_in", 1000), "burn_in", where, minimum=0),
-        n_samples_per_chain=_as_int(section.get("n_samples_per_chain", 500),
-                                    "n_samples_per_chain", where, minimum=1),
-        thinning=_as_int(section.get("thinning", 5), "thinning", where, minimum=1),
-    )
-    draws = _as_int(section.get("draws_per_sample", 8), "draws_per_sample", where, minimum=1)
-    return cfg, draws
+    defaults = {f.name: f.default for f in fields(EssConfig)}
+    _reject_unknown(section, defaults, where)
+    return EssConfig(**{key: _as_int(section.get(key, default), key, where,
+                                     minimum=0 if key == "burn_in" else 1)
+                        for key, default in defaults.items()})
 
 
 def _parse_probe(section) -> dict:
@@ -315,9 +304,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     temperatures = (_as_positive_list(raw["temperatures"], "temperatures", "top-level config")
                     if "temperatures" in raw else None)
     data = _parse_data(raw["data"], experiment) if "data" in raw else None
-    ess, draws = (None, 8)
-    if experiment == "classify-sweep":
-        ess, draws = _parse_ess(raw.get("ess", {}))
+    ess = _parse_ess(raw.get("ess", {})) if experiment == "classify-sweep" else None
     probe = _parse_probe(raw["probe"]) if "probe" in raw else None
     regression = _parse_regression(raw.get("regression", {})) if experiment == "regress-sweep" else None
     if experiment in ("regress-sweep", "gen-data") and data is not None:
@@ -330,7 +317,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError("key 'n_seeds' in regression must be 1 when data comes from files")
     return ExperimentConfig(experiment=experiment, seed=seed, output_dir=output_dir,
                             kernel=kernel, temperatures=temperatures, data=data, ess=ess,
-                            draws_per_sample=draws, probe=probe, regression=regression)
+                            probe=probe, regression=regression)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -340,7 +327,10 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        # JSON text is UTF-8, so undecodable bytes are invalid JSON too
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     return parse_config(raw)
 

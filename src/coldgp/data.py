@@ -22,6 +22,7 @@ from .exceptions import (
     MalformedRecordError,
     NonFiniteInputError,
     ZeroVarianceError,
+    open_text,
 )
 from .rng import RngStream
 
@@ -311,8 +312,9 @@ def load_dataset(path, split_tag: str = "train", class_count: int | None = None)
     The header's last column decides the kind: ``label`` means
     classification (class_count defaults to max label + 1, and a label of 2
     or more must then be below the row count), ``target`` means regression.
+    The file is ASCII text; any other byte raises MalformedRecordError.
     """
-    with open(path, "r", encoding="ascii") as fh:
+    with open_text(path, "ascii") as fh:
         header = fh.readline().strip()
         if not header:
             raise MalformedRecordError(f"{path}: missing header line")

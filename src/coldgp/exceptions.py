@@ -3,6 +3,8 @@
 Every error raised deliberately by coldgp derives from ColdGPError, so callers
 can catch one base class at the boundary (the CLI maps them to exit codes).
 """
+from contextlib import contextmanager
+
 import numpy as np
 
 
@@ -63,7 +65,7 @@ class QuadratureNotConvergedError(ColdGPError):
 
 
 class MalformedRecordError(ColdGPError):
-    """A binary data file violates the documented record layout."""
+    """A data file violates its documented layout or encoding."""
 
 
 class SchemaMismatchError(ColdGPError):
@@ -80,6 +82,18 @@ def check_temperature(t) -> float:
     if not 0.0 < t < float("inf"):  # also false for NaN
         raise NonPositiveTemperatureError(f"temperature must be positive and finite, got {t!r}")
     return t
+
+
+@contextmanager
+def open_text(path, encoding: str, **kwargs):
+    """``open(path, "r", encoding=encoding, **kwargs)``, where a byte that does
+    not decode raises MalformedRecordError naming the file."""
+    with open(path, "r", encoding=encoding, **kwargs) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise MalformedRecordError(
+                f"{path}: byte {exc.object[exc.start]:#04x} is not {encoding} text") from None
 
 
 def check_labels(labels, n: int, class_count: int) -> np.ndarray:

@@ -146,12 +146,13 @@ def _rbf_gram(spec: KernelSpec, a, b) -> np.ndarray:
     return k
 
 
-def _nngp_self_cov(spec: KernelSpec, a) -> np.ndarray:
-    # diag recursion: theta = 0, so each layer maps k -> sigma_b2 + sigma_w2 * k / 2
-    k = spec.sigma_b2 + spec.sigma_w2 * np.einsum("ij,ij->i", a, a) / a.shape[1]
+def _nngp_self_covs(spec: KernelSpec, a) -> list:
+    """Unscaled self-covariances K(x, x) of the rows of ``a`` at layers 0..depth."""
+    covs = [spec.sigma_b2 + spec.sigma_w2 * np.einsum("ij,ij->i", a, a) / a.shape[1]]
+    # theta = 0 on the diagonal, so each layer maps k -> sigma_b2 + sigma_w2 * k / 2
     for _ in range(int(spec.depth)):
-        k = spec.sigma_b2 + 0.5 * spec.sigma_w2 * k
-    return k
+        covs.append(spec.sigma_b2 + 0.5 * spec.sigma_w2 * covs[-1])
+    return covs
 
 
 def _arc_cosine_j(rho, out, tmp):
@@ -176,13 +177,9 @@ def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
     # one product for the whole Gram: a product per row block would change bits
     # (with b is a, numpy computes a @ a.T as a symmetric rank-k update)
     k = a @ b.T
-    ka = bias + w * np.einsum("ij,ij->i", a, a) / d
-    kb = ka if symmetric else bias + w * np.einsum("ij,ij->i", b, b) / d
-    variances = []
-    for _ in range(int(spec.depth)):
-        variances.append((ka, kb))
-        ka = bias + 0.5 * w * ka
-        kb = ka if symmetric else bias + 0.5 * w * kb
+    ka = _nngp_self_covs(spec, a)
+    # each hidden layer reads the previous layer's self-covariances
+    variances = list(zip(ka, ka if symmetric else _nngp_self_covs(spec, b)))[:-1]
     # the recursion runs in place on one row block at a time, with block-sized
     # scratch, and keeps the operation order of the module docstring's formulas
     # (+ and * commute exactly), so its bits are theirs.  A symmetric block
@@ -238,7 +235,7 @@ def gram_diag(spec: KernelSpec, a) -> np.ndarray:
     a, _ = _check_inputs(a, a)
     if spec.family == "rbf":
         return np.full(a.shape[0], spec.scale * spec.rbf_variance)
-    return spec.scale * _nngp_self_cov(spec, a)
+    return spec.scale * _nngp_self_covs(spec, a)[-1]
 
 
 def kernel_eval(spec: KernelSpec, x, xp) -> float:

@@ -10,7 +10,7 @@ import csv
 
 import numpy as np
 
-from .exceptions import EmptyInputError, MalformedRecordError
+from .exceptions import EmptyInputError, MalformedRecordError, open_text
 
 
 def best_temperature(temperatures, values) -> float:
@@ -56,9 +56,8 @@ def write_csv(path, header, rows):
 
 def read_csv(path):
     """Read a results table back as (header list, list of string-valued rows)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        table = list(reader)
+    with open_text(path, "utf-8", newline="") as fh:
+        table = list(csv.reader(fh))
     if not table:
         return [], []
     header, rows = table[0], table[1:]

@@ -12,6 +12,10 @@ for both moments: mean = v^T beta and variance = k** - v^T v + sigma_eps^2.
 Prediction returns the means and variances of all test points as two
 arrays, so the temperature sweep conditions once per model and each grid
 point costs one scalar multiply of the variance array.
+
+:func:`conditional` is the package's one Gaussian conditional: regression
+prediction reads it with the factor of the noisy Gram, and the
+classification sweep with that of K(X, X).
 """
 from __future__ import annotations
 
@@ -65,15 +69,24 @@ class ConditionedRegression:
 
     def predict(self, test_inputs):
         """Predictive (mean, variance) arrays, one entry per test input."""
-        test_inputs = np.asarray(test_inputs, dtype=np.float64)
-        ks = gram(self.model.kernel, test_inputs, self.train.inputs)  # (p, n)
-        v = solve_triangular(self.factor.lower, ks.T, lower=True, overwrite_b=True,
-                             check_finite=False)
-        means = v.T @ self.beta
-        schur = gram_diag(self.model.kernel, test_inputs) - np.einsum("ij,ij->j", v, v)
-        # FP cancellation can leave a tiny negative Schur complement
-        np.clip(schur, 0.0, None, out=schur)
-        return means, schur + self.model.noise_std**2
+        v, schur = conditional(self.model.kernel, self.train.inputs, test_inputs, self.factor)
+        return v.T @ self.beta, schur + self.model.noise_std**2
+
+
+def conditional(kernel: KernelSpec, train_inputs, test_inputs, factor: SpdFactor):
+    """Temperature-free pieces of the Gaussian conditional at ``test_inputs``.
+
+    Returns (v, schur): v = L^{-1} K(X, X*) of shape (n, p), with L the
+    Cholesky factor ``factor.lower`` of the training covariance, and
+    k** - v^T v clipped at zero (FP cancellation can leave it slightly
+    negative).  The one triangular solve runs in place in the buffer of
+    K(X*, X), whose transpose is F-ordered, so ``v`` is the one n x p array.
+    """
+    ks = gram(kernel, test_inputs, train_inputs)  # (p, n)
+    v = solve_triangular(factor.lower, ks.T, lower=True, overwrite_b=True, check_finite=False)
+    schur = gram_diag(kernel, test_inputs) - np.einsum("ij,ij->j", v, v)
+    np.clip(schur, 0.0, None, out=schur)
+    return v, schur
 
 
 def _mean_gaussian_nll(mean, variance, targets):

@@ -40,7 +40,8 @@ from coldgp import (
     run_experiment,
     scale_kernel,
 )
-from coldgp.classification import _chain_prob_means, _conditional_precompute, _sample_grid
+from coldgp.classification import _chain_prob_means, _sample_grid
+from coldgp.regression import conditional
 from helpers import batch_means_se, max_rel_err
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -244,7 +245,7 @@ def test_sampler_matches_analytic_oracles():
     samples, _ = _sample_grid(
         train, [t], [123],
         EssConfig(n_chains=4, burn_in=800, n_samples_per_chain=2500, thinning=2), factor)
-    v, schur_c = _conditional_precompute(spec, train.inputs, xs, factor)
+    v, schur_c = conditional(spec, train.inputs, xs, factor)
     probs = _chain_prob_means(v, samples[0], np.sqrt(t * schur_c), 16,
                               RngStream(123, 4)).mean(axis=0)
     gap = float(np.max(np.abs(probs[:, 0] - np.array(p_quad))))
@@ -313,8 +314,9 @@ def test_cold_sweep_improves_test_likelihood():
     temps = [0.01, 0.03, 0.1, 0.3, 1.0]
     out = classification_temperature_sweep(
         spec, train, test, temps,
-        config=EssConfig(n_chains=4, burn_in=300, n_samples_per_chain=200, thinning=2),
-        seed=0, draws_per_sample=8)
+        config=EssConfig(n_chains=4, burn_in=300, n_samples_per_chain=200, thinning=2,
+                         draws_per_sample=8),
+        seed=0)
     ll, acc = out["test_log_likelihood"], out["top1_accuracy"]
     b = int(np.argmax(ll))  # first maximum: the grid ascends, so ties go to the smaller T
     r = temps.index(1.0)

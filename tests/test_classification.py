@@ -1,4 +1,4 @@
-import tracemalloc
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from scipy.linalg import solve_triangular
 from coldgp.classification import (
     EssConfig,
     _chain_prob_means,
-    _conditional_precompute,
     _log_softmax_sums,
     _sample_grid,
     _softmax,
@@ -26,6 +25,7 @@ from coldgp.exceptions import (
 )
 from coldgp.kernels import KernelSpec, gram, gram_diag
 from coldgp.linalg import cholesky, tril_matmul
+from coldgp.regression import conditional
 from coldgp.rng import RngStream, derive_seed
 
 from helpers import batch_means_se, count_calls
@@ -288,7 +288,7 @@ def test_sample_grid_layout_and_determinism():
     assert np.max(np.abs(a[0] - c[0])) > 0
 
 
-def _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, seed, draws_per_sample):
+def _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, seed):
     """The sweep's output and the (samples, stats) its one ``_sample_grid`` call returned."""
     import coldgp.classification as cls
 
@@ -299,8 +299,7 @@ def _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, seed, draws_per_
         return returned[-1]
 
     monkeypatch.setattr(cls, "_sample_grid", recording)
-    out = cls.classification_temperature_sweep(kern, train, test, temps, cfg, seed=seed,
-                                               draws_per_sample=draws_per_sample)
+    out = cls.classification_temperature_sweep(kern, train, test, temps, cfg, seed=seed)
     monkeypatch.undo()
     assert len(returned) == 1 and returned[0][0].shape[0] == len(temps)
     return out, returned[0]
@@ -313,10 +312,11 @@ def test_sweep_samples_match_standalone_calls(monkeypatch):
     # column of OpenBLAS's triangular product L @ Z has the same bits however
     # many chains share the product (for other n it may differ in the last bit)
     train, test = gen_cluster_classification(400, 2, 3, 2.0, seed=0)
-    cfg = EssConfig(n_chains=2, burn_in=10, n_samples_per_chain=4, thinning=2)
+    cfg = EssConfig(n_chains=2, burn_in=10, n_samples_per_chain=4, thinning=2,
+                    draws_per_sample=1)
     kern = KernelSpec.rbf()
     temps = [0.05, 1.0, 3.0]
-    _, (samples, stats) = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 5, 1)
+    _, (samples, stats) = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 5)
     factor = _factor(kern, train)
     for j, t in enumerate(temps):
         ref, ref_stats = _sample_grid(train, [t], [derive_seed(5, j)], cfg, factor)
@@ -341,11 +341,12 @@ def test_sweep_metrics_match_standalone_predictive(monkeypatch):
     # RngStream(derive_seed(seed, j), n_chains); that kernel's one product per
     # temperature must agree with one product per retained sample
     train, test = gen_cluster_classification(400, 3, 3, 2.0, seed=1)
-    cfg = EssConfig(n_chains=3, burn_in=5, n_samples_per_chain=4, thinning=1)
+    cfg = EssConfig(n_chains=3, burn_in=5, n_samples_per_chain=4, thinning=1,
+                    draws_per_sample=2)
     kern = KernelSpec.rbf()
     temps = [0.1, 1.0]
-    out, (samples, _) = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 9, 2)
-    v, schur = _conditional_precompute(kern, train.inputs, test.inputs, _factor(kern, train))
+    out, (samples, _) = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 9)
+    v, schur = conditional(kern, train.inputs, test.inputs, _factor(kern, train))
     for j, t in enumerate(temps):
         sd = np.sqrt(t * schur)
         chain_means = _chain_prob_means(v, samples[j], sd, 2, RngStream(derive_seed(9, j), 3))
@@ -374,10 +375,10 @@ def test_tempered_log_likelihood_scales_as_inverse_temperature(monkeypatch):
 
     monkeypatch.setattr(cls, "ess_transition", recording)
     train, test = gen_cluster_classification(4, 3, 3, 2.0, seed=0)
-    cfg = EssConfig(n_chains=2, burn_in=1, n_samples_per_chain=1, thinning=1)
+    cfg = EssConfig(n_chains=2, burn_in=1, n_samples_per_chain=1, thinning=1,
+                    draws_per_sample=1)
     temps = [0.25, 1.0, 2.0]
-    cls.classification_temperature_sweep(KernelSpec.rbf(), train, test, temps, cfg, seed=0,
-                                         draws_per_sample=1)
+    cls.classification_temperature_sweep(KernelSpec.rbf(), train, test, temps, cfg, seed=0)
     f0, ll0, log_lik = first[0]
     chain_t = np.repeat(temps, cfg.n_chains)
     y = train.targets
@@ -405,10 +406,11 @@ def test_sweep_makes_one_transition_call_per_step(monkeypatch, n_temps, n_chains
 
     monkeypatch.setattr(cls, "ess_transition", counting)
     train, test, _ = _tiny_problem()
-    cfg = EssConfig(n_chains=n_chains, burn_in=7, n_samples_per_chain=3, thinning=2)
+    cfg = EssConfig(n_chains=n_chains, burn_in=7, n_samples_per_chain=3, thinning=2,
+                    draws_per_sample=1)
     temps = [0.1 * (j + 1) for j in range(n_temps)]
     out = cls.classification_temperature_sweep(KernelSpec.rbf(), train, test, temps, cfg,
-                                               seed=0, draws_per_sample=1)
+                                               seed=0)
     assert len(calls) == cfg.burn_in + cfg.n_samples_per_chain * cfg.thinning
     assert set(calls) == {n_temps * n_chains}
     assert [s["transitions"] for s in out["stats"]] == [n_chains * len(calls)] * n_temps
@@ -418,10 +420,14 @@ def test_sweep_makes_one_transition_call_per_step(monkeypatch, n_temps, n_chains
 def test_sweep_builds_one_gram_pair_and_one_factor(monkeypatch, n_temps):
     # the sweep's work count, whatever the grid size: two Gram builds, one
     # factor, one triangular solve, and burn_in + samples * thinning
-    # transitions that each advance every (temperature, chain) state
+    # transitions that each advance every (temperature, chain) state.  The
+    # prior Gram and factor are the sweep's own; the cross-Gram and the solve
+    # are those of the shared conditional in coldgp.regression
     import coldgp.classification as cls
+    import coldgp.regression as reg
 
-    calls = count_calls(monkeypatch, cls, ["gram", "cholesky", "solve_triangular"])
+    own = count_calls(monkeypatch, cls, ["gram", "cholesky"])
+    shared = count_calls(monkeypatch, reg, ["gram", "solve_triangular"])
     states = []
 
     def transition(f, *args):
@@ -431,10 +437,11 @@ def test_sweep_builds_one_gram_pair_and_one_factor(monkeypatch, n_temps):
     monkeypatch.setattr(cls, "ess_transition", transition)
     train, test, cfg = _tiny_problem()
     temps = [0.1 * (j + 1) for j in range(n_temps)]
-    cls.classification_temperature_sweep(KernelSpec.rbf(), train, test, temps, cfg, seed=0,
-                                         draws_per_sample=1)
-    # K(X, X), K(X*, X), chol(K(X, X)) and v = L^{-1} K(X, X*)
-    assert calls == {"gram": 2, "cholesky": 1, "solve_triangular": 1}
+    cls.classification_temperature_sweep(KernelSpec.rbf(), train, test, temps,
+                                         dataclasses.replace(cfg, draws_per_sample=1), seed=0)
+    # K(X, X) and chol(K(X, X)); K(X*, X) and v = L^{-1} K(X, X*)
+    assert own == {"gram": 1, "cholesky": 1}
+    assert shared == {"gram": 1, "solve_triangular": 1}
     assert states == [n_temps * cfg.n_chains] * (
         cfg.burn_in + cfg.n_samples_per_chain * cfg.thinning)
 
@@ -446,7 +453,7 @@ def test_conditional_mean_is_temperature_free():
     kern = KernelSpec.rbf()
     k = gram(kern, train.inputs, train.inputs)
     factor = cholesky(k)
-    v, schur = _conditional_precompute(kern, train.inputs, test.inputs, factor)
+    v, schur = conditional(kern, train.inputs, test.inputs, factor)
     np.testing.assert_allclose(factor.lower @ v, gram(kern, train.inputs, test.inputs),
                                rtol=1e-12, atol=1e-14)
     assert schur.shape == (test.n,) and np.all(schur >= 0.0)
@@ -459,33 +466,11 @@ def test_whitened_means_match_two_solve_means():
     kern = KernelSpec.rbf()
     factor = _factor(kern, train)
     samples, _ = _sample_grid(train, [0.3], [11], cfg, factor)
-    v, _ = _conditional_precompute(kern, train.inputs, test.inputs, factor)
+    v, _ = conditional(kern, train.inputs, test.inputs, factor)
     b = solve_triangular(factor.lower, solve_triangular(
         factor.lower, gram(kern, train.inputs, test.inputs), lower=True), lower=True, trans="T")
     latents = factor.lower @ samples[0]
     np.testing.assert_allclose(v.T @ samples[0], b.T @ latents, rtol=1e-10)
-
-
-@pytest.mark.parametrize("kern", [KernelSpec.rbf(lengthscale=2.0), KernelSpec.nngp()],
-                         ids=["rbf", "nngp"])
-def test_conditional_precompute_holds_one_test_by_train_array(kern):
-    # the one solve runs in the buffer of K(X*, X); past it only the Gram's own
-    # block scratch is allocated.  The result is bitwise the fresh-array solve
-    rng = np.random.default_rng(8)
-    x, xs = rng.standard_normal((1500, 4)), rng.standard_normal((1000, 4))
-    factor = cholesky(gram(kern, x, x))
-    gram(kern, xs[:2], x[:2])  # loads scipy.spatial outside the trace
-    tracemalloc.start()
-    try:
-        v, schur = _conditional_precompute(kern, x, xs, factor)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * v.nbytes
-    ref = solve_triangular(factor.lower, gram(kern, xs, x).T, lower=True, check_finite=False)
-    np.testing.assert_array_equal(v, ref)
-    np.testing.assert_array_equal(
-        schur, np.clip(gram_diag(kern, xs) - np.einsum("ij,ij->j", ref, ref), 0.0, None))
 
 
 def test_predictive_probs_rows_sum_to_one():
@@ -493,7 +478,7 @@ def test_predictive_probs_rows_sum_to_one():
     kern = KernelSpec.rbf()
     factor = _factor(kern, train)
     samples, _ = _sample_grid(train, [0.3], [11], cfg, factor)
-    v, schur = _conditional_precompute(kern, train.inputs, test.inputs, factor)
+    v, schur = conditional(kern, train.inputs, test.inputs, factor)
     probs = _chain_prob_means(v, samples[0], np.sqrt(0.3 * schur), 3,
                               RngStream(11, cfg.n_chains))
     assert probs.shape == (cfg.n_chains, test.n, 2)
@@ -534,10 +519,9 @@ def test_sweep_shape_and_determinism():
     train, test, cfg = _tiny_problem()
     kern = KernelSpec.rbf()
     temps = [0.1, 1.0]
-    a = classification_temperature_sweep(kern, train, test, temps, cfg, seed=5,
-                                         draws_per_sample=2)
-    b = classification_temperature_sweep(kern, train, test, temps, cfg, seed=5,
-                                         draws_per_sample=2)
+    cfg = dataclasses.replace(cfg, draws_per_sample=2)
+    a = classification_temperature_sweep(kern, train, test, temps, cfg, seed=5)
+    b = classification_temperature_sweep(kern, train, test, temps, cfg, seed=5)
     metrics = ("test_log_likelihood", "top1_accuracy", "mc_se_log_likelihood", "mc_se_accuracy")
     assert set(a) == set(metrics) | {"stats"}
     for key in metrics:
@@ -560,9 +544,8 @@ def test_sweep_rejects_bad_inputs(monkeypatch):
         classification_temperature_sweep(KernelSpec.rbf(), train, test, [], cfg, seed=0)
     with pytest.raises(NonPositiveTemperatureError):
         classification_temperature_sweep(KernelSpec.rbf(), train, test, [-1.0], cfg, seed=0)
-    with pytest.raises(EmptyInputError, match="draws_per_sample"):
-        classification_temperature_sweep(KernelSpec.rbf(), train, test, [1.0], cfg, seed=0,
-                                         draws_per_sample=0)
+    with pytest.raises(ValueError, match="draws_per_sample"):
+        EssConfig(draws_per_sample=0)
     assert grams == []  # rejected before any Gram is built
 
 

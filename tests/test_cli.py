@@ -13,14 +13,18 @@ from hypothesis import strategies as st
 from coldgp import (
     KernelSpec,
     MalformedRecordError,
+    RegressionModel,
     cholesky,
     derive_seed,
     format_cell,
     gen_cluster_classification,
     gen_rbf_regression,
     gram,
+    input_stats,
     load_dataset,
+    normalize_inputs,
     read_csv,
+    regression_temperature_sweep,
     save_dataset,
     write_csv,
 )
@@ -202,6 +206,48 @@ class TestRunVerb:
         assert main(["run", "--config", cfg]) == 2
         assert "classification datasets" in capsys.readouterr().err
         assert not (tmp_path / "o" / "results.csv").exists()
+
+    @pytest.mark.parametrize("classification_split", ["train", "test"])
+    def test_exit_2_on_classification_file_in_regress_sweep(self, tmp_path, capsys,
+                                                            classification_split):
+        splits = dict(zip(("train", "test"), gen_rbf_regression(6, 6, 0.1, KernelSpec.rbf(),
+                                                                seed=0)))
+        splits[classification_split] = gen_cluster_classification(6, 2, 2, 2.0, seed=0)[0]
+        payload = regress_payload(tmp_path / "o")
+        payload["regression"]["n_seeds"] = 1
+        payload["data"] = {"source": "file"}
+        for split, dataset in splits.items():
+            payload["data"][f"{split}_path"] = str(tmp_path / f"{split}.csv")
+            save_dataset(dataset, payload["data"][f"{split}_path"])
+        cfg = _write_config(tmp_path, "mixed.json", payload)
+        assert main(["run", "--config", cfg]) == 2
+        assert "regression datasets" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "results.csv").exists()
+
+    def test_regress_sweep_standardizes_file_inputs(self, tmp_path):
+        # "normalize": "global-standardize" applies to regression files too:
+        # the sweep equals the library sweep on the standardized pair, and
+        # differs from the run on the raw inputs
+        train, test = gen_rbf_regression(12, 6, 0.1, KernelSpec.rbf(), seed=3)
+        paths = {"train_path": str(tmp_path / "train.csv"),
+                 "test_path": str(tmp_path / "test.csv")}
+        save_dataset(train, paths["train_path"])
+        save_dataset(test, paths["test_path"])
+        nll = {}
+        for scheme in ("none", "global-standardize"):
+            payload = regress_payload(tmp_path / scheme)
+            payload["regression"] = {"assumed_noise_std": [0.1], "n_seeds": 1}
+            payload["data"] = {"source": "file", "normalize": scheme, **paths}
+            assert main(["run", "--config", _write_config(tmp_path, "n.json", payload)]) == 0
+            _, rows = read_csv(tmp_path / scheme / "results.csv")
+            nll[scheme] = [float(r[1]) for r in rows]
+        stats = input_stats(train)
+        expect, _ = regression_temperature_sweep(
+            RegressionModel(KernelSpec.rbf(), noise_std=0.1),
+            normalize_inputs(train, "global-standardize", stats),
+            normalize_inputs(test, "global-standardize", stats), [0.5, 1.0])
+        assert nll["global-standardize"] == expect.tolist()
+        assert nll["none"] != nll["global-standardize"]
 
     def test_exit_2_on_more_clusters_than_centers(self, tmp_path, capsys):
         payload = classify_payload(tmp_path / "o")
@@ -497,6 +543,56 @@ class TestPlotData:
         results = self._probe_results(tmp_path)
         with pytest.raises(ConfigError, match="--figure"):
             emit_plot_data(str(results), "fig9")
+
+
+def _bytes_file(path, data: bytes) -> str:
+    path.write_bytes(data)
+    return str(path)
+
+
+def _probe_results(dir_path, temperature="0.5"):
+    path = dir_path / "results.csv"
+    write_csv(path, PROBE_HEADER, [(1.0, temperature, 0.25, 1.0)])
+    return path
+
+
+def _plot_args(results, out=None):
+    args = ["plot-data", "--input", str(results), "--figure", "fig2a"]
+    return args if out is None else args + ["--out", str(out)]
+
+
+def _classify_files_args(dir_path, train_path):
+    payload = classify_payload(dir_path / "o")
+    test_path = _bytes_file(dir_path / "test.csv", b"x0,label\n0.5,0\n1.5,1\n")
+    payload["data"] = {"source": "file", "train_path": train_path, "test_path": test_path}
+    return ["run", "--config", _write_config(dir_path, "c.json", payload)]
+
+
+@pytest.mark.parametrize("make_args,code", [
+    (lambda p: _plot_args(_probe_results(p, "abc")), 3),
+    (lambda p: _plot_args(_bytes_file(p / "r.csv", ",".join(PROBE_HEADER).encode()
+                                      + b"\n1.0,0.5,0.25,\xff\n")), 3),
+    (lambda p: ["run", "--config", _bytes_file(p / "c.json", b'{"experiment": "\xff"}')], 2),
+    (lambda p: _classify_files_args(
+        p, _bytes_file(p / "train.csv", b"x0,label\n0.5,0\n1.5\xe9,1\n")), 3),
+    (lambda p: ["run", "--config", str(p)], 2),
+    (lambda p: _classify_files_args(p, str(p)), 3),
+    (lambda p: _plot_args(p), 3),
+    (lambda p: _plot_args(_probe_results(p), out=p), 3),
+    (lambda p: ["run", "--config", _write_config(p, "p.json", probe_payload(p / "o")),
+                "--out", str(_probe_results(p))], 3),
+], ids=["plot-non-numeric-cell", "results-csv-not-utf8", "config-not-utf8",
+        "data-file-not-ascii", "config-is-directory", "train-path-is-directory",
+        "plot-input-is-directory", "plot-out-is-directory", "run-out-is-a-file"])
+def test_unreadable_input_exits_with_one_stderr_line(tmp_path, capsys, make_args, code):
+    # file-system and encoding faults end in exit 2 (the config) or 3 (any
+    # other file), each with one stderr line that names the file
+    args = make_args(tmp_path)
+    capsys.readouterr()
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("config error: " if code == 2 else "error: ")
+    assert str(tmp_path) in err
 
 
 class TestCsvFormat:

@@ -57,8 +57,8 @@ class TestParsing:
 
     def test_classify_defaults(self):
         cfg = parse_config(classify_raw())
-        assert cfg.ess == EssConfig(n_chains=4, burn_in=1000, n_samples_per_chain=500, thinning=5)
-        assert cfg.draws_per_sample == 8
+        assert cfg.ess == EssConfig(n_chains=4, burn_in=1000, n_samples_per_chain=500, thinning=5,
+                                    draws_per_sample=8)
         assert cfg.kernel.sigma_w2 == 2.0 and cfg.kernel.sigma_b2 == 0.0
         assert cfg.regression is None
 
@@ -76,8 +76,8 @@ class TestParsing:
                       "thinning": 3, "draws_per_sample": 2}
         cfg = parse_config(raw)
         assert cfg.seed == 17 and cfg.output_dir == "out/x"
-        assert cfg.ess == EssConfig(n_chains=2, burn_in=10, n_samples_per_chain=5, thinning=3)
-        assert cfg.draws_per_sample == 2
+        assert cfg.ess == EssConfig(n_chains=2, burn_in=10, n_samples_per_chain=5, thinning=3,
+                                    draws_per_sample=2)
 
     @pytest.mark.parametrize("make", ALL_RAW)
     def test_resolved_round_trip(self, make):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -15,6 +17,7 @@ from coldgp.records import best_temperature
 from coldgp.regression import (
     ConditionedRegression,
     RegressionModel,
+    conditional,
     gaussian_test_nll,
     regression_temperature_sweep,
 )
@@ -177,6 +180,28 @@ def test_in_place_conditioning_matches_fresh_array_expressions():
     v = solve_triangular(ref.lower, gram(model.kernel, xs, x).T, lower=True)
     schur = np.clip(gram_diag(model.kernel, xs) - np.einsum("ij,ij->j", v, v), 0.0, None)
     np.testing.assert_array_equal(fit.predict(xs)[1], schur + 0.3**2)
+
+
+@pytest.mark.parametrize("kern", [KernelSpec.rbf(lengthscale=2.0), KernelSpec.nngp()],
+                         ids=["rbf", "nngp"])
+def test_conditional_holds_one_test_by_train_array(kern):
+    # the one solve runs in the buffer of K(X*, X); past it only the Gram's own
+    # block scratch is allocated.  The result is bitwise the fresh-array solve
+    rng = np.random.default_rng(8)
+    x, xs = rng.standard_normal((1500, 4)), rng.standard_normal((1000, 4))
+    factor = cholesky(gram(kern, x, x))
+    gram(kern, xs[:2], x[:2])  # loads scipy.spatial outside the trace
+    tracemalloc.start()
+    try:
+        v, schur = conditional(kern, x, xs, factor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * v.nbytes
+    ref = solve_triangular(factor.lower, gram(kern, xs, x).T, lower=True, check_finite=False)
+    np.testing.assert_array_equal(v, ref)
+    np.testing.assert_array_equal(
+        schur, np.clip(gram_diag(kern, xs) - np.einsum("ij,ij->j", ref, ref), 0.0, None))
 
 
 def test_model_validation():

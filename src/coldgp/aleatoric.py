@@ -287,20 +287,20 @@ def relabel_disagreement_mc(latent_samples, labels, index: int) -> float:
 
     Averages, over sampled latent matrices, the softmax probability that a
     fresh relabel of training point ``index`` differs from its observed
-    label.  ``latent_samples`` is any (..., n, class_count) array, such as
-    the sampler's (temperatures, chains, samples, n, class_count) array or
-    one temperature's slice of it, or a list of (n, class_count) matrices;
-    every leading axis indexes samples.
+    label.  ``latent_samples`` takes the sampler's class-major layout: any
+    (..., class_count, n) array, such as the sweep's (temperatures, chains,
+    samples, class_count, n) array or one temperature's slice of it, or a
+    list of (class_count, n) matrices; every leading axis indexes samples.
     """
     f = np.asarray(latent_samples, dtype=np.float64)
     if f.size == 0:
         raise EmptyInputError("no latent samples")
     if f.ndim < 2:
-        raise DimensionMismatchError(f"latent samples must be (..., n, class_count), got {f.shape}")
-    n, c = f.shape[-2:]
+        raise DimensionMismatchError(f"latent samples must be (..., class_count, n), got {f.shape}")
+    c, n = f.shape[-2:]
     labels = check_labels(labels, n, c)
     if not (0 <= index < n):
         raise IndexOutOfRangeError(f"index {index} outside [0, {n})")
-    rows = f.reshape(-1, n, c)[:, index]
+    rows = f.reshape(-1, c, n)[:, :, index]
     e = np.exp(rows - rows.max(axis=1, keepdims=True))
     return float(np.mean(1.0 - e[:, labels[index]] / e.sum(axis=1)))

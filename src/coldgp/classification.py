@@ -35,12 +35,15 @@ holds one temperature's means at a time.
 
 :func:`classification_temperature_sweep` is the one way to sample and
 predict: its sampler keeps the whole grid's retained whitened samples as one
-(T, n_chains, n_samples_per_chain, n, C) array, and the predictive reads one
+(T, n_chains, n_samples_per_chain, C, n) array, and the predictive reads one
 temperature's slice of it, with t entering only as a scalar.
 
-The softmax and the log-likelihood take their max and their exp-sum one
-class column at a time, adding the columns in class order, rather than
-reducing along the short class axis.
+Latents are class-major throughout: the sampler's states f and g and its
+normals z are C-ordered (k, C, n) stacks, so each class is one contiguous
+row of n values and every proposal, likelihood and rotation runs on whole
+rows.  The softmax and the log-likelihood reduce over the class axis -2,
+which numpy does by adding whole class rows in class order at any class
+count.
 """
 from __future__ import annotations
 
@@ -89,42 +92,17 @@ class EssConfig:
                 raise ValueError(f"{name} must be >= {minimum}")
 
 
-def _class_max(f):
-    """Max over the last (class) axis, taken one class column at a time.
-
-    numpy's reductions along a short contiguous axis are slow; the class
-    counts here are small, so a loop over the columns is faster.
-    """
-    m = f[..., 0].copy()
-    for j in range(1, f.shape[-1]):
-        np.maximum(m, f[..., j], out=m)
-    return m
-
-
-def _class_sum(e):
-    """Sum over the last (class) axis, adding the class columns in order.
-
-    Below 8 classes numpy's own reduction adds in the same order, so the bits
-    agree; from 8 it sums pairwise and the last bit may differ.
-    """
-    s = e[..., 0].copy()
-    for j in range(1, e.shape[-1]):
-        s += e[..., j]
-    return s
-
-
 def _log_softmax_sums(f, y):
     """Per-chain sums of the log-softmax at the labels, over validated arrays.
 
-    ``f`` is (k, n, class_count) and ``y`` holds n labels in range; returns
-    the (k,) vector sum_i [ f[:, i, y[i]] - logsumexp(f[:, i, :]) ].
+    ``f`` is a C-ordered (k, class_count, n) array and ``y`` holds n labels
+    in range; returns the (k,) vector
+    sum_i [ f[:, y[i], i] - logsumexp(f[:, :, i]) ].
     """
-    m = _class_max(f)
-    s = np.exp(f[..., 0] - m)
-    for j in range(1, f.shape[-1]):
-        s += np.exp(f[..., j] - m)
-    lse = m + np.log(s)
-    return np.sum(f[:, np.arange(f.shape[1]), y] - lse, axis=-1)
+    m = f.max(axis=-2)
+    e = f - m[:, None]
+    lse = m + np.log(np.exp(e, out=e).sum(axis=-2))
+    return np.sum(f[:, y, np.arange(f.shape[-1])] - lse, axis=-1)
 
 
 def _chain_error(exc_type, chain, message):
@@ -137,23 +115,25 @@ def _chain_error(exc_type, chain, message):
 def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
     """One elliptical slice sampling transition of k chains in lock step.
 
-    ``f`` is the (k, n, C) stack of latent matrices, ``g`` their whitened
-    coordinates (f = prior_lower @ g, column by column) and ``ll`` their (k,)
-    log-likelihoods; ``log_lik(props, idx)`` returns the (len(idx),)
-    log-likelihoods of the proposals ``props`` of chains ``idx`` (the
-    classification sampler binds the tempered softmax, the unit tests
-    substitute constant or Gaussian surrogates).  Chain i's prior is
-    zero-mean Gaussian with factor prior_scale[i] * prior_lower, applied
-    independently to each latent column, and it draws from ``rngs[i]``
-    alone, in the order of a one-chain transition: the (n, C) normals, the
-    slice height, the first angle, then one angle per shrink.  All k prior
-    draws come from one triangular product prior_lower @ Z
-    (:func:`~coldgp.linalg.tril_matmul`): ``prior_lower`` must be
+    ``f`` is the C-ordered (k, C, n) stack of class-major latent matrices,
+    ``g`` their whitened coordinates (f = prior_lower @ g, class row by class
+    row) and ``ll`` their (k,) log-likelihoods; ``log_lik(props, idx)``
+    returns the (len(idx),) log-likelihoods of the proposals ``props`` of
+    chains ``idx`` (the classification sampler binds the tempered softmax,
+    the unit tests substitute constant or Gaussian surrogates).  Chain i's
+    prior is zero-mean Gaussian with factor prior_scale[i] * prior_lower,
+    applied independently to each class row, and it draws from ``rngs[i]``
+    alone, in the order of a one-chain transition: the (n, C) normals, stored
+    transposed as chain i's rows of the (k, C, n) normals z, the slice
+    height, the first angle, then one angle per shrink.  All k prior draws
+    come from one triangular product prior_lower @ Z, with Z the (n, k * C)
+    transposed view of z, read back as (k, C, n) through the transposed
+    result (:func:`~coldgp.linalg.tril_matmul`): ``prior_lower`` must be
     lower-triangular, and its strict upper triangle is never read.  Each
     shrink round evaluates the proposals of the chains that have not yet
     accepted in one ``log_lik`` call.  Once every chain has accepted, ``g``
     takes the accepted rotation g cos(theta) + prior_scale * z sin(theta),
-    computed in the buffer of Z.  ``f``, ``g`` and ``ll`` are updated in
+    computed in the buffer of z.  ``f``, ``g`` and ``ll`` are updated in
     place and returned with the (k,) proposal counts.
 
     The slice always contains the current state in exact arithmetic (the
@@ -163,22 +143,22 @@ def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
     (a tiny temperature) leaves no proposal above the threshold; that
     raises ColdGPError.  Errors carry the failing chain's index as ``chain``.
     """
-    k, n, c = f.shape
+    k, c, n = f.shape
     nan = np.isnan(ll)
     if np.count_nonzero(nan):
         raise _chain_error(NonFiniteLikelihoodError, np.argmax(nan),
                            "current state has NaN log-likelihood")
-    z = np.empty((n, k, c))
+    z = np.empty((k, c, n))
     log_y, theta = np.empty(k), np.empty(k)
     with np.errstate(divide="ignore"):
         for i, rng in enumerate(rngs):
-            z[:, i] = rng.standard_normal((n, c))
+            z[i] = rng.standard_normal((n, c)).T
             log_y[i] = ll[i] + np.log(rng.uniform())
             theta[i] = rng.uniform(0.0, 2.0 * np.pi)
     scale = np.asarray(prior_scale)
     # the prior draws are bound only as the shrinking chains' rows, so the
     # draws of chains that have accepted are freed
-    nu_act = tril_matmul(prior_lower, z.reshape(n, k * c)).reshape(n, k, c).transpose(1, 0, 2)
+    nu_act = tril_matmul(prior_lower, z.reshape(k * c, n).T).T.reshape(k, c, n)
     nu_act *= scale[:, None, None]
     lo, hi = theta - 2.0 * np.pi, theta.copy()
     proposals = np.zeros(k, dtype=np.int64)
@@ -199,9 +179,9 @@ def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
                 active[keep], f_act[keep], nu_act[keep], log_y_act[keep])
             if not active.size:
                 # theta now holds each chain's accepted angle
-                z *= (scale * np.sin(theta))[:, None]
+                z *= (scale * np.sin(theta))[:, None, None]
                 g *= np.cos(theta)[:, None, None]
-                g += z.transpose(1, 0, 2)
+                g += z
                 return f, g, ll, proposals
         for i in active.tolist():
             if theta[i] < 0.0:
@@ -224,8 +204,8 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
     from the zero latent matrix; all T * n_chains chains advance together
     through ``ess_transition``, so a step reads the prior factor once.
     Returns (samples, stats): the retained whitened samples G as one
-    (T, n_chains, n_samples_per_chain, n, C) array, whose latent matrices
-    are F = prior_factor.lower @ G, and one dict of sampler
+    (T, n_chains, n_samples_per_chain, C, n) array, whose latent class rows
+    are f_c = prior_factor.lower @ g_c, and one dict of sampler
     diagnostics per temperature: transition counts, proposals per
     transition, and the absolute jitter on the tempered prior t * K.
     """
@@ -237,11 +217,11 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
     def log_lik(props, idx):
         return _log_softmax_sums(props, y) / chain_t[idx]
 
-    f = np.zeros((len(rngs), n, c))
+    f = np.zeros((len(rngs), c, n))
     g = np.zeros_like(f)
     ll = log_lik(f, np.arange(len(rngs)))
     scale = np.sqrt(chain_t)
-    samples = np.empty((len(temps), n_chains, config.n_samples_per_chain, n, c))
+    samples = np.empty((len(temps), n_chains, config.n_samples_per_chain, c, n))
     proposals = np.zeros(len(rngs), dtype=np.int64)
     try:
         for _ in range(config.burn_in):
@@ -252,7 +232,7 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
                 f, g, ll, k = ess_transition(f, g, ll, log_lik, prior_factor.lower, scale,
                                              rngs)
                 proposals += k
-            samples[:, :, s] = g.reshape(len(temps), n_chains, n, c)
+            samples[:, :, s] = g.reshape(len(temps), n_chains, c, n)
     except ColdGPError as exc:
         raise type(exc)(f"temperature {float(chain_t[exc.chain])!r}: {exc}") from exc
 
@@ -267,9 +247,10 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
 
 
 def _softmax(f):
-    """Softmax over the last (class) axis."""
-    e = np.exp(f - _class_max(f)[..., None])
-    e /= _class_sum(e)[..., None]
+    """Softmax over the class axis of a C-ordered (..., class_count, n) array."""
+    e = f - f.max(axis=-2, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-2, keepdims=True)
     return e
 
 
@@ -277,28 +258,31 @@ def _chain_prob_means(v, samples, sd, draws_per_sample: int, rng: RngStream):
     """Predictive class probabilities averaged within each chain.
 
     ``v`` is the (n, p) matrix L^{-1} K(X, X*), ``samples`` one
-    temperature's (n_chains, per_chain, n, C) array of whitened samples and
-    ``sd`` the (p,) conditional standard deviations sqrt(t * schur).  The
-    samples are copied once into an (n, n_chains * per_chain * C) matrix, so
-    the test-latent means v^T G of every retained sample come from one
-    product that reads ``v`` once.  Each retained sample then adds ``draws_per_sample`` softmax
-    draws of its test latents, one at a time.  Randomness is consumed in
-    (chain, sample, draw) order, so the result is identical however the
-    caller later combines chains.
+    temperature's C-ordered (n_chains, per_chain, C, n) array of whitened
+    samples and ``sd`` the (p,) conditional standard deviations
+    sqrt(t * schur).  The samples are read through the (n, n_chains *
+    per_chain * C) transposed view of their rows, so the test-latent means
+    v^T G of every retained sample come from one product that reads ``v``
+    once and copies no sample.  Each retained sample then adds
+    ``draws_per_sample`` softmax draws of its (C, p) test latents, one at a
+    time; each draw's (p, C) normals are stored transposed.  Randomness is
+    consumed in (chain, sample, draw) order, so the result is identical
+    however the caller later combines chains.  Returns (n_chains, p, C).
     """
-    n_chains, per_chain, n, c = samples.shape
+    n_chains, per_chain, c, n = samples.shape
     p = v.shape[1]
-    x = samples.transpose(2, 0, 1, 3).reshape(n, n_chains * per_chain * c)
-    means = (v.T @ x).reshape(p, n_chains, per_chain, c).transpose(1, 2, 0, 3)
-    sd = sd[:, None]
+    means = (v.T @ samples.reshape(-1, n).T).T.reshape(n_chains, per_chain, c, p)
+    latents = np.empty((draws_per_sample, c, p))
     chain_means = np.empty((n_chains, p, c))
     for ci in range(n_chains):
-        acc = np.zeros((p, c))
+        acc = np.zeros((c, p))
         for mean in means[ci]:
-            draws = _softmax(mean + sd * rng.standard_normal((draws_per_sample, p, c)))
-            for probs in draws:
+            np.multiply(sd, rng.standard_normal((draws_per_sample, p, c)).transpose(0, 2, 1),
+                        out=latents)
+            latents += mean
+            for probs in _softmax(latents):
                 acc += probs
-        chain_means[ci] = acc / (per_chain * draws_per_sample)
+        chain_means[ci] = (acc / (per_chain * draws_per_sample)).T
     return chain_means
 
 
@@ -331,9 +315,9 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
     one triangular solve of :func:`~coldgp.regression.conditional`, and one
     lock-step sampler pass advances every (temperature, chain) pair; the
     retained whitened samples of the whole grid, T * n_chains *
-    n_samples_per_chain * n * C float64 values, are held at once.  The
+    n_samples_per_chain * C * n float64 values, are held at once.  The
     predictive then makes one conditional-mean product per temperature,
-    copying that temperature's samples into its layout, and adds
+    reading that temperature's samples through a view, and adds
     ``config.draws_per_sample`` softmax draws per retained sample.
     Returns a dict of 1-D float64 arrays in grid order: test_log_likelihood,
     top1_accuracy, and their between-chain Monte Carlo standard errors

@@ -205,8 +205,9 @@ def emit_plot_data(results_csv: str, figure: str, out_path: str | None = None) -
     """Reshape a results.csv into long-format (x, y, series) rows.
 
     The input header must match the named figure's experiment schema exactly;
-    an empty or header-only file, or a plotted cell that is not a number, is
-    a schema mismatch.  fig3b averages test_nll over seeds within each
+    an empty or header-only file, or a plotted cell or series label
+    (latent_scale, assumed_noise_std) that is not a number, is a schema
+    mismatch; a label keeps its text as written.  fig3b averages test_nll over seeds within each
     (noise setting, temperature) cell.
     """
     if figure not in FIGURES:
@@ -228,18 +229,22 @@ def emit_plot_data(results_csv: str, figure: str, out_path: str | None = None) -
             raise SchemaMismatchError(f"{results_csv}: data row {i + 1}: {name} {cell!r} "
                                       f"is not a number") from None
 
+    def label(i, name):  # the cell as written, once it parses as a number
+        number(i, name)
+        return raw_rows[i][col[name]]
+
     rows = range(len(raw_rows))
     if figure == "fig1":
         out_rows = [(number(i, "temperature"), number(i, metric), metric)
                     for metric in ("test_log_likelihood", "top1_accuracy") for i in rows]
     elif figure in ("fig2a", "fig2b"):
         y_col = "probability" if figure == "fig2a" else "ratio"
-        out_rows = [(number(i, "temperature"), number(i, y_col),
-                     f"c={raw_rows[i][col['latent_scale']]}") for i in rows]
+        out_rows = [(number(i, "temperature"), number(i, y_col), f"c={label(i, 'latent_scale')}")
+                    for i in rows]
     else:
         sums, counts, order = {}, {}, []
         for i in rows:
-            key = (raw_rows[i][col["assumed_noise_std"]], number(i, "temperature"))
+            key = (label(i, "assumed_noise_std"), number(i, "temperature"))
             if key not in sums:
                 order.append(key)
                 sums[key] = 0.0

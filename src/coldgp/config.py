@@ -200,6 +200,8 @@ def _parse_data(section, experiment: str) -> dict:
             "normalize": section.get("normalize", "none"),
         }
         if "class_count" in section:
+            if experiment == "regress-sweep":
+                raise ConfigError("key 'class_count' in data is classification-only")
             out["class_count"] = _as_int(section["class_count"], "class_count", where, minimum=2)
     else:
         raise ConfigError(f"key 'source' in {where} must be one of {list(SOURCES)}, got {kind!r}")

@@ -176,13 +176,13 @@ def test_sampler_matches_analytic_oracles():
     lower = cholesky(k).lower
     flat = lambda props, idx: np.zeros(len(idx))
     rng, unit = [RngStream(11, 0)], np.ones(1)  # one chain of the lock-step transition
-    f, g, ll = np.zeros((1, n, 1)), np.zeros((1, n, 1)), np.zeros(1)
+    f, g, ll = np.zeros((1, 1, n)), np.zeros((1, 1, n)), np.zeros(1)
     for _ in range(500):
         f, g, ll, _ = ess_transition(f, g, ll, flat, lower, unit, rng)
     keep = np.empty((50_000, n))
     for s in range(keep.shape[0]):
         f, g, ll, _ = ess_transition(f, g, ll, flat, lower, unit, rng)
-        keep[s] = f[0, :, 0]
+        keep[s] = f[0, 0]
     z_prior = _moment_z_scores(keep, np.zeros(n), np.diag(k), k[0, 1], (0, 1))
 
     # (ii) gaussian likelihood on a tempered prior: conjugate posterior moments
@@ -194,17 +194,17 @@ def test_sampler_matches_analytic_oracles():
     s_obs = 0.5
     post_cov = np.linalg.inv(np.linalg.inv(prior_cov) + np.eye(m) / s_obs**2)
     post_mean = post_cov @ y / s_obs**2
-    gauss = lambda props, idx: -0.5 * np.sum((y - props[:, :, 0]) ** 2, axis=1) / s_obs**2
+    gauss = lambda props, idx: -0.5 * np.sum((y - props[:, 0]) ** 2, axis=1) / s_obs**2
     lower_g = cholesky(prior_cov).lower
     rng = [RngStream(5, 0)]
-    f, g = np.zeros((1, m, 1)), np.zeros((1, m, 1))
+    f, g = np.zeros((1, 1, m)), np.zeros((1, 1, m))
     ll = gauss(f, [0])
     for _ in range(1000):
         f, g, ll, _ = ess_transition(f, g, ll, gauss, lower_g, unit, rng)
     keep = np.empty((50_000, m))
     for s in range(keep.shape[0]):
         f, g, ll, _ = ess_transition(f, g, ll, gauss, lower_g, unit, rng)
-        keep[s] = f[0, :, 0]
+        keep[s] = f[0, 0]
     z_conj = _moment_z_scores(keep, post_mean, np.diag(post_cov) + post_mean**2,
                               post_cov[0, 1] + post_mean[0] * post_mean[1], (0, 1))
 

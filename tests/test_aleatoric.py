@@ -212,11 +212,12 @@ def test_config_validation():
 
 
 def test_disagreement_mc_hand_values():
-    # tied logits: relabel flips with probability 1/2
-    samples = [np.array([[0.0, 0.0], [3.0, -1.0]])]
+    # tied logits: relabel flips with probability 1/2.  Each sample is a
+    # (class_count, n) matrix: row c holds class c's latents at the n points
+    samples = [np.array([[0.0, 3.0], [0.0, -1.0]])]
     labels = np.array([0, 0])
     assert relabel_disagreement_mc(samples, labels, 0) == 0.5
-    # second row: disagree prob is softmax weight of the other class
+    # second point: disagree prob is softmax weight of the other class
     np.testing.assert_allclose(relabel_disagreement_mc(samples, labels, 1),
                                1.0 - expit(4.0), rtol=1e-12)
     two = samples + [np.array([[2.0, 0.0], [0.0, 0.0]])]
@@ -225,17 +226,17 @@ def test_disagreement_mc_hand_values():
 
 
 def test_disagreement_mc_on_sample_set_array():
-    # the (chains, samples, n, C) array goes in as is and matches the
-    # per-sample average over its matrices.  The sampler retains whitened
-    # samples G; the training latents are F = L @ G
+    # the sampler's (chains, samples, C, n) layout goes in as is and matches
+    # the per-sample average over its matrices.  The sampler retains whitened
+    # samples G; the training latents are F = L @ G, one class row at a time
     train, _ = gen_cluster_classification(6, 3, 2, 2.0, seed=2)
     cfg = EssConfig(n_chains=2, burn_in=10, n_samples_per_chain=5, thinning=1)
     factor = cholesky(gram(KernelSpec.rbf(), train.inputs, train.inputs))
-    samples = factor.lower @ _sample_grid(train, [0.5], [3], cfg, factor)[0][0]
-    matrices = samples.reshape(-1, train.n, train.class_count)
+    samples = _sample_grid(train, [0.5], [3], cfg, factor)[0][0] @ factor.lower.T
+    matrices = samples.reshape(-1, train.class_count, train.n)
     for index in (0, train.n - 1):
         y = train.targets[index]
-        expect = np.mean([1.0 - np.exp(f[index, y]) / np.exp(f[index]).sum()
+        expect = np.mean([1.0 - np.exp(f[y, index]) / np.exp(f[:, index]).sum()
                           for f in matrices])
         got = relabel_disagreement_mc(samples, train.targets, index)
         np.testing.assert_allclose(got, expect, rtol=1e-12)

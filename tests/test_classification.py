@@ -33,16 +33,16 @@ from helpers import batch_means_se, count_calls
 
 def test_tempered_log_likelihood_matches_log_softmax():
     # at t = 1 the tempered log-likelihood is the log-softmax at the labels
-    f = np.array([[10.0, 0.0], [-1.0, 2.5]])
+    f = np.array([[10.0, 0.0], [-1.0, 2.5]])  # (n, C): one row per point
     y = np.array([0, 1])
     ref = (scipy.special.log_softmax(f[0])[0] + scipy.special.log_softmax(f[1])[1])
-    np.testing.assert_allclose(_log_softmax_sums(f[None], y)[0], ref, rtol=1e-13)
+    np.testing.assert_allclose(_log_softmax_sums(f.T.copy()[None], y)[0], ref, rtol=1e-13)
 
 
 def test_ess_transition_is_deterministic_given_stream():
     lower = cholesky(np.eye(3)).lower
     loglik = lambda props, idx: -0.5 * np.sum(props**2, axis=(1, 2))
-    f0 = np.zeros((1, 3, 1))
+    f0 = np.zeros((1, 1, 3))
     a = ess_transition(f0.copy(), f0.copy(), loglik(f0, [0]), loglik, lower, np.ones(1),
                        [RngStream(4, 0)])
     b = ess_transition(f0.copy(), f0.copy(), loglik(f0, [0]), loglik, lower, np.ones(1),
@@ -54,7 +54,7 @@ def test_ess_transition_is_deterministic_given_stream():
 def test_ess_transition_nan_likelihood_raises():
     lower = cholesky(np.eye(2)).lower
     with pytest.raises(NonFiniteLikelihoodError):
-        ess_transition(np.zeros((1, 2, 1)), np.zeros((1, 2, 1)), np.zeros(1),
+        ess_transition(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)), np.zeros(1),
                        lambda props, idx: np.full(1, np.nan), lower, np.ones(1),
                        [RngStream(0, 0)])
 
@@ -70,13 +70,14 @@ def test_ess_transition_nan_proposal_in_one_chain_raises():
 
     rngs = [RngStream(3, c) for c in range(3)]
     with pytest.raises(NonFiniteLikelihoodError, match="proposal") as info:
-        ess_transition(np.zeros((3, 4, 2)), np.zeros((3, 4, 2)), np.zeros(3), loglik, lower,
+        ess_transition(np.zeros((3, 2, 4)), np.zeros((3, 2, 4)), np.zeros(3), loglik, lower,
                        np.ones(3), rngs)
     assert info.value.chain == 1
 
 
 def _reference_transition(f, g, ll, log_lik, lower, scale, rng):
-    """One chain's ESS transition as a plain loop: the reference for the batch."""
+    """One chain's ESS transition as a plain loop on (n, C) matrices, one
+    column per class: the reference for the class-major batch."""
     z = rng.standard_normal(f.shape)
     nu = scale * tril_matmul(lower, z)
     with np.errstate(divide="ignore"):
@@ -105,7 +106,7 @@ def test_batched_transition_matches_one_chain_calls(k):
     rng = np.random.default_rng(k)
     a = rng.standard_normal((n, n)) / np.sqrt(n)
     lower = cholesky(a @ a.T + np.eye(n)).lower
-    target = rng.standard_normal((k, n, c))
+    target = rng.standard_normal((k, n, c)).transpose(0, 2, 1).copy()
     scales = 0.5 + np.arange(k)
 
     def loglik(props, idx):  # a narrow Gaussian per chain, so brackets shrink
@@ -114,10 +115,10 @@ def test_batched_transition_matches_one_chain_calls(k):
     batch_rngs = [RngStream(21, i) for i in range(k)]
     single_rngs = [RngStream(21, i) for i in range(k)]
     loop_rngs = [RngStream(21, i) for i in range(k)]
-    f, g = np.zeros((k, n, c)), np.zeros((k, n, c))
+    f, g = np.zeros((k, c, n)), np.zeros((k, c, n))
     ll = loglik(f, np.arange(k))
     singles = [(f[i:i + 1].copy(), g[i:i + 1].copy(), ll[i:i + 1].copy()) for i in range(k)]
-    loops = [(f[i].copy(), g[i].copy(), float(ll[i])) for i in range(k)]
+    loops = [(f[i].T.copy(), g[i].T.copy(), float(ll[i])) for i in range(k)]
     for _ in range(4):
         f, g, ll, used = ess_transition(f, g, ll, loglik, lower, scales, batch_rngs)
         for i in range(k):
@@ -129,11 +130,11 @@ def test_batched_transition_matches_one_chain_calls(k):
             np.testing.assert_array_equal(g[i], gi[0])
             assert ll[i] == lli[0] and used[i] == used_i[0]
             fl, gl, lll, used_l = _reference_transition(
-                *loops[i], lambda prop, i=i: float(one(prop[None], [0])[0]), lower,
+                *loops[i], lambda prop, i=i: float(one(prop.T[None], [0])[0]), lower,
                 scales[i], loop_rngs[i])
             loops[i] = (fl, gl, lll)
-            np.testing.assert_array_equal(f[i], fl)
-            np.testing.assert_array_equal(g[i], gl)
+            np.testing.assert_array_equal(f[i], fl.T)
+            np.testing.assert_array_equal(g[i], gl.T)
             assert ll[i] == lll and used[i] == used_l
     assert used.max() > 1  # the check covers shrink rounds, not only first proposals
 
@@ -146,7 +147,7 @@ def test_transition_never_reads_the_strict_upper_triangle():
     loglik = lambda props, idx: -2.0 * np.sum((props - 1.0) ** 2, axis=(1, 2))
     runs = []
     for factor in (np.tril(dirty), dirty):
-        f, g = np.zeros((3, 30, 2)), np.zeros((3, 30, 2))
+        f, g = np.zeros((3, 2, 30)), np.zeros((3, 2, 30))
         ll = loglik(f, np.arange(3))
         rngs = [RngStream(9, i) for i in range(3)]
         for _ in range(5):
@@ -164,20 +165,20 @@ def test_whitened_state_tracks_the_latent_along_a_chain():
     lower = _factor(KernelSpec.rbf(), train).lower
     temps = np.array([0.05, 1.0, 4.0])
     loglik = lambda props, idx: _log_softmax_sums(props, train.targets) / temps[idx]
-    f, g = np.zeros((3, train.n, 2)), np.zeros((3, train.n, 2))
+    f, g = np.zeros((3, 2, train.n)), np.zeros((3, 2, train.n))
     ll = loglik(f, np.arange(3))
     rngs = [RngStream(17, i) for i in range(3)]
     for _ in range(250):
         f, g, ll, _ = ess_transition(f, g, ll, loglik, lower, np.sqrt(temps), rngs)
     for fi, gi in zip(f, g):
-        assert np.max(np.abs(lower @ gi - fi)) <= 1e-12 * np.max(np.abs(fi))
+        assert np.max(np.abs(lower @ gi.T - fi.T)) <= 1e-12 * np.max(np.abs(fi))
 
 
 def test_log_softmax_kernel_rows_match_one_chain_calls():
     # a chain's sum has the same bits whichever batch of chains it shares
     rng = np.random.default_rng(6)
     for n, c in [(1, 2), (7, 3), (300, 2), (2000, 8)]:
-        f = 3.0 * rng.standard_normal((4, n, c))
+        f = 3.0 * rng.standard_normal((4, n, c)).transpose(0, 2, 1).copy()
         y = rng.integers(0, c, size=n)
         sums = _log_softmax_sums(f, y)
         for i in range(4):
@@ -193,12 +194,12 @@ def test_ess_prior_recovery_constant_likelihood():
     sigma_hat = lower @ lower.T  # what the sampler actually uses
     const = lambda props, idx: np.zeros(len(idx))
     stream = [RngStream(2718, 0)]
-    f, g, ll = np.zeros((1, 5, 1)), np.zeros((1, 5, 1)), np.zeros(1)
+    f, g, ll = np.zeros((1, 1, 5)), np.zeros((1, 1, 5)), np.zeros(1)
     draws = np.empty((4000, 5))
     for i in range(4200):
         f, g, ll, _ = ess_transition(f, g, ll, const, lower, np.ones(1), stream)
         if i >= 200:
-            draws[i - 200] = f[0, :, 0]
+            draws[i - 200] = f[0, 0]
     for i in range(5):
         se = batch_means_se(draws[:, i])
         assert abs(draws[:, i].mean()) < 3 * se
@@ -220,16 +221,16 @@ def test_ess_conjugate_gaussian_posterior():
     y = np.array([1.0, -0.5, 2.0, 0.3])
     post_cov = np.linalg.inv(np.linalg.inv(sigma_hat) + np.eye(4) / s2)
     post_mean = post_cov @ (y / s2)
-    loglik = lambda props, idx: -0.5 * np.sum((props[:, :, 0] - y) ** 2, axis=1) / s2
+    loglik = lambda props, idx: -0.5 * np.sum((props[:, 0] - y) ** 2, axis=1) / s2
     stream = [RngStream(99, 0)]
-    f, g = np.zeros((1, 4, 1)), np.zeros((1, 4, 1))
+    f, g = np.zeros((1, 1, 4)), np.zeros((1, 1, 4))
     ll = loglik(f, [0])
     n_keep, burn = 20_000, 1000
     draws = np.empty((n_keep, 4))
     for i in range(burn + n_keep):
         f, g, ll, _ = ess_transition(f, g, ll, loglik, lower, np.ones(1), stream)
         if i >= burn:
-            draws[i - burn] = f[0, :, 0]
+            draws[i - burn] = f[0, 0]
     for i in range(4):
         se = batch_means_se(draws[:, i])
         assert abs(draws[:, i].mean() - post_mean[i]) < 3 * se, f"coord {i}"
@@ -245,16 +246,18 @@ def _tiny_problem(seed=0):
 
 @pytest.mark.parametrize("c", [2, 3, 7, 8, 10])
 def test_class_column_kernels_match_numpy_reductions(c):
-    # the kernels add the class columns in order; numpy's reduction does too
-    # below 8 elements and sums pairwise from 8, where the last bit may differ
+    # the kernels add the class rows in order; numpy's reduction along a
+    # class-last axis does too below 8 elements and sums pairwise from 8,
+    # where the last bit may differ
     rng = np.random.default_rng(c)
-    f = 3.0 * rng.standard_normal((4, 300, c))
+    fl = 3.0 * rng.standard_normal((4, 300, c))  # class-last
+    f = fl.transpose(0, 2, 1).copy()
     y = rng.integers(0, c, size=300)
-    m = f.max(axis=-1)
-    ref_sums = np.sum(f[:, np.arange(300), y]
-                      - (m + np.log(np.sum(np.exp(f - m[..., None]), axis=-1))), axis=-1)
-    e = np.exp(f - m[..., None])
-    ref_probs = e / e.sum(axis=-1, keepdims=True)
+    m = fl.max(axis=-1)
+    ref_sums = np.sum(fl[:, np.arange(300), y]
+                      - (m + np.log(np.sum(np.exp(fl - m[..., None]), axis=-1))), axis=-1)
+    e = np.exp(fl - m[..., None])
+    ref_probs = (e / e.sum(axis=-1, keepdims=True)).transpose(0, 2, 1)
     sums, probs = _log_softmax_sums(f, y), _softmax(f)
     if c <= 7:
         np.testing.assert_array_equal(sums, ref_sums)
@@ -262,7 +265,29 @@ def test_class_column_kernels_match_numpy_reductions(c):
     else:
         np.testing.assert_allclose(sums, ref_sums, rtol=1e-14)
         np.testing.assert_allclose(probs, ref_probs, rtol=1e-14)
-    np.testing.assert_allclose(probs.sum(axis=-1), 1.0, rtol=1e-14)
+    np.testing.assert_allclose(probs.sum(axis=-2), 1.0, rtol=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 400])
+@pytest.mark.parametrize("c", [2, 3, 8, 10])
+def test_class_axis_kernels_add_classes_in_order(c, n):
+    # on (k, C, n) arrays the max and the exp-sum over the class axis take the
+    # class rows one at a time, in class order, at every class count: bitwise
+    # a Python loop over the rows.  A reduction along a contiguous class axis
+    # would sum pairwise from 8 classes and differ in the last bit
+    rng = np.random.default_rng(10 * c + n)
+    f = 3.0 * rng.standard_normal((4, c, n))
+    y = rng.integers(0, c, size=n)
+    m = f[:, 0].copy()
+    for j in range(1, c):
+        m = np.maximum(m, f[:, j])
+    s = np.exp(f[:, 0] - m)
+    for j in range(1, c):
+        s = s + np.exp(f[:, j] - m)
+    ref_sums = np.sum(f[:, y, np.arange(n)] - (m + np.log(s)), axis=-1)
+    ref_probs = np.stack([np.exp(f[:, j] - m) / s for j in range(c)], axis=1)
+    np.testing.assert_array_equal(_log_softmax_sums(f, y), ref_sums)
+    np.testing.assert_array_equal(_softmax(f), ref_probs)
 
 
 def _factor(kern, train):
@@ -275,7 +300,7 @@ def test_sample_grid_layout_and_determinism():
     temps = [0.5, 2.0]
     a, stats = _sample_grid(train, temps, [7, 9], cfg, factor)
     b, stats_b = _sample_grid(train, temps, [7, 9], cfg, factor)
-    assert a.shape == (2, cfg.n_chains, cfg.n_samples_per_chain, train.n, 2)
+    assert a.shape == (2, cfg.n_chains, cfg.n_samples_per_chain, 2, train.n)
     assert a.dtype == np.float64
     np.testing.assert_array_equal(a, b)
     assert stats == stats_b and len(stats) == len(temps)
@@ -326,12 +351,12 @@ def test_sweep_samples_match_standalone_calls(monkeypatch):
 
 def _per_sample_prob_means(v, samples, sd, draws_per_sample, rng):
     """The predictive with one conditional-mean product per retained sample."""
-    n_chains, per_chain, _, c = samples.shape
+    n_chains, per_chain, c, _ = samples.shape
     out = np.zeros((n_chains, v.shape[1], c))
     for ci in range(n_chains):
         for g in samples[ci]:
             z = rng.standard_normal((draws_per_sample, v.shape[1], c))
-            out[ci] += _softmax(v.T @ g + sd[:, None] * z).sum(axis=0)
+            out[ci] += scipy.special.softmax(v.T @ g.T + sd[:, None] * z, axis=-1).sum(axis=0)
     return out / (per_chain * draws_per_sample)
 
 
@@ -383,7 +408,7 @@ def test_tempered_log_likelihood_scales_as_inverse_temperature(monkeypatch):
     chain_t = np.repeat(temps, cfg.n_chains)
     y = train.targets
     np.testing.assert_array_equal(ll0, _log_softmax_sums(f0, y) / chain_t)
-    one = np.random.default_rng(0).standard_normal((1, train.n, 3))
+    one = np.random.default_rng(0).standard_normal((1, train.n, 3)).transpose(0, 2, 1).copy()
     base = _log_softmax_sums(one, y)[0]
     props = np.repeat(one, len(chain_t), axis=0)
     got = log_lik(props, np.arange(len(chain_t)))
@@ -469,8 +494,8 @@ def test_whitened_means_match_two_solve_means():
     v, _ = conditional(kern, train.inputs, test.inputs, factor)
     b = solve_triangular(factor.lower, solve_triangular(
         factor.lower, gram(kern, train.inputs, test.inputs), lower=True), lower=True, trans="T")
-    latents = factor.lower @ samples[0]
-    np.testing.assert_allclose(v.T @ samples[0], b.T @ latents, rtol=1e-10)
+    latents = samples[0] @ factor.lower.T  # each class row f_c = L g_c
+    np.testing.assert_allclose(samples[0] @ v, latents @ b, rtol=1e-10)
 
 
 def test_predictive_probs_rows_sum_to_one():
@@ -491,7 +516,7 @@ def test_predictive_probs_prior_path_is_symmetric():
     # prior draws, so the classes are exchangeable
     t, xs = 1.0, np.array([[0.0], [5.0]])
     sd = np.sqrt(t * gram_diag(KernelSpec.rbf(), xs))
-    probs = _chain_prob_means(np.zeros((1, 2)), np.zeros((1, 1, 1, 2)), sd, 4000,
+    probs = _chain_prob_means(np.zeros((1, 2)), np.zeros((1, 1, 2, 1)), sd, 4000,
                               RngStream(0, 1))
     np.testing.assert_allclose(probs[0], 0.5, atol=0.03)
 

@@ -207,6 +207,21 @@ class TestRunVerb:
         assert "classification datasets" in capsys.readouterr().err
         assert not (tmp_path / "o" / "results.csv").exists()
 
+    def test_exit_2_on_class_count_in_regress_sweep_files(self, tmp_path, capsys):
+        # a regress-sweep never reads class_count, so a file section naming
+        # it is rejected like any other key that does not apply
+        payload = regress_payload(tmp_path / "o")
+        payload["data"] = {"source": "file", "class_count": 7}
+        for split, dataset in zip(("train", "test"), gen_rbf_regression(
+                6, 6, 0.1, KernelSpec.rbf(), seed=0)):
+            payload["data"][f"{split}_path"] = str(tmp_path / f"{split}.csv")
+            save_dataset(dataset, payload["data"][f"{split}_path"])
+        cfg = _write_config(tmp_path, "cc.json", payload)
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'class_count'" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("classification_split", ["train", "test"])
     def test_exit_2_on_classification_file_in_regress_sweep(self, tmp_path, capsys,
                                                             classification_split):
@@ -535,6 +550,27 @@ class TestPlotData:
         header_only = tmp_path / "empty.csv"
         write_csv(header_only, PROBE_HEADER, [])
         assert main(["plot-data", "--input", str(header_only), "--figure", "fig2a"]) == 3
+
+    @pytest.mark.parametrize("figure", ["fig2a", "fig2b", "fig3b"])
+    def test_series_label_must_be_a_number(self, tmp_path, capsys, figure):
+        # the latent_scale and assumed_noise_std cells name the series: a
+        # valid one keeps its text as written, and one that is not a number
+        # exits 3 with one stderr line
+        header = REGRESS_HEADER if figure == "fig3b" else PROBE_HEADER
+        label = header.index("assumed_noise_std" if figure == "fig3b" else "latent_scale")
+        row = ["1.0", "0.5", "0", "1.0"]
+        results = tmp_path / "results.csv"
+        args = ["plot-data", "--input", str(results), "--figure", figure]
+        row[label] = "1e1"
+        write_csv(results, header, [tuple(row)])
+        assert main(args) == 0
+        assert read_csv(tmp_path / f"plot_{figure}.csv")[1][0][2].endswith("=1e1")
+        row[label] = "abc"
+        write_csv(results, header, [tuple(row)])
+        capsys.readouterr()
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{header[label]} 'abc' is not a number" in err
 
     def test_missing_input_exit_3(self, tmp_path):
         assert main(["plot-data", "--input", str(tmp_path / "no.csv"), "--figure", "fig1"]) == 3

@@ -56,7 +56,7 @@ from .exceptions import (
 )
 from .kernels import FAMILIES, KernelSpec, gram, gram_diag, kernel_eval, scale_kernel
 from .linalg import JITTER_LADDER, SpdFactor, cholesky, log_sum_exp
-from .records import best_temperature, format_cell, read_csv, write_csv
+from .records import best_temperature, read_csv, write_csv
 from .regression import (
     ConditionedRegression,
     RegressionModel,
@@ -93,7 +93,7 @@ __all__ = [
     "ZeroVarianceError",
     "FAMILIES", "KernelSpec", "gram", "gram_diag", "kernel_eval", "scale_kernel",
     "JITTER_LADDER", "SpdFactor", "cholesky", "log_sum_exp",
-    "best_temperature", "format_cell", "read_csv", "write_csv",
+    "best_temperature", "read_csv", "write_csv",
     "ConditionedRegression", "RegressionModel",
     "gaussian_test_nll", "regression_temperature_sweep",
     "RngStream", "derive_seed",

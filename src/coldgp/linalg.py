@@ -10,6 +10,11 @@ the sampler's prior draws use it.  :func:`block_rows` sizes the row blocks
 that the Cholesky checks and the nngp Gram work on, so that no scratch array
 grows with n^2.
 
+``dpotrf`` and ``dtrmm`` are imported inside the two functions that call
+them, so importing this module, or running a probe or ``plot-data``, never
+loads ``scipy.linalg`` and scipy's OpenBLAS build; the first factor loads
+them, and each later call pays one ``sys.modules`` lookup.
+
 Arrays are float64 throughout.
 """
 from __future__ import annotations
@@ -17,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtrmm
-from scipy.linalg.lapack import dpotrf
 
 from .exceptions import (
     DimensionMismatchError,
@@ -86,6 +89,8 @@ def cholesky(a, ladder=JITTER_LADDER) -> SpdFactor:
     NotSymmetricError, NotPositiveDefiniteError, NonFiniteInputError (also
     when a rung's jitter overflows the diagonal)
     """
+    from scipy.linalg.lapack import dpotrf  # local: see the module docstring
+
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
@@ -149,6 +154,8 @@ def tril_matmul(lower, z) -> np.ndarray:
     (n, k * C) view ``z.reshape(k * C, n).T`` and reads the transposed
     result back as (k, C, n), so neither side needs a transposing copy.
     """
+    from scipy.linalg.blas import dtrmm  # local: see the module docstring
+
     lower = np.asarray(lower, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if lower.ndim != 2 or z.ndim != 2 or lower.shape != (z.shape[0], z.shape[0]):

@@ -16,13 +16,16 @@ point costs one scalar multiply of the variance array.
 :func:`conditional` is the package's one Gaussian conditional: regression
 prediction reads it with the factor of the noisy Gram, and the
 classification sweep with that of K(X, X).
+
+``solve_triangular`` is imported inside the two functions that call it, so
+importing this module (which ``coldgp.cli`` does) loads no scipy; a probe
+run or ``plot-data`` never calls them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .data import LabeledDataset
 from .exceptions import (
@@ -57,6 +60,8 @@ class ConditionedRegression:
     """
 
     def __init__(self, model: RegressionModel, train: LabeledDataset):
+        from scipy.linalg import solve_triangular  # local: see the module docstring
+
         if train.is_classification:
             raise ValueError("regression requires real-valued targets")
         noisy = gram(model.kernel, train.inputs, train.inputs)
@@ -82,6 +87,8 @@ def conditional(kernel: KernelSpec, train_inputs, test_inputs, factor: SpdFactor
     negative).  The one triangular solve runs in place in the buffer of
     K(X*, X), whose transpose is F-ordered, so ``v`` is the one n x p array.
     """
+    from scipy.linalg import solve_triangular  # local: see the module docstring
+
     ks = gram(kernel, test_inputs, train_inputs)  # (p, n)
     v = solve_triangular(factor.lower, ks.T, lower=True, overwrite_b=True, check_finite=False)
     schur = gram_diag(kernel, test_inputs) - np.einsum("ij,ij->j", v, v)

@@ -16,7 +16,6 @@ from coldgp import (
     RegressionModel,
     cholesky,
     derive_seed,
-    format_cell,
     gen_cluster_classification,
     gen_rbf_regression,
     gram,
@@ -36,6 +35,7 @@ from coldgp.cli import (
     main,
 )
 from coldgp.exceptions import ConfigError
+from coldgp.records import format_cell
 
 from helpers import count_calls, run_python, write_cifar_fixture
 
@@ -289,6 +289,16 @@ class TestRunVerb:
         assert "non-finite" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
 
+    def test_non_finite_metric_prints_as_a_float(self, tmp_path, capsys):
+        # data noise_std 1e300 overflows every test NLL; the stderr line shows
+        # the value as a float prints, not as numpy's repr np.float64(inf)
+        payload = regress_payload(tmp_path / "o")
+        payload["data"]["noise_std"] = 1e300
+        cfg = _write_config(tmp_path, "inf.json", payload)
+        assert main(["run", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            "error: non-finite test_nll=inf; results.csv not written\n")
+
     @pytest.mark.parametrize("make_data,code", [
         (lambda p: _cifar_data(p, classes=[1, 1]), 2),
         (lambda p: _cifar_data(p, classes=[3]), 2),
@@ -391,14 +401,18 @@ class TestRunVerb:
 
     def test_regress_sweep_work_count_per_fit(self, tmp_path, monkeypatch):
         # each (noise setting, replicate) fit factors once and solves twice:
-        # beta = L^{-1} y and v = L^{-1} K(X, X*)
+        # beta = L^{-1} y and v = L^{-1} K(X, X*); coldgp.regression imports
+        # solve_triangular from scipy.linalg when it is called
+        import scipy.linalg
+
         import coldgp.regression as regression
 
-        calls = count_calls(monkeypatch, regression, ["cholesky", "solve_triangular"])
+        calls = count_calls(monkeypatch, regression, ["cholesky"])
+        solves = count_calls(monkeypatch, scipy.linalg, ["solve_triangular"])
         cfg = _write_config(tmp_path, "r.json", regress_payload(tmp_path / "r"))
         assert main(["run", "--config", cfg]) == 0
         fits = 2 * 2  # noise settings x replicates
-        assert calls == {"cholesky": fits, "solve_triangular": 2 * fits}
+        assert {**calls, **solves} == {"cholesky": fits, "solve_triangular": 2 * fits}
 
     def test_fig3b_log_records_the_data_generator_jitter(self, tmp_path):
         # every fig3b replicate's data Gram needs the 1e-10 rung; the fits
@@ -763,30 +777,54 @@ def test_module_entry_point_runs_clean(tmp_path):
     assert "results.csv" in out
 
 
-def _optional_scipy_loaded(tmp_path, name):
-    """Optional scipy subpackages loaded after ``import coldgp.cli`` and after
-    a run of the shrunk bundled config ``name``, in one fresh interpreter."""
-    (tmp_path / "cfg.json").write_text(json.dumps(BUNDLED[name]))
+SCIPY_TRACKED = ("scipy", "scipy.linalg",
+                 "scipy.optimize", "scipy.special", "scipy.spatial", "scipy.sparse")
+
+
+def _scipy_loaded(tmp_path, *argvs):
+    """Tracked scipy modules loaded after ``import coldgp.cli``, then the exit
+    code of each ``coldgp.cli.main(argv)`` in turn and the tracked modules
+    loaded after it, all in one fresh interpreter."""
     script = "\n".join([
         "import json, sys",
         "import coldgp.cli",
-        "lazy = ('scipy.optimize', 'scipy.special', 'scipy.spatial', 'scipy.sparse')",
-        "after_import = [m for m in lazy if m in sys.modules]",
-        "code = coldgp.cli.main(['run', '--config', 'cfg.json'])",
-        "print(json.dumps([after_import, code, [m for m in lazy if m in sys.modules]]))",
+        f"tracked = {SCIPY_TRACKED!r}",
+        "out = [[m for m in tracked if m in sys.modules]]",
+        f"for argv in {list(argvs)!r}:",
+        "    out += [coldgp.cli.main(argv), [m for m in tracked if m in sys.modules]]",
+        "print(json.dumps(out))",
     ])
     code, out, err = run_python(["-c", script], tmp_path)
     assert code == 0, err
     return json.loads(out.splitlines()[-1])
 
 
+def _bundled_run(tmp_path, name):
+    """argv of a run of the shrunk bundled config ``name`` into ``tmp_path/name``."""
+    (tmp_path / f"{name}.json").write_text(json.dumps(BUNDLED[name]))
+    return ["run", "--config", f"{name}.json", "--out", name]
+
+
 def test_nngp_run_loads_no_optional_scipy(tmp_path):
-    # scipy.spatial (with special and sparse) loads inside the rbf Gram, the
-    # one function that calls it; an nngp classify-sweep never calls it
-    assert _optional_scipy_loaded(tmp_path, "fig1") == [[], 0, []]
+    # a classify-sweep loads scipy.linalg, the one scipy an nngp sweep calls,
+    # before its data; scipy.spatial (with special and sparse) loads inside
+    # the rbf Gram, the one function that calls it
+    assert _scipy_loaded(tmp_path, _bundled_run(tmp_path, "fig1")) == [
+        [], 0, ["scipy", "scipy.linalg"]]
 
 
 def test_probe_run_loads_no_optional_scipy(tmp_path):
     # the posterior mode is a bisection and the sigmoid a scalar function:
-    # a probe run needs no scipy beyond what import coldgp loads
-    assert _optional_scipy_loaded(tmp_path, "fig2a") == [[], 0, []]
+    # a probe run factors nothing and loads no scipy at all
+    runs = [_bundled_run(tmp_path, name) for name in ("fig2a", "fig2b")]
+    assert _scipy_loaded(tmp_path, *runs) == [[], 0, [], 0, []]
+
+
+def test_plot_data_and_clusters_gen_data_load_no_scipy(tmp_path):
+    write_csv(tmp_path / "results.csv", PROBE_HEADER, [(1000.0, 0.5, 0.25, 0.75)])
+    (tmp_path / "gen.json").write_text(json.dumps({
+        "experiment": "gen-data", "output_dir": "gen",
+        "data": {"generator": "clusters", "n_per_class": 6, "class_count": 2,
+                 "dim": 2, "separation": 2.0}}))
+    assert _scipy_loaded(tmp_path, ["plot-data", "--input", "results.csv", "--figure", "fig2a"],
+                         ["gen-data", "--config", "gen.json"]) == [[], 0, [], 0, []]

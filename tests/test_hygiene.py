@@ -5,7 +5,9 @@ unused imports in the package and the test suite.  A name counts as used
 when the module reads it, or when the module lists it in ``__all__``
 (the package's re-exports).  A second scan keeps every Cholesky
 factorization of the package inside ``coldgp.linalg``, which owns the
-jitter policy.
+jitter policy.  A third keeps scipy out of the package's module level:
+each scipy import sits inside a function, so a run that calls none of them
+loads no scipy.
 """
 import ast
 from pathlib import Path
@@ -64,3 +66,26 @@ def test_only_linalg_factors(path):
     # the package's own ``from .linalg import cholesky`` is the one way in
     lines = sorted(set(_factor_calls(ast.parse(path.read_text(encoding="utf-8")))))
     assert not lines, f"{path.name} factors outside coldgp.linalg at lines {lines}"
+
+
+def _eager_scipy_imports(tree):
+    """Line numbers of scipy imports that run when the module is imported."""
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue  # runs when called
+        if ((isinstance(node, ast.Import)
+             and any(alias.name.split(".")[0] == "scipy" for alias in node.names))
+                or (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] == "scipy")):
+            yield node.lineno
+        nodes.extend(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parent.name == "coldgp"],
+                         ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    lines = sorted(_eager_scipy_imports(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not lines, (f"src/coldgp/{path.name} imports scipy at module level at lines "
+                       f"{lines}; import it inside the function that calls it")

@@ -54,7 +54,7 @@ from .exceptions import (
     SchemaMismatchError,
     ZeroVarianceError,
 )
-from .kernels import FAMILIES, KernelSpec, gram, gram_diag, kernel_eval, scale_kernel
+from .kernels import FAMILIES, KernelSpec, gram, gram_diag
 from .linalg import JITTER_LADDER, SpdFactor, cholesky, log_sum_exp
 from .records import best_temperature, read_csv, write_csv
 from .regression import (
@@ -91,7 +91,7 @@ __all__ = [
     "NonPositiveScaleError", "NonPositiveTemperatureError", "NotPositiveDefiniteError",
     "NotSymmetricError", "QuadratureNotConvergedError", "SchemaMismatchError",
     "ZeroVarianceError",
-    "FAMILIES", "KernelSpec", "gram", "gram_diag", "kernel_eval", "scale_kernel",
+    "FAMILIES", "KernelSpec", "gram", "gram_diag",
     "JITTER_LADDER", "SpdFactor", "cholesky", "log_sum_exp",
     "best_temperature", "read_csv", "write_csv",
     "ConditionedRegression", "RegressionModel",

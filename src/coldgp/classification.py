@@ -11,14 +11,22 @@ the untempered K serves every temperature of a sweep and its predictive.
 That factor is the one n x n array the Cholesky stage allocates (see
 :func:`coldgp.linalg.cholesky`).
 A sweep advances all its (temperature, chain) pairs in lock step: each
-transition makes one triangular product L @ Z for every chain's prior draw
-and one likelihood call per shrink round for the chains still shrinking,
-while each chain keeps its own random stream.
+transition makes one triangular product for every chain's prior draw and
+one likelihood call per shrink round for the chains still shrinking, while
+each chain keeps its own random stream.
 
-Every ESS state is a rotation of earlier states and prior draws, so each
-latent matrix F is L @ G for a whitened matrix G that the sampler carries
-beside F at O(n) cost per transition (the same rotation applied to
-sqrt(t) * z).  The sampler retains G, not F.
+A softmax ignores a shift common to all classes, so the likelihood reads
+the latents only through their class contrasts D = F[1:] - F[0], and the
+sampler's state is D: C - 1 rows per chain, whose prior draw
+sqrt(t) * L @ (z[1:] - z[0]) takes k * (C - 1) columns of the triangular
+product.  Every ESS state is a rotation of earlier states and prior draws,
+so each latent matrix F is L @ G for a whitened matrix G that the sampler
+carries beside D at O(n) cost per transition: all C rows of G take the
+accepted rotation (the same rotation applied to sqrt(t) * z), and
+D = L @ (G[1:] - G[0]).  The sampler retains G, not D.  In exact arithmetic
+the contrast likelihood is the full one, so the same normals and uniforms
+give the same angles; in floating point its values differ in the last bits
+and reach G only through the slice test.
 
 Prediction: the test latent for class c is Gaussian with mean
 k*^T K^{-1} F_c = v^T G_c, where v = L^{-1} K(X, X*) (temperature-free,
@@ -38,12 +46,12 @@ predict: its sampler keeps the whole grid's retained whitened samples as one
 (T, n_chains, n_samples_per_chain, C, n) array, and the predictive reads one
 temperature's slice of it, with t entering only as a scalar.
 
-Latents are class-major throughout: the sampler's states f and g and its
-normals z are C-ordered (k, C, n) stacks, so each class is one contiguous
-row of n values and every proposal, likelihood and rotation runs on whole
-rows.  The softmax and the log-likelihood reduce over the class axis -2,
-which numpy does by adding whole class rows in class order at any class
-count.
+Latents are class-major throughout: the sampler's contrasts f, its
+whitened state g and its normals z are C-ordered (k, C - 1, n) and
+(k, C, n) stacks, so each class is one contiguous row of n values and every
+proposal, likelihood and rotation runs on whole rows.  The softmax and the
+log-likelihood reduce over the class axis -2, which numpy does by adding
+whole class rows in class order at any class count from n = 2.
 """
 from __future__ import annotations
 
@@ -57,6 +65,7 @@ from .exceptions import (
     DimensionMismatchError,
     EmptyInputError,
     NonFiniteLikelihoodError,
+    check_array_size,
     check_labels,
     check_temperature,
 )
@@ -92,17 +101,32 @@ class EssConfig:
                 raise ValueError(f"{name} must be >= {minimum}")
 
 
-def _log_softmax_sums(f, y):
-    """Per-chain sums of the log-softmax at the labels, over validated arrays.
+def _contrast_log_softmax_sums(d, y):
+    """Per-chain sums of the log-softmax at the labels, from class contrasts.
 
-    ``f`` is a C-ordered (k, class_count, n) array and ``y`` holds n labels
-    in range; returns the (k,) vector
-    sum_i [ f[:, y[i], i] - logsumexp(f[:, :, i]) ].
+    ``d`` is a C-ordered (k, C - 1, n) array of contrasts d_c = f_c - f_0
+    (c = 1 .. C - 1) and ``y`` holds n labels in range.  A softmax ignores a
+    shift common to all classes, so with d_0 = 0 the log-softmax of f at
+    label y_i is d_{y_i} - log sum_c exp(d_c).  Returns the (k,) vector of
+    its sums over the n points, computed as log-sum-exp over
+    (0, d_1 .. d_{C-1}) with the max m = max(0, d_1 .. d_{C-1}) subtracted:
+    sum_i [ (d_{y_i, i} - m_i) - log sum_c exp(d_{c, i} - m_i) ].  The shifted
+    values are formed once as the rows of one (k, C, n) array, class 0's row
+    -m first, so the exp-sum adds the class rows in class order.
     """
-    m = f.max(axis=-2)
-    e = f - m[:, None]
-    lse = m + np.log(np.exp(e, out=e).sum(axis=-2))
-    return np.sum(f[:, y, np.arange(f.shape[-1])] - lse, axis=-1)
+    k, rows, n = d.shape
+    # m has its own buffer: numpy 2.4.6 negates a (k, 1) view such as
+    # a[:, 0] at n = 1 in place wrongly, reading row 1 from the wrong place
+    m = d.max(axis=-2, initial=0.0)
+    a = np.empty((k, rows + 1, n))
+    np.negative(m, out=a[:, 0])
+    np.subtract(d, m[:, None], out=a[:, 1:])
+    # C-ordered, so each chain's sum below adds its own contiguous row
+    label = np.take(a.reshape(k, -1), y * n + np.arange(n), axis=1)
+    np.exp(a, out=a)
+    s = a.sum(axis=-2)
+    label -= np.log(s, out=s)
+    return label.sum(axis=-1)
 
 
 def _chain_error(exc_type, chain, message):
@@ -115,24 +139,27 @@ def _chain_error(exc_type, chain, message):
 def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
     """One elliptical slice sampling transition of k chains in lock step.
 
-    ``f`` is the C-ordered (k, C, n) stack of class-major latent matrices,
-    ``g`` their whitened coordinates (f = prior_lower @ g, class row by class
-    row) and ``ll`` their (k,) log-likelihoods; ``log_lik(props, idx)``
-    returns the (len(idx),) log-likelihoods of the proposals ``props`` of
-    chains ``idx`` (the classification sampler binds the tempered softmax,
-    the unit tests substitute constant or Gaussian surrogates).  Chain i's
-    prior is zero-mean Gaussian with factor prior_scale[i] * prior_lower,
-    applied independently to each class row, and it draws from ``rngs[i]``
-    alone, in the order of a one-chain transition: the (n, C) normals, stored
-    transposed as chain i's rows of the (k, C, n) normals z, the slice
-    height, the first angle, then one angle per shrink.  All k prior draws
-    come from one triangular product prior_lower @ Z, with Z the (n, k * C)
-    transposed view of z, read back as (k, C, n) through the transposed
-    result (:func:`~coldgp.linalg.tril_matmul`): ``prior_lower`` must be
-    lower-triangular, and its strict upper triangle is never read.  Each
-    shrink round evaluates the proposals of the chains that have not yet
-    accepted in one ``log_lik`` call.  Once every chain has accepted, ``g``
-    takes the accepted rotation g cos(theta) + prior_scale * z sin(theta),
+    ``g`` is the C-ordered (k, C, n) stack of class-major whitened latent
+    matrices.  ``f`` holds what the likelihood reads: either the latents,
+    (k, C, n) with f_c = prior_lower @ g_c, or their class contrasts,
+    (k, C - 1, n) with f_c = prior_lower @ (g_c - g_0) for c >= 1 (the
+    classification sweep's state).  ``ll`` holds their (k,) log-likelihoods
+    and ``log_lik(props, idx)`` returns the (len(idx),) log-likelihoods of
+    the proposals ``props`` (shaped like ``f``) of chains ``idx`` (the
+    classification sampler binds the tempered softmax, the unit tests
+    substitute constant or Gaussian surrogates).  Chain i's prior on each
+    class row is zero-mean Gaussian with factor prior_scale[i] * prior_lower,
+    and it draws from ``rngs[i]`` alone, in the order of a one-chain
+    transition: the (n, C) normals, stored transposed as chain i's rows of
+    the (k, C, n) normals z, the slice height, the first angle, then one
+    angle per shrink.  All k prior draws come from one triangular product
+    prior_lower @ W (:func:`~coldgp.linalg.tril_matmul`), with W the
+    transposed view of z or, for contrasts, of z_c - z_0: k * (C - 1)
+    columns instead of k * C.  ``prior_lower`` must be lower-triangular, and
+    its strict upper triangle is never read.  Each shrink round evaluates
+    the proposals of the chains that have not yet accepted in one
+    ``log_lik`` call.  Once every chain has accepted, all C rows of ``g``
+    take the accepted rotation g cos(theta) + prior_scale * z sin(theta),
     computed in the buffer of z.  ``f``, ``g`` and ``ll`` are updated in
     place and returned with the (k,) proposal counts.
 
@@ -143,7 +170,11 @@ def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
     (a tiny temperature) leaves no proposal above the threshold; that
     raises ColdGPError.  Errors carry the failing chain's index as ``chain``.
     """
-    k, c, n = f.shape
+    k, c, n = g.shape
+    rows = f.shape[1]
+    if f.shape not in ((k, c, n), (k, c - 1, n)):
+        raise DimensionMismatchError(
+            f"f must be (k, C, n) or (k, C - 1, n) for g of shape {g.shape}, got {f.shape}")
     nan = np.isnan(ll)
     if np.count_nonzero(nan):
         raise _chain_error(NonFiniteLikelihoodError, np.argmax(nan),
@@ -156,16 +187,18 @@ def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
             log_y[i] = ll[i] + np.log(rng.uniform())
             theta[i] = rng.uniform(0.0, 2.0 * np.pi)
     scale = np.asarray(prior_scale)
+    w = z if rows == c else z[:, 1:] - z[:, :1]
     # the prior draws are bound only as the shrinking chains' rows, so the
     # draws of chains that have accepted are freed
-    nu_act = tril_matmul(prior_lower, z.reshape(k * c, n).T).T.reshape(k, c, n)
+    nu_act = tril_matmul(prior_lower, w.reshape(k * rows, n).T).T.reshape(k, rows, n)
     nu_act *= scale[:, None, None]
     lo, hi = theta - 2.0 * np.pi, theta.copy()
     proposals = np.zeros(k, dtype=np.int64)
     active, f_act, log_y_act = np.arange(k), f, log_y
     for rounds in range(1, _MAX_BRACKET_SHRINKS + 1):
         angle = theta[active][:, None, None]
-        prop = f_act * np.cos(angle) + nu_act * np.sin(angle)
+        prop = f_act * np.cos(angle)
+        prop += nu_act * np.sin(angle)
         ll_prop = log_lik(prop, active)
         nan = np.isnan(ll_prop)
         if np.count_nonzero(nan):
@@ -202,7 +235,8 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
 
     Chain c at grid position j draws from RngStream(seeds[j], c) and starts
     from the zero latent matrix; all T * n_chains chains advance together
-    through ``ess_transition``, so a step reads the prior factor once.
+    through ``ess_transition`` on their class contrasts, so a step reads the
+    prior factor once.
     Returns (samples, stats): the retained whitened samples G as one
     (T, n_chains, n_samples_per_chain, C, n) array, whose latent class rows
     are f_c = prior_factor.lower @ g_c, and one dict of sampler
@@ -215,10 +249,11 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
     y = train.targets
 
     def log_lik(props, idx):
-        return _log_softmax_sums(props, y) / chain_t[idx]
+        return _contrast_log_softmax_sums(props, y) / chain_t[idx]
 
-    f = np.zeros((len(rngs), c, n))
-    g = np.zeros_like(f)
+    # the chains carry the class contrasts f_c - f_0, all the likelihood reads
+    f = np.zeros((len(rngs), c - 1, n))
+    g = np.zeros((len(rngs), c, n))
     ll = log_lik(f, np.arange(len(rngs)))
     scale = np.sqrt(chain_t)
     samples = np.empty((len(temps), n_chains, config.n_samples_per_chain, c, n))
@@ -330,6 +365,14 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
         raise EmptyInputError("temperature grid is empty")
     if not test.is_classification or test.class_count != train.class_count:
         raise ValueError("train/test class counts differ or test set is not classification")
+    c = train.class_count
+    check_array_size("the retained samples (temperatures, n_chains, n_samples_per_chain, "
+                     "classes, training points)",
+                     (len(temps), config.n_chains, config.n_samples_per_chain, c, train.n))
+    check_array_size("the test-latent means (n_chains, n_samples_per_chain, classes, "
+                     "test points)", (config.n_chains, config.n_samples_per_chain, c, test.n))
+    check_array_size("the predictive draws (draws_per_sample, classes, test points)",
+                     (config.draws_per_sample, c, test.n))
     prior_factor = cholesky(gram(kernel, train.inputs, train.inputs))
     v, schur = conditional(kernel, train.inputs, test.inputs, prior_factor)
     seeds = [derive_seed(seed, j) for j in range(len(temps))]

@@ -22,6 +22,7 @@ from .exceptions import (
     MalformedRecordError,
     NonFiniteInputError,
     ZeroVarianceError,
+    check_array_size,
     open_text,
 )
 from .rng import RngStream
@@ -117,6 +118,7 @@ def gen_rbf_regression(n_train, n_test, noise_std, kernel, seed):
     if not (np.isfinite(noise_std) and noise_std >= 0.0):
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     n = n_train + n_test
+    check_array_size("the data Gram (n_train + n_test rows and columns)", (n, n))
     rng = RngStream(seed, 0)
     x = rng.standard_normal(n)[:, None]
     factor = cholesky(gram(kernel, x, x))
@@ -150,6 +152,8 @@ def gen_cluster_classification(n_per_class, class_count, dim, separation, seed):
     separation = float(separation)
     if not (np.isfinite(separation) and separation >= 0.0):
         raise ValueError(f"separation must be finite and >= 0, got {separation!r}")
+    check_array_size("the training inputs (n_per_class * class_count, dim)",
+                     (n_per_class * class_count, dim))
 
     centers = np.zeros((class_count, dim))
     for c in range(class_count):

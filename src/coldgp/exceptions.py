@@ -3,6 +3,7 @@
 Every error raised deliberately by coldgp derives from ColdGPError, so callers
 can catch one base class at the boundary (the CLI maps them to exit codes).
 """
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -82,6 +83,19 @@ def check_temperature(t) -> float:
     if not 0.0 < t < float("inf"):  # also false for NaN
         raise NonPositiveTemperatureError(f"temperature must be positive and finite, got {t!r}")
     return t
+
+
+def check_array_size(what: str, shape) -> None:
+    """Raise ColdGPError if a float64 array of ``shape`` is past numpy's limit.
+
+    numpy refuses an array whose byte count exceeds the largest ``intp``
+    with a bare ValueError; checking first turns a size that a config asks
+    for into one error that names ``what`` (the config keys behind the
+    axes) and the shape, before anything of that size is built.
+    """
+    if 8 * math.prod(shape) > np.iinfo(np.intp).max:
+        raise ColdGPError(f"{what}: {' x '.join(str(s) for s in shape)} float64 values "
+                          f"exceed the largest array numpy can allocate")
 
 
 @contextmanager

@@ -33,14 +33,14 @@ Two families:
     (b is a) visits only the lower triangle, diagonal blocks whole, and
     mirrors the strict lower triangle into the upper.
 
-A Gram matrix scales linearly with ``scale``, and :func:`scale_kernel`
-multiplies it.  Temperature sweeps do not go through it: classification
-draws its tempered prior as sqrt(T) * chol(K) from one factor of the
-untempered K, and regression multiplies the predictive variance by T.  ``scale_kernel`` is
-the modified-prior device of the tempering identities: the regression
-posterior at temperature T equals the untempered one under prior T * K and
-noise variance T * sigma^2, which the acceptance tests check against the
-sweep's scalar tempering.
+A Gram matrix scales linearly with ``scale``.  Temperature sweeps do not
+go through it: classification draws its tempered prior as sqrt(T) * chol(K)
+from one factor of the untempered K, and regression multiplies the
+predictive variance by T.  A kernel with ``scale`` multiplied by T is the
+modified-prior device of the tempering identities: the regression posterior
+at temperature T equals the untempered one under prior T * K and noise
+variance T * sigma^2, which the acceptance tests check against the sweep's
+scalar tempering.
 
 ``scipy.spatial`` (which also loads ``scipy.special`` and ``scipy.sparse``)
 is imported inside :func:`_rbf_gram`, the one function that calls ``cdist``,
@@ -50,7 +50,6 @@ its bits but is several times slower.
 """
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,14 +106,6 @@ class KernelSpec:
     @staticmethod
     def nngp(depth: int = 2, sigma_w2: float = 2.0, sigma_b2: float = 0.0, scale: float = 1.0) -> "KernelSpec":
         return KernelSpec(family="nngp", depth=depth, sigma_w2=sigma_w2, sigma_b2=sigma_b2, scale=scale)
-
-
-def scale_kernel(spec: KernelSpec, t: float) -> KernelSpec:
-    """Return a copy of ``spec`` whose Gram matrices are multiplied by t."""
-    t = float(t)
-    if not (np.isfinite(t) and t > 0.0):
-        raise NonPositiveScaleError(f"scale factor must be positive and finite, got {t!r}")
-    return dataclasses.replace(spec, scale=spec.scale * t)
 
 
 def _check_inputs(a, b):
@@ -236,12 +227,3 @@ def gram_diag(spec: KernelSpec, a) -> np.ndarray:
     if spec.family == "rbf":
         return np.full(a.shape[0], spec.scale * spec.rbf_variance)
     return spec.scale * _nngp_self_covs(spec, a)[-1]
-
-
-def kernel_eval(spec: KernelSpec, x, xp) -> float:
-    """Kernel value for a single pair of input vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    xp = np.asarray(xp, dtype=np.float64)
-    if x.ndim != 1 or xp.ndim != 1:
-        raise DimensionMismatchError("kernel_eval expects 1-D input vectors")
-    return float(gram(spec, x[None, :], xp[None, :])[0, 0])

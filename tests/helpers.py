@@ -1,5 +1,6 @@
 """Shared numerical utilities, file fixtures and a fresh-interpreter runner
 for the test suite."""
+import dataclasses
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from coldgp.data import CIFAR_TEST_FILE, CIFAR_TRAIN_FILES
+from coldgp.kernels import gram
 
 
 def batch_means_se(series, n_batches=25):
@@ -30,6 +32,18 @@ def max_rel_err(a, b):
     b = np.asarray(b, dtype=np.float64)
     scale = max(np.max(np.abs(a)), np.max(np.abs(b)), 1e-300)
     return float(np.max(np.abs(a - b)) / scale)
+
+
+def kernel_eval(spec, x, xp) -> float:
+    """The kernel value k(x, xp) of two input vectors: a 1 x 1 Gram."""
+    x, xp = np.asarray(x, dtype=np.float64), np.asarray(xp, dtype=np.float64)
+    return float(gram(spec, x[None, :], xp[None, :])[0, 0])
+
+
+def scale_kernel(spec, t):
+    """A copy of ``spec`` whose Gram matrices are multiplied by t; KernelSpec
+    rejects a product that is not positive and finite."""
+    return dataclasses.replace(spec, scale=spec.scale * float(t))
 
 
 def count_calls(monkeypatch, module, names):

@@ -30,7 +30,6 @@ from coldgp import (
     gen_cluster_classification,
     gram,
     input_stats,
-    kernel_eval,
     load_cifar10,
     load_config,
     normalize_inputs,
@@ -38,11 +37,10 @@ from coldgp import (
     relabel_prob_quadrature,
     relabel_ratio_curve,
     run_experiment,
-    scale_kernel,
 )
 from coldgp.classification import _chain_prob_means, _sample_grid
 from coldgp.regression import conditional
-from helpers import batch_means_se, max_rel_err
+from helpers import batch_means_se, kernel_eval, max_rel_err, scale_kernel
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 

@@ -3,12 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_triangular
 
 from coldgp.classification import (
     EssConfig,
     _chain_prob_means,
-    _log_softmax_sums,
+    _contrast_log_softmax_sums,
     _sample_grid,
     _softmax,
     classification_metrics,
@@ -17,6 +20,7 @@ from coldgp.classification import (
 )
 from coldgp.data import gen_cluster_classification
 from coldgp.exceptions import (
+    DimensionMismatchError,
     EmptyInputError,
     LabelOutOfRangeError,
     LengthMismatchError,
@@ -31,12 +35,36 @@ from coldgp.rng import RngStream, derive_seed
 from helpers import batch_means_se, count_calls
 
 
+def _contrasts(f):
+    """The (k, C - 1, n) class contrasts f_c - f_0 of a (k, C, n) latent stack."""
+    return f[:, 1:] - f[:, :1]
+
+
 def test_tempered_log_likelihood_matches_log_softmax():
     # at t = 1 the tempered log-likelihood is the log-softmax at the labels
     f = np.array([[10.0, 0.0], [-1.0, 2.5]])  # (n, C): one row per point
     y = np.array([0, 1])
     ref = (scipy.special.log_softmax(f[0])[0] + scipy.special.log_softmax(f[1])[1])
-    np.testing.assert_allclose(_log_softmax_sums(f.T.copy()[None], y)[0], ref, rtol=1e-13)
+    got = _contrast_log_softmax_sums(_contrasts(f.T.copy()[None]), y)[0]
+    np.testing.assert_allclose(got, ref, rtol=1e-13)
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data(), c=st.sampled_from([2, 3, 8, 10]))
+def test_contrast_kernel_matches_scipy_log_softmax(data, c):
+    # the latents are multiples of 2**-20 with |f| <= 1e3, plus an integer
+    # offset common to all classes of a point, up to 2**31 in magnitude, so
+    # each f, each contrast f_c - f_0 and each shift f_c - max f is exact;
+    # the kernel and scipy's log-softmax then differ only by their own rounding
+    k, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 6))
+    grid = hnp.arrays(np.int64, (k, c, n), elements=st.integers(-1000 * 2**20, 1000 * 2**20))
+    offsets = hnp.arrays(np.int64, (k, 1, n), elements=st.one_of(
+        st.just(0), st.integers(-2**31, 2**31), st.sampled_from([-2**31, 10**6, 2**31])))
+    f = data.draw(grid) / 2.0**20 + data.draw(offsets).astype(np.float64)
+    y = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, c - 1)))
+    ref = scipy.special.log_softmax(f, axis=-2)[:, y, np.arange(n)].sum(axis=-1)
+    np.testing.assert_allclose(_contrast_log_softmax_sums(_contrasts(f), y), ref,
+                               rtol=1e-13, atol=0.0)
 
 
 def test_ess_transition_is_deterministic_given_stream():
@@ -59,6 +87,15 @@ def test_ess_transition_nan_likelihood_raises():
                        [RngStream(0, 0)])
 
 
+def test_ess_transition_rejects_state_rows_that_fit_neither_layout():
+    # f must hold g's C rows or their C - 1 contrasts with row 0
+    lower = cholesky(np.eye(4)).lower
+    flat = lambda props, idx: np.zeros(len(idx))
+    with pytest.raises(DimensionMismatchError):
+        ess_transition(np.zeros((1, 1, 4)), np.zeros((1, 3, 4)), np.zeros(1), flat, lower,
+                       np.ones(1), [RngStream(0, 0)])
+
+
 def test_ess_transition_nan_proposal_in_one_chain_raises():
     # chains 0 and 2 are well defined; only chain 1's proposals are NaN
     lower = cholesky(np.eye(4)).lower
@@ -77,9 +114,11 @@ def test_ess_transition_nan_proposal_in_one_chain_raises():
 
 def _reference_transition(f, g, ll, log_lik, lower, scale, rng):
     """One chain's ESS transition as a plain loop on (n, C) matrices, one
-    column per class: the reference for the class-major batch."""
-    z = rng.standard_normal(f.shape)
-    nu = scale * tril_matmul(lower, z)
+    column per class: the reference for the class-major batch.  ``f`` holds
+    the latent columns L @ g, or their C - 1 contrasts with column 0."""
+    z = rng.standard_normal(g.shape)
+    w = z if f.shape == g.shape else z[:, 1:] - z[:, :1]
+    nu = scale * tril_matmul(lower, w)
     with np.errstate(divide="ignore"):
         log_y = ll + float(np.log(rng.uniform()))
     theta = float(rng.uniform(0.0, 2.0 * np.pi))
@@ -98,15 +137,16 @@ def _reference_transition(f, g, ll, log_lik, lower, scale, rng):
         theta = float(rng.uniform(lo, hi))
 
 
-@pytest.mark.parametrize("k", [1, 3, 5])
-def test_batched_transition_matches_one_chain_calls(k):
-    # n = 800 is a multiple of 8, where a column of OpenBLAS's triangular
-    # product L @ Z has the same bits however many columns share the product
-    n, c = 800, 2
+def _check_batched_transition(k, c, rows):
+    """Four lock-step transitions of k chains against one-chain calls and the
+    loop reference, bitwise.  n = 800 is a multiple of 8, where a column of
+    OpenBLAS's triangular product L @ Z has the same bits however many
+    columns share the product."""
+    n = 800
     rng = np.random.default_rng(k)
     a = rng.standard_normal((n, n)) / np.sqrt(n)
     lower = cholesky(a @ a.T + np.eye(n)).lower
-    target = rng.standard_normal((k, n, c)).transpose(0, 2, 1).copy()
+    target = rng.standard_normal((k, n, rows)).transpose(0, 2, 1).copy()
     scales = 0.5 + np.arange(k)
 
     def loglik(props, idx):  # a narrow Gaussian per chain, so brackets shrink
@@ -115,7 +155,7 @@ def test_batched_transition_matches_one_chain_calls(k):
     batch_rngs = [RngStream(21, i) for i in range(k)]
     single_rngs = [RngStream(21, i) for i in range(k)]
     loop_rngs = [RngStream(21, i) for i in range(k)]
-    f, g = np.zeros((k, c, n)), np.zeros((k, c, n))
+    f, g = np.zeros((k, rows, n)), np.zeros((k, c, n))
     ll = loglik(f, np.arange(k))
     singles = [(f[i:i + 1].copy(), g[i:i + 1].copy(), ll[i:i + 1].copy()) for i in range(k)]
     loops = [(f[i].T.copy(), g[i].T.copy(), float(ll[i])) for i in range(k)]
@@ -139,6 +179,14 @@ def test_batched_transition_matches_one_chain_calls(k):
     assert used.max() > 1  # the check covers shrink rounds, not only first proposals
 
 
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_batched_transition_matches_one_chain_calls(k):
+    # f holds the C latent rows of g, or (as the sweep runs it) their C - 1
+    # contrasts with row 0
+    _check_batched_transition(k, c=2, rows=2)
+    _check_batched_transition(k, c=3, rows=2)
+
+
 def test_transition_never_reads_the_strict_upper_triangle():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((30, 30))
@@ -159,18 +207,19 @@ def test_transition_never_reads_the_strict_upper_triangle():
 
 
 def test_whitened_state_tracks_the_latent_along_a_chain():
-    # g is rotated with the angles that rotate f, so L @ g stays f up to
-    # rounding over a long run of tempered softmax transitions
-    train, _ = gen_cluster_classification(25, 2, 3, 2.0, seed=3)
+    # g is rotated with the angles that rotate the contrasts f, so
+    # L @ (g_c - g_0) stays f_c up to rounding over a long run of tempered
+    # softmax transitions, as the sweep runs them
+    train, _ = gen_cluster_classification(25, 3, 3, 2.0, seed=3)
     lower = _factor(KernelSpec.rbf(), train).lower
     temps = np.array([0.05, 1.0, 4.0])
-    loglik = lambda props, idx: _log_softmax_sums(props, train.targets) / temps[idx]
-    f, g = np.zeros((3, 2, train.n)), np.zeros((3, 2, train.n))
+    loglik = lambda props, idx: _contrast_log_softmax_sums(props, train.targets) / temps[idx]
+    f, g = np.zeros((3, 2, train.n)), np.zeros((3, 3, train.n))
     ll = loglik(f, np.arange(3))
     rngs = [RngStream(17, i) for i in range(3)]
     for _ in range(250):
         f, g, ll, _ = ess_transition(f, g, ll, loglik, lower, np.sqrt(temps), rngs)
-    for fi, gi in zip(f, g):
+    for fi, gi in zip(f, _contrasts(g)):
         assert np.max(np.abs(lower @ gi.T - fi.T)) <= 1e-12 * np.max(np.abs(fi))
 
 
@@ -178,11 +227,11 @@ def test_log_softmax_kernel_rows_match_one_chain_calls():
     # a chain's sum has the same bits whichever batch of chains it shares
     rng = np.random.default_rng(6)
     for n, c in [(1, 2), (7, 3), (300, 2), (2000, 8)]:
-        f = 3.0 * rng.standard_normal((4, n, c)).transpose(0, 2, 1).copy()
+        d = 3.0 * rng.standard_normal((4, n, c - 1)).transpose(0, 2, 1).copy()
         y = rng.integers(0, c, size=n)
-        sums = _log_softmax_sums(f, y)
+        sums = _contrast_log_softmax_sums(d, y)
         for i in range(4):
-            assert sums[i] == _log_softmax_sums(f[i:i + 1], y)[0]
+            assert sums[i] == _contrast_log_softmax_sums(d[i:i + 1], y)[0]
 
 
 def test_ess_prior_recovery_constant_likelihood():
@@ -248,7 +297,8 @@ def _tiny_problem(seed=0):
 def test_class_column_kernels_match_numpy_reductions(c):
     # the kernels add the class rows in order; numpy's reduction along a
     # class-last axis does too below 8 elements and sums pairwise from 8,
-    # where the last bit may differ
+    # where the last bit may differ.  The likelihood reads the contrasts
+    # f_c - f_0, which round differently from f, so its sums agree to rounding
     rng = np.random.default_rng(c)
     fl = 3.0 * rng.standard_normal((4, 300, c))  # class-last
     f = fl.transpose(0, 2, 1).copy()
@@ -258,12 +308,11 @@ def test_class_column_kernels_match_numpy_reductions(c):
                       - (m + np.log(np.sum(np.exp(fl - m[..., None]), axis=-1))), axis=-1)
     e = np.exp(fl - m[..., None])
     ref_probs = (e / e.sum(axis=-1, keepdims=True)).transpose(0, 2, 1)
-    sums, probs = _log_softmax_sums(f, y), _softmax(f)
+    sums, probs = _contrast_log_softmax_sums(_contrasts(f), y), _softmax(f)
+    np.testing.assert_allclose(sums, ref_sums, rtol=1e-13)
     if c <= 7:
-        np.testing.assert_array_equal(sums, ref_sums)
         np.testing.assert_array_equal(probs, ref_probs)
     else:
-        np.testing.assert_allclose(sums, ref_sums, rtol=1e-14)
         np.testing.assert_allclose(probs, ref_probs, rtol=1e-14)
     np.testing.assert_allclose(probs.sum(axis=-2), 1.0, rtol=1e-14)
 
@@ -271,10 +320,11 @@ def test_class_column_kernels_match_numpy_reductions(c):
 @pytest.mark.parametrize("n", [2, 400])
 @pytest.mark.parametrize("c", [2, 3, 8, 10])
 def test_class_axis_kernels_add_classes_in_order(c, n):
-    # on (k, C, n) arrays the max and the exp-sum over the class axis take the
-    # class rows one at a time, in class order, at every class count: bitwise
-    # a Python loop over the rows.  A reduction along a contiguous class axis
-    # would sum pairwise from 8 classes and differ in the last bit
+    # on (k, ..., n) arrays the max and the exp-sum over the class axis take
+    # the class rows one at a time, in class order, at every class count:
+    # bitwise a Python loop over the rows.  A reduction along a contiguous
+    # class axis would sum pairwise from 8 classes and differ in the last bit.
+    # The likelihood's rows are (0, d_1 .. d_{C-1}) for the contrasts d
     rng = np.random.default_rng(10 * c + n)
     f = 3.0 * rng.standard_normal((4, c, n))
     y = rng.integers(0, c, size=n)
@@ -284,10 +334,19 @@ def test_class_axis_kernels_add_classes_in_order(c, n):
     s = np.exp(f[:, 0] - m)
     for j in range(1, c):
         s = s + np.exp(f[:, j] - m)
-    ref_sums = np.sum(f[:, y, np.arange(n)] - (m + np.log(s)), axis=-1)
     ref_probs = np.stack([np.exp(f[:, j] - m) / s for j in range(c)], axis=1)
-    np.testing.assert_array_equal(_log_softmax_sums(f, y), ref_sums)
     np.testing.assert_array_equal(_softmax(f), ref_probs)
+    d = _contrasts(f)
+    m = np.zeros((4, n))
+    for j in range(c - 1):
+        m = np.maximum(m, d[:, j])
+    shifted = np.stack([-m] + [d[:, j] - m for j in range(c - 1)], axis=1)
+    s = np.exp(shifted[:, 0])
+    for j in range(1, c):
+        s = s + np.exp(shifted[:, j])
+    # one C-ordered row per chain, so the sum over points is numpy's pairwise one
+    ref_sums = np.ascontiguousarray(shifted[:, y, np.arange(n)] - np.log(s)).sum(axis=-1)
+    np.testing.assert_array_equal(_contrast_log_softmax_sums(d, y), ref_sums)
 
 
 def _factor(kern, train):
@@ -388,7 +447,8 @@ def test_sweep_metrics_match_standalone_predictive(monkeypatch):
 def test_tempered_log_likelihood_scales_as_inverse_temperature(monkeypatch):
     # the likelihood the sweep hands the sampler is the log-softmax sum at
     # the labels divided by each chain's temperature, for the starting
-    # states and for proposals of any subset of chains
+    # states and for proposals of any subset of chains.  The sampler's states
+    # are the C - 1 class contrasts f_c - f_0, zero at the start
     import coldgp.classification as cls
 
     first = []
@@ -407,9 +467,10 @@ def test_tempered_log_likelihood_scales_as_inverse_temperature(monkeypatch):
     f0, ll0, log_lik = first[0]
     chain_t = np.repeat(temps, cfg.n_chains)
     y = train.targets
-    np.testing.assert_array_equal(ll0, _log_softmax_sums(f0, y) / chain_t)
-    one = np.random.default_rng(0).standard_normal((1, train.n, 3)).transpose(0, 2, 1).copy()
-    base = _log_softmax_sums(one, y)[0]
+    assert f0.shape == (len(chain_t), 2, train.n) and not f0.any()
+    np.testing.assert_array_equal(ll0, _contrast_log_softmax_sums(f0, y) / chain_t)
+    one = np.random.default_rng(0).standard_normal((1, train.n, 2)).transpose(0, 2, 1).copy()
+    base = _contrast_log_softmax_sums(one, y)[0]
     props = np.repeat(one, len(chain_t), axis=0)
     got = log_lik(props, np.arange(len(chain_t)))
     assert got.tolist() == [base / 0.25] * 2 + [base] * 2 + [base / 2.0] * 2
@@ -439,6 +500,28 @@ def test_sweep_makes_one_transition_call_per_step(monkeypatch, n_temps, n_chains
     assert len(calls) == cfg.burn_in + cfg.n_samples_per_chain * cfg.thinning
     assert set(calls) == {n_temps * n_chains}
     assert [s["transitions"] for s in out["stats"]] == [n_chains * len(calls)] * n_temps
+
+
+@pytest.mark.parametrize("c", [2, 8])
+def test_sweep_prior_draws_multiply_one_column_per_contrast(monkeypatch, c):
+    # the chains carry the C - 1 class contrasts, so each transition's one
+    # triangular product takes k * (C - 1) columns, not k * C
+    import scipy.linalg.blas
+
+    columns, real = [], scipy.linalg.blas.dtrmm
+
+    def recording(alpha, a, b, **kwargs):
+        columns.append(b.shape[1])
+        return real(alpha, a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.blas, "dtrmm", recording)
+    train, test = gen_cluster_classification(5, c, 4, 2.0, seed=0)
+    cfg = EssConfig(n_chains=2, burn_in=3, n_samples_per_chain=2, thinning=2,
+                    draws_per_sample=1)
+    temps = [0.5, 1.0, 2.0]
+    classification_temperature_sweep(KernelSpec.rbf(), train, test, temps, cfg, seed=0)
+    steps = cfg.burn_in + cfg.n_samples_per_chain * cfg.thinning
+    assert columns == [len(temps) * cfg.n_chains * (c - 1)] * steps
 
 
 @pytest.mark.parametrize("n_temps", [1, 4])

@@ -755,6 +755,38 @@ def test_overflowing_run_prints_one_stderr_line(tmp_path, name, section, key):
     assert code == 3 and err.count("\n") == 1 and err.startswith("error: "), (code, err)
 
 
+@pytest.mark.parametrize("section,key,size", [
+    ("ess", "n_samples_per_chain", 10**18),
+    ("ess", "n_chains", 10**17),
+    ("ess", "draws_per_sample", 10**18),
+    ("data", "n_per_class", 10**18),
+])
+def test_oversized_count_exits_before_allocating(tmp_path, capsys, monkeypatch, section, key,
+                                                 size):
+    # each count sizes an array past the largest numpy can allocate, so the
+    # run ends in one stderr line naming the key, before any Gram or chain
+    import coldgp.classification as cls
+
+    calls = count_calls(monkeypatch, cls, ["gram", "_sample_grid"])
+    payload = classify_payload(tmp_path / "o")
+    payload["data"]["n_per_class"] = 5  # 10 training points
+    payload[section][key] = size
+    capsys.readouterr()
+    assert main(["run", "--config", _write_config(tmp_path, "c.json", payload)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and key in err, err
+    assert calls == {"gram": 0, "_sample_grid": 0}
+
+
+def test_oversized_regression_data_exits_before_allocating(tmp_path, capsys):
+    payload = regress_payload(tmp_path / "o")
+    payload["data"]["n_train"] = 10**18
+    capsys.readouterr()
+    assert main(["run", "--config", _write_config(tmp_path, "r.json", payload)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n_train" in err, err
+
+
 def test_huge_kernel_variance_runs_clean(tmp_path):
     # the Gram's diagonal sum overflows, but each Gram factors at the zero
     # jitter rung; the predictive variance is about 1e308 times the unit one,

@@ -17,10 +17,10 @@ from coldgp.kernels import (
     _arc_cosine_j,
     gram,
     gram_diag,
-    kernel_eval,
-    scale_kernel,
 )
 from coldgp.linalg import block_rows
+
+from helpers import kernel_eval, scale_kernel
 
 
 def test_families_listed():

@@ -11,7 +11,7 @@ from coldgp.exceptions import (
     NonPositiveTemperatureError,
     ZeroVarianceError,
 )
-from coldgp.kernels import KernelSpec, gram, gram_diag, scale_kernel
+from coldgp.kernels import KernelSpec, gram, gram_diag
 from coldgp.linalg import cholesky
 from coldgp.records import best_temperature
 from coldgp.regression import (
@@ -22,7 +22,7 @@ from coldgp.regression import (
     regression_temperature_sweep,
 )
 
-from helpers import max_rel_err
+from helpers import max_rel_err, scale_kernel
 
 
 def _dataset(inputs, targets):

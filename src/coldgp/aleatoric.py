@@ -288,8 +288,8 @@ def relabel_disagreement_mc(latent_samples, labels, index: int) -> float:
     Averages, over sampled latent matrices, the softmax probability that a
     fresh relabel of training point ``index`` differs from its observed
     label.  ``latent_samples`` takes the sampler's class-major layout: any
-    (..., class_count, n) array, such as the sweep's (temperatures, chains,
-    samples, class_count, n) array or one temperature's slice of it, or a
+    (..., class_count, n) array, such as a (temperatures, chains, samples,
+    class_count, n) grid of samples or one temperature's slice of it, or a
     list of (class_count, n) matrices; every leading axis indexes samples.
     """
     f = np.asarray(latent_samples, dtype=np.float64)

@@ -8,8 +8,8 @@ slice sampling (ESS), which needs only prior draws and log-likelihood
 evaluations and has no step-size parameter.  The factor of t * K is
 sqrt(t) * chol(K), so a prior draw is sqrt(t) * (L @ z) and one factor of
 the untempered K serves every temperature of a sweep and its predictive.
-That factor is the one n x n array the Cholesky stage allocates (see
-:func:`coldgp.linalg.cholesky`).
+That factor is the one n x n array of a sweep: :func:`coldgp.linalg.cholesky`
+factors the Gram in its own buffer (above one row block of scratch).
 A sweep advances all its (temperature, chain) pairs in lock step: each
 transition makes one triangular product for every chain's prior draw and
 one likelihood call per shrink round for the chains still shrinking, while
@@ -23,7 +23,7 @@ product.  Every ESS state is a rotation of earlier states and prior draws,
 so each latent matrix F is L @ G for a whitened matrix G that the sampler
 carries beside D at O(n) cost per transition: all C rows of G take the
 accepted rotation (the same rotation applied to sqrt(t) * z), and
-D = L @ (G[1:] - G[0]).  The sampler retains G, not D.  In exact arithmetic
+D = L @ (G[1:] - G[0]).  In exact arithmetic
 the contrast likelihood is the full one, so the same normals and uniforms
 give the same angles; in floating point its values differ in the last bits
 and reach G only through the slice test.
@@ -37,14 +37,16 @@ regression prediction also reads: one triangular solve, in place in the
 buffer of K(X*, X), gives both the means and the variances, and the
 conditional pieces hold one n x p array.  Class probabilities
 average softmax draws over both the posterior samples and this
-conditional.  The means of all of one temperature's retained samples come
-from a single product v^T G, so a sweep reads v once per temperature and
-holds one temperature's means at a time.
+conditional.
 
+The predictive reads a retained sample only through v^T G, so the sampler
+retains that and not G: at each retained step, one product reads v once and
+gives the test-latent means of all T * n_chains states.
 :func:`classification_temperature_sweep` is the one way to sample and
-predict: its sampler keeps the whole grid's retained whitened samples as one
-(T, n_chains, n_samples_per_chain, C, n) array, and the predictive reads one
-temperature's slice of it, with t entering only as a scalar.
+predict: its sampler keeps the whole grid's retained means as one
+(T, n_chains, n_samples_per_chain, C, p) array for p test points, and the
+predictive reads one temperature's slice of it, with t entering only as a
+scalar.  A sweep's memory is then the factor, v, and these means.
 
 Latents are class-major throughout: the sampler's contrasts f, its
 whitened state g and its normals z are C-ordered (k, C - 1, n) and
@@ -230,44 +232,53 @@ def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
 
 
 def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
-                 prior_factor: SpdFactor):
+                 prior_factor: SpdFactor, readout):
     """Sample every (temperature, chain) pair of a grid in one lock-step pass.
 
     Chain c at grid position j draws from RngStream(seeds[j], c) and starts
     from the zero latent matrix; all T * n_chains chains advance together
     through ``ess_transition`` on their class contrasts, so a step reads the
-    prior factor once.
-    Returns (samples, stats): the retained whitened samples G as one
-    (T, n_chains, n_samples_per_chain, C, n) array, whose latent class rows
-    are f_c = prior_factor.lower @ g_c, and one dict of sampler
+    prior factor once.  The whitened samples G are not kept: ``readout`` is
+    an (n, p) matrix v, and each retained step keeps v^T g_c for every class
+    row g_c of every chain, from one product that reads v once for all
+    T * n_chains states.  With v = L^{-1} K(X, X*) these are the test-latent
+    means; the identity gives back G, and prior_factor.lower.T the latents
+    F = L @ G.  The retained array and the per-chain arrays are allocated
+    before the chains' random streams, so a grid too large for memory fails
+    at its first allocation.
+    Returns (means, stats): the retained readouts as one
+    (T, n_chains, n_samples_per_chain, C, p) array, and one dict of sampler
     diagnostics per temperature: transition counts, proposals per
     transition, and the absolute jitter on the tempered prior t * K.
     """
     n, c, n_chains = train.n, train.class_count, config.n_chains
+    k, p = len(temps) * n_chains, readout.shape[1]
+    means = np.empty((len(temps), n_chains, config.n_samples_per_chain, c, p))
     chain_t = np.repeat(temps, n_chains)
+    # the chains carry the class contrasts f_c - f_0, all the likelihood reads
+    f = np.zeros((k, c - 1, n))
+    g = np.zeros((k, c, n))
+    proposals = np.zeros(k, dtype=np.int64)
+    scale = np.sqrt(chain_t)
     rngs = [RngStream(seed, chain) for seed in seeds for chain in range(n_chains)]
     y = train.targets
 
     def log_lik(props, idx):
         return _contrast_log_softmax_sums(props, y) / chain_t[idx]
 
-    # the chains carry the class contrasts f_c - f_0, all the likelihood reads
-    f = np.zeros((len(rngs), c - 1, n))
-    g = np.zeros((len(rngs), c, n))
-    ll = log_lik(f, np.arange(len(rngs)))
-    scale = np.sqrt(chain_t)
-    samples = np.empty((len(temps), n_chains, config.n_samples_per_chain, c, n))
-    proposals = np.zeros(len(rngs), dtype=np.int64)
+    ll = log_lik(f, np.arange(k))
     try:
         for _ in range(config.burn_in):
-            f, g, ll, k = ess_transition(f, g, ll, log_lik, prior_factor.lower, scale, rngs)
-            proposals += k
+            f, g, ll, used = ess_transition(f, g, ll, log_lik, prior_factor.lower, scale, rngs)
+            proposals += used
         for s in range(config.n_samples_per_chain):
             for _ in range(config.thinning):
-                f, g, ll, k = ess_transition(f, g, ll, log_lik, prior_factor.lower, scale,
-                                             rngs)
-                proposals += k
-            samples[:, :, s] = g.reshape(len(temps), n_chains, c, n)
+                f, g, ll, used = ess_transition(f, g, ll, log_lik, prior_factor.lower, scale,
+                                                rngs)
+                proposals += used
+            # the (n, k * C) transposed view of g's rows, so no state is copied
+            means[:, :, s] = (readout.T @ g.reshape(-1, n).T).T.reshape(
+                len(temps), n_chains, c, p)
     except ColdGPError as exc:
         raise type(exc)(f"temperature {float(chain_t[exc.chain])!r}: {exc}") from exc
 
@@ -278,7 +289,7 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
               "proposals_per_transition": used / transitions,
               "prior_jitter": t * prior_factor.jitter_used}
              for t, used in zip(temps, per_temperature)]
-    return samples, stats
+    return means, stats
 
 
 def _softmax(f):
@@ -289,24 +300,19 @@ def _softmax(f):
     return e
 
 
-def _chain_prob_means(v, samples, sd, draws_per_sample: int, rng: RngStream):
+def _chain_prob_means(means, sd, draws_per_sample: int, rng: RngStream):
     """Predictive class probabilities averaged within each chain.
 
-    ``v`` is the (n, p) matrix L^{-1} K(X, X*), ``samples`` one
-    temperature's C-ordered (n_chains, per_chain, C, n) array of whitened
-    samples and ``sd`` the (p,) conditional standard deviations
-    sqrt(t * schur).  The samples are read through the (n, n_chains *
-    per_chain * C) transposed view of their rows, so the test-latent means
-    v^T G of every retained sample come from one product that reads ``v``
-    once and copies no sample.  Each retained sample then adds
-    ``draws_per_sample`` softmax draws of its (C, p) test latents, one at a
-    time; each draw's (p, C) normals are stored transposed.  Randomness is
-    consumed in (chain, sample, draw) order, so the result is identical
-    however the caller later combines chains.  Returns (n_chains, p, C).
+    ``means`` is one temperature's C-ordered (n_chains, per_chain, C, p)
+    array of retained test-latent means v^T G (:func:`_sample_grid`) and
+    ``sd`` the (p,) conditional standard deviations sqrt(t * schur).  Each
+    retained sample adds ``draws_per_sample`` softmax draws of its (C, p)
+    test latents, one at a time; each draw's (p, C) normals are stored
+    transposed.  Randomness is consumed in (chain, sample, draw) order, so
+    the result is identical however the caller later combines chains.
+    Returns (n_chains, p, C).
     """
-    n_chains, per_chain, c, n = samples.shape
-    p = v.shape[1]
-    means = (v.T @ samples.reshape(-1, n).T).T.reshape(n_chains, per_chain, c, p)
+    n_chains, per_chain, c, p = means.shape
     latents = np.empty((draws_per_sample, c, p))
     chain_means = np.empty((n_chains, p, c))
     for ci in range(n_chains):
@@ -348,12 +354,11 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
     independent.  One Cholesky factor of K(X, X) serves the sampler at every
     temperature and the predictive, whose means and variances come from the
     one triangular solve of :func:`~coldgp.regression.conditional`, and one
-    lock-step sampler pass advances every (temperature, chain) pair; the
-    retained whitened samples of the whole grid, T * n_chains *
-    n_samples_per_chain * C * n float64 values, are held at once.  The
-    predictive then makes one conditional-mean product per temperature,
-    reading that temperature's samples through a view, and adds
-    ``config.draws_per_sample`` softmax draws per retained sample.
+    lock-step sampler pass advances every (temperature, chain) pair.  The
+    sampler retains the test-latent means of the whole grid, T * n_chains *
+    n_samples_per_chain * C * p float64 values for p test points, and the
+    predictive adds ``config.draws_per_sample`` softmax draws per retained
+    sample, one temperature at a time.
     Returns a dict of 1-D float64 arrays in grid order: test_log_likelihood,
     top1_accuracy, and their between-chain Monte Carlo standard errors
     mc_se_log_likelihood and mc_se_accuracy (0 for a single chain); ``stats``
@@ -366,21 +371,19 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
     if not test.is_classification or test.class_count != train.class_count:
         raise ValueError("train/test class counts differ or test set is not classification")
     c = train.class_count
-    check_array_size("the retained samples (temperatures, n_chains, n_samples_per_chain, "
-                     "classes, training points)",
-                     (len(temps), config.n_chains, config.n_samples_per_chain, c, train.n))
-    check_array_size("the test-latent means (n_chains, n_samples_per_chain, classes, "
-                     "test points)", (config.n_chains, config.n_samples_per_chain, c, test.n))
+    check_array_size("the retained test-latent means (temperatures, n_chains, "
+                     "n_samples_per_chain, classes, test points)",
+                     (len(temps), config.n_chains, config.n_samples_per_chain, c, test.n))
     check_array_size("the predictive draws (draws_per_sample, classes, test points)",
                      (config.draws_per_sample, c, test.n))
-    prior_factor = cholesky(gram(kernel, train.inputs, train.inputs))
+    prior_factor = cholesky(gram(kernel, train.inputs, train.inputs), overwrite_a=True)
     v, schur = conditional(kernel, train.inputs, test.inputs, prior_factor)
     seeds = [derive_seed(seed, j) for j in range(len(temps))]
-    samples, stats = _sample_grid(train, temps, seeds, config, prior_factor)
+    means, stats = _sample_grid(train, temps, seeds, config, prior_factor, v)
     ll, acc, se_ll, se_acc = (np.zeros(len(temps)) for _ in range(4))
     for j, t in enumerate(temps):
         rng = RngStream(seeds[j], config.n_chains)
-        chain_means = _chain_prob_means(v, samples[j], np.sqrt(t * schur),
+        chain_means = _chain_prob_means(means[j], np.sqrt(t * schur),
                                         config.draws_per_sample, rng)
         ll[j], acc[j] = classification_metrics(chain_means.mean(axis=0), test.targets)
         if config.n_chains > 1:

@@ -13,8 +13,8 @@ and ``run.log`` (wall time plus solver and sampler diagnostics).  With the
 config and seed fixed, results.csv is byte-identical across runs; run.log
 is where the timing noise lives.
 
-Exit codes: 0 success, 2 config error, 3 computational failure or a file
-that cannot be read or written.
+Exit codes: 0 success, 2 config error, 3 computational failure, a file
+that cannot be read or written, or an array the machine cannot hold.
 """
 from __future__ import annotations
 
@@ -314,6 +314,10 @@ def main(argv=None) -> int:
         return 2
     except (ColdGPError, OSError) as exc:  # OSError: a file not read or written
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # an array within numpy's size limit but not the machine's
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+              file=sys.stderr)
         return 3
     return 0
 

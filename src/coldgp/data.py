@@ -121,7 +121,7 @@ def gen_rbf_regression(n_train, n_test, noise_std, kernel, seed):
     check_array_size("the data Gram (n_train + n_test rows and columns)", (n, n))
     rng = RngStream(seed, 0)
     x = rng.standard_normal(n)[:, None]
-    factor = cholesky(gram(kernel, x, x))
+    factor = cholesky(gram(kernel, x, x), overwrite_a=True)
     latent = factor.lower @ rng.standard_normal(n)
     y = latent + noise_std * rng.standard_normal(n)
     prov = {"name": "rbf-regression", "seed": int(seed), "noise_std": noise_std,

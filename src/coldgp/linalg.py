@@ -1,10 +1,11 @@
 """Dense SPD linear algebra underneath every inference path.
 
 All factorizations go through :func:`cholesky`, which owns the jitter
-policy: it factors with LAPACK ``dpotrf`` in place, in one work copy of its
-input that becomes the factor, and nothing else in the package calls
-``dpotrf`` or ``numpy.linalg.cholesky`` (a source scan in the test suite
-checks this), so escalation and failure handling stay in one place.
+policy: it factors with LAPACK ``dpotrf`` in place, either in one work copy
+of its input or, when the caller hands its Gram over, in the input's own
+buffer, and nothing else in the package calls ``dpotrf`` or
+``numpy.linalg.cholesky`` (a source scan in the test suite checks this), so
+escalation and failure handling stay in one place.
 :func:`tril_matmul` multiplies by a factor with a BLAS triangular multiply;
 the sampler's prior draws use it.  :func:`block_rows` sizes the row blocks
 that the Cholesky checks and the nngp Gram work on, so that no scratch array
@@ -63,7 +64,28 @@ class SpdFactor:
         return self.lower.shape[0]
 
 
-def cholesky(a, ladder=JITTER_LADDER) -> SpdFactor:
+def _fill_lower_from_upper(a, diag):
+    """Refill the square ``a``'s strict lower triangle from its strict upper
+    one and its diagonal from ``diag``, one block of rows at a time."""
+    n = a.shape[0]
+    rows = block_rows(n)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        below = np.tri(r1 - r0, r1, r0 - 1, dtype=bool)
+        np.copyto(a[r0:r1, :r1], a[:r1, r0:r1].T, where=below)
+    np.copyto(a.reshape(-1)[:: n + 1], diag)
+
+
+def _zero_strict_upper(a):
+    """Zero the square ``a``'s strict upper triangle, one block of rows at a time."""
+    n = a.shape[0]
+    rows = block_rows(n)
+    for r0 in range(0, n, rows):
+        r1 = min(r0 + rows, n)
+        np.copyto(a[r0:r1, r0:], 0.0, where=~np.tri(r1 - r0, n - r0, dtype=bool))
+
+
+def cholesky(a, ladder=JITTER_LADDER, overwrite_a=False) -> SpdFactor:
     """Factor a symmetric positive definite matrix, escalating jitter as needed.
 
     Parameters
@@ -74,15 +96,28 @@ def cholesky(a, ladder=JITTER_LADDER) -> SpdFactor:
         at a time (``block_rows``), so they allocate no n x n temporary.
     ladder : sequence of float
         Relative jitter rungs, multiplied by mean(diag(a)).  A rung of 0
-        adds exactly 0.0.  Each rung refills one n x n work array with ``a``
-        and adds its jitter to the diagonal in place, which gives the bits
-        of ``a + eps * I``.
+        adds exactly 0.0.  Each rung factors the bits of ``a + eps * I``:
+        the matrix is refilled with ``a`` and its jitter is added to the
+        diagonal in place.
+    overwrite_a : bool
+        Hand ``a`` over to be factored in its own buffer.  This holds when
+        ``a`` is a writeable, C-ordered float64 array equal to its transpose
+        bit for bit and larger than one row block (n > 362); any other input
+        is factored in a copy and left as it is.  A smaller matrix's copy is
+        no larger than the checks' own block scratch, and copying it costs
+        less than the in-place bookkeeping.  ``dpotrf`` writes only the
+        lower triangle, so a failed rung is undone from the untouched strict
+        upper triangle and a saved copy of the diagonal (n values), and each
+        rung factors the bits that the copy would.  The factor is then ``a``
+        itself, and the caller must not read ``a`` as the input again, nor
+        after an error.
 
     Returns
     -------
     SpdFactor with the lower factor and the absolute jitter that was added.
-    The factor is the work array itself: C-ordered, its strict upper
-    triangle zero, so it is the only n x n array this call allocates.
+    The factor is the work array, or ``a`` when it is factored in place:
+    C-ordered, its strict upper triangle zero.  So a call allocates one
+    n x n array, or none in place.
 
     Raises
     ------
@@ -97,44 +132,54 @@ def cholesky(a, ladder=JITTER_LADDER) -> SpdFactor:
     n = a.shape[0]
     if n == 0:
         raise EmptyInputError("cannot factor an empty matrix")
+    rows = block_rows(n)
+    in_place = overwrite_a and n > rows and a.flags.c_contiguous and a.flags.writeable
     # one row block at a time, so no check needs an n x n temporary.  A NaN or
     # an infinity makes its block's max |a| non-finite.  Each pair's asymmetry
     # is read once, from the row of its lower-triangle entry, and judged only
-    # after every block has passed the finiteness check
+    # after every block has passed the finiteness check.  In place, the
+    # pairs must also agree bit for bit (a zero and a negative zero do not)
     abs_max = asym_max = 0.0
-    rows = block_rows(n)
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         block_max = float(np.max(np.abs(a[r0:r1])))
         if not np.isfinite(block_max):
             raise NonFiniteInputError("matrix contains NaN or infinity")
         abs_max = max(abs_max, block_max)
-        asym_max = max(asym_max, float(np.max(np.abs(a[r0:r1, :r1] - a[:r1, r0:r1].T))))
+        below, above = a[r0:r1, :r1], a[:r1, r0:r1].T
+        asym_max = max(asym_max, float(np.max(np.abs(below - above))))
+        in_place = in_place and np.array_equal(below.view(np.int64), above.view(np.int64))
     if asym_max > _SYM_RTOL * max(abs_max, 1.0):
         raise NotSymmetricError("matrix is not symmetric within relative tolerance 1e-12")
 
     # the mean of finite entries is finite, but their sum may overflow: then
     # sum the entries divided by n instead
-    diag = np.diag(a)
+    diag = a.diagonal().copy() if in_place else np.diag(a)
     with np.errstate(over="ignore"):
         diag_mean = float(np.mean(diag))
     if not np.isfinite(diag_mean):
         diag_mean = float(np.sum(diag / n))
     # dpotrf factors the F-ordered work.T in place as upper, a = U^T U, so
-    # work ends as the C-ordered lower factor, strict upper triangle zeroed
-    work = np.empty((n, n))
+    # work ends as the C-ordered lower factor.  In place, its strict upper
+    # triangle keeps a's until a rung succeeds (clean=0)
+    work = a if in_place else np.empty((n, n))
     work_diag = work.reshape(-1)[:: n + 1]
-    for rung in ladder:
+    for i, rung in enumerate(ladder):
         eps = rung * diag_mean if rung else 0.0
-        np.copyto(work, a)
+        if not in_place:
+            np.copyto(work, a)
+        elif i:
+            _fill_lower_from_upper(work, diag)
         if eps > 0.0:
             with np.errstate(over="ignore"):
                 work_diag += eps
             if not np.all(np.isfinite(work_diag)):
                 raise NonFiniteInputError(
                     f"jitter {eps:g} overflows the diagonal of the matrix")
-        upper, info = dpotrf(work.T, lower=0, clean=1, overwrite_a=1)
+        upper, info = dpotrf(work.T, lower=0, clean=not in_place, overwrite_a=1)
         if info == 0:
+            if in_place:
+                _zero_strict_upper(work)
             return SpdFactor(lower=upper.T, jitter_used=eps)
     raise NotPositiveDefiniteError(
         f"Cholesky failed at every jitter rung (largest {ladder[-1]:g} * mean diag)"

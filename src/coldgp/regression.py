@@ -53,10 +53,11 @@ class RegressionModel:
 class ConditionedRegression:
     """A regression model conditioned on a training set.
 
-    Holds the factored noisy Gram matrix and the whitened targets
-    ``beta`` = L^{-1} y, so repeated prediction (and the temperature sweep)
-    pay for one Cholesky and one solve only.  beta . beta is the data-fit
-    term y^T (K + sigma_eps^2 I)^{-1} y of the marginal likelihood.
+    Holds the noisy Gram matrix, factored in its own buffer, and the
+    whitened targets ``beta`` = L^{-1} y, so repeated prediction (and the
+    temperature sweep) pay for one Cholesky and one solve only.  beta . beta
+    is the data-fit term y^T (K + sigma_eps^2 I)^{-1} y of the marginal
+    likelihood.
     """
 
     def __init__(self, model: RegressionModel, train: LabeledDataset):
@@ -68,7 +69,7 @@ class ConditionedRegression:
         noisy.flat[:: train.n + 1] += model.noise_std**2
         self.model = model
         self.train = train
-        self.factor: SpdFactor = cholesky(noisy)
+        self.factor: SpdFactor = cholesky(noisy, overwrite_a=True)
         self.beta = solve_triangular(self.factor.lower, train.targets, lower=True,
                                      check_finite=False)
 

@@ -65,6 +65,22 @@ def count_calls(monkeypatch, module, names):
     return calls
 
 
+def record_factors(monkeypatch, module):
+    """Wrap ``module.cholesky`` to record each call's (input, factor) pair.
+
+    Returns the list of pairs, which fills as the wrapped function runs;
+    ``monkeypatch`` restores the original.
+    """
+    pairs, real = [], module.cholesky
+
+    def recording(a, *args, **kwargs):
+        pairs.append((a, real(a, *args, **kwargs)))
+        return pairs[-1][1]
+
+    monkeypatch.setattr(module, "cholesky", recording)
+    return pairs
+
+
 def write_cifar_fixture(dir_path, per_file=30, seed=0):
     """Synthetic CIFAR-10 batch files: labels cycle 0..9, pixel 0 encodes the
     label as label * 20 so the original class is recoverable after remapping."""

@@ -240,11 +240,11 @@ def test_sampler_matches_analytic_oracles():
                       -lim, lim, -lim, lim, epsabs=1e-12, epsrel=1e-10)[0] / den
               for j in range(2)]
     factor = cholesky(gram(spec, train.inputs, train.inputs))
-    samples, _ = _sample_grid(
-        train, [t], [123],
-        EssConfig(n_chains=4, burn_in=800, n_samples_per_chain=2500, thinning=2), factor)
     v, schur_c = conditional(spec, train.inputs, xs, factor)
-    probs = _chain_prob_means(v, samples[0], np.sqrt(t * schur_c), 16,
+    means, _ = _sample_grid(
+        train, [t], [123],
+        EssConfig(n_chains=4, burn_in=800, n_samples_per_chain=2500, thinning=2), factor, v)
+    probs = _chain_prob_means(means[0], np.sqrt(t * schur_c), 16,
                               RngStream(123, 4)).mean(axis=0)
     gap = float(np.max(np.abs(probs[:, 0] - np.array(p_quad))))
 

@@ -227,12 +227,12 @@ def test_disagreement_mc_hand_values():
 
 def test_disagreement_mc_on_sample_set_array():
     # the sampler's (chains, samples, C, n) layout goes in as is and matches
-    # the per-sample average over its matrices.  The sampler retains whitened
-    # samples G; the training latents are F = L @ G, one class row at a time
+    # the per-sample average over its matrices.  The sampler keeps v^T G for
+    # its readout v; with v = L^T that is the training latents F = L @ G
     train, _ = gen_cluster_classification(6, 3, 2, 2.0, seed=2)
     cfg = EssConfig(n_chains=2, burn_in=10, n_samples_per_chain=5, thinning=1)
     factor = cholesky(gram(KernelSpec.rbf(), train.inputs, train.inputs))
-    samples = _sample_grid(train, [0.5], [3], cfg, factor)[0][0] @ factor.lower.T
+    samples = _sample_grid(train, [0.5], [3], cfg, factor, factor.lower.T)[0][0]
     matrices = samples.reshape(-1, train.class_count, train.n)
     for index in (0, train.n - 1):
         y = train.targets[index]

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from coldgp.linalg import cholesky, tril_matmul
 from coldgp.regression import conditional
 from coldgp.rng import RngStream, derive_seed
 
-from helpers import batch_means_se, count_calls
+from helpers import batch_means_se, count_calls, record_factors
 
 
 def _contrasts(f):
@@ -357,8 +358,9 @@ def test_sample_grid_layout_and_determinism():
     train, _, cfg = _tiny_problem()
     factor = _factor(KernelSpec.rbf(), train)
     temps = [0.5, 2.0]
-    a, stats = _sample_grid(train, temps, [7, 9], cfg, factor)
-    b, stats_b = _sample_grid(train, temps, [7, 9], cfg, factor)
+    eye = np.eye(train.n)  # reads back the whitened samples G
+    a, stats = _sample_grid(train, temps, [7, 9], cfg, factor, eye)
+    b, stats_b = _sample_grid(train, temps, [7, 9], cfg, factor, eye)
     assert a.shape == (2, cfg.n_chains, cfg.n_samples_per_chain, 2, train.n)
     assert a.dtype == np.float64
     np.testing.assert_array_equal(a, b)
@@ -368,12 +370,12 @@ def test_sample_grid_layout_and_determinism():
         assert st["transitions"] == transitions and st["proposals"] >= transitions
         assert st["proposals_per_transition"] == st["proposals"] / transitions
         assert st["prior_jitter"] == t * factor.jitter_used
-    c, _ = _sample_grid(train, [0.5], [8], cfg, factor)
+    c, _ = _sample_grid(train, [0.5], [8], cfg, factor, eye)
     assert np.max(np.abs(a[0] - c[0])) > 0
 
 
 def _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, seed):
-    """The sweep's output and the (samples, stats) its one ``_sample_grid`` call returned."""
+    """The sweep's output and the (means, stats) its one ``_sample_grid`` call returned."""
     import coldgp.classification as cls
 
     returned, real = [], cls._sample_grid
@@ -400,11 +402,12 @@ def test_sweep_samples_match_standalone_calls(monkeypatch):
                     draws_per_sample=1)
     kern = KernelSpec.rbf()
     temps = [0.05, 1.0, 3.0]
-    _, (samples, stats) = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 5)
+    _, (means, stats) = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 5)
     factor = _factor(kern, train)
+    v, _ = conditional(kern, train.inputs, test.inputs, factor)
     for j, t in enumerate(temps):
-        ref, ref_stats = _sample_grid(train, [t], [derive_seed(5, j)], cfg, factor)
-        np.testing.assert_array_equal(samples[j], ref[0])
+        ref, ref_stats = _sample_grid(train, [t], [derive_seed(5, j)], cfg, factor, v)
+        np.testing.assert_array_equal(means[j], ref[0])
         assert stats[j] == ref_stats[0]
 
 
@@ -421,19 +424,22 @@ def _per_sample_prob_means(v, samples, sd, draws_per_sample, rng):
 
 def test_sweep_metrics_match_standalone_predictive(monkeypatch):
     # the sweep's metrics at each grid position must equal, bitwise, the
-    # predictive kernel run on that position's samples and stream
-    # RngStream(derive_seed(seed, j), n_chains); that kernel's one product per
-    # temperature must agree with one product per retained sample
+    # predictive kernel run on that position's retained means and stream
+    # RngStream(derive_seed(seed, j), n_chains); the means, one product per
+    # retained step, must agree with one product per retained sample of G
     train, test = gen_cluster_classification(400, 3, 3, 2.0, seed=1)
     cfg = EssConfig(n_chains=3, burn_in=5, n_samples_per_chain=4, thinning=1,
                     draws_per_sample=2)
     kern = KernelSpec.rbf()
     temps = [0.1, 1.0]
-    out, (samples, _) = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 9)
-    v, schur = conditional(kern, train.inputs, test.inputs, _factor(kern, train))
+    out, (means, _) = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 9)
+    factor = _factor(kern, train)
+    v, schur = conditional(kern, train.inputs, test.inputs, factor)
+    seeds = [derive_seed(9, j) for j in range(len(temps))]
+    samples, _ = _sample_grid(train, temps, seeds, cfg, factor, np.eye(train.n))
     for j, t in enumerate(temps):
         sd = np.sqrt(t * schur)
-        chain_means = _chain_prob_means(v, samples[j], sd, 2, RngStream(derive_seed(9, j), 3))
+        chain_means = _chain_prob_means(means[j], sd, 2, RngStream(derive_seed(9, j), 3))
         ll, acc = classification_metrics(chain_means.mean(axis=0), test.targets)
         assert out["test_log_likelihood"][j] == ll and out["top1_accuracy"][j] == acc
         per_chain = [classification_metrics(cm, test.targets) for cm in chain_means]
@@ -524,6 +530,46 @@ def test_sweep_prior_draws_multiply_one_column_per_contrast(monkeypatch, c):
     assert columns == [len(temps) * cfg.n_chains * (c - 1)] * steps
 
 
+def test_sweep_memory_is_factor_readout_and_retained_means():
+    # the sweep holds one n x n array (the Gram, factored in place), the
+    # n x p readout v and the retained (T, chains, S, C, p) test-latent means;
+    # the rest is bounded scratch.  Retaining the whitened (..., C, n) samples
+    # instead exceeds the bound, as does a second n x n array kept alive
+    # through the sampler (the in-place factor tests cover the Cholesky)
+    train, test = gen_cluster_classification(300, 2, 3, 2.0, seed=0)
+    n, p = train.n, test.n
+    assert (n, p) == (600, 300)
+    cfg = EssConfig(n_chains=2, burn_in=5, n_samples_per_chain=300, thinning=1,
+                    draws_per_sample=1)
+    temps = [0.5, 1.0]
+    retained = len(temps) * cfg.n_chains * cfg.n_samples_per_chain * train.class_count * p
+    bound = 8 * (n * n + n * p + retained) + 2 * 2**20
+    small_train, small_test = gen_cluster_classification(4, 2, 3, 2.0, seed=0)
+    # loads scipy.linalg and every code path outside the trace
+    classification_temperature_sweep(KernelSpec.rbf(), small_train, small_test, temps,
+                                     dataclasses.replace(cfg, n_samples_per_chain=2))
+    tracemalloc.start()
+    try:
+        classification_temperature_sweep(KernelSpec.rbf(), train, test, temps, cfg, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
+
+
+def test_sweep_factors_its_gram_in_place(monkeypatch):
+    # 400 training points, above one row block: the Gram becomes the factor
+    import coldgp.classification as cls
+
+    factors = record_factors(monkeypatch, cls)
+    train, test = gen_cluster_classification(200, 2, 3, 2.0, seed=0)
+    cls.classification_temperature_sweep(
+        KernelSpec.rbf(), train, test, [1.0],
+        EssConfig(n_chains=1, burn_in=1, n_samples_per_chain=1, thinning=1, draws_per_sample=1))
+    [(gram_built, factor)] = factors
+    assert np.shares_memory(gram_built, factor.lower)
+
+
 @pytest.mark.parametrize("n_temps", [1, 4])
 def test_sweep_builds_one_gram_pair_and_one_factor(monkeypatch, n_temps):
     # the sweep's work count, whatever the grid size: two Gram builds, one
@@ -577,21 +623,22 @@ def test_whitened_means_match_two_solve_means():
     train, test, cfg = _tiny_problem()
     kern = KernelSpec.rbf()
     factor = _factor(kern, train)
-    samples, _ = _sample_grid(train, [0.3], [11], cfg, factor)
     v, _ = conditional(kern, train.inputs, test.inputs, factor)
+    means, _ = _sample_grid(train, [0.3], [11], cfg, factor, v)
     b = solve_triangular(factor.lower, solve_triangular(
         factor.lower, gram(kern, train.inputs, test.inputs), lower=True), lower=True, trans="T")
-    latents = samples[0] @ factor.lower.T  # each class row f_c = L g_c
-    np.testing.assert_allclose(samples[0] @ v, latents @ b, rtol=1e-10)
+    # the readout L^T retains each class row f_c = L g_c
+    latents, _ = _sample_grid(train, [0.3], [11], cfg, factor, factor.lower.T)
+    np.testing.assert_allclose(means[0], latents[0] @ b, rtol=1e-10)
 
 
 def test_predictive_probs_rows_sum_to_one():
     train, test, cfg = _tiny_problem()
     kern = KernelSpec.rbf()
     factor = _factor(kern, train)
-    samples, _ = _sample_grid(train, [0.3], [11], cfg, factor)
     v, schur = conditional(kern, train.inputs, test.inputs, factor)
-    probs = _chain_prob_means(v, samples[0], np.sqrt(0.3 * schur), 3,
+    means, _ = _sample_grid(train, [0.3], [11], cfg, factor, v)
+    probs = _chain_prob_means(means[0], np.sqrt(0.3 * schur), 3,
                               RngStream(11, cfg.n_chains))
     assert probs.shape == (cfg.n_chains, test.n, 2)
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
@@ -603,8 +650,7 @@ def test_predictive_probs_prior_path_is_symmetric():
     # prior draws, so the classes are exchangeable
     t, xs = 1.0, np.array([[0.0], [5.0]])
     sd = np.sqrt(t * gram_diag(KernelSpec.rbf(), xs))
-    probs = _chain_prob_means(np.zeros((1, 2)), np.zeros((1, 1, 2, 1)), sd, 4000,
-                              RngStream(0, 1))
+    probs = _chain_prob_means(np.zeros((1, 1, 2, 2)), sd, 4000, RngStream(0, 1))
     np.testing.assert_allclose(probs[0], 0.5, atol=0.03)
 
 

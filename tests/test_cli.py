@@ -778,6 +778,19 @@ def test_oversized_count_exits_before_allocating(tmp_path, capsys, monkeypatch, 
     assert calls == {"gram": 0, "_sample_grid": 0}
 
 
+def test_grid_beyond_memory_exits_3(tmp_path, capsys):
+    # 2 temperatures x 10**12 chains fit numpy's size limit but no machine:
+    # the sampler's first allocation, the retained means, fails at once,
+    # before any per-chain object is built, and the run ends in one line
+    payload = classify_payload(tmp_path / "o")
+    payload["data"]["n_per_class"] = 5  # 10 training points
+    payload["ess"]["n_chains"] = 10**12
+    capsys.readouterr()
+    assert main(["run", "--config", _write_config(tmp_path, "m.json", payload)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: out of memory: "), err
+
+
 def test_oversized_regression_data_exits_before_allocating(tmp_path, capsys):
     payload = regress_payload(tmp_path / "o")
     payload["data"]["n_train"] = 10**18

@@ -174,6 +174,111 @@ def test_factor_raises_peak_rss_by_about_one_factor(tmp_path):
     assert float(out) <= 1.5
 
 
+# the in-place path runs only above one row block of float64 scratch (n > 362)
+_IN_PLACE_N = 400
+
+
+def _rbf_gram_1d(n=_IN_PLACE_N, seed=0):
+    # many scalar inputs: ill-conditioned, so the zero rung fails
+    from coldgp.kernels import KernelSpec, gram
+
+    x = np.random.default_rng(seed).standard_normal((n, 1))
+    return gram(KernelSpec.rbf(lengthscale=1.0, variance=1.0), x, x)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("noise", [0.01, 0.0])  # factored at rung 0; at a retry rung
+def test_in_place_factor_matches_copy_bitwise(noise):
+    a = _rbf_gram_1d()
+    a.flat[:: a.shape[0] + 1] += noise
+    assert _same_bits(a, a.T)
+    ref = cholesky(a)
+    own = a.copy()
+    f = cholesky(own, overwrite_a=True)
+    assert (f.jitter_used > 0.0) == (noise == 0.0)
+    assert f.jitter_used == ref.jitter_used
+    assert np.shares_memory(f.lower, own) and f.lower.flags.c_contiguous
+    assert _same_bits(f.lower, ref.lower)
+
+
+def _off_by_one_ulp():
+    a = _rbf_gram_1d()
+    a[7, 3] = np.nextafter(a[7, 3], np.inf)  # a[3, 7] keeps its bits
+    return a
+
+
+def _signed_zero_pair():
+    # two independent blocks; one zero pair of the coupling block differs in sign
+    h = _IN_PLACE_N // 2
+    a = np.zeros((2 * h, 2 * h))
+    a[:h, :h], a[h:, h:] = _rbf_gram_1d(h, 1), _rbf_gram_1d(h, 2)
+    a[h + 50, 20] = -0.0
+    return a
+
+
+@pytest.mark.parametrize("make", [_off_by_one_ulp, _signed_zero_pair])
+def test_in_place_needs_exact_symmetry(make):
+    # symmetric within 1e-12 but not bit for bit: the lower triangle cannot be
+    # restored from the upper one, so the copy path runs and a is not written
+    a = make()
+    before = a.copy()
+    ref = cholesky(before)
+    f = cholesky(a, overwrite_a=True)
+    assert ref.jitter_used > 0.0 and f.jitter_used == ref.jitter_used
+    assert _same_bits(f.lower, ref.lower)
+    assert not np.shares_memory(f.lower, a) and _same_bits(a, before)
+
+
+def test_in_place_leaves_read_only_strided_and_small_inputs_alone():
+    base = _rbf_gram_1d()
+    read_only = base.copy()
+    read_only.setflags(write=False)
+    strided = np.zeros((2 * _IN_PLACE_N, 2 * _IN_PLACE_N))
+    strided[::2, ::2] = base
+    fortran = np.asfortranarray(base)
+    small = _rbf_gram_1d(362)  # one row block: its copy costs less than the bookkeeping
+    for a in (read_only, strided[::2, ::2], fortran, small):
+        before = np.array(a)
+        f = cholesky(a, overwrite_a=True)
+        assert _same_bits(f.lower, cholesky(before).lower)
+        assert not np.shares_memory(f.lower, a) and _same_bits(np.array(a), before)
+    assert not np.any(strided[1::2]) and not np.any(strided[:, 1::2])
+
+
+@pytest.mark.parametrize("rank_one", [True, False])  # factored at a positive rung; at 0
+def test_in_place_factor_allocates_no_n_by_n_array(rank_one):
+    n = 1200
+    a = np.ones((n, n)) if rank_one else np.full((n, n), 0.5) + 0.5 * np.eye(n)
+    cholesky(np.eye(2))  # loads scipy.linalg outside the trace
+    tracemalloc.start()
+    try:
+        f = cholesky(a, overwrite_a=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(f.lower, a)
+    assert (f.jitter_used > 0.0) == rank_one
+    assert peak <= 0.25 * a.nbytes
+
+
+def test_in_place_keeps_every_check():
+    n = _IN_PLACE_N
+    non_finite, asymmetric = np.eye(n), np.eye(n)
+    non_finite[n - 1, 3] = np.inf
+    asymmetric[n - 1, 3] = 0.5
+    for a, error in [(np.zeros((n, n + 1)), DimensionMismatchError),
+                     (np.zeros((0, 0)), EmptyInputError),
+                     (non_finite, NonFiniteInputError),
+                     (asymmetric, NotSymmetricError),
+                     (-np.eye(n), NotPositiveDefiniteError),
+                     (np.full((n, n), np.finfo(np.float64).max), NonFiniteInputError)]:
+        with pytest.raises(error):
+            cholesky(a, overwrite_a=True)
+
+
 def test_well_conditioned_needs_no_jitter():
     assert cholesky(_random_spd(10, 4)).jitter_used == 0.0
 

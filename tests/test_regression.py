@@ -22,7 +22,7 @@ from coldgp.regression import (
     regression_temperature_sweep,
 )
 
-from helpers import max_rel_err, scale_kernel
+from helpers import max_rel_err, record_factors, scale_kernel
 
 
 def _dataset(inputs, targets):
@@ -250,3 +250,16 @@ def test_best_temperature_tie_goes_to_smaller_temperature():
     assert best_temperature(temps, -values) == 1.0  # maximize by negating
     with pytest.raises(EmptyInputError):
         best_temperature([], [])
+
+
+def test_generator_and_fit_factor_their_grams_in_place(monkeypatch):
+    # above one row block (n > 362), each hands over the Gram it built and
+    # that buffer becomes the factor, so neither holds a second n x n array
+    import coldgp.linalg
+    import coldgp.regression as reg
+
+    generated = record_factors(monkeypatch, coldgp.linalg)  # data imports it at call time
+    train, _ = gen_rbf_regression(400, 10, 0.1, KernelSpec.rbf(), seed=3)
+    fitted = record_factors(monkeypatch, reg)
+    ConditionedRegression(RegressionModel(KernelSpec.rbf(), 0.1), train)
+    assert [np.shares_memory(a, f.lower) for a, f in generated + fitted] == [True, True]

@@ -12,7 +12,6 @@ that module not yet loaded.
 """
 from .aleatoric import (
     relabel_disagreement_mc,
-    relabel_prob_quadrature,
     relabel_prob_zero_temperature,
     relabel_ratio_curve,
 )
@@ -60,7 +59,6 @@ from .records import best_temperature, read_csv, write_csv
 from .regression import (
     ConditionedRegression,
     RegressionModel,
-    gaussian_test_nll,
     regression_temperature_sweep,
 )
 from .rng import RngStream, derive_seed
@@ -76,8 +74,7 @@ def __getattr__(name):
 
 
 __all__ = [
-    "relabel_disagreement_mc", "relabel_prob_quadrature", "relabel_prob_zero_temperature",
-    "relabel_ratio_curve",
+    "relabel_disagreement_mc", "relabel_prob_zero_temperature", "relabel_ratio_curve",
     "EssConfig", "classification_metrics", "classification_temperature_sweep",
     "ess_transition",
     "emit_plot_data", "main", "run_experiment",
@@ -94,8 +91,7 @@ __all__ = [
     "FAMILIES", "KernelSpec", "gram", "gram_diag",
     "JITTER_LADDER", "SpdFactor", "cholesky", "log_sum_exp",
     "best_temperature", "read_csv", "write_csv",
-    "ConditionedRegression", "RegressionModel",
-    "gaussian_test_nll", "regression_temperature_sweep",
+    "ConditionedRegression", "RegressionModel", "regression_temperature_sweep",
     "RngStream", "derive_seed",
     "__version__",
 ]

@@ -12,13 +12,17 @@ with the observed label:
 
 Both the numerator and the normalizer are one-dimensional integrals,
 evaluated with composite Simpson quadrature in log space, with panel
-doubling until the value stabilizes.  The window is centred at the mode d*
-of the tempered posterior, the minimizer of softplus(-d) + d^2 / (4 c),
-which does not depend on t, and reaches 40 prior standard deviations
-sqrt(2 c t) either side of it.  The curvature of that objective is at least
-1 / (2 c), so the posterior's Laplace standard deviation never exceeds
-sqrt(2 c t) and the window covers the posterior at every t; a window
-centred at 0 instead misses it once sqrt(2 c t) is small next to d*.
+doubling until the value stabilizes at a node spacing of at most a quarter
+of sqrt(2 c t).  The window is centred at the mode d* of the tempered
+posterior, the minimizer of softplus(-d) + d^2 / (4 c), which does not
+depend on t, and reaches ``integration_half_width_sigmas`` (40 by default,
+at least 8) prior standard deviations sqrt(2 c t) either side of it.  The
+curvature of that objective is at least 1 / (2 c), so the posterior's
+Laplace standard deviation never exceeds sqrt(2 c t) and the window covers
+the posterior at every t; a window centred at 0 instead misses it once
+sqrt(2 c t) is small next to d*.
+
+:func:`relabel_ratio_curve` is the one entry point for probe values.
 
 A curve's temperatures are the rows of one array, refined in lock step: each
 pass doubles the panels of the rows that have not converged.  The nodes are
@@ -180,8 +184,9 @@ def _check_quadrature(quadrature_tolerance, integration_half_width_sigmas):
     tol, width = float(quadrature_tolerance), float(integration_half_width_sigmas)
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError("quadrature_tolerance must be positive")
-    if not (np.isfinite(width) and width > 0.0):
-        raise ValueError("integration_half_width_sigmas must be positive")
+    # erfc(8 / sqrt(2)) ~ 1e-15: a narrower window cuts off posterior mass
+    if not (np.isfinite(width) and width >= 8.0):
+        raise ValueError(f"integration_half_width_sigmas must be finite and >= 8, got {width!r}")
     return tol, width
 
 
@@ -190,11 +195,14 @@ def _quadrature(c: float, temps, tol: float, width: float, centre: float):
 
     Every row starts at _INITIAL_PANELS and doubles its panels, in lock step
     with the rows that have not yet converged, until two successive values
-    agree to the relative tolerance ``tol``; converged rows drop out.  Rows
-    refined together hold at most _NODE_BUDGET doubles per node array (one
-    row always goes ahead); past it they advance a chunk at a time,
-    depth-first, so the first row that runs out of panels raises before any
-    later row is refined further.  Windows are centred at ``centre``.
+    agree to the relative tolerance ``tol`` at 4 * ``width`` panels or more
+    (a node spacing of sqrt(2 c t) / 4 or less: coarser nodes in a wide
+    window can miss the posterior and agree falsely); converged rows drop
+    out.  Rows refined together hold at most _NODE_BUDGET doubles per node
+    array (one row always goes ahead); past it they advance a chunk at a
+    time, depth-first, so the first row that runs out of panels raises
+    before any later row is refined further.  Windows are centred at
+    ``centre``.
     """
     t = np.array(temps, dtype=np.float64).reshape(-1, 1)
     half = width * np.sqrt(2.0 * c * t)
@@ -217,7 +225,7 @@ def _quadrature(c: float, temps, tol: float, width: float, centre: float):
             # rebinding level lets the previous level go before the sums
             level = _level(c, t[rows], lo[rows], hi[rows], panels, level)
             cur = _probe_values(*level)
-            if value is not None:
+            if value is not None and panels >= 4.0 * width:
                 done = np.abs(cur - value) <= tol * np.maximum(np.abs(cur), 1e-300)
                 if done.any():
                     out[rows[done]] = cur[done]
@@ -234,21 +242,6 @@ def _quadrature(c: float, temps, tol: float, width: float, centre: float):
 
     refine(np.arange(t.shape[0]), _INITIAL_PANELS, None, None)
     return out
-
-
-def relabel_prob_quadrature(latent_scale: float, temperature: float,
-                            quadrature_tolerance: float = 1e-8,
-                            integration_half_width_sigmas: float = 40.0) -> float:
-    """Disagreement probability p(latent_scale, temperature) by quadrature.
-
-    The window is centred at the posterior mode d*, found here.  Panel count
-    doubles until successive values agree to the relative tolerance; raises
-    QuadratureNotConvergedError if the panel budget runs out first.
-    """
-    c = _check_scale(latent_scale)
-    t = check_temperature(temperature)
-    tol, width = _check_quadrature(quadrature_tolerance, integration_half_width_sigmas)
-    return float(_quadrature(c, [t], tol, width, _posterior_mode(c))[0])
 
 
 def relabel_prob_zero_temperature(latent_scale: float) -> float:
@@ -269,7 +262,8 @@ def relabel_ratio_curve(latent_scale: float, temperatures,
     position, in grid order, where ratio is probability / probability at
     t = 1.  The t = 1 reference is computed once, so a grid containing 1.0
     reports ratio exactly 1.0 there.  The posterior mode that centres every
-    window is found once for the curve.
+    window is found once for the curve.  A tolerance that is not positive or
+    a half-width below 8 raises ValueError.
     """
     temps = [check_temperature(t) for t in temperatures]
     if not temps:

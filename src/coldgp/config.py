@@ -84,7 +84,10 @@ def _as_number(value, key: str, where: str, positive=False, nonneg=False,
     OverflowError instead of giving inf)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key '{key}' in {where} must be a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # an integer literal past the float range
+        v = math.inf
     if not math.isfinite(v):
         raise ConfigError(f"key '{key}' in {where} must be finite, got {value!r}")
     if squared and not math.isfinite(v * v):
@@ -230,7 +233,7 @@ def _parse_probe(section) -> dict:
         raise ConfigError(f"'{where}' must be an object")
     _reject_unknown(section, ("latent_scales", "temperatures", "quadrature_tolerance",
                               "integration_half_width_sigmas"), where)
-    return {
+    out = {
         "latent_scales": list(_as_positive_list(_need(section, "latent_scales", where),
                                                 "latent_scales", where)),
         "temperatures": list(_as_positive_list(_need(section, "temperatures", where),
@@ -239,8 +242,13 @@ def _parse_probe(section) -> dict:
                                            "quadrature_tolerance", where, positive=True),
         "integration_half_width_sigmas": _as_number(
             section.get("integration_half_width_sigmas", 40.0),
-            "integration_half_width_sigmas", where, positive=True),
+            "integration_half_width_sigmas", where),
     }
+    # erfc(8 / sqrt(2)) ~ 1e-15: a narrower window cuts off posterior mass
+    if out["integration_half_width_sigmas"] < 8.0:
+        raise ConfigError(f"key 'integration_half_width_sigmas' in {where} must be >= 8, "
+                          f"got {out['integration_half_width_sigmas']!r}")
+    return out
 
 
 def _parse_regression(section) -> dict:
@@ -334,6 +342,10 @@ def load_config(path: str) -> ExperimentConfig:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         # JSON text is UTF-8, so undecodable bytes are invalid JSON too
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    except (RecursionError, ValueError) as exc:
+        # valid JSON past the parser's limits: arrays or objects nested past
+        # the recursion limit, or an integer literal of more than 4300 digits
+        raise ConfigError(f"config file {path} cannot be parsed: {exc}")
     return parse_config(raw)
 
 

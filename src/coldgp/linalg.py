@@ -59,10 +59,6 @@ class SpdFactor:
     lower: np.ndarray
     jitter_used: float
 
-    @property
-    def dimension(self) -> int:
-        return self.lower.shape[0]
-
 
 def _fill_lower_from_upper(a, diag):
     """Refill the square ``a``'s strict lower triangle from its strict upper
@@ -85,8 +81,13 @@ def _zero_strict_upper(a):
         np.copyto(a[r0:r1, r0:], 0.0, where=~np.tri(r1 - r0, n - r0, dtype=bool))
 
 
-def cholesky(a, ladder=JITTER_LADDER, overwrite_a=False) -> SpdFactor:
+def cholesky(a, overwrite_a=False) -> SpdFactor:
     """Factor a symmetric positive definite matrix, escalating jitter as needed.
+
+    The rungs of JITTER_LADDER are tried in order, each multiplied by
+    mean(diag(a)); a rung of 0 adds exactly 0.0.  Each rung factors the bits
+    of ``a + eps * I``: the matrix is refilled with ``a`` and its jitter is
+    added to the diagonal in place.
 
     Parameters
     ----------
@@ -94,11 +95,6 @@ def cholesky(a, ladder=JITTER_LADDER, overwrite_a=False) -> SpdFactor:
         Symmetric matrix.  It must be finite, and max |a - a.T| may not
         exceed 1e-12 * max(max |a|, 1).  Both checks read one block of rows
         at a time (``block_rows``), so they allocate no n x n temporary.
-    ladder : sequence of float
-        Relative jitter rungs, multiplied by mean(diag(a)).  A rung of 0
-        adds exactly 0.0.  Each rung factors the bits of ``a + eps * I``:
-        the matrix is refilled with ``a`` and its jitter is added to the
-        diagonal in place.
     overwrite_a : bool
         Hand ``a`` over to be factored in its own buffer.  This holds when
         ``a`` is a writeable, C-ordered float64 array equal to its transpose
@@ -164,7 +160,7 @@ def cholesky(a, ladder=JITTER_LADDER, overwrite_a=False) -> SpdFactor:
     # triangle keeps a's until a rung succeeds (clean=0)
     work = a if in_place else np.empty((n, n))
     work_diag = work.reshape(-1)[:: n + 1]
-    for i, rung in enumerate(ladder):
+    for i, rung in enumerate(JITTER_LADDER):
         eps = rung * diag_mean if rung else 0.0
         if not in_place:
             np.copyto(work, a)
@@ -182,7 +178,7 @@ def cholesky(a, ladder=JITTER_LADDER, overwrite_a=False) -> SpdFactor:
                 _zero_strict_upper(work)
             return SpdFactor(lower=upper.T, jitter_used=eps)
     raise NotPositiveDefiniteError(
-        f"Cholesky failed at every jitter rung (largest {ladder[-1]:g} * mean diag)"
+        f"Cholesky failed at every jitter rung (largest {JITTER_LADDER[-1]:g} * mean diag)"
     )
 
 

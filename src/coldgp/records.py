@@ -57,7 +57,10 @@ def write_csv(path, header, rows):
 def read_csv(path):
     """Read a results table back as (header list, list of string-valued rows)."""
     with open_text(path, "utf-8", newline="") as fh:
-        table = list(csv.reader(fh))
+        try:
+            table = list(csv.reader(fh))
+        except csv.Error as exc:  # such as a cell past the csv module's field limit
+            raise MalformedRecordError(f"{path}: {exc}") from None
     if not table:
         return [], []
     header, rows = table[0], table[1:]

@@ -28,12 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .exceptions import (
-    EmptyInputError,
-    LengthMismatchError,
-    ZeroVarianceError,
-    check_temperature,
-)
+from .exceptions import EmptyInputError, ZeroVarianceError, check_temperature
 from .kernels import KernelSpec, gram, gram_diag
 from .linalg import SpdFactor, cholesky
 
@@ -106,20 +101,6 @@ def _mean_gaussian_nll(mean, variance, targets):
         raise ZeroVarianceError("test NLL undefined for non-positive predictive variance")
     nll = 0.5 * (np.log(2.0 * np.pi * variance) + (targets - mean) ** 2 / variance)
     return np.mean(nll, axis=-1)
-
-
-def gaussian_test_nll(mean, variance, targets) -> float:
-    """Average Gaussian negative log likelihood of targets under predictions."""
-    mu = np.asarray(mean, dtype=np.float64)
-    var = np.asarray(variance, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.ndim != 1 or mu.shape != targets.shape or var.shape != targets.shape:
-        raise LengthMismatchError(
-            f"{mu.shape} means and {var.shape} variances vs {targets.shape} targets"
-        )
-    if targets.shape[0] == 0:
-        raise EmptyInputError("need at least one prediction")
-    return float(_mean_gaussian_nll(mu, var, targets))
 
 
 def regression_temperature_sweep(model: RegressionModel, train: LabeledDataset,

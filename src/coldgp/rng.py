@@ -69,9 +69,6 @@ class RngStream:
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size=size)
 
-    def integers(self, low, high=None, size=None):
-        return self._gen.integers(low, high=high, size=size)
-
     def permutation(self, n: int) -> np.ndarray:
         if n < 0:
             raise ValueError("permutation length must be non-negative")

@@ -34,7 +34,6 @@ from coldgp import (
     load_config,
     normalize_inputs,
     read_csv,
-    relabel_prob_quadrature,
     relabel_ratio_curve,
     run_experiment,
 )
@@ -61,8 +60,7 @@ def _spaced_inputs(n, lengthscale, rng=None):
 
 def test_relabel_probability_anchor_bands():
     started = time.perf_counter()
-    p_warm = relabel_prob_quadrature(1000.0, 1.0)
-    p_cold = relabel_prob_quadrature(1000.0, 0.01)
+    p_warm, p_cold = relabel_ratio_curve(1000.0, [1.0, 0.01])[0]
     elapsed = time.perf_counter() - started
     ok = (0.015 <= p_warm <= 0.025) and (0.002 <= p_cold <= 0.006) and elapsed < 1.0
     _check("relabel-probability-anchor-bands", ok,

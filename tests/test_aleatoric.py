@@ -19,7 +19,6 @@ from coldgp.aleatoric import (
     _posterior_mode,
     _sigmoid,
     relabel_disagreement_mc,
-    relabel_prob_quadrature,
     relabel_prob_zero_temperature,
     relabel_ratio_curve,
 )
@@ -57,21 +56,21 @@ def _quad_oracle(c, t):
 
 @pytest.mark.parametrize("c,t", [(1000.0, 1.0), (1.0, 1.0), (10.0, 0.3), (100.0, 0.05)])
 def test_quadrature_matches_scipy_quad(c, t):
-    ours = relabel_prob_quadrature(c, t)
+    ours = relabel_ratio_curve(c, [t])[0][0]
     np.testing.assert_allclose(ours, _quad_oracle(c, t), rtol=1e-7)
 
 
 def test_reference_probability_bands():
     # wide-prior two-class setup: ~2% disagreement at unit temperature,
     # dropping to a fraction of a percent two decades colder
-    assert 0.015 <= relabel_prob_quadrature(1000.0, 1.0) <= 0.025
-    assert 0.002 <= relabel_prob_quadrature(1000.0, 0.01) <= 0.006
+    assert 0.015 <= relabel_ratio_curve(1000.0, [1.0])[0][0] <= 0.025
+    assert 0.002 <= relabel_ratio_curve(1000.0, [0.01])[0][0] <= 0.006
 
 
 def test_unit_temperature_normalizer_is_half():
     # at t=1 the normalizer is exactly 1/2 by sigmoid symmetry, so
     # p = 2 * numerator; large c makes p approach 1/sqrt(pi c)
-    p = relabel_prob_quadrature(1000.0, 1.0)
+    p = relabel_ratio_curve(1000.0, [1.0])[0][0]
     np.testing.assert_allclose(p, 1.0 / np.sqrt(np.pi * 1000.0), rtol=2e-3)
 
 
@@ -81,13 +80,13 @@ def test_importance_sampling_cross_check():
     d = rng.normal(0.0, np.sqrt(2.0 * c * t), size=400_000)
     w = expit(d) ** (1.0 / t)
     est = np.sum(w * expit(-d)) / np.sum(w)
-    assert abs(est - relabel_prob_quadrature(c, t)) < 0.003
+    assert abs(est - relabel_ratio_curve(c, [t])[0][0]) < 0.003
 
 
 def test_monotone_in_temperature():
     temps = np.logspace(0, -3, 25)
     for c in (1.0, 10.0, 1000.0):
-        probs = [relabel_prob_quadrature(c, t) for t in temps]
+        probs = relabel_ratio_curve(c, temps)[0]
         assert all(b <= a + 2e-8 for a, b in zip(probs, probs[1:]))
 
 
@@ -98,8 +97,8 @@ def test_zero_temperature_limit():
         d_star = np.log(1.0 / limit - 1.0)
         grad = -expit(-d_star) + d_star / (2.0 * c)
         assert abs(grad) < 1e-10
-        p3 = relabel_prob_quadrature(c, 1e-3)
-        p2 = relabel_prob_quadrature(c, 1e-2)
+        p3 = relabel_ratio_curve(c, [1e-3])[0][0]
+        p2 = relabel_ratio_curve(c, [1e-2])[0][0]
         assert limit < p3 < p2  # approaches the limit from above
         assert p3 - limit < p2 - limit
     with pytest.raises(NonPositiveScaleError):
@@ -112,7 +111,7 @@ def test_small_temperature_converges_to_zero_temperature_limit(c):
     # posterior below t ~ 1e-4 (0.4986 instead of 0.3374 at c = 1, t = 1e-8)
     limit = relabel_prob_zero_temperature(c)
     temps = np.logspace(0, -8, 33)
-    probs = [relabel_prob_quadrature(c, t) for t in temps]
+    probs = relabel_ratio_curve(c, temps)[0]
     assert all(b <= a + 1e-8 * a for a, b in zip(probs, probs[1:]))  # monotone in t
     for t, p in zip(temps, probs):
         # p approaches the limit linearly in t, to within the 1e-8 relative tolerance
@@ -177,8 +176,8 @@ def test_limit_decreases_with_scale():
 
 
 def test_refinement_stability():
-    loose = relabel_prob_quadrature(100.0, 0.1, quadrature_tolerance=1e-6)
-    tight = relabel_prob_quadrature(100.0, 0.1, quadrature_tolerance=1e-10)
+    loose = relabel_ratio_curve(100.0, [0.1], quadrature_tolerance=1e-6)[0][0]
+    tight = relabel_ratio_curve(100.0, [0.1], quadrature_tolerance=1e-10)[0][0]
     assert abs(loose - tight) <= 2e-6 * tight
 
 
@@ -192,23 +191,38 @@ def test_ratio_curve():
     _, ratio = relabel_ratio_curve(10.0, [0.5])
     np.testing.assert_allclose(
         ratio[0],
-        relabel_prob_quadrature(10.0, 0.5) / relabel_prob_quadrature(10.0, 1.0),
+        relabel_ratio_curve(10.0, [0.5])[0][0] / relabel_ratio_curve(10.0, [1.0])[0][0],
         rtol=1e-9)
 
 
 def test_config_validation():
     with pytest.raises(NonPositiveScaleError):
-        relabel_prob_quadrature(0.0, 1.0)
+        relabel_ratio_curve(0.0, [1.0])
     with pytest.raises(NonPositiveTemperatureError):
-        relabel_prob_quadrature(1.0, -1.0)
+        relabel_ratio_curve(1.0, [-1.0])
     with pytest.raises(ValueError):
-        relabel_prob_quadrature(1.0, 1.0, quadrature_tolerance=0.0)
-    with pytest.raises(ValueError):
-        relabel_prob_quadrature(1.0, 1.0, integration_half_width_sigmas=-2.0)
+        relabel_ratio_curve(1.0, [1.0], quadrature_tolerance=0.0)
+    # below 8 sigmas the window cuts off posterior mass (at 1 and 4 sigmas the
+    # values were off by 2.7e-2 and 3.8e-6 at c = 1); at 8, erfc(8 / sqrt(2)) ~ 1e-15
+    for width in (-2.0, 1.0, 4.0, np.nextafter(8.0, 0.0), np.inf, np.nan):
+        with pytest.raises(ValueError, match="integration_half_width_sigmas"):
+            relabel_ratio_curve(1.0, [1.0], integration_half_width_sigmas=width)
     with pytest.raises(EmptyInputError):
         relabel_ratio_curve(10.0, [])
     with pytest.raises(NonPositiveTemperatureError):
         relabel_ratio_curve(10.0, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("c", [1.0, 1000.0])
+@pytest.mark.parametrize("width", [8.0, 1e3, 1e4])
+def test_every_accepted_window_width_gives_the_default_values(c, width):
+    # a wide window's coarse passes can miss the posterior between nodes and
+    # agree falsely (width 1e4 was off by 7e-2 at c = 1 and 0.84 at c = 1000),
+    # so refinement ends only at a node spacing of sqrt(2 c t) / 4 or less
+    temps = [1.0, 0.1, 0.01, 0.001]
+    reference, _ = relabel_ratio_curve(c, temps)
+    probability, _ = relabel_ratio_curve(c, temps, integration_half_width_sigmas=width)
+    np.testing.assert_allclose(probability, reference, rtol=2e-8)
 
 
 def test_disagreement_mc_hand_values():
@@ -329,7 +343,7 @@ def test_lock_step_curve_matches_per_temperature_loop_bitwise(log_c, temps, tol,
     ref_probability, ref_ratio = _loop_curve(c, temps, tol, width)
     assert _bits(probability) == _bits(ref_probability)
     assert _bits(ratio) == _bits(ref_ratio)
-    single = relabel_prob_quadrature(c, temps[0], tol, width)
+    single = relabel_ratio_curve(c, [temps[0]], tol, width)[0][0]
     assert _bits(single) == _bits(ref_probability[0])
 
 

@@ -329,8 +329,9 @@ class TestRunVerb:
         (probe_payload, ("probe", "quadrature_tolerance"), float("inf")),
         (classify_payload, ("data", "separation"), float("inf")),
         (regress_payload, ("temperatures",), [float("inf")]),
+        (probe_payload, ("probe", "quadrature_tolerance"), 10 ** 400),
     ], ids=["noise-std-nan", "lengthscale-inf", "quadrature-tolerance-inf",
-            "separation-inf", "temperature-inf"])
+            "separation-inf", "temperature-inf", "integer-past-float-range"])
     def test_exit_2_on_non_finite_config_number(self, tmp_path, capsys, make_payload, path,
                                                 value):
         payload = make_payload(tmp_path / "o")
@@ -631,12 +632,19 @@ def _classify_files_args(dir_path, train_path):
     (lambda p: _plot_args(_probe_results(p), out=p), 3),
     (lambda p: ["run", "--config", _write_config(p, "p.json", probe_payload(p / "o")),
                 "--out", str(_probe_results(p))], 3),
+    (lambda p: ["run", "--config", _bytes_file(p / "c.json", b"[" * 100_000)], 2),
+    (lambda p: ["run", "--config", _bytes_file(p / "c.json", b'{"seed": ' + b"1" * 5000 + b"}")],
+     2),
+    (lambda p: _plot_args(_bytes_file(p / "r.csv", ",".join(PROBE_HEADER).encode()
+                                      + b"\n1.0,0.5," + b"9" * 200_000 + b",1.0\n")), 3),
 ], ids=["plot-non-numeric-cell", "results-csv-not-utf8", "config-not-utf8",
         "data-file-not-ascii", "config-is-directory", "train-path-is-directory",
-        "plot-input-is-directory", "plot-out-is-directory", "run-out-is-a-file"])
+        "plot-input-is-directory", "plot-out-is-directory", "run-out-is-a-file",
+        "config-nested-past-recursion-limit", "config-integer-past-digit-limit",
+        "results-csv-cell-past-field-limit"])
 def test_unreadable_input_exits_with_one_stderr_line(tmp_path, capsys, make_args, code):
-    # file-system and encoding faults end in exit 2 (the config) or 3 (any
-    # other file), each with one stderr line that names the file
+    # file-system, encoding and parser-limit faults end in exit 2 (the config)
+    # or 3 (any other file), each with one stderr line that names the file
     args = make_args(tmp_path)
     capsys.readouterr()
     assert main(args) == code
@@ -789,6 +797,25 @@ def test_grid_beyond_memory_exits_3(tmp_path, capsys):
     assert main(["run", "--config", _write_config(tmp_path, "m.json", payload)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: out of memory: "), err
+
+
+@pytest.mark.parametrize("width,code", [(7.0, 2), (1e6, 3), (1e300, 3)],
+                         ids=["below-8-sigmas", "1e6-sigmas", "1e300-sigmas"])
+def test_probe_width_outside_its_range_fails_in_one_stderr_line(tmp_path, capsys, width,
+                                                                 code):
+    # below 8 sigmas the window cuts off posterior mass; at 1e6 sigmas and
+    # more no pass within the panel budget reaches the node spacing
+    # sqrt(2 c t) / 4 that refinement must reach before it may end.  Each
+    # exited 0 with a wrong value (1e300 sigmas gave 0.5)
+    payload = probe_payload(tmp_path / "o")
+    payload["probe"]["integration_half_width_sigmas"] = width
+    capsys.readouterr()
+    assert main(["run", "--config", _write_config(tmp_path, "w.json", payload)]) == code
+    err = capsys.readouterr().err
+    expect = ("config error: key 'integration_half_width_sigmas'" if code == 2
+              else "error: no convergence")
+    assert err.count("\n") == 1 and err.startswith(expect), err
+    assert not (tmp_path / "o" / "results.csv").exists()
 
 
 def test_oversized_regression_data_exits_before_allocating(tmp_path, capsys):

@@ -309,6 +309,14 @@ class TestSubsections:
         raw["probe"]["quadrature_tolerance"] = 0.0
         with pytest.raises(ConfigError, match="'quadrature_tolerance'"):
             parse_config(raw)
+        # the window reaches at least 8 prior standard deviations either side
+        for width in (7.5, 0.0, "wide", float("inf")):
+            raw = probe_raw()
+            raw["probe"]["integration_half_width_sigmas"] = width
+            with pytest.raises(ConfigError, match="'integration_half_width_sigmas'"):
+                parse_config(raw)
+        raw["probe"]["integration_half_width_sigmas"] = 8
+        assert parse_config(raw).probe["integration_half_width_sigmas"] == 8.0
 
     def test_regression_validation(self):
         raw = regress_raw()

@@ -7,7 +7,8 @@ when the module reads it, or when the module lists it in ``__all__``
 factorization of the package inside ``coldgp.linalg``, which owns the
 jitter policy.  A third keeps scipy out of the package's module level:
 each scipy import sits inside a function, so a run that calls none of them
-loads no scipy.
+loads no scipy.  A fourth keeps test-only code out of the package: every
+definition in it has a caller in the package itself.
 """
 import ast
 from pathlib import Path
@@ -89,3 +90,36 @@ def test_no_module_level_scipy_import(path):
     lines = sorted(_eager_scipy_imports(ast.parse(path.read_text(encoding="utf-8"))))
     assert not lines, (f"src/coldgp/{path.name} imports scipy at module level at lines "
                        f"{lines}; import it inside the function that calls it")
+
+
+# Package definitions that no package code names yet, each with the reason it stays.
+PRODUCTION_CALLER_ALLOWLIST = {
+    "relabel_disagreement_mc": "the training relabel disagreement that ROADMAP item 6 "
+                               "logs per temperature; until then only tests call it",
+}
+
+
+def test_every_definition_has_a_production_caller():
+    # a function, class or method of src/coldgp (outside __init__.py, whose
+    # re-exports call nothing) counts as called when some Name, Attribute or
+    # ImportFrom node of those modules names it.  Dunder methods are called
+    # by Python itself
+    modules = [p for p in FILES if p.parent.name == "coldgp" and p.name != "__init__.py"]
+    defined, named = [], set()
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.append((node.name, f"{path.name}:{node.lineno}"))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    uncalled = sorted(f"{name} ({where})" for name, where in defined
+                      if name not in named and name not in PRODUCTION_CALLER_ALLOWLIST)
+    assert not uncalled, f"defined in src/coldgp but called by no package code: {uncalled}"
+    stale = sorted(name for name in PRODUCTION_CALLER_ALLOWLIST
+                   if name in named or name not in {n for n, _ in defined})
+    assert not stale, f"allowlisted names that are gone or now called: {stale}"

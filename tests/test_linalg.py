@@ -32,7 +32,7 @@ def test_cholesky_hand_worked_2x2():
     f = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
     np.testing.assert_allclose(f.lower, [[2.0, 0.0], [1.0, np.sqrt(2.0)]], rtol=1e-15)
     assert f.jitter_used == 0.0
-    assert f.dimension == 2
+    assert f.lower.shape == (2, 2)
 
 
 def test_validation_errors():

@@ -5,20 +5,15 @@ import pytest
 from scipy.linalg import solve_triangular
 
 from coldgp.data import LabeledDataset, gen_cluster_classification, gen_rbf_regression
-from coldgp.exceptions import (
-    EmptyInputError,
-    LengthMismatchError,
-    NonPositiveTemperatureError,
-    ZeroVarianceError,
-)
+from coldgp.exceptions import EmptyInputError, NonPositiveTemperatureError, ZeroVarianceError
 from coldgp.kernels import KernelSpec, gram, gram_diag
 from coldgp.linalg import cholesky
 from coldgp.records import best_temperature
 from coldgp.regression import (
     ConditionedRegression,
     RegressionModel,
+    _mean_gaussian_nll,
     conditional,
-    gaussian_test_nll,
     regression_temperature_sweep,
 )
 
@@ -65,26 +60,24 @@ def test_noiseless_interpolation():
     assert np.all(var >= 0.0)
 
 
+def _nll(mean, variance, targets):
+    """The sweep's test NLL of one row of predictions."""
+    return _mean_gaussian_nll(np.array(mean), np.array(variance), np.array(targets))
+
+
 def test_gaussian_test_nll_hand_value():
     # standard normal at its mean: 0.5 log(2 pi)
-    np.testing.assert_allclose(gaussian_test_nll([0.0], [1.0], [0.0]),
-                               0.9189385332046727, rtol=1e-15)
+    np.testing.assert_allclose(_nll([0.0], [1.0], [0.0]), 0.9189385332046727, rtol=1e-15)
     # one sd away adds 1/2
-    np.testing.assert_allclose(gaussian_test_nll([0.0], [1.0], [1.0]),
-                               0.9189385332046727 + 0.5, rtol=1e-14)
+    np.testing.assert_allclose(_nll([0.0], [1.0], [1.0]), 0.9189385332046727 + 0.5,
+                               rtol=1e-14)
 
 
 def test_gaussian_test_nll_validation():
-    with pytest.raises(LengthMismatchError):
-        gaussian_test_nll([0.0], [1.0], [0.0, 1.0])
-    with pytest.raises(LengthMismatchError):
-        gaussian_test_nll([0.0, 0.0], [1.0], [0.0, 1.0])
-    with pytest.raises(EmptyInputError):
-        gaussian_test_nll([], [], [])
     with pytest.raises(ZeroVarianceError):
-        gaussian_test_nll([0.0], [0.0], [0.0])
+        _nll([0.0], [0.0], [0.0])
     with pytest.raises(ZeroVarianceError):
-        gaussian_test_nll([0.0], [-1e-3], [0.0])
+        _nll([0.0], [-1e-3], [0.0])
 
 
 def test_sweep_tempers_variance_only():
@@ -95,7 +88,7 @@ def test_sweep_tempers_variance_only():
     temps = [0.1, 1.0, 7.0]
     nll, _ = regression_temperature_sweep(model, train, test, temps)
     for j, t in enumerate(temps):
-        assert nll[j] == gaussian_test_nll(mean, var * t, test.targets)
+        assert nll[j] == _mean_gaussian_nll(mean, var * t, test.targets)
     with pytest.raises(NonPositiveTemperatureError):
         regression_temperature_sweep(model, train, test, [0.0])
     with pytest.raises(NonPositiveTemperatureError):

@@ -14,13 +14,36 @@ Both the numerator and the normalizer are one-dimensional integrals,
 evaluated with composite Simpson quadrature in log space, with panel
 doubling until the value stabilizes at a node spacing of at most a quarter
 of sqrt(2 c t).  The window is centred at the mode d* of the tempered
-posterior, the minimizer of softplus(-d) + d^2 / (4 c), which does not
-depend on t, and reaches ``integration_half_width_sigmas`` (40 by default,
-at least 8) prior standard deviations sqrt(2 c t) either side of it.  The
-curvature of that objective is at least 1 / (2 c), so the posterior's
-Laplace standard deviation never exceeds sqrt(2 c t) and the window covers
-the posterior at every t; a window centred at 0 instead misses it once
-sqrt(2 c t) is small next to d*.
+posterior, the minimizer of g(d) = softplus(-d) + d^2 / (4 c), which does
+not depend on t, and reaches r prior standard deviations s = sqrt(2 c t)
+either side of it.  A window centred at 0 instead misses the posterior once
+s is small next to d*.
+
+r is the smallest value of at least 8 at which the window provably drops at
+most tol / 100 of either integral, and never more than the configured
+``integration_half_width_sigmas`` (40 by default, at least 8).  The bound:
+the log posterior is -g(d) / t, and g'' = sigmoid(d) sigmoid(-d) + 1 / (2c)
+lies in [1 / (2c), 1/4 + 1 / (2c)], so in z = (d - d*) / s the log posterior
+falls below its peak by between z^2 / 2 and k z^2 / 2, k = c / 2 + 1.  With
+A the peak density:
+
+- the normalizer is Z >= A s sqrt(2 pi / k), and the part of it at |z| > r
+  is at most A s sqrt(2 pi) erfc(r / sqrt 2), a share sqrt(k) erfc(r / sqrt 2);
+- sigmoid(-d) falls with d, so on z < 0 it is at least sigmoid(-d*), and the
+  numerator is N >= sigmoid(-d*) A s sqrt(2 pi / k) / 2;
+- sigmoid(-d) <= 1, so N's part at |z| > r is at most Z's;
+
+so each integral loses a share of at most 2 sqrt(k) erfc(r / sqrt 2) /
+sigmoid(-d*).  At tol = 1e-8, r is 8 for c <= 1000, 8.93 at c = 1e6 and
+33.1 at c = 1e154, and the Simpson values of the bundled fig2 grids agree
+with those of the uncapped width-40 window to 3e-14.  Where the right side
+sigmoid(-d*) tol / 100 / (2 sqrt(k)) is not a normal float (c beyond about
+1e199 at tol = 1e-8), r is the configured width.  The posterior is
+log-concave, but the "at least 1/e of the mass either side" bound holds
+about its mean, not its mode d*, so the left-of-mode mass above comes from
+the curvature bound instead.  Capping the window keeps the node spacing at
+which refinement may end at a bounded panel count, so a configured width of
+1e300 gives the width-40 values.
 
 :func:`relabel_ratio_curve` is the one entry point for probe values.
 
@@ -41,6 +64,7 @@ reproduces.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -95,6 +119,37 @@ def _posterior_mode(c: float) -> float:
             hi = mid
         else:
             lo = mid
+
+
+def _support_half_width(c: float, tol: float, width: float, centre: float) -> float:
+    """r for a curve: the smallest value >= 8, and at most ``width``, at which
+    2 sqrt(c/2 + 1) erfc(r / sqrt 2) <= sigmoid(-d*) tol / 100 (module docstring).
+
+    ``centre`` is d*.  Bisection down to adjacent floats, as in
+    :func:`_posterior_mode`; ``width`` where the right side, divided by
+    2 sqrt(c/2 + 1), is not a normal float.
+    """
+    target = _sigmoid(-centre) * tol / (200.0 * math.sqrt(0.5 * c + 1.0))
+    if not target >= sys.float_info.min:
+        return width
+
+    def dropped(r):
+        return math.erfc(r / math.sqrt(2.0)) > target
+
+    # erfc(40 / sqrt 2) underflows to 0, so no normal target is dropped there
+    lo, hi = 8.0, min(width, 40.0)
+    if not dropped(lo):
+        return lo
+    if dropped(hi):  # r would exceed the configured width
+        return hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return hi
+        if dropped(mid):
+            lo = mid
+        else:
+            hi = mid
 
 
 def _nodes(lo, hi, div: int, index):
@@ -195,15 +250,17 @@ def _quadrature(c: float, temps, tol: float, width: float, centre: float):
 
     Every row starts at _INITIAL_PANELS and doubles its panels, in lock step
     with the rows that have not yet converged, until two successive values
-    agree to the relative tolerance ``tol`` at 4 * ``width`` panels or more
-    (a node spacing of sqrt(2 c t) / 4 or less: coarser nodes in a wide
-    window can miss the posterior and agree falsely); converged rows drop
+    agree to the relative tolerance ``tol`` at 4 * r panels or more, with r
+    the half-width :func:`_support_half_width` caps ``width`` at (a node
+    spacing of sqrt(2 c t) / 4 or less: coarser nodes in a wide window can
+    miss the posterior and agree falsely); converged rows drop
     out.  Rows refined together hold at most _NODE_BUDGET doubles per node
     array (one row always goes ahead); past it they advance a chunk at a
     time, depth-first, so the first row that runs out of panels raises
     before any later row is refined further.  Windows are centred at
     ``centre``.
     """
+    width = _support_half_width(c, tol, width, centre)
     t = np.array(temps, dtype=np.float64).reshape(-1, 1)
     half = width * np.sqrt(2.0 * c * t)
     lo, hi = centre - half, centre + half
@@ -262,8 +319,10 @@ def relabel_ratio_curve(latent_scale: float, temperatures,
     position, in grid order, where ratio is probability / probability at
     t = 1.  The t = 1 reference is computed once, so a grid containing 1.0
     reports ratio exactly 1.0 there.  The posterior mode that centres every
-    window is found once for the curve.  A tolerance that is not positive or
-    a half-width below 8 raises ValueError.
+    window is found once for the curve.  The half-width is an upper bound:
+    each window ends where it provably holds all but tol / 100 of the
+    posterior (module docstring).  A tolerance that is not positive or a
+    half-width below 8 raises ValueError.
     """
     temps = [check_temperature(t) for t in temperatures]
     if not temps:

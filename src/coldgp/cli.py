@@ -19,6 +19,9 @@ that cannot be read or written, or an array the machine cannot hold.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import importlib
 import json
 import math
@@ -49,6 +52,16 @@ REGRESS_HEADER = ["temperature", "test_nll", "seed", "assumed_noise_std"]
 CLASSIFY_HEADER = ["temperature", "test_log_likelihood", "top1_accuracy",
                    "n_train", "n_test", "seed"]
 PROBE_HEADER = ["latent_scale", "temperature", "probability", "ratio"]
+
+# The ctypes names of (get threads, set threads, config string) in the
+# OpenBLAS build that each package vendors in <package>.libs; numpy's uses
+# 64-bit integers.
+_BLAS_SYMBOLS = {
+    "numpy": ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_",
+              "scipy_openblas_get_config64_"),
+    "scipy": ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads",
+              "scipy_openblas_get_config"),
+}
 
 FIGURES = ("fig1", "fig2a", "fig2b", "fig3b")
 _FIGURE_HEADERS = {
@@ -125,12 +138,6 @@ def _run_regress_sweep(config: ExperimentConfig):
 
 
 def _run_classify_sweep(config: ExperimentConfig):
-    # load scipy.linalg before the data, not at the first factor: its modules
-    # live as long as the process, and placed in the heap above a sweep's
-    # data they fragment it; under glibc's malloc a process running
-    # 2000-point sweeps back to back then peaked 17 MB higher from its
-    # second sweep on
-    importlib.import_module("scipy.linalg")
     train, test = _datasets(config, config.seed)
     temps = config.temperatures
     out = classification_temperature_sweep(
@@ -175,8 +182,60 @@ def _run_gen_data(config: ExperimentConfig):
     return None, None, log
 
 
+@functools.cache
+def _blas(package: str):
+    """(get threads, set threads, config string) of the OpenBLAS build that
+    the imported ``package`` vendors, or None where it vendors no library
+    with those symbols.  Resolved once per process."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(sys.modules[package].__file__)),
+                        f"{package}.libs")
+    try:
+        names = sorted(f for f in os.listdir(libs) if f.startswith("libscipy_openblas"))
+    except OSError:
+        return None
+    for name in names:
+        try:
+            # the library is already loaded, so this finds it rather than loading a copy
+            lib = ctypes.CDLL(os.path.join(libs, name))
+            get, set_threads, config = (getattr(lib, symbol) for symbol in _BLAS_SYMBOLS[package])
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        config.argtypes, config.restype = [], ctypes.c_char_p
+        return get, set_threads, config().decode("ascii", "replace")
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread(packages):
+    """Hold the OpenBLAS builds of ``packages`` at one thread, then restore
+    the caller's counts; yields a run.log line that names each build."""
+    restore, fields = [], []
+    try:
+        for package in _BLAS_SYMBOLS:
+            build = _blas(package) if package in packages else None
+            if build is None:
+                state = "not-pinned" if package in packages else "not-loaded"
+                fields.append(f"blas_{package}={state}")
+                continue
+            get, set_threads, config = build
+            restore.append((set_threads, get()))
+            set_threads(1)
+            fields.append(f"blas_{package}_threads={get()} blas_{package}_config={config!r}")
+        yield " ".join(fields)
+    finally:
+        for set_threads, threads in restore:
+            set_threads(threads)
+
+
 def run_experiment(config: ExperimentConfig) -> dict:
-    """Execute one resolved config; returns the paths of the written bundle."""
+    """Execute one resolved config; returns the paths of the written bundle.
+
+    A BLAS product split across threads rounds differently, so the run holds
+    numpy's OpenBLAS, and scipy's where the run factors, at one thread:
+    results.csv does not depend on OPENBLAS_NUM_THREADS.
+    """
     started = time.perf_counter()
     os.makedirs(config.output_dir, exist_ok=True)
     runner = {
@@ -185,7 +244,20 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "probe": _run_probe,
         "gen-data": _run_gen_data,
     }[config.experiment]
-    header, rows, log = runner(config)
+    packages = ["numpy"]
+    if (config.experiment in ("classify-sweep", "regress-sweep")
+            or (config.data or {}).get("generator") == "rbf-regression"):
+        # the run factors: load scipy.linalg, and with it scipy's build, here
+        # and not at the first factor, so that its thread count is pinned.
+        # Loaded before the data, its modules (which live as long as the
+        # process) do not sit in the heap above a sweep's data and fragment
+        # it; under glibc's malloc a process running 2000-point sweeps back
+        # to back peaked 17 MB higher from its second sweep on
+        importlib.import_module("scipy.linalg")
+        packages.append("scipy")
+    with _one_blas_thread(packages) as blas_line:
+        header, rows, log = runner(config)
+    log.append(blas_line)
     paths = {}
     if header is not None:
         bad = [(name, v) for row in rows for name, v in zip(header, row)

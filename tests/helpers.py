@@ -96,14 +96,15 @@ def write_cifar_fixture(dir_path, per_file=30, seed=0):
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_python(args, cwd):
-    """Run ``python *args`` in a fresh interpreter with src/ on PYTHONPATH.
+def run_python(args, cwd, **environ):
+    """Run ``python *args`` in a fresh interpreter with src/ on PYTHONPATH and
+    the environment variables ``environ`` set.
 
     Returns (exit code, stdout, stderr).  A fresh process is the only way to
-    see what a run prints to stderr outside pytest's capture, and which
-    modules it loads.
+    see what a run prints to stderr outside pytest's capture, which modules
+    it loads, and what it does under an environment set before numpy loads.
     """
-    env = dict(os.environ)
+    env = dict(os.environ, **environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC_DIR), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import tracemalloc
@@ -18,6 +19,7 @@ from coldgp.aleatoric import (
     _nodes,
     _posterior_mode,
     _sigmoid,
+    _support_half_width,
     relabel_disagreement_mc,
     relabel_prob_zero_temperature,
     relabel_ratio_curve,
@@ -225,6 +227,133 @@ def test_every_accepted_window_width_gives_the_default_values(c, width):
     np.testing.assert_allclose(probability, reference, rtol=2e-8)
 
 
+# --- the window capped at the posterior's support ---------------------------
+
+# The probe values of the bundled fig2a and fig2b grids with the window at the
+# full 40 prior SDs, before it was capped, keyed by (config, latent scale)
+_WIDTH_40_VALUES = {
+    ('fig2a', 1000.0): [
+        0.003503935943690727, 0.0036143295510455936, 0.003742461307057625,
+        0.0038904080823955953, 0.004060382058144676, 0.0042547455090734265,
+        0.0044760308348100915, 0.004726965209293776, 0.005010499088109712,
+        0.005329837848984723, 0.005688475982503362, 0.006090233435744333,
+        0.006539293891170286, 0.007040244904054218, 0.007598119906715263,
+        0.00821844211037994, 0.008907270295657823, 0.009671246384920288,
+        0.010517644544428746, 0.011454421390919343, 0.012490266712335447,
+        0.013634654009603847, 0.014897890189365128, 0.016291163931891405,
+        0.01782659260749281,
+    ],
+    ('fig2b', 1.0): [
+        0.3631618460316305, 0.35800279087264836, 0.35367825219374477,
+        0.3501283906111425, 0.34726662874225134, 0.34499438266085425,
+        0.34321261357144195, 0.34182945505410467, 0.3407642832616945,
+        0.3399491168747341, 0.3393283014637692, 0.33885726445826403,
+        0.3385008904375867, 0.3382318533069485, 0.3380290841126498,
+        0.3378764505765784, 0.337761664522826, 0.3376754023781312,
+        0.33761061065014847, 0.33756196493726526, 0.3375254526859431,
+        0.33749805371254815, 0.33747749688343803, 0.3374620755283023,
+        0.33745050781903024,
+    ],
+    ('fig2b', 10.0): [
+        0.16577755748994447, 0.15453924335691271, 0.1449622579962325,
+        0.1369527023668144, 0.13036870461162645, 0.1250407207596736,
+        0.12078911110257859, 0.11743778354833573, 0.1148236703862652,
+        0.11280235416125654, 0.11125047244745531, 0.11006570251399789,
+        0.10916516096413667, 0.10848295860787341, 0.1079674736322364,
+        0.10757870948647183, 0.10728593537081689, 0.10706568688128762,
+        0.10690013084787646, 0.10677576044061073, 0.10668237163181307,
+        0.10661227011658221, 0.1065596621675169, 0.10652018971882012,
+        0.10649057716064333,
+    ],
+    ('fig2b', 100.0): [
+        0.055962744159852425, 0.049815669348013986, 0.04453368035339148,
+        0.04002559367414878, 0.036204708766956445, 0.032990182787781534,
+        0.030307563029248245, 0.028088695428645234, 0.026271275457090345,
+        0.024798299220125806, 0.02361762267825527, 0.022681751928201432,
+        0.021947877578751752, 0.021378059844084328, 0.020939408728694157,
+        0.02060411200372272, 0.02034923224963865, 0.020156281575701922,
+        0.020010645699625424, 0.019900949259184352, 0.01981843976127389,
+        0.019756438296840137, 0.01970987733294219, 0.019674926747566525,
+        0.019648699093340508,
+    ],
+    ('fig2b', 1000.0): [
+        0.01782659260749281, 0.015577537336375414, 0.013634654009603847,
+        0.01195938735467569, 0.010517644544428746, 0.009279425619364456,
+        0.00821844211037994, 0.00731173371266683, 0.006539293891170286,
+        0.005883712300376107, 0.005329837848984723, 0.004864463238685189,
+        0.0044760308348100915, 0.004154361079665386, 0.0038904080823955953,
+        0.0036760513919584853, 0.003503935943690727, 0.003367370603242995,
+        0.003260287409903387, 0.0031772498847399936, 0.003113485531529754,
+        0.003064912528304281, 0.003028137246983536, 0.0030004140296200714,
+        0.002979573392415021,
+    ],
+}
+
+
+def _bundled_probe(name):
+    return json.loads((Path(__file__).resolve().parent.parent / "configs" / f"{name}.json")
+                      .read_text())["probe"]
+
+
+@pytest.mark.parametrize("name", ["fig2a", "fig2b"])
+def test_capped_window_keeps_the_width_40_values(name):
+    raw = _bundled_probe(name)
+    for c in raw["latent_scales"]:
+        probability, _ = relabel_ratio_curve(c, raw["temperatures"])
+        np.testing.assert_allclose(probability, _WIDTH_40_VALUES[(name, c)], rtol=1e-11,
+                                   atol=0.0)
+
+
+@pytest.mark.parametrize("c", [1e-3, 1.0, 1e3, 1e6])
+def test_cap_changes_values_below_its_bound(monkeypatch, c):
+    # the window's cut drops at most tol / 100 of either integral; measured,
+    # the capped and uncapped values differ by at most 1e-13
+    temps = [1.0, 1e-2, 1e-4]
+    capped, _ = relabel_ratio_curve(c, temps)
+    monkeypatch.setattr(aleatoric, "_support_half_width", lambda c, tol, width, centre: width)
+    uncapped, _ = relabel_ratio_curve(c, temps)
+    np.testing.assert_allclose(capped, uncapped, rtol=1e-12, atol=0.0)
+
+
+def test_support_half_width_bounds():
+    scales = [float(c) for c in np.logspace(-300.0, 308.0, 609)] + [1.7976931348623157e308]
+    centres = [_posterior_mode(c) for c in scales]
+    for tol in (1e-12, 1e-8, 1e-3, 10.0):
+        for width in (8.0, 9.0, 40.0, 1e300):
+            r = [_support_half_width(c, tol, width, d) for c, d in zip(scales, centres)]
+            assert all(8.0 <= v <= width for v in r), (tol, width)
+            assert all(a <= b for a, b in zip(r, r[1:])), (tol, width)  # non-decreasing in c
+    r = {c: _support_half_width(c, 1e-8, 40.0, _posterior_mode(c))
+         for c in (1e-3, 1.0, 100.0, 1000.0, 1e6, 1e154)}
+    assert r[1e-3] == r[1.0] == r[100.0] == r[1000.0] == 8.0
+    assert 8.9 < r[1e6] < 9.0 and 33.0 < r[1e154] < 33.1
+    for c in (1e6, 1e154):
+        # r meets the bound of the module docstring, and no float below it does
+        centre = _posterior_mode(c)
+        target = _sigmoid(-centre) * 1e-8 / (200.0 * np.sqrt(0.5 * c + 1.0))
+        assert math.erfc(r[c] / np.sqrt(2.0)) <= target
+        assert math.erfc(np.nextafter(r[c], 0.0) / np.sqrt(2.0)) > target
+    for c in (1e200, 1e300, 1.7976931348623157e308):
+        # sigmoid(-d*) tol / 100 / (2 sqrt(c/2 + 1)) underflows: the configured width stays
+        for width in (40.0, 1e300):
+            assert _support_half_width(c, 1e-8, width, _posterior_mode(c)) == width
+
+
+@pytest.mark.parametrize("c,width", [(1000.0, 1e5), (1.0, 5.2e5), (1e-3, 1e300),
+                                     (1e6, 1e300)])
+def test_wide_windows_give_the_width_40_values(c, width):
+    # at 1e5 SDs (c = 1000) and 5.2e5 SDs (c = 1) the uncapped window ran out
+    # of panels; the capped one is the same at every configured width >= r
+    temps = [1.0, 0.1, 0.01, 0.001]
+    probability, ratio = relabel_ratio_curve(c, temps, integration_half_width_sigmas=width)
+    reference, reference_ratio = relabel_ratio_curve(c, temps)
+    assert _bits(probability) == _bits(reference) and _bits(ratio) == _bits(reference_ratio)
+    if ("fig2b", c) in _WIDTH_40_VALUES:
+        grid = _bundled_probe("fig2b")["temperatures"]
+        width_40 = [_WIDTH_40_VALUES[("fig2b", c)][grid.index(t)] for t in temps]
+        np.testing.assert_allclose(probability, width_40, rtol=1e-11, atol=0.0)
+
+
 def test_disagreement_mc_hand_values():
     # tied logits: relabel flips with probability 1/2.  Each sample is a
     # (class_count, n) matrix: row c holds class c's latents at the n points
@@ -313,6 +442,7 @@ def _loop_quadrature(c, t, tol, width, centre, max_panels=2 ** 20):
 
 def _loop_curve(c, temps, tol=1e-8, width=40.0, max_panels=2 ** 20):
     centre = _posterior_mode(c)
+    width = _support_half_width(c, tol, width, centre)
     base, _ = _loop_quadrature(c, 1.0, tol, width, centre, max_panels)
     probability = np.array([base if t == 1.0 else
                             _loop_quadrature(c, t, tol, width, centre, max_panels)[0]
@@ -405,9 +535,10 @@ def test_fig2b_probe_work_count(monkeypatch):
             record.clear()
         relabel_ratio_curve(c, temps)
         centre = _posterior_mode(c)
+        width = _support_half_width(c, 1e-8, 40.0, centre)
         assert set(seen) == set(temps)
         for t in temps:
-            _, final = _loop_quadrature(c, t, 1e-8, 40.0, centre)
+            _, final = _loop_quadrature(c, t, 1e-8, width, centre)
             assert sum(k for _, k in seen[t]) == 2 * final + 1, (c, t)
             assert [level for level, _ in seen[t]] == [2 * p + 1 for p in
                                                        256 * 2 ** np.arange(len(seen[t]))]
@@ -415,26 +546,28 @@ def test_fig2b_probe_work_count(monkeypatch):
             assert np.unique(evaluated).size == evaluated.size == 2 * final + 1
             total += evaluated.size
         assert all(n == 1 or n * level <= aleatoric._NODE_BUDGET for n, level in rows)
-    assert total == 327_780
+    assert total == 124_004  # 327,780 with the window at 40 prior SDs
 
 
 def test_budget_advances_rows_depth_first(monkeypatch):
     # two first-level rows fit the budget, one row past it: the rows go
     # depth-first in (t = 1, grid) order, so 16.0 runs out of panels before
-    # 4.0 is refined past its first level or 64.0 is evaluated at all
-    monkeypatch.setattr(aleatoric, "_MAX_PANELS", 1024)
+    # 4.0 is refined past its first level or 64.0 is evaluated at all.  At
+    # c = 1000 the window is 8 prior SDs wide and t = 1, 0.1 and 16.0 need
+    # 2048, 1024 and 8192 panels
+    monkeypatch.setattr(aleatoric, "_MAX_PANELS", 2048)
     monkeypatch.setattr(aleatoric, "_NODE_BUDGET", 2 * 513)
     temps = [0.1, 16.0, 4.0, 64.0]
     with pytest.raises(QuadratureNotConvergedError) as loop_error:
-        _loop_curve(10.0, temps, max_panels=1024)
+        _loop_curve(1000.0, temps, max_panels=2048)
     seen, _, rows = _record_levels(monkeypatch)
     with pytest.raises(QuadratureNotConvergedError) as error:
-        relabel_ratio_curve(10.0, temps)
+        relabel_ratio_curve(1000.0, temps)
     assert str(error.value) == str(loop_error.value)
     assert "temperature=16.0)" in str(error.value)
     levels = {t: [level for level, _ in seen.get(t, [])] for t in [1.0] + temps}
-    assert levels == {1.0: [513, 1025, 2049], 0.1: [513, 1025],
-                      16.0: [513, 1025, 2049, 4097], 4.0: [513], 64.0: []}
+    assert levels == {1.0: [513, 1025, 2049, 4097], 0.1: [513, 1025, 2049],
+                      16.0: [513, 1025, 2049, 4097, 8193], 4.0: [513], 64.0: []}
     assert all(n == 1 or n * level <= 2 * 513 for n, level in rows)
 
 

@@ -33,7 +33,9 @@ from coldgp.cli import (
     REGRESS_HEADER,
     emit_plot_data,
     main,
+    run_experiment,
 )
+from coldgp.config import load_config
 from coldgp.exceptions import ConfigError
 from coldgp.records import format_cell
 
@@ -799,23 +801,38 @@ def test_grid_beyond_memory_exits_3(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: out of memory: "), err
 
 
-@pytest.mark.parametrize("width,code", [(7.0, 2), (1e6, 3), (1e300, 3)],
-                         ids=["below-8-sigmas", "1e6-sigmas", "1e300-sigmas"])
-def test_probe_width_outside_its_range_fails_in_one_stderr_line(tmp_path, capsys, width,
-                                                                 code):
-    # below 8 sigmas the window cuts off posterior mass; at 1e6 sigmas and
-    # more no pass within the panel budget reaches the node spacing
-    # sqrt(2 c t) / 4 that refinement must reach before it may end.  Each
-    # exited 0 with a wrong value (1e300 sigmas gave 0.5)
+@pytest.mark.parametrize("width", [7.0], ids=["below-8-sigmas"])
+def test_probe_width_outside_its_range_fails_in_one_stderr_line(tmp_path, capsys, width):
+    # below 8 sigmas the window cuts off posterior mass
     payload = probe_payload(tmp_path / "o")
     payload["probe"]["integration_half_width_sigmas"] = width
     capsys.readouterr()
-    assert main(["run", "--config", _write_config(tmp_path, "w.json", payload)]) == code
+    assert main(["run", "--config", _write_config(tmp_path, "w.json", payload)]) == 2
     err = capsys.readouterr().err
-    expect = ("config error: key 'integration_half_width_sigmas'" if code == 2
-              else "error: no convergence")
-    assert err.count("\n") == 1 and err.startswith(expect), err
+    assert err.count("\n") == 1 and err.startswith(
+        "config error: key 'integration_half_width_sigmas'"), err
     assert not (tmp_path / "o" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("scale,width", [(1.0, 1e6), (1.0, 1e300), (1000.0, 1e5),
+                                         (1.0, 5.2e5)],
+                         ids=["1e6-sigmas", "1e300-sigmas", "1e5-sigmas-c1000",
+                              "5.2e5-sigmas-c1"])
+def test_probe_wide_window_writes_the_width_40_values(tmp_path, capsys, scale, width):
+    # the window ends where the posterior provably has no mass left, so a
+    # wide configured width writes the default's bytes.  Before the cap
+    # these widths ran out of panels and exited 3; before that, 1e300 sigmas
+    # exited 0 with 0.5
+    written = []
+    for name, half_width in (("default", 40.0), ("wide", width)):
+        payload = probe_payload(tmp_path / name)
+        payload["probe"].update(latent_scales=[scale], temperatures=[1.0, 0.1, 0.01, 0.001],
+                                quadrature_tolerance=1e-8,
+                                integration_half_width_sigmas=half_width)
+        assert main(["run", "--config", _write_config(tmp_path, f"{name}.json", payload)]) == 0
+        written.append((tmp_path / name / "results.csv").read_bytes())
+    assert capsys.readouterr().err == ""
+    assert written[0] == written[1]
 
 
 def test_oversized_regression_data_exits_before_allocating(tmp_path, capsys):
@@ -900,3 +917,70 @@ def test_plot_data_and_clusters_gen_data_load_no_scipy(tmp_path):
                  "dim": 2, "separation": 2.0}}))
     assert _scipy_loaded(tmp_path, ["plot-data", "--input", "results.csv", "--figure", "fig2a"],
                          ["gen-data", "--config", "gen.json"]) == [[], 0, [], 0, []]
+
+
+# --- BLAS threads ----------------------------------------------------------
+
+def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 200 training points both OpenBLAS builds split work across threads;
+    # unpinned, two threads moved the last digits of test_log_likelihood
+    raw = copy.deepcopy(BUNDLED["fig1"])
+    raw["data"]["n_per_class"] = 100
+    raw["ess"].update(burn_in=10, n_samples_per_chain=5)
+    (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    for threads in ("1", "2"):
+        code, _, err = run_python(["-m", "coldgp.cli", "run", "--config", "cfg.json",
+                                   "--out", threads], tmp_path, OPENBLAS_NUM_THREADS=threads)
+        assert (code, err) == (0, "")
+    assert (tmp_path / "1" / "results.csv").read_bytes() == \
+        (tmp_path / "2" / "results.csv").read_bytes()
+    for threads in ("1", "2"):
+        blas = [line for line in (tmp_path / threads / "run.log").read_text().splitlines()
+                if line.startswith("blas_")]
+        assert len(blas) == 1 and "blas_numpy_threads=1 " in blas[0], blas
+        assert "blas_scipy_threads=1 " in blas[0], blas
+
+
+def test_run_pins_numpy_blas_and_restores_it(tmp_path, monkeypatch):
+    import coldgp.cli as cli
+
+    build = cli._blas("numpy")
+    if build is None:
+        pytest.skip("numpy vendors no OpenBLAS with thread symbols")
+    get, set_threads, _ = build
+    before = get()
+    during = []
+    real = cli.relabel_ratio_curve
+
+    def probe(*args, **kwargs):
+        during.append(get())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "relabel_ratio_curve", probe)
+    set_threads(2)
+    try:
+        out = tmp_path / "o"
+        assert main(["run", "--config", _write_config(tmp_path, "p.json",
+                                                      probe_payload(out))]) == 0
+        assert during == [1] and get() == 2
+        line, = [s for s in (out / "run.log").read_text().splitlines() if s.startswith("blas_")]
+        assert line.startswith("blas_numpy_threads=1 blas_numpy_config='")
+        assert line.endswith(" blas_scipy=not-loaded")
+        # a failing run restores the count too
+        monkeypatch.setattr(cli, "relabel_ratio_curve", lambda *a, **k: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            run_experiment(load_config(_write_config(tmp_path, "q.json", probe_payload(out))))
+        assert get() == 2
+    finally:
+        set_threads(before)
+
+
+def test_blas_without_thread_symbols_is_logged_not_pinned(tmp_path, monkeypatch):
+    import coldgp.cli as cli
+
+    monkeypatch.setattr(cli, "_blas", lambda package: None)
+    out = tmp_path / "o"
+    assert main(["run", "--config", _write_config(tmp_path, "c.json",
+                                                  classify_payload(out))]) == 0
+    lines = [s for s in (out / "run.log").read_text().splitlines() if s.startswith("blas_")]
+    assert lines == ["blas_numpy=not-pinned blas_scipy=not-pinned"]

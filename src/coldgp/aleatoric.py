@@ -258,10 +258,21 @@ def _quadrature(c: float, temps, tol: float, width: float, centre: float):
     array (one row always goes ahead); past it they advance a chunk at a
     time, depth-first, so the first row that runs out of panels raises
     before any later row is refined further.  Windows are centred at
-    ``centre``.
+    ``centre``.  A temperature so small that the log posterior at the mode
+    underflows to -inf raises before any node is evaluated.
     """
     width = _support_half_width(c, tol, width, centre)
     t = np.array(temps, dtype=np.float64).reshape(-1, 1)
+    # -g(d*) / t, the log posterior at the mode, bounds it at every node:
+    # where it is -inf, every node's is, and the Simpson values are NaN at
+    # every level, so refining could never converge
+    with np.errstate(over="ignore"):
+        peak = -(np.logaddexp(0.0, -centre) + 0.25 * centre * centre / c) / t[:, 0]
+    if not np.all(peak > -np.inf):
+        row = int(np.argmin(peak > -np.inf))
+        raise QuadratureNotConvergedError(
+            f"the tempered posterior underflows: its log density at the mode is "
+            f"{float(peak[row])!r} (latent_scale={c!r}, temperature={temps[row]!r})")
     half = width * np.sqrt(2.0 * c * t)
     lo, hi = centre - half, centre + half
     out = np.empty(t.shape[0])

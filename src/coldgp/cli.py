@@ -11,7 +11,10 @@ Every run writes three files into its output directory: ``results.csv``
 with every default materialized; running it again reproduces the bundle),
 and ``run.log`` (wall time plus solver and sampler diagnostics).  With the
 config and seed fixed, results.csv is byte-identical across runs; run.log
-is where the timing noise lives.
+is where the timing noise lives.  A run holds the OpenBLAS builds that
+compute at one thread, so the bytes do not depend on the environment's
+thread count either; ``coldgp.linalg`` pins them, and run.log's ``blas_``
+line names the build that factors and each build's thread count.
 
 Exit codes: 0 success, 2 config error, 3 computational failure, a file
 that cannot be read or written, or an array the machine cannot hold.
@@ -19,10 +22,6 @@ that cannot be read or written, or an array the machine cannot hold.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import ctypes
-import functools
-import importlib
 import json
 import math
 import os
@@ -44,6 +43,7 @@ from .data import (
     save_dataset,
 )
 from .exceptions import ColdGPError, ConfigError, SchemaMismatchError
+from .linalg import one_blas_thread
 from .records import best_temperature, read_csv, write_csv
 from .regression import RegressionModel, regression_temperature_sweep
 from .rng import derive_seed
@@ -52,16 +52,6 @@ REGRESS_HEADER = ["temperature", "test_nll", "seed", "assumed_noise_std"]
 CLASSIFY_HEADER = ["temperature", "test_log_likelihood", "top1_accuracy",
                    "n_train", "n_test", "seed"]
 PROBE_HEADER = ["latent_scale", "temperature", "probability", "ratio"]
-
-# The ctypes names of (get threads, set threads, config string) in the
-# OpenBLAS build that each package vendors in <package>.libs; numpy's uses
-# 64-bit integers.
-_BLAS_SYMBOLS = {
-    "numpy": ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_",
-              "scipy_openblas_get_config64_"),
-    "scipy": ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads",
-              "scipy_openblas_get_config"),
-}
 
 FIGURES = ("fig1", "fig2a", "fig2b", "fig3b")
 _FIGURE_HEADERS = {
@@ -182,59 +172,12 @@ def _run_gen_data(config: ExperimentConfig):
     return None, None, log
 
 
-@functools.cache
-def _blas(package: str):
-    """(get threads, set threads, config string) of the OpenBLAS build that
-    the imported ``package`` vendors, or None where it vendors no library
-    with those symbols.  Resolved once per process."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(sys.modules[package].__file__)),
-                        f"{package}.libs")
-    try:
-        names = sorted(f for f in os.listdir(libs) if f.startswith("libscipy_openblas"))
-    except OSError:
-        return None
-    for name in names:
-        try:
-            # the library is already loaded, so this finds it rather than loading a copy
-            lib = ctypes.CDLL(os.path.join(libs, name))
-            get, set_threads, config = (getattr(lib, symbol) for symbol in _BLAS_SYMBOLS[package])
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-        config.argtypes, config.restype = [], ctypes.c_char_p
-        return get, set_threads, config().decode("ascii", "replace")
-    return None
-
-
-@contextlib.contextmanager
-def _one_blas_thread(packages):
-    """Hold the OpenBLAS builds of ``packages`` at one thread, then restore
-    the caller's counts; yields a run.log line that names each build."""
-    restore, fields = [], []
-    try:
-        for package in _BLAS_SYMBOLS:
-            build = _blas(package) if package in packages else None
-            if build is None:
-                state = "not-pinned" if package in packages else "not-loaded"
-                fields.append(f"blas_{package}={state}")
-                continue
-            get, set_threads, config = build
-            restore.append((set_threads, get()))
-            set_threads(1)
-            fields.append(f"blas_{package}_threads={get()} blas_{package}_config={config!r}")
-        yield " ".join(fields)
-    finally:
-        for set_threads, threads in restore:
-            set_threads(threads)
-
-
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute one resolved config; returns the paths of the written bundle.
 
     A BLAS product split across threads rounds differently, so the run holds
-    numpy's OpenBLAS, and scipy's where the run factors, at one thread:
-    results.csv does not depend on OPENBLAS_NUM_THREADS.
+    the OpenBLAS builds that compute at one thread (``linalg.one_blas_thread``):
+    results.csv does not depend on OPENBLAS_NUM_THREADS.  run.log names them.
     """
     started = time.perf_counter()
     os.makedirs(config.output_dir, exist_ok=True)
@@ -244,20 +187,12 @@ def run_experiment(config: ExperimentConfig) -> dict:
         "probe": _run_probe,
         "gen-data": _run_gen_data,
     }[config.experiment]
-    packages = ["numpy"]
-    if (config.experiment in ("classify-sweep", "regress-sweep")
-            or (config.data or {}).get("generator") == "rbf-regression"):
-        # the run factors: load scipy.linalg, and with it scipy's build, here
-        # and not at the first factor, so that its thread count is pinned.
-        # Loaded before the data, its modules (which live as long as the
-        # process) do not sit in the heap above a sweep's data and fragment
-        # it; under glibc's malloc a process running 2000-point sweeps back
-        # to back peaked 17 MB higher from its second sweep on
-        importlib.import_module("scipy.linalg")
-        packages.append("scipy")
-    with _one_blas_thread(packages) as blas_line:
+    # a sweep factors, and so does the rbf-regression generator's draw
+    factors = (config.experiment in ("classify-sweep", "regress-sweep")
+               or (config.data or {}).get("generator") == "rbf-regression")
+    with one_blas_thread(factors) as describe_blas:
         header, rows, log = runner(config)
-    log.append(blas_line)
+        log.append(describe_blas())
     paths = {}
     if header is not None:
         bad = [(name, v) for row in rows for name, v in zip(header, row)

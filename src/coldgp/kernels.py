@@ -42,11 +42,14 @@ at temperature T equals the untempered one under prior T * K and noise
 variance T * sigma^2, which the acceptance tests check against the sweep's
 scalar tempering.
 
-``scipy.spatial`` (which also loads ``scipy.special`` and ``scipy.sparse``)
-is imported inside :func:`_rbf_gram`, the one function that calls ``cdist``,
-so importing this module, or running an nngp sweep, never loads it.
-``cdist`` stays rather than a numpy replacement: a numpy column loop matches
-its bits but is several times slower.
+``scipy.spatial`` (which also loads ``scipy.linalg``, ``scipy.special`` and
+``scipy.sparse``, and with them scipy's OpenBLAS build) is imported inside
+:func:`_rbf_gram`, the one function that calls ``cdist``, so importing this
+module, or running an nngp sweep, never loads it.  ``cdist`` is the
+package's one use of scipy where numpy's build exports LAPACK (see
+``coldgp.linalg``); it computes no BLAS product, so scipy's build computes
+nothing in an rbf run.  ``cdist`` stays rather than a numpy replacement: a
+numpy column loop matches its bits but is several times slower.
 """
 from __future__ import annotations
 

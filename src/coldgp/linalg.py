@@ -6,21 +6,38 @@ of its input or, when the caller hands its Gram over, in the input's own
 buffer, and nothing else in the package calls ``dpotrf`` or
 ``numpy.linalg.cholesky`` (a source scan in the test suite checks this), so
 escalation and failure handling stay in one place.
-:func:`tril_matmul` multiplies by a factor with a BLAS triangular multiply;
-the sampler's prior draws use it.  :func:`block_rows` sizes the row blocks
-that the Cholesky checks and the nngp Gram work on, so that no scratch array
-grows with n^2.
+:func:`tril_matmul` multiplies by a factor with a BLAS triangular multiply
+(the sampler's prior draws), and :func:`tril_solve` solves with one (the
+Gaussian conditional).  :func:`block_rows` sizes the row blocks that the
+Cholesky checks and the nngp Gram work on, so that no scratch array grows
+with n^2.
 
-``dpotrf`` and ``dtrmm`` are imported inside the two functions that call
-them, so importing this module, or running a probe or ``plot-data``, never
-loads ``scipy.linalg`` and scipy's OpenBLAS build; the first factor loads
-them, and each later call pays one ``sys.modules`` lookup.
+One OpenBLAS build computes all of it.  numpy's wheel vendors an OpenBLAS
+that exports LAPACK ``dpotrf``, ``dtrtrs`` and ``dlaset`` and CBLAS
+``dtrmm`` under ``scipy_``-prefixed, 64-bit-integer names.
+:func:`_lapack` binds them through ctypes once per process, so factoring,
+solving and multiplying load no scipy and no second BLAS build.  Where
+numpy's build lacks those symbols (an MKL or Accelerate numpy, or one linked
+against a system BLAS), it falls back to the same routines of
+``scipy.linalg``, which compute on scipy's vendored OpenBLAS.  At one thread
+each routine gives the same bits on either build; the test suite checks the
+bound routines against scipy.linalg bit for bit.
+:func:`one_blas_thread` holds the builds that compute at one thread for a
+run, since a product split across threads rounds differently, and describes
+them for run.log.
 
-Arrays are float64 throughout.
+The bound routines reuse their ctypes scalars, so call them from one thread
+at a time.  Arrays are float64 throughout.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
+import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,6 +54,21 @@ from .exceptions import (
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 
 _SYM_RTOL = 1e-12
+
+# The ctypes names of (get threads, set threads, config string) in the
+# OpenBLAS build that each package vendors in <package>.libs; numpy's uses
+# 64-bit integers.
+_THREAD_SYMBOLS = {
+    "numpy": ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_",
+              "scipy_openblas_get_config64_"),
+    "scipy": ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads",
+              "scipy_openblas_get_config"),
+}
+# LAPACK dpotrf, dtrtrs and dlaset and CBLAS dtrmm in numpy's build
+_LAPACK_SYMBOLS = ("scipy_dpotrf_64_", "scipy_dtrtrs_64_", "scipy_dlaset_64_",
+                   "scipy_cblas_dtrmm64_")
+# CBLAS enum values: column-major, left side, upper, transposed, non-unit diagonal
+_CBLAS_TRMM_FLAGS = (102, 141, 121, 112, 131)
 
 # Bytes of one row block of float64 scratch, for work done a block of rows at
 # a time so that no temporary grows with the whole matrix.
@@ -81,6 +113,181 @@ def _zero_strict_upper(a):
         np.copyto(a[r0:r1, r0:], 0.0, where=~np.tri(r1 - r0, n - r0, dtype=bool))
 
 
+class _OpenBlas(NamedTuple):
+    """A package's vendored OpenBLAS: its ctypes library, and its (get
+    threads, set threads) pair and config string, None where it lacks them."""
+
+    lib: ctypes.CDLL
+    threads: tuple | None
+    config: str | None
+
+
+@functools.cache
+def _openblas(package: str) -> _OpenBlas | None:
+    """The OpenBLAS build that the imported ``package`` vendors in
+    <package>.libs, or None where it vendors none.  Resolved once per process."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(sys.modules[package].__file__)),
+                        f"{package}.libs")
+    try:
+        names = sorted(f for f in os.listdir(libs) if f.startswith("libscipy_openblas"))
+    except OSError:
+        return None
+    for name in names:
+        try:
+            # the library is already loaded, so this finds it rather than loading a copy
+            lib = ctypes.CDLL(os.path.join(libs, name))
+        except OSError:
+            continue
+        try:
+            get, set_threads, config = (getattr(lib, symbol) for symbol in _THREAD_SYMBOLS[package])
+        except AttributeError:
+            return _OpenBlas(lib, None, None)
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        config.argtypes, config.restype = [], ctypes.c_char_p
+        return _OpenBlas(lib, (get, set_threads), config().decode("ascii", "replace"))
+    return None
+
+
+class _Routines(NamedTuple):
+    """The build that factors, solves and multiplies, and its three routines.
+
+    ``potrf(work)`` factors the C-ordered square ``work``'s lower triangle in
+    place and returns LAPACK's info; on success it zeroes the strict upper
+    triangle, which it leaves untouched otherwise.  ``trtrs(lower, b)``
+    overwrites the F-ordered (n,) or (n, m) ``b`` with L^{-1} b and returns
+    (it, info); ``trmm(lower, b)`` overwrites the F-ordered (n, m) ``b`` with
+    L b and returns it.  ``lower`` is C-ordered and only its lower triangle L
+    is read.  Each routine passes ``lower.T`` (F-ordered) as an upper
+    triangle, as scipy.linalg.solve_triangular does with a C-ordered matrix.
+    """
+
+    name: str
+    potrf: Callable
+    trtrs: Callable
+    trmm: Callable
+
+
+def _bind(lib: ctypes.CDLL) -> _Routines:
+    """The routines on numpy's build ``lib``; AttributeError where it lacks one."""
+    potrf, trtrs, laset, trmm = (getattr(lib, symbol) for symbol in _LAPACK_SYMBOLS)
+    ref, ptr, char = ctypes.POINTER(ctypes.c_int64), ctypes.c_void_p, ctypes.c_char_p
+    # LAPACK takes every argument by reference, then, as gfortran compiles
+    # it, the length of each character argument
+    length = ctypes.c_size_t
+    potrf.argtypes = [char, ref, ptr, ref, ref, length]
+    trtrs.argtypes = [char, char, char, ref, ref, ptr, ref, ptr, ref, ref, length, length, length]
+    laset.argtypes = [char, ref, ref, ctypes.POINTER(ctypes.c_double),
+                      ctypes.POINTER(ctypes.c_double), ptr, ref, length]
+    trmm.argtypes = [ctypes.c_int] * 5 + [ctypes.c_int64] * 2 + [
+        ctypes.c_double, ptr, ctypes.c_int64, ptr, ctypes.c_int64]
+    for routine in (potrf, trtrs, laset, trmm):
+        routine.restype = None
+    n, columns, ld, info, zero = (ctypes.c_int64(), ctypes.c_int64(), ctypes.c_int64(),
+                                  ctypes.c_int64(), ctypes.c_double(0.0))
+
+    def factor(work):
+        # dpotrf factors the F-ordered work.T in place as upper, a = U^T U, so
+        # work ends as the C-ordered lower factor.  On success dlaset zeroes
+        # work.T's strict lower triangle: the lower triangle, diagonal
+        # included, of its (n-1) x (n-1) block from the second row down
+        n.value = ld.value = k = work.shape[0]
+        address = work.ctypes.data
+        potrf(b"U", n, address, ld, info, 1)
+        if info.value == 0 and k > 1:
+            n.value = k - 1
+            laset(b"L", n, n, zero, zero, address + 8, ld, 1)
+        return info.value
+
+    def solve(lower, b):
+        n.value = lower.shape[0]
+        ld.value = max(1, n.value)
+        columns.value = 1 if b.ndim == 1 else b.shape[1]
+        trtrs(b"U", b"T", b"N", n, columns, lower.ctypes.data, ld, b.ctypes.data, ld, info,
+              1, 1, 1)
+        return b, info.value
+
+    def multiply(lower, b):
+        k, m = b.shape
+        trmm(*_CBLAS_TRMM_FLAGS, k, m, 1.0, lower.ctypes.data, max(1, k), b.ctypes.data, max(1, k))
+        return b
+
+    return _Routines("numpy", factor, solve, multiply)
+
+
+def _scipy_routines() -> _Routines:
+    """The same routines from scipy.linalg, on scipy's build."""
+    from scipy.linalg.blas import dtrmm
+    from scipy.linalg.lapack import dpotrf, dtrtrs
+
+    def factor(work):
+        _, info = dpotrf(work.T, lower=0, clean=0, overwrite_a=1)
+        if info == 0:
+            _zero_strict_upper(work)
+        return info
+
+    def solve(lower, b):
+        return dtrtrs(lower.T, b, lower=0, trans=1, overwrite_b=1)
+
+    def multiply(lower, b):
+        return dtrmm(1.0, lower.T, b, trans_a=1, lower=0, overwrite_b=1)
+
+    return _Routines("scipy", factor, solve, multiply)
+
+
+@functools.cache
+def _lapack() -> _Routines:
+    """The routines the package computes with, resolved once per process:
+    bound on numpy's build, or scipy.linalg's where numpy's lacks them."""
+    build = _openblas("numpy")
+    if build is not None:
+        try:
+            return _bind(build.lib)
+        except AttributeError:
+            pass
+    return _scipy_routines()
+
+
+@contextlib.contextmanager
+def one_blas_thread(factors: bool):
+    """Hold the OpenBLAS builds that compute at one thread, then restore the
+    caller's counts.
+
+    numpy's build computes every product.  A run that ``factors`` factors,
+    solves and multiplies on :func:`_lapack`'s build: numpy's, or scipy's
+    (loaded here) where numpy's lacks the routines.  Yields a function that
+    returns the run.log line: ``blas_factors=<build>`` where the run factors,
+    then each build's pinned thread count and config string, or its state:
+    ``not-pinned`` (it computes but exports no thread setter),
+    ``not-loaded``, or ``not-used`` (scipy's, loaded by ``cdist``, computes
+    nothing here).  Call it after the work, so that it sees what the work
+    loaded.
+    """
+    factoring = _lapack().name if factors else None
+    restore, fields = [], {}
+    try:
+        for package in ["numpy"] + (["scipy"] if factoring == "scipy" else []):
+            build = _openblas(package)
+            if build is None or build.threads is None:
+                fields[package] = f"blas_{package}=not-pinned"
+                continue
+            get, set_threads = build.threads
+            restore.append((set_threads, get()))
+            set_threads(1)
+            fields[package] = (f"blas_{package}_threads={get()} "
+                               f"blas_{package}_config={build.config!r}")
+
+        def describe():
+            scipy_state = "not-used" if "scipy.linalg" in sys.modules else "not-loaded"
+            return " ".join(([f"blas_factors={factoring}"] if factoring else [])
+                            + [fields["numpy"], fields.get("scipy", f"blas_scipy={scipy_state}")])
+
+        yield describe
+    finally:
+        for set_threads, threads in restore:
+            set_threads(threads)
+
+
 def cholesky(a, overwrite_a=False) -> SpdFactor:
     """Factor a symmetric positive definite matrix, escalating jitter as needed.
 
@@ -120,8 +327,6 @@ def cholesky(a, overwrite_a=False) -> SpdFactor:
     NotSymmetricError, NotPositiveDefiniteError, NonFiniteInputError (also
     when a rung's jitter overflows the diagonal)
     """
-    from scipy.linalg.lapack import dpotrf  # local: see the module docstring
-
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square matrix, got shape {a.shape}")
@@ -155,9 +360,8 @@ def cholesky(a, overwrite_a=False) -> SpdFactor:
         diag_mean = float(np.mean(diag))
     if not np.isfinite(diag_mean):
         diag_mean = float(np.sum(diag / n))
-    # dpotrf factors the F-ordered work.T in place as upper, a = U^T U, so
-    # work ends as the C-ordered lower factor.  In place, its strict upper
-    # triangle keeps a's until a rung succeeds (clean=0)
+    # in place, work's strict upper triangle keeps a's until a rung succeeds
+    potrf = _lapack().potrf
     work = a if in_place else np.empty((n, n))
     work_diag = work.reshape(-1)[:: n + 1]
     for i, rung in enumerate(JITTER_LADDER):
@@ -172,11 +376,8 @@ def cholesky(a, overwrite_a=False) -> SpdFactor:
             if not np.all(np.isfinite(work_diag)):
                 raise NonFiniteInputError(
                     f"jitter {eps:g} overflows the diagonal of the matrix")
-        upper, info = dpotrf(work.T, lower=0, clean=not in_place, overwrite_a=1)
-        if info == 0:
-            if in_place:
-                _zero_strict_upper(work)
-            return SpdFactor(lower=upper.T, jitter_used=eps)
+        if potrf(work) == 0:
+            return SpdFactor(lower=work, jitter_used=eps)
     raise NotPositiveDefiniteError(
         f"Cholesky failed at every jitter rung (largest {JITTER_LADDER[-1]:g} * mean diag)"
     )
@@ -195,14 +396,41 @@ def tril_matmul(lower, z) -> np.ndarray:
     (n, k * C) view ``z.reshape(k * C, n).T`` and reads the transposed
     result back as (k, C, n), so neither side needs a transposing copy.
     """
-    from scipy.linalg.blas import dtrmm  # local: see the module docstring
-
-    lower = np.asarray(lower, dtype=np.float64)
+    lower = np.ascontiguousarray(lower, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if lower.ndim != 2 or z.ndim != 2 or lower.shape != (z.shape[0], z.shape[0]):
         raise DimensionMismatchError(
             f"expected an (n, n) factor and an (n, m) matrix, got {lower.shape} and {z.shape}")
-    return dtrmm(1.0, lower.T, z, trans_a=1, lower=0)
+    return _lapack().trmm(lower, np.array(z, order="F"))
+
+
+def tril_solve(lower, b, overwrite_b=False) -> np.ndarray:
+    """L^{-1} b for L the lower triangle of an (n, n) ``lower`` and an (n,)
+    or (n, m) ``b``, with LAPACK's triangular solve (trtrs).
+
+    Only the lower triangle of ``lower`` is read.  trtrs takes a vector
+    right-hand side as one column, as scipy.linalg.solve_triangular does;
+    BLAS trsm rounds a single column differently.  ``overwrite_b`` hands
+    ``b`` over to be solved in its own buffer: this holds when ``b`` is a
+    writeable, F-ordered float64 array (a vector, or the transpose of a
+    C-ordered matrix); any other ``b`` is solved in a copy and left as it
+    is.  Returns the solution, shaped as ``b``.
+
+    Raises NotPositiveDefiniteError where L has a zero on its diagonal.
+    """
+    lower = np.ascontiguousarray(lower, dtype=np.float64)
+    x = np.asarray(b, dtype=np.float64)
+    if lower.ndim != 2 or x.ndim not in (1, 2) or lower.shape != (x.shape[0], x.shape[0]):
+        raise DimensionMismatchError(
+            f"expected an (n, n) factor and an (n,) or (n, m) right-hand side, got "
+            f"{lower.shape} and {x.shape}")
+    if not (overwrite_b and x.flags.f_contiguous and x.flags.writeable):
+        x = np.array(x, order="F")
+    x, info = _lapack().trtrs(lower, x)
+    if info > 0:
+        raise NotPositiveDefiniteError(f"the triangular factor has a zero at diagonal "
+                                       f"entry {info - 1}")
+    return x
 
 
 def log_sum_exp(v, axis=None):

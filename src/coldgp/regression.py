@@ -17,9 +17,9 @@ point costs one scalar multiply of the variance array.
 prediction reads it with the factor of the noisy Gram, and the
 classification sweep with that of K(X, X).
 
-``solve_triangular`` is imported inside the two functions that call it, so
-importing this module (which ``coldgp.cli`` does) loads no scipy; a probe
-run or ``plot-data`` never calls them.
+Both triangular solves are :func:`coldgp.linalg.tril_solve`, LAPACK
+``dtrtrs`` on the one BLAS build that also factors, so this module loads no
+scipy (an rbf kernel's Gram loads ``scipy.spatial`` for ``cdist``).
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ import numpy as np
 from .data import LabeledDataset
 from .exceptions import EmptyInputError, ZeroVarianceError, check_temperature
 from .kernels import KernelSpec, gram, gram_diag
-from .linalg import SpdFactor, cholesky
+from .linalg import SpdFactor, cholesky, tril_solve
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,6 @@ class ConditionedRegression:
     """
 
     def __init__(self, model: RegressionModel, train: LabeledDataset):
-        from scipy.linalg import solve_triangular  # local: see the module docstring
-
         if train.is_classification:
             raise ValueError("regression requires real-valued targets")
         noisy = gram(model.kernel, train.inputs, train.inputs)
@@ -65,8 +63,7 @@ class ConditionedRegression:
         self.model = model
         self.train = train
         self.factor: SpdFactor = cholesky(noisy, overwrite_a=True)
-        self.beta = solve_triangular(self.factor.lower, train.targets, lower=True,
-                                     check_finite=False)
+        self.beta = tril_solve(self.factor.lower, train.targets)
 
     def predict(self, test_inputs):
         """Predictive (mean, variance) arrays, one entry per test input."""
@@ -83,10 +80,8 @@ def conditional(kernel: KernelSpec, train_inputs, test_inputs, factor: SpdFactor
     negative).  The one triangular solve runs in place in the buffer of
     K(X*, X), whose transpose is F-ordered, so ``v`` is the one n x p array.
     """
-    from scipy.linalg import solve_triangular  # local: see the module docstring
-
     ks = gram(kernel, test_inputs, train_inputs)  # (p, n)
-    v = solve_triangular(factor.lower, ks.T, lower=True, overwrite_b=True, check_finite=False)
+    v = tril_solve(factor.lower, ks.T, overwrite_b=True)
     schur = gram_diag(kernel, test_inputs) - np.einsum("ij,ij->j", v, v)
     np.clip(schur, 0.0, None, out=schur)
     return v, schur

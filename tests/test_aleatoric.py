@@ -586,3 +586,21 @@ def test_failing_probe_holds_a_few_top_level_arrays(monkeypatch):
         tracemalloc.stop()
     top_level = (2 * 2 ** 18 + 1) * 8
     assert peak <= 4.5 * top_level, peak / top_level
+
+
+@pytest.mark.parametrize("c", [1.0, 1000.0])
+def test_underflowing_mode_raises_before_refining(monkeypatch, c):
+    # at t = 5e-324 the log posterior -g(d*) / t is -inf at the mode, so at
+    # every node, and no level could converge: the curve raises at once, not
+    # after doubling its panels to 2^20
+    levels = []
+    real = aleatoric._level
+
+    def counting(*args):
+        levels.append(args[4])
+        return real(*args)
+
+    monkeypatch.setattr(aleatoric, "_level", counting)
+    with pytest.raises(QuadratureNotConvergedError, match=r"underflows.*temperature=5e-324\)"):
+        relabel_ratio_curve(c, [1.0, 5e-324])
+    assert len(levels) <= 1

@@ -511,16 +511,17 @@ def test_sweep_makes_one_transition_call_per_step(monkeypatch, n_temps, n_chains
 @pytest.mark.parametrize("c", [2, 8])
 def test_sweep_prior_draws_multiply_one_column_per_contrast(monkeypatch, c):
     # the chains carry the C - 1 class contrasts, so each transition's one
-    # triangular product takes k * (C - 1) columns, not k * C
-    import scipy.linalg.blas
+    # triangular product takes k * (C - 1) columns, not k * C.  The product
+    # is the trmm routine of the build that coldgp.linalg computes with
+    import coldgp.linalg as linalg
 
-    columns, real = [], scipy.linalg.blas.dtrmm
+    columns, routines = [], linalg._lapack()
 
-    def recording(alpha, a, b, **kwargs):
+    def recording(lower, b):
         columns.append(b.shape[1])
-        return real(alpha, a, b, **kwargs)
+        return routines.trmm(lower, b)
 
-    monkeypatch.setattr(scipy.linalg.blas, "dtrmm", recording)
+    monkeypatch.setattr(linalg, "_lapack", lambda: routines._replace(trmm=recording))
     train, test = gen_cluster_classification(5, c, 4, 2.0, seed=0)
     cfg = EssConfig(n_chains=2, burn_in=3, n_samples_per_chain=2, thinning=2,
                     draws_per_sample=1)
@@ -545,7 +546,7 @@ def test_sweep_memory_is_factor_readout_and_retained_means():
     retained = len(temps) * cfg.n_chains * cfg.n_samples_per_chain * train.class_count * p
     bound = 8 * (n * n + n * p + retained) + 2 * 2**20
     small_train, small_test = gen_cluster_classification(4, 2, 3, 2.0, seed=0)
-    # loads scipy.linalg and every code path outside the trace
+    # loads scipy.spatial and every code path outside the trace
     classification_temperature_sweep(KernelSpec.rbf(), small_train, small_test, temps,
                                      dataclasses.replace(cfg, n_samples_per_chain=2))
     tracemalloc.start()
@@ -576,16 +577,12 @@ def test_sweep_builds_one_gram_pair_and_one_factor(monkeypatch, n_temps):
     # factor, one triangular solve, and burn_in + samples * thinning
     # transitions that each advance every (temperature, chain) state.  The
     # prior Gram and factor are the sweep's own; the cross-Gram and the solve
-    # are those of the shared conditional in coldgp.regression, which imports
-    # solve_triangular from scipy.linalg when it is called
-    import scipy.linalg
-
+    # are those of the shared conditional in coldgp.regression
     import coldgp.classification as cls
     import coldgp.regression as reg
 
     own = count_calls(monkeypatch, cls, ["gram", "cholesky"])
-    shared = count_calls(monkeypatch, reg, ["gram"])
-    solves = count_calls(monkeypatch, scipy.linalg, ["solve_triangular"])
+    shared = count_calls(monkeypatch, reg, ["gram", "tril_solve"])
     states = []
 
     def transition(f, *args):
@@ -599,7 +596,7 @@ def test_sweep_builds_one_gram_pair_and_one_factor(monkeypatch, n_temps):
                                          dataclasses.replace(cfg, draws_per_sample=1), seed=0)
     # K(X, X) and chol(K(X, X)); K(X*, X) and v = L^{-1} K(X, X*)
     assert own == {"gram": 1, "cholesky": 1}
-    assert {**shared, **solves} == {"gram": 1, "solve_triangular": 1}
+    assert shared == {"gram": 1, "tril_solve": 1}
     assert states == [n_temps * cfg.n_chains] * (
         cfg.burn_in + cfg.n_samples_per_chain * cfg.thinning)
 

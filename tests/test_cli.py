@@ -2,6 +2,7 @@
 plot-data reshaper, and the CSV helpers underneath them."""
 import copy
 import json
+import sys
 import warnings
 from pathlib import Path
 
@@ -404,18 +405,14 @@ class TestRunVerb:
 
     def test_regress_sweep_work_count_per_fit(self, tmp_path, monkeypatch):
         # each (noise setting, replicate) fit factors once and solves twice:
-        # beta = L^{-1} y and v = L^{-1} K(X, X*); coldgp.regression imports
-        # solve_triangular from scipy.linalg when it is called
-        import scipy.linalg
-
+        # beta = L^{-1} y and v = L^{-1} K(X, X*)
         import coldgp.regression as regression
 
-        calls = count_calls(monkeypatch, regression, ["cholesky"])
-        solves = count_calls(monkeypatch, scipy.linalg, ["solve_triangular"])
+        calls = count_calls(monkeypatch, regression, ["cholesky", "tril_solve"])
         cfg = _write_config(tmp_path, "r.json", regress_payload(tmp_path / "r"))
         assert main(["run", "--config", cfg]) == 0
         fits = 2 * 2  # noise settings x replicates
-        assert {**calls, **solves} == {"cholesky": fits, "solve_triangular": 2 * fits}
+        assert calls == {"cholesky": fits, "tril_solve": 2 * fits}
 
     def test_fig3b_log_records_the_data_generator_jitter(self, tmp_path):
         # every fig3b replicate's data Gram needs the 1e-10 rung; the fits
@@ -835,6 +832,16 @@ def test_probe_wide_window_writes_the_width_40_values(tmp_path, capsys, scale, w
     assert written[0] == written[1]
 
 
+def test_probe_at_an_underflowing_temperature_fails_in_one_stderr_line(tmp_path, capsys):
+    payload = probe_payload(tmp_path / "o")
+    payload["probe"]["temperatures"] = [1.0, 5e-324]
+    capsys.readouterr()
+    assert main(["run", "--config", _write_config(tmp_path, "u.json", payload)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: the tempered posterior underflows"), err
+    assert not (tmp_path / "o" / "results.csv").exists()
+
+
 def test_oversized_regression_data_exits_before_allocating(tmp_path, capsys):
     payload = regress_payload(tmp_path / "o")
     payload["data"]["n_train"] = 10**18
@@ -895,11 +902,10 @@ def _bundled_run(tmp_path, name):
 
 
 def test_nngp_run_loads_no_optional_scipy(tmp_path):
-    # a classify-sweep loads scipy.linalg, the one scipy an nngp sweep calls,
-    # before its data; scipy.spatial (with special and sparse) loads inside
-    # the rbf Gram, the one function that calls it
-    assert _scipy_loaded(tmp_path, _bundled_run(tmp_path, "fig1")) == [
-        [], 0, ["scipy", "scipy.linalg"]]
+    # an nngp sweep factors, solves and multiplies on numpy's OpenBLAS and
+    # loads no scipy at all; scipy.spatial (with linalg, special and sparse)
+    # loads inside the rbf Gram, the one function that calls it
+    assert _scipy_loaded(tmp_path, _bundled_run(tmp_path, "fig1")) == [[], 0, []]
 
 
 def test_probe_run_loads_no_optional_scipy(tmp_path):
@@ -922,32 +928,47 @@ def test_plot_data_and_clusters_gen_data_load_no_scipy(tmp_path):
 # --- BLAS threads ----------------------------------------------------------
 
 def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # at 200 training points both OpenBLAS builds split work across threads;
-    # unpinned, two threads moved the last digits of test_log_likelihood
-    raw = copy.deepcopy(BUNDLED["fig1"])
-    raw["data"]["n_per_class"] = 100
-    raw["ess"].update(burn_in=10, n_samples_per_chain=5)
-    (tmp_path / "cfg.json").write_text(json.dumps(raw))
-    for threads in ("1", "2"):
-        code, _, err = run_python(["-m", "coldgp.cli", "run", "--config", "cfg.json",
-                                   "--out", threads], tmp_path, OPENBLAS_NUM_THREADS=threads)
-        assert (code, err) == (0, "")
-    assert (tmp_path / "1" / "results.csv").read_bytes() == \
-        (tmp_path / "2" / "results.csv").read_bytes()
-    for threads in ("1", "2"):
-        blas = [line for line in (tmp_path / threads / "run.log").read_text().splitlines()
-                if line.startswith("blas_")]
-        assert len(blas) == 1 and "blas_numpy_threads=1 " in blas[0], blas
-        assert "blas_scipy_threads=1 " in blas[0], blas
+    # at 200 training points numpy's OpenBLAS splits work across threads;
+    # unpinned, two threads moved the last digits of test_log_likelihood.  In
+    # the rbf regress run cdist loads scipy's build, which computes nothing
+    # there and is left unpinned
+    import coldgp.linalg as linalg
+
+    classify = copy.deepcopy(BUNDLED["fig1"])
+    classify["data"]["n_per_class"] = 100
+    classify["ess"].update(burn_in=10, n_samples_per_chain=5)
+    regress = copy.deepcopy(BUNDLED["fig3b"])
+    regress["data"].update(n_train=400, n_test=200)
+    regress["regression"]["n_seeds"] = 1
+    build = linalg._lapack().name
+    for name, raw, scipy_state in (("classify", classify, "not-loaded"),
+                                   ("regress", regress, "not-used")):
+        (tmp_path / f"{name}.json").write_text(json.dumps(raw))
+        for threads in ("1", "2"):
+            code, _, err = run_python(["-m", "coldgp.cli", "run", "--config", f"{name}.json",
+                                       "--out", f"{name}{threads}"], tmp_path,
+                                      OPENBLAS_NUM_THREADS=threads)
+            assert (code, err) == (0, "")
+            blas = [line for line in (tmp_path / f"{name}{threads}" / "run.log")
+                    .read_text().splitlines() if line.startswith("blas_")]
+            assert len(blas) == 1, blas
+            assert blas[0].startswith(f"blas_factors={build} blas_numpy_threads=1 "), blas
+            if build == "scipy":
+                assert "blas_scipy_threads=1 " in blas[0], blas
+            else:
+                assert blas[0].endswith(f" blas_scipy={scipy_state}"), blas
+        assert (tmp_path / f"{name}1" / "results.csv").read_bytes() == \
+            (tmp_path / f"{name}2" / "results.csv").read_bytes()
 
 
 def test_run_pins_numpy_blas_and_restores_it(tmp_path, monkeypatch):
     import coldgp.cli as cli
+    import coldgp.linalg as linalg
 
-    build = cli._blas("numpy")
-    if build is None:
+    build = linalg._openblas("numpy")
+    if build is None or build.threads is None:
         pytest.skip("numpy vendors no OpenBLAS with thread symbols")
-    get, set_threads, _ = build
+    get, set_threads = build.threads
     before = get()
     during = []
     real = cli.relabel_ratio_curve
@@ -965,7 +986,9 @@ def test_run_pins_numpy_blas_and_restores_it(tmp_path, monkeypatch):
         assert during == [1] and get() == 2
         line, = [s for s in (out / "run.log").read_text().splitlines() if s.startswith("blas_")]
         assert line.startswith("blas_numpy_threads=1 blas_numpy_config='")
-        assert line.endswith(" blas_scipy=not-loaded")
+        # scipy's build computes nothing in a probe; earlier tests may have loaded it
+        scipy_state = "not-used" if "scipy.linalg" in sys.modules else "not-loaded"
+        assert line.endswith(f" blas_scipy={scipy_state}")
         # a failing run restores the count too
         monkeypatch.setattr(cli, "relabel_ratio_curve", lambda *a, **k: 1 / 0)
         with pytest.raises(ZeroDivisionError):
@@ -975,12 +998,102 @@ def test_run_pins_numpy_blas_and_restores_it(tmp_path, monkeypatch):
         set_threads(before)
 
 
-def test_blas_without_thread_symbols_is_logged_not_pinned(tmp_path, monkeypatch):
-    import coldgp.cli as cli
+@pytest.fixture
+def fresh_blas():
+    """coldgp.linalg with its BLAS builds resolved afresh in the test, and
+    again after it."""
+    import coldgp.linalg as linalg
 
-    monkeypatch.setattr(cli, "_blas", lambda package: None)
+    caches = (linalg._openblas, linalg._lapack)
+    for cache in caches:
+        cache.cache_clear()
+    yield linalg
+    for cache in caches:
+        cache.cache_clear()
+
+
+def _blas_line(out):
+    line, = [s for s in (out / "run.log").read_text().splitlines() if s.startswith("blas_")]
+    return line
+
+
+def test_blas_without_thread_symbols_is_logged_not_pinned(tmp_path, monkeypatch, fresh_blas):
+    # no vendored OpenBLAS at all: scipy.linalg factors, and neither build
+    # can be pinned
+    monkeypatch.setattr(fresh_blas, "_openblas", lambda package: None)
     out = tmp_path / "o"
     assert main(["run", "--config", _write_config(tmp_path, "c.json",
                                                   classify_payload(out))]) == 0
-    lines = [s for s in (out / "run.log").read_text().splitlines() if s.startswith("blas_")]
-    assert lines == ["blas_numpy=not-pinned blas_scipy=not-pinned"]
+    assert _blas_line(out) == "blas_factors=scipy blas_numpy=not-pinned blas_scipy=not-pinned"
+
+
+def test_build_without_thread_symbols_factors_unpinned(tmp_path, monkeypatch, fresh_blas):
+    # numpy's library binds its LAPACK routines but exports no thread setter
+    if fresh_blas._openblas("numpy") is None:
+        pytest.skip("numpy vendors no OpenBLAS")
+    fresh_blas._openblas.cache_clear()
+    monkeypatch.setitem(fresh_blas._THREAD_SYMBOLS, "numpy", ("no_such_symbol",) * 3)
+    out = tmp_path / "o"
+    assert main(["run", "--config", _write_config(tmp_path, "r.json",
+                                                  regress_payload(out))]) == 0
+    assert _blas_line(out) == "blas_factors=numpy blas_numpy=not-pinned blas_scipy=not-used"
+
+
+@pytest.mark.parametrize("name", ["fig1", "fig3b"])
+def test_scipy_fallback_writes_the_same_bytes(tmp_path, monkeypatch, fresh_blas, name):
+    # numpy's build without the LAPACK symbols, as an MKL or Accelerate
+    # numpy is: scipy.linalg's routines factor, solve and multiply on scipy's
+    # build, held at one thread, and the bytes do not move
+    if fresh_blas._lapack().name != "numpy":
+        pytest.skip("numpy's build exports no LAPACK routines")
+    raw = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+    if name == "fig1":  # 200 training points
+        raw["data"]["n_per_class"] = 100
+        raw["ess"].update(burn_in=10, n_samples_per_chain=5)
+    else:
+        raw["regression"]["n_seeds"] = 2
+    written = {}
+    for build in ("numpy", "scipy"):
+        if build == "scipy":
+            monkeypatch.setattr(fresh_blas, "_LAPACK_SYMBOLS", ("no_such_symbol",) * 4)
+            fresh_blas._lapack.cache_clear()
+        out = tmp_path / build
+        raw["output_dir"] = str(out)
+        assert main(["run", "--config", _write_config(tmp_path, f"{build}.json", raw)]) == 0
+        line = _blas_line(out)
+        assert line.startswith(f"blas_factors={build} blas_numpy_threads=1 "), line
+        written[build] = (out / "results.csv").read_bytes()
+    assert "blas_scipy_threads=1 " in line, line
+    assert written["numpy"] == written["scipy"]
+
+
+def test_runs_that_need_no_scipy_run_without_it(tmp_path):
+    # with scipy blocked from importing, an nngp sweep, a probe, plot-data
+    # and a clusters gen-data exit 0 and write the bytes of a normal run
+    write_csv(tmp_path / "results.csv", PROBE_HEADER, [(1000.0, 0.5, 0.25, 0.75)])
+    (tmp_path / "gen.json").write_text(json.dumps({
+        "experiment": "gen-data", "output_dir": "gen",
+        "data": {"generator": "clusters", "n_per_class": 6, "class_count": 2,
+                 "dim": 2, "separation": 2.0}}))
+    for name in ("fig1", "fig2a"):
+        (tmp_path / f"{name}.json").write_text(json.dumps(BUNDLED[name]))
+    for side, block in (("blocked", "sys.modules['scipy'] = None"), ("normal", "")):
+        argvs = [["run", "--config", "fig1.json", "--out", f"{side}/fig1"],
+                 ["run", "--config", "fig2a.json", "--out", f"{side}/fig2a"],
+                 ["plot-data", "--input", "results.csv", "--figure", "fig2a",
+                  "--out", f"{side}_plot.csv"],
+                 ["gen-data", "--config", "gen.json", "--out", f"{side}/gen"]]
+        script = "\n".join([
+            "import json, sys",
+            block,
+            "import coldgp.cli",
+            f"print(json.dumps([coldgp.cli.main(argv) for argv in {argvs!r}]))",
+        ])
+        code, out, err = run_python(["-c", script], tmp_path)
+        assert (code, err) == (0, "")
+        assert json.loads(out.splitlines()[-1]) == [0, 0, 0, 0]
+    for name in ("fig1/results.csv", "fig2a/results.csv", "gen/train.csv", "gen/test.csv"):
+        assert (tmp_path / "blocked" / name).read_bytes() == \
+            (tmp_path / "normal" / name).read_bytes(), name
+    assert (tmp_path / "blocked_plot.csv").read_bytes() == \
+        (tmp_path / "normal_plot.csv").read_bytes()

@@ -4,13 +4,16 @@ No linter ships with the test environment, so this scan is the check for
 unused imports in the package and the test suite.  A name counts as used
 when the module reads it, or when the module lists it in ``__all__``
 (the package's re-exports).  A second scan keeps every Cholesky
-factorization of the package inside ``coldgp.linalg``, which owns the
-jitter policy.  A third keeps scipy out of the package's module level:
+factorization, and every call of a bound LAPACK or BLAS routine, inside
+``coldgp.linalg``, which owns the jitter policy and the one BLAS build;
+with it, only ``coldgp.linalg`` loads a shared library through ctypes.  A
+third keeps scipy out of the package's module level:
 each scipy import sits inside a function, so a run that calls none of them
 loads no scipy.  A fourth keeps test-only code out of the package: every
 definition in it has a caller in the package itself.
 """
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -45,19 +48,30 @@ def test_no_unused_imports(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+# LAPACK and BLAS routines that coldgp.linalg binds, under any prefix or
+# suffix: scipy's dpotrf, or the ctypes symbol scipy_dpotrf_64_
+_ROUTINE = re.compile(r"potrf|trtrs|trmm")
+
+
 def _factor_calls(tree):
-    """Line numbers that reach ``*.linalg.cholesky`` or ``dpotrf``."""
+    """Line numbers that reach ``*.linalg.cholesky`` or a bound routine: a
+    name, an attribute, an imported name or a symbol string (one word) that
+    holds potrf, trtrs or trmm."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and (
-                node.attr == "dpotrf"
+                _ROUTINE.search(node.attr)
                 or (node.attr == "cholesky" and isinstance(node.value, ast.Attribute)
                     and node.value.attr == "linalg")):
             yield node.lineno
-        elif isinstance(node, ast.Name) and node.id == "dpotrf":
+        elif isinstance(node, ast.Name) and _ROUTINE.search(node.id):
+            yield node.lineno
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and re.fullmatch(r"\w+", node.value) and _ROUTINE.search(node.value)):
             yield node.lineno
         elif (isinstance(node, ast.ImportFrom) and node.level == 0
-              and node.module.split(".")[-1] in ("linalg", "lapack")
-              and any(alias.name in ("cholesky", "dpotrf") for alias in node.names)):
+              and any(_ROUTINE.search(alias.name)
+                      or (alias.name == "cholesky" and node.module.split(".")[-1] == "linalg")
+                      for alias in node.names)):
             yield node.lineno
 
 
@@ -67,6 +81,27 @@ def test_only_linalg_factors(path):
     # the package's own ``from .linalg import cholesky`` is the one way in
     lines = sorted(set(_factor_calls(ast.parse(path.read_text(encoding="utf-8")))))
     assert not lines, f"{path.name} factors outside coldgp.linalg at lines {lines}"
+
+
+_LOADERS = {"CDLL", "cdll", "PyDLL", "pydll", "LoadLibrary"}
+
+
+def _library_loads(tree):
+    """Line numbers that name a ctypes library loader."""
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Attribute) and node.attr in _LOADERS)
+                or (isinstance(node, ast.Name) and node.id in _LOADERS)
+                or (isinstance(node, ast.ImportFrom) and node.module == "ctypes"
+                    and any(alias.name in _LOADERS for alias in node.names))):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parent.name == "coldgp"
+                                  and p.name != "linalg.py"], ids=lambda p: p.name)
+def test_only_linalg_loads_libraries(path):
+    # coldgp.linalg resolves the one BLAS build the package computes with
+    lines = sorted(set(_library_loads(ast.parse(path.read_text(encoding="utf-8")))))
+    assert not lines, f"{path.name} loads a shared library outside coldgp.linalg at lines {lines}"
 
 
 def _eager_scipy_imports(tree):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg.lapack
+import scipy.linalg
 import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +16,15 @@ from coldgp.exceptions import (
     NotPositiveDefiniteError,
     NotSymmetricError,
 )
-from coldgp.linalg import JITTER_LADDER, block_rows, cholesky, log_sum_exp, tril_matmul
+import coldgp.linalg as linalg
+from coldgp.linalg import (
+    JITTER_LADDER,
+    block_rows,
+    cholesky,
+    log_sum_exp,
+    tril_matmul,
+    tril_solve,
+)
 
 from helpers import run_python
 
@@ -118,14 +126,16 @@ def test_jitter_stays_finite_when_the_diagonal_sum_overflows():
 def test_jitter_rung_factors_a_plus_eps_identity_bitwise(monkeypatch):
     x = np.random.default_rng(5).standard_normal((50, 2))
     a = x @ x.T  # rank two: the zero rung fails
-    # cholesky imports dpotrf from scipy.linalg.lapack when it is called
-    fed, real = [], scipy.linalg.lapack.dpotrf
+    # cholesky factors with the potrf routine of the build coldgp.linalg
+    # computes with; it factors the lower triangle of the C-ordered work
+    routines = linalg._lapack()
+    fed = []
 
-    def recording_dpotrf(m, **kwargs):
-        fed.append(m.T.copy())
-        return real(m, **kwargs)
+    def recording_potrf(work):
+        fed.append(work.copy())
+        return routines.potrf(work)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", recording_dpotrf)
+    monkeypatch.setattr(linalg, "_lapack", lambda: routines._replace(potrf=recording_potrf))
     f = cholesky(a)
     assert f.jitter_used > 0.0 and len(fed) >= 2
     np.testing.assert_array_equal(fed[-1].view(np.int64),
@@ -136,7 +146,7 @@ def test_jitter_rung_factors_a_plus_eps_identity_bitwise(monkeypatch):
 def test_jitter_rung_allocates_one_factor():
     n = 600
     a = np.ones((n, n))  # rank one: factored at a positive rung
-    cholesky(np.eye(2))  # loads scipy.linalg outside the trace
+    cholesky(np.eye(2))  # binds the BLAS routines outside the trace
     tracemalloc.start()
     try:
         f = cholesky(a)
@@ -252,7 +262,7 @@ def test_in_place_leaves_read_only_strided_and_small_inputs_alone():
 def test_in_place_factor_allocates_no_n_by_n_array(rank_one):
     n = 1200
     a = np.ones((n, n)) if rank_one else np.full((n, n), 0.5) + 0.5 * np.eye(n)
-    cholesky(np.eye(2))  # loads scipy.linalg outside the trace
+    cholesky(np.eye(2))  # binds the BLAS routines outside the trace
     tracemalloc.start()
     try:
         f = cholesky(a, overwrite_a=True)
@@ -337,3 +347,136 @@ def test_cholesky_reconstructs_random_spd(n, seed):
     a = _random_spd(n, seed)
     f = cholesky(a)
     np.testing.assert_allclose(f.lower @ f.lower.T, a, rtol=1e-10, atol=1e-10)
+
+
+# --- the bound LAPACK and BLAS routines ------------------------------------
+
+_CROSS_N = [1, 2, 363, 1100]  # 363: one past a row block
+
+
+@pytest.fixture
+def numpy_routines():
+    """The routines bound on numpy's OpenBLAS, with numpy's and scipy's
+    builds held at one thread, so that each rounds as the other does."""
+    routines = linalg._lapack()
+    if routines.name != "numpy":
+        pytest.skip("numpy's build exports no LAPACK routines")
+    from scipy.linalg.lapack import dpotrf  # loads scipy's build to pin it
+
+    restore = []
+    for package in ("numpy", "scipy"):
+        build = linalg._openblas(package)
+        if build is not None and build.threads is not None:
+            get, set_threads = build.threads
+            restore.append((set_threads, get()))
+            set_threads(1)
+    yield routines, dpotrf
+    for set_threads, threads in restore:
+        set_threads(threads)
+
+
+def _lower_with_nan_above(n, seed):
+    """A C-ordered well-conditioned lower factor whose strict upper triangle
+    is NaN: a routine that reads it poisons its output."""
+    lower = np.linalg.cholesky(_random_spd(n, seed))
+    lower[np.triu_indices(n, 1)] = np.nan
+    return lower
+
+
+@pytest.mark.parametrize("n", _CROSS_N)
+def test_bound_potrf_matches_scipy_bitwise(numpy_routines, n):
+    routines, dpotrf = numpy_routines
+    a = _random_spd(n, n)
+    work = a.copy()
+    assert routines.potrf(work) == 0
+    ref, info = dpotrf(a.T, lower=0, clean=1)
+    assert info == 0 and _same_bits(work, ref.T)
+    assert not np.triu(work, 1).any()
+
+
+@pytest.mark.parametrize("n", _CROSS_N[1:])
+def test_bound_potrf_failure_matches_scipy_and_keeps_the_upper_triangle(numpy_routines, n):
+    # the leading minor of order k fails, so info is k; the strict upper
+    # triangle, which the in-place path restores rungs from, is untouched
+    routines, dpotrf = numpy_routines
+    k = n // 2 + 1
+    a = _random_spd(n, n)
+    a[k - 1, k - 1] = -1.0
+    work = a.copy()
+    info = routines.potrf(work)
+    ref, ref_info = dpotrf(a.T, lower=0, clean=0)
+    assert info == ref_info == k
+    assert _same_bits(work, ref.T)
+    upper = np.triu_indices(n, 1)
+    assert _same_bits(work[upper], a[upper])
+
+
+def test_in_place_rungs_keep_the_upper_triangle_until_one_succeeds(monkeypatch):
+    # a rank-one Gram past one row block: every failed rung leaves the strict
+    # upper triangle the input's; the rung that succeeds zeroes it
+    n = _IN_PLACE_N
+    a = np.ones((n, n))
+    upper = np.triu_indices(n, 1)
+    routines, seen = linalg._lapack(), []
+
+    def recording_potrf(work):
+        info = routines.potrf(work)
+        seen.append((info, _same_bits(work[upper], a[upper]), not work[upper].any()))
+        return info
+
+    monkeypatch.setattr(linalg, "_lapack", lambda: routines._replace(potrf=recording_potrf))
+    f = cholesky(a.copy(), overwrite_a=True)
+    assert f.jitter_used > 0.0 and len(seen) >= 2
+    assert all(info > 0 and kept for info, kept, _ in seen[:-1])
+    assert seen[-1][0] == 0 and seen[-1][2]
+
+
+@pytest.mark.parametrize("m", [1, 40])
+@pytest.mark.parametrize("n", _CROSS_N)
+def test_bound_trmm_matches_scipy_bitwise(numpy_routines, n, m):
+    routines, _ = numpy_routines
+    lower = _lower_with_nan_above(n, n)
+    z = np.random.default_rng(m).standard_normal((n, m))
+    out = routines.trmm(lower, np.array(z, order="F"))
+    ref = scipy.linalg.blas.dtrmm(1.0, lower.T, z, trans_a=1, lower=0)
+    assert np.all(np.isfinite(out)) and _same_bits(out, ref)
+    assert _same_bits(tril_matmul(lower, z), ref)
+
+
+@pytest.mark.parametrize("m", [None, 1, 40])  # a vector, and matrices of m columns
+@pytest.mark.parametrize("n", _CROSS_N)
+def test_bound_trtrs_matches_scipy_bitwise(numpy_routines, n, m):
+    routines, _ = numpy_routines
+    lower = _lower_with_nan_above(n, n)
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal(n) if m is None else rng.standard_normal((n, m))
+    ref = scipy.linalg.solve_triangular(lower, b, lower=True, check_finite=False)
+    x, info = routines.trtrs(lower, np.array(b, order="F"))
+    assert info == 0 and np.all(np.isfinite(x)) and _same_bits(x, ref)
+    assert _same_bits(tril_solve(lower, b), ref)
+
+
+def test_tril_solve_overwrites_only_what_it_is_handed():
+    lower = np.linalg.cholesky(_random_spd(5, 0))
+    c_ordered = np.random.default_rng(1).standard_normal((3, 5))
+    f_ordered = c_ordered.T  # (5, 3), F-ordered: solved in its own buffer
+    before = c_ordered.copy()
+    assert not np.shares_memory(tril_solve(lower, f_ordered), c_ordered)
+    assert _same_bits(c_ordered, before)
+    x = tril_solve(lower, f_ordered, overwrite_b=True)
+    assert np.shares_memory(x, c_ordered)
+    assert _same_bits(x, scipy.linalg.solve_triangular(lower, before.T, lower=True))
+    vector = before[0].copy()
+    assert np.shares_memory(tril_solve(lower, vector, overwrite_b=True), vector)
+    c_matrix = before.T.copy()  # C-ordered (5, 3): solved in a copy
+    assert not np.shares_memory(tril_solve(lower, c_matrix, overwrite_b=True), c_matrix)
+    assert _same_bits(c_matrix, before.T)
+
+
+def test_tril_solve_errors():
+    with pytest.raises(DimensionMismatchError):
+        tril_solve(np.eye(3), np.ones(2))
+    with pytest.raises(DimensionMismatchError):
+        tril_solve(np.eye(3), np.ones((3, 2, 1)))
+    with pytest.raises(NotPositiveDefiniteError, match="diagonal entry 1"):
+        tril_solve(np.diag([1.0, 0.0, 1.0]), np.ones(3))

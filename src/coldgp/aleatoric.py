@@ -11,13 +11,17 @@ with the observed label:
     p(c, t) = E[ sigmoid(-d) ]  under that posterior.
 
 Both the numerator and the normalizer are one-dimensional integrals,
-evaluated with composite Simpson quadrature in log space, with panel
-doubling until the value stabilizes at a node spacing of at most a quarter
-of sqrt(2 c t).  The window is centred at the mode d* of the tempered
-posterior, the minimizer of g(d) = softplus(-d) + d^2 / (4 c), which does
-not depend on t, and reaches r prior standard deviations s = sqrt(2 c t)
-either side of it.  A window centred at 0 instead misses the posterior once
-s is small next to d*.
+evaluated with the trapezoid rule in log space, with the step halved until
+the value stabilizes at a node spacing of at most a quarter of sqrt(2 c t).
+The window is centred at the mode d* of the tempered posterior, the
+minimizer of g(d) = softplus(-d) + d^2 / (4 c), which does not depend on t,
+and reaches r prior standard deviations s = sqrt(2 c t) either side of it.
+A window centred at 0 instead misses the posterior once s is small next to
+d*.  The log posterior is taken relative to its peak, -max(g(d) - g(d*), 0)
+/ t, so it is 0 at the mode and the numerator's softplus(d) term survives at
+every t, down to the smallest subnormal.  Both integrands are smooth and
+negligible at the window's ends, where the trapezoid rule converges
+exponentially (Trefethen & Weideman 2014, SIAM Review 56(3)).
 
 r is the smallest value of at least 8 at which the window provably drops at
 most tol / 100 of either integral, and never more than the configured
@@ -35,8 +39,8 @@ A the peak density:
 
 so each integral loses a share of at most 2 sqrt(k) erfc(r / sqrt 2) /
 sigmoid(-d*).  At tol = 1e-8, r is 8 for c <= 1000, 8.93 at c = 1e6 and
-33.1 at c = 1e154, and the Simpson values of the bundled fig2 grids agree
-with those of the uncapped width-40 window to 3e-14.  Where the right side
+33.1 at c = 1e154, and the values of the bundled fig2 grids agree with
+those of the uncapped width-40 window to 3e-14.  Where the right side
 sigmoid(-d*) tol / 100 / (2 sqrt(k)) is not a normal float (c beyond about
 1e199 at tol = 1e-8), r is the configured width.  The posterior is
 log-concave, but the "at least 1/e of the mass either side" bound holds
@@ -48,16 +52,20 @@ which refinement may end at a bounded panel count, so a configured width of
 :func:`relabel_ratio_curve` is the one entry point for probe values.
 
 A curve's temperatures are the rows of one array, refined in lock step: each
-pass doubles the panels of the rows that have not converged.  The nodes are
-nested, so a pass keeps the previous pass's log posterior and softplus(d) at
-its even nodes and evaluates only the new odd ones.  Every value keeps the
-bits that a fresh np.linspace window per temperature and pass gives.  Rows
-refined together hold a bounded number of nodes, so an input that runs out
-of panels holds a few arrays of the last pass, not one per temperature.
+pass doubles the intervals of the rows that have not converged.  Every row
+shares one z grid, z_i = -r + i h with d = d* + s z, and halving h adds only
+the odd nodes while the old ones keep their weights (1 inside, 1/2 at the
+two ends).  So a row carries only two log-sums, of the normalizer's and
+the numerator's terms, whose difference is the log of its value, and a pass
+evaluates only its new nodes: each node of a row's final level is evaluated
+once.  Rows refined
+together hold a bounded number of nodes, so an input that runs out of
+panels holds a few arrays of the last pass, not one per temperature.
 
 This module uses no scipy, so a probe run loads only the scipy that
 ``import coldgp`` does.  :func:`_posterior_mode` finds d* by bisection on
-the monotone gradient, to adjacent floats, and the logistic sigmoid is the
+the monotone gradient, to adjacent floats (:func:`_bisect`, which
+:func:`_support_half_width` shares), and the logistic sigmoid is the
 scalar :func:`_sigmoid` rather than ``scipy.special.expit``, whose bits it
 reproduces.
 """
@@ -75,7 +83,7 @@ from .exceptions import (
     NonPositiveScaleError,
     QuadratureNotConvergedError,
     check_labels,
-    check_temperature,
+    check_temperatures,
 )
 from .linalg import log_sum_exp
 
@@ -84,8 +92,6 @@ _MAX_PANELS = 2 ** 20
 # Doubles per node array that rows refined in lock step may hold at once:
 # past it, rows advance a chunk at a time, depth-first in row order.
 _NODE_BUDGET = 2 ** 14
-# log Simpson weights of the end, odd and even interior nodes (1, 4, 2)
-_LOG_END, _LOG_ODD, _LOG_EVEN = np.log([1.0, 4.0, 2.0])
 
 
 def _sigmoid(x: float) -> float:
@@ -96,29 +102,38 @@ def _sigmoid(x: float) -> float:
         return 0.0
 
 
+def _bisect(above, lo: float, hi: float):
+    """(lo, hi) adjacent floats with ``above(hi)`` true and ``above(lo)`` false,
+    for a predicate that is false at ``lo``, true at ``hi`` and monotone between.
+
+    Bisection stops when the midpoint equals an endpoint.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo, hi
+        if above(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
 def _posterior_mode(c: float) -> float:
     """d*, the minimizer of softplus(-d) + d^2 / (4 c), for a checked c > 0.
 
     Bisection on the gradient d / (2c) - sigmoid(-d), which increases in d,
-    down to adjacent floats: it stops when the midpoint equals an endpoint.
+    down to adjacent floats.
     """
-    def grad(d):
+    def rising(d):
         # 0.5 * d / c rounds as d / (2c) does but stays finite for c near the
         # float maximum, where 2c overflows
-        return 0.5 * d / c - _sigmoid(-d)
+        return 0.5 * d / c - _sigmoid(-d) > 0.0
 
-    # grad(0) = -1/2 < 0 and grad(hi) > 0: for c <= 1, hi > 2c puts d / (2c)
-    # above 1; for c > 1, hi > log(2c) + 1 puts it above exp(-d) > sigmoid(-d).
-    # Unlike 2c + 1, this bound stays finite for every finite c
-    lo, hi = 0.0, 1.0 + (2.0 * c if c <= 1.0 else 2.0 + math.log(c))
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return mid
-        if grad(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
+    # the gradient is -1/2 at 0 and positive at hi: for c <= 1, hi > 2c puts
+    # d / (2c) above 1; for c > 1, hi > log(2c) + 1 puts it above exp(-d) >
+    # sigmoid(-d).  Unlike 2c + 1, this bound stays finite for every finite c
+    lo, hi = _bisect(rising, 0.0, 1.0 + (2.0 * c if c <= 1.0 else 2.0 + math.log(c)))
+    return 0.5 * (lo + hi)
 
 
 def _support_half_width(c: float, tol: float, width: float, centre: float) -> float:
@@ -133,99 +148,48 @@ def _support_half_width(c: float, tol: float, width: float, centre: float) -> fl
     if not target >= sys.float_info.min:
         return width
 
-    def dropped(r):
-        return math.erfc(r / math.sqrt(2.0)) > target
+    def kept(r):
+        return math.erfc(r / math.sqrt(2.0)) <= target
 
     # erfc(40 / sqrt 2) underflows to 0, so no normal target is dropped there
     lo, hi = 8.0, min(width, 40.0)
-    if not dropped(lo):
+    if kept(lo):
         return lo
-    if dropped(hi):  # r would exceed the configured width
+    if not kept(hi):  # r would exceed the configured width
         return hi
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            return hi
-        if dropped(mid):
-            lo = mid
-        else:
-            hi = mid
+    return _bisect(kept, lo, hi)[1]
 
 
-def _nodes(lo, hi, div: int, index):
-    """Nodes ``index`` of np.linspace(lo, hi, div + 1) for (rows, 1) ends, bitwise.
+def _z_nodes(r: float, intervals: int, index):
+    """Nodes ``index`` of the z grid z_i = -r + i h, h = 2 r / intervals.
 
-    linspace multiplies the index by its step (hi - lo) / div or, where that
-    step underflows to 0, divides the index by div and multiplies by hi - lo;
-    then it adds lo.  Its last node is hi, which the caller sets.
+    Computed as (i - m) (r / m), m = intervals / 2: r / m is exact, so node 2i
+    at 2N intervals is node i at N intervals bit for bit, the grid is
+    symmetric about z_m = 0 and ends at -r and r, and no step overflows.
     """
-    delta = hi - lo
-    step = delta / div
-    d = index * step
-    zero = step[:, 0] == 0.0
-    if zero.any():
-        d[zero] = index / div * delta[zero]
-    d += lo
-    return d
+    half = intervals // 2
+    return (index - half) * (r / half)
 
 
-def _log_posterior(d, t, c: float):
-    """(log posterior, softplus(d)) at nodes d (rows, k) of rows at temperatures t (rows, 1).
+def _log_terms(d, t, c: float, centre: float):
+    """(log posterior, its sum with log sigmoid(-d)) at nodes d (rows, k) of
+    rows at temperatures t (rows, 1).
 
-    log sigmoid(d) = -log(1 + exp(-d)); the Gaussian normalizer cancels.
+    The log posterior is taken relative to its peak at ``centre``, d*:
+    -max(g(d) - g(d*), 0) / t, which is 0 at d* for every t.
     """
-    log_post = np.negative(d)
-    np.logaddexp(0.0, log_post, out=log_post)
-    np.negative(log_post, out=log_post)
-    log_post /= t
-    square = np.multiply(d, d)
-    square /= 4.0 * c * t
-    log_post -= square
-    return log_post, np.logaddexp(0.0, d, out=square)
+    def g(x):  # softplus(-x) + x^2 / (4 c), in a new array
+        out = np.multiply(x, x)
+        out *= 0.25
+        out /= c
+        out += np.logaddexp(0.0, np.negative(x))
+        return out
 
-
-def _level(c: float, t, lo, hi, panels: int, previous):
-    """(log posterior, softplus(d)) at the 2 panels + 1 nodes of each row.
-
-    ``previous`` is None or the same pair at panels / 2, whose nodes are this
-    level's even nodes: halving the step doubles the index, so the nodes keep
-    their bits and only the odd nodes are evaluated.  Only a subnormal step
-    can halve inexactly, and then every node lies below 1e-285 in magnitude,
-    where both values are those at d = 0 whatever the node's last bits.
-    """
-    div = 2 * panels
-    if previous is None:
-        d = _nodes(lo, hi, div, np.arange(div + 1.0))
-        d[:, -1] = hi[:, 0]
-        return _log_posterior(d, t, c)
-    log_post, softplus = _log_posterior(_nodes(lo, hi, div, np.arange(1.0, div, 2.0)), t, c)
-    log_post = _interleave(previous[0], log_post)
-    return log_post, _interleave(previous[1], softplus)
-
-
-def _interleave(even, odd):
-    """The rows of ``even`` and ``odd`` merged column by column, starting with ``even``."""
-    out = np.empty((even.shape[0], even.shape[1] + odd.shape[1]))
-    out[:, ::2] = even
-    out[:, 1::2] = odd
-    return out
-
-
-def _add_log_weights(v):
-    """v plus the log Simpson weights 0, log 4, log 2, ..., log 4, 0 along axis 1, in place."""
-    v[:, 1::2] += _LOG_ODD
-    v[:, 2:-1:2] += _LOG_EVEN
-    v[:, [0, -1]] += _LOG_END
-    return v
-
-
-def _probe_values(log_post, softplus):
-    """Simpson estimate of E[sigmoid(-d)] per row: numerator over normalizer, in log space."""
-    work = log_post.copy()
-    log_den = log_sum_exp(_add_log_weights(work), axis=1)
-    np.subtract(log_post, softplus, out=work)
-    log_num = log_sum_exp(_add_log_weights(work), axis=1)
-    return np.exp(log_num - log_den)
+    log_post = g(d)
+    log_post -= g(centre)
+    np.maximum(log_post, 0.0, out=log_post)
+    log_post /= -t
+    return log_post, log_post - np.logaddexp(0.0, d)
 
 
 def _check_scale(latent_scale) -> float:
@@ -248,67 +212,60 @@ def _check_quadrature(quadrature_tolerance, integration_half_width_sigmas):
 def _quadrature(c: float, temps, tol: float, width: float, centre: float):
     """Probe values at the distinct checked temperatures ``temps``, in their order.
 
-    Every row starts at _INITIAL_PANELS and doubles its panels, in lock step
-    with the rows that have not yet converged, until two successive values
-    agree to the relative tolerance ``tol`` at 4 * r panels or more, with r
-    the half-width :func:`_support_half_width` caps ``width`` at (a node
-    spacing of sqrt(2 c t) / 4 or less: coarser nodes in a wide window can
-    miss the posterior and agree falsely); converged rows drop
-    out.  Rows refined together hold at most _NODE_BUDGET doubles per node
-    array (one row always goes ahead); past it they advance a chunk at a
-    time, depth-first, so the first row that runs out of panels raises
-    before any later row is refined further.  Windows are centred at
-    ``centre``.  A temperature so small that the log posterior at the mode
-    underflows to -inf raises before any node is evaluated.
+    Every row starts at _INITIAL_PANELS intervals and doubles them, in lock
+    step with the rows that have not yet converged, until two successive
+    values agree to the relative tolerance ``tol`` at 8 * r intervals or
+    more, with r the half-width :func:`_support_half_width` caps ``width`` at
+    (a node spacing of sqrt(2 c t) / 4 or less: coarser nodes in a wide
+    window can miss the posterior and agree falsely); converged rows drop
+    out.  A row keeps the log-sums of the numerator's and the normalizer's
+    trapezoid terms, so a pass evaluates only the new odd nodes.  Rows
+    refined together hold at most _NODE_BUDGET doubles per node array (one
+    row always goes ahead); past it they advance a chunk at a time,
+    depth-first, so the first row that runs out of panels raises before any
+    later row is refined further.  Windows are centred at ``centre``.
     """
-    width = _support_half_width(c, tol, width, centre)
+    r = _support_half_width(c, tol, width, centre)
     t = np.array(temps, dtype=np.float64).reshape(-1, 1)
-    # -g(d*) / t, the log posterior at the mode, bounds it at every node:
-    # where it is -inf, every node's is, and the Simpson values are NaN at
-    # every level, so refining could never converge
-    with np.errstate(over="ignore"):
-        peak = -(np.logaddexp(0.0, -centre) + 0.25 * centre * centre / c) / t[:, 0]
-    if not np.all(peak > -np.inf):
-        row = int(np.argmin(peak > -np.inf))
-        raise QuadratureNotConvergedError(
-            f"the tempered posterior underflows: its log density at the mode is "
-            f"{float(peak[row])!r} (latent_scale={c!r}, temperature={temps[row]!r})")
-    half = width * np.sqrt(2.0 * c * t)
-    lo, hi = centre - half, centre + half
+    scale = np.sqrt(2.0 * c * t)
     out = np.empty(t.shape[0])
 
-    def refine(rows, panels, level, value):
-        # level: None, or the (log posterior, softplus) pair of rows at
-        # panels / 2, whose Simpson values are ``value``
+    def refine(rows, intervals, sums):
+        # sums: None, or the (normalizer, numerator) log-sums of rows at
+        # ``intervals`` / 2; their difference is the log of the rows' values
         while True:
-            nodes = 2 * panels + 1
-            if rows.size > 1 and rows.size * nodes > _NODE_BUDGET:
-                k = max(1, _NODE_BUDGET // nodes)
+            # the first pass evaluates every node, later ones the new odd nodes
+            index = np.arange(intervals + 1.0) if sums is None else np.arange(1.0, intervals, 2.0)
+            if rows.size > 1 and rows.size * index.size > _NODE_BUDGET:
+                k = max(1, _NODE_BUDGET // index.size)
                 for s in range(0, rows.size, k):
                     part = slice(s, s + k)
-                    refine(rows[part], panels,
-                           None if level is None else (level[0][part], level[1][part]),
-                           None if value is None else value[part])
+                    refine(rows[part], intervals, None if sums is None else sums[:, part])
                 return
-            # rebinding level lets the previous level go before the sums
-            level = _level(c, t[rows], lo[rows], hi[rows], panels, level)
-            cur = _probe_values(*level)
-            if value is not None and panels >= 4.0 * width:
+            d = scale[rows] * _z_nodes(r, intervals, index) + centre
+            terms = _log_terms(d, t[rows], c, centre)
+            if sums is None:  # trapezoid weights 1/2 at the two ends, 1 inside
+                for v in terms:
+                    v[:, [0, -1]] -= math.log(2.0)
+            old, sums = sums, np.array([log_sum_exp(v, axis=1) for v in terms])
+            if old is not None:  # the old nodes keep their weights as the step halves
+                sums = np.logaddexp(old, sums)
+            if old is not None and intervals >= 8.0 * r:
+                cur, value = np.exp(sums[1] - sums[0]), np.exp(old[1] - old[0])
                 done = np.abs(cur - value) <= tol * np.maximum(np.abs(cur), 1e-300)
                 if done.any():
                     out[rows[done]] = cur[done]
                     keep = ~done
                     if not keep.any():
                         return
-                    rows, cur, level = rows[keep], cur[keep], (level[0][keep], level[1][keep])
-            if panels > _MAX_PANELS:
+                    rows, sums = rows[keep], sums[:, keep]
+            if intervals > _MAX_PANELS:
                 raise QuadratureNotConvergedError(
                     f"no convergence to {tol!r} within {_MAX_PANELS} panels "
                     f"(latent_scale={c!r}, temperature={temps[rows[0]]!r})")
-            value = cur
-            panels *= 2
+            intervals *= 2
 
-    refine(np.arange(t.shape[0]), _INITIAL_PANELS, None, None)
+    refine(np.arange(t.shape[0]), _INITIAL_PANELS, None)
     return out
 
 
@@ -335,9 +292,7 @@ def relabel_ratio_curve(latent_scale: float, temperatures,
     posterior (module docstring).  A tolerance that is not positive or a
     half-width below 8 raises ValueError.
     """
-    temps = [check_temperature(t) for t in temperatures]
-    if not temps:
-        raise EmptyInputError("temperature grid is empty")
+    temps = check_temperatures(temperatures)
     c = _check_scale(latent_scale)
     tol, width = _check_quadrature(quadrature_tolerance, integration_half_width_sigmas)
     rows = list(dict.fromkeys([1.0] + temps))

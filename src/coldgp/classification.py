@@ -69,7 +69,7 @@ from .exceptions import (
     NonFiniteLikelihoodError,
     check_array_size,
     check_labels,
-    check_temperature,
+    check_temperatures,
 )
 from .kernels import KernelSpec, gram
 from .linalg import SpdFactor, cholesky, tril_matmul
@@ -365,9 +365,7 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
     lists each position's sampler diagnostics: transitions, proposals,
     proposals_per_transition and prior_jitter.
     """
-    temps = [check_temperature(t) for t in temperatures]
-    if not temps:
-        raise EmptyInputError("temperature grid is empty")
+    temps = check_temperatures(temperatures)
     if not test.is_classification or test.class_count != train.class_count:
         raise ValueError("train/test class counts differ or test set is not classification")
     c = train.class_count

@@ -77,12 +77,17 @@ class ConfigError(ColdGPError):
     """Experiment config is malformed: unknown/missing keys or bad values."""
 
 
-def check_temperature(t) -> float:
-    """``t`` as a float; raises NonPositiveTemperatureError unless 0 < t < inf."""
-    t = float(t)
-    if not 0.0 < t < float("inf"):  # also false for NaN
-        raise NonPositiveTemperatureError(f"temperature must be positive and finite, got {t!r}")
-    return t
+def check_temperatures(grid) -> list:
+    """``grid`` as a list of floats; raises NonPositiveTemperatureError at the
+    first t outside 0 < t < inf, and EmptyInputError if the grid is empty."""
+    temps = []
+    for t in map(float, grid):
+        if not 0.0 < t < float("inf"):  # also false for NaN
+            raise NonPositiveTemperatureError(f"temperature must be positive and finite, got {t!r}")
+        temps.append(t)
+    if not temps:
+        raise EmptyInputError("temperature grid is empty")
+    return temps
 
 
 def check_array_size(what: str, shape) -> None:

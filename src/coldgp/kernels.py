@@ -92,6 +92,10 @@ class KernelSpec:
         if self.family == "rbf":
             if not (np.isfinite(self.rbf_lengthscale) and self.rbf_lengthscale > 0.0):
                 raise ValueError(f"rbf_lengthscale must be positive, got {self.rbf_lengthscale!r}")
+            if not np.isfinite(self.rbf_lengthscale * self.rbf_lengthscale):
+                # the Gram squares it in Python floats, which raise OverflowError
+                raise ValueError(f"rbf_lengthscale is squared, so its square must be finite, "
+                                 f"got {self.rbf_lengthscale!r}")
             if not (np.isfinite(self.rbf_variance) and self.rbf_variance > 0.0):
                 raise ValueError(f"rbf_variance must be positive, got {self.rbf_variance!r}")
         else:

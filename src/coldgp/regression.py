@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import LabeledDataset
-from .exceptions import EmptyInputError, ZeroVarianceError, check_temperature
+from .exceptions import ZeroVarianceError, check_temperatures
 from .kernels import KernelSpec, gram, gram_diag
 from .linalg import SpdFactor, cholesky, tril_solve
 
@@ -43,6 +43,10 @@ class RegressionModel:
     def __post_init__(self):
         if not (np.isfinite(self.noise_std) and self.noise_std >= 0.0):
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
+        if not np.isfinite(self.noise_std * self.noise_std):
+            # conditioning squares it in Python floats, which raise OverflowError
+            raise ValueError(f"noise_std is squared, so its square must be finite, "
+                             f"got {self.noise_std!r}")
 
 
 class ConditionedRegression:
@@ -107,9 +111,7 @@ def regression_temperature_sweep(model: RegressionModel, train: LabeledDataset,
     conditioned once; the grid multiplies the predictive variance array by
     each temperature in one (temperatures, test points) array.
     """
-    temps = [check_temperature(t) for t in temperatures]
-    if not temps:
-        raise EmptyInputError("temperature grid is empty")
+    temps = check_temperatures(temperatures)
     fit = ConditionedRegression(model, train)
     mean, variance = fit.predict(test.inputs)
     tempered = variance * np.array(temps)[:, None]

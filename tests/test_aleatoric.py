@@ -15,11 +15,10 @@ from scipy.special import expit
 
 import coldgp.aleatoric as aleatoric
 from coldgp.aleatoric import (
-    _level,
-    _nodes,
     _posterior_mode,
     _sigmoid,
     _support_half_width,
+    _z_nodes,
     relabel_disagreement_mc,
     relabel_prob_zero_temperature,
     relabel_ratio_curve,
@@ -119,6 +118,13 @@ def test_small_temperature_converges_to_zero_temperature_limit(c):
         # p approaches the limit linearly in t, to within the 1e-8 relative tolerance
         assert -3e-9 <= p - limit <= 0.1 * t + 3e-9
     assert abs(probs[-1] - limit) <= 3e-9
+    # the log posterior is taken relative to its peak, so the softplus term
+    # survives down to the smallest subnormal: before, t = 1e-10 was off by
+    # 1.3e-7 at c = 1, t = 1e-16 gave 0.3679, t <= 1e-20 gave 1.0 and
+    # t = 5e-324 raised
+    tiny = [1e-10, 1e-12, 1e-16, 1e-20, 1e-100, 1e-300, 5e-324]
+    probs = relabel_ratio_curve(c, tiny)[0]
+    assert all(abs(p - limit) <= 1e-8 * limit for p in probs), (probs - limit) / limit
 
 
 def test_sigmoid_matches_expit_bitwise():
@@ -405,36 +411,44 @@ def test_disagreement_mc_validation():
         relabel_disagreement_mc(samples, np.array([0]), 0)
 
 
-# --- lock-step quadrature against the per-temperature loop it replaced ------
+# --- lock-step quadrature against a per-temperature loop ---------------------
 
-def _loop_value(c, t, width, panels, centre):
-    """One Simpson pass on fresh np.linspace nodes, as the per-temperature loop made it."""
-    half = width * np.sqrt(2.0 * c * t)
-    d = np.linspace(centre - half, centre + half, 2 * panels + 1)
-    log_post = -np.logaddexp(0.0, -d) / t - d * d / (4.0 * c * t)
-    w = np.full(d.size, 2.0)
-    w[1::2] = 4.0
-    w[0] = w[-1] = 1.0
-    log_w = np.log(w)
+def _loop_log_sums(c, t, width, intervals, centre, index):
+    """(normalizer, numerator) log-sums of one temperature's trapezoid terms at
+    the z-grid nodes ``index``, with the log posterior relative to its peak."""
+    z = (index - intervals // 2) * (width / (intervals // 2))
+    d = np.sqrt(2.0 * c * t) * z + centre
+
+    def g(x):
+        return x * x * 0.25 / c + np.logaddexp(0.0, -x)
+
+    log_post = -np.maximum(g(d) - g(centre), 0.0) / t
+    terms = [log_post, log_post - np.logaddexp(0.0, d)]
+    if index[0] == 0.0:  # the whole grid: weight 1/2 at the two ends
+        for v in terms:
+            v[[0, -1]] -= math.log(2.0)
 
     def lse(v):
         m = np.max(v)
         with np.errstate(invalid="ignore"):
-            return float(m + np.log(np.sum(np.exp(v - m))))
+            return m + np.log(np.sum(np.exp(v - m)))
 
-    return float(np.exp(lse(log_post - np.logaddexp(0.0, d) + log_w) - lse(log_post + log_w)))
+    return np.array([lse(v) for v in terms])
 
 
 def _loop_quadrature(c, t, tol, width, centre, max_panels=2 ** 20):
-    """(value, final panels) of the per-temperature panel doubling, with no node reuse."""
-    panels = 256
-    prev = _loop_value(c, t, width, panels, centre)
-    while panels <= max_panels:
-        panels *= 2
-        cur = _loop_value(c, t, width, panels, centre)
-        if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
-            return cur, panels
-        prev = cur
+    """(value, final intervals) of one temperature's trapezoid refinement: each
+    pass adds the new odd nodes to the running log-sums."""
+    intervals = 256
+    sums = _loop_log_sums(c, t, width, intervals, centre, np.arange(intervals + 1.0))
+    while intervals <= max_panels:
+        intervals *= 2
+        new = np.logaddexp(sums, _loop_log_sums(c, t, width, intervals, centre,
+                                                np.arange(1.0, intervals, 2.0)))
+        prev, cur = float(np.exp(sums[1] - sums[0])), float(np.exp(new[1] - new[0]))
+        if intervals >= 8.0 * width and abs(cur - prev) <= tol * max(abs(cur), 1e-300):
+            return cur, intervals
+        sums = new
     raise QuadratureNotConvergedError(
         f"no convergence to {tol!r} within {max_panels} panels "
         f"(latent_scale={c!r}, temperature={t!r})")
@@ -478,52 +492,40 @@ def test_lock_step_curve_matches_per_temperature_loop_bitwise(log_c, temps, tol,
 
 
 def test_even_nodes_keep_their_bits():
-    # every level is np.linspace's, including zero, subnormal and underflowing
-    # steps; nodes 2i at 2P panels are nodes i at P panels wherever the step
-    # is normal or zero, and the reused values equal fresh ones in every row
-    lo = np.array([[-3.0], [0.5], [0.0], [1e-320], [-1e-300], [np.nextafter(0.7, 0.0)]])
-    hi = np.array([[7.0], [0.5], [1e-310], [3e-320], [1e-300], [0.7]])
-    exact = [0, 1, 4, 5]
-    for div in (2, 512, 4096):
-        d = _nodes(lo, hi, div, np.arange(div + 1.0))
-        d[:, -1] = hi[:, 0]
-        for row in range(lo.shape[0]):
-            assert _bits(d[row]) == _bits(np.linspace(lo[row, 0], hi[row, 0], div + 1))
-        fine = _nodes(lo, hi, 2 * div, np.arange(2 * div + 1.0))
-        fine[:, -1] = hi[:, 0]
-        assert _bits(fine[exact, ::2]) == _bits(d[exact])
-    t = np.array([[1.0], [0.5], [2.0], [1.0], [0.01], [3.0]])
-    for c in (10.0, 1e-300):
-        for panels in (1, 256, 2048):
-            coarse = _level(c, t, lo, hi, panels, None)
-            reused = _level(c, t, lo, hi, 2 * panels, coarse)
-            fresh = _level(c, t, lo, hi, 2 * panels, None)
-            for old, new, ref in zip(coarse, reused, fresh):
-                assert _bits(new) == _bits(ref)
-                assert _bits(new[:, ::2]) == _bits(old)
+    # node 2i at 2N intervals is node i at N intervals, so the terms that a
+    # row's running sums hold are those of the finer grid's even nodes; the
+    # grid is symmetric about 0 and ends at -r and r
+    for r in (8.0, np.nextafter(8.0, np.inf), 8.93, 33.1, 40.0, 1e300, 1.7976931348623157e308):
+        for n in (2, 256, 4096, 2 ** 20):
+            coarse = _z_nodes(r, n, np.arange(n + 1.0))
+            fine = _z_nodes(r, 2 * n, np.arange(2 * n + 1.0))
+            assert _bits(fine[::2]) == _bits(coarse)
+            assert coarse[0] == -r and coarse[n // 2] == 0.0 and coarse[-1] == r
+            assert np.array_equal(coarse, -coarse[::-1])
+            assert _bits(_z_nodes(r, 2 * n, np.arange(1.0, 2 * n, 2.0))) == _bits(fine[1::2])
 
 
 def _record_levels(monkeypatch):
-    """Wrap _log_posterior; returns {temperature: [(level nodes, nodes evaluated)]}, with
-    every node array evaluated per temperature and the rows of every call."""
+    """Wrap _log_terms; returns {temperature: [(level nodes, nodes evaluated)]}, with
+    every node array evaluated per temperature and the (rows, nodes) of every call."""
     seen, nodes, rows = {}, {}, []
-    real = aleatoric._log_posterior
+    real = aleatoric._log_terms
 
-    def recording(d, t, c):
+    def recording(d, t, c, centre):
         k = d.shape[1]
         level = k if k % 2 else 2 * k + 1  # a whole level, or its odd nodes
-        rows.append((d.shape[0], level))
+        rows.append((d.shape[0], k))
         for row, temp in zip(d, t[:, 0]):
             seen.setdefault(float(temp), []).append((level, k))
             nodes.setdefault(float(temp), []).append(row.copy())
-        return real(d, t, c)
+        return real(d, t, c, centre)
 
-    monkeypatch.setattr(aleatoric, "_log_posterior", recording)
+    monkeypatch.setattr(aleatoric, "_log_terms", recording)
     return seen, nodes, rows
 
 
 def test_fig2b_probe_work_count(monkeypatch):
-    # each distinct temperature evaluates the 2 P + 1 nodes of its final level
+    # each distinct temperature evaluates the N + 1 nodes of its final level
     # once each, and rows refined together hold at most _NODE_BUDGET doubles
     raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / "fig2b.json")
                      .read_text())["probe"]
@@ -539,24 +541,24 @@ def test_fig2b_probe_work_count(monkeypatch):
         assert set(seen) == set(temps)
         for t in temps:
             _, final = _loop_quadrature(c, t, 1e-8, width, centre)
-            assert sum(k for _, k in seen[t]) == 2 * final + 1, (c, t)
-            assert [level for level, _ in seen[t]] == [2 * p + 1 for p in
+            assert sum(k for _, k in seen[t]) == final + 1, (c, t)
+            assert [level for level, _ in seen[t]] == [n + 1 for n in
                                                        256 * 2 ** np.arange(len(seen[t]))]
             evaluated = np.concatenate(nodes[t])
-            assert np.unique(evaluated).size == evaluated.size == 2 * final + 1
+            assert np.unique(evaluated).size == evaluated.size == final + 1
             total += evaluated.size
-        assert all(n == 1 or n * level <= aleatoric._NODE_BUDGET for n, level in rows)
-    assert total == 124_004  # 327,780 with the window at 40 prior SDs
+        assert all(n == 1 or n * k <= aleatoric._NODE_BUDGET for n, k in rows)
+    assert total == 63_076  # 124,004 with Simpson's rule, 327,780 at 40 prior SDs
 
 
 def test_budget_advances_rows_depth_first(monkeypatch):
-    # two first-level rows fit the budget, one row past it: the rows go
-    # depth-first in (t = 1, grid) order, so 16.0 runs out of panels before
-    # 4.0 is refined past its first level or 64.0 is evaluated at all.  At
-    # c = 1000 the window is 8 prior SDs wide and t = 1, 0.1 and 16.0 need
-    # 2048, 1024 and 8192 panels
+    # two rows fit the budget for the first two passes (257 and 256 nodes
+    # each), one row past them: the rows go depth-first in (t = 1, grid)
+    # order, so 16.0 runs out of panels before 4.0 is refined past its second
+    # level or 64.0 is evaluated at all.  At c = 1000 the window is 8 prior
+    # SDs wide and t = 1, 0.1 and 16.0 need 2048, 1024 and 8192 intervals
     monkeypatch.setattr(aleatoric, "_MAX_PANELS", 2048)
-    monkeypatch.setattr(aleatoric, "_NODE_BUDGET", 2 * 513)
+    monkeypatch.setattr(aleatoric, "_NODE_BUDGET", 2 * 257)
     temps = [0.1, 16.0, 4.0, 64.0]
     with pytest.raises(QuadratureNotConvergedError) as loop_error:
         _loop_curve(1000.0, temps, max_panels=2048)
@@ -566,9 +568,9 @@ def test_budget_advances_rows_depth_first(monkeypatch):
     assert str(error.value) == str(loop_error.value)
     assert "temperature=16.0)" in str(error.value)
     levels = {t: [level for level, _ in seen.get(t, [])] for t in [1.0] + temps}
-    assert levels == {1.0: [513, 1025, 2049, 4097], 0.1: [513, 1025, 2049],
-                      16.0: [513, 1025, 2049, 4097, 8193], 4.0: [513], 64.0: []}
-    assert all(n == 1 or n * level <= 2 * 513 for n, level in rows)
+    assert levels == {1.0: [257, 513, 1025, 2049], 0.1: [257, 513, 1025],
+                      16.0: [257, 513, 1025, 2049, 4097], 4.0: [257, 513], 64.0: []}
+    assert all(n == 1 or n * k <= 2 * 257 for n, k in rows)
 
 
 def test_failing_probe_holds_a_few_top_level_arrays(monkeypatch):
@@ -586,21 +588,3 @@ def test_failing_probe_holds_a_few_top_level_arrays(monkeypatch):
         tracemalloc.stop()
     top_level = (2 * 2 ** 18 + 1) * 8
     assert peak <= 4.5 * top_level, peak / top_level
-
-
-@pytest.mark.parametrize("c", [1.0, 1000.0])
-def test_underflowing_mode_raises_before_refining(monkeypatch, c):
-    # at t = 5e-324 the log posterior -g(d*) / t is -inf at the mode, so at
-    # every node, and no level could converge: the curve raises at once, not
-    # after doubling its panels to 2^20
-    levels = []
-    real = aleatoric._level
-
-    def counting(*args):
-        levels.append(args[4])
-        return real(*args)
-
-    monkeypatch.setattr(aleatoric, "_level", counting)
-    with pytest.raises(QuadratureNotConvergedError, match=r"underflows.*temperature=5e-324\)"):
-        relabel_ratio_curve(c, [1.0, 5e-324])
-    assert len(levels) <= 1

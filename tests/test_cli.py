@@ -25,6 +25,7 @@ from coldgp import (
     normalize_inputs,
     read_csv,
     regression_temperature_sweep,
+    relabel_prob_zero_temperature,
     save_dataset,
     write_csv,
 )
@@ -832,14 +833,20 @@ def test_probe_wide_window_writes_the_width_40_values(tmp_path, capsys, scale, w
     assert written[0] == written[1]
 
 
-def test_probe_at_an_underflowing_temperature_fails_in_one_stderr_line(tmp_path, capsys):
+def test_probe_at_the_smallest_temperature_writes_the_zero_temperature_limit(tmp_path, capsys):
+    # the log posterior is taken relative to its peak, so at t = 5e-324 it is
+    # 0 at the mode and -inf elsewhere; it once underflowed there and exited 3
     payload = probe_payload(tmp_path / "o")
     payload["probe"]["temperatures"] = [1.0, 5e-324]
     capsys.readouterr()
-    assert main(["run", "--config", _write_config(tmp_path, "u.json", payload)]) == 3
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith("error: the tempered posterior underflows"), err
-    assert not (tmp_path / "o" / "results.csv").exists()
+    assert main(["run", "--config", _write_config(tmp_path, "u.json", payload)]) == 0
+    assert capsys.readouterr().err == ""
+    header, rows = read_csv(tmp_path / "o" / "results.csv")
+    col = {name: i for i, name in enumerate(header)}
+    assert [float(row[col["temperature"]]) for row in rows] == [1.0, 5e-324]
+    limit = relabel_prob_zero_temperature(1.0)
+    tol = payload["probe"]["quadrature_tolerance"]
+    assert abs(float(rows[1][col["probability"]]) - limit) <= tol * limit
 
 
 def test_oversized_regression_data_exits_before_allocating(tmp_path, capsys):

@@ -116,6 +116,12 @@ class TestRbfRegressionGenerator:
         with pytest.raises(ValueError):
             gen_rbf_regression(5, 5, -0.1, RBF, seed=0)
 
+    def test_lengthscale_with_an_overflowing_square_is_rejected(self):
+        # the Gram squares the lengthscale in Python floats, so lengthscale
+        # 1e200 raised a bare OverflowError here; the kernel spec rejects it
+        with pytest.raises(ValueError, match="rbf_lengthscale is squared"):
+            gen_rbf_regression(5, 5, 0.1, KernelSpec.rbf(lengthscale=1e200), 0)
+
 
 class TestClusterGenerator:
     def test_shapes_labels_splits(self):

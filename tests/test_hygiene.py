@@ -10,7 +10,8 @@ with it, only ``coldgp.linalg`` loads a shared library through ctypes.  A
 third keeps scipy out of the package's module level:
 each scipy import sits inside a function, so a run that calls none of them
 loads no scipy.  A fourth keeps test-only code out of the package: every
-definition in it has a caller in the package itself.
+definition in it, and every module-level constant, has a reader in the
+package itself.
 """
 import ast
 import re
@@ -134,27 +135,44 @@ PRODUCTION_CALLER_ALLOWLIST = {
 }
 
 
+def _module_level_names(tree):
+    """(name, line) of every name that a module-level statement assigns."""
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id, node.lineno
+
+
 def test_every_definition_has_a_production_caller():
-    # a function, class or method of src/coldgp (outside __init__.py, whose
-    # re-exports call nothing) counts as called when some Name, Attribute or
-    # ImportFrom node of those modules names it.  Dunder methods are called
-    # by Python itself
-    modules = [p for p in FILES if p.parent.name == "coldgp" and p.name != "__init__.py"]
+    # a function, class or method of src/coldgp, or a name assigned at module
+    # level (a constant), counts as called when some package code reads it:
+    # a Name it loads, an Attribute or an ImportFrom.  Definitions and reads
+    # come from the modules outside __init__.py, whose re-exports call
+    # nothing, and from __init__.py's module-level names.  Dunders are exempt:
+    # Python itself calls dunder methods, and reads __all__ and __version__
     defined, named = [], set()
-    for path in modules:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for path in (p for p in FILES if p.parent.name == "coldgp"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined += [(name, f"{path.name}:{line}") for name, line in _module_level_names(tree)]
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.append((node.name, f"{path.name}:{node.lineno}"))
-            elif isinstance(node, ast.Name):
+                defined.append((node.name, f"{path.name}:{node.lineno}"))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 named.update(alias.name for alias in node.names)
+    defined = [(name, where) for name, where in defined
+               if not (name.startswith("__") and name.endswith("__"))]
     uncalled = sorted(f"{name} ({where})" for name, where in defined
                       if name not in named and name not in PRODUCTION_CALLER_ALLOWLIST)
-    assert not uncalled, f"defined in src/coldgp but called by no package code: {uncalled}"
+    assert not uncalled, f"defined in src/coldgp but read by no package code: {uncalled}"
     stale = sorted(name for name in PRODUCTION_CALLER_ALLOWLIST
                    if name in named or name not in {n for n, _ in defined})
     assert not stale, f"allowlisted names that are gone or now called: {stale}"

@@ -44,6 +44,16 @@ def test_spec_validation():
         KernelSpec.rbf(scale=0.0)
 
 
+def test_gram_lengthscale_with_an_overflowing_square_is_rejected():
+    # the Gram squares the lengthscale in Python floats, so gram at
+    # lengthscale 1e200 raised a bare OverflowError; the spec now rejects it
+    x = np.arange(6.0).reshape(3, 2)
+    with pytest.raises(ValueError, match="rbf_lengthscale is squared"):
+        gram(KernelSpec.rbf(lengthscale=1e200), x, x)
+    # the largest lengthscales whose square is finite still give a finite Gram
+    np.testing.assert_array_equal(gram(KernelSpec.rbf(lengthscale=1e154), x, x), np.ones((3, 3)))
+
+
 def test_rbf_hand_values():
     spec = KernelSpec.rbf(lengthscale=1.0, variance=1.0)
     # at squared distance 2 ln 2 the kernel is exactly 1/2

@@ -204,6 +204,15 @@ def test_model_validation():
         RegressionModel(kernel=KernelSpec.rbf(), noise_std=np.nan)
 
 
+def test_conditioning_noise_with_an_overflowing_square_is_rejected():
+    # conditioning squares the noise in Python floats, so noise_std 1e200
+    # raised a bare OverflowError from ConditionedRegression; the model now
+    # rejects it
+    train, _ = gen_rbf_regression(5, 5, 0.1, KernelSpec.rbf(), seed=0)
+    with pytest.raises(ValueError, match="noise_std is squared"):
+        ConditionedRegression(RegressionModel(KernelSpec.rbf(), noise_std=1e200), train)
+
+
 def test_classification_data_rejected():
     train, _ = gen_cluster_classification(5, 2, 2, 2.0, seed=0)
     model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.1)

@@ -28,11 +28,10 @@ from .data import (
     LabeledDataset,
     gen_cluster_classification,
     gen_rbf_regression,
-    input_stats,
     load_cifar10,
     load_dataset,
-    normalize_inputs,
     save_dataset,
+    standardize,
 )
 from .exceptions import (
     ColdGPError,
@@ -80,8 +79,8 @@ __all__ = [
     "emit_plot_data", "main", "run_experiment",
     "ExperimentConfig", "apply_overrides", "load_config", "parse_config",
     "CIFAR_TEST_FILE", "CIFAR_TRAIN_FILES",
-    "LabeledDataset", "gen_cluster_classification", "gen_rbf_regression", "input_stats",
-    "load_cifar10", "load_dataset", "normalize_inputs", "save_dataset",
+    "LabeledDataset", "gen_cluster_classification", "gen_rbf_regression",
+    "load_cifar10", "load_dataset", "save_dataset", "standardize",
     "ColdGPError", "ConfigError", "DimensionMismatchError", "EmptyInputError",
     "IndexOutOfRangeError", "LabelOutOfRangeError", "LengthMismatchError",
     "MalformedRecordError", "NonFiniteInputError", "NonFiniteLikelihoodError",

@@ -87,6 +87,9 @@ from .exceptions import (
 )
 from .linalg import log_sum_exp
 
+# The narrowest window, in prior standard deviations either side of the mode:
+# erfc(8 / sqrt(2)) ~ 1e-15, so a narrower one cuts off posterior mass
+MIN_HALF_WIDTH_SIGMAS = 8.0
 _INITIAL_PANELS = 256
 _MAX_PANELS = 2 ** 20
 # Doubles per node array that rows refined in lock step may hold at once:
@@ -152,7 +155,7 @@ def _support_half_width(c: float, tol: float, width: float, centre: float) -> fl
         return math.erfc(r / math.sqrt(2.0)) <= target
 
     # erfc(40 / sqrt 2) underflows to 0, so no normal target is dropped there
-    lo, hi = 8.0, min(width, 40.0)
+    lo, hi = MIN_HALF_WIDTH_SIGMAS, min(width, 40.0)
     if kept(lo):
         return lo
     if not kept(hi):  # r would exceed the configured width
@@ -203,9 +206,9 @@ def _check_quadrature(quadrature_tolerance, integration_half_width_sigmas):
     tol, width = float(quadrature_tolerance), float(integration_half_width_sigmas)
     if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError("quadrature_tolerance must be positive")
-    # erfc(8 / sqrt(2)) ~ 1e-15: a narrower window cuts off posterior mass
-    if not (np.isfinite(width) and width >= 8.0):
-        raise ValueError(f"integration_half_width_sigmas must be finite and >= 8, got {width!r}")
+    if not (np.isfinite(width) and width >= MIN_HALF_WIDTH_SIGMAS):
+        raise ValueError(f"integration_half_width_sigmas must be finite and "
+                         f">= {MIN_HALF_WIDTH_SIGMAS:g}, got {width!r}")
     return tol, width
 
 
@@ -247,7 +250,7 @@ def _quadrature(c: float, temps, tol: float, width: float, centre: float):
             if sums is None:  # trapezoid weights 1/2 at the two ends, 1 inside
                 for v in terms:
                     v[:, [0, -1]] -= math.log(2.0)
-            old, sums = sums, np.array([log_sum_exp(v, axis=1) for v in terms])
+            old, sums = sums, np.array([log_sum_exp(v) for v in terms])
             if old is not None:  # the old nodes keep their weights as the step halves
                 sums = np.logaddexp(old, sums)
             if old is not None and intervals >= 8.0 * r:

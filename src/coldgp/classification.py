@@ -163,7 +163,8 @@ def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
     ``log_lik`` call.  Once every chain has accepted, all C rows of ``g``
     take the accepted rotation g cos(theta) + prior_scale * z sin(theta),
     computed in the buffer of z.  ``f``, ``g`` and ``ll`` are updated in
-    place and returned with the (k,) proposal counts.
+    place and returned with the (k,) proposal counts.  No sweep runs the
+    latent layout.
 
     The slice always contains the current state in exact arithmetic (the
     threshold is ll + log u with u < 1 and the proposal at angle 0 is f
@@ -374,7 +375,7 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
                      (len(temps), config.n_chains, config.n_samples_per_chain, c, test.n))
     check_array_size("the predictive draws (draws_per_sample, classes, test points)",
                      (config.draws_per_sample, c, test.n))
-    prior_factor = cholesky(gram(kernel, train.inputs, train.inputs), overwrite_a=True)
+    prior_factor = cholesky(gram(kernel, train.inputs, train.inputs))
     v, schur = conditional(kernel, train.inputs, test.inputs, prior_factor)
     seeds = [derive_seed(seed, j) for j in range(len(temps))]
     means, stats = _sample_grid(train, temps, seeds, config, prior_factor, v)

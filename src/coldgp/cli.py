@@ -36,11 +36,10 @@ from .config import ExperimentConfig, apply_overrides, load_config
 from .data import (
     gen_cluster_classification,
     gen_rbf_regression,
-    input_stats,
     load_cifar10,
     load_dataset,
-    normalize_inputs,
     save_dataset,
+    standardize,
 )
 from .exceptions import ColdGPError, ConfigError, SchemaMismatchError
 from .linalg import one_blas_thread
@@ -95,9 +94,7 @@ def _datasets(config: ExperimentConfig, seed: int):
                               f"training rows, got {train.class_count}")
         test = read("test", train.class_count)
     if d["normalize"] == "global-standardize":
-        stats = input_stats(train)
-        train = normalize_inputs(train, "global-standardize", stats)
-        test = normalize_inputs(test, "global-standardize", stats)
+        return standardize(train, test)
     return train, test
 
 

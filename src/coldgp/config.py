@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
+from .aleatoric import MIN_HALF_WIDTH_SIGMAS
 from .classification import EssConfig
 from .exceptions import ConfigError
 from .kernels import FAMILIES, KernelSpec
@@ -100,10 +101,10 @@ def _as_number(value, key: str, where: str, positive=False, nonneg=False,
     return v
 
 
-def _as_int(value, key: str, where: str, minimum=None) -> int:
+def _as_int(value, key: str, where: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"key '{key}' in {where} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
+    if value < minimum:
         raise ConfigError(f"key '{key}' in {where} must be >= {minimum}, got {value!r}")
     return value
 
@@ -114,15 +115,20 @@ def _as_positive_list(value, key: str, where: str, squared=False) -> tuple:
     return tuple(_as_number(v, key, where, positive=True, squared=squared) for v in value)
 
 
-def _parse_kernel(section, where="kernel") -> KernelSpec:
+def _parse_kernel(section) -> KernelSpec:
+    where = "kernel"
     if not isinstance(section, dict):
         raise ConfigError(f"'{where}' must be an object")
     family = _need(section, "family", where)
     if family == "rbf":
         _reject_unknown(section, ("family", "lengthscale", "variance", "scale"), where)
+        lengthscale = _as_number(section.get("lengthscale", 1.0), "lengthscale", where,
+                                 positive=True, squared=True)
+        if lengthscale * lengthscale == 0.0:  # the Gram divides by the square
+            raise ConfigError(f"key 'lengthscale' in {where} is squared, so its square must be "
+                              f"positive, got {section['lengthscale']!r}")
         return KernelSpec.rbf(
-            lengthscale=_as_number(section.get("lengthscale", 1.0), "lengthscale", where,
-                                   positive=True, squared=True),
+            lengthscale=lengthscale,
             variance=_as_number(section.get("variance", 1.0), "variance", where, positive=True),
             scale=_as_number(section.get("scale", 1.0), "scale", where, positive=True),
         )
@@ -244,9 +250,9 @@ def _parse_probe(section) -> dict:
             section.get("integration_half_width_sigmas", 40.0),
             "integration_half_width_sigmas", where),
     }
-    # erfc(8 / sqrt(2)) ~ 1e-15: a narrower window cuts off posterior mass
-    if out["integration_half_width_sigmas"] < 8.0:
-        raise ConfigError(f"key 'integration_half_width_sigmas' in {where} must be >= 8, "
+    if out["integration_half_width_sigmas"] < MIN_HALF_WIDTH_SIGMAS:
+        raise ConfigError(f"key 'integration_half_width_sigmas' in {where} must be "
+                          f">= {MIN_HALF_WIDTH_SIGMAS:g}, "
                           f"got {out['integration_half_width_sigmas']!r}")
     return out
 

@@ -1,5 +1,5 @@
-"""Datasets: synthetic generators, the CIFAR-10 binary loader, normalization,
-and a columnar text format for persisting generated data.
+"""Datasets: synthetic generators, the CIFAR-10 binary loader, global input
+standardization, and a columnar text format for persisting generated data.
 
 CIFAR-10 binary layout (the classic batch files): each record is exactly
 3073 bytes, one label byte in [0, 9] followed by 3072 pixel bytes laid out
@@ -121,7 +121,7 @@ def gen_rbf_regression(n_train, n_test, noise_std, kernel, seed):
     check_array_size("the data Gram (n_train + n_test rows and columns)", (n, n))
     rng = RngStream(seed, 0)
     x = rng.standard_normal(n)[:, None]
-    factor = cholesky(gram(kernel, x, x), overwrite_a=True)
+    factor = cholesky(gram(kernel, x, x))
     latent = factor.lower @ rng.standard_normal(n)
     y = latent + noise_std * rng.standard_normal(n)
     prov = {"name": "rbf-regression", "seed": int(seed), "noise_std": noise_std,
@@ -197,8 +197,7 @@ def _read_cifar_file(path: str):
 def _normalize_keep(keep_classes):
     if keep_classes is None:
         return list(range(10))
-    keep = sorted(int(c) for c in keep_classes) if isinstance(keep_classes, (set, frozenset)) \
-        else [int(c) for c in keep_classes]
+    keep = [int(c) for c in keep_classes]
     if not keep:
         raise EmptyInputError("keep_classes is empty")
     if len(set(keep)) != len(keep):
@@ -212,11 +211,11 @@ def _normalize_keep(keep_classes):
 def load_cifar10(dir_path, keep_classes=None, n_train=2000, n_test=1000, seed=0):
     """Load and subsample the CIFAR-10 binary batches under ``dir_path``.
 
-    keep_classes selects a class subset (a set is taken in sorted order, a
-    sequence in the order given); selected labels are remapped to
-    0..len(keep)-1 in that order.  Subsampling is without replacement via a
-    seeded permutation, stream 0 for train and stream 1 for test.  Pixels
-    are scaled to [0, 1]; no further normalization is applied here.
+    keep_classes selects a class subset, a sequence of class indices (None
+    keeps all ten); selected labels are remapped to 0..len(keep)-1 in the
+    order given.  Subsampling is without replacement via a seeded
+    permutation, stream 0 for train and stream 1 for test.  Pixels are
+    scaled to [0, 1]; no further normalization is applied here.
     """
     n_train, n_test = int(n_train), int(n_test)
     if n_train < 1 or n_test < 1:
@@ -253,40 +252,21 @@ def load_cifar10(dir_path, keep_classes=None, n_train=2000, n_test=1000, seed=0)
     return train, test
 
 
-def input_stats(data: LabeledDataset):
-    """Scalar mean and standard deviation over every input entry."""
-    return float(np.mean(data.inputs)), float(np.std(data.inputs))
+def standardize(train: LabeledDataset, test: LabeledDataset):
+    """(train, test) with inputs globally standardized by the train split.
 
-
-def normalize_inputs(data: LabeledDataset, scheme: str, stats=None) -> LabeledDataset:
-    """Apply an input normalization scheme.
-
-    ``"none"`` returns the dataset unchanged.  ``"global-standardize"``
-    subtracts a scalar mean and divides by a scalar std computed over all
-    input entries; pass ``stats=(mean, std)`` from the train split when
-    normalizing a test split (required, so test data never leaks into the
-    statistics).
+    Subtracts the scalar mean and divides by the scalar standard deviation
+    of every train input entry, from both splits, so test data never leaks
+    into the statistics.  Both results are tagged
+    ``"normalize": "global-standardize"`` in their provenance.
     """
-    if scheme == "none":
-        return data
-    if scheme != "global-standardize":
-        raise ValueError(f"unknown normalization scheme {scheme!r}")
-    if stats is None:
-        if data.split_tag != "train":
-            raise ValueError(
-                "global-standardize on a non-train split requires stats from the train split"
-            )
-        stats = input_stats(data)
-    mean, std = float(stats[0]), float(stats[1])
+    mean, std = float(np.mean(train.inputs)), float(np.std(train.inputs))
     if std <= 0.0:
         raise ZeroVarianceError("cannot standardize: input standard deviation is zero")
-    return LabeledDataset(
-        (data.inputs - mean) / std,
-        data.targets,
-        data.class_count,
-        data.split_tag,
-        {**data.provenance, "normalize": "global-standardize"},
-    )
+    return tuple(LabeledDataset((data.inputs - mean) / std, data.targets, data.class_count,
+                                data.split_tag,
+                                {**data.provenance, "normalize": "global-standardize"})
+                 for data in (train, test))
 
 
 def save_dataset(data: LabeledDataset, path):

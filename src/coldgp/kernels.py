@@ -92,10 +92,11 @@ class KernelSpec:
         if self.family == "rbf":
             if not (np.isfinite(self.rbf_lengthscale) and self.rbf_lengthscale > 0.0):
                 raise ValueError(f"rbf_lengthscale must be positive, got {self.rbf_lengthscale!r}")
-            if not np.isfinite(self.rbf_lengthscale * self.rbf_lengthscale):
-                # the Gram squares it in Python floats, which raise OverflowError
-                raise ValueError(f"rbf_lengthscale is squared, so its square must be finite, "
-                                 f"got {self.rbf_lengthscale!r}")
+            if not 0.0 < self.rbf_lengthscale * self.rbf_lengthscale < np.inf:
+                # the Gram divides by its square, taken in Python floats, which
+                # raise OverflowError past the float range and round to 0 below it
+                raise ValueError(f"rbf_lengthscale is squared, so its square must be positive "
+                                 f"and finite, got {self.rbf_lengthscale!r}")
             if not (np.isfinite(self.rbf_variance) and self.rbf_variance > 0.0):
                 raise ValueError(f"rbf_variance must be positive, got {self.rbf_variance!r}")
         else:

@@ -1,9 +1,9 @@
 """Dense SPD linear algebra underneath every inference path.
 
 All factorizations go through :func:`cholesky`, which owns the jitter
-policy: it factors with LAPACK ``dpotrf`` in place, either in one work copy
-of its input or, when the caller hands its Gram over, in the input's own
-buffer, and nothing else in the package calls ``dpotrf`` or
+policy: it factors with LAPACK ``dpotrf`` in place, in the buffer of the
+Gram that its caller hands over or, where that buffer does not qualify, in
+one work copy, and nothing else in the package calls ``dpotrf`` or
 ``numpy.linalg.cholesky`` (a source scan in the test suite checks this), so
 escalation and failure handling stay in one place.
 :func:`tril_matmul` multiplies by a factor with a BLAS triangular multiply
@@ -288,7 +288,7 @@ def one_blas_thread(factors: bool):
             set_threads(threads)
 
 
-def cholesky(a, overwrite_a=False) -> SpdFactor:
+def cholesky(a) -> SpdFactor:
     """Factor a symmetric positive definite matrix, escalating jitter as needed.
 
     The rungs of JITTER_LADDER are tried in order, each multiplied by
@@ -296,24 +296,23 @@ def cholesky(a, overwrite_a=False) -> SpdFactor:
     of ``a + eps * I``: the matrix is refilled with ``a`` and its jitter is
     added to the diagonal in place.
 
+    ``a`` is handed over: it is factored in its own buffer when it is a
+    writeable, C-ordered float64 array equal to its transpose bit for bit
+    and larger than one row block (n > 362); any other input is factored in
+    a copy and left as it is.  A smaller matrix's copy is no larger than the
+    checks' own block scratch, and copying it costs less than the in-place
+    bookkeeping.  ``dpotrf`` writes only the lower triangle, so a failed
+    rung is undone from the untouched strict upper triangle and a saved copy
+    of the diagonal (n values), and each rung factors the bits that the copy
+    would.  The factor is then ``a`` itself, so a caller that reads ``a``
+    again, or after an error, passes a copy.
+
     Parameters
     ----------
     a : (n, n) array_like
         Symmetric matrix.  It must be finite, and max |a - a.T| may not
         exceed 1e-12 * max(max |a|, 1).  Both checks read one block of rows
         at a time (``block_rows``), so they allocate no n x n temporary.
-    overwrite_a : bool
-        Hand ``a`` over to be factored in its own buffer.  This holds when
-        ``a`` is a writeable, C-ordered float64 array equal to its transpose
-        bit for bit and larger than one row block (n > 362); any other input
-        is factored in a copy and left as it is.  A smaller matrix's copy is
-        no larger than the checks' own block scratch, and copying it costs
-        less than the in-place bookkeeping.  ``dpotrf`` writes only the
-        lower triangle, so a failed rung is undone from the untouched strict
-        upper triangle and a saved copy of the diagonal (n values), and each
-        rung factors the bits that the copy would.  The factor is then ``a``
-        itself, and the caller must not read ``a`` as the input again, nor
-        after an error.
 
     Returns
     -------
@@ -334,7 +333,7 @@ def cholesky(a, overwrite_a=False) -> SpdFactor:
     if n == 0:
         raise EmptyInputError("cannot factor an empty matrix")
     rows = block_rows(n)
-    in_place = overwrite_a and n > rows and a.flags.c_contiguous and a.flags.writeable
+    in_place = n > rows and a.flags.c_contiguous and a.flags.writeable
     # one row block at a time, so no check needs an n x n temporary.  A NaN or
     # an infinity makes its block's max |a| non-finite.  Each pair's asymmetry
     # is read once, from the row of its lower-triangle entry, and judged only
@@ -433,20 +432,18 @@ def tril_solve(lower, b, overwrite_b=False) -> np.ndarray:
     return x
 
 
-def log_sum_exp(v, axis=None):
-    """Numerically stable log(sum(exp(v))).
+def log_sum_exp(v):
+    """Numerically stable log(sum(exp(v))) over the last axis of ``v``.
 
     The running maximum is subtracted before exponentiation, so uniformly
     shifted inputs give exactly shifted outputs and large-magnitude entries
-    do not overflow.
+    do not overflow.  Returns an array of shape ``v.shape[:-1]``.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise EmptyInputError("log_sum_exp of an empty collection")
-    m = np.max(v, axis=axis, keepdims=True)
+    m = np.max(v, axis=-1, keepdims=True)
     with np.errstate(invalid="ignore"):
         e = np.subtract(v, m)
-        out = m + np.log(np.sum(np.exp(e, out=e), axis=axis, keepdims=True))
-    if axis is None:
-        return float(out.reshape(()))
-    return np.squeeze(out, axis=axis)
+        out = m + np.log(np.sum(np.exp(e, out=e), axis=-1, keepdims=True))
+    return out[..., 0]

@@ -66,7 +66,7 @@ class ConditionedRegression:
         noisy.flat[:: train.n + 1] += model.noise_std**2
         self.model = model
         self.train = train
-        self.factor: SpdFactor = cholesky(noisy, overwrite_a=True)
+        self.factor: SpdFactor = cholesky(noisy)
         self.beta = tril_solve(self.factor.lower, train.targets)
 
     def predict(self, test_inputs):

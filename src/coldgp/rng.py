@@ -32,14 +32,14 @@ def _check_seed(master_seed) -> int:
 class RngStream:
     """A named, replayable source of randomness.
 
-    Identity is the (master_seed, stream_index) pair; both are read-only.
+    Identity is the (master_seed, stream_index) pair, which ``repr`` shows.
     Drawing advances only this stream's internal counter, never any other
     stream's, so streams can be handed to independent workers safely.
     """
 
     __slots__ = ("_master_seed", "_stream_index", "_gen")
 
-    def __init__(self, master_seed: int, stream_index: int = 0):
+    def __init__(self, master_seed: int, stream_index: int):
         seed = _check_seed(master_seed)
         index = int(stream_index)
         if index < 0:
@@ -52,22 +52,14 @@ class RngStream:
     def __setattr__(self, name, value):
         raise AttributeError("RngStream is immutable after construction")
 
-    @property
-    def master_seed(self) -> int:
-        return self._master_seed
-
-    @property
-    def stream_index(self) -> int:
-        return self._stream_index
-
     def __repr__(self):
         return f"RngStream(master_seed={self._master_seed}, stream_index={self._stream_index})"
 
-    def standard_normal(self, size=None, dtype=np.float64):
-        return self._gen.standard_normal(size=size, dtype=dtype)
+    def standard_normal(self, size):
+        return self._gen.standard_normal(size)
 
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        return self._gen.uniform(low, high, size=size)
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        return self._gen.uniform(low, high)
 
     def permutation(self, n: int) -> np.ndarray:
         if n < 0:

@@ -29,13 +29,12 @@ from coldgp import (
     ess_transition,
     gen_cluster_classification,
     gram,
-    input_stats,
     load_cifar10,
     load_config,
-    normalize_inputs,
     read_csv,
     relabel_ratio_curve,
     run_experiment,
+    standardize,
 )
 from coldgp.classification import _chain_prob_means, _sample_grid
 from coldgp.regression import conditional
@@ -181,7 +180,9 @@ def test_sampler_matches_analytic_oracles():
         keep[s] = f[0, 0]
     z_prior = _moment_z_scores(keep, np.zeros(n), np.diag(k), k[0, 1], (0, 1))
 
-    # (ii) gaussian likelihood on a tempered prior: conjugate posterior moments
+    # (ii) gaussian likelihood on a tempered prior: conjugate posterior moments.
+    # It runs one chain as the sweep does, on the one contrast of two classes,
+    # whose prior is t * K at a per-class prior scale of 1/sqrt(2)
     m = 10
     t = 0.7
     xg = _spaced_inputs(m, 1.0)
@@ -192,14 +193,14 @@ def test_sampler_matches_analytic_oracles():
     post_mean = post_cov @ y / s_obs**2
     gauss = lambda props, idx: -0.5 * np.sum((y - props[:, 0]) ** 2, axis=1) / s_obs**2
     lower_g = cholesky(prior_cov).lower
-    rng = [RngStream(5, 0)]
-    f, g = np.zeros((1, 1, m)), np.zeros((1, 1, m))
+    rng, half = [RngStream(5, 0)], np.sqrt([0.5])
+    f, g = np.zeros((1, 1, m)), np.zeros((1, 2, m))
     ll = gauss(f, [0])
     for _ in range(1000):
-        f, g, ll, _ = ess_transition(f, g, ll, gauss, lower_g, unit, rng)
+        f, g, ll, _ = ess_transition(f, g, ll, gauss, lower_g, half, rng)
     keep = np.empty((50_000, m))
     for s in range(keep.shape[0]):
-        f, g, ll, _ = ess_transition(f, g, ll, gauss, lower_g, unit, rng)
+        f, g, ll, _ = ess_transition(f, g, ll, gauss, lower_g, half, rng)
         keep[s] = f[0, 0]
     z_conj = _moment_z_scores(keep, post_mean, np.diag(post_cov) + post_mean**2,
                               post_cov[0, 1] + post_mean[0] * post_mean[1], (0, 1))
@@ -295,9 +296,7 @@ def _two_class_image_data():
         wanted = CIFAR_TRAIN_FILES + (CIFAR_TEST_FILE,)
         if all(os.path.isfile(os.path.join(root, f)) for f in wanted):
             train, test = load_cifar10(root, [0, 1], n_train=2000, n_test=1000, seed=0)
-            stats = input_stats(train)
-            return (normalize_inputs(train, "global-standardize", stats),
-                    normalize_inputs(test, "global-standardize", stats), "cifar10")
+            return (*standardize(train, test), "cifar10")
     train, test = gen_cluster_classification(1000, 2, 8, 1.5, seed=0)
     return train, test, "clusters"
 

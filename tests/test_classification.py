@@ -71,10 +71,10 @@ def test_contrast_kernel_matches_scipy_log_softmax(data, c):
 def test_ess_transition_is_deterministic_given_stream():
     lower = cholesky(np.eye(3)).lower
     loglik = lambda props, idx: -0.5 * np.sum(props**2, axis=(1, 2))
-    f0 = np.zeros((1, 1, 3))
-    a = ess_transition(f0.copy(), f0.copy(), loglik(f0, [0]), loglik, lower, np.ones(1),
+    f0, g0 = np.zeros((1, 1, 3)), np.zeros((1, 2, 3))
+    a = ess_transition(f0.copy(), g0.copy(), loglik(f0, [0]), loglik, lower, np.ones(1),
                        [RngStream(4, 0)])
-    b = ess_transition(f0.copy(), f0.copy(), loglik(f0, [0]), loglik, lower, np.ones(1),
+    b = ess_transition(f0.copy(), g0.copy(), loglik(f0, [0]), loglik, lower, np.ones(1),
                        [RngStream(4, 0)])
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
@@ -83,7 +83,7 @@ def test_ess_transition_is_deterministic_given_stream():
 def test_ess_transition_nan_likelihood_raises():
     lower = cholesky(np.eye(2)).lower
     with pytest.raises(NonFiniteLikelihoodError):
-        ess_transition(np.zeros((1, 1, 2)), np.zeros((1, 1, 2)), np.zeros(1),
+        ess_transition(np.zeros((1, 1, 2)), np.zeros((1, 2, 2)), np.zeros(1),
                        lambda props, idx: np.full(1, np.nan), lower, np.ones(1),
                        [RngStream(0, 0)])
 
@@ -108,7 +108,7 @@ def test_ess_transition_nan_proposal_in_one_chain_raises():
 
     rngs = [RngStream(3, c) for c in range(3)]
     with pytest.raises(NonFiniteLikelihoodError, match="proposal") as info:
-        ess_transition(np.zeros((3, 2, 4)), np.zeros((3, 2, 4)), np.zeros(3), loglik, lower,
+        ess_transition(np.zeros((3, 1, 4)), np.zeros((3, 2, 4)), np.zeros(3), loglik, lower,
                        np.ones(3), rngs)
     assert info.value.chain == 1
 
@@ -184,6 +184,7 @@ def _check_batched_transition(k, c, rows):
 def test_batched_transition_matches_one_chain_calls(k):
     # f holds the C latent rows of g, or (as the sweep runs it) their C - 1
     # contrasts with row 0
+    _check_batched_transition(k, c=2, rows=1)
     _check_batched_transition(k, c=2, rows=2)
     _check_batched_transition(k, c=3, rows=2)
 
@@ -196,7 +197,7 @@ def test_transition_never_reads_the_strict_upper_triangle():
     loglik = lambda props, idx: -2.0 * np.sum((props - 1.0) ** 2, axis=(1, 2))
     runs = []
     for factor in (np.tril(dirty), dirty):
-        f, g = np.zeros((3, 2, 30)), np.zeros((3, 2, 30))
+        f, g = np.zeros((3, 2, 30)), np.zeros((3, 3, 30))
         ll = loglik(f, np.arange(3))
         rngs = [RngStream(9, i) for i in range(3)]
         for _ in range(5):
@@ -236,7 +237,8 @@ def test_log_softmax_kernel_rows_match_one_chain_calls():
 
 
 def test_ess_prior_recovery_constant_likelihood():
-    # with a flat likelihood the chain's stationary law is the prior
+    # with a flat likelihood the chain's stationary law is the prior: one
+    # contrast of two classes whose prior scale 1/sqrt(2) gives it covariance sigma
     rng = np.random.default_rng(8)
     a = rng.standard_normal((5, 5))
     sigma = a @ a.T + 5 * np.eye(5)
@@ -244,10 +246,10 @@ def test_ess_prior_recovery_constant_likelihood():
     sigma_hat = lower @ lower.T  # what the sampler actually uses
     const = lambda props, idx: np.zeros(len(idx))
     stream = [RngStream(2718, 0)]
-    f, g, ll = np.zeros((1, 1, 5)), np.zeros((1, 1, 5)), np.zeros(1)
+    f, g, ll = np.zeros((1, 1, 5)), np.zeros((1, 2, 5)), np.zeros(1)
     draws = np.empty((4000, 5))
     for i in range(4200):
-        f, g, ll, _ = ess_transition(f, g, ll, const, lower, np.ones(1), stream)
+        f, g, ll, _ = ess_transition(f, g, ll, const, lower, np.sqrt([0.5]), stream)
         if i >= 200:
             draws[i - 200] = f[0, 0]
     for i in range(5):
@@ -261,7 +263,7 @@ def test_ess_prior_recovery_constant_likelihood():
 
 def test_ess_conjugate_gaussian_posterior():
     # Gaussian likelihood keeps everything closed form: posterior precision
-    # is prior precision plus I/s^2
+    # is prior precision plus I/s^2, on one two-class contrast with prior sigma
     rng = np.random.default_rng(15)
     a = rng.standard_normal((4, 4))
     sigma = a @ a.T + 4 * np.eye(4)
@@ -273,12 +275,12 @@ def test_ess_conjugate_gaussian_posterior():
     post_mean = post_cov @ (y / s2)
     loglik = lambda props, idx: -0.5 * np.sum((props[:, 0] - y) ** 2, axis=1) / s2
     stream = [RngStream(99, 0)]
-    f, g = np.zeros((1, 1, 4)), np.zeros((1, 1, 4))
+    f, g = np.zeros((1, 1, 4)), np.zeros((1, 2, 4))
     ll = loglik(f, [0])
     n_keep, burn = 20_000, 1000
     draws = np.empty((n_keep, 4))
     for i in range(burn + n_keep):
-        f, g, ll, _ = ess_transition(f, g, ll, loglik, lower, np.ones(1), stream)
+        f, g, ll, _ = ess_transition(f, g, ll, loglik, lower, np.sqrt([0.5]), stream)
         if i >= burn:
             draws[i - burn] = f[0, 0]
     for i in range(4):

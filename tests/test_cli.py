@@ -20,13 +20,12 @@ from coldgp import (
     gen_cluster_classification,
     gen_rbf_regression,
     gram,
-    input_stats,
     load_dataset,
-    normalize_inputs,
     read_csv,
     regression_temperature_sweep,
     relabel_prob_zero_temperature,
     save_dataset,
+    standardize,
     write_csv,
 )
 from coldgp.cli import (
@@ -260,11 +259,9 @@ class TestRunVerb:
             assert main(["run", "--config", _write_config(tmp_path, "n.json", payload)]) == 0
             _, rows = read_csv(tmp_path / scheme / "results.csv")
             nll[scheme] = [float(r[1]) for r in rows]
-        stats = input_stats(train)
         expect, _ = regression_temperature_sweep(
-            RegressionModel(KernelSpec.rbf(), noise_std=0.1),
-            normalize_inputs(train, "global-standardize", stats),
-            normalize_inputs(test, "global-standardize", stats), [0.5, 1.0])
+            RegressionModel(KernelSpec.rbf(), noise_std=0.1), *standardize(train, test),
+            [0.5, 1.0])
         assert nll["global-standardize"] == expect.tolist()
         assert nll["none"] != nll["global-standardize"]
 
@@ -364,6 +361,16 @@ class TestRunVerb:
         err = capsys.readouterr().err
         assert "Traceback" not in err and err.count("\n") == 1
         assert f"'{path[1]}'" in err and "square" in err
+        assert not (tmp_path / "o" / "results.csv").exists()
+
+    def test_exit_2_on_lengthscale_whose_square_underflows(self, tmp_path, capsys):
+        # the Gram divides by the square, which rounds to 0 below about 1.5e-162
+        payload = regress_payload(tmp_path / "o")
+        payload["kernel"]["lengthscale"] = 1e-200
+        assert main(["run", "--config", _write_config(tmp_path, "sq.json", payload)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert "'lengthscale'" in err and "square" in err
         assert not (tmp_path / "o" / "results.csv").exists()
 
     def _unshrinkable_bracket_err(self, tmp_path, capsys, temps):

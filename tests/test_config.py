@@ -340,6 +340,8 @@ class TestSubsections:
         cfg = parse_config(raw)
         assert cfg.kernel.rbf_lengthscale == 1e154
         assert cfg.regression["assumed_noise_std"] == [1e154]
+        raw["kernel"]["lengthscale"] = 1e-160  # a subnormal square is still positive
+        assert parse_config(raw).kernel.rbf_lengthscale == 1e-160
 
 
 class TestLoadAndOverrides:

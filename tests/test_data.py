@@ -1,5 +1,5 @@
 """Dataset tests: generators, the CIFAR-10 binary loader against synthetic
-batch files, normalization, and the columnar save/load round trip."""
+batch files, input standardization, and the columnar save/load round trip."""
 import numpy as np
 import pytest
 
@@ -18,11 +18,10 @@ from coldgp import (
     gen_cluster_classification,
     gen_rbf_regression,
     gram,
-    input_stats,
     load_cifar10,
     load_dataset,
-    normalize_inputs,
     save_dataset,
+    standardize,
 )
 
 from helpers import write_cifar_fixture
@@ -207,11 +206,8 @@ class TestCifarLoader:
             assert set(orig) <= {3, 8}
             assert np.array_equal(ds.targets, np.where(orig == 3, 0, 1))
 
-    def test_set_subset_sorted_sequence_order_kept(self, tmp_path):
+    def test_sequence_order_kept(self, tmp_path):
         write_cifar_fixture(tmp_path)
-        from_set, _ = load_cifar10(tmp_path, {8, 3}, n_train=20, n_test=4, seed=0)
-        from_list, _ = load_cifar10(tmp_path, [3, 8], n_train=20, n_test=4, seed=0)
-        assert np.array_equal(from_set.targets, from_list.targets)
         reversed_order, _ = load_cifar10(tmp_path, [8, 3], n_train=20, n_test=4, seed=0)
         orig = _original_labels(reversed_order)
         assert np.array_equal(reversed_order.targets, np.where(orig == 8, 0, 1))
@@ -256,20 +252,16 @@ class TestCifarLoader:
 # ---------------------------------------------------------------- normalize
 
 class TestNormalization:
-    def test_input_stats_hand_value(self):
+    def test_standardize_hand_value(self):
         ds = LabeledDataset(np.array([[1.0, 2.0], [3.0, 4.0]]), [0.0, 0.0], None, "train")
-        mean, std = input_stats(ds)
-        assert mean == 2.5
-        assert std == pytest.approx(np.sqrt(1.25), rel=1e-15)
-
-    def test_none_is_identity(self):
-        ds = LabeledDataset(np.ones((2, 2)), [0.0, 1.0], None, "train")
-        assert normalize_inputs(ds, "none") is ds
+        out, _ = standardize(ds, ds)
+        # mean 2.5, std sqrt(1.25)
+        np.testing.assert_array_equal(out.inputs, (ds.inputs - 2.5) / np.sqrt(1.25))
 
     def test_standardize_train(self):
         rng = np.random.default_rng(0)
         ds = LabeledDataset(rng.normal(3.0, 2.0, (50, 4)), np.zeros(50), None, "train")
-        out = normalize_inputs(ds, "global-standardize")
+        out, _ = standardize(ds, ds)
         assert abs(float(out.inputs.mean())) < 1e-12
         assert abs(float(out.inputs.std()) - 1.0) < 1e-12
         assert out.provenance["normalize"] == "global-standardize"
@@ -277,18 +269,16 @@ class TestNormalization:
 
     def test_test_split_uses_train_stats(self):
         train = LabeledDataset(np.array([[0.0], [2.0]]), [0.0, 0.0], None, "train")
-        test = LabeledDataset(np.array([[4.0]]), [0.0], None, "test")
-        out = normalize_inputs(test, "global-standardize", stats=input_stats(train))
-        assert out.inputs[0, 0] == 3.0  # (4 - 1) / 1
-        with pytest.raises(ValueError, match="train split"):
-            normalize_inputs(test, "global-standardize")
-
-    def test_zero_variance_and_unknown_scheme(self):
+        test = LabeledDataset(np.array([[4.0]]), [0.0], None, "test", {"name": "t"})
+        out_train, out_test = standardize(train, test)
+        np.testing.assert_array_equal(out_train.inputs, [[-1.0], [1.0]])
+        assert out_test.inputs[0, 0] == 3.0  # (4 - 1) / 1, not the test split's own 0
+        assert out_test.split_tag == "test"
+        assert out_test.provenance == {"name": "t", "normalize": "global-standardize"}
+        # a constant train split has no scale, whatever the test split holds
         flat = LabeledDataset(np.ones((3, 2)), np.zeros(3), None, "train")
         with pytest.raises(ZeroVarianceError):
-            normalize_inputs(flat, "global-standardize")
-        with pytest.raises(ValueError, match="scheme"):
-            normalize_inputs(flat, "per-channel")
+            standardize(flat, test)
 
 
 # ---------------------------------------------------------------- text format

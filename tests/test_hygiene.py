@@ -146,33 +146,48 @@ def _module_level_names(tree):
                     yield name.id, node.lineno
 
 
+def _methods(tree):
+    """The function definitions, properties included, in the bodies of classes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from (item for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
 def test_every_definition_has_a_production_caller():
     # a function, class or method of src/coldgp, or a name assigned at module
     # level (a constant), counts as called when some package code reads it:
-    # a Name it loads, an Attribute or an ImportFrom.  Definitions and reads
-    # come from the modules outside __init__.py, whose re-exports call
-    # nothing, and from __init__.py's module-level names.  Dunders are exempt:
-    # Python itself calls dunder methods, and reads __all__ and __version__
-    defined, named = [], set()
+    # a Name it loads, an Attribute or an ImportFrom.  A method or property is
+    # read only through an Attribute (x.name), so a local variable or an
+    # argument of the same name does not count.  Definitions and reads come
+    # from the modules outside __init__.py, whose re-exports call nothing,
+    # and from __init__.py's module-level names.  Dunders are exempt: Python
+    # itself calls dunder methods, and reads __all__ and __version__.  Each
+    # definition is held with the set of reads that count for it, which fills
+    # as the scan goes on
+    defined, named, attributes = [], set(), set()
     for path in (p for p in FILES if p.parent.name == "coldgp"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        defined += [(name, f"{path.name}:{line}") for name, line in _module_level_names(tree)]
+        defined += [(name, f"{path.name}:{line}", named)
+                    for name, line in _module_level_names(tree)]
         if path.name == "__init__.py":
             continue
+        methods = set(_methods(tree))
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined.append((node.name, f"{path.name}:{node.lineno}"))
+                defined.append((node.name, f"{path.name}:{node.lineno}",
+                                attributes if node in methods else named))
             elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 named.update(alias.name for alias in node.names)
-    defined = [(name, where) for name, where in defined
-               if not (name.startswith("__") and name.endswith("__"))]
-    uncalled = sorted(f"{name} ({where})" for name, where in defined
-                      if name not in named and name not in PRODUCTION_CALLER_ALLOWLIST)
+    named |= attributes
+    uncalled = sorted(f"{name} ({where})" for name, where, reads in defined
+                      if name not in reads and name not in PRODUCTION_CALLER_ALLOWLIST
+                      and not (name.startswith("__") and name.endswith("__")))
     assert not uncalled, f"defined in src/coldgp but read by no package code: {uncalled}"
     stale = sorted(name for name in PRODUCTION_CALLER_ALLOWLIST
-                   if name in named or name not in {n for n, _ in defined})
+                   if name in named or name not in {n for n, *_ in defined})
     assert not stale, f"allowlisted names that are gone or now called: {stale}"

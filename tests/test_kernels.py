@@ -54,6 +54,17 @@ def test_gram_lengthscale_with_an_overflowing_square_is_rejected():
     np.testing.assert_array_equal(gram(KernelSpec.rbf(lengthscale=1e154), x, x), np.ones((3, 3)))
 
 
+def test_gram_lengthscale_with_an_underflowing_square_is_rejected():
+    # the Gram divides by 2 l^2, so a square that rounds to 0 would make its
+    # diagonal -0 / 0 = NaN; a subnormal square still gives the identity
+    x = np.arange(6.0).reshape(3, 2)
+    with pytest.raises(ValueError, match="rbf_lengthscale is squared"):
+        KernelSpec.rbf(lengthscale=1e-200)
+    with np.errstate(over="ignore"):  # off the diagonal d^2 / (2 l^2) overflows to inf
+        tiny = gram(KernelSpec.rbf(lengthscale=1e-160), x, x)
+    np.testing.assert_array_equal(tiny, np.eye(3))
+
+
 def test_rbf_hand_values():
     spec = KernelSpec.rbf(lengthscale=1.0, variance=1.0)
     # at squared distance 2 ln 2 the kernel is exactly 1/2

@@ -146,6 +146,7 @@ def test_jitter_rung_factors_a_plus_eps_identity_bitwise(monkeypatch):
 def test_jitter_rung_allocates_one_factor():
     n = 600
     a = np.ones((n, n))  # rank one: factored at a positive rung
+    a.setflags(write=False)  # factored in a copy
     cholesky(np.eye(2))  # binds the BLAS routines outside the trace
     tracemalloc.start()
     try:
@@ -158,10 +159,10 @@ def test_jitter_rung_allocates_one_factor():
 
 
 def test_factor_raises_peak_rss_by_about_one_factor(tmp_path):
-    # a fresh process, so the peak is this call's: the input, one work array
-    # that becomes the factor, and LAPACK's small buffers.  The peak is read
-    # as VmHWM, which starts afresh at exec; ru_maxrss would start from the
-    # peak of the process that spawned it, this test run's
+    # a fresh process, so the peak is this call's: the read-only input, one
+    # work array that becomes the factor, and LAPACK's small buffers.  The
+    # peak is read as VmHWM, which starts afresh at exec; ru_maxrss would
+    # start from the peak of the process that spawned it, this test run's
     if not Path("/proc/self/status").is_file():
         pytest.skip("needs /proc/self/status")
     script = "\n".join([
@@ -174,6 +175,7 @@ def test_factor_raises_peak_rss_by_about_one_factor(tmp_path):
         "n = 2000",
         "a = np.full((n, n), 0.5)",
         "a.flat[:: n + 1] = 1.0",
+        "a.setflags(write=False)  # factored in a copy",
         "cholesky(a[:200, :200])  # loads LAPACK and its buffers",
         "before = peak_kb()",
         "f = cholesky(a)",
@@ -200,14 +202,21 @@ def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def _read_only_copy(a):
+    """A copy of ``a`` that cholesky factors in a copy of its own."""
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
 @pytest.mark.parametrize("noise", [0.01, 0.0])  # factored at rung 0; at a retry rung
 def test_in_place_factor_matches_copy_bitwise(noise):
     a = _rbf_gram_1d()
     a.flat[:: a.shape[0] + 1] += noise
     assert _same_bits(a, a.T)
-    ref = cholesky(a)
+    ref = cholesky(_read_only_copy(a))
     own = a.copy()
-    f = cholesky(own, overwrite_a=True)
+    f = cholesky(own)
     assert (f.jitter_used > 0.0) == (noise == 0.0)
     assert f.jitter_used == ref.jitter_used
     assert np.shares_memory(f.lower, own) and f.lower.flags.c_contiguous
@@ -235,8 +244,8 @@ def test_in_place_needs_exact_symmetry(make):
     # restored from the upper one, so the copy path runs and a is not written
     a = make()
     before = a.copy()
-    ref = cholesky(before)
-    f = cholesky(a, overwrite_a=True)
+    ref = cholesky(_read_only_copy(a))
+    f = cholesky(a)
     assert ref.jitter_used > 0.0 and f.jitter_used == ref.jitter_used
     assert _same_bits(f.lower, ref.lower)
     assert not np.shares_memory(f.lower, a) and _same_bits(a, before)
@@ -252,8 +261,8 @@ def test_in_place_leaves_read_only_strided_and_small_inputs_alone():
     small = _rbf_gram_1d(362)  # one row block: its copy costs less than the bookkeeping
     for a in (read_only, strided[::2, ::2], fortran, small):
         before = np.array(a)
-        f = cholesky(a, overwrite_a=True)
-        assert _same_bits(f.lower, cholesky(before).lower)
+        f = cholesky(a)
+        assert _same_bits(f.lower, cholesky(_read_only_copy(before)).lower)
         assert not np.shares_memory(f.lower, a) and _same_bits(np.array(a), before)
     assert not np.any(strided[1::2]) and not np.any(strided[:, 1::2])
 
@@ -265,7 +274,7 @@ def test_in_place_factor_allocates_no_n_by_n_array(rank_one):
     cholesky(np.eye(2))  # binds the BLAS routines outside the trace
     tracemalloc.start()
     try:
-        f = cholesky(a, overwrite_a=True)
+        f = cholesky(a)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -286,7 +295,7 @@ def test_in_place_keeps_every_check():
                      (-np.eye(n), NotPositiveDefiniteError),
                      (np.full((n, n), np.finfo(np.float64).max), NonFiniteInputError)]:
         with pytest.raises(error):
-            cholesky(a, overwrite_a=True)
+            cholesky(a)
 
 
 def test_well_conditioned_needs_no_jitter():
@@ -322,8 +331,7 @@ def test_log_sum_exp_matches_scipy():
     v = np.array([-1000.0, -1001.0, 0.5, 3.0])
     np.testing.assert_allclose(log_sum_exp(v), scipy.special.logsumexp(v), rtol=1e-14)
     m = np.random.default_rng(0).standard_normal((4, 6)) * 100
-    np.testing.assert_allclose(log_sum_exp(m, axis=1),
-                               scipy.special.logsumexp(m, axis=1), rtol=1e-13)
+    np.testing.assert_allclose(log_sum_exp(m), scipy.special.logsumexp(m, axis=-1), rtol=1e-13)
 
 
 def test_log_sum_exp_empty():
@@ -425,7 +433,7 @@ def test_in_place_rungs_keep_the_upper_triangle_until_one_succeeds(monkeypatch):
         return info
 
     monkeypatch.setattr(linalg, "_lapack", lambda: routines._replace(potrf=recording_potrf))
-    f = cholesky(a.copy(), overwrite_a=True)
+    f = cholesky(a.copy())
     assert f.jitter_used > 0.0 and len(seen) >= 2
     assert all(info > 0 and kept for info, kept, _ in seen[:-1])
     assert seen[-1][0] == 0 and seen[-1][2]

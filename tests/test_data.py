@@ -20,6 +20,7 @@ from coldgp import (
     gram,
     load_cifar10,
     load_dataset,
+    parse_config,
     save_dataset,
     standardize,
 )
@@ -275,10 +276,20 @@ class TestNormalization:
         assert out_test.inputs[0, 0] == 3.0  # (4 - 1) / 1, not the test split's own 0
         assert out_test.split_tag == "test"
         assert out_test.provenance == {"name": "t", "normalize": "global-standardize"}
+
+    def test_zero_variance_and_unknown_scheme(self):
         # a constant train split has no scale, whatever the test split holds
         flat = LabeledDataset(np.ones((3, 2)), np.zeros(3), None, "train")
+        test = LabeledDataset(np.array([[4.0, 5.0]]), [0.0], None, "test")
         with pytest.raises(ZeroVarianceError):
             standardize(flat, test)
+        # standardize takes no scheme; an unknown one is refused where it is named
+        raw = {"experiment": "classify-sweep", "kernel": {"family": "nngp", "depth": 2},
+               "temperatures": [1.0],
+               "data": {"source": "file", "train_path": "a", "test_path": "b",
+                        "normalize": "per-channel"}}
+        with pytest.raises(ConfigError, match="'normalize'"):
+            parse_config(raw)
 
 
 # ---------------------------------------------------------------- text format

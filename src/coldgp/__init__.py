@@ -55,11 +55,7 @@ from .exceptions import (
 from .kernels import FAMILIES, KernelSpec, gram, gram_diag
 from .linalg import JITTER_LADDER, SpdFactor, cholesky, log_sum_exp
 from .records import best_temperature, read_csv, write_csv
-from .regression import (
-    ConditionedRegression,
-    RegressionModel,
-    regression_temperature_sweep,
-)
+from .regression import regression_temperature_sweep
 from .rng import RngStream, derive_seed
 
 __version__ = "0.1.0"
@@ -90,7 +86,7 @@ __all__ = [
     "FAMILIES", "KernelSpec", "gram", "gram_diag",
     "JITTER_LADDER", "SpdFactor", "cholesky", "log_sum_exp",
     "best_temperature", "read_csv", "write_csv",
-    "ConditionedRegression", "RegressionModel", "regression_temperature_sweep",
+    "regression_temperature_sweep",
     "RngStream", "derive_seed",
     "__version__",
 ]

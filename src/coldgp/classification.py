@@ -71,7 +71,7 @@ from .exceptions import (
     check_labels,
     check_temperatures,
 )
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec, gram, gram_diag
 from .linalg import SpdFactor, cholesky, tril_matmul
 from .regression import conditional
 from .rng import RngStream, derive_seed
@@ -376,7 +376,8 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
     check_array_size("the predictive draws (draws_per_sample, classes, test points)",
                      (config.draws_per_sample, c, test.n))
     prior_factor = cholesky(gram(kernel, train.inputs, train.inputs))
-    v, schur = conditional(kernel, train.inputs, test.inputs, prior_factor)
+    v, schur = conditional(prior_factor, gram(kernel, test.inputs, train.inputs),
+                           gram_diag(kernel, test.inputs))
     seeds = [derive_seed(seed, j) for j in range(len(temps))]
     means, stats = _sample_grid(train, temps, seeds, config, prior_factor, v)
     ll, acc, se_ll, se_acc = (np.zeros(len(temps)) for _ in range(4))

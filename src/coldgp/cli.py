@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
+from itertools import repeat
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from .data import (
 from .exceptions import ColdGPError, ConfigError, SchemaMismatchError
 from .linalg import one_blas_thread
 from .records import best_temperature, read_csv, write_csv
-from .regression import RegressionModel, regression_temperature_sweep
+from .regression import regression_temperature_sweep
 from .rng import derive_seed
 
 REGRESS_HEADER = ["temperature", "test_nll", "seed", "assumed_noise_std"]
@@ -99,8 +99,6 @@ def _datasets(config: ExperimentConfig, seed: int):
 
 
 def _run_regress_sweep(config: ExperimentConfig):
-    rows, log = [], []
-    jitters = set()
     seeds = [derive_seed(config.seed, k) for k in range(config.regression["n_seeds"])]
     # a file source reads its one pair of files (n_seeds is 1 there)
     datasets = [_datasets(config, s) for s in seeds]
@@ -108,20 +106,23 @@ def _run_regress_sweep(config: ExperimentConfig):
     data_jitters = {train.provenance["jitter_used"] for train, _ in datasets
                     if "jitter_used" in train.provenance}
     temps = config.temperatures
-    for sigma in config.regression["assumed_noise_std"]:
-        model = RegressionModel(kernel=config.kernel, noise_std=sigma)
-        nll_sum = np.zeros(len(temps))
-        for seed_k, (train, test) in zip(seeds, datasets):
-            nll, jitter = regression_temperature_sweep(model, train, test, temps)
-            jitters.add(jitter)
-            rows.extend((t, v, seed_k, float(sigma)) for t, v in zip(temps, nll))
-            nll_sum += nll
+    sigmas = config.regression["assumed_noise_std"]
+    fits = [regression_temperature_sweep(config.kernel, sigmas, train, test, temps)
+            for train, test in datasets]
+    jitters = {jitter for _, dataset_jitters in fits for jitter in dataset_jitters}
+    # (noise setting, replicate, temperature): the order of results.csv's rows
+    nll = np.stack([dataset_nll for dataset_nll, _ in fits], axis=1)
+    rows, log = [], []
+    for sigma, per_seed in zip(sigmas, nll):
+        for seed_k, values in zip(seeds, per_seed):
+            rows.extend(zip(temps, values.tolist(), repeat(seed_k), repeat(float(sigma))))
+        nll_sum = per_seed.sum(axis=0)
         log.append(f"assumed_noise_std={float(sigma)!r} "
                    f"argmin_temperature={best_temperature(temps, nll_sum)!r} "
                    f"mean_test_nll={float(nll_sum.min()) / len(seeds)!r}")
     log.append(f"jitter_used={sorted(jitters)!r}")
     log.append(f"data_jitter_used={sorted(data_jitters)!r}")
-    return REGRESS_HEADER, rows, log
+    return REGRESS_HEADER, rows, {"test_nll": nll.ravel()}, log
 
 
 def _run_classify_sweep(config: ExperimentConfig):
@@ -130,7 +131,8 @@ def _run_classify_sweep(config: ExperimentConfig):
     out = classification_temperature_sweep(
         config.kernel, train, test, temperatures=temps, config=config.ess, seed=config.seed)
     ll, acc = out["test_log_likelihood"], out["top1_accuracy"]
-    rows = [(t, v, a, train.n, test.n, config.seed) for t, v, a in zip(temps, ll, acc)]
+    rows = [(t, v, a, train.n, test.n, config.seed)
+            for t, v, a in zip(temps, ll.tolist(), acc.tolist())]
     log = [f"n_train={train.n} n_test={test.n} class_count={train.class_count}"]
     for j, (t, stats) in enumerate(zip(temps, out["stats"])):
         log.append(
@@ -140,22 +142,25 @@ def _run_classify_sweep(config: ExperimentConfig):
             f"mc_se_log_likelihood={float(out['mc_se_log_likelihood'][j])!r} "
             f"mc_se_accuracy={float(out['mc_se_accuracy'][j])!r}")
     log.append(f"best_temperature={best_temperature(temps, -ll)!r}")
-    return CLASSIFY_HEADER, rows, log
+    return CLASSIFY_HEADER, rows, {"test_log_likelihood": ll, "top1_accuracy": acc}, log
 
 
 def _run_probe(config: ExperimentConfig):
     p = config.probe
-    rows, log = [], []
+    rows, log, probabilities, ratios = [], [], [], []
     for scale in p["latent_scales"]:
         probability, ratio = relabel_ratio_curve(
             scale, p["temperatures"],
             quadrature_tolerance=p["quadrature_tolerance"],
             integration_half_width_sigmas=p["integration_half_width_sigmas"])
-        rows.extend((float(scale), t, q, r)
-                    for t, q, r in zip(p["temperatures"], probability, ratio))
+        rows.extend(zip(repeat(float(scale)), p["temperatures"],
+                        probability.tolist(), ratio.tolist()))
+        probabilities.append(probability)
+        ratios.append(ratio)
         log.append(f"latent_scale={float(scale)!r} "
                    f"zero_temperature_limit={relabel_prob_zero_temperature(scale)!r}")
-    return PROBE_HEADER, rows, log
+    metrics = {"probability": np.concatenate(probabilities), "ratio": np.concatenate(ratios)}
+    return PROBE_HEADER, rows, metrics, log
 
 
 def _run_gen_data(config: ExperimentConfig):
@@ -166,7 +171,7 @@ def _run_gen_data(config: ExperimentConfig):
     kind = "classification" if train.is_classification else "regression"
     log = [f"kind={kind} n_train={train.n} n_test={test.n} dim={train.d}",
            "wrote train.csv test.csv"]
-    return None, None, log
+    return None, None, None, log
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -188,15 +193,20 @@ def run_experiment(config: ExperimentConfig) -> dict:
     factors = (config.experiment in ("classify-sweep", "regress-sweep")
                or (config.data or {}).get("generator") == "rbf-regression")
     with one_blas_thread(factors) as describe_blas:
-        header, rows, log = runner(config)
+        header, rows, metrics, log = runner(config)
         log.append(describe_blas())
     paths = {}
     if header is not None:
-        bad = [(name, v) for row in rows for name, v in zip(header, row)
-               if isinstance(v, float) and not math.isfinite(v)]
-        if bad:  # a NaN or infinite metric fails the run; it is never written
-            name, value = bad[0]  # a numpy float's repr would print np.float64(inf)
-            raise ColdGPError(f"non-finite {name}={float(value)!r}; results.csv not written")
+        # the computed columns, one entry per row; the others are config values,
+        # finite by validation.  The first NaN or infinite metric in row order
+        # fails the run, and it is never written
+        names = list(metrics)
+        table = np.column_stack([metrics[name] for name in names])
+        bad = np.argwhere(~np.isfinite(table))
+        if len(bad):
+            row, col = bad[0]  # a numpy float's repr would print np.float64(inf)
+            raise ColdGPError(f"non-finite {names[col]}={float(table[row, col])!r}; "
+                              f"results.csv not written")
         paths["results"] = os.path.join(config.output_dir, "results.csv")
         write_csv(paths["results"], header, rows)
     paths["config"] = os.path.join(config.output_dir, "resolved_config.json")

@@ -139,7 +139,10 @@ def _rbf_gram(spec: KernelSpec, a, b) -> np.ndarray:
     # the operations are those of amp * exp(-d2 / (2 l^2)), so the bits are too
     k = cdist(a, b, "sqeuclidean")
     np.negative(k, out=k)
-    k /= 2.0 * spec.rbf_lengthscale**2
+    # a subnormal 2 l^2 sends d2 / (2 l^2) to -inf off the diagonal, and
+    # exp(-inf) = 0 is the kernel's limit there
+    with np.errstate(over="ignore"):
+        k /= 2.0 * spec.rbf_lengthscale**2
     np.exp(k, out=k)
     k *= spec.scale * spec.rbf_variance
     return k

@@ -7,6 +7,7 @@ results CSV.
 from __future__ import annotations
 
 import csv
+from itertools import chain
 
 import numpy as np
 
@@ -23,6 +24,11 @@ def best_temperature(temperatures, values) -> float:
     if not pairs:
         raise EmptyInputError("no temperatures to select from")
     return min(pairs)[1]
+
+
+# cell types whose str() is format_cell's text: repr for a float, since
+# Python 3 prints a float's shortest round-trip digits either way
+_CSV_NATIVE = {float, int, str}
 
 
 def format_cell(value) -> str:
@@ -42,16 +48,20 @@ def format_cell(value) -> str:
 
 
 def write_csv(path, header, rows):
-    """Write a results table with a fixed byte layout.
+    """Write a results table, a list of row tuples, with a fixed byte layout.
 
     Unix newlines and repr-based float formatting make the output a pure
     function of the values, so identical runs produce identical files.
+    Python floats, ints and strings are written by the csv module itself,
+    whose text for them is :func:`format_cell`'s; a table holding any other
+    cell type, such as a numpy scalar, is formatted cell by cell.
     """
+    if not set(map(type, chain.from_iterable(rows))) <= _CSV_NATIVE:
+        rows = [[format_cell(v) for v in row] for row in rows]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_cell(v) for v in row])
+        writer.writerows(rows)
 
 
 def read_csv(path):

@@ -6,12 +6,15 @@ The predictive at a test point x* is Gaussian with
     variance = k** - k*^T (K + sigma_eps^2 I)^{-1} k* + sigma_eps^2
 
 and tempering at temperature T leaves the mean alone while multiplying the
-variance by T.  With L the Cholesky factor of K + sigma_eps^2 I, the
-conditioning keeps beta = L^{-1} y, and prediction solves v = L^{-1} k* once
-for both moments: mean = v^T beta and variance = k** - v^T v + sigma_eps^2.
-Prediction returns the means and variances of all test points as two
-arrays, so the temperature sweep conditions once per model and each grid
-point costs one scalar multiply of the variance array.
+variance by T.  With L the Cholesky factor of K + sigma_eps^2 I,
+:func:`condition` keeps beta = L^{-1} y, and solves v = L^{-1} k* once for
+both moments: mean = v^T beta and variance = k** - v^T v + sigma_eps^2.
+
+Only the sigma_eps^2 I term differs between the assumed noise levels of one
+dataset, so :func:`regression_temperature_sweep` builds K(X, X), K(X*, X)
+and k** once per dataset and conditions once per noise level, on copies of
+them.  Prediction returns the means and variances of all test points as two
+arrays, and each grid point costs one scalar multiply of the variance array.
 
 :func:`conditional` is the package's one Gaussian conditional: regression
 prediction reads it with the factor of the noisy Gram, and the
@@ -23,72 +26,63 @@ scipy (an rbf kernel's Gram loads ``scipy.spatial`` for ``cdist``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import LabeledDataset
-from .exceptions import ZeroVarianceError, check_temperatures
+from .exceptions import EmptyInputError, ZeroVarianceError, check_temperatures
 from .kernels import KernelSpec, gram, gram_diag
 from .linalg import SpdFactor, cholesky, tril_solve
 
 
-@dataclass(frozen=True)
-class RegressionModel:
-    """Kernel plus observation noise standard deviation."""
-
-    kernel: KernelSpec
-    noise_std: float = 0.0
-
-    def __post_init__(self):
-        if not (np.isfinite(self.noise_std) and self.noise_std >= 0.0):
-            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std!r}")
-        if not np.isfinite(self.noise_std * self.noise_std):
-            # conditioning squares it in Python floats, which raise OverflowError
-            raise ValueError(f"noise_std is squared, so its square must be finite, "
-                             f"got {self.noise_std!r}")
-
-
-class ConditionedRegression:
-    """A regression model conditioned on a training set.
-
-    Holds the noisy Gram matrix, factored in its own buffer, and the
-    whitened targets ``beta`` = L^{-1} y, so repeated prediction (and the
-    temperature sweep) pay for one Cholesky and one solve only.  beta . beta
-    is the data-fit term y^T (K + sigma_eps^2 I)^{-1} y of the marginal
-    likelihood.
-    """
-
-    def __init__(self, model: RegressionModel, train: LabeledDataset):
-        if train.is_classification:
-            raise ValueError("regression requires real-valued targets")
-        noisy = gram(model.kernel, train.inputs, train.inputs)
-        noisy.flat[:: train.n + 1] += model.noise_std**2
-        self.model = model
-        self.train = train
-        self.factor: SpdFactor = cholesky(noisy)
-        self.beta = tril_solve(self.factor.lower, train.targets)
-
-    def predict(self, test_inputs):
-        """Predictive (mean, variance) arrays, one entry per test input."""
-        v, schur = conditional(self.model.kernel, self.train.inputs, test_inputs, self.factor)
-        return v.T @ self.beta, schur + self.model.noise_std**2
+def _check_noise_stds(noise_stds) -> list:
+    """``noise_stds`` as a list of floats, each finite, >= 0 and with a finite
+    square (conditioning squares it in Python floats, which raise OverflowError)."""
+    out = []
+    for s in map(float, noise_stds):
+        if not (np.isfinite(s) and s >= 0.0):
+            raise ValueError(f"noise_std must be finite and >= 0, got {s!r}")
+        if not np.isfinite(s * s):
+            raise ValueError(f"noise_std is squared, so its square must be finite, got {s!r}")
+        out.append(s)
+    if not out:
+        raise EmptyInputError("no noise levels")
+    return out
 
 
-def conditional(kernel: KernelSpec, train_inputs, test_inputs, factor: SpdFactor):
-    """Temperature-free pieces of the Gaussian conditional at ``test_inputs``.
+def conditional(factor: SpdFactor, cross, prior_diag):
+    """Temperature-free pieces of the Gaussian conditional at the test points.
 
-    Returns (v, schur): v = L^{-1} K(X, X*) of shape (n, p), with L the
-    Cholesky factor ``factor.lower`` of the training covariance, and
+    ``cross`` is K(X*, X) of shape (p, n) and ``prior_diag`` the (p,) prior
+    variances k**; ``factor.lower`` is the Cholesky factor L of the training
+    covariance.  Returns (v, schur): v = L^{-1} K(X, X*) of shape (n, p), and
     k** - v^T v clipped at zero (FP cancellation can leave it slightly
-    negative).  The one triangular solve runs in place in the buffer of
-    K(X*, X), whose transpose is F-ordered, so ``v`` is the one n x p array.
+    negative).  ``cross`` is handed over: the one triangular solve runs in
+    place in its buffer, whose transpose is F-ordered, so ``v`` is the one
+    n x p array.  A caller that reads ``cross`` again passes a copy.
     """
-    ks = gram(kernel, test_inputs, train_inputs)  # (p, n)
-    v = tril_solve(factor.lower, ks.T, overwrite_b=True)
-    schur = gram_diag(kernel, test_inputs) - np.einsum("ij,ij->j", v, v)
+    v = tril_solve(factor.lower, cross.T, overwrite_b=True)
+    schur = prior_diag - np.einsum("ij,ij->j", v, v)
     np.clip(schur, 0.0, None, out=schur)
     return v, schur
+
+
+def condition(prior, cross, prior_diag, targets, noise_std: float):
+    """Predictive (mean, variance, factor) at one assumed noise level.
+
+    ``prior`` is K(X, X), ``cross`` K(X*, X) and ``prior_diag`` k**; none is
+    written, so every noise level of a dataset shares them.  The noise
+    variance goes onto the diagonal of a copy of ``prior``, which becomes the
+    Cholesky factor, and the predictive solve runs in a copy of ``cross``:
+    one factorization and two triangular solves, beta = L^{-1} y and
+    v = L^{-1} K(X, X*).  beta . beta is the data-fit term
+    y^T (K + sigma_eps^2 I)^{-1} y of the marginal likelihood.
+    """
+    noisy = prior.copy()
+    noisy.flat[:: noisy.shape[0] + 1] += noise_std**2
+    factor = cholesky(noisy)
+    beta = tril_solve(factor.lower, targets)
+    v, schur = conditional(factor, cross.copy(), prior_diag)
+    return v.T @ beta, schur + noise_std**2, factor
 
 
 def _mean_gaussian_nll(mean, variance, targets):
@@ -102,17 +96,30 @@ def _mean_gaussian_nll(mean, variance, targets):
     return np.mean(nll, axis=-1)
 
 
-def regression_temperature_sweep(model: RegressionModel, train: LabeledDataset,
+def regression_temperature_sweep(kernel: KernelSpec, noise_stds, train: LabeledDataset,
                                  test: LabeledDataset, temperatures):
-    """Tempered test NLL across a temperature grid: (test_nll, jitter_used).
+    """Tempered test NLL of one dataset across noise levels and a temperature
+    grid: (test_nll, jitters).
 
-    ``test_nll`` is a float64 array with one entry per grid position, in grid
-    order; ``jitter_used`` is the jitter of the factor.  The posterior is
-    conditioned once; the grid multiplies the predictive variance array by
-    each temperature in one (temperatures, test points) array.
+    ``test_nll`` is a float64 array of shape (len(noise_stds),
+    len(temperatures)), rows in ``noise_stds`` order and columns in grid
+    order; ``jitters`` lists the jitter of each noise level's factor.  The
+    Grams K(X, X), K(X*, X) and k** are built once and shared by every
+    noise level, each of which is conditioned once (:func:`condition`); the
+    grid multiplies its predictive variance array by each temperature in one
+    (temperatures, test points) array.
     """
-    temps = check_temperatures(temperatures)
-    fit = ConditionedRegression(model, train)
-    mean, variance = fit.predict(test.inputs)
-    tempered = variance * np.array(temps)[:, None]
-    return _mean_gaussian_nll(mean, tempered, test.targets), fit.factor.jitter_used
+    temps = np.array(check_temperatures(temperatures))[:, None]
+    noise_stds = _check_noise_stds(noise_stds)
+    if train.is_classification:
+        raise ValueError("regression requires real-valued targets")
+    prior = gram(kernel, train.inputs, train.inputs)
+    cross = gram(kernel, test.inputs, train.inputs)
+    prior_diag = gram_diag(kernel, test.inputs)
+    test_nll = np.empty((len(noise_stds), len(temps)))
+    jitters = []
+    for i, noise_std in enumerate(noise_stds):
+        mean, variance, factor = condition(prior, cross, prior_diag, train.targets, noise_std)
+        test_nll[i] = _mean_gaussian_nll(mean, variance * temps, test.targets)
+        jitters.append(factor.jitter_used)
+    return test_nll, jitters

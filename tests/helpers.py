@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 
 from coldgp.data import CIFAR_TEST_FILE, CIFAR_TRAIN_FILES
-from coldgp.kernels import gram
+from coldgp.kernels import gram, gram_diag
+from coldgp.regression import condition, conditional
 
 
 def batch_means_se(series, n_batches=25):
@@ -38,6 +39,22 @@ def kernel_eval(spec, x, xp) -> float:
     """The kernel value k(x, xp) of two input vectors: a 1 x 1 Gram."""
     x, xp = np.asarray(x, dtype=np.float64), np.asarray(xp, dtype=np.float64)
     return float(gram(spec, x[None, :], xp[None, :])[0, 0])
+
+
+def predict(kernel, noise_std, train, test_inputs):
+    """Regression predictive (mean, variance) arrays at ``test_inputs``: the
+    sweep's :func:`coldgp.regression.condition` on Grams built for the call."""
+    x, xs = train.inputs, np.asarray(test_inputs, dtype=np.float64)
+    mean, variance, _ = condition(gram(kernel, x, x), gram(kernel, xs, x),
+                                  gram_diag(kernel, xs), train.targets, noise_std)
+    return mean, variance
+
+
+def conditional_at(kernel, train_inputs, test_inputs, factor):
+    """:func:`coldgp.regression.conditional` at ``test_inputs`` given the
+    factor of the training covariance, on a cross-Gram built for the call."""
+    return conditional(factor, gram(kernel, test_inputs, train_inputs),
+                       gram_diag(kernel, test_inputs))
 
 
 def scale_kernel(spec, t):

@@ -17,11 +17,9 @@ from scipy.special import expit
 from coldgp import (
     CIFAR_TEST_FILE,
     CIFAR_TRAIN_FILES,
-    ConditionedRegression,
     EssConfig,
     KernelSpec,
     LabeledDataset,
-    RegressionModel,
     RngStream,
     apply_overrides,
     cholesky,
@@ -37,8 +35,14 @@ from coldgp import (
     standardize,
 )
 from coldgp.classification import _chain_prob_means, _sample_grid
-from coldgp.regression import conditional
-from helpers import batch_means_se, kernel_eval, max_rel_err, scale_kernel
+from helpers import (
+    batch_means_se,
+    conditional_at,
+    kernel_eval,
+    max_rel_err,
+    predict,
+    scale_kernel,
+)
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -127,16 +131,12 @@ def test_tempered_posterior_equivalences():
         xs = np.linspace(x.min() - lengthscale, x.max() + lengthscale, 7)[:, None]
         for t in (0.01, 0.1, 1.0, 10.0):
             # scaled-kernel Bayes posterior vs tempered posterior, noiseless
-            mean, var = ConditionedRegression(
-                RegressionModel(scale_kernel(spec, t), 0.0), train).predict(xs)
-            base_mean, base_var = ConditionedRegression(
-                RegressionModel(spec, 0.0), train).predict(xs)
+            mean, var = predict(scale_kernel(spec, t), 0.0, train, xs)
+            base_mean, base_var = predict(spec, 0.0, train, xs)
             worst = max(worst, max_rel_err(mean, base_mean), max_rel_err(var, base_var * t))
             # scaled kernel plus scaled noise variance vs tempered noisy posterior
-            mean, var = ConditionedRegression(
-                RegressionModel(scale_kernel(spec, t), sigma * np.sqrt(t)), train).predict(xs)
-            base_mean, base_var = ConditionedRegression(
-                RegressionModel(spec, sigma), train).predict(xs)
+            mean, var = predict(scale_kernel(spec, t), sigma * np.sqrt(t), train, xs)
+            base_mean, base_var = predict(spec, sigma, train, xs)
             worst = max(worst, max_rel_err(mean, base_mean), max_rel_err(var, base_var * t))
     elapsed = time.perf_counter() - started
     ok = worst <= 1e-8 and elapsed < 5.0
@@ -239,7 +239,7 @@ def test_sampler_matches_analytic_oracles():
                       -lim, lim, -lim, lim, epsabs=1e-12, epsrel=1e-10)[0] / den
               for j in range(2)]
     factor = cholesky(gram(spec, train.inputs, train.inputs))
-    v, schur_c = conditional(spec, train.inputs, xs, factor)
+    v, schur_c = conditional_at(spec, train.inputs, xs, factor)
     means, _ = _sample_grid(
         train, [t], [123],
         EssConfig(n_chains=4, burn_in=800, n_samples_per_chain=2500, thinning=2), factor, v)

@@ -30,10 +30,9 @@ from coldgp.exceptions import (
 )
 from coldgp.kernels import KernelSpec, gram, gram_diag
 from coldgp.linalg import cholesky, tril_matmul
-from coldgp.regression import conditional
 from coldgp.rng import RngStream, derive_seed
 
-from helpers import batch_means_se, count_calls, record_factors
+from helpers import batch_means_se, conditional_at, count_calls, record_factors
 
 
 def _contrasts(f):
@@ -406,7 +405,7 @@ def test_sweep_samples_match_standalone_calls(monkeypatch):
     temps = [0.05, 1.0, 3.0]
     _, (means, stats) = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 5)
     factor = _factor(kern, train)
-    v, _ = conditional(kern, train.inputs, test.inputs, factor)
+    v, _ = conditional_at(kern, train.inputs, test.inputs, factor)
     for j, t in enumerate(temps):
         ref, ref_stats = _sample_grid(train, [t], [derive_seed(5, j)], cfg, factor, v)
         np.testing.assert_array_equal(means[j], ref[0])
@@ -436,7 +435,7 @@ def test_sweep_metrics_match_standalone_predictive(monkeypatch):
     temps = [0.1, 1.0]
     out, (means, _) = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 9)
     factor = _factor(kern, train)
-    v, schur = conditional(kern, train.inputs, test.inputs, factor)
+    v, schur = conditional_at(kern, train.inputs, test.inputs, factor)
     seeds = [derive_seed(9, j) for j in range(len(temps))]
     samples, _ = _sample_grid(train, temps, seeds, cfg, factor, np.eye(train.n))
     for j, t in enumerate(temps):
@@ -578,8 +577,8 @@ def test_sweep_builds_one_gram_pair_and_one_factor(monkeypatch, n_temps):
     # the sweep's work count, whatever the grid size: two Gram builds, one
     # factor, one triangular solve, and burn_in + samples * thinning
     # transitions that each advance every (temperature, chain) state.  The
-    # prior Gram and factor are the sweep's own; the cross-Gram and the solve
-    # are those of the shared conditional in coldgp.regression
+    # Grams and the factor are the sweep's own; the solve is that of the
+    # shared conditional in coldgp.regression, in the cross-Gram's buffer
     import coldgp.classification as cls
     import coldgp.regression as reg
 
@@ -597,8 +596,8 @@ def test_sweep_builds_one_gram_pair_and_one_factor(monkeypatch, n_temps):
     cls.classification_temperature_sweep(KernelSpec.rbf(), train, test, temps,
                                          dataclasses.replace(cfg, draws_per_sample=1), seed=0)
     # K(X, X) and chol(K(X, X)); K(X*, X) and v = L^{-1} K(X, X*)
-    assert own == {"gram": 1, "cholesky": 1}
-    assert shared == {"gram": 1, "tril_solve": 1}
+    assert own == {"gram": 2, "cholesky": 1}
+    assert shared == {"gram": 0, "tril_solve": 1}
     assert states == [n_temps * cfg.n_chains] * (
         cfg.burn_in + cfg.n_samples_per_chain * cfg.thinning)
 
@@ -610,7 +609,7 @@ def test_conditional_mean_is_temperature_free():
     kern = KernelSpec.rbf()
     k = gram(kern, train.inputs, train.inputs)
     factor = cholesky(k)
-    v, schur = conditional(kern, train.inputs, test.inputs, factor)
+    v, schur = conditional_at(kern, train.inputs, test.inputs, factor)
     np.testing.assert_allclose(factor.lower @ v, gram(kern, train.inputs, test.inputs),
                                rtol=1e-12, atol=1e-14)
     assert schur.shape == (test.n,) and np.all(schur >= 0.0)
@@ -622,7 +621,7 @@ def test_whitened_means_match_two_solve_means():
     train, test, cfg = _tiny_problem()
     kern = KernelSpec.rbf()
     factor = _factor(kern, train)
-    v, _ = conditional(kern, train.inputs, test.inputs, factor)
+    v, _ = conditional_at(kern, train.inputs, test.inputs, factor)
     means, _ = _sample_grid(train, [0.3], [11], cfg, factor, v)
     b = solve_triangular(factor.lower, solve_triangular(
         factor.lower, gram(kern, train.inputs, test.inputs), lower=True), lower=True, trans="T")
@@ -635,7 +634,7 @@ def test_predictive_probs_rows_sum_to_one():
     train, test, cfg = _tiny_problem()
     kern = KernelSpec.rbf()
     factor = _factor(kern, train)
-    v, schur = conditional(kern, train.inputs, test.inputs, factor)
+    v, schur = conditional_at(kern, train.inputs, test.inputs, factor)
     means, _ = _sample_grid(train, [0.3], [11], cfg, factor, v)
     probs = _chain_prob_means(means[0], np.sqrt(0.3 * schur), 3,
                               RngStream(11, cfg.n_chains))

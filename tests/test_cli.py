@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from coldgp import (
     KernelSpec,
     MalformedRecordError,
-    RegressionModel,
     cholesky,
     derive_seed,
     gen_cluster_classification,
@@ -260,9 +259,8 @@ class TestRunVerb:
             _, rows = read_csv(tmp_path / scheme / "results.csv")
             nll[scheme] = [float(r[1]) for r in rows]
         expect, _ = regression_temperature_sweep(
-            RegressionModel(KernelSpec.rbf(), noise_std=0.1), *standardize(train, test),
-            [0.5, 1.0])
-        assert nll["global-standardize"] == expect.tolist()
+            KernelSpec.rbf(), [0.1], *standardize(train, test), [0.5, 1.0])
+        assert nll["global-standardize"] == expect[0].tolist()
         assert nll["none"] != nll["global-standardize"]
 
     def test_exit_2_on_more_clusters_than_centers(self, tmp_path, capsys):
@@ -410,6 +408,19 @@ class TestRunVerb:
         cfg = _write_config(tmp_path, "r.json", regress_payload(tmp_path / "r"))
         assert main(["run", "--config", cfg]) == 0
         assert len(seeds) == 2 == len(set(seeds))  # n_seeds, not noise levels x n_seeds
+
+    def test_regress_sweep_builds_one_gram_pair_per_dataset(self, tmp_path, monkeypatch):
+        # the generator builds one Gram per replicate, and the sweep K(X, X)
+        # and K(X*, X) once per replicate, shared by every noise setting
+        import coldgp.kernels as kernels
+        import coldgp.regression as regression
+
+        generated = count_calls(monkeypatch, kernels, ["gram"])  # data imports it at call time
+        fitted = count_calls(monkeypatch, regression, ["gram"])
+        cfg = _write_config(tmp_path, "r.json", regress_payload(tmp_path / "r"))
+        assert main(["run", "--config", cfg]) == 0
+        datasets = 2  # replicates; the 2 noise settings build no Grams of their own
+        assert generated["gram"] + fitted["gram"] == datasets + 2 * datasets
 
     def test_regress_sweep_work_count_per_fit(self, tmp_path, monkeypatch):
         # each (noise setting, replicate) fit factors once and solves twice:
@@ -670,6 +681,16 @@ class TestCsvFormat:
             format_cell(True)
         with pytest.raises(TypeError):
             format_cell([1.0])
+
+    def test_write_csv_cell_text(self, tmp_path):
+        # write_csv writes format_cell's text, not the csv module's str(): a
+        # float32 0.1 is the float 0.10000000149011612, where str() gives 0.1
+        path = tmp_path / "t.csv"
+        write_csv(path, ["a", "b", "c", "d"],
+                  [(np.float32(0.1), np.float64(1.0 / 3.0), np.int64(-7), 0.5)])
+        assert path.read_text() == "a,b,c,d\n0.10000000149011612,0.3333333333333333,-7,0.5\n"
+        with pytest.raises(TypeError):
+            write_csv(path, ["a", "b"], [(0.5, True)])
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -60,7 +61,8 @@ def test_gram_lengthscale_with_an_underflowing_square_is_rejected():
     x = np.arange(6.0).reshape(3, 2)
     with pytest.raises(ValueError, match="rbf_lengthscale is squared"):
         KernelSpec.rbf(lengthscale=1e-200)
-    with np.errstate(over="ignore"):  # off the diagonal d^2 / (2 l^2) overflows to inf
+    with warnings.catch_warnings():  # off the diagonal d^2 / (2 l^2) overflows to inf
+        warnings.simplefilter("error")
         tiny = gram(KernelSpec.rbf(lengthscale=1e-160), x, x)
     np.testing.assert_array_equal(tiny, np.eye(3))
 

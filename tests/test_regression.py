@@ -7,17 +7,16 @@ from scipy.linalg import solve_triangular
 from coldgp.data import LabeledDataset, gen_cluster_classification, gen_rbf_regression
 from coldgp.exceptions import EmptyInputError, NonPositiveTemperatureError, ZeroVarianceError
 from coldgp.kernels import KernelSpec, gram, gram_diag
-from coldgp.linalg import cholesky
+from coldgp.linalg import cholesky, tril_solve
 from coldgp.records import best_temperature
 from coldgp.regression import (
-    ConditionedRegression,
-    RegressionModel,
     _mean_gaussian_nll,
+    condition,
     conditional,
     regression_temperature_sweep,
 )
 
-from helpers import max_rel_err, record_factors, scale_kernel
+from helpers import max_rel_err, predict, record_factors, scale_kernel
 
 
 def _dataset(inputs, targets):
@@ -35,17 +34,15 @@ def _spaced_inputs(n, rng):
 def test_single_point_conjugate_posterior():
     # k=1, noise var 1, y=1: posterior mean at the site is 1/2, variance
     # 1 - 1/2 + 1 = 3/2
-    model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=1.0)
     train = _dataset([[0.0]], [1.0])
-    mean, var = ConditionedRegression(model, train).predict([[0.0]])
+    mean, var = predict(KernelSpec.rbf(), 1.0, train, [[0.0]])
     np.testing.assert_allclose(mean, [0.5], rtol=1e-12)
     np.testing.assert_allclose(var, [1.5], rtol=1e-12)
 
 
 def test_far_point_reverts_to_prior():
-    model = RegressionModel(kernel=KernelSpec.rbf(variance=2.0), noise_std=0.5)
     train = _dataset([[0.0]], [3.0])
-    mean, var = ConditionedRegression(model, train).predict([[60.0]])
+    mean, var = predict(KernelSpec.rbf(variance=2.0), 0.5, train, [[60.0]])
     np.testing.assert_allclose(mean, [0.0], atol=1e-12)
     np.testing.assert_allclose(var, [2.0 + 0.25], rtol=1e-12)
 
@@ -54,8 +51,7 @@ def test_noiseless_interpolation():
     rng = np.random.default_rng(3)
     x = _spaced_inputs(12, rng)
     y = np.sin(x[:, 0])
-    model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.0)
-    means, var = ConditionedRegression(model, _dataset(x, y)).predict(x)
+    means, var = predict(KernelSpec.rbf(), 0.0, _dataset(x, y), x)
     np.testing.assert_allclose(means, y, atol=1e-7)
     assert np.all(var >= 0.0)
 
@@ -83,16 +79,15 @@ def test_gaussian_test_nll_validation():
 def test_sweep_tempers_variance_only():
     # each grid point scores the untempered means with variance * t
     train, test = gen_rbf_regression(12, 6, 0.1, KernelSpec.rbf(), seed=4)
-    model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.3)
-    mean, var = ConditionedRegression(model, train).predict(test.inputs)
+    mean, var = predict(KernelSpec.rbf(), 0.3, train, test.inputs)
     temps = [0.1, 1.0, 7.0]
-    nll, _ = regression_temperature_sweep(model, train, test, temps)
+    nll, _ = regression_temperature_sweep(KernelSpec.rbf(), [0.3], train, test, temps)
     for j, t in enumerate(temps):
-        assert nll[j] == _mean_gaussian_nll(mean, var * t, test.targets)
+        assert nll[0, j] == _mean_gaussian_nll(mean, var * t, test.targets)
     with pytest.raises(NonPositiveTemperatureError):
-        regression_temperature_sweep(model, train, test, [0.0])
+        regression_temperature_sweep(KernelSpec.rbf(), [0.3], train, test, [0.0])
     with pytest.raises(NonPositiveTemperatureError):
-        regression_temperature_sweep(model, train, test, [-1.0])
+        regression_temperature_sweep(KernelSpec.rbf(), [0.3], train, test, [-1.0])
 
 
 @pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 10.0])
@@ -103,11 +98,9 @@ def test_tempering_identity_noiseless(t):
     x = _spaced_inputs(25, rng)
     y = np.sin(1.3 * x[:, 0]) + 0.1 * rng.standard_normal(25)
     xs = rng.uniform(x.min(), x.max(), (15, 1))
-    base = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.0)
-    scaled = RegressionModel(kernel=scale_kernel(KernelSpec.rbf(), t), noise_std=0.0)
     train = _dataset(x, y)
-    ref_mean, ref_var = ConditionedRegression(base, train).predict(xs)
-    got_mean, got_var = ConditionedRegression(scaled, train).predict(xs)
+    ref_mean, ref_var = predict(KernelSpec.rbf(), 0.0, train, xs)
+    got_mean, got_var = predict(scale_kernel(KernelSpec.rbf(), t), 0.0, train, xs)
     assert max_rel_err(got_mean, ref_mean) < 1e-8
     assert max_rel_err(got_var, ref_var * t) < 1e-8
 
@@ -121,29 +114,27 @@ def test_tempering_identity_with_noise(t):
     y = np.cos(x[:, 0]) + 0.3 * rng.standard_normal(30)
     xs = rng.uniform(x.min(), x.max(), (12, 1))
     sigma = 0.4
-    base = RegressionModel(kernel=KernelSpec.rbf(), noise_std=sigma)
-    scaled = RegressionModel(kernel=scale_kernel(KernelSpec.rbf(), t),
-                             noise_std=sigma * np.sqrt(t))
     train = _dataset(x, y)
-    ref_mean, ref_var = ConditionedRegression(base, train).predict(xs)
-    got_mean, got_var = ConditionedRegression(scaled, train).predict(xs)
+    ref_mean, ref_var = predict(KernelSpec.rbf(), sigma, train, xs)
+    got_mean, got_var = predict(scale_kernel(KernelSpec.rbf(), t), sigma * np.sqrt(t),
+                                train, xs)
     assert max_rel_err(got_mean, ref_mean) < 1e-8
     assert max_rel_err(got_var, ref_var * t) < 1e-8
 
 
-def test_condition_reuses_factorization():
-    rng = np.random.default_rng(5)
-    x = _spaced_inputs(10, rng)
-    y = rng.standard_normal(10)
-    model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.2)
-    fit = ConditionedRegression(model, _dataset(x, y))
-    a_mean, a_var = fit.predict(x[:4])
-    b_mean, b_var = fit.predict(x[:4])
-    c_mean, c_var = ConditionedRegression(model, _dataset(x, y)).predict(x[:4])
-    np.testing.assert_array_equal(a_mean, b_mean)
-    np.testing.assert_array_equal(a_var, b_var)
-    np.testing.assert_array_equal(a_mean, c_mean)
-    np.testing.assert_array_equal(a_var, c_var)
+def test_condition_reuses_the_shared_grams():
+    # every noise level of a dataset conditions on the one K(X, X), K(X*, X)
+    # and k**, which condition leaves as they are: a sweep over three noise
+    # levels gives, row for row, the bits of a sweep at each level alone
+    train, test = gen_rbf_regression(30, 9, 0.1, KernelSpec.rbf(), seed=5)
+    sigmas, temps = [1.0, 0.1, 0.01], [0.1, 1.0, 10.0]
+    nll, jitters = regression_temperature_sweep(KernelSpec.rbf(), sigmas, train, test, temps)
+    assert nll.shape == (len(sigmas), len(temps)) and len(jitters) == len(sigmas)
+    for i, sigma in enumerate(sigmas):
+        alone, [jitter] = regression_temperature_sweep(KernelSpec.rbf(), [sigma], train, test,
+                                                       temps)
+        np.testing.assert_array_equal(nll[i], alone[0])
+        assert jitters[i] == jitter
 
 
 def test_whitened_targets_give_the_textbook_mean():
@@ -152,41 +143,46 @@ def test_whitened_targets_give_the_textbook_mean():
     rng = np.random.default_rng(7)
     x, xs = _spaced_inputs(30, rng), rng.uniform(0.0, 24.0, (9, 1))
     y = rng.standard_normal(30)
-    model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.3)
-    fit = ConditionedRegression(model, _dataset(x, y))
-    noisy = gram(model.kernel, x, x) + 0.3**2 * np.eye(30)
-    np.testing.assert_allclose(fit.predict(xs)[0],
-                               gram(model.kernel, xs, x) @ np.linalg.solve(noisy, y),
-                               rtol=1e-10)
-    np.testing.assert_allclose(fit.beta @ fit.beta, y @ np.linalg.solve(noisy, y), rtol=1e-10)
+    kern = KernelSpec.rbf()
+    mean, _, factor = condition(gram(kern, x, x), gram(kern, xs, x), gram_diag(kern, xs), y, 0.3)
+    noisy = gram(kern, x, x) + 0.3**2 * np.eye(30)
+    np.testing.assert_allclose(mean, gram(kern, xs, x) @ np.linalg.solve(noisy, y), rtol=1e-10)
+    beta = tril_solve(factor.lower, y)
+    np.testing.assert_allclose(beta @ beta, y @ np.linalg.solve(noisy, y), rtol=1e-10)
 
 
 def test_in_place_conditioning_matches_fresh_array_expressions():
-    # sigma^2 goes onto the Gram's diagonal in place and the predictive solve
-    # runs in the cross-Gram's buffer; the bits are those of the expressions
+    # sigma^2 goes onto the diagonal of a copy of the Gram and the predictive
+    # solve runs in a copy of the cross-Gram; the bits are those of the
+    # expressions, and the shared Grams are left as they were
     rng = np.random.default_rng(6)
     x, xs = _spaced_inputs(30, rng), rng.uniform(0.0, 24.0, (7, 1))
-    model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.3)
-    fit = ConditionedRegression(model, _dataset(x, rng.standard_normal(30)))
-    ref = cholesky(gram(model.kernel, x, x) + 0.3**2 * np.eye(30))
-    np.testing.assert_array_equal(fit.factor.lower, ref.lower)
-    v = solve_triangular(ref.lower, gram(model.kernel, xs, x).T, lower=True)
-    schur = np.clip(gram_diag(model.kernel, xs) - np.einsum("ij,ij->j", v, v), 0.0, None)
-    np.testing.assert_array_equal(fit.predict(xs)[1], schur + 0.3**2)
+    kern = KernelSpec.rbf()
+    prior, cross, prior_diag = gram(kern, x, x), gram(kern, xs, x), gram_diag(kern, xs)
+    _, variance, factor = condition(prior, cross, prior_diag, rng.standard_normal(30), 0.3)
+    ref = cholesky(gram(kern, x, x) + 0.3**2 * np.eye(30))
+    np.testing.assert_array_equal(factor.lower, ref.lower)
+    v = solve_triangular(ref.lower, gram(kern, xs, x).T, lower=True)
+    schur = np.clip(gram_diag(kern, xs) - np.einsum("ij,ij->j", v, v), 0.0, None)
+    np.testing.assert_array_equal(variance, schur + 0.3**2)
+    np.testing.assert_array_equal(prior, gram(kern, x, x))
+    np.testing.assert_array_equal(cross, gram(kern, xs, x))
+    np.testing.assert_array_equal(prior_diag, gram_diag(kern, xs))
 
 
 @pytest.mark.parametrize("kern", [KernelSpec.rbf(lengthscale=2.0), KernelSpec.nngp()],
                          ids=["rbf", "nngp"])
 def test_conditional_holds_one_test_by_train_array(kern):
-    # the one solve runs in the buffer of K(X*, X); past it only the Gram's own
-    # block scratch is allocated.  The result is bitwise the fresh-array solve
+    # the one solve runs in the buffer of K(X*, X), which the caller builds and
+    # hands over; past it only the Gram's own block scratch is allocated.  The
+    # result is bitwise the fresh-array solve
     rng = np.random.default_rng(8)
     x, xs = rng.standard_normal((1500, 4)), rng.standard_normal((1000, 4))
     factor = cholesky(gram(kern, x, x))
     gram(kern, xs[:2], x[:2])  # loads scipy.spatial outside the trace
     tracemalloc.start()
     try:
-        v, schur = conditional(kern, x, xs, factor)
+        v, schur = conditional(factor, gram(kern, xs, x), gram_diag(kern, xs))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -198,52 +194,57 @@ def test_conditional_holds_one_test_by_train_array(kern):
 
 
 def test_model_validation():
-    with pytest.raises(ValueError):
-        RegressionModel(kernel=KernelSpec.rbf(), noise_std=-0.1)
-    with pytest.raises(ValueError):
-        RegressionModel(kernel=KernelSpec.rbf(), noise_std=np.nan)
+    # each assumed noise level must be finite and >= 0, and there must be one
+    train, test = gen_rbf_regression(5, 5, 0.1, KernelSpec.rbf(), seed=0)
+    for noise_stds in ([0.1, -0.1], [np.nan]):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            regression_temperature_sweep(KernelSpec.rbf(), noise_stds, train, test, [1.0])
+    with pytest.raises(EmptyInputError):
+        regression_temperature_sweep(KernelSpec.rbf(), [], train, test, [1.0])
 
 
 def test_conditioning_noise_with_an_overflowing_square_is_rejected():
     # conditioning squares the noise in Python floats, so noise_std 1e200
-    # raised a bare OverflowError from ConditionedRegression; the model now
-    # rejects it
-    train, _ = gen_rbf_regression(5, 5, 0.1, KernelSpec.rbf(), seed=0)
+    # would raise a bare OverflowError; the sweep rejects it first
+    train, test = gen_rbf_regression(5, 5, 0.1, KernelSpec.rbf(), seed=0)
     with pytest.raises(ValueError, match="noise_std is squared"):
-        ConditionedRegression(RegressionModel(KernelSpec.rbf(), noise_std=1e200), train)
+        regression_temperature_sweep(KernelSpec.rbf(), [1e200], train, test, [1.0])
 
 
 def test_classification_data_rejected():
-    train, _ = gen_cluster_classification(5, 2, 2, 2.0, seed=0)
-    model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.1)
+    train, test = gen_cluster_classification(5, 2, 2, 2.0, seed=0)
     with pytest.raises(ValueError):
-        ConditionedRegression(model, train)
+        regression_temperature_sweep(KernelSpec.rbf(), [0.1], train, test, [1.0])
 
 
 def test_sweep_records_and_best():
     train, test = gen_rbf_regression(40, 20, 0.1, KernelSpec.rbf(), seed=9)
-    model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.1)
+    kern = KernelSpec.rbf()
     temps = [0.1, 1.0, 10.0]
-    nll, jitter = regression_temperature_sweep(model, train, test, temps)
-    # one entry per grid position, in grid order: a reversed grid reverses it
-    assert nll.dtype == np.float64 and nll.shape == (len(temps),)
+    nll, jitters = regression_temperature_sweep(kern, [0.1], train, test, temps)
+    # one row per noise level with one entry per grid position, in grid
+    # order: a reversed grid reverses it
+    assert nll.dtype == np.float64 and nll.shape == (1, len(temps))
     assert np.all(np.isfinite(nll))
-    reversed_nll, _ = regression_temperature_sweep(model, train, test, temps[::-1])
-    np.testing.assert_array_equal(reversed_nll, nll[::-1])
-    assert jitter == ConditionedRegression(model, train).factor.jitter_used
-    assert best_temperature(temps, nll) == temps[int(np.argmin(nll))]
+    reversed_nll, _ = regression_temperature_sweep(kern, [0.1], train, test, temps[::-1])
+    np.testing.assert_array_equal(reversed_nll, nll[:, ::-1])
+    x, xs = train.inputs, test.inputs
+    factor = condition(gram(kern, x, x), gram(kern, xs, x), gram_diag(kern, xs),
+                       train.targets, 0.1)[2]
+    assert jitters == [factor.jitter_used]
+    assert best_temperature(temps, nll[0]) == temps[int(np.argmin(nll[0]))]
 
 
 def test_sweep_rejects_bad_grid():
     train, test = gen_rbf_regression(10, 5, 0.1, KernelSpec.rbf(), seed=0)
-    model = RegressionModel(kernel=KernelSpec.rbf(), noise_std=0.1)
+    kern = KernelSpec.rbf()
     with pytest.raises(EmptyInputError):
-        regression_temperature_sweep(model, train, test, [])
+        regression_temperature_sweep(kern, [0.1], train, test, [])
     with pytest.raises(NonPositiveTemperatureError):
-        regression_temperature_sweep(model, train, test, [1.0, -2.0])
+        regression_temperature_sweep(kern, [0.1], train, test, [1.0, -2.0])
     # a grid point whose tempered variances underflow to 0 has no NLL
     with pytest.raises(ZeroVarianceError):
-        regression_temperature_sweep(model, train, test, [1.0, 5e-324])
+        regression_temperature_sweep(kern, [0.1], train, test, [1.0, 5e-324])
 
 
 def test_best_temperature_tie_goes_to_smaller_temperature():
@@ -255,13 +256,14 @@ def test_best_temperature_tie_goes_to_smaller_temperature():
 
 
 def test_generator_and_fit_factor_their_grams_in_place(monkeypatch):
-    # above one row block (n > 362), each hands over the Gram it built and
-    # that buffer becomes the factor, so neither holds a second n x n array
+    # above one row block (n > 362), the generator hands over the Gram it
+    # built and the fit its noisy copy of the shared Gram, and that buffer
+    # becomes the factor, so neither holds a further n x n array
     import coldgp.linalg
     import coldgp.regression as reg
 
     generated = record_factors(monkeypatch, coldgp.linalg)  # data imports it at call time
-    train, _ = gen_rbf_regression(400, 10, 0.1, KernelSpec.rbf(), seed=3)
+    train, test = gen_rbf_regression(400, 10, 0.1, KernelSpec.rbf(), seed=3)
     fitted = record_factors(monkeypatch, reg)
-    ConditionedRegression(RegressionModel(KernelSpec.rbf(), 0.1), train)
+    regression_temperature_sweep(KernelSpec.rbf(), [0.1], train, test, [1.0])
     assert [np.shares_memory(a, f.lower) for a, f in generated + fitted] == [True, True]

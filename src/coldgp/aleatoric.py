@@ -309,10 +309,10 @@ def relabel_disagreement_mc(latent_samples, labels, index: int) -> float:
 
     Averages, over sampled latent matrices, the softmax probability that a
     fresh relabel of training point ``index`` differs from its observed
-    label.  ``latent_samples`` takes the sampler's class-major layout: any
-    (..., class_count, n) array, such as a (temperatures, chains, samples,
-    class_count, n) grid of samples or one temperature's slice of it, or a
-    list of (class_count, n) matrices; every leading axis indexes samples.
+    label.  ``latent_samples`` is class-major: any (..., class_count, n)
+    array whose leading axes index samples, or a list of (class_count, n)
+    matrices.  The sweep keeps no latent samples; its sampler reads out
+    v^T G, which is F = L @ G for the readout v = L^T.
     """
     f = np.asarray(latent_samples, dtype=np.float64)
     if f.size == 0:

@@ -16,14 +16,14 @@ one likelihood call per shrink round for the chains still shrinking, while
 each chain keeps its own random stream.
 
 A softmax ignores a shift common to all classes, so the likelihood reads
-the latents only through their class contrasts D = F[1:] - F[0], and the
-sampler's state is D: C - 1 rows per chain, whose prior draw
-sqrt(t) * L @ (z[1:] - z[0]) takes k * (C - 1) columns of the triangular
-product.  Every ESS state is a rotation of earlier states and prior draws,
-so each latent matrix F is L @ G for a whitened matrix G that the sampler
-carries beside D at O(n) cost per transition: all C rows of G take the
-accepted rotation (the same rotation applied to sqrt(t) * z), and
-D = L @ (G[1:] - G[0]).  In exact arithmetic
+the latents only through their class contrasts D = F[1:] - F[0], and
+:func:`ess_transition` takes D as its one state layout: C - 1 rows per
+chain, whose prior draw sqrt(t) * L @ (z[1:] - z[0]) takes k * (C - 1)
+columns of the triangular product.  Every ESS state is a rotation of
+earlier states and prior draws, so each latent matrix F is L @ G for a
+whitened matrix G that the sampler carries beside D at O(n) cost per
+transition: all C rows of G take the accepted rotation (the same rotation
+applied to sqrt(t) * z), and D = L @ (G[1:] - G[0]).  In exact arithmetic
 the contrast likelihood is the full one, so the same normals and uniforms
 give the same angles; in floating point its values differ in the last bits
 and reach G only through the slice test.
@@ -141,30 +141,27 @@ def _chain_error(exc_type, chain, message):
 def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
     """One elliptical slice sampling transition of k chains in lock step.
 
-    ``g`` is the C-ordered (k, C, n) stack of class-major whitened latent
-    matrices.  ``f`` holds what the likelihood reads: either the latents,
-    (k, C, n) with f_c = prior_lower @ g_c, or their class contrasts,
-    (k, C - 1, n) with f_c = prior_lower @ (g_c - g_0) for c >= 1 (the
-    classification sweep's state).  ``ll`` holds their (k,) log-likelihoods
-    and ``log_lik(props, idx)`` returns the (len(idx),) log-likelihoods of
-    the proposals ``props`` (shaped like ``f``) of chains ``idx`` (the
-    classification sampler binds the tempered softmax, the unit tests
-    substitute constant or Gaussian surrogates).  Chain i's prior on each
-    class row is zero-mean Gaussian with factor prior_scale[i] * prior_lower,
-    and it draws from ``rngs[i]`` alone, in the order of a one-chain
-    transition: the (n, C) normals, stored transposed as chain i's rows of
-    the (k, C, n) normals z, the slice height, the first angle, then one
-    angle per shrink.  All k prior draws come from one triangular product
-    prior_lower @ W (:func:`~coldgp.linalg.tril_matmul`), with W the
-    transposed view of z or, for contrasts, of z_c - z_0: k * (C - 1)
-    columns instead of k * C.  ``prior_lower`` must be lower-triangular, and
-    its strict upper triangle is never read.  Each shrink round evaluates
-    the proposals of the chains that have not yet accepted in one
-    ``log_lik`` call.  Once every chain has accepted, all C rows of ``g``
-    take the accepted rotation g cos(theta) + prior_scale * z sin(theta),
-    computed in the buffer of z.  ``f``, ``g`` and ``ll`` are updated in
-    place and returned with the (k,) proposal counts.  No sweep runs the
-    latent layout.
+    ``f`` is the C-ordered (k, C - 1, n) stack of class contrasts that the
+    likelihood reads and ``g`` the (k, C, n) stack of class-major whitened
+    latents beside it, C >= 2, with f_c = prior_lower @ (g_c - g_0); other
+    shapes raise DimensionMismatchError.  ``ll`` holds the (k,)
+    log-likelihoods of ``f`` and ``log_lik(props, idx)`` returns the
+    (len(idx),) log-likelihoods of the proposals ``props`` (shaped like
+    ``f``) of chains ``idx`` (the classification sampler binds the tempered
+    softmax, the tests substitute their own).  Chain i's prior on each class
+    row is zero-mean Gaussian with factor prior_scale[i] * prior_lower, and
+    it draws from ``rngs[i]`` alone, in the order of a one-chain transition:
+    the (n, C) normals, stored transposed as chain i's rows of the (k, C, n)
+    normals z, the slice height, the first angle, then one angle per shrink.
+    All k prior draws come from one triangular product of prior_lower
+    (:func:`~coldgp.linalg.tril_matmul`) with the k * (C - 1) columns
+    z_c - z_0.  ``prior_lower`` must be lower-triangular, and its strict
+    upper triangle is never read.  Each shrink round evaluates the proposals
+    of the chains that have not yet accepted in one ``log_lik`` call.  Once
+    every chain has accepted, all C rows of ``g`` take the accepted rotation
+    g cos(theta) + prior_scale * z sin(theta), computed in the buffer of z.
+    ``f``, ``g`` and ``ll`` are updated in place and returned with the (k,)
+    proposal counts.
 
     The slice always contains the current state in exact arithmetic (the
     threshold is ll + log u with u < 1 and the proposal at angle 0 is f
@@ -174,10 +171,9 @@ def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
     raises ColdGPError.  Errors carry the failing chain's index as ``chain``.
     """
     k, c, n = g.shape
-    rows = f.shape[1]
-    if f.shape not in ((k, c, n), (k, c - 1, n)):
+    if c < 2 or f.shape != (k, c - 1, n):
         raise DimensionMismatchError(
-            f"f must be (k, C, n) or (k, C - 1, n) for g of shape {g.shape}, got {f.shape}")
+            f"f must be (k, C - 1, n) for g of shape (k, C, n), C >= 2; got {f.shape}, {g.shape}")
     nan = np.isnan(ll)
     if np.count_nonzero(nan):
         raise _chain_error(NonFiniteLikelihoodError, np.argmax(nan),
@@ -190,10 +186,10 @@ def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
             log_y[i] = ll[i] + np.log(rng.uniform())
             theta[i] = rng.uniform(0.0, 2.0 * np.pi)
     scale = np.asarray(prior_scale)
-    w = z if rows == c else z[:, 1:] - z[:, :1]
     # the prior draws are bound only as the shrinking chains' rows, so the
     # draws of chains that have accepted are freed
-    nu_act = tril_matmul(prior_lower, w.reshape(k * rows, n).T).T.reshape(k, rows, n)
+    w = (z[:, 1:] - z[:, :1]).reshape(k * (c - 1), n)
+    nu_act = tril_matmul(prior_lower, w.T).T.reshape(k, c - 1, n)
     nu_act *= scale[:, None, None]
     lo, hi = theta - 2.0 * np.pi, theta.copy()
     proposals = np.zeros(k, dtype=np.int64)

@@ -391,9 +391,9 @@ def tril_matmul(lower, z) -> np.ndarray:
     an upper-triangular matrix to be transposed, so a C-ordered factor is
     passed without a copy.  ``z`` is not modified; the result is a new
     Fortran-ordered (n, m) array, whose transpose is a C-ordered (m, n)
-    array.  The sampler passes its C-ordered (k, C, n) normals as the
-    (n, k * C) view ``z.reshape(k * C, n).T`` and reads the transposed
-    result back as (k, C, n), so neither side needs a transposing copy.
+    array.  The sampler passes its (k, C - 1, n) normal contrasts w as the
+    view ``w.reshape(-1, n).T`` and reads the transposed result back as
+    (k, C - 1, n), so neither side needs a transposing copy.
     """
     lower = np.ascontiguousarray(lower, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)

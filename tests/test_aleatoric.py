@@ -375,9 +375,10 @@ def test_disagreement_mc_hand_values():
 
 
 def test_disagreement_mc_on_sample_set_array():
-    # the sampler's (chains, samples, C, n) layout goes in as is and matches
-    # the per-sample average over its matrices.  The sampler keeps v^T G for
-    # its readout v; with v = L^T that is the training latents F = L @ G
+    # a (chains, samples, C, n) array of latent samples goes in as is and
+    # matches the per-sample average over its matrices.  The sweep keeps no
+    # latent samples: its sampler reads out v^T G for a readout v, and with
+    # v = L^T that is the training latents F = L @ G
     train, _ = gen_cluster_classification(6, 3, 2, 2.0, seed=2)
     cfg = EssConfig(n_chains=2, burn_in=10, n_samples_per_chain=5, thinning=1)
     factor = cholesky(gram(KernelSpec.rbf(), train.inputs, train.inputs))

@@ -87,13 +87,15 @@ def test_ess_transition_nan_likelihood_raises():
                        [RngStream(0, 0)])
 
 
-def test_ess_transition_rejects_state_rows_that_fit_neither_layout():
-    # f must hold g's C rows or their C - 1 contrasts with row 0
+def test_ess_transition_takes_only_contrasts_beside_the_whitened_state():
+    # f must hold the C - 1 contrasts of g's C >= 2 class rows: all C latent
+    # rows, a contrast count that fits no g, or a g of one class are refused
     lower = cholesky(np.eye(4)).lower
     flat = lambda props, idx: np.zeros(len(idx))
-    with pytest.raises(DimensionMismatchError):
-        ess_transition(np.zeros((1, 1, 4)), np.zeros((1, 3, 4)), np.zeros(1), flat, lower,
-                       np.ones(1), [RngStream(0, 0)])
+    for f_rows, g_rows in ((2, 2), (3, 3), (1, 3), (0, 1), (1, 1)):
+        with pytest.raises(DimensionMismatchError):
+            ess_transition(np.zeros((1, f_rows, 4)), np.zeros((1, g_rows, 4)), np.zeros(1),
+                           flat, lower, np.ones(1), [RngStream(0, 0)])
 
 
 def test_ess_transition_nan_proposal_in_one_chain_raises():
@@ -115,10 +117,9 @@ def test_ess_transition_nan_proposal_in_one_chain_raises():
 def _reference_transition(f, g, ll, log_lik, lower, scale, rng):
     """One chain's ESS transition as a plain loop on (n, C) matrices, one
     column per class: the reference for the class-major batch.  ``f`` holds
-    the latent columns L @ g, or their C - 1 contrasts with column 0."""
+    the C - 1 contrasts L @ (g_c - g_0)."""
     z = rng.standard_normal(g.shape)
-    w = z if f.shape == g.shape else z[:, 1:] - z[:, :1]
-    nu = scale * tril_matmul(lower, w)
+    nu = scale * tril_matmul(lower, z[:, 1:] - z[:, :1])
     with np.errstate(divide="ignore"):
         log_y = ll + float(np.log(rng.uniform()))
     theta = float(rng.uniform(0.0, 2.0 * np.pi))
@@ -137,7 +138,7 @@ def _reference_transition(f, g, ll, log_lik, lower, scale, rng):
         theta = float(rng.uniform(lo, hi))
 
 
-def _check_batched_transition(k, c, rows):
+def _check_batched_transition(k, c):
     """Four lock-step transitions of k chains against one-chain calls and the
     loop reference, bitwise.  n = 800 is a multiple of 8, where a column of
     OpenBLAS's triangular product L @ Z has the same bits however many
@@ -146,7 +147,7 @@ def _check_batched_transition(k, c, rows):
     rng = np.random.default_rng(k)
     a = rng.standard_normal((n, n)) / np.sqrt(n)
     lower = cholesky(a @ a.T + np.eye(n)).lower
-    target = rng.standard_normal((k, n, rows)).transpose(0, 2, 1).copy()
+    target = rng.standard_normal((k, n, c - 1)).transpose(0, 2, 1).copy()
     scales = 0.5 + np.arange(k)
 
     def loglik(props, idx):  # a narrow Gaussian per chain, so brackets shrink
@@ -155,7 +156,7 @@ def _check_batched_transition(k, c, rows):
     batch_rngs = [RngStream(21, i) for i in range(k)]
     single_rngs = [RngStream(21, i) for i in range(k)]
     loop_rngs = [RngStream(21, i) for i in range(k)]
-    f, g = np.zeros((k, rows, n)), np.zeros((k, c, n))
+    f, g = np.zeros((k, c - 1, n)), np.zeros((k, c, n))
     ll = loglik(f, np.arange(k))
     singles = [(f[i:i + 1].copy(), g[i:i + 1].copy(), ll[i:i + 1].copy()) for i in range(k)]
     loops = [(f[i].T.copy(), g[i].T.copy(), float(ll[i])) for i in range(k)]
@@ -181,11 +182,9 @@ def _check_batched_transition(k, c, rows):
 
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_batched_transition_matches_one_chain_calls(k):
-    # f holds the C latent rows of g, or (as the sweep runs it) their C - 1
-    # contrasts with row 0
-    _check_batched_transition(k, c=2, rows=1)
-    _check_batched_transition(k, c=2, rows=2)
-    _check_batched_transition(k, c=3, rows=2)
+    # f holds the C - 1 contrasts of g's class rows with row 0
+    _check_batched_transition(k, c=2)
+    _check_batched_transition(k, c=3)
 
 
 def test_transition_never_reads_the_strict_upper_triangle():

@@ -13,7 +13,8 @@ factors the Gram in its own buffer (above one row block of scratch).
 A sweep advances all its (temperature, chain) pairs in lock step: each
 transition makes one triangular product for every chain's prior draw and
 one likelihood call per shrink round for the chains still shrinking, while
-each chain keeps its own random stream.
+each chain keeps its own random stream.  Only the uniform draws themselves
+are made chain by chain; the slice heights, angles and brackets are arrays.
 
 A softmax ignores a shift common to all classes, so the likelihood reads
 the latents only through their class contrasts D = F[1:] - F[0], and
@@ -26,7 +27,10 @@ transition: all C rows of G take the accepted rotation (the same rotation
 applied to sqrt(t) * z), and D = L @ (G[1:] - G[0]).  In exact arithmetic
 the contrast likelihood is the full one, so the same normals and uniforms
 give the same angles; in floating point its values differ in the last bits
-and reach G only through the slice test.
+and reach G only through the slice test.  With two classes there is one
+contrast d per point and its log-sum-exp over (0, d) needs one exp,
+exp(-|d|): the sweep's two-class likelihood takes that path, with the same
+bits as the general one.
 
 Prediction: the test latent for class c is Gaussian with mean
 k*^T K^{-1} F_c = v^T G_c, where v = L^{-1} K(X, X*) (temperature-free,
@@ -103,7 +107,7 @@ class EssConfig:
                 raise ValueError(f"{name} must be >= {minimum}")
 
 
-def _contrast_log_softmax_sums(d, y):
+def _contrast_log_softmax_sums(d, y, sign=None):
     """Per-chain sums of the log-softmax at the labels, from class contrasts.
 
     ``d`` is a C-ordered (k, C - 1, n) array of contrasts d_c = f_c - f_0
@@ -115,8 +119,32 @@ def _contrast_log_softmax_sums(d, y):
     sum_i [ (d_{y_i, i} - m_i) - log sum_c exp(d_{c, i} - m_i) ].  The shifted
     values are formed once as the rows of one (k, C, n) array, class 0's row
     -m first, so the exp-sum adds the class rows in class order.
+
+    At C = 2, ``sign`` = 2y - 1 (built once by the caller) selects a path
+    with one exp per point.  One of the two shifted values is exactly 0, so
+    the exp-sum is 1 + exp(-|d|) and the label term is min(sign * d, 0 * d):
+    where sign * d > 0 it is a zero with d's sign, as d - m or -m leaves it
+    above.  Each term then has the general path's operands and bits.  An
+    infinite contrast makes 0 * d, and so the sum, NaN; every chain whose
+    sum is not finite is summed again on the general path, which gives NaN
+    and infinities as it always has.
     """
     k, rows, n = d.shape
+    if sign is not None:
+        # d[:, 0] is the C-ordered (k, n) contrast of class 1 with class 0
+        label = np.multiply(d[:, 0], 0.0)
+        x = np.multiply(d[:, 0], sign)
+        np.minimum(x, label, out=label)
+        np.abs(d[:, 0], out=x)
+        np.negative(x, out=x)
+        np.exp(x, out=x)
+        x += 1.0
+        label -= np.log(x, out=x)
+        sums = label.sum(axis=-1)
+        bad = ~np.isfinite(sums)
+        if np.count_nonzero(bad):
+            sums[bad] = _contrast_log_softmax_sums(d[bad], y)
+        return sums
     # m has its own buffer: numpy 2.4.6 negates a (k, 1) view such as
     # a[:, 0] at n = 1 in place wrongly, reading row 1 from the wrong place
     m = d.max(axis=-2, initial=0.0)
@@ -152,8 +180,12 @@ def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
     row is zero-mean Gaussian with factor prior_scale[i] * prior_lower, and
     it draws from ``rngs[i]`` alone, in the order of a one-chain transition:
     the (n, C) normals, stored transposed as chain i's rows of the (k, C, n)
-    normals z, the slice height, the first angle, then one angle per shrink.
-    All k prior draws come from one triangular product of prior_lower
+    normals z, then one call for two uniforms (u for the slice height, u'
+    for the first angle 2 pi * u'), then one uniform u per shrink.  A shrink
+    round moves the brackets of all shrinking chains at once and sets their
+    next angles lo + (hi - lo) * u in one array expression, the bits of one
+    ``Generator.uniform(lo, hi)`` call per chain.  All k prior draws come
+    from one triangular product of prior_lower
     (:func:`~coldgp.linalg.tril_matmul`) with the k * (C - 1) columns
     z_c - z_0.  ``prior_lower`` must be lower-triangular, and its strict
     upper triangle is never read.  Each shrink round evaluates the proposals
@@ -178,26 +210,28 @@ def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
     if np.count_nonzero(nan):
         raise _chain_error(NonFiniteLikelihoodError, np.argmax(nan),
                            "current state has NaN log-likelihood")
-    z = np.empty((k, c, n))
-    log_y, theta = np.empty(k), np.empty(k)
+    z, u = np.empty((k, c, n)), np.empty((k, 2))
+    for i, rng in enumerate(rngs):
+        z[i] = rng.standard_normal((n, c)).T
+        u[i] = rng.uniform(size=2)
     with np.errstate(divide="ignore"):
-        for i, rng in enumerate(rngs):
-            z[i] = rng.standard_normal((n, c)).T
-            log_y[i] = ll[i] + np.log(rng.uniform())
-            theta[i] = rng.uniform(0.0, 2.0 * np.pi)
+        log_y = ll + np.log(u[:, 0])
+    # 2 pi * u is the bits of Generator.uniform(0, 2 pi), which adds it to 0
+    theta = 2.0 * np.pi * u[:, 1]
     scale = np.asarray(prior_scale)
     # the prior draws are bound only as the shrinking chains' rows, so the
     # draws of chains that have accepted are freed
     w = (z[:, 1:] - z[:, :1]).reshape(k * (c - 1), n)
     nu_act = tril_matmul(prior_lower, w.T).T.reshape(k, c - 1, n)
     nu_act *= scale[:, None, None]
+    # the brackets [lo, hi] of the chains still shrinking, in the order of active
     lo, hi = theta - 2.0 * np.pi, theta.copy()
     proposals = np.zeros(k, dtype=np.int64)
     active, f_act, log_y_act = np.arange(k), f, log_y
     for rounds in range(1, _MAX_BRACKET_SHRINKS + 1):
-        angle = theta[active][:, None, None]
-        prop = f_act * np.cos(angle)
-        prop += nu_act * np.sin(angle)
+        angle = theta[active]
+        prop = f_act * np.cos(angle[:, None, None])
+        prop += nu_act * np.sin(angle[:, None, None])
         ll_prop = log_lik(prop, active)
         nan = np.isnan(ll_prop)
         if np.count_nonzero(nan):
@@ -207,20 +241,22 @@ def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
         if np.count_nonzero(accept):
             done, keep = active[accept], ~accept
             f[done], ll[done], proposals[done] = prop[accept], ll_prop[accept], rounds
-            active, f_act, nu_act, log_y_act = (
-                active[keep], f_act[keep], nu_act[keep], log_y_act[keep])
+            active, f_act, nu_act, log_y_act, lo, hi, angle = (
+                active[keep], f_act[keep], nu_act[keep], log_y_act[keep], lo[keep], hi[keep],
+                angle[keep])
             if not active.size:
                 # theta now holds each chain's accepted angle
                 z *= (scale * np.sin(theta))[:, None, None]
                 g *= np.cos(theta)[:, None, None]
                 g += z
                 return f, g, ll, proposals
-        for i in active.tolist():
-            if theta[i] < 0.0:
-                lo[i] = theta[i]
-            else:
-                hi[i] = theta[i]
-            theta[i] = rngs[i].uniform(lo[i], hi[i])
+        # the rejected angle becomes the end of its bracket on its side of 0,
+        # and each chain draws its next angle in the bracket from its own
+        # stream: lo + (hi - lo) * u is the bits of Generator.uniform(lo, hi)
+        below = angle < 0.0
+        lo, hi = np.where(below, angle, lo), np.where(below, hi, angle)
+        u = np.array([rngs[i].uniform() for i in active.tolist()])
+        theta[active] = lo + (hi - lo) * u
     i = active[0]
     raise _chain_error(
         ColdGPError, i,
@@ -259,9 +295,11 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
     scale = np.sqrt(chain_t)
     rngs = [RngStream(seed, chain) for seed in seeds for chain in range(n_chains)]
     y = train.targets
+    # the two-class likelihood's label signs, built once for the sweep
+    sign = 2.0 * y - 1.0 if c == 2 else None
 
     def log_lik(props, idx):
-        return _contrast_log_softmax_sums(props, y) / chain_t[idx]
+        return _contrast_log_softmax_sums(props, y, sign) / chain_t[idx]
 
     ll = log_lik(f, np.arange(k))
     try:

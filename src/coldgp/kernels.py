@@ -182,16 +182,22 @@ def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
     ka = _nngp_self_covs(spec, a)
     # each hidden layer reads the previous layer's self-covariances
     variances = list(zip(ka, ka if symmetric else _nngp_self_covs(spec, b)))[:-1]
-    # the recursion runs in place on one row block at a time, with block-sized
-    # scratch, and keeps the operation order of the module docstring's formulas
-    # (+ and * commute exactly), so its bits are theirs.  A symmetric block
-    # stops at its last row's column and is then mirrored into the upper triangle
+    # the recursion runs on one row block at a time, with block-sized scratch,
+    # and keeps the operation order of the module docstring's formulas (+ and
+    # * commute exactly), so its bits are theirs.  A cross block is a run of
+    # whole rows and is worked in place.  A symmetric block stops at its last
+    # row's column, so it is worked in contiguous scratch, copied back and
+    # then mirrored into the upper triangle
     rows = block_rows(m)
-    scratch = [np.empty(rows * m) for _ in range(3)]
+    scratch = [np.empty(rows * m) for _ in range(4 if symmetric else 3)]
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
-        kk = k[r0:r1, : r1 if symmetric else m]
-        q, j, tmp = (s[: kk.size].reshape(kk.shape) for s in scratch)
+        if symmetric:
+            kk = scratch[3][: (r1 - r0) * r1].reshape(r1 - r0, r1)
+            np.copyto(kk, k[r0:r1, :r1])
+        else:
+            kk = k[r0:r1]
+        q, j, tmp = (s[: kk.size].reshape(kk.shape) for s in scratch[:3])
         kk *= w
         kk /= d
         kk += bias
@@ -207,10 +213,11 @@ def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
             kk += bias
         kk *= spec.scale
         if symmetric:
-            k[:r0, r0:r1] = kk[:, :r0].T
             diag = kk[:, r0:]
             upper = np.triu_indices(r1 - r0, 1)
             diag[upper] = diag.T[upper]
+            k[r0:r1, :r1] = kk
+            k[:r0, r0:r1] = kk[:, :r0].T
     return k
 
 

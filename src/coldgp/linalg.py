@@ -312,7 +312,9 @@ def cholesky(a) -> SpdFactor:
     a : (n, n) array_like
         Symmetric matrix.  It must be finite, and max |a - a.T| may not
         exceed 1e-12 * max(max |a|, 1).  Both checks read one block of rows
-        at a time (``block_rows``), so they allocate no n x n temporary.
+        at a time (``block_rows``) and write the asymmetry into the work
+        array, or in place into one block of scratch, so they allocate
+        nothing else.
 
     Returns
     -------
@@ -334,21 +336,32 @@ def cholesky(a) -> SpdFactor:
         raise EmptyInputError("cannot factor an empty matrix")
     rows = block_rows(n)
     in_place = n > rows and a.flags.c_contiguous and a.flags.writeable
-    # one row block at a time, so no check needs an n x n temporary.  A NaN or
-    # an infinity makes its block's max |a| non-finite.  Each pair's asymmetry
-    # is read once, from the row of its lower-triangle entry, and judged only
-    # after every block has passed the finiteness check.  In place, the
-    # pairs must also agree bit for bit (a zero and a negative zero do not)
+    # one row block at a time, with no temporary of their own.  max |a| is
+    # max(max a, -min a), and a NaN or an infinity makes one of them
+    # non-finite.  Each pair's asymmetry is read from the row of its
+    # lower-triangle entry (a pair inside a diagonal block from both rows)
+    # into ``diff``: rows of the work array that the first rung overwrites,
+    # or in place one block of scratch.  It is judged only after every block
+    # has passed the finiteness check.  In place, the pairs must also agree
+    # bit for bit (a zero and a negative zero do not), and pairs that do
+    # have no asymmetry to measure
+    scratch = np.empty((rows, n) if in_place else (n, n))
     abs_max = asym_max = 0.0
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
-        block_max = float(np.max(np.abs(a[r0:r1])))
-        if not np.isfinite(block_max):
+        top, bottom = float(a[r0:r1].max()), float(a[r0:r1].min())
+        if not (np.isfinite(top) and np.isfinite(bottom)):
             raise NonFiniteInputError("matrix contains NaN or infinity")
-        abs_max = max(abs_max, block_max)
-        below, above = a[r0:r1, :r1], a[:r1, r0:r1].T
-        asym_max = max(asym_max, float(np.max(np.abs(below - above))))
-        in_place = in_place and np.array_equal(below.view(np.int64), above.view(np.int64))
+        abs_max = max(abs_max, top, -bottom)
+        below, above, diff = a[r0:r1, :r1], a[:r1, r0:r1].T, scratch[: r1 - r0, :r1]
+        if in_place:
+            bits = np.bitwise_xor(below.view(np.int64), above.view(np.int64),
+                                  out=diff.view(np.int64))
+            in_place = not bits.any()
+            if in_place:
+                continue
+        np.subtract(below, above, out=diff)
+        asym_max = max(asym_max, float(diff.max()), -float(diff.min()))
     if asym_max > _SYM_RTOL * max(abs_max, 1.0):
         raise NotSymmetricError("matrix is not symmetric within relative tolerance 1e-12")
 
@@ -361,7 +374,9 @@ def cholesky(a) -> SpdFactor:
         diag_mean = float(np.sum(diag / n))
     # in place, work's strict upper triangle keeps a's until a rung succeeds
     potrf = _lapack().potrf
-    work = a if in_place else np.empty((n, n))
+    # the copy path factors in the checks' scratch, unless a bit mismatch
+    # ruled in place out after that scratch was sized as one block
+    work = a if in_place else scratch if scratch.shape[0] == n else np.empty((n, n))
     work_diag = work.reshape(-1)[:: n + 1]
     for i, rung in enumerate(JITTER_LADDER):
         eps = rung * diag_mean if rung else 0.0

@@ -11,7 +11,8 @@ Standard normals come from ``numpy.random.Generator.standard_normal``
 (the ziggurat transform); uniforms are 53-bit dyadic rationals in [0, 1).
 Draw order defines the sequence: two streams built from the same key agree
 bitwise only if they are consumed through the same method calls in the
-same order.
+same order.  A uniform takes one 64-bit output, so one call for two
+uniforms draws the values of two calls for one each.
 """
 from __future__ import annotations
 
@@ -58,8 +59,17 @@ class RngStream:
     def standard_normal(self, size):
         return self._gen.standard_normal(size)
 
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return self._gen.uniform(low, high)
+    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
+        """Uniforms on [low, high): a float, or an array shaped ``size``.
+
+        Each is low + (high - low) * u for a standard uniform u, as
+        ``Generator.uniform`` computes it.  On [0, 1) that is u itself, so the
+        default interval draws with ``Generator.random``, bit for bit the same
+        values from the same stream at a fraction of the call's cost.
+        """
+        if low == 0.0 and high == 1.0:
+            return self._gen.random(size)
+        return self._gen.uniform(low, high, size)
 
     def permutation(self, n: int) -> np.ndarray:
         if n < 0:

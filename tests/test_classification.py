@@ -67,6 +67,33 @@ def test_contrast_kernel_matches_scipy_log_softmax(data, c):
                                rtol=1e-13, atol=0.0)
 
 
+# contrasts that reach every branch of the two-class path: signed zeros,
+# subnormals, |d| near 36.7 (where 1 + exp(-|d|) rounds to 1), exp's
+# underflow and magnitudes up to 1e300, whose sums may overflow
+_EDGE_CONTRASTS = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 36.7, -36.7,
+                     37.5, -37.5, 745.2, -745.2, 1e300, -1e300]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_two_class_path_matches_the_general_formula_bitwise(data):
+    # one exp per point against the log-sum-exp over (0, d): the same bits,
+    # signed zeros included, and a chain with a NaN or an infinite contrast
+    # gets the general path's NaN, infinity or finite sum
+    k, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 8))
+    d = data.draw(hnp.arrays(np.float64, (k, 1, n), elements=_EDGE_CONTRASTS))
+    if data.draw(st.booleans()):
+        spots = data.draw(hnp.arrays(np.bool_, (k, 1, n)))
+        d[spots] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    y = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
+    with np.errstate(all="ignore"):
+        ref = _contrast_log_softmax_sums(d, y)
+        got = _contrast_log_softmax_sums(d, y, 2.0 * y - 1.0)
+    np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 def test_ess_transition_is_deterministic_given_stream():
     lower = cholesky(np.eye(3)).lower
     loglik = lambda props, idx: -0.5 * np.sum(props**2, axis=(1, 2))
@@ -232,6 +259,10 @@ def test_log_softmax_kernel_rows_match_one_chain_calls():
         sums = _contrast_log_softmax_sums(d, y)
         for i in range(4):
             assert sums[i] == _contrast_log_softmax_sums(d[i:i + 1], y)[0]
+        if c == 2:
+            sign = 2.0 * y - 1.0
+            for i in range(4):
+                assert sums[i] == _contrast_log_softmax_sums(d[i:i + 1], y, sign)[0]
 
 
 def test_ess_prior_recovery_constant_likelihood():

@@ -83,6 +83,22 @@ def test_symmetry_threshold_inside_last_block():
         cholesky(a)
 
 
+def test_symmetry_tolerance_reads_negative_entries_and_either_side():
+    # the tolerance scales with max |a|, here a negative entry's magnitude,
+    # and a pair straddling two row blocks is caught whichever side holds
+    # the excess
+    a = np.array([[1.0, -1e6 + 1e-7], [-1e6, 1.0]])  # within 1e-12 * 1e6
+    with pytest.raises(NotPositiveDefiniteError):
+        cholesky(a)
+    i, j = _BLOCKED_N - 3, 2  # rows in the last block and the first
+    assert j < block_rows(_BLOCKED_N) <= _BLOCKED_N - block_rows(_BLOCKED_N) <= i
+    for pair in ((i, j), (j, i)):
+        b = _blocked_diagonal()
+        b[pair] = np.nextafter(1e-12 * _BLOCKED_N, np.inf)
+        with pytest.raises(NotSymmetricError):
+            cholesky(b)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("upper", [False, True])
 def test_non_finite_inside_last_block(bad, upper):
@@ -156,6 +172,24 @@ def test_jitter_rung_allocates_one_factor():
         tracemalloc.stop()
     assert f.jitter_used > 0.0
     assert peak <= 1.25 * f.lower.nbytes
+
+
+def test_one_block_checks_write_into_the_work_array():
+    # a matrix of one row block is checked in the rows of its work copy, so
+    # the call allocates that copy and no temporary of its size beside it
+    n = 200
+    assert block_rows(n) >= n
+    a = np.full((n, n), 0.5) + 0.5 * np.eye(n)
+    a[0, 1] += 1e-14  # asymmetric within tolerance
+    cholesky(np.eye(2))  # binds the BLAS routines outside the trace
+    tracemalloc.start()
+    try:
+        f = cholesky(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.jitter_used == 0.0 and not np.shares_memory(f.lower, a)
+    assert peak <= 1.25 * a.nbytes
 
 
 def test_factor_raises_peak_rss_by_about_one_factor(tmp_path):

@@ -70,6 +70,25 @@ def test_uniform_bounds_and_normal_moments():
     assert abs(z.std() - 1.0) < 0.01
 
 
+def test_bracket_draws_match_generator_uniform():
+    # the sampler draws a standard uniform u per chain and forms its angle
+    # as lo + (hi - lo) * u for a whole array of brackets at once: the bits
+    # Generator.uniform(lo, hi) gives from the same stream.  Its first two
+    # uniforms come from one call, as the slice height u and the angle
+    # 2 pi * u', which Generator.uniform(0, 2 pi) gives
+    rng = np.random.default_rng(27)
+    lo = -2.0 * np.pi * rng.random(20_000)
+    hi = lo + 2.0 * np.pi * rng.random(20_000)
+    ours = RngStream(2027, 3)
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence(2027, spawn_key=(3,))))
+    pair = ours.uniform(size=2)
+    assert pair[0] == gen.uniform() and 2.0 * np.pi * pair[1] == gen.uniform(0.0, 2.0 * np.pi)
+    u = np.array([ours.uniform() for _ in range(lo.size)])
+    ref = np.array([gen.uniform(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
+    np.testing.assert_array_equal((lo + (hi - lo) * u).view(np.int64), ref.view(np.int64))
+    assert ours.uniform(-1.0, 2.0) == gen.uniform(-1.0, 2.0)
+
+
 def test_permutation_is_a_permutation():
     p = RngStream(5, 0).permutation(100)
     assert sorted(p.tolist()) == list(range(100))

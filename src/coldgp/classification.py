@@ -107,13 +107,15 @@ class EssConfig:
                 raise ValueError(f"{name} must be >= {minimum}")
 
 
-def _contrast_log_softmax_sums(d, y, sign=None):
+def _contrast_log_softmax_sums(d, index, sign=None):
     """Per-chain sums of the log-softmax at the labels, from class contrasts.
 
     ``d`` is a C-ordered (k, C - 1, n) array of contrasts d_c = f_c - f_0
-    (c = 1 .. C - 1) and ``y`` holds n labels in range.  A softmax ignores a
-    shift common to all classes, so with d_0 = 0 the log-softmax of f at
-    label y_i is d_{y_i} - log sum_c exp(d_c).  Returns the (k,) vector of
+    (c = 1 .. C - 1) and ``index`` holds the n flat positions y_i * n + i of
+    the labels y_i, in range, in a C-ordered (C, n) array; the caller builds
+    it once, as it does ``sign``.  A softmax ignores a shift common to all
+    classes, so with d_0 = 0 the log-softmax of f at label y_i is
+    d_{y_i} - log sum_c exp(d_c).  Returns the (k,) vector of
     its sums over the n points, computed as log-sum-exp over
     (0, d_1 .. d_{C-1}) with the max m = max(0, d_1 .. d_{C-1}) subtracted:
     sum_i [ (d_{y_i, i} - m_i) - log sum_c exp(d_{c, i} - m_i) ].  The shifted
@@ -143,7 +145,7 @@ def _contrast_log_softmax_sums(d, y, sign=None):
         sums = label.sum(axis=-1)
         bad = ~np.isfinite(sums)
         if np.count_nonzero(bad):
-            sums[bad] = _contrast_log_softmax_sums(d[bad], y)
+            sums[bad] = _contrast_log_softmax_sums(d[bad], index)
         return sums
     # m has its own buffer: numpy 2.4.6 negates a (k, 1) view such as
     # a[:, 0] at n = 1 in place wrongly, reading row 1 from the wrong place
@@ -152,7 +154,7 @@ def _contrast_log_softmax_sums(d, y, sign=None):
     np.negative(m, out=a[:, 0])
     np.subtract(d, m[:, None], out=a[:, 1:])
     # C-ordered, so each chain's sum below adds its own contiguous row
-    label = np.take(a.reshape(k, -1), y * n + np.arange(n), axis=1)
+    label = np.take(a.reshape(k, -1), index, axis=1)
     np.exp(a, out=a)
     s = a.sum(axis=-2)
     label -= np.log(s, out=s)
@@ -295,11 +297,13 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
     scale = np.sqrt(chain_t)
     rngs = [RngStream(seed, chain) for seed in seeds for chain in range(n_chains)]
     y = train.targets
-    # the two-class likelihood's label signs, built once for the sweep
+    # the labels' flat index and the two-class likelihood's label signs,
+    # built once for the sweep
+    index = y * n + np.arange(n)
     sign = 2.0 * y - 1.0 if c == 2 else None
 
     def log_lik(props, idx):
-        return _contrast_log_softmax_sums(props, y, sign) / chain_t[idx]
+        return _contrast_log_softmax_sums(props, index, sign) / chain_t[idx]
 
     ll = log_lik(f, np.arange(k))
     try:

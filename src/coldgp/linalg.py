@@ -259,9 +259,9 @@ def one_blas_thread(factors: bool):
     returns the run.log line: ``blas_factors=<build>`` where the run factors,
     then each build's pinned thread count and config string, or its state:
     ``not-pinned`` (it computes but exports no thread setter),
-    ``not-loaded``, or ``not-used`` (scipy's, loaded by ``cdist``, computes
-    nothing here).  Call it after the work, so that it sees what the work
-    loaded.
+    ``not-loaded``, or ``not-used`` (scipy's, loaded by other code in the
+    process, computes nothing here).  Call it after the work, so that it
+    sees what the work loaded.
     """
     factoring = _lapack().name if factors else None
     restore, fields = [], {}

@@ -21,8 +21,8 @@ prediction reads it with the factor of the noisy Gram, and the
 classification sweep with that of K(X, X).
 
 Both triangular solves are :func:`coldgp.linalg.tril_solve`, LAPACK
-``dtrtrs`` on the one BLAS build that also factors, so this module loads no
-scipy (an rbf kernel's Gram loads ``scipy.spatial`` for ``cdist``).
+``dtrtrs`` on the one BLAS build that also factors, and the rbf Gram's
+squared distances are numpy's, so a regression run loads no scipy.
 """
 from __future__ import annotations
 

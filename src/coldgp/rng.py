@@ -59,17 +59,15 @@ class RngStream:
     def standard_normal(self, size):
         return self._gen.standard_normal(size)
 
-    def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
-        """Uniforms on [low, high): a float, or an array shaped ``size``.
+    def uniform(self, size=None):
+        """Standard uniforms on [0, 1): a float, or an array shaped ``size``.
 
-        Each is low + (high - low) * u for a standard uniform u, as
-        ``Generator.uniform`` computes it.  On [0, 1) that is u itself, so the
-        default interval draws with ``Generator.random``, bit for bit the same
-        values from the same stream at a fraction of the call's cost.
+        ``Generator.random`` draws them: bit for bit the values of
+        ``Generator.uniform()`` from the same stream, at a fraction of the
+        call's cost.  A caller that needs [lo, hi) forms lo + (hi - lo) * u,
+        the bits of ``Generator.uniform(lo, hi)``.
         """
-        if low == 0.0 and high == 1.0:
-            return self._gen.random(size)
-        return self._gen.uniform(low, high, size)
+        return self._gen.random(size)
 
     def permutation(self, n: int) -> np.ndarray:
         if n < 0:

@@ -40,12 +40,17 @@ def _contrasts(f):
     return f[:, 1:] - f[:, :1]
 
 
+def _index(y):
+    """The labels' flat positions y_i * n + i that the likelihood reads."""
+    return y * y.size + np.arange(y.size)
+
+
 def test_tempered_log_likelihood_matches_log_softmax():
     # at t = 1 the tempered log-likelihood is the log-softmax at the labels
     f = np.array([[10.0, 0.0], [-1.0, 2.5]])  # (n, C): one row per point
     y = np.array([0, 1])
     ref = (scipy.special.log_softmax(f[0])[0] + scipy.special.log_softmax(f[1])[1])
-    got = _contrast_log_softmax_sums(_contrasts(f.T.copy()[None]), y)[0]
+    got = _contrast_log_softmax_sums(_contrasts(f.T.copy()[None]), _index(y))[0]
     np.testing.assert_allclose(got, ref, rtol=1e-13)
 
 
@@ -63,7 +68,7 @@ def test_contrast_kernel_matches_scipy_log_softmax(data, c):
     f = data.draw(grid) / 2.0**20 + data.draw(offsets).astype(np.float64)
     y = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, c - 1)))
     ref = scipy.special.log_softmax(f, axis=-2)[:, y, np.arange(n)].sum(axis=-1)
-    np.testing.assert_allclose(_contrast_log_softmax_sums(_contrasts(f), y), ref,
+    np.testing.assert_allclose(_contrast_log_softmax_sums(_contrasts(f), _index(y)), ref,
                                rtol=1e-13, atol=0.0)
 
 
@@ -89,8 +94,8 @@ def test_two_class_path_matches_the_general_formula_bitwise(data):
         d[spots] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
     y = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, 1)))
     with np.errstate(all="ignore"):
-        ref = _contrast_log_softmax_sums(d, y)
-        got = _contrast_log_softmax_sums(d, y, 2.0 * y - 1.0)
+        ref = _contrast_log_softmax_sums(d, _index(y))
+        got = _contrast_log_softmax_sums(d, _index(y), 2.0 * y - 1.0)
     np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
 
@@ -144,7 +149,8 @@ def test_ess_transition_nan_proposal_in_one_chain_raises():
 def _reference_transition(f, g, ll, log_lik, lower, scale, rng):
     """One chain's ESS transition as a plain loop on (n, C) matrices, one
     column per class: the reference for the class-major batch.  ``f`` holds
-    the C - 1 contrasts L @ (g_c - g_0)."""
+    the C - 1 contrasts L @ (g_c - g_0), and ``rng`` is a numpy Generator
+    replaying the chain's stream, so each angle is Generator.uniform's own."""
     z = rng.standard_normal(g.shape)
     nu = scale * tril_matmul(lower, z[:, 1:] - z[:, :1])
     with np.errstate(divide="ignore"):
@@ -182,7 +188,8 @@ def _check_batched_transition(k, c):
 
     batch_rngs = [RngStream(21, i) for i in range(k)]
     single_rngs = [RngStream(21, i) for i in range(k)]
-    loop_rngs = [RngStream(21, i) for i in range(k)]
+    loop_rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(21, spawn_key=(i,))))
+                 for i in range(k)]
     f, g = np.zeros((k, c - 1, n)), np.zeros((k, c, n))
     ll = loglik(f, np.arange(k))
     singles = [(f[i:i + 1].copy(), g[i:i + 1].copy(), ll[i:i + 1].copy()) for i in range(k)]
@@ -240,7 +247,8 @@ def test_whitened_state_tracks_the_latent_along_a_chain():
     train, _ = gen_cluster_classification(25, 3, 3, 2.0, seed=3)
     lower = _factor(KernelSpec.rbf(), train).lower
     temps = np.array([0.05, 1.0, 4.0])
-    loglik = lambda props, idx: _contrast_log_softmax_sums(props, train.targets) / temps[idx]
+    index = _index(train.targets)
+    loglik = lambda props, idx: _contrast_log_softmax_sums(props, index) / temps[idx]
     f, g = np.zeros((3, 2, train.n)), np.zeros((3, 3, train.n))
     ll = loglik(f, np.arange(3))
     rngs = [RngStream(17, i) for i in range(3)]
@@ -256,13 +264,14 @@ def test_log_softmax_kernel_rows_match_one_chain_calls():
     for n, c in [(1, 2), (7, 3), (300, 2), (2000, 8)]:
         d = 3.0 * rng.standard_normal((4, n, c - 1)).transpose(0, 2, 1).copy()
         y = rng.integers(0, c, size=n)
-        sums = _contrast_log_softmax_sums(d, y)
+        index = _index(y)
+        sums = _contrast_log_softmax_sums(d, index)
         for i in range(4):
-            assert sums[i] == _contrast_log_softmax_sums(d[i:i + 1], y)[0]
+            assert sums[i] == _contrast_log_softmax_sums(d[i:i + 1], index)[0]
         if c == 2:
             sign = 2.0 * y - 1.0
             for i in range(4):
-                assert sums[i] == _contrast_log_softmax_sums(d[i:i + 1], y, sign)[0]
+                assert sums[i] == _contrast_log_softmax_sums(d[i:i + 1], index, sign)[0]
 
 
 def test_ess_prior_recovery_constant_likelihood():
@@ -340,7 +349,7 @@ def test_class_column_kernels_match_numpy_reductions(c):
                       - (m + np.log(np.sum(np.exp(fl - m[..., None]), axis=-1))), axis=-1)
     e = np.exp(fl - m[..., None])
     ref_probs = (e / e.sum(axis=-1, keepdims=True)).transpose(0, 2, 1)
-    sums, probs = _contrast_log_softmax_sums(_contrasts(f), y), _softmax(f)
+    sums, probs = _contrast_log_softmax_sums(_contrasts(f), _index(y)), _softmax(f)
     np.testing.assert_allclose(sums, ref_sums, rtol=1e-13)
     if c <= 7:
         np.testing.assert_array_equal(probs, ref_probs)
@@ -378,7 +387,7 @@ def test_class_axis_kernels_add_classes_in_order(c, n):
         s = s + np.exp(shifted[:, j])
     # one C-ordered row per chain, so the sum over points is numpy's pairwise one
     ref_sums = np.ascontiguousarray(shifted[:, y, np.arange(n)] - np.log(s)).sum(axis=-1)
-    np.testing.assert_array_equal(_contrast_log_softmax_sums(d, y), ref_sums)
+    np.testing.assert_array_equal(_contrast_log_softmax_sums(d, _index(y)), ref_sums)
 
 
 def _factor(kern, train):
@@ -505,9 +514,9 @@ def test_tempered_log_likelihood_scales_as_inverse_temperature(monkeypatch):
     chain_t = np.repeat(temps, cfg.n_chains)
     y = train.targets
     assert f0.shape == (len(chain_t), 2, train.n) and not f0.any()
-    np.testing.assert_array_equal(ll0, _contrast_log_softmax_sums(f0, y) / chain_t)
+    np.testing.assert_array_equal(ll0, _contrast_log_softmax_sums(f0, _index(y)) / chain_t)
     one = np.random.default_rng(0).standard_normal((1, train.n, 2)).transpose(0, 2, 1).copy()
-    base = _contrast_log_softmax_sums(one, y)[0]
+    base = _contrast_log_softmax_sums(one, _index(y))[0]
     props = np.repeat(one, len(chain_t), axis=0)
     got = log_lik(props, np.arange(len(chain_t)))
     assert got.tolist() == [base / 0.25] * 2 + [base] * 2 + [base / 2.0] * 2

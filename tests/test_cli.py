@@ -938,9 +938,19 @@ def _bundled_run(tmp_path, name):
 
 def test_nngp_run_loads_no_optional_scipy(tmp_path):
     # an nngp sweep factors, solves and multiplies on numpy's OpenBLAS and
-    # loads no scipy at all; scipy.spatial (with linalg, special and sparse)
-    # loads inside the rbf Gram, the one function that calls it
+    # loads no scipy at all
     assert _scipy_loaded(tmp_path, _bundled_run(tmp_path, "fig1")) == [[], 0, []]
+
+
+def test_rbf_runs_load_no_scipy(tmp_path):
+    # the rbf Gram's squared distances are numpy's, with cdist's bits, so
+    # neither an rbf regression (its generator too) nor an rbf classification
+    # loads scipy.spatial, or the scipy.linalg it would bring
+    assert _scipy_loaded(tmp_path, _bundled_run(tmp_path, "fig3b")) == [[], 0, []]
+    payload = classify_payload("rbf")
+    payload["kernel"] = {"family": "rbf", "lengthscale": 1.0, "variance": 1.0}
+    cfg = _write_config(tmp_path, "rbf.json", payload)
+    assert _scipy_loaded(tmp_path, ["run", "--config", cfg]) == [[], 0, []]
 
 
 def test_probe_run_loads_no_optional_scipy(tmp_path):
@@ -964,9 +974,8 @@ def test_plot_data_and_clusters_gen_data_load_no_scipy(tmp_path):
 
 def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
     # at 200 training points numpy's OpenBLAS splits work across threads;
-    # unpinned, two threads moved the last digits of test_log_likelihood.  In
-    # the rbf regress run cdist loads scipy's build, which computes nothing
-    # there and is left unpinned
+    # unpinned, two threads moved the last digits of test_log_likelihood.
+    # Neither run loads scipy's build
     import coldgp.linalg as linalg
 
     classify = copy.deepcopy(BUNDLED["fig1"])
@@ -976,8 +985,7 @@ def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
     regress["data"].update(n_train=400, n_test=200)
     regress["regression"]["n_seeds"] = 1
     build = linalg._lapack().name
-    for name, raw, scipy_state in (("classify", classify, "not-loaded"),
-                                   ("regress", regress, "not-used")):
+    for name, raw in (("classify", classify), ("regress", regress)):
         (tmp_path / f"{name}.json").write_text(json.dumps(raw))
         for threads in ("1", "2"):
             code, _, err = run_python(["-m", "coldgp.cli", "run", "--config", f"{name}.json",
@@ -991,7 +999,7 @@ def test_results_do_not_depend_on_the_blas_thread_count(tmp_path):
             if build == "scipy":
                 assert "blas_scipy_threads=1 " in blas[0], blas
             else:
-                assert blas[0].endswith(f" blas_scipy={scipy_state}"), blas
+                assert blas[0].endswith(" blas_scipy=not-loaded"), blas
         assert (tmp_path / f"{name}1" / "results.csv").read_bytes() == \
             (tmp_path / f"{name}2" / "results.csv").read_bytes()
 
@@ -1071,7 +1079,10 @@ def test_build_without_thread_symbols_factors_unpinned(tmp_path, monkeypatch, fr
     out = tmp_path / "o"
     assert main(["run", "--config", _write_config(tmp_path, "r.json",
                                                   regress_payload(out))]) == 0
-    assert _blas_line(out) == "blas_factors=numpy blas_numpy=not-pinned blas_scipy=not-used"
+    # the run loads no scipy; earlier tests may have loaded it
+    scipy_state = "not-used" if "scipy.linalg" in sys.modules else "not-loaded"
+    assert _blas_line(out) == ("blas_factors=numpy blas_numpy=not-pinned "
+                               f"blas_scipy={scipy_state}")
 
 
 @pytest.mark.parametrize("name", ["fig1", "fig3b"])
@@ -1103,21 +1114,29 @@ def test_scipy_fallback_writes_the_same_bytes(tmp_path, monkeypatch, fresh_blas,
 
 
 def test_runs_that_need_no_scipy_run_without_it(tmp_path):
-    # with scipy blocked from importing, an nngp sweep, a probe, plot-data
-    # and a clusters gen-data exit 0 and write the bytes of a normal run
+    # with scipy blocked from importing, an nngp sweep, an rbf regression, a
+    # probe, plot-data and a clusters and an rbf-regression gen-data exit 0
+    # and write the bytes of a normal run
     write_csv(tmp_path / "results.csv", PROBE_HEADER, [(1000.0, 0.5, 0.25, 0.75)])
     (tmp_path / "gen.json").write_text(json.dumps({
         "experiment": "gen-data", "output_dir": "gen",
         "data": {"generator": "clusters", "n_per_class": 6, "class_count": 2,
                  "dim": 2, "separation": 2.0}}))
-    for name in ("fig1", "fig2a"):
+    (tmp_path / "rbf_gen.json").write_text(json.dumps({
+        "experiment": "gen-data", "seed": 3, "output_dir": "rbf_gen",
+        "kernel": {"family": "rbf", "lengthscale": 0.7, "variance": 1.0},
+        "data": {"generator": "rbf-regression", "n_train": 30, "n_test": 20,
+                 "noise_std": 0.1}}))
+    for name in ("fig1", "fig2a", "fig3b"):
         (tmp_path / f"{name}.json").write_text(json.dumps(BUNDLED[name]))
     for side, block in (("blocked", "sys.modules['scipy'] = None"), ("normal", "")):
         argvs = [["run", "--config", "fig1.json", "--out", f"{side}/fig1"],
                  ["run", "--config", "fig2a.json", "--out", f"{side}/fig2a"],
+                 ["run", "--config", "fig3b.json", "--out", f"{side}/fig3b"],
                  ["plot-data", "--input", "results.csv", "--figure", "fig2a",
                   "--out", f"{side}_plot.csv"],
-                 ["gen-data", "--config", "gen.json", "--out", f"{side}/gen"]]
+                 ["gen-data", "--config", "gen.json", "--out", f"{side}/gen"],
+                 ["gen-data", "--config", "rbf_gen.json", "--out", f"{side}/rbf_gen"]]
         script = "\n".join([
             "import json, sys",
             block,
@@ -1126,8 +1145,9 @@ def test_runs_that_need_no_scipy_run_without_it(tmp_path):
         ])
         code, out, err = run_python(["-c", script], tmp_path)
         assert (code, err) == (0, "")
-        assert json.loads(out.splitlines()[-1]) == [0, 0, 0, 0]
-    for name in ("fig1/results.csv", "fig2a/results.csv", "gen/train.csv", "gen/test.csv"):
+        assert json.loads(out.splitlines()[-1]) == [0] * len(argvs)
+    for name in ("fig1/results.csv", "fig2a/results.csv", "fig3b/results.csv",
+                 "gen/train.csv", "gen/test.csv", "rbf_gen/train.csv", "rbf_gen/test.csv"):
         assert (tmp_path / "blocked" / name).read_bytes() == \
             (tmp_path / "normal" / name).read_bytes(), name
     assert (tmp_path / "blocked_plot.csv").read_bytes() == \

@@ -1,10 +1,12 @@
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coldgp.exceptions import (
     DimensionMismatchError,
@@ -16,6 +18,7 @@ from coldgp.kernels import (
     FAMILIES,
     KernelSpec,
     _arc_cosine_j,
+    _sq_distances,
     gram,
     gram_diag,
 )
@@ -98,6 +101,37 @@ def test_rbf_gram_matches_fresh_array_expression_bitwise(n, m):
     spec = KernelSpec.rbf(lengthscale=0.7, variance=2.5, scale=1.3)
     ref = 1.3 * 2.5 * np.exp(-cdist(a, b, "sqeuclidean") / (2.0 * 0.7**2))
     np.testing.assert_array_equal(gram(spec, a, b), ref)
+
+
+# coordinates that reach each rounding case of a squared difference: signed
+# zeros, subnormals, squares that underflow, magnitudes near 1e154 whose
+# squares overflow to inf, and differences that overflow themselves
+_EDGE_COORDS = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160,
+                     1e154, -1e154, 1.35e154, -1.35e154, 1e308, -1e308]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(data=st.data())
+def test_sq_distances_match_cdist_bitwise(data):
+    # the column loop adds (a_j - b_j)^2 in cdist's order, so every entry
+    # has cdist's bits, whatever the row blocks; a symmetric Gram's mirrored
+    # upper triangle has them too, since (x - y)^2 and (y - x)^2 agree
+    from scipy.spatial.distance import cdist
+
+    d = data.draw(st.integers(1, 17))
+    n, m = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+    a = data.draw(hnp.arrays(np.float64, (n, d), elements=_EDGE_COORDS))
+    symmetric = data.draw(st.booleans())
+    b = a if symmetric else data.draw(hnp.arrays(np.float64, (m, d), elements=_EDGE_COORDS))
+    rows = data.draw(st.integers(1, n))
+    with mock.patch("coldgp.kernels.block_rows", lambda width: rows), warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow is inf, as in cdist, not a warning
+        got = _sq_distances(a, b, symmetric)
+    ref = cdist(a, b, "sqeuclidean")
+    np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 @pytest.mark.parametrize("n, m", [(1500, None), (1600, 1500)])

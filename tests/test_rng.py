@@ -62,8 +62,10 @@ def test_stream_is_immutable():
 
 def test_uniform_bounds_and_normal_moments():
     s = RngStream(2024, 0)
-    u = np.array([s.uniform(-2.0, 3.0) for _ in range(2000)])
-    assert u.min() >= -2.0 and u.max() < 3.0
+    u = np.array([s.uniform() for _ in range(1000)] + s.uniform(size=1000).tolist())
+    assert u.min() >= 0.0 and u.max() < 1.0
+    # SE of the mean is ~1/sqrt(12 * 2000)
+    assert abs(u.mean() - 0.5) < 4.0 / np.sqrt(12 * u.size)
     z = RngStream(2024, 1).standard_normal(200_000)
     # loose moment checks; SE of the mean is ~1/sqrt(2e5)
     assert abs(z.mean()) < 4.0 / np.sqrt(z.size)
@@ -86,7 +88,6 @@ def test_bracket_draws_match_generator_uniform():
     u = np.array([ours.uniform() for _ in range(lo.size)])
     ref = np.array([gen.uniform(a, b) for a, b in zip(lo.tolist(), hi.tolist())])
     np.testing.assert_array_equal((lo + (hi - lo) * u).view(np.int64), ref.view(np.int64))
-    assert ours.uniform(-1.0, 2.0) == gen.uniform(-1.0, 2.0)
 
 
 def test_permutation_is_a_permutation():

@@ -41,7 +41,9 @@ regression prediction also reads: one triangular solve, in place in the
 buffer of K(X*, X), gives both the means and the variances, and the
 conditional pieces hold one n x p array.  Class probabilities
 average softmax draws over both the posterior samples and this
-conditional.
+conditional; the draws of one sample come in antithetic pairs
+mean +/- sd * z, so a pair takes one set of normals and its two errors
+partly cancel.
 
 The predictive reads a retained sample only through v^T G, so the sampler
 retains that and not G: at each retained step, one product reads v once and
@@ -91,7 +93,8 @@ class EssConfig:
     Total retained samples = n_chains * n_samples_per_chain; each chain runs
     burn_in discarded transitions and then keeps every thinning-th state.
     The predictive averages draws_per_sample softmax draws of the test
-    latents per retained sample.
+    latents per retained sample, made in antithetic pairs from
+    ceil(draws_per_sample / 2) sets of normals.
     """
 
     n_chains: int = 4
@@ -345,22 +348,32 @@ def _chain_prob_means(means, sd, draws_per_sample: int, rng: RngStream):
     ``means`` is one temperature's C-ordered (n_chains, per_chain, C, p)
     array of retained test-latent means v^T G (:func:`_sample_grid`) and
     ``sd`` the (p,) conditional standard deviations sqrt(t * schur).  Each
-    retained sample adds ``draws_per_sample`` softmax draws of its (C, p)
-    test latents, one at a time; each draw's (p, C) normals are stored
-    transposed.  Randomness is consumed in (chain, sample, draw) order, so
-    the result is identical however the caller later combines chains.
+    retained sample adds d = ``draws_per_sample`` softmax draws of its
+    (C, p) test latents, in antithetic pairs (Hammersley & Morton 1956): one
+    ``standard_normal`` call gives h = ceil(d / 2) sets of (p, C) normals z,
+    stored transposed, and the d latent rows are mean + sd * z for every
+    set, then mean - sd * z for the first floor(d / 2) sets.  The Gaussian
+    is symmetric, so each row is still a draw of the conditional and the
+    average is unbiased; a pair's errors partly cancel, so it varies less
+    than two independent draws.  At d = 1 this is one independent draw.
+    Randomness is consumed in (chain, sample) order, so the result is
+    identical however the caller later combines chains.
     Returns (n_chains, p, C).
     """
     n_chains, per_chain, c, p = means.shape
-    latents = np.empty((draws_per_sample, c, p))
+    half = (draws_per_sample + 1) // 2
+    # every set's mirror is formed; at odd d the last one is not averaged
+    latents = np.empty((2 * half, c, p))
+    rows = latents[:draws_per_sample]
     chain_means = np.empty((n_chains, p, c))
     for ci in range(n_chains):
         acc = np.zeros((c, p))
         for mean in means[ci]:
-            np.multiply(sd, rng.standard_normal((draws_per_sample, p, c)).transpose(0, 2, 1),
-                        out=latents)
-            latents += mean
-            for probs in _softmax(latents):
+            np.multiply(sd, rng.standard_normal((half, p, c)).transpose(0, 2, 1),
+                        out=latents[:half])
+            np.negative(latents[:half], out=latents[half:])
+            rows += mean
+            for probs in _softmax(rows):
                 acc += probs
         chain_means[ci] = (acc / (per_chain * draws_per_sample)).T
     return chain_means
@@ -396,8 +409,8 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
     lock-step sampler pass advances every (temperature, chain) pair.  The
     sampler retains the test-latent means of the whole grid, T * n_chains *
     n_samples_per_chain * C * p float64 values for p test points, and the
-    predictive adds ``config.draws_per_sample`` softmax draws per retained
-    sample, one temperature at a time.
+    predictive adds ``config.draws_per_sample`` antithetic softmax draws per
+    retained sample (:func:`_chain_prob_means`), one temperature at a time.
     Returns a dict of 1-D float64 arrays in grid order: test_log_likelihood,
     top1_accuracy, and their between-chain Monte Carlo standard errors
     mc_se_log_likelihood and mc_se_accuracy (0 for a single chain); ``stats``
@@ -411,8 +424,9 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
     check_array_size("the retained test-latent means (temperatures, n_chains, "
                      "n_samples_per_chain, classes, test points)",
                      (len(temps), config.n_chains, config.n_samples_per_chain, c, test.n))
-    check_array_size("the predictive draws (draws_per_sample, classes, test points)",
-                     (config.draws_per_sample, c, test.n))
+    check_array_size("the predictive's antithetic draws (2 * ceil(draws_per_sample / 2), "
+                     "classes, test points)",
+                     (2 * ((config.draws_per_sample + 1) // 2), c, test.n))
     prior_factor = cholesky(gram(kernel, train.inputs, train.inputs))
     v, schur = conditional(prior_factor, gram(kernel, test.inputs, train.inputs),
                            gram_diag(kernel, test.inputs))

@@ -136,11 +136,12 @@ def test_sq_distances_match_cdist_bitwise(data):
 
 @pytest.mark.parametrize("n, m", [(1500, None), (1600, 1500)])
 def test_rbf_gram_memory_stays_near_output_size(n, m):
-    # the exponential runs in place on cdist's output: no second n x m array
+    # the distances are summed in row blocks of bounded scratch and the
+    # exponential runs in place on them: no second n x m array
     rng = np.random.default_rng(n)
     a = rng.standard_normal((n, 8))
     b = a if m is None else rng.standard_normal((m, 8))
-    gram(KernelSpec.rbf(), a[:2], a[:2])  # loads scipy.spatial outside the trace
+    gram(KernelSpec.rbf(), a[:2], a[:2])  # one warm-up call outside the trace
     tracemalloc.start()
     try:
         g = gram(KernelSpec.rbf(), a, b)

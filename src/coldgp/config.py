@@ -17,13 +17,12 @@ from .aleatoric import MIN_HALF_WIDTH_SIGMAS
 from .classification import EssConfig
 from .exceptions import ConfigError
 from .kernels import FAMILIES, KernelSpec
+from .rng import _MAX_SEED
 
 EXPERIMENTS = ("regress-sweep", "classify-sweep", "probe", "gen-data")
 GENERATORS = ("rbf-regression", "clusters")
 SOURCES = ("cifar10", "file")
 NORMALIZE_SCHEMES = ("none", "global-standardize")
-
-_SEED_MAX = 2 ** 64
 
 
 @dataclass(frozen=True)
@@ -310,7 +309,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     seed = raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"key 'seed' must be an integer, got {seed!r}")
-    if not (0 <= seed < _SEED_MAX):
+    if not (0 <= seed < _MAX_SEED):
         raise ConfigError(f"key 'seed' must be in [0, 2**64), got {seed!r}")
     output_dir = raw.get("output_dir", f"runs/{experiment}")
     if not isinstance(output_dir, str) or not output_dir:
@@ -359,7 +358,7 @@ def apply_overrides(config: ExperimentConfig, seed: int | None = None,
                     output_dir: str | None = None) -> ExperimentConfig:
     """Fold command-line overrides into the resolved config."""
     if seed is not None:
-        if not (0 <= seed < _SEED_MAX):
+        if not (0 <= seed < _MAX_SEED):
             raise ConfigError(f"--seed must be in [0, 2**64), got {seed!r}")
         config = replace(config, seed=seed)
     if output_dir is not None:

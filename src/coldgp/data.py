@@ -1,5 +1,6 @@
 """Datasets: synthetic generators, the CIFAR-10 binary loader, global input
-standardization, and a columnar text format for persisting generated data.
+standardization, and saving and loading datasets in the table layout that
+:mod:`coldgp.records` owns.
 
 CIFAR-10 binary layout (the classic batch files): each record is exactly
 3073 bytes, one label byte in [0, 9] followed by 3072 pixel bytes laid out
@@ -23,8 +24,8 @@ from .exceptions import (
     NonFiniteInputError,
     ZeroVarianceError,
     check_array_size,
-    open_text,
 )
+from .records import read_csv, write_csv
 from .rng import RngStream
 
 CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
@@ -221,7 +222,8 @@ def load_cifar10(dir_path, keep_classes=None, n_train=2000, n_test=1000, seed=0)
     if n_train < 1 or n_test < 1:
         raise EmptyInputError("need n_train >= 1 and n_test >= 1")
     keep = _normalize_keep(keep_classes)
-    remap = {old: new for new, old in enumerate(keep)}
+    remap = np.zeros(10, dtype=np.int64)  # original class -> its position in keep
+    remap[keep] = np.arange(len(keep))
 
     def gather(files, count, stream):
         all_pixels, all_labels, origin = [], [], []
@@ -241,8 +243,7 @@ def load_cifar10(dir_path, keep_classes=None, n_train=2000, n_test=1000, seed=0)
             )
         perm = RngStream(seed, stream).permutation(pixels.shape[0])[:count]
         chosen = [origin[i] for i in perm]
-        y = np.array([remap[int(l)] for l in labels[perm]], dtype=np.int64)
-        return pixels[perm].astype(np.float64) / 255.0, y, chosen
+        return pixels[perm].astype(np.float64) / 255.0, remap[labels[perm]], chosen
 
     xtr, ytr, rec_tr = gather(CIFAR_TRAIN_FILES, n_train, 0)
     xte, yte, rec_te = gather((CIFAR_TEST_FILE,), n_test, 1)
@@ -270,59 +271,41 @@ def standardize(train: LabeledDataset, test: LabeledDataset):
 
 
 def save_dataset(data: LabeledDataset, path):
-    """Write a dataset in the columnar text format.
+    """Write a dataset as a table, through :func:`write_csv`.
 
-    One header line naming the columns (x0..x{d-1} then ``target`` for
-    regression or ``label`` for classification), then one comma-separated
-    row per example.  Floats are written with repr, so a round trip through
-    :func:`load_dataset` reproduces them bit-exactly.
+    The header names the columns, x0..x{d-1} then ``target`` for regression
+    or ``label`` for classification; then one row per example.  Floats are
+    written with repr, so a round trip through :func:`load_dataset`
+    reproduces them bit-exactly.
     """
     cols = [f"x{j}" for j in range(data.d)]
     cols.append("label" if data.is_classification else "target")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(data.n):
-            row = [repr(float(v)) for v in data.inputs[i]]
-            if data.is_classification:
-                row.append(str(int(data.targets[i])))
-            else:
-                row.append(repr(float(data.targets[i])))
-            fh.write(",".join(row) + "\n")
+    write_csv(path, cols, [x + [y] for x, y in zip(data.inputs.tolist(), data.targets.tolist())])
 
 
 def load_dataset(path, split_tag: str = "train", class_count: int | None = None) -> LabeledDataset:
-    """Read a dataset written by :func:`save_dataset`.
+    """Read a dataset written by :func:`save_dataset`, through :func:`read_csv`.
 
     The header's last column decides the kind: ``label`` means
     classification (class_count defaults to max label + 1, and a label of 2
     or more must then be below the row count), ``target`` means regression.
-    The file is ASCII text; any other byte raises MalformedRecordError.
+    A cell that does not parse raises MalformedRecordError naming its line.
     """
-    with open_text(path, "ascii") as fh:
-        header = fh.readline().strip()
-        if not header:
-            raise MalformedRecordError(f"{path}: missing header line")
-        cols = header.split(",")
-        kind = cols[-1]
-        if kind not in ("target", "label") or cols[:-1] != [f"x{j}" for j in range(len(cols) - 1)]:
-            raise MalformedRecordError(f"{path}: unrecognized header {header!r}")
-        d = len(cols) - 1
-        xs, ys = [], []
-        for line_no, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != d + 1:
-                raise MalformedRecordError(
-                    f"{path}:{line_no}: expected {d + 1} fields, got {len(parts)}"
-                )
-            try:
-                xs.append([float(v) for v in parts[:d]])
-                ys.append(float(parts[d]) if kind == "target" else np.int64(parts[d]))
-            except (ValueError, OverflowError):  # OverflowError: a label beyond int64
-                raise MalformedRecordError(
-                    f"{path}:{line_no}: unparseable field in {line.strip()!r}"
-                ) from None
-    if not xs:
+    header, rows = read_csv(path)
+    if not header:
+        raise MalformedRecordError(f"{path}: missing header line")
+    kind = header[-1]
+    if kind not in ("target", "label") or header[:-1] != [f"x{j}" for j in range(len(header) - 1)]:
+        raise MalformedRecordError(f"{path}: unrecognized header {header!r}")
+    if not rows:
         raise EmptyInputError(f"{path}: no data rows")
+    xs, ys = [], []
+    for line_no, row in enumerate(rows, start=2):
+        try:
+            xs.append([float(v) for v in row[:-1]])
+            ys.append(float(row[-1]) if kind == "target" else np.int64(row[-1]))
+        except (ValueError, OverflowError):  # OverflowError: a label beyond int64
+            raise MalformedRecordError(f"{path}:{line_no}: unparseable field in {row!r}") from None
     inputs = np.asarray(xs, dtype=np.float64)
     if kind == "target":
         return LabeledDataset(inputs, np.array(ys, dtype=np.float64), None, split_tag,

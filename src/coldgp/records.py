@@ -1,15 +1,14 @@
-"""Results tables and the best-temperature rule shared by the sweeps' callers.
+"""Tables and the best-temperature rule shared by the sweeps' callers.
 
 Sweeps return plain arrays in grid order; this module picks the best grid
-temperature from such an array and writes and reads the fixed-layout
-results CSV.
+temperature from such an array.  It also owns the one table layout that
+results, plots and datasets share: ASCII text, a header row, then one row
+per record, comma-separated, unquoted and ended by ``"\n"``.
 """
 from __future__ import annotations
 
 import csv
 from itertools import chain
-
-import numpy as np
 
 from .exceptions import EmptyInputError, MalformedRecordError, open_text
 
@@ -26,56 +25,47 @@ def best_temperature(temperatures, values) -> float:
     return min(pairs)[1]
 
 
-# cell types whose str() is format_cell's text: repr for a float, since
-# Python 3 prints a float's shortest round-trip digits either way
-_CSV_NATIVE = {float, int, str}
-
-
-def format_cell(value) -> str:
-    """Canonical text for one CSV cell: repr for floats (round-trips exactly),
-    str for ints and strings."""
-    if isinstance(value, bool):
-        raise TypeError("booleans have no CSV representation here")
-    # np.float64 subclasses float, so coerce before repr (numpy's own repr
-    # wraps the digits in the type name)
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    raise TypeError(f"cannot serialize {type(value).__name__} to CSV")
+# the cell types that the csv module writes as this layout wants: repr for
+# a float (its shortest round-trip digits), str for an int and a string
+_CSV_CELLS = {float, int, str}
 
 
 def write_csv(path, header, rows):
-    """Write a results table, a list of row tuples, with a fixed byte layout.
+    """Write a table, a header list and a list of rows, in the module's layout.
 
-    Unix newlines and repr-based float formatting make the output a pure
-    function of the values, so identical runs produce identical files.
-    Python floats, ints and strings are written by the csv module itself,
-    whose text for them is :func:`format_cell`'s; a table holding any other
-    cell type, such as a numpy scalar, is formatted cell by cell.
+    Float cells are written as ``repr`` writes them, int and str cells as
+    ``str`` does, so identical runs produce identical files.  Any other cell
+    type, such as a numpy scalar or a bool, raises TypeError naming it.  A
+    string holding a comma, a quote or a line break raises csv.Error, and
+    one holding a non-ASCII character UnicodeEncodeError.
     """
-    if not set(map(type, chain.from_iterable(rows))) <= _CSV_NATIVE:
-        rows = [[format_cell(v) for v in row] for row in rows]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+    other = set(map(type, chain.from_iterable(rows))) - _CSV_CELLS
+    if other:
+        names = ", ".join(sorted(t.__name__ for t in other))
+        raise TypeError(f"cannot write {names} cells to CSV; pass Python floats, ints or strings")
+    with open(path, "w", encoding="ascii", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_NONE)
         writer.writerow(header)
         writer.writerows(rows)
 
 
 def read_csv(path):
-    """Read a results table back as (header list, list of string-valued rows)."""
-    with open_text(path, "utf-8", newline="") as fh:
+    """Read a table back as (header list, list of string-valued rows).
+
+    The file must be ASCII, a quote is an ordinary character, and a row whose
+    cell count differs from the header's, a blank line among them, raises
+    MalformedRecordError naming it as ``path:line``.
+    """
+    with open_text(path, "ascii", newline="") as fh:
         try:
-            table = list(csv.reader(fh))
+            table = list(csv.reader(fh, quoting=csv.QUOTE_NONE))
         except csv.Error as exc:  # such as a cell past the csv module's field limit
             raise MalformedRecordError(f"{path}: {exc}") from None
     if not table:
         return [], []
     header, rows = table[0], table[1:]
-    for row in rows:
+    for line, row in enumerate(rows, start=2):
         if len(row) != len(header):
             raise MalformedRecordError(
-                f"{path}: row with {len(row)} cells under {len(header)}-column header")
+                f"{path}:{line}: expected {len(header)} fields, got {len(row)}")
     return header, rows

@@ -37,7 +37,6 @@ from coldgp.cli import (
 )
 from coldgp.config import load_config
 from coldgp.exceptions import ConfigError
-from coldgp.records import format_cell
 
 from helpers import count_calls, run_python, write_cifar_fixture
 
@@ -605,6 +604,22 @@ class TestPlotData:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{header[label]} 'abc' is not a number" in err
 
+    @pytest.mark.parametrize("body,message", [
+        ("1.0,0.5,0.25,1.0\n1.0,0.5,0.25\n", "results.csv:3: expected 4 fields, got 3"),
+        ("1.0,0.5,0.25,1.0\n\n1.0,0.5,0.25,1.0\n", "results.csv:3: expected 4 fields, got 0"),
+        ('1.0,"0.5",0.25,1.0\n', """temperature '"0.5"' is not a number"""),
+    ], ids=["ragged-row", "blank-line", "quoted-cell"])
+    def test_table_layout_errors_exit_3(self, tmp_path, capsys, body, message):
+        # results are read in the one table layout: a row with the wrong cell
+        # count, a blank line among them, is located by line, and a quote is
+        # a character of the cell
+        results = tmp_path / "results.csv"
+        results.write_text(",".join(PROBE_HEADER) + "\n" + body)
+        capsys.readouterr()
+        assert main(["plot-data", "--input", str(results), "--figure", "fig2a"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
     def test_missing_input_exit_3(self, tmp_path):
         assert main(["plot-data", "--input", str(tmp_path / "no.csv"), "--figure", "fig1"]) == 3
 
@@ -672,25 +687,19 @@ def test_unreadable_input_exits_with_one_stderr_line(tmp_path, capsys, make_args
 
 
 class TestCsvFormat:
-    def test_format_cell(self):
-        assert format_cell(0.1) == repr(0.1)
-        assert format_cell(np.float64(0.25)) == "0.25"
-        assert format_cell(3) == "3"
-        assert format_cell("abc") == "abc"
-        with pytest.raises(TypeError):
-            format_cell(True)
-        with pytest.raises(TypeError):
-            format_cell([1.0])
-
     def test_write_csv_cell_text(self, tmp_path):
-        # write_csv writes format_cell's text, not the csv module's str(): a
-        # float32 0.1 is the float 0.10000000149011612, where str() gives 0.1
+        # Python floats are written as repr writes them (their shortest
+        # round-trip digits), ints and strings as str writes them
         path = tmp_path / "t.csv"
-        write_csv(path, ["a", "b", "c", "d"],
-                  [(np.float32(0.1), np.float64(1.0 / 3.0), np.int64(-7), 0.5)])
-        assert path.read_text() == "a,b,c,d\n0.10000000149011612,0.3333333333333333,-7,0.5\n"
-        with pytest.raises(TypeError):
-            write_csv(path, ["a", "b"], [(0.5, True)])
+        write_csv(path, ["a", "b", "c", "d", "e"], [(0.1, -0.0, 1e-320, 2**64 - 1, "abc")])
+        assert path.read_text() == "a,b,c,d,e\n0.1,-0.0,1e-320,18446744073709551615,abc\n"
+        # any other cell type is refused by name: numpy scalars, np.float64
+        # (a float subclass) among them, and a float32 0.1 is the float
+        # 0.10000000149011612, not 0.1
+        for cell, name in [(np.float32(0.1), "float32"), (np.float64(0.25), "float64"),
+                           (np.int64(-7), "int64"), (True, "bool"), ([1.0], "list")]:
+            with pytest.raises(TypeError, match=rf"\b{name}\b"):
+                write_csv(path, ["a", "b"], [(0.5, 1), (0.5, cell)])
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.csv"

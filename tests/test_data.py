@@ -1,7 +1,13 @@
 """Dataset tests: generators, the CIFAR-10 binary loader against synthetic
-batch files, input standardization, and the columnar save/load round trip."""
+batch files, input standardization, and the save/load round trip through
+the package's one table layout."""
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coldgp import (
     CIFAR_TEST_FILE,
@@ -23,6 +29,7 @@ from coldgp import (
     parse_config,
     save_dataset,
     standardize,
+    write_csv,
 )
 
 from helpers import write_cifar_fixture
@@ -213,6 +220,13 @@ class TestCifarLoader:
         orig = _original_labels(reversed_order)
         assert np.array_equal(reversed_order.targets, np.where(orig == 8, 0, 1))
 
+    def test_reordered_subset_labels_follow_keep_order(self, tmp_path):
+        write_cifar_fixture(tmp_path)
+        keep = [7, 2, 9, 0]
+        for ds in load_cifar10(tmp_path, keep, n_train=40, n_test=8, seed=5):
+            assert ds.targets.dtype == np.int64
+            assert ds.targets.tolist() == [keep.index(c) for c in _original_labels(ds)]
+
     def test_request_exceeding_pool(self, tmp_path):
         write_cifar_fixture(tmp_path)  # 15 per class over the train files
         with pytest.raises(ConfigError, match="only"):
@@ -316,6 +330,37 @@ class TestSaveLoadRoundTrip:
         assert np.array_equal(back.targets, train.targets)
         wide = load_dataset(path, "train", class_count=5)
         assert wide.class_count == 5
+
+    # -0.0, the smallest and largest subnormals, and +-1.7e308 as well as
+    # whatever finite floats hypothesis draws
+    _EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                                    1.7e308, -1.7e308])
+    _FLOATS = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.data(), st.integers(1, 6), st.integers(0, 3), st.booleans())
+    def test_round_trip_is_bit_exact_and_in_the_table_layout(self, data, n, d, classify):
+        inputs = data.draw(st.lists(st.lists(self._FLOATS, min_size=d, max_size=d),
+                                    min_size=n, max_size=n))
+        # labels up to the row bound, the largest that load_dataset infers a
+        # class count from
+        bound = max(n, 2)
+        targets = data.draw(st.lists(st.integers(0, bound - 1) if classify else self._FLOATS,
+                                     min_size=n, max_size=n))
+        dataset = LabeledDataset(np.array(inputs, dtype=np.float64).reshape(n, d), targets,
+                                 bound if classify else None, "train")
+        with tempfile.TemporaryDirectory() as tmp:
+            saved, table = Path(tmp) / "saved.csv", Path(tmp) / "table.csv"
+            save_dataset(dataset, saved)
+            back = load_dataset(saved)
+            header = [f"x{j}" for j in range(d)] + ["label" if classify else "target"]
+            write_csv(table, header, [row + [y] for row, y in zip(inputs, targets)])
+            assert saved.read_bytes() == table.read_bytes()
+        assert back.inputs.shape == (n, d)
+        assert back.inputs.tobytes() == dataset.inputs.tobytes()  # -0.0 differs from 0.0
+        assert back.targets.dtype == dataset.targets.dtype
+        assert back.targets.tobytes() == dataset.targets.tobytes()
+        assert back.class_count == (max(max(targets) + 1, 2) if classify else None)
 
     def test_all_zero_labels_infer_two_classes(self, tmp_path):
         path = tmp_path / "z.csv"

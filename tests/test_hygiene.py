@@ -6,8 +6,9 @@ when the module reads it, or when the module lists it in ``__all__``
 (the package's re-exports).  A second scan keeps every Cholesky
 factorization, and every call of a bound LAPACK or BLAS routine, inside
 ``coldgp.linalg``, which owns the jitter policy and the one BLAS build;
-with it, only ``coldgp.linalg`` loads a shared library through ctypes.  A
-third keeps scipy out of the package's module level:
+with it, only ``coldgp.linalg`` loads a shared library through ctypes, and
+only ``coldgp.records`` joins or splits text on commas, since it owns the
+one table layout.  A third keeps scipy out of the package's module level:
 each scipy import sits inside a function, so a run that calls none of them
 loads no scipy.  A fourth keeps test-only code out of the package: every
 definition in it, and every module-level constant, has a reader in the
@@ -82,6 +83,32 @@ def test_only_linalg_factors(path):
     # the package's own ``from .linalg import cholesky`` is the one way in
     lines = sorted(set(_factor_calls(ast.parse(path.read_text(encoding="utf-8")))))
     assert not lines, f"{path.name} factors outside coldgp.linalg at lines {lines}"
+
+
+def _comma_layouts(tree):
+    """Line numbers that join or split text on a bare comma: ``",".join(...)``,
+    or ``.split(",")`` / ``.split(sep=",")``."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        if node.func.attr == "join":
+            seps = [node.func.value]
+        elif node.func.attr == "split":
+            seps = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "sep"]
+        else:
+            continue
+        if any(isinstance(sep, ast.Constant) and sep.value == "," for sep in seps):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parent.name == "coldgp"
+                                  and p.name != "records.py"], ids=lambda p: p.name)
+def test_only_records_lays_out_tables(path):
+    # coldgp.records owns the one table layout, results and datasets alike;
+    # any other module reads and writes tables through read_csv and write_csv
+    lines = sorted(set(_comma_layouts(ast.parse(path.read_text(encoding="utf-8")))))
+    assert not lines, (f"{path.name} lays out comma-separated text outside coldgp.records "
+                       f"at lines {lines}")
 
 
 _LOADERS = {"CDLL", "cdll", "PyDLL", "pydll", "LoadLibrary"}

@@ -26,7 +26,7 @@ import json
 import os
 import sys
 import time
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -52,13 +52,13 @@ CLASSIFY_HEADER = ["temperature", "test_log_likelihood", "top1_accuracy",
                    "n_train", "n_test", "seed"]
 PROBE_HEADER = ["latent_scale", "temperature", "probability", "ratio"]
 
-FIGURES = ("fig1", "fig2a", "fig2b", "fig3b")
 _FIGURE_HEADERS = {
     "fig1": CLASSIFY_HEADER,
     "fig2a": PROBE_HEADER,
     "fig2b": PROBE_HEADER,
     "fig3b": REGRESS_HEADER,
 }
+FIGURES = tuple(_FIGURE_HEADERS)
 
 
 def _datasets(config: ExperimentConfig, seed: int):
@@ -66,13 +66,12 @@ def _datasets(config: ExperimentConfig, seed: int):
     generator's draw at ``seed``, a CIFAR-10 subsample, or two data files,
     each checked to be of the experiment's kind as soon as it is read."""
     d = config.data
-    if d.get("generator") == "rbf-regression":
-        return gen_rbf_regression(n_train=d["n_train"], n_test=d["n_test"],
-                                  noise_std=d["noise_std"], kernel=config.kernel, seed=seed)
-    if d.get("generator") == "clusters":
-        return gen_cluster_classification(
-            n_per_class=d["n_per_class"], class_count=d["class_count"],
-            dim=d["dim"], separation=d["separation"], seed=seed)
+    # a generator's data keys are its keyword arguments
+    if "generator" in d:
+        params = {key: value for key, value in d.items() if key != "generator"}
+        if d["generator"] == "rbf-regression":
+            return gen_rbf_regression(**params, kernel=config.kernel, seed=seed)
+        return gen_cluster_classification(**params, seed=seed)
     if d["source"] == "cifar10":
         train, test = load_cifar10(d["dir"], keep_classes=d["classes"],
                                    n_train=d["n_train"], n_test=d["n_test"], seed=seed)
@@ -122,7 +121,7 @@ def _run_regress_sweep(config: ExperimentConfig):
                    f"mean_test_nll={float(nll_sum.min()) / len(seeds)!r}")
     log.append(f"jitter_used={sorted(jitters)!r}")
     log.append(f"data_jitter_used={sorted(data_jitters)!r}")
-    return REGRESS_HEADER, rows, {"test_nll": nll.ravel()}, log
+    return REGRESS_HEADER, rows, log
 
 
 def _run_classify_sweep(config: ExperimentConfig):
@@ -142,12 +141,12 @@ def _run_classify_sweep(config: ExperimentConfig):
             f"mc_se_log_likelihood={float(out['mc_se_log_likelihood'][j])!r} "
             f"mc_se_accuracy={float(out['mc_se_accuracy'][j])!r}")
     log.append(f"best_temperature={best_temperature(temps, -ll)!r}")
-    return CLASSIFY_HEADER, rows, {"test_log_likelihood": ll, "top1_accuracy": acc}, log
+    return CLASSIFY_HEADER, rows, log
 
 
 def _run_probe(config: ExperimentConfig):
     p = config.probe
-    rows, log, probabilities, ratios = [], [], [], []
+    rows, log = [], []
     for scale in p["latent_scales"]:
         probability, ratio = relabel_ratio_curve(
             scale, p["temperatures"],
@@ -155,12 +154,9 @@ def _run_probe(config: ExperimentConfig):
             integration_half_width_sigmas=p["integration_half_width_sigmas"])
         rows.extend(zip(repeat(float(scale)), p["temperatures"],
                         probability.tolist(), ratio.tolist()))
-        probabilities.append(probability)
-        ratios.append(ratio)
         log.append(f"latent_scale={float(scale)!r} "
                    f"zero_temperature_limit={relabel_prob_zero_temperature(scale)!r}")
-    metrics = {"probability": np.concatenate(probabilities), "ratio": np.concatenate(ratios)}
-    return PROBE_HEADER, rows, metrics, log
+    return PROBE_HEADER, rows, log
 
 
 def _run_gen_data(config: ExperimentConfig):
@@ -171,11 +167,16 @@ def _run_gen_data(config: ExperimentConfig):
     kind = "classification" if train.is_classification else "regression"
     log = [f"kind={kind} n_train={train.n} n_test={test.n} dim={train.d}",
            "wrote train.csv test.csv"]
-    return None, None, None, log
+    return None, None, log
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Execute one resolved config; returns the paths of the written bundle.
+
+    The experiment's runner returns results.csv's header, the rows to write
+    and run.log's lines.  A NaN or infinity in any cell of those rows fails
+    the run with ColdGPError naming its column, and results.csv is not
+    written.
 
     A BLAS product split across threads rounds differently, so the run holds
     the OpenBLAS builds that compute at one thread (``linalg.one_blas_thread``):
@@ -193,19 +194,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
     factors = (config.experiment in ("classify-sweep", "regress-sweep")
                or (config.data or {}).get("generator") == "rbf-regression")
     with one_blas_thread(factors) as describe_blas:
-        header, rows, metrics, log = runner(config)
+        header, rows, log = runner(config)
         log.append(describe_blas())
     paths = {}
     if header is not None:
-        # the computed columns, one entry per row; the others are config values,
-        # finite by validation.  The first NaN or infinite metric in row order
-        # fails the run, and it is never written
-        names = list(metrics)
-        table = np.column_stack([metrics[name] for name in names])
+        # the first non-finite cell in row order names the failure
+        table = np.fromiter(chain.from_iterable(rows), np.float64).reshape(len(rows), len(header))
         bad = np.argwhere(~np.isfinite(table))
         if len(bad):
             row, col = bad[0]  # a numpy float's repr would print np.float64(inf)
-            raise ColdGPError(f"non-finite {names[col]}={float(table[row, col])!r}; "
+            raise ColdGPError(f"non-finite {header[col]}={float(table[row, col])!r}; "
                               f"results.csv not written")
         paths["results"] = os.path.join(config.output_dir, "results.csv")
         write_csv(paths["results"], header, rows)
@@ -264,16 +262,14 @@ def emit_plot_data(results_csv: str, figure: str, out_path: str | None = None) -
         out_rows = [(number(i, "temperature"), number(i, y_col), f"c={label(i, 'latent_scale')}")
                     for i in rows]
     else:
-        sums, counts, order = {}, {}, []
+        cells = {}  # (noise setting, temperature) -> [sum, count], in first-seen order
         for i in rows:
-            key = (label(i, "assumed_noise_std"), number(i, "temperature"))
-            if key not in sums:
-                order.append(key)
-                sums[key] = 0.0
-                counts[key] = 0
-            sums[key] += number(i, "test_nll")
-            counts[key] += 1
-        out_rows = [(t, sums[(s, t)] / counts[(s, t)], f"sigma_eps={s}") for s, t in order]
+            cell = cells.setdefault((label(i, "assumed_noise_std"), number(i, "temperature")),
+                                    [0.0, 0])
+            cell[0] += number(i, "test_nll")
+            cell[1] += 1
+        out_rows = [(t, total / count, f"sigma_eps={s}")
+                    for (s, t), (total, count) in cells.items()]
     if out_path is None:
         out_path = os.path.join(os.path.dirname(os.path.abspath(results_csv)),
                                 f"plot_{figure}.csv")

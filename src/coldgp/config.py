@@ -271,8 +271,8 @@ def _parse_regression(section) -> dict:
     }
 
 
-_TOP_KEYS = ("experiment", "seed", "output_dir", "kernel", "temperatures", "data",
-             "ess", "probe", "regression")
+_SECTIONS = ("kernel", "temperatures", "data", "ess", "probe", "regression")
+_TOP_KEYS = ("experiment", "seed", "output_dir", *_SECTIONS)
 
 # Sections each experiment consumes; anything else present is rejected.
 _APPLICABLE = {
@@ -299,7 +299,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(
             f"key 'experiment' must be one of {list(EXPERIMENTS)}, got {experiment!r}")
     applicable = _APPLICABLE[experiment]
-    for key in ("kernel", "temperatures", "data", "ess", "probe", "regression"):
+    for key in _SECTIONS:
         if key in raw and key not in applicable:
             raise ConfigError(f"key '{key}' does not apply to experiment '{experiment}'")
     for key in _REQUIRED[experiment]:

@@ -4,7 +4,6 @@ Every error raised deliberately by coldgp derives from ColdGPError, so callers
 can catch one base class at the boundary (the CLI maps them to exit codes).
 """
 import math
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -101,18 +100,6 @@ def check_array_size(what: str, shape) -> None:
     if 8 * math.prod(shape) > np.iinfo(np.intp).max:
         raise ColdGPError(f"{what}: {' x '.join(str(s) for s in shape)} float64 values "
                           f"exceed the largest array numpy can allocate")
-
-
-@contextmanager
-def open_text(path, encoding: str, **kwargs):
-    """``open(path, "r", encoding=encoding, **kwargs)``, where a byte that does
-    not decode raises MalformedRecordError naming the file."""
-    with open(path, "r", encoding=encoding, **kwargs) as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            raise MalformedRecordError(
-                f"{path}: byte {exc.object[exc.start]:#04x} is not {encoding} text") from None
 
 
 def check_labels(labels, n: int, class_count: int) -> np.ndarray:

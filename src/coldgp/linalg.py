@@ -299,12 +299,13 @@ def cholesky(a) -> SpdFactor:
     ``a`` is handed over: it is factored in its own buffer when it is a
     writeable, C-ordered float64 array equal to its transpose bit for bit
     and larger than one row block (n > 362); any other input is factored in
-    a copy and left as it is.  A smaller matrix's copy is no larger than the
-    checks' own block scratch, and copying it costs less than the in-place
-    bookkeeping.  ``dpotrf`` writes only the lower triangle, so a failed
-    rung is undone from the untouched strict upper triangle and a saved copy
-    of the diagonal (n values), and each rung factors the bits that the copy
-    would.  The factor is then ``a`` itself, so a caller that reads ``a``
+    a copy and left as it is.  A smaller matrix is left as it is at no cost
+    in memory: its copy, the checks' scratch and then the work array, is no
+    larger than the row block of scratch (at least n rows) that the checks
+    would take in place.  ``dpotrf`` writes only the lower triangle, so a
+    failed rung is undone from the untouched strict upper triangle and a
+    saved copy of the diagonal (n values), and each rung factors the bits
+    that the copy would.  The factor is then ``a`` itself, so a caller that reads ``a``
     again, or after an error, passes a copy.
 
     Parameters

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 from itertools import chain
 
-from .exceptions import EmptyInputError, MalformedRecordError, open_text
+from .exceptions import EmptyInputError, MalformedRecordError
 
 
 def best_temperature(temperatures, values) -> float:
@@ -52,14 +52,18 @@ def write_csv(path, header, rows):
 def read_csv(path):
     """Read a table back as (header list, list of string-valued rows).
 
-    The file must be ASCII, a quote is an ordinary character, and a row whose
-    cell count differs from the header's, a blank line among them, raises
-    MalformedRecordError naming it as ``path:line``.
+    A quote is an ordinary character.  MalformedRecordError names the file
+    for a byte that is not ASCII and for a cell past the csv module's field
+    limit, and names ``path:line`` for a row whose cell count differs from
+    the header's, a blank line among them.
     """
-    with open_text(path, "ascii", newline="") as fh:
+    with open(path, "r", encoding="ascii", newline="") as fh:
         try:
             table = list(csv.reader(fh, quoting=csv.QUOTE_NONE))
-        except csv.Error as exc:  # such as a cell past the csv module's field limit
+        except UnicodeDecodeError as exc:
+            raise MalformedRecordError(
+                f"{path}: byte {exc.object[exc.start]:#04x} is not ascii text") from None
+        except csv.Error as exc:
             raise MalformedRecordError(f"{path}: {exc}") from None
     if not table:
         return [], []

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .exceptions import EmptyInputError
-
 _MAX_SEED = 2**64
 
 
@@ -75,19 +73,18 @@ class RngStream:
         return self._gen.permutation(n)
 
 
-def derive_seed(master_seed: int, *labels: int) -> int:
-    """Derive a fresh 64-bit master seed from a seed and integer labels.
+def derive_seed(master_seed: int, label: int) -> int:
+    """Derive a fresh 64-bit master seed from a seed and one integer label.
 
     Used wherever a component needs its own seed space (one per temperature
     grid position, one per replicate dataset) without colliding with the
     stream indices the component will consume internally.  Deterministic:
-    the same (seed, labels) always yields the same derived seed.
+    the same (seed, label) always yields the same derived seed, the first
+    word of ``SeedSequence(seed, spawn_key=(label,))``.
     """
     seed = _check_seed(master_seed)
-    if not labels:
-        raise EmptyInputError("derive_seed needs at least one label")
-    key = tuple(int(l) for l in labels)
-    if any(l < 0 for l in key):
-        raise ValueError(f"labels must be non-negative, got {labels!r}")
-    ss = np.random.SeedSequence(seed, spawn_key=key)
+    key = int(label)
+    if key < 0:
+        raise ValueError(f"label must be non-negative, got {label!r}")
+    ss = np.random.SeedSequence(seed, spawn_key=(key,))
     return int(ss.generate_state(1, np.uint64)[0])

@@ -297,6 +297,20 @@ class TestRunVerb:
         assert capsys.readouterr().err == (
             "error: non-finite test_nll=inf; results.csv not written\n")
 
+    def test_non_finite_cell_in_any_column_fails_the_run(self, tmp_path, capsys, monkeypatch):
+        # the check reads the rows that would be written, so a non-finite
+        # cell fails the run whichever column holds it
+        import coldgp.cli as cli
+
+        rows = [(1.0, 1.0, 0.5, 1.0), (float("inf"), 1.0, 0.5, 1.0)]
+        monkeypatch.setattr(cli, "_run_probe", lambda config: (PROBE_HEADER, rows, []))
+        out = tmp_path / "o"
+        cfg = _write_config(tmp_path, "p.json", probe_payload(out))
+        assert main(["run", "--config", cfg]) == 3
+        assert capsys.readouterr().err == (
+            "error: non-finite latent_scale=inf; results.csv not written\n")
+        assert not (out / "results.csv").exists()
+
     @pytest.mark.parametrize("make_data,code", [
         (lambda p: _cifar_data(p, classes=[1, 1]), 2),
         (lambda p: _cifar_data(p, classes=[3]), 2),

@@ -7,12 +7,12 @@ when the module reads it, or when the module lists it in ``__all__``
 factorization, and every call of a bound LAPACK or BLAS routine, inside
 ``coldgp.linalg``, which owns the jitter policy and the one BLAS build;
 with it, only ``coldgp.linalg`` loads a shared library through ctypes, and
-only ``coldgp.records`` joins or splits text on commas, since it owns the
-one table layout.  A third keeps scipy out of the package's module level:
-each scipy import sits inside a function, so a run that calls none of them
-loads no scipy.  A fourth keeps test-only code out of the package: every
-definition in it, and every module-level constant, has a reader in the
-package itself.
+only ``coldgp.records`` imports csv or joins or splits text on commas,
+since it owns the one table layout.  A third keeps scipy out of the
+package's module level: each scipy import sits inside a function, so a run
+that calls none of them loads no scipy.  A fourth keeps test-only code out
+of the package: every definition in it, and every module-level constant,
+has a reader in the package itself.
 """
 import ast
 import re
@@ -86,9 +86,12 @@ def test_only_linalg_factors(path):
 
 
 def _comma_layouts(tree):
-    """Line numbers that join or split text on a bare comma: ``",".join(...)``,
-    or ``.split(",")`` / ``.split(sep=",")``."""
+    """Line numbers that import csv, or that join or split text on a bare
+    comma: ``",".join(...)``, or ``.split(",")`` / ``.split(sep=",")``."""
     for node in ast.walk(tree):
+        if ((isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names))
+                or (isinstance(node, ast.ImportFrom) and node.module == "csv")):
+            yield node.lineno
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
             continue
         if node.func.attr == "join":
@@ -107,8 +110,8 @@ def test_only_records_lays_out_tables(path):
     # coldgp.records owns the one table layout, results and datasets alike;
     # any other module reads and writes tables through read_csv and write_csv
     lines = sorted(set(_comma_layouts(ast.parse(path.read_text(encoding="utf-8")))))
-    assert not lines, (f"{path.name} lays out comma-separated text outside coldgp.records "
-                       f"at lines {lines}")
+    assert not lines, (f"{path.name} imports csv or lays out comma-separated text outside "
+                       f"coldgp.records at lines {lines}")
 
 
 _LOADERS = {"CDLL", "cdll", "PyDLL", "pydll", "LoadLibrary"}

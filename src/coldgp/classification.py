@@ -9,7 +9,7 @@ evaluations and has no step-size parameter.  The factor of t * K is
 sqrt(t) * chol(K), so a prior draw is sqrt(t) * (L @ z) and one factor of
 the untempered K serves every temperature of a sweep and its predictive.
 That factor is the one n x n array of a sweep: :func:`coldgp.linalg.cholesky`
-factors the Gram in its own buffer (above one row block of scratch).
+factors the Gram in its own buffer.
 A sweep advances all its (temperature, chain) pairs in lock step: each
 transition makes one triangular product for every chain's prior draw and
 one likelihood call per shrink round for the chains still shrinking, while
@@ -103,9 +103,12 @@ class EssConfig:
     thinning: int = 5
     draws_per_sample: int = 8
 
+    # each field's least value (a class attribute, not a field)
+    MINIMUMS = {"n_chains": 1, "burn_in": 0, "n_samples_per_chain": 1, "thinning": 1,
+                "draws_per_sample": 1}
+
     def __post_init__(self):
-        for name, minimum in (("n_chains", 1), ("burn_in", 0), ("n_samples_per_chain", 1),
-                              ("thinning", 1), ("draws_per_sample", 1)):
+        for name, minimum in self.MINIMUMS.items():
             if getattr(self, name) < minimum:
                 raise ValueError(f"{name} must be >= {minimum}")
 

@@ -119,25 +119,27 @@ def _parse_kernel(section) -> KernelSpec:
     if not isinstance(section, dict):
         raise ConfigError(f"'{where}' must be an object")
     family = _need(section, "family", where)
+    # each key is a KernelSpec field, less its rbf_ prefix, and takes its default
+    values = {f.name.removeprefix("rbf_"): f.default for f in fields(KernelSpec)} | section
     if family == "rbf":
         _reject_unknown(section, ("family", "lengthscale", "variance", "scale"), where)
-        lengthscale = _as_number(section.get("lengthscale", 1.0), "lengthscale", where,
+        lengthscale = _as_number(values["lengthscale"], "lengthscale", where,
                                  positive=True, squared=True)
         if lengthscale * lengthscale == 0.0:  # the Gram divides by the square
             raise ConfigError(f"key 'lengthscale' in {where} is squared, so its square must be "
                               f"positive, got {section['lengthscale']!r}")
         return KernelSpec.rbf(
             lengthscale=lengthscale,
-            variance=_as_number(section.get("variance", 1.0), "variance", where, positive=True),
-            scale=_as_number(section.get("scale", 1.0), "scale", where, positive=True),
+            variance=_as_number(values["variance"], "variance", where, positive=True),
+            scale=_as_number(values["scale"], "scale", where, positive=True),
         )
     if family == "nngp":
         _reject_unknown(section, ("family", "depth", "sigma_w2", "sigma_b2", "scale"), where)
         return KernelSpec.nngp(
-            depth=_as_int(section.get("depth", 2), "depth", where, minimum=1),
-            sigma_w2=_as_number(section.get("sigma_w2", 2.0), "sigma_w2", where, positive=True),
-            sigma_b2=_as_number(section.get("sigma_b2", 0.0), "sigma_b2", where, nonneg=True),
-            scale=_as_number(section.get("scale", 1.0), "scale", where, positive=True),
+            depth=_as_int(values["depth"], "depth", where, minimum=1),
+            sigma_w2=_as_number(values["sigma_w2"], "sigma_w2", where, positive=True),
+            sigma_b2=_as_number(values["sigma_b2"], "sigma_b2", where, nonneg=True),
+            scale=_as_number(values["scale"], "scale", where, positive=True),
         )
     raise ConfigError(f"key 'family' in {where} must be one of {list(FAMILIES)}, got {family!r}")
 
@@ -221,14 +223,14 @@ def _parse_data(section, experiment: str) -> dict:
 
 def _parse_ess(section) -> EssConfig:
     """The ``ess`` section: one integer key per EssConfig field, defaulting to
-    that field's default."""
+    that field's default and bounded below by its minimum."""
     where = "ess"
     if not isinstance(section, dict):
         raise ConfigError(f"'{where}' must be an object")
     defaults = {f.name: f.default for f in fields(EssConfig)}
     _reject_unknown(section, defaults, where)
     return EssConfig(**{key: _as_int(section.get(key, default), key, where,
-                                     minimum=0 if key == "burn_in" else 1)
+                                     minimum=EssConfig.MINIMUMS[key])
                         for key, default in defaults.items()})
 
 

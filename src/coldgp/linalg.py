@@ -1,16 +1,16 @@
 """Dense SPD linear algebra underneath every inference path.
 
 All factorizations go through :func:`cholesky`, which owns the jitter
-policy: it factors with LAPACK ``dpotrf`` in place, in the buffer of the
-Gram that its caller hands over or, where that buffer does not qualify, in
-one work copy, and nothing else in the package calls ``dpotrf`` or
-``numpy.linalg.cholesky`` (a source scan in the test suite checks this), so
-escalation and failure handling stay in one place.
+policy: it factors with LAPACK ``dpotrf``, and nothing else in the package
+calls ``dpotrf`` or ``numpy.linalg.cholesky`` (a source scan in the test
+suite checks this), so escalation and failure handling stay in one place.
 :func:`tril_matmul` multiplies by a factor with a BLAS triangular multiply
 (the sampler's prior draws), and :func:`tril_solve` solves with one (the
-Gaussian conditional).  :func:`block_rows` sizes the row blocks that the
-Cholesky checks and the nngp Gram work on, so that no scratch array grows
-with n^2.
+Gaussian conditional).  :func:`cholesky` and :func:`tril_solve` keep one
+buffer rule: each computes in the array it is handed when it can write it
+in LAPACK's layout, and otherwise in one copy.  :func:`block_rows` sizes
+the row blocks that the Cholesky checks and the nngp Gram work on, so that
+no scratch array grows with n^2.
 
 One OpenBLAS build computes all of it.  numpy's wheel vendors an OpenBLAS
 that exports LAPACK ``dpotrf``, ``dtrtrs`` and ``dlaset`` and CBLAS
@@ -92,16 +92,16 @@ class SpdFactor:
     jitter_used: float
 
 
-def _fill_lower_from_upper(a, diag):
-    """Refill the square ``a``'s strict lower triangle from its strict upper
-    one and its diagonal from ``diag``, one block of rows at a time."""
-    n = a.shape[0]
+def _restore_lower(work, backup, diag):
+    """Refill the square ``work``'s strict lower triangle from ``backup``'s and
+    its diagonal from ``diag``, one block of rows at a time."""
+    n = work.shape[0]
     rows = block_rows(n)
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
-        below = np.tri(r1 - r0, r1, r0 - 1, dtype=bool)
-        np.copyto(a[r0:r1, :r1], a[:r1, r0:r1].T, where=below)
-    np.copyto(a.reshape(-1)[:: n + 1], diag)
+        np.copyto(work[r0:r1, :r1], backup[r0:r1, :r1],
+                  where=np.tri(r1 - r0, r1, r0 - 1, dtype=bool))
+    np.copyto(work.reshape(-1)[:: n + 1], diag)
 
 
 def _zero_strict_upper(a):
@@ -293,34 +293,32 @@ def cholesky(a) -> SpdFactor:
 
     The rungs of JITTER_LADDER are tried in order, each multiplied by
     mean(diag(a)); a rung of 0 adds exactly 0.0.  Each rung factors the bits
-    of ``a + eps * I``: the matrix is refilled with ``a`` and its jitter is
-    added to the diagonal in place.
+    of ``a``'s lower triangle plus ``eps * I``: the lower triangle is
+    refilled and its jitter is added to the diagonal in place.
 
     ``a`` is handed over: it is factored in its own buffer when it is a
-    writeable, C-ordered float64 array equal to its transpose bit for bit
-    and larger than one row block (n > 362); any other input is factored in
-    a copy and left as it is.  A smaller matrix is left as it is at no cost
-    in memory: its copy, the checks' scratch and then the work array, is no
-    larger than the row block of scratch (at least n rows) that the checks
-    would take in place.  ``dpotrf`` writes only the lower triangle, so a
-    failed rung is undone from the untouched strict upper triangle and a
-    saved copy of the diagonal (n values), and each rung factors the bits
-    that the copy would.  The factor is then ``a`` itself, so a caller that reads ``a``
-    again, or after an error, passes a copy.
+    writeable, C-ordered float64 array, at any size; any other input is
+    factored in one C-ordered copy and left as it is.  Where a pair of
+    entries differs in its bits (within the tolerance below), the lower
+    entry's bits are copied into its upper partner.  ``dpotrf`` writes only
+    the lower triangle, so a failed rung is undone from a backup, the
+    untouched strict upper triangle in place or the caller's ``a`` for a
+    copy, and a saved copy of the diagonal (n values).  In place the factor
+    is ``a`` itself, so a caller that reads ``a`` again, or after an error,
+    passes a copy.
 
     Parameters
     ----------
     a : (n, n) array_like
         Symmetric matrix.  It must be finite, and max |a - a.T| may not
         exceed 1e-12 * max(max |a|, 1).  Both checks read one block of rows
-        at a time (``block_rows``) and write the asymmetry into the work
-        array, or in place into one block of scratch, so they allocate
-        nothing else.
+        at a time (``block_rows``), so they allocate no more than one block
+        of flags beside the pairs that differ in their bits.
 
     Returns
     -------
     SpdFactor with the lower factor and the absolute jitter that was added.
-    The factor is the work array, or ``a`` when it is factored in place:
+    The factor is ``a`` when it is factored in place, else the copy:
     C-ordered, its strict upper triangle zero.  So a call allocates one
     n x n array, or none in place.
 
@@ -335,56 +333,46 @@ def cholesky(a) -> SpdFactor:
     n = a.shape[0]
     if n == 0:
         raise EmptyInputError("cannot factor an empty matrix")
+    work = a if a.flags.c_contiguous and a.flags.writeable else np.array(a, order="C")
+    # one row block at a time.  max |a| is max(max a, -min a), and a NaN or
+    # an infinity makes one of them non-finite.  Each pair is read from the
+    # row of its lower-triangle entry (a pair inside a diagonal block from
+    # both rows), after both rows have passed the finiteness check.  A pair
+    # that differs in its bits has its asymmetry measured, to be judged only
+    # after every block has passed that check, and its lower entry copied
+    # into its upper one, so that both triangles hold the bits the rungs factor
     rows = block_rows(n)
-    in_place = n > rows and a.flags.c_contiguous and a.flags.writeable
-    # one row block at a time, with no temporary of their own.  max |a| is
-    # max(max a, -min a), and a NaN or an infinity makes one of them
-    # non-finite.  Each pair's asymmetry is read from the row of its
-    # lower-triangle entry (a pair inside a diagonal block from both rows)
-    # into ``diff``: rows of the work array that the first rung overwrites,
-    # or in place one block of scratch.  It is judged only after every block
-    # has passed the finiteness check.  In place, the pairs must also agree
-    # bit for bit (a zero and a negative zero do not), and pairs that do
-    # have no asymmetry to measure
-    scratch = np.empty((rows, n) if in_place else (n, n))
     abs_max = asym_max = 0.0
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
-        top, bottom = float(a[r0:r1].max()), float(a[r0:r1].min())
+        top, bottom = float(work[r0:r1].max()), float(work[r0:r1].min())
         if not (np.isfinite(top) and np.isfinite(bottom)):
             raise NonFiniteInputError("matrix contains NaN or infinity")
         abs_max = max(abs_max, top, -bottom)
-        below, above, diff = a[r0:r1, :r1], a[:r1, r0:r1].T, scratch[: r1 - r0, :r1]
-        if in_place:
-            bits = np.bitwise_xor(below.view(np.int64), above.view(np.int64),
-                                  out=diff.view(np.int64))
-            in_place = not bits.any()
-            if in_place:
-                continue
-        np.subtract(below, above, out=diff)
-        asym_max = max(asym_max, float(diff.max()), -float(diff.min()))
+        differs = work[r0:r1, :r1].view(np.int64) != work[:r1, r0:r1].T.view(np.int64)
+        if differs.any():
+            row, col = np.nonzero(differs)
+            row += r0
+            asym_max = max(asym_max, float(np.abs(work[row, col] - work[col, row]).max()))
+            lower = col < row
+            work[col[lower], row[lower]] = work[row[lower], col[lower]]
     if asym_max > _SYM_RTOL * max(abs_max, 1.0):
         raise NotSymmetricError("matrix is not symmetric within relative tolerance 1e-12")
 
     # the mean of finite entries is finite, but their sum may overflow: then
     # sum the entries divided by n instead
-    diag = a.diagonal().copy() if in_place else np.diag(a)
+    diag = work.diagonal().copy()
     with np.errstate(over="ignore"):
         diag_mean = float(np.mean(diag))
     if not np.isfinite(diag_mean):
         diag_mean = float(np.sum(diag / n))
-    # in place, work's strict upper triangle keeps a's until a rung succeeds
     potrf = _lapack().potrf
-    # the copy path factors in the checks' scratch, unless a bit mismatch
-    # ruled in place out after that scratch was sized as one block
-    work = a if in_place else scratch if scratch.shape[0] == n else np.empty((n, n))
+    backup = work.T if work is a else a
     work_diag = work.reshape(-1)[:: n + 1]
     for i, rung in enumerate(JITTER_LADDER):
         eps = rung * diag_mean if rung else 0.0
-        if not in_place:
-            np.copyto(work, a)
-        elif i:
-            _fill_lower_from_upper(work, diag)
+        if i:
+            _restore_lower(work, backup, diag)
         if eps > 0.0:
             with np.errstate(over="ignore"):
                 work_diag += eps
@@ -419,17 +407,17 @@ def tril_matmul(lower, z) -> np.ndarray:
     return _lapack().trmm(lower, np.array(z, order="F"))
 
 
-def tril_solve(lower, b, overwrite_b=False) -> np.ndarray:
+def tril_solve(lower, b) -> np.ndarray:
     """L^{-1} b for L the lower triangle of an (n, n) ``lower`` and an (n,)
     or (n, m) ``b``, with LAPACK's triangular solve (trtrs).
 
     Only the lower triangle of ``lower`` is read.  trtrs takes a vector
     right-hand side as one column, as scipy.linalg.solve_triangular does;
-    BLAS trsm rounds a single column differently.  ``overwrite_b`` hands
-    ``b`` over to be solved in its own buffer: this holds when ``b`` is a
-    writeable, F-ordered float64 array (a vector, or the transpose of a
-    C-ordered matrix); any other ``b`` is solved in a copy and left as it
-    is.  Returns the solution, shaped as ``b``.
+    BLAS trsm rounds a single column differently.  ``b`` is handed over: it
+    is solved in its own buffer when it is a writeable, F-ordered float64
+    array (a vector, or the transpose of a C-ordered matrix); any other
+    ``b`` is solved in a copy and left as it is.  A caller that reads ``b``
+    again passes a copy.  Returns the solution, shaped as ``b``.
 
     Raises NotPositiveDefiniteError where L has a zero on its diagonal.
     """
@@ -439,7 +427,7 @@ def tril_solve(lower, b, overwrite_b=False) -> np.ndarray:
         raise DimensionMismatchError(
             f"expected an (n, n) factor and an (n,) or (n, m) right-hand side, got "
             f"{lower.shape} and {x.shape}")
-    if not (overwrite_b and x.flags.f_contiguous and x.flags.writeable):
+    if not (x.flags.f_contiguous and x.flags.writeable):
         x = np.array(x, order="F")
     x, info = _lapack().trtrs(lower, x)
     if info > 0:

@@ -57,10 +57,11 @@ def conditional(factor: SpdFactor, cross, prior_diag):
     covariance.  Returns (v, schur): v = L^{-1} K(X, X*) of shape (n, p), and
     k** - v^T v clipped at zero (FP cancellation can leave it slightly
     negative).  ``cross`` is handed over: the one triangular solve runs in
-    place in its buffer, whose transpose is F-ordered, so ``v`` is the one
-    n x p array.  A caller that reads ``cross`` again passes a copy.
+    its buffer when it is a writeable, C-ordered float64 array, whose
+    transpose is F-ordered, so ``v`` is the one n x p array.  A caller that
+    reads ``cross`` again passes a copy.
     """
-    v = tril_solve(factor.lower, cross.T, overwrite_b=True)
+    v = tril_solve(factor.lower, cross.T)
     schur = prior_diag - np.einsum("ij,ij->j", v, v)
     np.clip(schur, 0.0, None, out=schur)
     return v, schur
@@ -69,18 +70,18 @@ def conditional(factor: SpdFactor, cross, prior_diag):
 def condition(prior, cross, prior_diag, targets, noise_std: float):
     """Predictive (mean, variance, factor) at one assumed noise level.
 
-    ``prior`` is K(X, X), ``cross`` K(X*, X) and ``prior_diag`` k**; none is
-    written, so every noise level of a dataset shares them.  The noise
-    variance goes onto the diagonal of a copy of ``prior``, which becomes the
-    Cholesky factor, and the predictive solve runs in a copy of ``cross``:
-    one factorization and two triangular solves, beta = L^{-1} y and
-    v = L^{-1} K(X, X*).  beta . beta is the data-fit term
-    y^T (K + sigma_eps^2 I)^{-1} y of the marginal likelihood.
+    ``prior`` is K(X, X), ``cross`` K(X*, X), ``prior_diag`` k** and
+    ``targets`` y; none is written, so every noise level of a dataset shares
+    them.  The noise variance goes onto the diagonal of a copy of ``prior``,
+    which becomes the Cholesky factor, and each triangular solve runs in a
+    copy of its right-hand side: one factorization and two triangular
+    solves, beta = L^{-1} y and v = L^{-1} K(X, X*).  beta . beta is the
+    data-fit term y^T (K + sigma_eps^2 I)^{-1} y of the marginal likelihood.
     """
     noisy = prior.copy()
     noisy.flat[:: noisy.shape[0] + 1] += noise_std**2
     factor = cholesky(noisy)
-    beta = tril_solve(factor.lower, targets)
+    beta = tril_solve(factor.lower, targets.copy())
     v, schur = conditional(factor, cross.copy(), prior_diag)
     return v.T @ beta, schur + noise_std**2, factor
 

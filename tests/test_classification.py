@@ -607,16 +607,20 @@ def test_sweep_memory_is_factor_readout_and_retained_means():
 
 
 def test_sweep_factors_its_gram_in_place(monkeypatch):
-    # 400 training points, above one row block: the Gram becomes the factor
+    # 400 training points, past one row block, and 100 within it: the Gram
+    # becomes the factor
     import coldgp.classification as cls
 
-    factors = record_factors(monkeypatch, cls)
-    train, test = gen_cluster_classification(200, 2, 3, 2.0, seed=0)
-    cls.classification_temperature_sweep(
-        KernelSpec.rbf(), train, test, [1.0],
-        EssConfig(n_chains=1, burn_in=1, n_samples_per_chain=1, thinning=1, draws_per_sample=1))
-    [(gram_built, factor)] = factors
-    assert np.shares_memory(gram_built, factor.lower)
+    for n_per_class in (200, 50):
+        with monkeypatch.context() as patch:
+            factors = record_factors(patch, cls)
+            train, test = gen_cluster_classification(n_per_class, 2, 3, 2.0, seed=0)
+            cls.classification_temperature_sweep(
+                KernelSpec.rbf(), train, test, [1.0],
+                EssConfig(n_chains=1, burn_in=1, n_samples_per_chain=1, thinning=1,
+                          draws_per_sample=1))
+        [(gram_built, factor)] = factors
+        assert np.shares_memory(gram_built, factor.lower)
 
 
 @pytest.mark.parametrize("n_temps", [1, 4])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coldgp.exceptions import (
@@ -73,14 +73,14 @@ def test_symmetry_threshold_inside_last_block():
     threshold = 1e-12 * max(float(np.max(np.abs(a))), 1.0)
     a[i, j] = np.nextafter(threshold, np.inf)  # a[j, i] stays 0
     with pytest.raises(NotSymmetricError):
-        cholesky(a)
+        cholesky(a.copy())
     for below in (np.nextafter(threshold, 0.0), threshold):  # not above it: factors
         a[i, j] = below
-        assert cholesky(a).jitter_used == 0.0
+        assert cholesky(a.copy()).jitter_used == 0.0
     a[i, j] = 0.0
     a[j, i] = np.nextafter(threshold, np.inf)  # the same pair from its upper-triangle side
     with pytest.raises(NotSymmetricError):
-        cholesky(a)
+        cholesky(a.copy())
 
 
 def test_symmetry_tolerance_reads_negative_entries_and_either_side():
@@ -111,7 +111,7 @@ def test_non_finite_inside_last_block(bad, upper):
 
 def test_jitter_ladder_rescues_singular_matrix():
     a = np.ones((3, 3))  # rank one, PSD but not PD
-    f = cholesky(a)
+    f = cholesky(a.copy())
     assert f.jitter_used > 0.0
     assert f.jitter_used in tuple(r * 1.0 for r in JITTER_LADDER)  # mean diag is 1
     np.testing.assert_allclose(f.lower @ f.lower.T, a + f.jitter_used * np.eye(3),
@@ -121,7 +121,7 @@ def test_jitter_ladder_rescues_singular_matrix():
 def test_jitter_scales_with_diagonal():
     # the ladder is relative to mean(diag), so scaling the matrix scales the jitter
     a = np.ones((3, 3))
-    f1 = cholesky(a)
+    f1 = cholesky(a.copy())
     f2 = cholesky(1000.0 * a)
     np.testing.assert_allclose(f2.jitter_used, 1000.0 * f1.jitter_used, rtol=1e-12)
 
@@ -152,7 +152,7 @@ def test_jitter_rung_factors_a_plus_eps_identity_bitwise(monkeypatch):
         return routines.potrf(work)
 
     monkeypatch.setattr(linalg, "_lapack", lambda: routines._replace(potrf=recording_potrf))
-    f = cholesky(a)
+    f = cholesky(a.copy())
     assert f.jitter_used > 0.0 and len(fed) >= 2
     np.testing.assert_array_equal(fed[-1].view(np.int64),
                                   (a + f.jitter_used * np.eye(50)).view(np.int64))
@@ -175,8 +175,8 @@ def test_jitter_rung_allocates_one_factor():
 
 
 def test_one_block_checks_write_into_the_work_array():
-    # a matrix of one row block is checked in the rows of its work copy, so
-    # the call allocates that copy and no temporary of its size beside it
+    # a matrix of one row block, asymmetric within tolerance, is checked and
+    # factored in its own buffer: the call allocates no temporary of its size
     n = 200
     assert block_rows(n) >= n
     a = np.full((n, n), 0.5) + 0.5 * np.eye(n)
@@ -188,7 +188,7 @@ def test_one_block_checks_write_into_the_work_array():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert f.jitter_used == 0.0 and not np.shares_memory(f.lower, a)
+    assert f.jitter_used == 0.0 and np.shares_memory(f.lower, a)
     assert peak <= 1.25 * a.nbytes
 
 
@@ -220,7 +220,7 @@ def test_factor_raises_peak_rss_by_about_one_factor(tmp_path):
     assert float(out) <= 1.5
 
 
-# the in-place path runs only above one row block of float64 scratch (n > 362)
+# past one row block (n > 362), so the checks and rungs run on two blocks
 _IN_PLACE_N = 400
 
 
@@ -273,32 +273,66 @@ def _signed_zero_pair():
 
 
 @pytest.mark.parametrize("make", [_off_by_one_ulp, _signed_zero_pair])
-def test_in_place_needs_exact_symmetry(make):
-    # symmetric within 1e-12 but not bit for bit: the lower triangle cannot be
-    # restored from the upper one, so the copy path runs and a is not written
+def test_in_place_takes_pairs_that_differ_in_their_bits(make):
+    # symmetric within 1e-12 but not bit for bit: the lower entry's bits go
+    # into its upper partner, so every rung factors the lower triangle that
+    # a copy would, in a's own buffer
     a = make()
-    before = a.copy()
     ref = cholesky(_read_only_copy(a))
     f = cholesky(a)
     assert ref.jitter_used > 0.0 and f.jitter_used == ref.jitter_used
     assert _same_bits(f.lower, ref.lower)
-    assert not np.shares_memory(f.lower, a) and _same_bits(a, before)
+    assert np.shares_memory(f.lower, a)
 
 
-def test_in_place_leaves_read_only_strided_and_small_inputs_alone():
+def test_in_place_leaves_read_only_and_strided_inputs_alone():
     base = _rbf_gram_1d()
     read_only = base.copy()
     read_only.setflags(write=False)
     strided = np.zeros((2 * _IN_PLACE_N, 2 * _IN_PLACE_N))
     strided[::2, ::2] = base
     fortran = np.asfortranarray(base)
-    small = _rbf_gram_1d(362)  # one row block: its copy costs less than the bookkeeping
-    for a in (read_only, strided[::2, ::2], fortran, small):
+    for a in (read_only, strided[::2, ::2], fortran):
         before = np.array(a)
         f = cholesky(a)
         assert _same_bits(f.lower, cholesky(_read_only_copy(before)).lower)
         assert not np.shares_memory(f.lower, a) and _same_bits(np.array(a), before)
     assert not np.any(strided[1::2]) and not np.any(strided[:, 1::2])
+    small = _rbf_gram_1d(362)  # one row block: factored in place as well
+    ref = cholesky(_read_only_copy(small))
+    f = cholesky(small)
+    assert np.shares_memory(f.lower, small) and _same_bits(f.lower, ref.lower)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(min_value=1, max_value=800), st.integers(min_value=0, max_value=2**32 - 1),
+       st.booleans(), st.sampled_from([None, "ulp", "signed-zero"]), st.booleans())
+@example(362, 0, True, "ulp", False)  # one row block
+@example(363, 1, True, "signed-zero", True)  # two blocks, the last of two rows
+@example(800, 2, False, "ulp", True)  # five blocks, the last ragged
+@example(2, 3, True, "signed-zero", False)
+def test_in_place_factor_matches_a_read_only_copys_bitwise(n, seed, singular, pair, upper):
+    # integer entries: without a ridge, a rank-one outer product, whose zero
+    # rung fails at n > 1 on an exactly zero pivot.  One pair (i, j), i > j,
+    # may differ in its bits, from either triangle: by one ulp, or as a zero
+    # and a negative zero (row and column i of the outer product are zero)
+    rng = np.random.default_rng(seed)
+    v = rng.integers(1, 4, n).astype(np.float64)
+    if n == 1:
+        pair = None  # no pair to perturb
+    if pair:
+        i, j = sorted(rng.choice(n, 2, replace=False), reverse=True)
+        if pair == "signed-zero":
+            v[i] = 0.0
+    a = np.outer(v, v) + (0.0 if singular else 0.5) * np.eye(n)
+    if pair:
+        entry = (j, i) if upper else (i, j)
+        a[entry] = np.nextafter(a[entry], np.inf) if pair == "ulp" else -0.0
+    ref = cholesky(_read_only_copy(a))
+    f = cholesky(a)
+    assert (ref.jitter_used > 0.0) == (singular and n > 1)
+    assert f.jitter_used == ref.jitter_used and np.shares_memory(f.lower, a)
+    assert _same_bits(f.lower, ref.lower)
 
 
 @pytest.mark.parametrize("rank_one", [True, False])  # factored at a positive rung; at 0
@@ -387,7 +421,7 @@ def test_log_sum_exp_shift_invariance(values, shift):
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10_000))
 def test_cholesky_reconstructs_random_spd(n, seed):
     a = _random_spd(n, seed)
-    f = cholesky(a)
+    f = cholesky(a.copy())
     np.testing.assert_allclose(f.lower @ f.lower.T, a, rtol=1e-10, atol=1e-10)
 
 
@@ -501,18 +535,22 @@ def test_bound_trtrs_matches_scipy_bitwise(numpy_routines, n, m):
 def test_tril_solve_overwrites_only_what_it_is_handed():
     lower = np.linalg.cholesky(_random_spd(5, 0))
     c_ordered = np.random.default_rng(1).standard_normal((3, 5))
-    f_ordered = c_ordered.T  # (5, 3), F-ordered: solved in its own buffer
     before = c_ordered.copy()
-    assert not np.shares_memory(tril_solve(lower, f_ordered), c_ordered)
-    assert _same_bits(c_ordered, before)
-    x = tril_solve(lower, f_ordered, overwrite_b=True)
+    # a writeable F-ordered (5, 3) matrix and vector: solved in their own buffers
+    x = tril_solve(lower, c_ordered.T)
     assert np.shares_memory(x, c_ordered)
     assert _same_bits(x, scipy.linalg.solve_triangular(lower, before.T, lower=True))
     vector = before[0].copy()
-    assert np.shares_memory(tril_solve(lower, vector, overwrite_b=True), vector)
-    c_matrix = before.T.copy()  # C-ordered (5, 3): solved in a copy
-    assert not np.shares_memory(tril_solve(lower, c_matrix, overwrite_b=True), c_matrix)
-    assert _same_bits(c_matrix, before.T)
+    assert np.shares_memory(tril_solve(lower, vector), vector)
+    # C-ordered, read-only and strided: solved in a copy and left alone
+    read_only = np.asfortranarray(before.T)
+    read_only.setflags(write=False)
+    strided = np.repeat(before[0], 2)[::2]
+    for b in (before.T.copy(), read_only, strided):
+        b_before = b.copy()
+        x = tril_solve(lower, b)
+        assert not np.shares_memory(x, b) and _same_bits(b, b_before)
+        assert _same_bits(x, scipy.linalg.solve_triangular(lower, b_before, lower=True))
 
 
 def test_tril_solve_errors():

@@ -147,7 +147,7 @@ def test_whitened_targets_give_the_textbook_mean():
     mean, _, factor = condition(gram(kern, x, x), gram(kern, xs, x), gram_diag(kern, xs), y, 0.3)
     noisy = gram(kern, x, x) + 0.3**2 * np.eye(30)
     np.testing.assert_allclose(mean, gram(kern, xs, x) @ np.linalg.solve(noisy, y), rtol=1e-10)
-    beta = tril_solve(factor.lower, y)
+    beta = tril_solve(factor.lower, y.copy())
     np.testing.assert_allclose(beta @ beta, y @ np.linalg.solve(noisy, y), rtol=1e-10)
 
 
@@ -256,14 +256,17 @@ def test_best_temperature_tie_goes_to_smaller_temperature():
 
 
 def test_generator_and_fit_factor_their_grams_in_place(monkeypatch):
-    # above one row block (n > 362), the generator hands over the Gram it
-    # built and the fit its noisy copy of the shared Gram, and that buffer
-    # becomes the factor, so neither holds a further n x n array
+    # at fig3b's sizes (a generator Gram of 200 rows, fits of 100) and past
+    # one row block (n > 362), the generator hands over the Gram it built and
+    # the fit its noisy copy of the shared Gram, and that buffer becomes the
+    # factor, so neither holds a further n x n array
     import coldgp.linalg
     import coldgp.regression as reg
 
-    generated = record_factors(monkeypatch, coldgp.linalg)  # data imports it at call time
-    train, test = gen_rbf_regression(400, 10, 0.1, KernelSpec.rbf(), seed=3)
-    fitted = record_factors(monkeypatch, reg)
-    regression_temperature_sweep(KernelSpec.rbf(), [0.1], train, test, [1.0])
-    assert [np.shares_memory(a, f.lower) for a, f in generated + fitted] == [True, True]
+    for n_train, n_test in [(100, 100), (400, 10)]:
+        with monkeypatch.context() as patch:
+            generated = record_factors(patch, coldgp.linalg)  # data imports it at call time
+            train, test = gen_rbf_regression(n_train, n_test, 0.1, KernelSpec.rbf(), seed=3)
+            fitted = record_factors(patch, reg)
+            regression_temperature_sweep(KernelSpec.rbf(), [1.0, 0.1], train, test, [1.0])
+        assert [np.shares_memory(a, f.lower) for a, f in generated + fitted] == [True] * 3

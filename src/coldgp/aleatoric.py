@@ -82,6 +82,7 @@ from .exceptions import (
     IndexOutOfRangeError,
     NonPositiveScaleError,
     QuadratureNotConvergedError,
+    check_bound,
     check_labels,
     check_temperatures,
 )
@@ -90,6 +91,13 @@ from .linalg import log_sum_exp
 # The narrowest window, in prior standard deviations either side of the mode:
 # erfc(8 / sqrt(2)) ~ 1e-15, so a narrower one cuts off posterior mass
 MIN_HALF_WIDTH_SIGMAS = 8.0
+# relabel_ratio_curve's defaults, which a config's probe section fills in
+QUADRATURE_TOLERANCE = 1e-8
+HALF_WIDTH_SIGMAS = 40.0
+# each quadrature setting's exceptions.check_bound bound, read by
+# _check_quadrature and by the config parser
+BOUNDS = {"quadrature_tolerance": (0.0, True),
+          "integration_half_width_sigmas": (MIN_HALF_WIDTH_SIGMAS, False)}
 _INITIAL_PANELS = 256
 _MAX_PANELS = 2 ** 20
 # Doubles per node array that rows refined in lock step may hold at once:
@@ -196,20 +204,15 @@ def _log_terms(d, t, c: float, centre: float):
 
 
 def _check_scale(latent_scale) -> float:
-    c = float(latent_scale)
-    if not (np.isfinite(c) and c > 0.0):
-        raise NonPositiveScaleError(f"latent_scale must be positive, got {c!r}")
-    return c
+    return check_bound("latent_scale", float(latent_scale), (0.0, True), NonPositiveScaleError)
 
 
 def _check_quadrature(quadrature_tolerance, integration_half_width_sigmas):
-    tol, width = float(quadrature_tolerance), float(integration_half_width_sigmas)
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError("quadrature_tolerance must be positive")
-    if not (np.isfinite(width) and width >= MIN_HALF_WIDTH_SIGMAS):
-        raise ValueError(f"integration_half_width_sigmas must be finite and "
-                         f">= {MIN_HALF_WIDTH_SIGMAS:g}, got {width!r}")
-    return tol, width
+    """(tol, width) as floats, each within its ``BOUNDS`` entry."""
+    values = (float(quadrature_tolerance), float(integration_half_width_sigmas))
+    for name, value in zip(BOUNDS, values):
+        check_bound(name, value, BOUNDS[name])
+    return values
 
 
 def _quadrature(c: float, temps, tol: float, width: float, centre: float):
@@ -282,8 +285,8 @@ def relabel_prob_zero_temperature(latent_scale: float) -> float:
 
 
 def relabel_ratio_curve(latent_scale: float, temperatures,
-                        quadrature_tolerance: float = 1e-8,
-                        integration_half_width_sigmas: float = 40.0):
+                        quadrature_tolerance: float = QUADRATURE_TOLERANCE,
+                        integration_half_width_sigmas: float = HALF_WIDTH_SIGMAS):
     """Probe values across a temperature grid, normalized by the t = 1 value.
 
     Returns (probability, ratio): two float64 arrays with one entry per grid

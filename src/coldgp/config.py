@@ -6,6 +6,12 @@ experiment, fail with a ConfigError naming the offender before any
 computation starts.  The fully resolved configuration (defaults filled in,
 command-line overrides applied) is what gets echoed next to the results, and
 it parses back to an identical run.
+
+This module states what JSON itself can get wrong (key sets, applicability,
+required keys, JSON types, finiteness) and the harness's own keys and rules.
+Every other default and bound is stated once, by the code that consumes the
+value, and read from there or checked by that code's check at parse time;
+each such error becomes a ConfigError naming its key.
 """
 from __future__ import annotations
 
@@ -13,14 +19,20 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields, replace
 
-from .aleatoric import MIN_HALF_WIDTH_SIGMAS
+from .aleatoric import BOUNDS as PROBE_BOUNDS
+from .aleatoric import HALF_WIDTH_SIGMAS, QUADRATURE_TOLERANCE, _check_scale
 from .classification import EssConfig
-from .exceptions import ConfigError
+from .data import BOUNDS as DATA_BOUNDS
+from .data import CIFAR_N_TEST, CIFAR_N_TRAIN, _check_clusters, _check_rbf_regression, _normalize_keep
+from .exceptions import ColdGPError, ConfigError, check_bound, check_temperatures
 from .kernels import FAMILIES, KernelSpec
-from .rng import _MAX_SEED
+from .regression import _check_noise_stds
+from .rng import _check_seed
 
 EXPERIMENTS = ("regress-sweep", "classify-sweep", "probe", "gen-data")
-GENERATORS = ("rbf-regression", "clusters")
+# Each generator's data keys and their defaults
+GENERATORS = {"rbf-regression": {"n_train": 100, "n_test": 100, "noise_std": 0.1},
+              "clusters": {"n_per_class": 100, "class_count": 2, "dim": 8, "separation": 2.0}}
 SOURCES = ("cifar10", "file")
 NORMALIZE_SCHEMES = ("none", "global-standardize")
 
@@ -43,7 +55,8 @@ class ExperimentConfig:
         """Plain-JSON form of the resolved config; inapplicable sections omitted."""
         out = {"experiment": self.experiment, "seed": self.seed, "output_dir": self.output_dir}
         if self.kernel is not None:
-            out["kernel"] = _kernel_to_dict(self.kernel)
+            out["kernel"] = {"family": self.kernel.family,
+                             **{key: getattr(self.kernel, key) for key in FAMILIES[self.kernel.family]}}
         if self.temperatures is not None:
             out["temperatures"] = list(self.temperatures)
         if self.data is not None:
@@ -57,12 +70,9 @@ class ExperimentConfig:
         return out
 
 
-def _kernel_to_dict(spec: KernelSpec) -> dict:
-    if spec.family == "rbf":
-        return {"family": "rbf", "lengthscale": spec.rbf_lengthscale,
-                "variance": spec.rbf_variance, "scale": spec.scale}
-    return {"family": "nngp", "depth": spec.depth, "sigma_w2": spec.sigma_w2,
-            "sigma_b2": spec.sigma_b2, "scale": spec.scale}
+def _object(section, where: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"'{where}' must be an object")
 
 
 def _reject_unknown(section: dict, allowed, where: str):
@@ -77,107 +87,93 @@ def _need(section: dict, key: str, where: str):
     return section[key]
 
 
-def _as_number(value, key: str, where: str, positive=False, nonneg=False,
-               squared=False) -> float:
-    """``value`` as a finite float; ``squared`` also requires a finite square,
-    for the values the computation squares in Python floats (which raise
-    OverflowError instead of giving inf)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"key '{key}' in {where} must be a number, got {value!r}")
+def _as_number(value, key: str, where: str, integer=False):
+    """``value`` as a finite float, or as an int when ``integer``: its JSON type."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"key '{key}' in {where} must be {kind}, got {value!r}")
+    if integer:
+        return value
     try:
         v = float(value)
     except OverflowError:  # an integer literal past the float range
         v = math.inf
     if not math.isfinite(v):
         raise ConfigError(f"key '{key}' in {where} must be finite, got {value!r}")
-    if squared and not math.isfinite(v * v):
-        raise ConfigError(f"key '{key}' in {where} is squared, so its square must be "
-                          f"finite, got {value!r}")
-    if positive and not v > 0.0:
-        raise ConfigError(f"key '{key}' in {where} must be positive, got {value!r}")
-    if nonneg and v < 0.0:
-        raise ConfigError(f"key '{key}' in {where} must be >= 0, got {value!r}")
     return v
 
 
-def _as_int(value, key: str, where: str, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"key '{key}' in {where} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"key '{key}' in {where} must be >= {minimum}, got {value!r}")
+def _as_numbers(value, key: str, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"key '{key}' in {where} must be a list, got {value!r}")
+    return [_as_number(v, key, where) for v in value]
+
+
+def _as_string(value, key: str, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"key '{key}' in {where} must be a non-empty string, got {value!r}")
     return value
 
 
-def _as_positive_list(value, key: str, where: str, squared=False) -> tuple:
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"key '{key}' in {where} must be a non-empty list")
-    return tuple(_as_number(v, key, where, positive=True, squared=squared) for v in value)
+def _within(value, key: str, where: str, bound):
+    """``value``, of the JSON type of ``bound``'s least value and within ``bound``,
+    its owner's check_bound bound."""
+    value = _as_number(value, key, where, integer=isinstance(bound[0], int))
+    return check_bound(f"key '{key}' in {where}", value, bound, ConfigError)
+
+
+def _bounded(section: dict, where: str, defaults: dict, bounds: dict) -> dict:
+    """Each key of ``defaults``, from ``section`` or defaulted, within its bound."""
+    return {key: _within(section.get(key, default), key, where, bounds[key])
+            for key, default in defaults.items()}
+
+
+def _owned(key: str, where: str, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, the check of key ``key`` by the code that
+    consumes it; the error it raises becomes a ConfigError naming the key."""
+    try:
+        return check(*args, **kwargs)
+    except (ValueError, ColdGPError) as exc:
+        raise ConfigError(f"key '{key}' in {where}: {exc}") from None
 
 
 def _parse_kernel(section) -> KernelSpec:
     where = "kernel"
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{where}' must be an object")
+    _object(section, where)
     family = _need(section, "family", where)
-    # each key is a KernelSpec field, less its rbf_ prefix, and takes its default
-    values = {f.name.removeprefix("rbf_"): f.default for f in fields(KernelSpec)} | section
-    if family == "rbf":
-        _reject_unknown(section, ("family", "lengthscale", "variance", "scale"), where)
-        lengthscale = _as_number(values["lengthscale"], "lengthscale", where,
-                                 positive=True, squared=True)
-        if lengthscale * lengthscale == 0.0:  # the Gram divides by the square
-            raise ConfigError(f"key 'lengthscale' in {where} is squared, so its square must be "
-                              f"positive, got {section['lengthscale']!r}")
-        return KernelSpec.rbf(
-            lengthscale=lengthscale,
-            variance=_as_number(values["variance"], "variance", where, positive=True),
-            scale=_as_number(values["scale"], "scale", where, positive=True),
-        )
-    if family == "nngp":
-        _reject_unknown(section, ("family", "depth", "sigma_w2", "sigma_b2", "scale"), where)
-        return KernelSpec.nngp(
-            depth=_as_int(values["depth"], "depth", where, minimum=1),
-            sigma_w2=_as_number(values["sigma_w2"], "sigma_w2", where, positive=True),
-            sigma_b2=_as_number(values["sigma_b2"], "sigma_b2", where, nonneg=True),
-            scale=_as_number(values["scale"], "scale", where, positive=True),
-        )
-    raise ConfigError(f"key 'family' in {where} must be one of {list(FAMILIES)}, got {family!r}")
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise ConfigError(f"key 'family' in {where} must be one of {list(FAMILIES)}, "
+                          f"got {family!r}")
+    _reject_unknown(section, ("family", *FAMILIES[family]), where)
+    # each key is a KernelSpec field, which gives its default, and has a bound
+    defaults = {f.name: f.default for f in fields(KernelSpec) if f.name in FAMILIES[family]}
+    return KernelSpec(family, **_bounded(section, where, defaults, KernelSpec.BOUNDS))
 
 
-def _parse_data(section, experiment: str) -> dict:
+def _parse_data(section, experiment: str, kernel: KernelSpec | None) -> dict:
     where = "data"
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{where}' must be an object")
+    _object(section, where)
     if ("generator" in section) == ("source" in section):
         raise ConfigError(f"'{where}' needs exactly one of keys 'generator' or 'source'")
     if "generator" in section:
         kind = section["generator"]
-        if kind == "rbf-regression":
-            if experiment == "classify-sweep":
-                raise ConfigError("key 'generator'='rbf-regression' in data is regression-only")
-            _reject_unknown(section, ("generator", "n_train", "n_test", "noise_std"), where)
-            return {
-                "generator": "rbf-regression",
-                "n_train": _as_int(section.get("n_train", 100), "n_train", where, minimum=1),
-                "n_test": _as_int(section.get("n_test", 100), "n_test", where, minimum=1),
-                "noise_std": _as_number(section.get("noise_std", 0.1), "noise_std", where, nonneg=True),
-            }
+        if kind == "rbf-regression" and experiment == "classify-sweep":
+            raise ConfigError("key 'generator'='rbf-regression' in data is regression-only")
+        if kind == "clusters" and experiment == "regress-sweep":
+            raise ConfigError("key 'generator'='clusters' in data is classification-only")
+        if not isinstance(kind, str) or kind not in GENERATORS:
+            raise ConfigError(f"key 'generator' in {where} must be one of {list(GENERATORS)}, "
+                              f"got {kind!r}")
+        _reject_unknown(section, ("generator", *GENERATORS[kind]), where)
+        params = _bounded(section, where, GENERATORS[kind], DATA_BOUNDS)
+        # the generator's own check, for its rules that join keys
         if kind == "clusters":
-            if experiment == "regress-sweep":
-                raise ConfigError("key 'generator'='clusters' in data is classification-only")
-            _reject_unknown(section, ("generator", "n_per_class", "class_count", "dim", "separation"), where)
-            out = {
-                "generator": "clusters",
-                "n_per_class": _as_int(section.get("n_per_class", 100), "n_per_class", where, minimum=1),
-                "class_count": _as_int(section.get("class_count", 2), "class_count", where, minimum=2),
-                "dim": _as_int(section.get("dim", 8), "dim", where, minimum=1),
-                "separation": _as_number(section.get("separation", 2.0), "separation", where, positive=True),
-            }
-            if out["class_count"] > 2 * out["dim"]:
-                raise ConfigError(f"key 'class_count' in {where} must be <= 2 * dim, the number "
-                                  f"of distinct centers, got {out['class_count']}")
-            return out
-        raise ConfigError(f"key 'generator' in {where} must be one of {list(GENERATORS)}, got {kind!r}")
+            _owned("class_count", where, _check_clusters, **params)
+        elif kernel is None:
+            raise ConfigError("data generator 'rbf-regression' requires a 'kernel' section")
+        else:
+            _owned("generator", where, _check_rbf_regression, **params, kernel=kernel)
+        return {"generator": kind, **params}
     kind = section["source"]
     if experiment == "gen-data":
         raise ConfigError("key 'source' in data: gen-data requires a generator")
@@ -189,30 +185,28 @@ def _parse_data(section, experiment: str) -> dict:
         if classes is not None:
             if not isinstance(classes, list):
                 raise ConfigError(f"key 'classes' in {where} must be a list or null")
-            classes = [_as_int(c, "classes", where, minimum=0) for c in classes]
-            if len(classes) < 2 or len(set(classes)) != len(classes) or max(classes) > 9:
-                raise ConfigError(f"key 'classes' in {where} must list at least 2 distinct "
-                                  f"CIFAR-10 classes in [0, 9], got {classes!r}")
-        out = {
-            "source": "cifar10",
-            "dir": str(_need(section, "dir", where)),
-            "classes": classes,
-            "n_train": _as_int(section.get("n_train", 2000), "n_train", where, minimum=1),
-            "n_test": _as_int(section.get("n_test", 1000), "n_test", where, minimum=1),
-            "normalize": section.get("normalize", "global-standardize"),
-        }
+            classes = _owned("classes", where, _normalize_keep,
+                             [_as_number(c, "classes", where, integer=True) for c in classes])
+            least = DATA_BOUNDS["class_count"][0]  # each class kept is a class of the data
+            if len(classes) < least:
+                raise ConfigError(f"key 'classes' in {where} must list at least {least} "
+                                  f"classes, got {classes!r}")
+        out = {"source": "cifar10", "dir": _as_string(_need(section, "dir", where), "dir", where),
+               "classes": classes,
+               **_bounded(section, where, {"n_train": CIFAR_N_TRAIN, "n_test": CIFAR_N_TEST},
+                          DATA_BOUNDS),
+               "normalize": section.get("normalize", "global-standardize")}
     elif kind == "file":
         _reject_unknown(section, ("source", "train_path", "test_path", "class_count", "normalize"), where)
-        out = {
-            "source": "file",
-            "train_path": str(_need(section, "train_path", where)),
-            "test_path": str(_need(section, "test_path", where)),
-            "normalize": section.get("normalize", "none"),
-        }
+        out = {"source": "file",
+               **{key: _as_string(_need(section, key, where), key, where)
+                  for key in ("train_path", "test_path")},
+               "normalize": section.get("normalize", "none")}
         if "class_count" in section:
             if experiment == "regress-sweep":
                 raise ConfigError("key 'class_count' in data is classification-only")
-            out["class_count"] = _as_int(section["class_count"], "class_count", where, minimum=2)
+            out["class_count"] = _within(section["class_count"], "class_count", where,
+                                         DATA_BOUNDS["class_count"])
     else:
         raise ConfigError(f"key 'source' in {where} must be one of {list(SOURCES)}, got {kind!r}")
     if out["normalize"] not in NORMALIZE_SCHEMES:
@@ -222,55 +216,40 @@ def _parse_data(section, experiment: str) -> dict:
 
 
 def _parse_ess(section) -> EssConfig:
-    """The ``ess`` section: one integer key per EssConfig field, defaulting to
-    that field's default and bounded below by its minimum."""
+    """The ``ess`` section: each EssConfig field, its default and its minimum."""
     where = "ess"
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{where}' must be an object")
+    _object(section, where)
     defaults = {f.name: f.default for f in fields(EssConfig)}
     _reject_unknown(section, defaults, where)
-    return EssConfig(**{key: _as_int(section.get(key, default), key, where,
-                                     minimum=EssConfig.MINIMUMS[key])
-                        for key, default in defaults.items()})
+    return EssConfig(**_bounded(section, where, defaults,
+                                {key: (least, False) for key, least in EssConfig.MINIMUMS.items()}))
 
 
 def _parse_probe(section) -> dict:
     where = "probe"
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{where}' must be an object")
-    _reject_unknown(section, ("latent_scales", "temperatures", "quadrature_tolerance",
-                              "integration_half_width_sigmas"), where)
-    out = {
-        "latent_scales": list(_as_positive_list(_need(section, "latent_scales", where),
-                                                "latent_scales", where)),
-        "temperatures": list(_as_positive_list(_need(section, "temperatures", where),
-                                               "temperatures", where)),
-        "quadrature_tolerance": _as_number(section.get("quadrature_tolerance", 1e-8),
-                                           "quadrature_tolerance", where, positive=True),
-        "integration_half_width_sigmas": _as_number(
-            section.get("integration_half_width_sigmas", 40.0),
-            "integration_half_width_sigmas", where),
-    }
-    if out["integration_half_width_sigmas"] < MIN_HALF_WIDTH_SIGMAS:
-        raise ConfigError(f"key 'integration_half_width_sigmas' in {where} must be "
-                          f">= {MIN_HALF_WIDTH_SIGMAS:g}, "
-                          f"got {out['integration_half_width_sigmas']!r}")
-    return out
+    _object(section, where)
+    defaults = {"quadrature_tolerance": QUADRATURE_TOLERANCE,
+                "integration_half_width_sigmas": HALF_WIDTH_SIGMAS}
+    _reject_unknown(section, ("latent_scales", "temperatures", *defaults), where)
+    scales = _as_numbers(_need(section, "latent_scales", where), "latent_scales", where)
+    if not scales:  # the harness writes one curve per scale
+        raise ConfigError(f"key 'latent_scales' in {where} must be a non-empty list")
+    temperatures = _as_numbers(_need(section, "temperatures", where), "temperatures", where)
+    return {"latent_scales": [_owned("latent_scales", where, _check_scale, c) for c in scales],
+            "temperatures": _owned("temperatures", where, check_temperatures, temperatures),
+            **_bounded(section, where, defaults, PROBE_BOUNDS)}
 
 
 def _parse_regression(section) -> dict:
     where = "regression"
-    if not isinstance(section, dict):
-        raise ConfigError(f"'{where}' must be an object")
+    _object(section, where)
     _reject_unknown(section, ("assumed_noise_std", "n_seeds"), where)
     assumed = section.get("assumed_noise_std", [0.1])
     if isinstance(assumed, (int, float)) and not isinstance(assumed, bool):
         assumed = [assumed]
-    return {
-        "assumed_noise_std": list(_as_positive_list(assumed, "assumed_noise_std", where,
-                                                    squared=True)),
-        "n_seeds": _as_int(section.get("n_seeds", 1), "n_seeds", where, minimum=1),
-    }
+    return {"assumed_noise_std": _owned("assumed_noise_std", where, _check_noise_stds,
+                                        _as_numbers(assumed, "assumed_noise_std", where)),
+            **_bounded(section, where, {"n_seeds": 1}, {"n_seeds": (1, False)})}
 
 
 _SECTIONS = ("kernel", "temperatures", "data", "ess", "probe", "regression")
@@ -308,27 +287,19 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if key not in raw:
             raise ConfigError(f"experiment '{experiment}' requires key '{key}'")
 
-    seed = raw.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"key 'seed' must be an integer, got {seed!r}")
-    if not (0 <= seed < _MAX_SEED):
-        raise ConfigError(f"key 'seed' must be in [0, 2**64), got {seed!r}")
-    output_dir = raw.get("output_dir", f"runs/{experiment}")
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError("key 'output_dir' must be a non-empty string")
+    where = "top-level config"
+    seed = _owned("seed", where, _check_seed,
+                  _as_number(raw.get("seed", 0), "seed", where, integer=True))
+    output_dir = _as_string(raw.get("output_dir", f"runs/{experiment}"), "output_dir", where)
 
     kernel = _parse_kernel(raw["kernel"]) if "kernel" in raw else None
-    temperatures = (_as_positive_list(raw["temperatures"], "temperatures", "top-level config")
+    temperatures = (tuple(_owned("temperatures", where, check_temperatures,
+                                 _as_numbers(raw["temperatures"], "temperatures", where)))
                     if "temperatures" in raw else None)
-    data = _parse_data(raw["data"], experiment) if "data" in raw else None
+    data = _parse_data(raw["data"], experiment, kernel) if "data" in raw else None
     ess = _parse_ess(raw.get("ess", {})) if experiment == "classify-sweep" else None
     probe = _parse_probe(raw["probe"]) if "probe" in raw else None
     regression = _parse_regression(raw.get("regression", {})) if experiment == "regress-sweep" else None
-    if experiment in ("regress-sweep", "gen-data") and data is not None:
-        if data.get("generator") == "rbf-regression" and kernel is None:
-            raise ConfigError("data generator 'rbf-regression' requires a 'kernel' section")
-        if data.get("generator") == "rbf-regression" and kernel.family != "rbf":
-            raise ConfigError("data generator 'rbf-regression' requires an rbf kernel")
     if (experiment == "regress-sweep" and data is not None and data.get("source") == "file"
             and regression["n_seeds"] > 1):
         raise ConfigError("key 'n_seeds' in regression must be 1 when data comes from files")
@@ -360,8 +331,10 @@ def apply_overrides(config: ExperimentConfig, seed: int | None = None,
                     output_dir: str | None = None) -> ExperimentConfig:
     """Fold command-line overrides into the resolved config."""
     if seed is not None:
-        if not (0 <= seed < _MAX_SEED):
-            raise ConfigError(f"--seed must be in [0, 2**64), got {seed!r}")
+        try:
+            _check_seed(seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
         config = replace(config, seed=seed)
     if output_dir is not None:
         if not output_dir:

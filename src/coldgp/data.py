@@ -24,6 +24,7 @@ from .exceptions import (
     NonFiniteInputError,
     ZeroVarianceError,
     check_array_size,
+    check_bound,
 )
 from .records import read_csv, write_csv
 from .rng import RngStream
@@ -32,6 +33,22 @@ CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 CIFAR_TEST_FILE = "test_batch.bin"
 _CIFAR_RECORD = 3073
 _SPLITS = ("train", "test")
+# load_cifar10's default subsample sizes, which a config's cifar10 source fills in
+CIFAR_N_TRAIN = 2000
+CIFAR_N_TEST = 1000
+# Each count and scale argument's exceptions.check_bound bound, whose least
+# value's type is the argument's, read by _checked and by the config parser
+BOUNDS = {"n_train": (1, False), "n_test": (1, False), "noise_std": (0.0, False),
+          "n_per_class": (1, False), "class_count": (2, False), "dim": (1, False),
+          "separation": (0.0, False)}
+
+
+def _checked(**values) -> tuple:
+    """``values``, each converted to its ``BOUNDS`` type and checked against
+    its bound; a count of points below 1 is empty."""
+    return tuple(check_bound(name, type(BOUNDS[name][0])(value), BOUNDS[name],
+                             EmptyInputError if name.startswith("n_") else ValueError)
+                 for name, value in values.items())
 
 
 @dataclass(frozen=True)
@@ -69,9 +86,7 @@ class LabeledDataset:
             if not np.all(np.isfinite(targets)):
                 raise NonFiniteInputError("regression targets contain NaN or infinity")
         else:
-            if int(self.class_count) < 2:
-                raise ValueError(f"class_count must be >= 2, got {self.class_count!r}")
-            object.__setattr__(self, "class_count", int(self.class_count))
+            object.__setattr__(self, "class_count", *_checked(class_count=self.class_count))
             if not np.issubdtype(targets.dtype, np.integer):
                 if not np.all(targets == np.floor(targets)):
                     raise LabelOutOfRangeError("classification labels must be integers")
@@ -96,6 +111,14 @@ class LabeledDataset:
         return self.class_count is not None
 
 
+def _check_rbf_regression(n_train, n_test, noise_std, kernel):
+    """:func:`gen_rbf_regression`'s arguments, checked and converted (``_checked``)
+    after its kernel is checked to be rbf.  The config parser calls it too."""
+    if kernel.family != "rbf":
+        raise ValueError(f"generator requires an rbf kernel, got family {kernel.family!r}")
+    return _checked(n_train=n_train, n_test=n_test, noise_std=noise_std)
+
+
 def gen_rbf_regression(n_train, n_test, noise_std, kernel, seed):
     """Draw a 1-D regression problem from an RBF prior.
 
@@ -106,18 +129,12 @@ def gen_rbf_regression(n_train, n_test, noise_std, kernel, seed):
     is fixed, all on stream 0 of the seed.  The Gram of many scalar inputs is
     ill-conditioned, so its factor may need a jitter rung; the absolute
     jitter added is recorded as ``jitter_used`` in both splits' provenance.
+    The arguments are checked first (:func:`_check_rbf_regression`).
     """
     from .kernels import gram  # local import: kernels has no data dependency
     from .linalg import cholesky
 
-    if kernel.family != "rbf":
-        raise ValueError(f"generator requires an rbf kernel, got family {kernel.family!r}")
-    n_train, n_test = int(n_train), int(n_test)
-    if n_train < 1 or n_test < 1:
-        raise EmptyInputError("need n_train >= 1 and n_test >= 1")
-    noise_std = float(noise_std)
-    if not (np.isfinite(noise_std) and noise_std >= 0.0):
-        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
+    n_train, n_test, noise_std = _check_rbf_regression(n_train, n_test, noise_std, kernel)
     n = n_train + n_test
     check_array_size("the data Gram (n_train + n_test rows and columns)", (n, n))
     rng = RngStream(seed, 0)
@@ -132,27 +149,31 @@ def gen_rbf_regression(n_train, n_test, noise_std, kernel, seed):
     return train, test
 
 
+def _check_clusters(n_per_class, class_count, dim, separation):
+    """:func:`gen_cluster_classification`'s arguments, checked and converted
+    (``_checked``), with at most 2 * dim classes, the number of distinct
+    centers.  The config parser calls it too."""
+    values = _checked(n_per_class=n_per_class, class_count=class_count, dim=dim,
+                      separation=separation)
+    if values[1] > 2 * values[2]:
+        raise ValueError(f"class_count must be <= 2 * dim, the number of distinct centers, "
+                         f"got {values[1]} at dim {values[2]}")
+    return values
+
+
 def gen_cluster_classification(n_per_class, class_count, dim, separation, seed):
     """Gaussian clusters with unit noise at separated basis-vector centers.
 
     Class c sits at separation * e_{c mod dim}, negated once the basis is
-    exhausted, so up to 2*dim distinct centers are available.  The train
-    split has n_per_class points per class, the test split n_per_class // 2
-    (at least one).  Points are drawn class by class on stream 0 (train) and
-    stream 1 (test).
+    exhausted, so up to 2*dim distinct centers are available; at separation
+    0 every class sits at the origin and the labels are pure noise.  The
+    train split has n_per_class points per class, the test split
+    n_per_class // 2 (at least one).  Points are drawn class by class on
+    stream 0 (train) and stream 1 (test).  The arguments are checked first
+    (:func:`_check_clusters`).
     """
-    n_per_class, class_count, dim = int(n_per_class), int(class_count), int(dim)
-    if n_per_class < 1:
-        raise EmptyInputError("n_per_class must be >= 1")
-    if class_count < 2:
-        raise ValueError(f"class_count must be >= 2, got {class_count}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if class_count > 2 * dim:
-        raise ValueError(f"at most {2 * dim} distinct centers in dimension {dim}")
-    separation = float(separation)
-    if not (np.isfinite(separation) and separation >= 0.0):
-        raise ValueError(f"separation must be finite and >= 0, got {separation!r}")
+    n_per_class, class_count, dim, separation = _check_clusters(n_per_class, class_count, dim,
+                                                                separation)
     check_array_size("the training inputs (n_per_class * class_count, dim)",
                      (n_per_class * class_count, dim))
 
@@ -196,6 +217,7 @@ def _read_cifar_file(path: str):
 
 
 def _normalize_keep(keep_classes):
+    """Distinct CIFAR-10 classes in [0, 9], all ten for None; config calls it too."""
     if keep_classes is None:
         return list(range(10))
     keep = [int(c) for c in keep_classes]
@@ -209,7 +231,7 @@ def _normalize_keep(keep_classes):
     return keep
 
 
-def load_cifar10(dir_path, keep_classes=None, n_train=2000, n_test=1000, seed=0):
+def load_cifar10(dir_path, keep_classes=None, n_train=CIFAR_N_TRAIN, n_test=CIFAR_N_TEST, seed=0):
     """Load and subsample the CIFAR-10 binary batches under ``dir_path``.
 
     keep_classes selects a class subset, a sequence of class indices (None
@@ -218,9 +240,7 @@ def load_cifar10(dir_path, keep_classes=None, n_train=2000, n_test=1000, seed=0)
     permutation, stream 0 for train and stream 1 for test.  Pixels are
     scaled to [0, 1]; no further normalization is applied here.
     """
-    n_train, n_test = int(n_train), int(n_test)
-    if n_train < 1 or n_test < 1:
-        raise EmptyInputError("need n_train >= 1 and n_test >= 1")
+    n_train, n_test = _checked(n_train=n_train, n_test=n_test)
     keep = _normalize_keep(keep_classes)
     remap = np.zeros(10, dtype=np.int64)  # original class -> its position in keep
     remap[keep] = np.arange(len(keep))

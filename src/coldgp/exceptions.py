@@ -89,6 +89,24 @@ def check_temperatures(grid) -> list:
     return temps
 
 
+def check_bound(name: str, value, bound, error=ValueError):
+    """``value`` if it lies within ``bound``, else raises ``error`` naming ``name``.
+
+    ``bound`` is (least, strict[, squared]): ``value`` must be finite and
+    above ``least`` if ``strict``, else at least ``least``; ``squared`` puts
+    the same bound on value * value, for a value squared in floats.
+    """
+    least, strict, *squared = bound
+    for i, v in enumerate((value, value * value) if squared else (value,)):
+        if not ((least < v if strict else least <= v) and v < math.inf):  # false for NaN
+            # an int is finite, however large
+            relation = (f"{'' if isinstance(value, int) else 'finite and '}"
+                        f"{'>' if strict else '>='} {least:g}")
+            what = f"{name} is squared, so its square" if i else name
+            raise error(f"{what} must be {relation}, got {value!r}")
+    return value
+
+
 def check_array_size(what: str, shape) -> None:
     """Raise ColdGPError if a float64 array of ``shape`` is past numpy's limit.
 

@@ -3,7 +3,7 @@
 Two families:
 
 ``rbf``
-    k(x, x') = scale * rbf_variance * exp(-||x - x'||^2 / (2 * rbf_lengthscale^2))
+    k(x, x') = scale * variance * exp(-||x - x'||^2 / (2 * lengthscale^2))
 
 ``nngp``
     The infinite-width limit of a fully connected rectifier network at
@@ -67,10 +67,14 @@ from .exceptions import (
     EmptyInputError,
     NonFiniteInputError,
     NonPositiveScaleError,
+    check_bound,
 )
 from .linalg import block_rows
 
-FAMILIES = ("rbf", "nngp")
+# Each family's parameters: the KernelSpec fields it reads, which are also
+# the keys of a config's kernel section
+FAMILIES = {"rbf": ("lengthscale", "variance", "scale"),
+            "nngp": ("depth", "sigma_w2", "sigma_b2", "scale")}
 
 
 @dataclass(frozen=True)
@@ -78,47 +82,32 @@ class KernelSpec:
     """Immutable description of a kernel.
 
     RBF parameters are ignored by the nngp family and vice versa; the
-    constructor only validates the fields the family actually uses.
+    constructor only validates the fields the family actually uses, each
+    against its entry in ``BOUNDS``, which the config parser reads too.
     """
 
     family: str
-    rbf_lengthscale: float = 1.0
-    rbf_variance: float = 1.0
+    lengthscale: float = 1.0
+    variance: float = 1.0
     depth: int = 2
     sigma_w2: float = 2.0
     sigma_b2: float = 0.0
     scale: float = 1.0
 
+    # each parameter's exceptions.check_bound bound (a class attribute, not a
+    # field): the rbf Gram divides by the lengthscale's square, taken in
+    # Python floats, so the square must be positive and finite too
+    BOUNDS = {"lengthscale": (0.0, True, True), "variance": (0.0, True), "depth": (1, False),
+              "sigma_w2": (0.0, True), "sigma_b2": (0.0, False), "scale": (0.0, True)}
+
     def __post_init__(self):
         if self.family not in FAMILIES:
-            raise ValueError(f"unknown kernel family {self.family!r}; expected one of {FAMILIES}")
-        if not (np.isfinite(self.scale) and self.scale > 0.0):
-            raise NonPositiveScaleError(f"scale must be positive and finite, got {self.scale!r}")
-        if self.family == "rbf":
-            if not (np.isfinite(self.rbf_lengthscale) and self.rbf_lengthscale > 0.0):
-                raise ValueError(f"rbf_lengthscale must be positive, got {self.rbf_lengthscale!r}")
-            if not 0.0 < self.rbf_lengthscale * self.rbf_lengthscale < np.inf:
-                # the Gram divides by its square, taken in Python floats, which
-                # raise OverflowError past the float range and round to 0 below it
-                raise ValueError(f"rbf_lengthscale is squared, so its square must be positive "
-                                 f"and finite, got {self.rbf_lengthscale!r}")
-            if not (np.isfinite(self.rbf_variance) and self.rbf_variance > 0.0):
-                raise ValueError(f"rbf_variance must be positive, got {self.rbf_variance!r}")
-        else:
-            if int(self.depth) != self.depth or self.depth < 1:
-                raise ValueError(f"depth must be an integer >= 1, got {self.depth!r}")
-            if not (np.isfinite(self.sigma_w2) and self.sigma_w2 > 0.0):
-                raise ValueError(f"sigma_w2 must be positive, got {self.sigma_w2!r}")
-            if not (np.isfinite(self.sigma_b2) and self.sigma_b2 >= 0.0):
-                raise ValueError(f"sigma_b2 must be non-negative, got {self.sigma_b2!r}")
-
-    @staticmethod
-    def rbf(lengthscale: float = 1.0, variance: float = 1.0, scale: float = 1.0) -> "KernelSpec":
-        return KernelSpec(family="rbf", rbf_lengthscale=lengthscale, rbf_variance=variance, scale=scale)
-
-    @staticmethod
-    def nngp(depth: int = 2, sigma_w2: float = 2.0, sigma_b2: float = 0.0, scale: float = 1.0) -> "KernelSpec":
-        return KernelSpec(family="nngp", depth=depth, sigma_w2=sigma_w2, sigma_b2=sigma_b2, scale=scale)
+            raise ValueError(f"unknown kernel family {self.family!r}; expected one of {list(FAMILIES)}")
+        for name in FAMILIES[self.family]:
+            check_bound(name, getattr(self, name), self.BOUNDS[name],
+                        NonPositiveScaleError if name == "scale" else ValueError)
+        if self.family == "nngp" and int(self.depth) != self.depth:
+            raise ValueError(f"depth must be an integer, got {self.depth!r}")
 
 
 def _check_inputs(a, b):
@@ -178,9 +167,9 @@ def _rbf_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
     # a subnormal 2 l^2 sends d2 / (2 l^2) to -inf off the diagonal, and
     # exp(-inf) = 0 is the kernel's limit there
     with np.errstate(over="ignore"):
-        k /= 2.0 * spec.rbf_lengthscale**2
+        k /= 2.0 * spec.lengthscale**2
     np.exp(k, out=k)
-    k *= spec.scale * spec.rbf_variance
+    k *= spec.scale * spec.variance
     return k
 
 
@@ -279,5 +268,5 @@ def gram_diag(spec: KernelSpec, a) -> np.ndarray:
     """Vector of self-covariances k(x_i, x_i) for the rows of ``a``."""
     a, _ = _check_inputs(a, a)
     if spec.family == "rbf":
-        return np.full(a.shape[0], spec.scale * spec.rbf_variance)
+        return np.full(a.shape[0], spec.scale * spec.variance)
     return spec.scale * _nngp_self_covs(spec, a)[-1]

@@ -29,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .data import LabeledDataset
-from .exceptions import EmptyInputError, ZeroVarianceError, check_temperatures
+from .exceptions import EmptyInputError, ZeroVarianceError, check_bound, check_temperatures
 from .kernels import KernelSpec, gram, gram_diag
 from .linalg import SpdFactor, cholesky, tril_solve
 
@@ -37,13 +37,7 @@ from .linalg import SpdFactor, cholesky, tril_solve
 def _check_noise_stds(noise_stds) -> list:
     """``noise_stds`` as a list of floats, each finite, >= 0 and with a finite
     square (conditioning squares it in Python floats, which raise OverflowError)."""
-    out = []
-    for s in map(float, noise_stds):
-        if not (np.isfinite(s) and s >= 0.0):
-            raise ValueError(f"noise_std must be finite and >= 0, got {s!r}")
-        if not np.isfinite(s * s):
-            raise ValueError(f"noise_std is squared, so its square must be finite, got {s!r}")
-        out.append(s)
+    out = [check_bound("noise_std", s, (0.0, False, True)) for s in map(float, noise_stds)]
     if not out:
         raise EmptyInputError("no noise levels")
     return out

@@ -124,7 +124,7 @@ def test_tempered_posterior_equivalences():
         lengthscale = float(rng.uniform(0.5, 2.0))
         variance = float(rng.uniform(0.5, 2.0))
         sigma = float(rng.uniform(0.05, 0.3))
-        spec = KernelSpec.rbf(lengthscale=lengthscale, variance=variance)
+        spec = KernelSpec("rbf", lengthscale=lengthscale, variance=variance)
         x = _spaced_inputs(n, lengthscale, rng)
         y = rng.normal(0.0, np.sqrt(variance) + sigma, n)
         train = LabeledDataset(x, y, None, "train")
@@ -162,7 +162,7 @@ def _moment_z_scores(series, mean_targets, second_targets, cross_target, cross_p
 
 def test_sampler_matches_analytic_oracles():
     started = time.perf_counter()
-    spec = KernelSpec.rbf(lengthscale=1.0, variance=1.0)
+    spec = KernelSpec("rbf", lengthscale=1.0, variance=1.0)
 
     # (ii) gaussian likelihood on a tempered prior: conjugate posterior moments.
     # It runs one chain as the sweep does, on the one contrast of two classes,
@@ -251,7 +251,7 @@ def test_sampler_passes_simulation_based_calibration():
     # the first run.
     started = time.perf_counter()
     train, test = gen_cluster_classification(5, 2, 8, 1.5, seed=0)
-    spec = KernelSpec.nngp(depth=2, scale=4.0)
+    spec = KernelSpec("nngp", depth=2, scale=4.0)
     factor = cholesky(gram(spec, train.inputs, train.inputs))
     lower, n = factor.lower, train.n
     v = conditional_at(spec, train.inputs, test.inputs[:1], factor)[0][:, 0]
@@ -306,7 +306,7 @@ def test_depth2_kernel_matches_wide_network_simulation():
     sigma_w2, sigma_b2 = 2.0, 0.0
     rng = np.random.default_rng(31)
     x = rng.normal(size=(n_points, d_in))
-    spec = KernelSpec.nngp(depth=2, sigma_w2=sigma_w2, sigma_b2=sigma_b2)
+    spec = KernelSpec("nngp", depth=2, sigma_w2=sigma_w2, sigma_b2=sigma_b2)
     k = gram(spec, x, x)
 
     k0 = sigma_b2 + sigma_w2 * (x @ x.T) / d_in
@@ -349,7 +349,7 @@ def test_cold_sweep_improves_test_likelihood():
     started = time.perf_counter()
     train, test, source = _two_class_image_data()
     assert (train.n, test.n) == (2000, 1000)
-    spec = KernelSpec.nngp(depth=2, sigma_w2=2.0, sigma_b2=0.0)
+    spec = KernelSpec("nngp", depth=2, sigma_w2=2.0, sigma_b2=0.0)
     temps = [0.01, 0.03, 0.1, 0.3, 1.0]
     out = classification_temperature_sweep(
         spec, train, test, temps,

@@ -245,7 +245,7 @@ def test_whitened_state_tracks_the_latent_along_a_chain():
     # L @ (g_c - g_0) stays f_c up to rounding over a long run of tempered
     # softmax transitions, as the sweep runs them
     train, _ = gen_cluster_classification(25, 3, 3, 2.0, seed=3)
-    lower = _factor(KernelSpec.rbf(), train).lower
+    lower = _factor(KernelSpec("rbf"), train).lower
     temps = np.array([0.05, 1.0, 4.0])
     index = _index(train.targets)
     loglik = lambda props, idx: _contrast_log_softmax_sums(props, index) / temps[idx]
@@ -396,7 +396,7 @@ def _factor(kern, train):
 
 def test_sample_grid_layout_and_determinism():
     train, _, cfg = _tiny_problem()
-    factor = _factor(KernelSpec.rbf(), train)
+    factor = _factor(KernelSpec("rbf"), train)
     temps = [0.5, 2.0]
     eye = np.eye(train.n)  # reads back the whitened samples G
     a, stats = _sample_grid(train, temps, [7, 9], cfg, factor, eye)
@@ -440,7 +440,7 @@ def test_sweep_samples_match_standalone_calls(monkeypatch):
     train, test = gen_cluster_classification(400, 2, 3, 2.0, seed=0)
     cfg = EssConfig(n_chains=2, burn_in=10, n_samples_per_chain=4, thinning=2,
                     draws_per_sample=1)
-    kern = KernelSpec.rbf()
+    kern = KernelSpec("rbf")
     temps = [0.05, 1.0, 3.0]
     _, (means, stats) = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 5)
     factor = _factor(kern, train)
@@ -478,7 +478,7 @@ def test_sweep_metrics_match_standalone_predictive(monkeypatch):
     train, test = gen_cluster_classification(400, 3, 3, 2.0, seed=1)
     cfg = EssConfig(n_chains=3, burn_in=5, n_samples_per_chain=4, thinning=1,
                     draws_per_sample=2)
-    kern = KernelSpec.rbf()
+    kern = KernelSpec("rbf")
     temps = [0.1, 1.0]
     out, (means, _) = _recorded_sweep(monkeypatch, kern, train, test, temps, cfg, 9)
     factor = _factor(kern, train)
@@ -517,7 +517,7 @@ def test_tempered_log_likelihood_scales_as_inverse_temperature(monkeypatch):
     cfg = EssConfig(n_chains=2, burn_in=1, n_samples_per_chain=1, thinning=1,
                     draws_per_sample=1)
     temps = [0.25, 1.0, 2.0]
-    cls.classification_temperature_sweep(KernelSpec.rbf(), train, test, temps, cfg, seed=0)
+    cls.classification_temperature_sweep(KernelSpec("rbf"), train, test, temps, cfg, seed=0)
     f0, ll0, log_lik = first[0]
     chain_t = np.repeat(temps, cfg.n_chains)
     y = train.targets
@@ -549,7 +549,7 @@ def test_sweep_makes_one_transition_call_per_step(monkeypatch, n_temps, n_chains
     cfg = EssConfig(n_chains=n_chains, burn_in=7, n_samples_per_chain=3, thinning=2,
                     draws_per_sample=1)
     temps = [0.1 * (j + 1) for j in range(n_temps)]
-    out = cls.classification_temperature_sweep(KernelSpec.rbf(), train, test, temps, cfg,
+    out = cls.classification_temperature_sweep(KernelSpec("rbf"), train, test, temps, cfg,
                                                seed=0)
     assert len(calls) == cfg.burn_in + cfg.n_samples_per_chain * cfg.thinning
     assert set(calls) == {n_temps * n_chains}
@@ -574,7 +574,7 @@ def test_sweep_prior_draws_multiply_one_column_per_contrast(monkeypatch, c):
     cfg = EssConfig(n_chains=2, burn_in=3, n_samples_per_chain=2, thinning=2,
                     draws_per_sample=1)
     temps = [0.5, 1.0, 2.0]
-    classification_temperature_sweep(KernelSpec.rbf(), train, test, temps, cfg, seed=0)
+    classification_temperature_sweep(KernelSpec("rbf"), train, test, temps, cfg, seed=0)
     steps = cfg.burn_in + cfg.n_samples_per_chain * cfg.thinning
     assert columns == [len(temps) * cfg.n_chains * (c - 1)] * steps
 
@@ -595,11 +595,11 @@ def test_sweep_memory_is_factor_readout_and_retained_means():
     bound = 8 * (n * n + n * p + retained) + 2 * 2**20
     small_train, small_test = gen_cluster_classification(4, 2, 3, 2.0, seed=0)
     # loads scipy.spatial and every code path outside the trace
-    classification_temperature_sweep(KernelSpec.rbf(), small_train, small_test, temps,
+    classification_temperature_sweep(KernelSpec("rbf"), small_train, small_test, temps,
                                      dataclasses.replace(cfg, n_samples_per_chain=2))
     tracemalloc.start()
     try:
-        classification_temperature_sweep(KernelSpec.rbf(), train, test, temps, cfg, seed=0)
+        classification_temperature_sweep(KernelSpec("rbf"), train, test, temps, cfg, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -616,7 +616,7 @@ def test_sweep_factors_its_gram_in_place(monkeypatch):
             factors = record_factors(patch, cls)
             train, test = gen_cluster_classification(n_per_class, 2, 3, 2.0, seed=0)
             cls.classification_temperature_sweep(
-                KernelSpec.rbf(), train, test, [1.0],
+                KernelSpec("rbf"), train, test, [1.0],
                 EssConfig(n_chains=1, burn_in=1, n_samples_per_chain=1, thinning=1,
                           draws_per_sample=1))
         [(gram_built, factor)] = factors
@@ -644,7 +644,7 @@ def test_sweep_builds_one_gram_pair_and_one_factor(monkeypatch, n_temps):
     monkeypatch.setattr(cls, "ess_transition", transition)
     train, test, cfg = _tiny_problem()
     temps = [0.1 * (j + 1) for j in range(n_temps)]
-    cls.classification_temperature_sweep(KernelSpec.rbf(), train, test, temps,
+    cls.classification_temperature_sweep(KernelSpec("rbf"), train, test, temps,
                                          dataclasses.replace(cfg, draws_per_sample=1), seed=0)
     # K(X, X) and chol(K(X, X)); K(X*, X) and v = L^{-1} K(X, X*)
     assert own == {"gram": 2, "cholesky": 1}
@@ -657,7 +657,7 @@ def test_conditional_mean_is_temperature_free():
     # the conditional pieces take no temperature; it enters the predictive
     # only as t * schur, so the conditional mean v^T G cannot depend on it
     train, test, _ = _tiny_problem()
-    kern = KernelSpec.rbf()
+    kern = KernelSpec("rbf")
     k = gram(kern, train.inputs, train.inputs)
     factor = cholesky(k)
     v, schur = conditional_at(kern, train.inputs, test.inputs, factor)
@@ -670,7 +670,7 @@ def test_whitened_means_match_two_solve_means():
     # v^T G with one solve is the textbook K(X*, X) K^{-1} F, with F = L G and
     # b = K^{-1} K(X, X*) from the two solves L^{-T} (L^{-1} K(X, X*))
     train, test, cfg = _tiny_problem()
-    kern = KernelSpec.rbf()
+    kern = KernelSpec("rbf")
     factor = _factor(kern, train)
     v, _ = conditional_at(kern, train.inputs, test.inputs, factor)
     means, _ = _sample_grid(train, [0.3], [11], cfg, factor, v)
@@ -683,7 +683,7 @@ def test_whitened_means_match_two_solve_means():
 
 def test_predictive_probs_rows_sum_to_one():
     train, test, cfg = _tiny_problem()
-    kern = KernelSpec.rbf()
+    kern = KernelSpec("rbf")
     factor = _factor(kern, train)
     v, schur = conditional_at(kern, train.inputs, test.inputs, factor)
     means, _ = _sample_grid(train, [0.3], [11], cfg, factor, v)
@@ -698,7 +698,7 @@ def test_predictive_probs_prior_path_is_symmetric():
     # zero conditional means with sd = sqrt(t * k**): the test latents are
     # prior draws, so the classes are exchangeable
     t, xs = 1.0, np.array([[0.0], [5.0]])
-    sd = np.sqrt(t * gram_diag(KernelSpec.rbf(), xs))
+    sd = np.sqrt(t * gram_diag(KernelSpec("rbf"), xs))
     probs = _chain_prob_means(np.zeros((1, 1, 2, 2)), sd, 4000, RngStream(0, 1))
     np.testing.assert_allclose(probs[0], 0.5, atol=0.03)
 
@@ -708,7 +708,7 @@ def test_predictive_probs_prior_path_is_symmetric_at_three_classes():
     # check above holds whatever sd is; three classes with an odd draw count
     # (one draw without its mirror) have no such identity
     t, xs = 1.0, np.array([[0.0], [5.0]])
-    sd = np.sqrt(t * gram_diag(KernelSpec.rbf(), xs))
+    sd = np.sqrt(t * gram_diag(KernelSpec("rbf"), xs))
     probs = _chain_prob_means(np.zeros((1, 1, 3, 2)), sd, 3999, RngStream(0, 1))
     np.testing.assert_allclose(probs[0], 1.0 / 3.0, atol=0.03)
 
@@ -804,7 +804,7 @@ def test_classification_metrics_validation():
 
 def test_sweep_shape_and_determinism():
     train, test, cfg = _tiny_problem()
-    kern = KernelSpec.rbf()
+    kern = KernelSpec("rbf")
     temps = [0.1, 1.0]
     cfg = dataclasses.replace(cfg, draws_per_sample=2)
     a = classification_temperature_sweep(kern, train, test, temps, cfg, seed=5)
@@ -828,9 +828,9 @@ def test_sweep_rejects_bad_inputs(monkeypatch):
     monkeypatch.setattr(cls, "gram", lambda *args: grams.append(args))
     train, test, cfg = _tiny_problem()
     with pytest.raises(EmptyInputError):
-        classification_temperature_sweep(KernelSpec.rbf(), train, test, [], cfg, seed=0)
+        classification_temperature_sweep(KernelSpec("rbf"), train, test, [], cfg, seed=0)
     with pytest.raises(NonPositiveTemperatureError):
-        classification_temperature_sweep(KernelSpec.rbf(), train, test, [-1.0], cfg, seed=0)
+        classification_temperature_sweep(KernelSpec("rbf"), train, test, [-1.0], cfg, seed=0)
     with pytest.raises(ValueError, match="draws_per_sample"):
         EssConfig(draws_per_sample=0)
     assert grams == []  # rejected before any Gram is built

@@ -195,7 +195,7 @@ class TestRunVerb:
     def test_exit_2_on_regression_file_in_classify_sweep(self, tmp_path, capsys,
                                                          regression_split):
         splits = dict(zip(("train", "test"), gen_cluster_classification(6, 2, 2, 2.0, seed=0)))
-        splits[regression_split] = gen_rbf_regression(6, 6, 0.1, KernelSpec.rbf(), seed=0)[0]
+        splits[regression_split] = gen_rbf_regression(6, 6, 0.1, KernelSpec("rbf"), seed=0)[0]
         paths = {}
         for split, dataset in splits.items():
             paths[split] = str(tmp_path / f"{split}.csv")
@@ -214,7 +214,7 @@ class TestRunVerb:
         payload = regress_payload(tmp_path / "o")
         payload["data"] = {"source": "file", "class_count": 7}
         for split, dataset in zip(("train", "test"), gen_rbf_regression(
-                6, 6, 0.1, KernelSpec.rbf(), seed=0)):
+                6, 6, 0.1, KernelSpec("rbf"), seed=0)):
             payload["data"][f"{split}_path"] = str(tmp_path / f"{split}.csv")
             save_dataset(dataset, payload["data"][f"{split}_path"])
         cfg = _write_config(tmp_path, "cc.json", payload)
@@ -226,7 +226,7 @@ class TestRunVerb:
     @pytest.mark.parametrize("classification_split", ["train", "test"])
     def test_exit_2_on_classification_file_in_regress_sweep(self, tmp_path, capsys,
                                                             classification_split):
-        splits = dict(zip(("train", "test"), gen_rbf_regression(6, 6, 0.1, KernelSpec.rbf(),
+        splits = dict(zip(("train", "test"), gen_rbf_regression(6, 6, 0.1, KernelSpec("rbf"),
                                                                 seed=0)))
         splits[classification_split] = gen_cluster_classification(6, 2, 2, 2.0, seed=0)[0]
         payload = regress_payload(tmp_path / "o")
@@ -244,7 +244,7 @@ class TestRunVerb:
         # "normalize": "global-standardize" applies to regression files too:
         # the sweep equals the library sweep on the standardized pair, and
         # differs from the run on the raw inputs
-        train, test = gen_rbf_regression(12, 6, 0.1, KernelSpec.rbf(), seed=3)
+        train, test = gen_rbf_regression(12, 6, 0.1, KernelSpec("rbf"), seed=3)
         paths = {"train_path": str(tmp_path / "train.csv"),
                  "test_path": str(tmp_path / "test.csv")}
         save_dataset(train, paths["train_path"])
@@ -258,7 +258,7 @@ class TestRunVerb:
             _, rows = read_csv(tmp_path / scheme / "results.csv")
             nll[scheme] = [float(r[1]) for r in rows]
         expect, _ = regression_temperature_sweep(
-            KernelSpec.rbf(), [0.1], *standardize(train, test), [0.5, 1.0])
+            KernelSpec("rbf"), [0.1], *standardize(train, test), [0.5, 1.0])
         assert nll["global-standardize"] == expect[0].tolist()
         assert nll["none"] != nll["global-standardize"]
 
@@ -458,9 +458,9 @@ class TestRunVerb:
         d = raw["data"]
         for k in range(raw["regression"]["n_seeds"]):
             train, test = gen_rbf_regression(d["n_train"], d["n_test"], d["noise_std"],
-                                             KernelSpec.rbf(), seed=derive_seed(raw["seed"], k))
+                                             KernelSpec("rbf"), seed=derive_seed(raw["seed"], k))
             x = np.concatenate([train.inputs, test.inputs])
-            jitter = cholesky(gram(KernelSpec.rbf(), x, x)).jitter_used
+            jitter = cholesky(gram(KernelSpec("rbf"), x, x)).jitter_used
             assert train.provenance["jitter_used"] == test.provenance["jitter_used"] == jitter
             assert jitter == 1e-10
 
@@ -796,6 +796,19 @@ def test_mutated_bundled_config_never_ends_in_traceback(tmp_path, monkeypatch, c
         assert err == ""
     else:
         assert code in (2, 3) and err.count("\n") == 1, (code, err)
+
+
+def test_fig1_at_zero_separation_runs(tmp_path, monkeypatch, capsys):
+    # separation 0 puts every class at the origin, so the labels are pure
+    # noise: the end of the label-noise axis, which the generator accepts
+    monkeypatch.chdir(tmp_path)
+    raw = copy.deepcopy(BUNDLED["fig1"])
+    raw["data"]["separation"] = 0
+    Path("cfg.json").write_text(json.dumps(raw))
+    capsys.readouterr()
+    assert main(["run", "--config", "cfg.json"]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(read_csv("out/results.csv")[1]) == len(raw["temperatures"])
 
 
 @pytest.mark.parametrize("name,section,key", [

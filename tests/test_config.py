@@ -1,10 +1,28 @@
 """Config parsing tests: strict validation both ways (unknown and
 inapplicable keys rejected), defaults, and the resolved-echo round trip."""
+import copy
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coldgp import ConfigError, EssConfig, apply_overrides, load_config, parse_config
+from coldgp import (
+    ConfigError,
+    EssConfig,
+    KernelSpec,
+    LabeledDataset,
+    apply_overrides,
+    load_config,
+    parse_config,
+)
+from coldgp.aleatoric import _check_quadrature, _check_scale
+from coldgp.data import _check_clusters, _check_rbf_regression, _checked
+from coldgp.exceptions import ColdGPError, check_temperatures
+from coldgp.regression import _check_noise_stds
+from coldgp.rng import _check_seed
 
 
 def regress_raw():
@@ -39,6 +57,18 @@ def gen_data_raw():
     }
 
 
+def cifar_raw():
+    raw = classify_raw()
+    raw["data"] = {"source": "cifar10", "dir": "d", "classes": [0, 1], "n_train": 5, "n_test": 5}
+    return raw
+
+
+def file_raw():
+    raw = classify_raw()
+    raw["data"] = {"source": "file", "train_path": "a", "test_path": "b", "class_count": 3}
+    return raw
+
+
 ALL_RAW = [regress_raw, classify_raw, probe_raw, gen_data_raw]
 
 
@@ -48,8 +78,8 @@ class TestParsing:
         assert cfg.seed == 0
         assert cfg.output_dir == "runs/regress-sweep"
         assert cfg.kernel.family == "rbf"
-        assert cfg.kernel.rbf_lengthscale == 2.0
-        assert cfg.kernel.rbf_variance == 1.0
+        assert cfg.kernel.lengthscale == 2.0
+        assert cfg.kernel.variance == 1.0
         assert cfg.temperatures == (0.1, 1.0, 10.0)
         assert cfg.data["noise_std"] == 0.1
         assert cfg.regression == {"assumed_noise_std": [0.1], "n_seeds": 1}
@@ -90,6 +120,18 @@ class TestParsing:
         d = parse_config(classify_raw()).to_dict()
         assert "regression" not in d and "probe" not in d
         assert d["ess"]["draws_per_sample"] == 8
+
+    def test_zero_separation_and_zero_assumed_noise_accepted(self):
+        # their owners accept 0: clusters all at the origin (pure label
+        # noise), and a noise-free regression likelihood
+        raw = classify_raw()
+        raw["data"]["separation"] = 0
+        assert parse_config(raw).data["separation"] == 0.0
+        raw = regress_raw()
+        raw["regression"] = {"assumed_noise_std": [0.0, 0.1]}
+        assert parse_config(raw).regression["assumed_noise_std"] == [0.0, 0.1]
+        raw["regression"] = {"assumed_noise_std": 0}
+        assert parse_config(raw).regression["assumed_noise_std"] == [0.0]
 
     def test_scalar_assumed_noise_std_promoted(self):
         raw = regress_raw()
@@ -266,6 +308,17 @@ class TestDataSection:
         with pytest.raises(ConfigError, match="'normalize'"):
             parse_config(raw)
 
+    @pytest.mark.parametrize("value", [None, 12, ["a"], ""], ids=["null", "int", "list", "empty"])
+    @pytest.mark.parametrize("make,key", [(cifar_raw, "dir"), (file_raw, "train_path"),
+                                          (file_raw, "test_path")],
+                             ids=["dir", "train_path", "test_path"])
+    def test_path_keys_must_be_non_empty_strings(self, make, key, value):
+        # str(None) would name the file 'None' and fail only once it is read
+        raw = make()
+        raw["data"][key] = value
+        with pytest.raises(ConfigError, match=f"key '{key}' in data must be a non-empty string"):
+            parse_config(raw)
+
     def test_rbf_regression_needs_rbf_kernel(self):
         raw = regress_raw()
         raw["kernel"] = {"family": "nngp"}
@@ -338,10 +391,10 @@ class TestSubsections:
         raw["kernel"] = {"family": "rbf", "lengthscale": 1e154}
         raw["regression"] = {"assumed_noise_std": 1e154}
         cfg = parse_config(raw)
-        assert cfg.kernel.rbf_lengthscale == 1e154
+        assert cfg.kernel.lengthscale == 1e154
         assert cfg.regression["assumed_noise_std"] == [1e154]
         raw["kernel"]["lengthscale"] = 1e-160  # a subnormal square is still positive
-        assert parse_config(raw).kernel.rbf_lengthscale == 1e-160
+        assert parse_config(raw).kernel.lengthscale == 1e-160
 
 
 class TestLoadAndOverrides:
@@ -371,3 +424,113 @@ class TestLoadAndOverrides:
             apply_overrides(cfg, seed=-1)
         with pytest.raises(ConfigError, match="--out"):
             apply_overrides(cfg, output_dir="")
+
+
+RBF = KernelSpec("rbf")
+
+# Every numeric key whose bound the code that consumes it states: the config
+# it sits in, its path there, whether it is an integer, whether the config
+# lists it, and that code's check of one value (the other keys as configured)
+OWNED = {
+    "seed": (probe_raw, ("seed",), True, False, _check_seed),
+    "temperatures": (regress_raw, ("temperatures",), False, True,
+                     lambda v: check_temperatures([v])),
+    "kernel.lengthscale": (regress_raw, ("kernel", "lengthscale"), False, False,
+                           lambda v: KernelSpec("rbf", lengthscale=v)),
+    "kernel.variance": (regress_raw, ("kernel", "variance"), False, False,
+                        lambda v: KernelSpec("rbf", variance=v)),
+    "kernel.scale": (regress_raw, ("kernel", "scale"), False, False,
+                     lambda v: KernelSpec("rbf", scale=v)),
+    "kernel.depth": (classify_raw, ("kernel", "depth"), True, False,
+                     lambda v: KernelSpec("nngp", depth=v)),
+    "kernel.sigma_w2": (classify_raw, ("kernel", "sigma_w2"), False, False,
+                        lambda v: KernelSpec("nngp", sigma_w2=v)),
+    "kernel.sigma_b2": (classify_raw, ("kernel", "sigma_b2"), False, False,
+                        lambda v: KernelSpec("nngp", sigma_b2=v)),
+    "rbf-regression.n_train": (regress_raw, ("data", "n_train"), True, False,
+                               lambda v: _check_rbf_regression(v, 10, 0.1, RBF)),
+    "rbf-regression.n_test": (regress_raw, ("data", "n_test"), True, False,
+                              lambda v: _check_rbf_regression(20, v, 0.1, RBF)),
+    "rbf-regression.noise_std": (regress_raw, ("data", "noise_std"), False, False,
+                                 lambda v: _check_rbf_regression(20, 10, v, RBF)),
+    "clusters.n_per_class": (classify_raw, ("data", "n_per_class"), True, False,
+                             lambda v: _check_clusters(v, 2, 8, 2.0)),
+    "clusters.class_count": (classify_raw, ("data", "class_count"), True, False,
+                             lambda v: _check_clusters(10, v, 8, 2.0)),
+    "clusters.dim": (classify_raw, ("data", "dim"), True, False,
+                     lambda v: _check_clusters(10, 2, v, 2.0)),
+    "clusters.separation": (classify_raw, ("data", "separation"), False, False,
+                            lambda v: _check_clusters(10, 2, 8, v)),
+    "cifar10.n_train": (cifar_raw, ("data", "n_train"), True, False,
+                        lambda v: _checked(n_train=v)),
+    "cifar10.n_test": (cifar_raw, ("data", "n_test"), True, False,
+                       lambda v: _checked(n_test=v)),
+    "file.class_count": (file_raw, ("data", "class_count"), True, False,
+                         lambda v: LabeledDataset(np.zeros((1, 1)), [0], v, "train")),
+    **{f"ess.{key}": (classify_raw, ("ess", key), True, False,
+                      lambda v, key=key: EssConfig(**{key: v}))
+       for key in EssConfig.MINIMUMS},
+    "probe.latent_scales": (probe_raw, ("probe", "latent_scales"), False, True, _check_scale),
+    "probe.temperatures": (probe_raw, ("probe", "temperatures"), False, True,
+                           lambda v: check_temperatures([v])),
+    "probe.quadrature_tolerance": (probe_raw, ("probe", "quadrature_tolerance"), False, False,
+                                   lambda v: _check_quadrature(v, 40.0)),
+    "probe.integration_half_width_sigmas": (probe_raw, ("probe", "integration_half_width_sigmas"),
+                                            False, False, lambda v: _check_quadrature(1e-8, v)),
+    "regression.assumed_noise_std": (regress_raw, ("regression", "assumed_noise_std"), False,
+                                     True, lambda v: _check_noise_stds([v])),
+}
+
+# zero first, then subnormals, negatives, bounds' neighbours, squares that
+# underflow (1e-170) or overflow (1e155) and the largest finite values
+EDGE_INTS = [0, 1, -1, 2, 16, 17, 2**64 - 1, 2**64, 10**30, -(10**30)]
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-170, 1e-160, -1.0, np.nextafter(8.0, 0.0), 8.0,
+               1e154, 1e155, 1.7976931348623157e308, -1.7976931348623157e308, 0, 2, -3]
+
+
+def _accepts(check, *args) -> bool:
+    try:
+        check(*args)
+    except (ValueError, ColdGPError):  # ConfigError is a ColdGPError
+        return False
+    return True
+
+
+@pytest.mark.parametrize("key", sorted(OWNED))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_config_accepts_a_value_exactly_when_its_owner_does(key, data):
+    # parse_config reads each owned bound from its owner or calls its check,
+    # so the two agree at every value of the key's JSON type
+    make, path, integer, listed, owner = OWNED[key]
+    if integer:
+        values = st.sampled_from(EDGE_INTS) | st.integers()
+    else:
+        values = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+    value = data.draw(values)
+    raw = make()
+    section = raw
+    for part in path[:-1]:
+        section = section.setdefault(part, {})
+    section[path[-1]] = [value] if listed else value
+    assert _accepts(parse_config, raw) == _accepts(owner, value), (key, value)
+
+
+def _load_workloads():
+    """perfbench/workloads.py, read and run as a module without importing the
+    perfbench directory or writing its bytecode."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    namespace = {"__name__": "workloads"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    return namespace
+
+
+WORKLOADS = _load_workloads()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("workload", sorted(WORKLOADS["WORKLOADS"]))
+def test_benchmark_workload_configs_parse_and_round_trip(workload, seed):
+    # the benchmark hands each workload's JSON to load_config
+    cfg = parse_config(json.loads(WORKLOADS["config_bytes"](workload, seed)))
+    assert parse_config(copy.deepcopy(cfg.to_dict())) == cfg

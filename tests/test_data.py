@@ -34,7 +34,7 @@ from coldgp import (
 
 from helpers import write_cifar_fixture
 
-RBF = KernelSpec(family="rbf", rbf_lengthscale=1.0, rbf_variance=1.0)
+RBF = KernelSpec(family="rbf", lengthscale=1.0, variance=1.0)
 
 
 # ---------------------------------------------------------------- container
@@ -126,8 +126,8 @@ class TestRbfRegressionGenerator:
     def test_lengthscale_with_an_overflowing_square_is_rejected(self):
         # the Gram squares the lengthscale in Python floats, so lengthscale
         # 1e200 raised a bare OverflowError here; the kernel spec rejects it
-        with pytest.raises(ValueError, match="rbf_lengthscale is squared"):
-            gen_rbf_regression(5, 5, 0.1, KernelSpec.rbf(lengthscale=1e200), 0)
+        with pytest.raises(ValueError, match="lengthscale is squared"):
+            gen_rbf_regression(5, 5, 0.1, KernelSpec("rbf", lengthscale=1e200), 0)
 
 
 class TestClusterGenerator:

@@ -229,7 +229,7 @@ def _rbf_gram_1d(n=_IN_PLACE_N, seed=0):
     from coldgp.kernels import KernelSpec, gram
 
     x = np.random.default_rng(seed).standard_normal((n, 1))
-    return gram(KernelSpec.rbf(lengthscale=1.0, variance=1.0), x, x)
+    return gram(KernelSpec("rbf", lengthscale=1.0, variance=1.0), x, x)
 
 
 def _same_bits(a, b):

@@ -11,8 +11,10 @@ with the observed label:
     p(c, t) = E[ sigmoid(-d) ]  under that posterior.
 
 Both the numerator and the normalizer are one-dimensional integrals,
-evaluated with the trapezoid rule in log space, with the step halved until
-the value stabilizes at a node spacing of at most a quarter of sqrt(2 c t).
+evaluated with the trapezoid rule in log space.  Refinement starts at the
+coarsest power-of-two level whose node spacing is at most a quarter of
+sqrt(2 c t), 2^ceil(log2 8r) intervals for the window below, and halves the
+step until two successive values agree.
 The window is centred at the mode d* of the tempered posterior, the
 minimizer of g(d) = softplus(-d) + d^2 / (4 c), which does not depend on t,
 and reaches r prior standard deviations s = sqrt(2 c t) either side of it.
@@ -45,8 +47,8 @@ sigmoid(-d*) tol / 100 / (2 sqrt(k)) is not a normal float (c beyond about
 1e199 at tol = 1e-8), r is the configured width.  The posterior is
 log-concave, but the "at least 1/e of the mass either side" bound holds
 about its mean, not its mode d*, so the left-of-mode mass above comes from
-the curvature bound instead.  Capping the window keeps the node spacing at
-which refinement may end at a bounded panel count, so a configured width of
+the curvature bound instead.  Capping the window keeps the first level at
+a bounded panel count, 64 intervals for r = 8, so a configured width of
 1e300 gives the width-40 values.
 
 :func:`relabel_ratio_curve` is the one entry point for probe values.
@@ -98,7 +100,6 @@ HALF_WIDTH_SIGMAS = 40.0
 # _check_quadrature and by the config parser
 BOUNDS = {"quadrature_tolerance": (0.0, True),
           "integration_half_width_sigmas": (MIN_HALF_WIDTH_SIGMAS, False)}
-_INITIAL_PANELS = 256
 _MAX_PANELS = 2 ** 20
 # Doubles per node array that rows refined in lock step may hold at once:
 # past it, rows advance a chunk at a time, depth-first in row order.
@@ -218,23 +219,31 @@ def _check_quadrature(quadrature_tolerance, integration_half_width_sigmas):
 def _quadrature(c: float, temps, tol: float, width: float, centre: float):
     """Probe values at the distinct checked temperatures ``temps``, in their order.
 
-    Every row starts at _INITIAL_PANELS intervals and doubles them, in lock
-    step with the rows that have not yet converged, until two successive
-    values agree to the relative tolerance ``tol`` at 8 * r intervals or
-    more, with r the half-width :func:`_support_half_width` caps ``width`` at
-    (a node spacing of sqrt(2 c t) / 4 or less: coarser nodes in a wide
-    window can miss the posterior and agree falsely); converged rows drop
-    out.  A row keeps the log-sums of the numerator's and the normalizer's
-    trapezoid terms, so a pass evaluates only the new odd nodes.  Rows
-    refined together hold at most _NODE_BUDGET doubles per node array (one
-    row always goes ahead); past it they advance a chunk at a time,
-    depth-first, so the first row that runs out of panels raises before any
-    later row is refined further.  Windows are centred at ``centre``.
+    Every row starts at 2^ceil(log2 8r) intervals, with r the half-width
+    :func:`_support_half_width` caps ``width`` at: the coarsest level whose
+    node spacing, 2 r sqrt(2 c t) / intervals, is at most sqrt(2 c t) / 4
+    (coarser nodes in a wide window can miss the posterior and agree
+    falsely).  Rows double their intervals, in lock step with the rows that
+    have not yet converged, until two successive values agree to the
+    relative tolerance ``tol``; converged rows drop out.  So both levels of
+    every comparison keep to that spacing.  A row keeps the log-sums of the
+    numerator's and the normalizer's trapezoid terms, so a pass evaluates
+    only the new odd nodes.  Rows refined together hold at most _NODE_BUDGET
+    doubles per node array (one row always goes ahead); past it they
+    advance a chunk at a time, depth-first, so the first row that runs out
+    of panels raises before any later row is refined further; a first level
+    past _MAX_PANELS, which has no finer level within the limit to agree
+    with, raises before it is evaluated.  Windows are centred at ``centre``.
     """
     r = _support_half_width(c, tol, width, centre)
     t = np.array(temps, dtype=np.float64).reshape(-1, 1)
     scale = np.sqrt(2.0 * c * t)
     out = np.empty(t.shape[0])
+
+    def unconverged(row):
+        return QuadratureNotConvergedError(
+            f"no convergence to {tol!r} within {_MAX_PANELS} panels "
+            f"(latent_scale={c!r}, temperature={temps[row]!r})")
 
     def refine(rows, intervals, sums):
         # sums: None, or the (normalizer, numerator) log-sums of rows at
@@ -256,7 +265,6 @@ def _quadrature(c: float, temps, tol: float, width: float, centre: float):
             old, sums = sums, np.array([log_sum_exp(v) for v in terms])
             if old is not None:  # the old nodes keep their weights as the step halves
                 sums = np.logaddexp(old, sums)
-            if old is not None and intervals >= 8.0 * r:
                 cur, value = np.exp(sums[1] - sums[0]), np.exp(old[1] - old[0])
                 done = np.abs(cur - value) <= tol * np.maximum(np.abs(cur), 1e-300)
                 if done.any():
@@ -266,12 +274,16 @@ def _quadrature(c: float, temps, tol: float, width: float, centre: float):
                         return
                     rows, sums = rows[keep], sums[:, keep]
             if intervals > _MAX_PANELS:
-                raise QuadratureNotConvergedError(
-                    f"no convergence to {tol!r} within {_MAX_PANELS} panels "
-                    f"(latent_scale={c!r}, temperature={temps[rows[0]]!r})")
+                raise unconverged(rows[0])
             intervals *= 2
 
-    refine(np.arange(t.shape[0]), _INITIAL_PANELS, None)
+    # 2^ceil(log2 8r) from r = mantissa 2^exponent, 1/2 <= mantissa < 1:
+    # exact, and an int for every finite r
+    mantissa, exponent = math.frexp(r)
+    intervals = 2 ** (exponent + 2 if mantissa == 0.5 else exponent + 3)
+    if intervals > _MAX_PANELS:  # the first level would have no finer one to agree with
+        raise unconverged(0)
+    refine(np.arange(t.shape[0]), intervals, None)
     return out
 
 

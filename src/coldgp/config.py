@@ -187,10 +187,6 @@ def _parse_data(section, experiment: str, kernel: KernelSpec | None) -> dict:
                 raise ConfigError(f"key 'classes' in {where} must be a list or null")
             classes = _owned("classes", where, _normalize_keep,
                              [_as_number(c, "classes", where, integer=True) for c in classes])
-            least = DATA_BOUNDS["class_count"][0]  # each class kept is a class of the data
-            if len(classes) < least:
-                raise ConfigError(f"key 'classes' in {where} must list at least {least} "
-                                  f"classes, got {classes!r}")
         out = {"source": "cifar10", "dir": _as_string(_need(section, "dir", where), "dir", where),
                "classes": classes,
                **_bounded(section, where, {"n_train": CIFAR_N_TRAIN, "n_test": CIFAR_N_TEST},

@@ -37,7 +37,8 @@ _SPLITS = ("train", "test")
 CIFAR_N_TRAIN = 2000
 CIFAR_N_TEST = 1000
 # Each count and scale argument's exceptions.check_bound bound, whose least
-# value's type is the argument's, read by _checked and by the config parser
+# value's type is the argument's, read by _checked, _normalize_keep and the
+# config parser
 BOUNDS = {"n_train": (1, False), "n_test": (1, False), "noise_std": (0.0, False),
           "n_per_class": (1, False), "class_count": (2, False), "dim": (1, False),
           "separation": (0.0, False)}
@@ -217,7 +218,8 @@ def _read_cifar_file(path: str):
 
 
 def _normalize_keep(keep_classes):
-    """Distinct CIFAR-10 classes in [0, 9], all ten for None; config calls it too."""
+    """Distinct CIFAR-10 classes in [0, 9], at least two (each class kept is a
+    class of the data), all ten for None; config calls it too."""
     if keep_classes is None:
         return list(range(10))
     keep = [int(c) for c in keep_classes]
@@ -228,6 +230,7 @@ def _normalize_keep(keep_classes):
     for c in keep:
         if not 0 <= c <= 9:
             raise LabelOutOfRangeError(f"keep_classes entries must be in [0, 9], got {c}")
+    check_bound("the number of keep_classes", len(keep), BOUNDS["class_count"])
     return keep
 
 

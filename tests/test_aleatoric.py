@@ -438,16 +438,20 @@ def _loop_log_sums(c, t, width, intervals, centre, index):
 
 
 def _loop_quadrature(c, t, tol, width, centre, max_panels=2 ** 20):
-    """(value, final intervals) of one temperature's trapezoid refinement: each
-    pass adds the new odd nodes to the running log-sums."""
-    intervals = 256
+    """(value, final intervals) of one temperature's trapezoid refinement: it
+    starts at the fewest power-of-two intervals whose node spacing is at most
+    a quarter of sqrt(2 c t), and each pass adds the new odd nodes to the
+    running log-sums."""
+    intervals = 1
+    while intervals < 8.0 * width:
+        intervals *= 2
     sums = _loop_log_sums(c, t, width, intervals, centre, np.arange(intervals + 1.0))
     while intervals <= max_panels:
         intervals *= 2
         new = np.logaddexp(sums, _loop_log_sums(c, t, width, intervals, centre,
                                                 np.arange(1.0, intervals, 2.0)))
         prev, cur = float(np.exp(sums[1] - sums[0])), float(np.exp(new[1] - new[0]))
-        if intervals >= 8.0 * width and abs(cur - prev) <= tol * max(abs(cur), 1e-300):
+        if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
             return cur, intervals
         sums = new
     raise QuadratureNotConvergedError(
@@ -527,7 +531,9 @@ def _record_levels(monkeypatch):
 
 def test_fig2b_probe_work_count(monkeypatch):
     # each distinct temperature evaluates the N + 1 nodes of its final level
-    # once each, and rows refined together hold at most _NODE_BUDGET doubles
+    # once each, its levels start at 2^ceil(log2 8r) = 64 intervals (r = 8 at
+    # every scale of the grid), and rows refined together hold at most
+    # _NODE_BUDGET doubles
     raw = json.loads((Path(__file__).resolve().parent.parent / "configs" / "fig2b.json")
                      .read_text())["probe"]
     temps = raw["temperatures"]
@@ -539,27 +545,66 @@ def test_fig2b_probe_work_count(monkeypatch):
         relabel_ratio_curve(c, temps)
         centre = _posterior_mode(c)
         width = _support_half_width(c, 1e-8, 40.0, centre)
-        assert set(seen) == set(temps)
+        assert width == 8.0 and set(seen) == set(temps)
         for t in temps:
             _, final = _loop_quadrature(c, t, 1e-8, width, centre)
             assert sum(k for _, k in seen[t]) == final + 1, (c, t)
             assert [level for level, _ in seen[t]] == [n + 1 for n in
-                                                       256 * 2 ** np.arange(len(seen[t]))]
+                                                       64 * 2 ** np.arange(len(seen[t]))]
             evaluated = np.concatenate(nodes[t])
             assert np.unique(evaluated).size == evaluated.size == final + 1
             total += evaluated.size
         assert all(n == 1 or n * k <= aleatoric._NODE_BUDGET for n, k in rows)
-    assert total == 63_076  # 124,004 with Simpson's rule, 327,780 at 40 prior SDs
+    # 63,076 from a fixed start at 256 intervals, 124,004 with Simpson's rule,
+    # 327,780 at 40 prior SDs
+    assert total == 36_452
+
+
+@pytest.mark.parametrize("c,uncapped,start", [(1000.0, False, 64), (1e6, False, 128),
+                                             (1e154, False, 512), (1000.0, True, 512)])
+def test_refinement_starts_at_the_coarsest_level_the_spacing_rule_admits(monkeypatch, c,
+                                                                         uncapped, start):
+    # r = 8, 8.93, 33.1 and an uncapped 40 start at 2^ceil(log2 8r) intervals,
+    # and both levels of the first comparison have a node spacing, 2 r
+    # sqrt(2 c t) / intervals, of sqrt(2 c t) / 4 or less
+    if uncapped:
+        monkeypatch.setattr(aleatoric, "_support_half_width",
+                            lambda c, tol, width, centre: width)
+    r = aleatoric._support_half_width(c, 1e-8, 40.0, _posterior_mode(c))
+    assert start == 2 ** math.ceil(math.log2(8.0 * r))
+    seen, _, _ = _record_levels(monkeypatch)
+    if c == 1e154:  # no level converges: stop after the first comparison
+        monkeypatch.setattr(aleatoric, "_MAX_PANELS", 2 * start)
+        with pytest.raises(QuadratureNotConvergedError):
+            relabel_ratio_curve(c, [1.0, 0.01])
+    else:
+        relabel_ratio_curve(c, [1.0, 0.01])
+    for t in (1.0, 0.01):
+        levels = [level for level, _ in seen[t][:2]]
+        assert levels == [start + 1, 2 * start + 1], (t, levels)
+        assert all(2.0 * r / (level - 1) <= 0.25 for level in levels)
+
+
+@pytest.mark.parametrize("width", [1e300, 1.7976931348623157e308])
+def test_a_start_past_the_panel_limit_raises_before_evaluating(monkeypatch, width):
+    # at c = 1e200 the window bound's right side underflows, so r is the
+    # configured width, whose first level, past 2^1000 intervals, has no finer
+    # level within the panel limit to agree with
+    seen, _, _ = _record_levels(monkeypatch)
+    with pytest.raises(QuadratureNotConvergedError, match=r"temperature=1\.0\)"):
+        relabel_ratio_curve(1e200, [0.5], integration_half_width_sigmas=width)
+    assert not seen
 
 
 def test_budget_advances_rows_depth_first(monkeypatch):
-    # two rows fit the budget for the first two passes (257 and 256 nodes
+    # two rows fit the budget for the first two passes (65 and 64 nodes
     # each), one row past them: the rows go depth-first in (t = 1, grid)
     # order, so 16.0 runs out of panels before 4.0 is refined past its second
     # level or 64.0 is evaluated at all.  At c = 1000 the window is 8 prior
-    # SDs wide and t = 1, 0.1 and 16.0 need 2048, 1024 and 8192 intervals
+    # SDs wide, refinement starts at 64 intervals, and t = 1, 0.1 and 16.0
+    # need 2048, 1024 and 8192
     monkeypatch.setattr(aleatoric, "_MAX_PANELS", 2048)
-    monkeypatch.setattr(aleatoric, "_NODE_BUDGET", 2 * 257)
+    monkeypatch.setattr(aleatoric, "_NODE_BUDGET", 2 * 65)
     temps = [0.1, 16.0, 4.0, 64.0]
     with pytest.raises(QuadratureNotConvergedError) as loop_error:
         _loop_curve(1000.0, temps, max_panels=2048)
@@ -569,9 +614,9 @@ def test_budget_advances_rows_depth_first(monkeypatch):
     assert str(error.value) == str(loop_error.value)
     assert "temperature=16.0)" in str(error.value)
     levels = {t: [level for level, _ in seen.get(t, [])] for t in [1.0] + temps}
-    assert levels == {1.0: [257, 513, 1025, 2049], 0.1: [257, 513, 1025],
-                      16.0: [257, 513, 1025, 2049, 4097], 4.0: [257, 513], 64.0: []}
-    assert all(n == 1 or n * k <= 2 * 257 for n, k in rows)
+    assert levels == {1.0: [65, 129, 257, 513, 1025, 2049], 0.1: [65, 129, 257, 513, 1025],
+                      16.0: [65, 129, 257, 513, 1025, 2049, 4097], 4.0: [65, 129], 64.0: []}
+    assert all(n == 1 or n * k <= 2 * 65 for n, k in rows)
 
 
 def test_failing_probe_holds_a_few_top_level_arrays(monkeypatch):

@@ -32,6 +32,7 @@ from coldgp import (
     write_csv,
 )
 
+import coldgp.data as data_module
 from helpers import write_cifar_fixture
 
 RBF = KernelSpec(family="rbf", lengthscale=1.0, variance=1.0)
@@ -230,7 +231,17 @@ class TestCifarLoader:
     def test_request_exceeding_pool(self, tmp_path):
         write_cifar_fixture(tmp_path)  # 15 per class over the train files
         with pytest.raises(ConfigError, match="only"):
-            load_cifar10(tmp_path, [0], n_train=16, n_test=1, seed=0)
+            load_cifar10(tmp_path, [0, 1], n_train=31, n_test=1, seed=0)
+
+    def test_one_class_is_rejected_before_any_file_is_read(self, tmp_path, monkeypatch):
+        write_cifar_fixture(tmp_path)
+        reads = []
+        real = data_module._read_cifar_file
+        monkeypatch.setattr(data_module, "_read_cifar_file",
+                            lambda path: reads.append(path) or real(path))
+        with pytest.raises(ValueError, match="keep_classes"):
+            load_cifar10(tmp_path, [0], n_train=5, n_test=2, seed=0)
+        assert reads == []
 
     def test_keep_classes_validation(self, tmp_path):
         write_cifar_fixture(tmp_path)

@@ -351,6 +351,27 @@ def test_in_place_factor_allocates_no_n_by_n_array(rank_one):
     assert peak <= 0.25 * a.nbytes
 
 
+def test_in_place_restore_buffers_one_tile_not_the_matrix():
+    # a rank-one Gram of one row block fails its zero rung, so each later
+    # rung first undoes the last from the strict upper triangle, whose memory
+    # overlaps the lower one's; the restore copies through tiles that do not
+    # overlap, so it buffers one 64 x 64 diagonal tile (32 KB), not the n x n
+    # matrix (320 KB), and the peak stays that of the checks' one row block
+    n = 200
+    assert block_rows(n) >= n
+    a = np.ones((n, n))
+    ref = cholesky(_read_only_copy(a))
+    tracemalloc.start()
+    try:
+        f = cholesky(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.jitter_used > 0.0 and np.shares_memory(f.lower, a)
+    assert _same_bits(f.lower, ref.lower)
+    assert peak <= 0.5 * a.nbytes
+
+
 def test_in_place_keeps_every_check():
     n = _IN_PLACE_N
     non_finite, asymmetric = np.eye(n), np.eye(n)

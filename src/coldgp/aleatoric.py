@@ -191,7 +191,9 @@ def _log_terms(d, t, c: float, centre: float):
     -max(g(d) - g(d*), 0) / t, which is 0 at d* for every t.
     """
     def g(x):  # softplus(-x) + x^2 / (4 c), in a new array
-        out = np.multiply(x, x)
+        # a node past sqrt(max float) squares to inf, the value intended
+        with np.errstate(over="ignore"):
+            out = np.multiply(x, x)
         out *= 0.25
         out /= c
         out += np.logaddexp(0.0, np.negative(x))

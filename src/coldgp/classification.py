@@ -47,7 +47,14 @@ partly cancel.
 
 The predictive reads a retained sample only through v^T G, so the sampler
 retains that and not G: at each retained step, one product reads v once and
-gives the test-latent means of all T * n_chains states.
+gives the test-latent means of all T * n_chains states.  v is needed only
+then, and depends on the training side only through L, so a sweep builds it
+on one worker thread (:class:`_TestSide`): the worker builds K(X*, X) and
+k** while the calling thread builds K(X, X) and factors it, then solves
+with L while the sampler burns in, and the sampler joins it at its first
+retained step.  Each routine computes what it computes when the steps run
+one after another, at one BLAS thread as a run holds them, so a run's
+results keep their bytes; no thread outlives the sweep.
 :func:`classification_temperature_sweep` is the one way to sample and
 predict: its sampler keeps the whole grid's retained means as one
 (T, n_chains, n_samples_per_chain, C, p) array for p test points, and the
@@ -63,6 +70,8 @@ whole class rows in class order at any class count from n = 2.
 """
 from __future__ import annotations
 
+import contextvars
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +86,7 @@ from .exceptions import (
     check_labels,
     check_temperatures,
 )
-from .kernels import KernelSpec, gram, gram_diag
+from .kernels import KernelSpec, _check_inputs, gram, gram_diag, gram_scratch
 from .linalg import SpdFactor, cholesky, tril_matmul
 from .regression import conditional
 from .rng import RngStream, derive_seed
@@ -273,7 +282,7 @@ def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
 
 
 def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
-                 prior_factor: SpdFactor, readout):
+                 prior_factor: SpdFactor, readout, wait=None):
     """Sample every (temperature, chain) pair of a grid in one lock-step pass.
 
     Chain c at grid position j draws from RngStream(seeds[j], c) and starts
@@ -284,9 +293,11 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
     row g_c of every chain, from one product that reads v once for all
     T * n_chains states.  With v = L^{-1} K(X, X*) these are the test-latent
     means; the identity gives back G, and prior_factor.lower.T the latents
-    F = L @ G.  The retained array and the per-chain arrays are allocated
-    before the chains' random streams, so a grid too large for memory fails
-    at its first allocation.
+    F = L @ G.  ``wait``, where given, is called once at the first retained
+    step, before v is first read: the sweep passes the join of the thread
+    that fills v in meanwhile.  The retained array and the per-chain arrays
+    are allocated before the chains' random streams, so a grid too large for
+    memory fails at its first allocation.
     Returns (means, stats): the retained readouts as one
     (T, n_chains, n_samples_per_chain, C, p) array, and one dict of sampler
     diagnostics per temperature: transition counts, proposals per
@@ -321,10 +332,15 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
                 f, g, ll, used = ess_transition(f, g, ll, log_lik, prior_factor.lower, scale,
                                                 rngs)
                 proposals += used
+            if wait is not None:
+                wait()
+                wait = None
             # the (n, k * C) transposed view of g's rows, so no state is copied
             means[:, :, s] = (readout.T @ g.reshape(-1, n).T).T.reshape(
                 len(temps), n_chains, c, p)
     except ColdGPError as exc:
+        if not hasattr(exc, "chain"):  # raised by ``wait``, not by a chain
+            raise
         raise type(exc)(f"temperature {float(chain_t[exc.chain])!r}: {exc}") from exc
 
     transitions = n_chains * (config.burn_in + config.n_samples_per_chain * config.thinning)
@@ -335,6 +351,86 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
               "prior_jitter": t * prior_factor.jitter_used}
              for t, used in zip(temps, per_temperature)]
     return means, stats
+
+
+class _TestSide:
+    """A sweep's test-side conditional (v, schur), built on one worker thread.
+
+    The worker builds K(X*, X) and k**; it then waits for :meth:`solve_with`
+    to hand it the factor L of K(X, X) and runs
+    :func:`~coldgp.regression.conditional`, whose triangular solve turns
+    K(X*, X) into v = L^{-1} K(X, X*) in its buffer.  That buffer and the
+    Gram's row-block scratch are allocated here, on the calling thread: an
+    array freed on a worker thread stays in that thread's malloc arena, a
+    second heap.  The worker runs in a copy of the calling thread's context,
+    so under its np.errstate, and each routine computes what it would
+    compute on the calling thread.
+
+    The test inputs are checked, as :func:`~coldgp.kernels.gram` checks
+    them, and the buffers allocated before the worker starts.  Where either
+    fails no worker starts, and :meth:`solve_with` raises the error, after
+    the factor: where a sweep that built the conditional after its factor
+    raises it.  Used as a context, the side joins its worker on every exit.
+    An error the caller raises once the factor is handed over gives way to
+    the worker's, which that order raises first.
+    """
+
+    def __init__(self, kernel: KernelSpec, train: LabeledDataset, test: LabeledDataset):
+        self._factor = None
+        self._handed = threading.Event()
+        self._thread = None
+        try:
+            _check_inputs(test.inputs, train.inputs)
+            # K(X*, X) and its row-block scratch
+            self._buffers = (np.empty((test.n, train.n)),
+                             gram_scratch(kernel, test.inputs, train.inputs))
+        except Exception as exc:
+            self._result = exc
+            return
+        self._result = None  # (v, schur), or the exception the worker raised
+        self.readout = self._buffers[0].T  # v, once :meth:`join` returns
+        self._thread = threading.Thread(target=contextvars.copy_context().run,
+                                        args=(self._work, kernel, train.inputs, test.inputs))
+        self._thread.start()
+
+    def _work(self, kernel, train_inputs, test_inputs):
+        try:
+            (cross, scratch), self._buffers = self._buffers, None
+            gram(kernel, test_inputs, train_inputs, out=cross, scratch=scratch)
+            del scratch  # freed before the solve
+            prior_diag = gram_diag(kernel, test_inputs)
+            self._handed.wait()
+            if self._factor is not None:
+                self._result = conditional(self._factor, cross, prior_diag)
+        except BaseException as exc:
+            self._result = exc
+
+    def solve_with(self, factor: SpdFactor):
+        """Hand the worker the factor of K(X, X); raises the checks' error."""
+        if self._thread is None:
+            raise self._result
+        self._factor = factor
+        self._handed.set()
+
+    def join(self):
+        """(v, schur), once the worker has ended; raises the error it raised."""
+        self._handed.set()
+        self._thread.join()
+        if isinstance(self._result, BaseException):
+            raise self._result
+        return self._result
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, traceback):
+        if self._thread is None:
+            return
+        self._handed.set()  # a worker still waiting for a factor ends
+        self._thread.join()
+        if (exc is not None and self._factor is not None
+                and isinstance(self._result, BaseException) and self._result is not exc):
+            raise self._result
 
 
 def _softmax(f):
@@ -430,11 +526,13 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
     check_array_size("the predictive's antithetic draws (2 * ceil(draws_per_sample / 2), "
                      "classes, test points)",
                      (2 * ((config.draws_per_sample + 1) // 2), c, test.n))
-    prior_factor = cholesky(gram(kernel, train.inputs, train.inputs))
-    v, schur = conditional(prior_factor, gram(kernel, test.inputs, train.inputs),
-                           gram_diag(kernel, test.inputs))
     seeds = [derive_seed(seed, j) for j in range(len(temps))]
-    means, stats = _sample_grid(train, temps, seeds, config, prior_factor, v)
+    with _TestSide(kernel, train, test) as side:
+        prior_factor = cholesky(gram(kernel, train.inputs, train.inputs))
+        side.solve_with(prior_factor)
+        means, stats = _sample_grid(train, temps, seeds, config, prior_factor, side.readout,
+                                    side.join)
+        v, schur = side.join()
     ll, acc, se_ll, se_acc = (np.zeros(len(temps)) for _ in range(4))
     for j, t in enumerate(temps):
         rng = RngStream(seeds[j], config.n_chains)

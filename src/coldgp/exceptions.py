@@ -92,16 +92,19 @@ def check_temperatures(grid) -> list:
 def check_bound(name: str, value, bound, error=ValueError):
     """``value`` if it lies within ``bound``, else raises ``error`` naming ``name``.
 
-    ``bound`` is (least, strict[, squared]): ``value`` must be finite and
-    above ``least`` if ``strict``, else at least ``least``; ``squared`` puts
-    the same bound on value * value, for a value squared in floats.
+    ``bound`` is (least, strict[, squared[, most]]): ``value`` must be finite
+    and above ``least`` if ``strict``, else at least ``least``, and at most
+    ``most`` where one is given; a true ``squared`` puts the same bound on
+    value * value, for a value squared in floats.
     """
-    least, strict, *squared = bound
+    least, strict, squared, most = (*bound, *(False, math.inf)[len(bound) - 2:])
     for i, v in enumerate((value, value * value) if squared else (value,)):
-        if not ((least < v if strict else least <= v) and v < math.inf):  # false for NaN
+        # false for NaN
+        if not ((least < v if strict else least <= v) and v < math.inf and v <= most):
             # an int is finite, however large
             relation = (f"{'' if isinstance(value, int) else 'finite and '}"
-                        f"{'>' if strict else '>='} {least:g}")
+                        f"{'>' if strict else '>='} {least:g}"
+                        f"{f' and <= {most:g}' if most < math.inf else ''}")
             what = f"{name} is squared, so its square" if i else name
             raise error(f"{what} must be {relation}, got {value!r}")
     return value

@@ -96,8 +96,11 @@ class KernelSpec:
 
     # each parameter's exceptions.check_bound bound (a class attribute, not a
     # field): the rbf Gram divides by the lengthscale's square, taken in
-    # Python floats, so the square must be positive and finite too
-    BOUNDS = {"lengthscale": (0.0, True, True), "variance": (0.0, True), "depth": (1, False),
+    # Python floats, so the square must be positive and finite too.  The nngp
+    # Gram makes one pass per hidden layer, about 2.5 ms each for a 500-point
+    # Gram (one BLAS thread, 2-core Xeon), so depth is at most 10^4: about 25 s
+    BOUNDS = {"lengthscale": (0.0, True, True), "variance": (0.0, True),
+              "depth": (1, False, False, 10_000),
               "sigma_w2": (0.0, True), "sigma_b2": (0.0, False), "scale": (0.0, True)}
 
     def __post_init__(self):
@@ -126,21 +129,35 @@ def _check_inputs(a, b):
     return a, b
 
 
-def _sq_distances(a, b, symmetric: bool) -> np.ndarray:
+def _scratch_blocks(family: str, n: int, m: int, symmetric: bool) -> tuple:
+    """(count, size) of the row-block scratch of a family's (n, m) Gram:
+    ``count`` float64 arrays of ``size`` values, each a block of rows of the
+    result, whose row count follows from ``size``."""
+    if family == "rbf":
+        # the squared distances' running sum and one coordinate's squares
+        return 2, min(block_rows(2 * m), n) * m
+    # q, J and their temporary, then a symmetric block's copy
+    return 4 if symmetric else 3, block_rows(m) * m
+
+
+def _sq_distances(a, b, symmetric: bool, k=None, scratch=None) -> np.ndarray:
     """The (n, m) squared Euclidean distances between the rows of ``a`` and
-    ``b``, bit for bit those of ``cdist(a, b, "sqeuclidean")``.
+    ``b``, bit for bit those of ``cdist(a, b, "sqeuclidean")``, in ``k`` or
+    in a new array.
 
     Each coordinate adds (a_j - b_j)^2 in column order, so each input is
     transposed once and its columns are contiguous.  ``symmetric`` (b is a)
-    computes only the lower triangle's row blocks and mirrors them.
+    computes only the lower triangle's row blocks and mirrors them.  The
+    blocks are worked in ``scratch`` (see :func:`gram`) or in new scratch.
     """
     n, m = a.shape[0], b.shape[0]
     at = a.T.copy()
     bt = at if symmetric else b.T.copy()
-    k = np.empty((n, m))
-    # the running sum and one coordinate's squares share one block of scratch
-    rows = min(block_rows(2 * m), n)
-    scratch = np.empty((2, rows * m))
+    if k is None:
+        k = np.empty((n, m))
+    if scratch is None:
+        scratch = np.empty(_scratch_blocks("rbf", n, m, symmetric))
+    rows = scratch[0].size // m
     # a difference of finite inputs may overflow to inf, as it does in cdist
     with np.errstate(over="ignore"):
         for r0 in range(0, n, rows):
@@ -159,10 +176,10 @@ def _sq_distances(a, b, symmetric: bool) -> np.ndarray:
     return k
 
 
-def _rbf_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
+def _rbf_gram(spec: KernelSpec, a, b, symmetric: bool, out, scratch) -> np.ndarray:
     # in place on the distances, so the n x m result is the only n x m array;
     # the operations are those of amp * exp(-d2 / (2 l^2)), so the bits are too
-    k = _sq_distances(a, b, symmetric)
+    k = _sq_distances(a, b, symmetric, out, scratch)
     np.negative(k, out=k)
     # a subnormal 2 l^2 sends d2 / (2 l^2) to -inf off the diagonal, and
     # exp(-inf) = 0 is the kernel's limit there
@@ -198,12 +215,12 @@ def _arc_cosine_j(rho, out, tmp):
     return out
 
 
-def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
+def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool, out, scratch) -> np.ndarray:
     n, m, d = a.shape[0], b.shape[0], a.shape[1]
     w, bias = spec.sigma_w2, spec.sigma_b2
     # one product for the whole Gram: a product per row block would change bits
     # (with b is a, numpy computes a @ a.T as a symmetric rank-k update)
-    k = a @ b.T
+    k = np.matmul(a, b.T, out=out)
     ka = _nngp_self_covs(spec, a)
     # each hidden layer reads the previous layer's self-covariances
     variances = list(zip(ka, ka if symmetric else _nngp_self_covs(spec, b)))[:-1]
@@ -213,8 +230,7 @@ def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
     # whole rows and is worked in place.  A symmetric block stops at its last
     # row's column, so it is worked in contiguous scratch, copied back and
     # then mirrored into the upper triangle
-    rows = block_rows(m)
-    scratch = [np.empty(rows * m) for _ in range(4 if symmetric else 3)]
+    rows = scratch[0].size // m
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         if symmetric:
@@ -246,7 +262,7 @@ def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
     return k
 
 
-def gram(spec: KernelSpec, a, b) -> np.ndarray:
+def gram(spec: KernelSpec, a, b, out=None, scratch=None) -> np.ndarray:
     """Kernel matrix between row sets ``a`` (n, d) and ``b`` (m, d).
 
     When ``a`` and ``b`` are the same object the result is exactly symmetric:
@@ -254,14 +270,38 @@ def gram(spec: KernelSpec, a, b) -> np.ndarray:
     The nngp entries keep the bits of the elementwise formulas, because the
     recursion starts from a @ a.T, which numpy computes as an exactly
     symmetric rank-k update.
+
+    A build computes in the result and in row-block scratch.  ``out``, a
+    C-ordered float64 (n, m) array, takes the result, and ``scratch``, from
+    ``gram_scratch(spec, a, b)``, is the scratch; each is otherwise new.
+    The bits are the same either way, so a caller that builds a Gram on
+    another thread can allocate both on its own thread.
     """
     same = a is b
     a, b = _check_inputs(a, b)
     if same:
         b = a
-    if spec.family == "rbf":
-        return _rbf_gram(spec, a, b, symmetric=same)
-    return _nngp_gram(spec, a, b, symmetric=same)
+    shape = (a.shape[0], b.shape[0])
+    if out is not None and (out.shape != shape or out.dtype != np.float64
+                            or not out.flags.c_contiguous):
+        raise DimensionMismatchError(
+            f"out must be a C-ordered float64 {shape} array, got {out.dtype} {out.shape}")
+    if scratch is None:
+        scratch = gram_scratch(spec, a, b)
+    else:
+        count, size = _scratch_blocks(spec.family, *shape, same)
+        if [(s.shape, s.dtype) for s in scratch] != [((size,), np.float64)] * count:
+            raise DimensionMismatchError(
+                f"scratch must be {count} float64 arrays of {size} values, from gram_scratch")
+    build = _rbf_gram if spec.family == "rbf" else _nngp_gram
+    return build(spec, a, b, same, out, scratch)
+
+
+def gram_scratch(spec: KernelSpec, a, b) -> list:
+    """New row-block scratch for ``gram(spec, a, b)``: a few arrays of about
+    ``linalg.BLOCK_BYTES`` each, whatever the size of the Gram."""
+    count, size = _scratch_blocks(spec.family, len(a), len(b), a is b)
+    return [np.empty(size) for _ in range(count)]
 
 
 def gram_diag(spec: KernelSpec, a) -> np.ndarray:

@@ -26,8 +26,9 @@ bound routines against scipy.linalg bit for bit.
 run, since a product split across threads rounds differently, and describes
 them for run.log.
 
-The bound routines reuse their ctypes scalars, so call them from one thread
-at a time.  Arrays are float64 throughout.
+The bound routines make their ctypes scalars per call, so two threads may
+call them at once, as a classification sweep does when it factors on one
+thread and solves on another.  Arrays are float64 throughout.
 """
 from __future__ import annotations
 
@@ -195,26 +196,28 @@ def _bind(lib: ctypes.CDLL) -> _Routines:
         ctypes.c_double, ptr, ctypes.c_int64, ptr, ctypes.c_int64]
     for routine in (potrf, trtrs, laset, trmm):
         routine.restype = None
-    n, columns, ld, info, zero = (ctypes.c_int64(), ctypes.c_int64(), ctypes.c_int64(),
-                                  ctypes.c_int64(), ctypes.c_double(0.0))
+    # only read; every other scalar is made per call, so that two threads
+    # may call the routines at once
+    zero = ctypes.c_double(0.0)
 
     def factor(work):
         # dpotrf factors the F-ordered work.T in place as upper, a = U^T U, so
         # work ends as the C-ordered lower factor.  On success dlaset zeroes
         # work.T's strict lower triangle: the lower triangle, diagonal
         # included, of its (n-1) x (n-1) block from the second row down
-        n.value = ld.value = k = work.shape[0]
+        k = work.shape[0]
+        n, info = ctypes.c_int64(k), ctypes.c_int64()
         address = work.ctypes.data
-        potrf(b"U", n, address, ld, info, 1)
+        potrf(b"U", n, address, n, info, 1)
         if info.value == 0 and k > 1:
-            n.value = k - 1
-            laset(b"L", n, n, zero, zero, address + 8, ld, 1)
+            rest = ctypes.c_int64(k - 1)
+            laset(b"L", rest, rest, zero, zero, address + 8, n, 1)
         return info.value
 
     def solve(lower, b):
-        n.value = lower.shape[0]
-        ld.value = max(1, n.value)
-        columns.value = 1 if b.ndim == 1 else b.shape[1]
+        k = lower.shape[0]
+        n, ld, info = ctypes.c_int64(k), ctypes.c_int64(max(1, k)), ctypes.c_int64()
+        columns = ctypes.c_int64(1 if b.ndim == 1 else b.shape[1])
         trtrs(b"U", b"T", b"N", n, columns, lower.ctypes.data, ld, b.ctypes.data, ld, info,
               1, 1, 1)
         return b, info.value

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import tracemalloc
@@ -594,6 +595,34 @@ def test_a_start_past_the_panel_limit_raises_before_evaluating(monkeypatch, widt
     with pytest.raises(QuadratureNotConvergedError, match=r"temperature=1\.0\)"):
         relabel_ratio_curve(1e200, [0.5], integration_half_width_sigmas=width)
     assert not seen
+
+
+def test_nodes_that_square_past_the_float_range_warn_nothing():
+    # at c = 1e300 and a 1e4-sigma window the nodes' squares overflow to inf,
+    # the intended value, so the curve fails to converge and warns nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureNotConvergedError):
+            relabel_ratio_curve(1e300, [0.5], integration_half_width_sigmas=1e4)
+
+
+def test_log_terms_keep_the_bits_of_their_formula():
+    # ordinary nodes: -max(g(d) - g(d*), 0) / t with g(x) = x^2 / (4 c) +
+    # softplus(-x), and its sum with log sigmoid(-d), written out directly
+    rng = np.random.default_rng(0)
+    d, t = rng.normal(0.0, 30.0, (3, 65)), np.array([[0.01], [0.5], [1.0]])
+    c, centre = 100.0, 1.25
+
+    def g(x):
+        return x * x * 0.25 / c + np.logaddexp(0.0, -x)
+
+    ref = -np.maximum(g(d) - g(centre), 0.0) / t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        log_post, log_num = aleatoric._log_terms(d, t, c, centre)
+    np.testing.assert_array_equal(log_post.view(np.int64), ref.view(np.int64))
+    np.testing.assert_array_equal(log_num.view(np.int64),
+                                  (ref - np.logaddexp(0.0, d)).view(np.int64))
 
 
 def test_budget_advances_rows_depth_first(monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,8 +20,9 @@ from coldgp.classification import (
     classification_temperature_sweep,
     ess_transition,
 )
-from coldgp.data import gen_cluster_classification
+from coldgp.data import LabeledDataset, gen_cluster_classification
 from coldgp.exceptions import (
+    ColdGPError,
     DimensionMismatchError,
     EmptyInputError,
     LabelOutOfRangeError,
@@ -651,6 +653,119 @@ def test_sweep_builds_one_gram_pair_and_one_factor(monkeypatch, n_temps):
     assert shared == {"gram": 0, "tril_solve": 1}
     assert states == [n_temps * cfg.n_chains] * (
         cfg.burn_in + cfg.n_samples_per_chain * cfg.thinning)
+
+
+def _sequential_sweep(kern, train, test, temps, cfg, seed):
+    """The sweep's steps one after another on the calling thread: gram,
+    cholesky, conditional, _sample_grid, then the predictive.  Each step is
+    looked up in the classification module, so a test's patches apply."""
+    import coldgp.classification as cls
+
+    factor = cls.cholesky(cls.gram(kern, train.inputs, train.inputs))
+    v, schur = cls.conditional(factor, cls.gram(kern, test.inputs, train.inputs),
+                               cls.gram_diag(kern, test.inputs))
+    seeds = [derive_seed(seed, j) for j in range(len(temps))]
+    means, stats = cls._sample_grid(train, temps, seeds, cfg, factor, v)
+    out = {key: np.zeros(len(temps)) for key in ("test_log_likelihood", "top1_accuracy",
+                                                 "mc_se_log_likelihood", "mc_se_accuracy")}
+    for j, t in enumerate(temps):
+        chain_means = _chain_prob_means(means[j], np.sqrt(t * schur), cfg.draws_per_sample,
+                                        RngStream(seeds[j], cfg.n_chains))
+        out["test_log_likelihood"][j], out["top1_accuracy"][j] = classification_metrics(
+            chain_means.mean(axis=0), test.targets)
+        per_chain = [classification_metrics(cm, test.targets) for cm in chain_means]
+        out["mc_se_log_likelihood"][j], out["mc_se_accuracy"][j] = (
+            np.std(m, ddof=1) / np.sqrt(cfg.n_chains) for m in zip(*per_chain))
+    out["stats"] = stats
+    return out
+
+
+def _outcome(run):
+    """``run()``'s result, or the type and message of what it raised; either
+    way the thread count is what it was before the call."""
+    threads = threading.active_count()
+    try:
+        result = run()
+    except Exception as exc:
+        result = (type(exc), str(exc))
+    assert threading.active_count() == threads
+    return result
+
+
+@pytest.mark.parametrize("c", [2, 3])
+@pytest.mark.parametrize("family", ["rbf", "nngp"])
+def test_sweep_matches_its_steps_run_one_after_another_bitwise(monkeypatch, family, c):
+    # the sweep builds the test side of its conditional on a worker thread,
+    # beside the factor and the burn-in, under the caller's floating-point
+    # error state; every array it returns has the bits of the same steps run
+    # one after another, and no thread outlives it
+    import coldgp.classification as cls
+
+    train, test = gen_cluster_classification(40, c, 3, 1.5, seed=c)
+    cfg = EssConfig(n_chains=2, burn_in=6, n_samples_per_chain=4, thinning=2,
+                    draws_per_sample=3)
+    kern, temps = KernelSpec(family), [0.1, 1.0, 2.5]
+    ref = _sequential_sweep(kern, train, test, temps, cfg, 4)
+    real, seen = cls.gram, {}
+
+    def recording(spec, a, b, **kwargs):  # which thread builds each Gram, and how
+        seen[a is b] = threading.get_ident(), np.geterr()["over"]
+        return real(spec, a, b, **kwargs)
+
+    monkeypatch.setattr(cls, "gram", recording)
+    with np.errstate(over="ignore"):
+        out = _outcome(lambda: cls.classification_temperature_sweep(kern, train, test, temps,
+                                                                    cfg, seed=4))
+    (main, main_over), (worker, worker_over) = seen[True], seen[False]
+    assert main == threading.get_ident() != worker and main_over == worker_over == "ignore"
+    assert out["stats"] == ref["stats"]
+    for key in ("test_log_likelihood", "top1_accuracy", "mc_se_log_likelihood",
+                "mc_se_accuracy"):
+        np.testing.assert_array_equal(out[key].view(np.int64), ref[key].view(np.int64))
+
+
+@pytest.mark.parametrize("burn_in_fails", [False, True])
+@pytest.mark.parametrize("test_side", ["builds", "cross-gram-fails", "dimensions-differ"])
+@pytest.mark.parametrize("factor_fails", [False, True])
+def test_sweep_raises_what_its_steps_run_one_after_another_raise(monkeypatch, factor_fails,
+                                                                 test_side, burn_in_fails):
+    # whichever of the factor, the test side and the burn-in fail, the sweep
+    # raises the type and message that the steps run one after another raise
+    # first, or returns their result, and no thread outlives it.  A variance
+    # of 10 at scale 1e308 overflows the Gram, which the factor rejects
+    import coldgp.classification as cls
+
+    train, test = gen_cluster_classification(10, 2, 3, 2.0, seed=0)
+    if test_side == "dimensions-differ":
+        test = LabeledDataset(np.ones((4, 2)), [0, 1, 0, 1], 2, "test")
+    cfg = EssConfig(n_chains=2, burn_in=3, n_samples_per_chain=2, thinning=1,
+                    draws_per_sample=1)
+    kern = KernelSpec("rbf", variance=10.0, scale=1e308 if factor_fails else 1.0)
+    temps = [0.5, 1.0]
+    real_gram = cls.gram
+
+    def cross_gram_fails(spec, a, b, **kwargs):
+        if a is test.inputs:
+            raise MemoryError("no room for the cross Gram")
+        return real_gram(spec, a, b, **kwargs)
+
+    def burn_in_fails_at_chain_1(*args):
+        raise cls._chain_error(ColdGPError, 1, "no slice")
+
+    if test_side == "cross-gram-fails":
+        monkeypatch.setattr(cls, "gram", cross_gram_fails)
+    if burn_in_fails:
+        monkeypatch.setattr(cls, "ess_transition", burn_in_fails_at_chain_1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = _outcome(lambda: _sequential_sweep(kern, train, test, temps, cfg, 0))
+        out = _outcome(lambda: cls.classification_temperature_sweep(kern, train, test, temps,
+                                                                    cfg, seed=0))
+    if isinstance(ref, tuple):
+        assert out == ref
+    else:
+        assert not (factor_fails or burn_in_fails or test_side != "builds")
+        for key in ("test_log_likelihood", "top1_accuracy"):
+            np.testing.assert_array_equal(out[key], ref[key])
 
 
 def test_conditional_mean_is_temperature_free():

@@ -863,6 +863,19 @@ def test_grid_beyond_memory_exits_3(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: out of memory: "), err
 
 
+def test_nngp_depth_past_its_bound_exits_2_naming_the_key(tmp_path, capsys):
+    # each hidden layer is one pass over the Gram, so a depth of 1e9 would
+    # run for days; it fails at parse time instead
+    payload = classify_payload(tmp_path / "o")
+    payload["kernel"]["depth"] = 1_000_000_000
+    capsys.readouterr()
+    assert main(["run", "--config", _write_config(tmp_path, "d.json", payload)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(
+        "config error: key 'depth' in kernel must be >= 1 and <= 10000"), err
+    assert not (tmp_path / "o" / "results.csv").exists()
+
+
 @pytest.mark.parametrize("width", [7.0], ids=["below-8-sigmas"])
 def test_probe_width_outside_its_range_fails_in_one_stderr_line(tmp_path, capsys, width):
     # below 8 sigmas the window cuts off posterior mass

@@ -226,7 +226,7 @@ class TestKernelSection:
             parse_config(raw)
 
     @pytest.mark.parametrize("patch", [
-        {"depth": 0}, {"depth": 1.5}, {"sigma_w2": 0.0}, {"sigma_b2": -0.1},
+        {"depth": 0}, {"depth": 1.5}, {"depth": 10**9}, {"sigma_w2": 0.0}, {"sigma_b2": -0.1},
     ])
     def test_bad_nngp_values(self, patch):
         raw = classify_raw()
@@ -481,9 +481,12 @@ OWNED = {
                                      True, lambda v: _check_noise_stds([v])),
 }
 
-# zero first, then subnormals, negatives, bounds' neighbours, squares that
-# underflow (1e-170) or overflow (1e155) and the largest finite values
-EDGE_INTS = [0, 1, -1, 2, 16, 17, 2**64 - 1, 2**64, 10**30, -(10**30)]
+# zero first, then subnormals, negatives, bounds' neighbours (nngp depth's
+# upper bound read from KernelSpec), squares that underflow (1e-170) or
+# overflow (1e155) and the largest finite values
+MAX_DEPTH = KernelSpec.BOUNDS["depth"][3]
+EDGE_INTS = [0, 1, -1, 2, 16, 17, MAX_DEPTH, MAX_DEPTH + 1, 2**64 - 1, 2**64, 10**30,
+             -(10**30)]
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1e-170, 1e-160, -1.0, np.nextafter(8.0, 0.0), 8.0,
                1e154, 1e155, 1.7976931348623157e308, -1.7976931348623157e308, 0, 2, -3]
 

@@ -41,6 +41,10 @@ def test_spec_validation():
         KernelSpec("rbf", variance=-1.0)
     with pytest.raises(ValueError):
         KernelSpec("nngp", depth=0)
+    # one pass per layer: depth is bounded above, at 10^4 layers
+    assert KernelSpec("nngp", depth=10_000).depth == 10_000
+    with pytest.raises(ValueError, match="depth must be >= 1 and <= 10000, got 10001"):
+        KernelSpec("nngp", depth=10_001)
     with pytest.raises(ValueError):
         KernelSpec("nngp", sigma_w2=0.0)
     with pytest.raises(ValueError):
@@ -316,6 +320,23 @@ def test_scale_kernel_scales_gram_linearly():
     assert scale_kernel(scale_kernel(KernelSpec("rbf"), 2.0), 3.0).scale == 6.0
     with pytest.raises(NonPositiveScaleError):
         scale_kernel(KernelSpec("rbf"), 0.0)
+
+
+@pytest.mark.parametrize("family", ["rbf", "nngp"])
+def test_gram_into_out_keeps_the_bits_of_a_new_array(family):
+    # a cross Gram built into a buffer the caller allocated, as a sweep's
+    # conditional is, and a symmetric one, have the bits of gram's own array
+    spec = KernelSpec(family)
+    rng = np.random.default_rng(0)
+    a, b = rng.standard_normal((300, 5)), rng.standard_normal((170, 5))
+    for x, y in ((b, a), (a, a)):
+        out = np.empty((len(x), len(y)))
+        assert gram(spec, x, y, out=out) is out
+        np.testing.assert_array_equal(out.view(np.int64), gram(spec, x, y).view(np.int64))
+    for bad in (np.empty((300, 170)), np.empty((170, 300), np.float32),
+                np.empty((300, 170)).T):
+        with pytest.raises(DimensionMismatchError, match="out must be"):
+            gram(spec, b, a, out=bad)
 
 
 def test_gram_input_validation():

@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -551,6 +552,46 @@ def test_bound_trtrs_matches_scipy_bitwise(numpy_routines, n, m):
     x, info = routines.trtrs(lower, np.array(b, order="F"))
     assert info == 0 and np.all(np.isfinite(x)) and _same_bits(x, ref)
     assert _same_bits(tril_solve(lower, b), ref)
+
+
+def test_bound_routines_give_sequential_bits_on_two_threads_at_once(numpy_routines):
+    # a sweep factors on one thread while it solves on another; the routines
+    # make their ctypes scalars per call, so a factor and a solve on one
+    # thread and a solve and a triangular product on another, at once and
+    # over and over, give the bits of the same calls made one at a time.
+    # The sizes differ, so a size that leaks from one call into another
+    # shows as wrong bits or an error
+    a = _random_spd(301, 0)
+    lower_a, lower_b = _lower_with_nan_above(257, 1), _lower_with_nan_above(190, 2)
+    rng = np.random.default_rng(3)
+    b_a, b_b, z_b = (rng.standard_normal(shape) for shape in [(257, 30), (190, 7), (190, 20)])
+
+    def side_a():
+        return cholesky(a.copy()).lower, tril_solve(lower_a, b_a)
+
+    def side_b():
+        return tril_solve(lower_b, b_b), tril_matmul(lower_b, z_b)
+
+    refs = {side: side() for side in (side_a, side_b)}
+    start, bad = threading.Barrier(2), []
+
+    def repeat(side):
+        start.wait()
+        for _ in range(150):
+            try:
+                got = side()
+            except Exception as exc:  # a leaked size may make LAPACK fail
+                bad.append(repr(exc))
+                return
+            if not all(_same_bits(x, ref) for x, ref in zip(got, refs[side])):
+                bad.append(side.__name__)
+
+    threads = [threading.Thread(target=repeat, args=(side,)) for side in (side_a, side_b)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not bad, bad[:5]
 
 
 def test_tril_solve_overwrites_only_what_it_is_handed():

@@ -48,13 +48,15 @@ partly cancel.
 The predictive reads a retained sample only through v^T G, so the sampler
 retains that and not G: at each retained step, one product reads v once and
 gives the test-latent means of all T * n_chains states.  v is needed only
-then, and depends on the training side only through L, so a sweep builds it
-on one worker thread (:class:`_TestSide`): the worker builds K(X*, X) and
-k** while the calling thread builds K(X, X) and factors it, then solves
-with L while the sampler burns in, and the sampler joins it at its first
-retained step.  Each routine computes what it computes when the steps run
-one after another, at one BLAS thread as a run holds them, so a run's
-results keep their bytes; no thread outlives the sweep.
+then, and depends on the training side only through L, so a sweep runs two
+pairs of its steps side by side (:func:`_beside`): a worker thread factors
+K(X, X) in its buffer while the calling thread builds K(X*, X) and k**, and
+then a worker solves v = L^{-1} K(X, X*) in the buffer of K(X*, X) while the
+sampler burns in, joined at the sampler's first retained step.  The calling
+thread allocates every n x n and n x p array, so they share its malloc
+arena.  Each routine computes what it computes when the steps run one after
+another, at one BLAS thread as a run holds them, so a run's results keep
+their bytes; no thread outlives the sweep.
 :func:`classification_temperature_sweep` is the one way to sample and
 predict: its sampler keeps the whole grid's retained means as one
 (T, n_chains, n_samples_per_chain, C, p) array for p test points, and the
@@ -83,10 +85,11 @@ from .exceptions import (
     EmptyInputError,
     NonFiniteLikelihoodError,
     check_array_size,
+    check_bound,
     check_labels,
     check_temperatures,
 )
-from .kernels import KernelSpec, _check_inputs, gram, gram_diag, gram_scratch
+from .kernels import KernelSpec, gram, gram_diag
 from .linalg import SpdFactor, cholesky, tril_matmul
 from .regression import conditional
 from .rng import RngStream, derive_seed
@@ -112,14 +115,13 @@ class EssConfig:
     thinning: int = 5
     draws_per_sample: int = 8
 
-    # each field's least value (a class attribute, not a field)
-    MINIMUMS = {"n_chains": 1, "burn_in": 0, "n_samples_per_chain": 1, "thinning": 1,
-                "draws_per_sample": 1}
+    # each field's exceptions.check_bound bound (a class attribute, not a field)
+    BOUNDS = {"n_chains": (1, False), "burn_in": (0, False), "n_samples_per_chain": (1, False),
+              "thinning": (1, False), "draws_per_sample": (1, False)}
 
     def __post_init__(self):
-        for name, minimum in self.MINIMUMS.items():
-            if getattr(self, name) < minimum:
-                raise ValueError(f"{name} must be >= {minimum}")
+        for name, bound in self.BOUNDS.items():
+            check_bound(name, getattr(self, name), bound)
 
 
 def _contrast_log_softmax_sums(d, index, sign=None):
@@ -353,84 +355,40 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
     return means, stats
 
 
-class _TestSide:
-    """A sweep's test-side conditional (v, schur), built on one worker thread.
+def _beside(first, second):
+    """(first(), second(join)), with ``first`` run on a new thread beside
+    ``second`` on the calling thread.
 
-    The worker builds K(X*, X) and k**; it then waits for :meth:`solve_with`
-    to hand it the factor L of K(X, X) and runs
-    :func:`~coldgp.regression.conditional`, whose triangular solve turns
-    K(X*, X) into v = L^{-1} K(X, X*) in its buffer.  That buffer and the
-    Gram's row-block scratch are allocated here, on the calling thread: an
-    array freed on a worker thread stays in that thread's malloc arena, a
-    second heap.  The worker runs in a copy of the calling thread's context,
-    so under its np.errstate, and each routine computes what it would
-    compute on the calling thread.
-
-    The test inputs are checked, as :func:`~coldgp.kernels.gram` checks
-    them, and the buffers allocated before the worker starts.  Where either
-    fails no worker starts, and :meth:`solve_with` raises the error, after
-    the factor: where a sweep that built the conditional after its factor
-    raises it.  Used as a context, the side joins its worker on every exit.
-    An error the caller raises once the factor is handed over gives way to
-    the worker's, which that order raises first.
+    ``first`` runs in a copy of the caller's context, so under its
+    np.errstate.  ``join`` waits for ``first`` and returns its result or
+    raises its error; ``second`` may call it, and the thread is joined on
+    every exit, so none outlives the call.  Where both raise, ``first``'s
+    error is raised: the one that ``first`` then ``second``, run one after
+    another, would raise.
     """
+    done = {}
 
-    def __init__(self, kernel: KernelSpec, train: LabeledDataset, test: LabeledDataset):
-        self._factor = None
-        self._handed = threading.Event()
-        self._thread = None
+    def run():
         try:
-            _check_inputs(test.inputs, train.inputs)
-            # K(X*, X) and its row-block scratch
-            self._buffers = (np.empty((test.n, train.n)),
-                             gram_scratch(kernel, test.inputs, train.inputs))
-        except Exception as exc:
-            self._result = exc
-            return
-        self._result = None  # (v, schur), or the exception the worker raised
-        self.readout = self._buffers[0].T  # v, once :meth:`join` returns
-        self._thread = threading.Thread(target=contextvars.copy_context().run,
-                                        args=(self._work, kernel, train.inputs, test.inputs))
-        self._thread.start()
-
-    def _work(self, kernel, train_inputs, test_inputs):
-        try:
-            (cross, scratch), self._buffers = self._buffers, None
-            gram(kernel, test_inputs, train_inputs, out=cross, scratch=scratch)
-            del scratch  # freed before the solve
-            prior_diag = gram_diag(kernel, test_inputs)
-            self._handed.wait()
-            if self._factor is not None:
-                self._result = conditional(self._factor, cross, prior_diag)
+            done["result"] = first()
         except BaseException as exc:
-            self._result = exc
+            done["error"] = exc
 
-    def solve_with(self, factor: SpdFactor):
-        """Hand the worker the factor of K(X, X); raises the checks' error."""
-        if self._thread is None:
-            raise self._result
-        self._factor = factor
-        self._handed.set()
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,))
+    thread.start()
 
-    def join(self):
-        """(v, schur), once the worker has ended; raises the error it raised."""
-        self._handed.set()
-        self._thread.join()
-        if isinstance(self._result, BaseException):
-            raise self._result
-        return self._result
+    def join():
+        thread.join()
+        if "error" in done:
+            raise done["error"]
+        return done["result"]
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, traceback):
-        if self._thread is None:
-            return
-        self._handed.set()  # a worker still waiting for a factor ends
-        self._thread.join()
-        if (exc is not None and self._factor is not None
-                and isinstance(self._result, BaseException) and self._result is not exc):
-            raise self._result
+    try:
+        out = second(join)
+    except BaseException:
+        join()  # raises first's error in place of second's
+        raise
+    return join(), out
 
 
 def _softmax(f):
@@ -527,12 +485,15 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
                      "classes, test points)",
                      (2 * ((config.draws_per_sample + 1) // 2), c, test.n))
     seeds = [derive_seed(seed, j) for j in range(len(temps))]
-    with _TestSide(kernel, train, test) as side:
-        prior_factor = cholesky(gram(kernel, train.inputs, train.inputs))
-        side.solve_with(prior_factor)
-        means, stats = _sample_grid(train, temps, seeds, config, prior_factor, side.readout,
-                                    side.join)
-        v, schur = side.join()
+    prior = gram(kernel, train.inputs, train.inputs)
+    prior_factor, (cross, prior_diag) = _beside(
+        lambda: cholesky(prior),
+        lambda join: (gram(kernel, test.inputs, train.inputs), gram_diag(kernel, test.inputs)))
+    # the solve turns K(X*, X) into v in its buffer, whose transpose the
+    # sampler reads once it has joined the solve
+    (_, schur), (means, stats) = _beside(
+        lambda: conditional(prior_factor, cross, prior_diag),
+        lambda join: _sample_grid(train, temps, seeds, config, prior_factor, cross.T, join))
     ll, acc, se_ll, se_acc = (np.zeros(len(temps)) for _ in range(4))
     for j, t in enumerate(temps):
         rng = RngStream(seeds[j], config.n_chains)

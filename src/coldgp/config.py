@@ -212,13 +212,12 @@ def _parse_data(section, experiment: str, kernel: KernelSpec | None) -> dict:
 
 
 def _parse_ess(section) -> EssConfig:
-    """The ``ess`` section: each EssConfig field, its default and its minimum."""
+    """The ``ess`` section: each EssConfig field, its default and its bound."""
     where = "ess"
     _object(section, where)
     defaults = {f.name: f.default for f in fields(EssConfig)}
     _reject_unknown(section, defaults, where)
-    return EssConfig(**_bounded(section, where, defaults,
-                                {key: (least, False) for key, least in EssConfig.MINIMUMS.items()}))
+    return EssConfig(**_bounded(section, where, defaults, EssConfig.BOUNDS))
 
 
 def _parse_probe(section) -> dict:

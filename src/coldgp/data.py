@@ -311,7 +311,8 @@ def load_dataset(path, split_tag: str = "train", class_count: int | None = None)
 
     The header's last column decides the kind: ``label`` means
     classification (class_count defaults to max label + 1, and a label of 2
-    or more must then be below the row count), ``target`` means regression.
+    or more must then be below the row count), ``target`` means regression;
+    the columns before it are the inputs x0, x1, ..., at least one of them.
     A cell that does not parse raises MalformedRecordError naming its line.
     """
     header, rows = read_csv(path)
@@ -320,6 +321,8 @@ def load_dataset(path, split_tag: str = "train", class_count: int | None = None)
     kind = header[-1]
     if kind not in ("target", "label") or header[:-1] != [f"x{j}" for j in range(len(header) - 1)]:
         raise MalformedRecordError(f"{path}: unrecognized header {header!r}")
+    if len(header) == 1:  # a Gram needs at least one input column
+        raise MalformedRecordError(f"{path}: header {header!r} has no input column x0")
     if not rows:
         raise EmptyInputError(f"{path}: no data rows")
     xs, ys = [], []

@@ -124,40 +124,28 @@ def _check_inputs(a, b):
         raise DimensionMismatchError(
             f"input dimensions differ: {a.shape[1]} vs {b.shape[1]}"
         )
+    if a.shape[1] == 0:
+        raise EmptyInputError("gram needs at least one input column")
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(b)):
         raise NonFiniteInputError("kernel inputs contain NaN or infinity")
     return a, b
 
 
-def _scratch_blocks(family: str, n: int, m: int, symmetric: bool) -> tuple:
-    """(count, size) of the row-block scratch of a family's (n, m) Gram:
-    ``count`` float64 arrays of ``size`` values, each a block of rows of the
-    result, whose row count follows from ``size``."""
-    if family == "rbf":
-        # the squared distances' running sum and one coordinate's squares
-        return 2, min(block_rows(2 * m), n) * m
-    # q, J and their temporary, then a symmetric block's copy
-    return 4 if symmetric else 3, block_rows(m) * m
-
-
-def _sq_distances(a, b, symmetric: bool, k=None, scratch=None) -> np.ndarray:
+def _sq_distances(a, b, symmetric: bool) -> np.ndarray:
     """The (n, m) squared Euclidean distances between the rows of ``a`` and
-    ``b``, bit for bit those of ``cdist(a, b, "sqeuclidean")``, in ``k`` or
-    in a new array.
+    ``b``, bit for bit those of ``cdist(a, b, "sqeuclidean")``.
 
     Each coordinate adds (a_j - b_j)^2 in column order, so each input is
     transposed once and its columns are contiguous.  ``symmetric`` (b is a)
-    computes only the lower triangle's row blocks and mirrors them.  The
-    blocks are worked in ``scratch`` (see :func:`gram`) or in new scratch.
+    computes only the lower triangle's row blocks and mirrors them.
     """
     n, m = a.shape[0], b.shape[0]
     at = a.T.copy()
     bt = at if symmetric else b.T.copy()
-    if k is None:
-        k = np.empty((n, m))
-    if scratch is None:
-        scratch = np.empty(_scratch_blocks("rbf", n, m, symmetric))
-    rows = scratch[0].size // m
+    k = np.empty((n, m))
+    # the running sum and one coordinate's squares share one block of scratch
+    rows = min(block_rows(2 * m), n)
+    scratch = np.empty((2, rows * m))
     # a difference of finite inputs may overflow to inf, as it does in cdist
     with np.errstate(over="ignore"):
         for r0 in range(0, n, rows):
@@ -176,10 +164,10 @@ def _sq_distances(a, b, symmetric: bool, k=None, scratch=None) -> np.ndarray:
     return k
 
 
-def _rbf_gram(spec: KernelSpec, a, b, symmetric: bool, out, scratch) -> np.ndarray:
+def _rbf_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
     # in place on the distances, so the n x m result is the only n x m array;
     # the operations are those of amp * exp(-d2 / (2 l^2)), so the bits are too
-    k = _sq_distances(a, b, symmetric, out, scratch)
+    k = _sq_distances(a, b, symmetric)
     np.negative(k, out=k)
     # a subnormal 2 l^2 sends d2 / (2 l^2) to -inf off the diagonal, and
     # exp(-inf) = 0 is the kernel's limit there
@@ -215,12 +203,12 @@ def _arc_cosine_j(rho, out, tmp):
     return out
 
 
-def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool, out, scratch) -> np.ndarray:
+def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
     n, m, d = a.shape[0], b.shape[0], a.shape[1]
     w, bias = spec.sigma_w2, spec.sigma_b2
     # one product for the whole Gram: a product per row block would change bits
     # (with b is a, numpy computes a @ a.T as a symmetric rank-k update)
-    k = np.matmul(a, b.T, out=out)
+    k = a @ b.T
     ka = _nngp_self_covs(spec, a)
     # each hidden layer reads the previous layer's self-covariances
     variances = list(zip(ka, ka if symmetric else _nngp_self_covs(spec, b)))[:-1]
@@ -230,7 +218,8 @@ def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool, out, scratch) -> np.ndar
     # whole rows and is worked in place.  A symmetric block stops at its last
     # row's column, so it is worked in contiguous scratch, copied back and
     # then mirrored into the upper triangle
-    rows = scratch[0].size // m
+    rows = block_rows(m)
+    scratch = [np.empty(rows * m) for _ in range(4 if symmetric else 3)]
     for r0 in range(0, n, rows):
         r1 = min(r0 + rows, n)
         if symmetric:
@@ -262,7 +251,7 @@ def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool, out, scratch) -> np.ndar
     return k
 
 
-def gram(spec: KernelSpec, a, b, out=None, scratch=None) -> np.ndarray:
+def gram(spec: KernelSpec, a, b) -> np.ndarray:
     """Kernel matrix between row sets ``a`` (n, d) and ``b`` (m, d).
 
     When ``a`` and ``b`` are the same object the result is exactly symmetric:
@@ -271,37 +260,17 @@ def gram(spec: KernelSpec, a, b, out=None, scratch=None) -> np.ndarray:
     recursion starts from a @ a.T, which numpy computes as an exactly
     symmetric rank-k update.
 
-    A build computes in the result and in row-block scratch.  ``out``, a
-    C-ordered float64 (n, m) array, takes the result, and ``scratch``, from
-    ``gram_scratch(spec, a, b)``, is the scratch; each is otherwise new.
-    The bits are the same either way, so a caller that builds a Gram on
-    another thread can allocate both on its own thread.
+    The n x m result and the row-block scratch are allocated on the calling
+    thread; a classification sweep builds both of its Grams on its own
+    thread, and its worker thread only factors and solves in their buffers.
     """
     same = a is b
     a, b = _check_inputs(a, b)
     if same:
         b = a
-    shape = (a.shape[0], b.shape[0])
-    if out is not None and (out.shape != shape or out.dtype != np.float64
-                            or not out.flags.c_contiguous):
-        raise DimensionMismatchError(
-            f"out must be a C-ordered float64 {shape} array, got {out.dtype} {out.shape}")
-    if scratch is None:
-        scratch = gram_scratch(spec, a, b)
-    else:
-        count, size = _scratch_blocks(spec.family, *shape, same)
-        if [(s.shape, s.dtype) for s in scratch] != [((size,), np.float64)] * count:
-            raise DimensionMismatchError(
-                f"scratch must be {count} float64 arrays of {size} values, from gram_scratch")
-    build = _rbf_gram if spec.family == "rbf" else _nngp_gram
-    return build(spec, a, b, same, out, scratch)
-
-
-def gram_scratch(spec: KernelSpec, a, b) -> list:
-    """New row-block scratch for ``gram(spec, a, b)``: a few arrays of about
-    ``linalg.BLOCK_BYTES`` each, whatever the size of the Gram."""
-    count, size = _scratch_blocks(spec.family, len(a), len(b), a is b)
-    return [np.empty(size) for _ in range(count)]
+    if spec.family == "rbf":
+        return _rbf_gram(spec, a, b, symmetric=same)
+    return _nngp_gram(spec, a, b, symmetric=same)
 
 
 def gram_diag(spec: KernelSpec, a) -> np.ndarray:

@@ -27,8 +27,9 @@ run, since a product split across threads rounds differently, and describes
 them for run.log.
 
 The bound routines make their ctypes scalars per call, so two threads may
-call them at once, as a classification sweep does when it factors on one
-thread and solves on another.  Arrays are float64 throughout.
+call them at once, as a classification sweep does when a worker thread
+solves in the buffer of its cross Gram while the sampler's triangular
+products run on the calling thread.  Arrays are float64 throughout.
 """
 from __future__ import annotations
 

@@ -1,5 +1,6 @@
 import dataclasses
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -695,10 +696,10 @@ def _outcome(run):
 @pytest.mark.parametrize("c", [2, 3])
 @pytest.mark.parametrize("family", ["rbf", "nngp"])
 def test_sweep_matches_its_steps_run_one_after_another_bitwise(monkeypatch, family, c):
-    # the sweep builds the test side of its conditional on a worker thread,
-    # beside the factor and the burn-in, under the caller's floating-point
-    # error state; every array it returns has the bits of the same steps run
-    # one after another, and no thread outlives it
+    # the sweep factors and solves on worker threads, beside the cross Gram
+    # and the burn-in, under the caller's floating-point error state, and
+    # builds both Grams on the calling thread; every array it returns has the
+    # bits of the same steps run one after another, and no thread outlives it
     import coldgp.classification as cls
 
     train, test = gen_cluster_classification(40, c, 3, 1.5, seed=c)
@@ -706,18 +707,24 @@ def test_sweep_matches_its_steps_run_one_after_another_bitwise(monkeypatch, fami
                     draws_per_sample=3)
     kern, temps = KernelSpec(family), [0.1, 1.0, 2.5]
     ref = _sequential_sweep(kern, train, test, temps, cfg, 4)
-    real, seen = cls.gram, {}
+    seen = []
 
-    def recording(spec, a, b, **kwargs):  # which thread builds each Gram, and how
-        seen[a is b] = threading.get_ident(), np.geterr()["over"]
-        return real(spec, a, b, **kwargs)
+    def recording(name, real):  # which thread runs each step, and how
+        def step(*args):
+            seen.append((name, threading.get_ident(), np.geterr()["over"]))
+            return real(*args)
+        return step
 
-    monkeypatch.setattr(cls, "gram", recording)
+    for name in ("gram", "cholesky", "conditional"):
+        monkeypatch.setattr(cls, name, recording(name, getattr(cls, name)))
     with np.errstate(over="ignore"):
         out = _outcome(lambda: cls.classification_temperature_sweep(kern, train, test, temps,
                                                                     cfg, seed=4))
-    (main, main_over), (worker, worker_over) = seen[True], seen[False]
-    assert main == threading.get_ident() != worker and main_over == worker_over == "ignore"
+    assert sorted(name for name, _, _ in seen) == ["cholesky", "conditional", "gram", "gram"]
+    # the two workers are two threads, which may or may not share an ident
+    caller = threading.get_ident()
+    assert all((thread == caller) == (name == "gram") for name, thread, _ in seen)
+    assert all(over == "ignore" for _, _, over in seen)
     assert out["stats"] == ref["stats"]
     for key in ("test_log_likelihood", "top1_accuracy", "mc_se_log_likelihood",
                 "mc_se_accuracy"):
@@ -766,6 +773,89 @@ def test_sweep_raises_what_its_steps_run_one_after_another_raise(monkeypatch, fa
         assert not (factor_fails or burn_in_fails or test_side != "builds")
         for key in ("test_log_likelihood", "top1_accuracy"):
             np.testing.assert_array_equal(out[key], ref[key])
+
+
+class _Interrupt(BaseException):
+    """A BaseException that only these tests raise, as KeyboardInterrupt is."""
+
+
+def _beside_outcome(first, second):
+    """``cls._beside(first, second)``'s result, or the error it raised; either
+    way no thread started by the call is still running."""
+    import coldgp.classification as cls
+
+    threads = threading.active_count()
+    try:
+        result = cls._beside(first, second)
+    except BaseException as exc:
+        result = exc
+    assert threading.active_count() == threads
+    return result
+
+
+def test_beside_returns_both_results_and_lets_second_join_early():
+    import coldgp.classification as cls
+
+    order = []
+
+    def second(join):
+        order.append(("joined", join()))
+        return "second"
+
+    assert _beside_outcome(lambda: order.append("first") or "first", second) == (
+        "first", "second")
+    assert order == ["first", ("joined", "first")]
+    # the first runs in a copy of the caller's context, on another thread
+    caller = threading.get_ident()
+    with np.errstate(divide="ignore"):
+        state, where = _beside_outcome(lambda: (np.geterr()["divide"], threading.get_ident()),
+                                       lambda join: None)[0]
+    assert state == "ignore" and where != caller
+    assert cls._beside(lambda: 1, lambda join: join() + join()) == (1, 2)
+
+
+def test_beside_joins_before_a_base_exception_of_second_propagates():
+    # the caller is interrupted while the worker still runs: the call waits
+    # for the worker before it lets the interrupt through
+    started, finished = threading.Event(), threading.Event()
+
+    def first():
+        started.set()
+        time.sleep(0.05)
+        finished.set()
+
+    def second(join):
+        started.wait()
+        raise KeyboardInterrupt
+
+    assert isinstance(_beside_outcome(first, second), KeyboardInterrupt)
+    assert finished.is_set()
+
+
+@pytest.mark.parametrize("second_raises", [ValueError("second"), _Interrupt("second")])
+@pytest.mark.parametrize("second_joins", [False, True])
+def test_beside_raises_the_error_of_first_before_that_of_second(second_raises, second_joins):
+    # run one after another, first raises before second starts, so its error
+    # wins whether or not second joins it, and whatever second raises
+    def first():
+        raise MemoryError("first")
+
+    def second(join):
+        if second_joins:
+            join()
+        raise second_raises
+
+    out = _beside_outcome(first, second)
+    assert type(out) is MemoryError and str(out) == "first"
+    assert _beside_outcome(lambda: None, second) is second_raises
+
+
+def test_beside_raises_the_error_of_first_after_second_returns():
+    def first():
+        raise MemoryError("first")
+
+    out = _beside_outcome(first, lambda join: "second")
+    assert type(out) is MemoryError and str(out) == "first"
 
 
 def test_conditional_mean_is_temperature_free():

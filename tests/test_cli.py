@@ -675,6 +675,7 @@ def _classify_files_args(dir_path, train_path):
         p, _bytes_file(p / "train.csv", b"x0,label\n0.5,0\n1.5\xe9,1\n")), 3),
     (lambda p: ["run", "--config", str(p)], 2),
     (lambda p: _classify_files_args(p, str(p)), 3),
+    (lambda p: _classify_files_args(p, _bytes_file(p / "train.csv", b"label\n0\n1\n")), 3),
     (lambda p: _plot_args(p), 3),
     (lambda p: _plot_args(_probe_results(p), out=p), 3),
     (lambda p: ["run", "--config", _write_config(p, "p.json", probe_payload(p / "o")),
@@ -686,7 +687,8 @@ def _classify_files_args(dir_path, train_path):
                                       + b"\n1.0,0.5," + b"9" * 200_000 + b",1.0\n")), 3),
 ], ids=["plot-non-numeric-cell", "results-csv-not-utf8", "config-not-utf8",
         "data-file-not-ascii", "config-is-directory", "train-path-is-directory",
-        "plot-input-is-directory", "plot-out-is-directory", "run-out-is-a-file",
+        "data-file-without-inputs", "plot-input-is-directory", "plot-out-is-directory",
+        "run-out-is-a-file",
         "config-nested-past-recursion-limit", "config-integer-past-digit-limit",
         "results-csv-cell-past-field-limit"])
 def test_unreadable_input_exits_with_one_stderr_line(tmp_path, capsys, make_args, code):

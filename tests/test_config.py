@@ -469,7 +469,7 @@ OWNED = {
                          lambda v: LabeledDataset(np.zeros((1, 1)), [0], v, "train")),
     **{f"ess.{key}": (classify_raw, ("ess", key), True, False,
                       lambda v, key=key: EssConfig(**{key: v}))
-       for key in EssConfig.MINIMUMS},
+       for key in EssConfig.BOUNDS},
     "probe.latent_scales": (probe_raw, ("probe", "latent_scales"), False, True, _check_scale),
     "probe.temperatures": (probe_raw, ("probe", "temperatures"), False, True,
                            lambda v: check_temperatures([v])),

@@ -8,7 +8,9 @@ factorization, and every call of a bound LAPACK or BLAS routine, inside
 ``coldgp.linalg``, which owns the jitter policy and the one BLAS build;
 with it, only ``coldgp.linalg`` loads a shared library through ctypes, and
 only ``coldgp.records`` imports csv or joins or splits text on commas,
-since it owns the one table layout.  A third keeps scipy out of the
+since it owns the one table layout, and only ``coldgp.classification``
+imports threading or contextvars, whose ``_beside`` makes the package's one
+kind of thread.  A third keeps scipy out of the
 package's module level: each scipy import sits inside a function, so a run
 that calls none of them loads no scipy.  A fourth keeps test-only code out
 of the package: every definition in it, and every module-level constant,
@@ -112,6 +114,38 @@ def test_only_records_lays_out_tables(path):
     lines = sorted(set(_comma_layouts(ast.parse(path.read_text(encoding="utf-8")))))
     assert not lines, (f"{path.name} imports csv or lays out comma-separated text outside "
                        f"coldgp.records at lines {lines}")
+
+
+_CONCURRENCY = {"threading", "contextvars"}
+
+
+def _concurrency(tree):
+    """(kind, line) of each import of threading or contextvars ("import"), and
+    of each name of threading's Thread outside a function ``_beside`` ("thread")."""
+    beside = {id(node) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "_beside" for node in ast.walk(f)}
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Import)
+             and any(alias.name.split(".")[0] in _CONCURRENCY for alias in node.names))
+                or (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and node.module.split(".")[0] in _CONCURRENCY)):
+            yield "import", node.lineno
+        elif (((isinstance(node, ast.Attribute) and node.attr == "Thread")
+               or (isinstance(node, ast.Name) and node.id == "Thread"))
+              and id(node) not in beside):
+            yield "thread", node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parent.name == "coldgp"],
+                         ids=lambda p: p.name)
+def test_only_beside_makes_threads(path):
+    # coldgp.classification._beside is the package's one concurrency layer:
+    # only its module imports threading or contextvars, and only it names a Thread
+    allowed = {"import"} if path.name == "classification.py" else set()
+    lines = sorted(line for kind, line in _concurrency(ast.parse(path.read_text(encoding="utf-8")))
+                   if kind not in allowed)
+    assert not lines, (f"{path.name} imports threading or contextvars, or makes a thread "
+                       f"outside classification._beside, at lines {lines}")
 
 
 _LOADERS = {"CDLL", "cdll", "PyDLL", "pydll", "LoadLibrary"}

@@ -322,23 +322,6 @@ def test_scale_kernel_scales_gram_linearly():
         scale_kernel(KernelSpec("rbf"), 0.0)
 
 
-@pytest.mark.parametrize("family", ["rbf", "nngp"])
-def test_gram_into_out_keeps_the_bits_of_a_new_array(family):
-    # a cross Gram built into a buffer the caller allocated, as a sweep's
-    # conditional is, and a symmetric one, have the bits of gram's own array
-    spec = KernelSpec(family)
-    rng = np.random.default_rng(0)
-    a, b = rng.standard_normal((300, 5)), rng.standard_normal((170, 5))
-    for x, y in ((b, a), (a, a)):
-        out = np.empty((len(x), len(y)))
-        assert gram(spec, x, y, out=out) is out
-        np.testing.assert_array_equal(out.view(np.int64), gram(spec, x, y).view(np.int64))
-    for bad in (np.empty((300, 170)), np.empty((170, 300), np.float32),
-                np.empty((300, 170)).T):
-        with pytest.raises(DimensionMismatchError, match="out must be"):
-            gram(spec, b, a, out=bad)
-
-
 def test_gram_input_validation():
     spec = KernelSpec("rbf")
     with pytest.raises(DimensionMismatchError):
@@ -347,6 +330,9 @@ def test_gram_input_validation():
         gram(spec, np.zeros(3), np.zeros(3))
     with pytest.raises(EmptyInputError):
         gram(spec, np.zeros((0, 2)), np.zeros((2, 2)))
+    for family in ("rbf", "nngp"):  # no input column
+        with pytest.raises(EmptyInputError, match="input column"):
+            gram(KernelSpec(family), np.zeros((3, 0)), np.zeros((2, 0)))
     with pytest.raises(NonFiniteInputError):
         gram(spec, np.array([[np.nan, 0.0]]), np.zeros((1, 2)))
     with pytest.raises(DimensionMismatchError):

@@ -207,15 +207,13 @@ def _log_terms(d, t, c: float, centre: float):
 
 
 def _check_scale(latent_scale) -> float:
-    return check_bound("latent_scale", float(latent_scale), (0.0, True), NonPositiveScaleError)
+    return check_bound("latent_scale", latent_scale, (0.0, True), NonPositiveScaleError)
 
 
 def _check_quadrature(quadrature_tolerance, integration_half_width_sigmas):
     """(tol, width) as floats, each within its ``BOUNDS`` entry."""
-    values = (float(quadrature_tolerance), float(integration_half_width_sigmas))
-    for name, value in zip(BOUNDS, values):
-        check_bound(name, value, BOUNDS[name])
-    return values
+    return tuple(check_bound(name, value, BOUNDS[name]) for name, value in
+                 zip(BOUNDS, (quadrature_tolerance, integration_half_width_sigmas)))
 
 
 def _quadrature(c: float, temps, tol: float, width: float, centre: float):
@@ -338,8 +336,7 @@ def relabel_disagreement_mc(latent_samples, labels, index: int) -> float:
         raise DimensionMismatchError(f"latent samples must be (..., class_count, n), got {f.shape}")
     c, n = f.shape[-2:]
     labels = check_labels(labels, n, c)
-    if not (0 <= index < n):
-        raise IndexOutOfRangeError(f"index {index} outside [0, {n})")
+    index = check_bound("index", index, (0, False, False, n - 1), IndexOutOfRangeError)
     rows = f.reshape(-1, c, n)[:, :, index]
     e = np.exp(rows - rows.max(axis=1, keepdims=True))
     return float(np.mean(1.0 - e[:, labels[index]] / e.sum(axis=1)))

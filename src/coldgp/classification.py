@@ -115,13 +115,14 @@ class EssConfig:
     thinning: int = 5
     draws_per_sample: int = 8
 
-    # each field's exceptions.check_bound bound (a class attribute, not a field)
+    # each field's exceptions.check_bound bound (a class attribute, not a
+    # field); a field holds the int that check_bound returns
     BOUNDS = {"n_chains": (1, False), "burn_in": (0, False), "n_samples_per_chain": (1, False),
               "thinning": (1, False), "draws_per_sample": (1, False)}
 
     def __post_init__(self):
         for name, bound in self.BOUNDS.items():
-            check_bound(name, getattr(self, name), bound)
+            object.__setattr__(self, name, check_bound(name, getattr(self, name), bound))
 
 
 def _contrast_log_softmax_sums(d, index, sign=None):

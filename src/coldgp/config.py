@@ -8,15 +8,14 @@ command-line overrides applied) is what gets echoed next to the results, and
 it parses back to an identical run.
 
 This module states what JSON itself can get wrong (key sets, applicability,
-required keys, JSON types, finiteness) and the harness's own keys and rules.
-Every other default and bound is stated once, by the code that consumes the
-value, and read from there or checked by that code's check at parse time;
-each such error becomes a ConfigError naming its key.
+required keys, JSON types) and the harness's own keys and rules.  Every
+other default and bound, finiteness included, is stated once, by the code
+that consumes the value, and read from there or checked by that code's check
+at parse time; each such error becomes a ConfigError naming its key.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import asdict, dataclass, fields, replace
 
 from .aleatoric import BOUNDS as PROBE_BOUNDS
@@ -88,19 +87,12 @@ def _need(section: dict, key: str, where: str):
 
 
 def _as_number(value, key: str, where: str, integer=False):
-    """``value`` as a finite float, or as an int when ``integer``: its JSON type."""
+    """``value`` if its JSON type is a number, an integer when ``integer``; the
+    owner's check_bound converts it and rejects NaN and the infinities."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         kind = "an integer" if integer else "a number"
         raise ConfigError(f"key '{key}' in {where} must be {kind}, got {value!r}")
-    if integer:
-        return value
-    try:
-        v = float(value)
-    except OverflowError:  # an integer literal past the float range
-        v = math.inf
-    if not math.isfinite(v):
-        raise ConfigError(f"key '{key}' in {where} must be finite, got {value!r}")
-    return v
+    return value
 
 
 def _as_numbers(value, key: str, where: str) -> list:

@@ -25,6 +25,7 @@ from .exceptions import (
     ZeroVarianceError,
     check_array_size,
     check_bound,
+    check_labels,
 )
 from .records import read_csv, write_csv
 from .rng import RngStream
@@ -45,9 +46,9 @@ BOUNDS = {"n_train": (1, False), "n_test": (1, False), "noise_std": (0.0, False)
 
 
 def _checked(**values) -> tuple:
-    """``values``, each converted to its ``BOUNDS`` type and checked against
-    its bound; a count of points below 1 is empty."""
-    return tuple(check_bound(name, type(BOUNDS[name][0])(value), BOUNDS[name],
+    """``values``, each checked against its ``BOUNDS`` entry and in its type;
+    a count of points below 1 is empty."""
+    return tuple(check_bound(name, value, BOUNDS[name],
                              EmptyInputError if name.startswith("n_") else ValueError)
                  for name, value in values.items())
 
@@ -91,12 +92,7 @@ class LabeledDataset:
             if not np.issubdtype(targets.dtype, np.integer):
                 if not np.all(targets == np.floor(targets)):
                     raise LabelOutOfRangeError("classification labels must be integers")
-            targets = targets.astype(np.int64)
-            if targets.size and (targets.min() < 0 or targets.max() >= self.class_count):
-                raise LabelOutOfRangeError(
-                    f"labels must lie in [0, {self.class_count}), got range "
-                    f"[{targets.min()}, {targets.max()}]"
-                )
+            targets = check_labels(targets.astype(np.int64), inputs.shape[0], self.class_count)
         object.__setattr__(self, "targets", targets)
 
     @property
@@ -222,14 +218,12 @@ def _normalize_keep(keep_classes):
     class of the data), all ten for None; config calls it too."""
     if keep_classes is None:
         return list(range(10))
-    keep = [int(c) for c in keep_classes]
+    keep = [check_bound("a keep_classes entry", c, (0, False, False, 9), LabelOutOfRangeError)
+            for c in keep_classes]
     if not keep:
         raise EmptyInputError("keep_classes is empty")
     if len(set(keep)) != len(keep):
         raise ValueError(f"keep_classes has duplicates: {keep}")
-    for c in keep:
-        if not 0 <= c <= 9:
-            raise LabelOutOfRangeError(f"keep_classes entries must be in [0, 9], got {c}")
     check_bound("the number of keep_classes", len(keep), BOUNDS["class_count"])
     return keep
 

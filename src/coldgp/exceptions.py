@@ -77,37 +77,47 @@ class ConfigError(ColdGPError):
 
 
 def check_temperatures(grid) -> list:
-    """``grid`` as a list of floats; raises NonPositiveTemperatureError at the
-    first t outside 0 < t < inf, and EmptyInputError if the grid is empty."""
-    temps = []
-    for t in map(float, grid):
-        if not 0.0 < t < float("inf"):  # also false for NaN
-            raise NonPositiveTemperatureError(f"temperature must be positive and finite, got {t!r}")
-        temps.append(t)
+    """``grid`` as a list of floats, each checked by :func:`check_bound` to be
+    finite and > 0 (NonPositiveTemperatureError); EmptyInputError if it is empty."""
+    temps = [check_bound("temperature", t, (0.0, True), NonPositiveTemperatureError) for t in grid]
     if not temps:
         raise EmptyInputError("temperature grid is empty")
     return temps
 
 
 def check_bound(name: str, value, bound, error=ValueError):
-    """``value`` if it lies within ``bound``, else raises ``error`` naming ``name``.
+    """``value``, in its bound's type, if it lies within ``bound``, else raises
+    ``error`` naming ``name``.
 
-    ``bound`` is (least, strict[, squared[, most]]): ``value`` must be finite
-    and above ``least`` if ``strict``, else at least ``least``, and at most
-    ``most`` where one is given; a true ``squared`` puts the same bound on
-    value * value, for a value squared in floats.
+    ``bound`` is (least, strict[, squared[, most]]).  An int ``least`` makes
+    ``value`` a count: an int or an integral float (numpy's too), returned as
+    an exact int.  A float ``least`` makes it ``float(value)``, infinite for
+    an int past the float range.  A bool or a string is neither.  ``value``
+    must be finite and above ``least`` if ``strict``, else at least ``least``,
+    and at most ``most`` where one is given; a true ``squared`` puts the same
+    bound on value * value, for a value squared in floats.
     """
     least, strict, squared, most = (*bound, *(False, math.inf)[len(bound) - 2:])
-    for i, v in enumerate((value, value * value) if squared else (value,)):
+    count = isinstance(least, int)
+    try:  # int() and float() read a bool or a string too, which is no number here
+        number = (None if isinstance(value, (bool, np.bool_, str, bytes))
+                  else int(value) if count else float(value))
+    except OverflowError:  # float() of an int past the float range, or int() of inf
+        number = None if count else math.inf
+    except (TypeError, ValueError):
+        number = None
+    if number is None or (count and number != value):  # int() truncates a fraction
+        raise error(f"{name} must be {'an integer' if count else 'a number'}, got {value!r}")
+    for i, v in enumerate((number, number * number) if squared else (number,)):
         # false for NaN
         if not ((least < v if strict else least <= v) and v < math.inf and v <= most):
-            # an int is finite, however large
-            relation = (f"{'' if isinstance(value, int) else 'finite and '}"
-                        f"{'>' if strict else '>='} {least:g}"
-                        f"{f' and <= {most:g}' if most < math.inf else ''}")
+            # a count is finite, however large, and its bounds are printed whole
+            shown = str if count else "{:g}".format
+            relation = (f"{'' if count else 'finite and '}{'>' if strict else '>='} {shown(least)}"
+                        f"{f' and <= {shown(most)}' if most < math.inf else ''}")
             what = f"{name} is squared, so its square" if i else name
             raise error(f"{what} must be {relation}, got {value!r}")
-    return value
+    return number
 
 
 def check_array_size(what: str, shape) -> None:

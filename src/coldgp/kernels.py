@@ -83,7 +83,8 @@ class KernelSpec:
 
     RBF parameters are ignored by the nngp family and vice versa; the
     constructor only validates the fields the family actually uses, each
-    against its entry in ``BOUNDS``, which the config parser reads too.
+    against its entry in ``BOUNDS``, which the config parser reads too, and
+    stores each in its bound's type: depth as an int, the others as floats.
     """
 
     family: str
@@ -107,10 +108,9 @@ class KernelSpec:
         if self.family not in FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}; expected one of {list(FAMILIES)}")
         for name in FAMILIES[self.family]:
-            check_bound(name, getattr(self, name), self.BOUNDS[name],
-                        NonPositiveScaleError if name == "scale" else ValueError)
-        if self.family == "nngp" and int(self.depth) != self.depth:
-            raise ValueError(f"depth must be an integer, got {self.depth!r}")
+            object.__setattr__(self, name, check_bound(
+                name, getattr(self, name), self.BOUNDS[name],
+                NonPositiveScaleError if name == "scale" else ValueError))
 
 
 def _check_inputs(a, b):
@@ -182,7 +182,7 @@ def _nngp_self_covs(spec: KernelSpec, a) -> list:
     """Unscaled self-covariances K(x, x) of the rows of ``a`` at layers 0..depth."""
     covs = [spec.sigma_b2 + spec.sigma_w2 * np.einsum("ij,ij->i", a, a) / a.shape[1]]
     # theta = 0 on the diagonal, so each layer maps k -> sigma_b2 + sigma_w2 * k / 2
-    for _ in range(int(spec.depth)):
+    for _ in range(spec.depth):
         covs.append(spec.sigma_b2 + 0.5 * spec.sigma_w2 * covs[-1])
     return covs
 
@@ -217,7 +217,8 @@ def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
     # * commute exactly), so its bits are theirs.  A cross block is a run of
     # whole rows and is worked in place.  A symmetric block stops at its last
     # row's column, so it is worked in contiguous scratch, copied back and
-    # then mirrored into the upper triangle
+    # mirrored into the upper triangle; its diagonal block needs no mirror,
+    # since each operation on the symmetric product is elementwise
     rows = block_rows(m)
     scratch = [np.empty(rows * m) for _ in range(4 if symmetric else 3)]
     for r0 in range(0, n, rows):
@@ -243,9 +244,6 @@ def _nngp_gram(spec: KernelSpec, a, b, symmetric: bool) -> np.ndarray:
             kk += bias
         kk *= spec.scale
         if symmetric:
-            diag = kk[:, r0:]
-            upper = np.triu_indices(r1 - r0, 1)
-            diag[upper] = diag.T[upper]
             k[r0:r1, :r1] = kk
             k[:r0, r0:r1] = kk[:, :r0].T
     return k

@@ -37,7 +37,7 @@ from .linalg import SpdFactor, cholesky, tril_solve
 def _check_noise_stds(noise_stds) -> list:
     """``noise_stds`` as a list of floats, each finite, >= 0 and with a finite
     square (conditioning squares it in Python floats, which raise OverflowError)."""
-    out = [check_bound("noise_std", s, (0.0, False, True)) for s in map(float, noise_stds)]
+    out = [check_bound("noise_std", s, (0.0, False, True)) for s in noise_stds]
     if not out:
         raise EmptyInputError("no noise levels")
     return out

@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-_MAX_SEED = 2**64
+from .exceptions import check_bound
 
 
 def _check_seed(master_seed) -> int:
-    seed = int(master_seed)
-    if not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"master_seed must be a 64-bit unsigned int, got {master_seed!r}")
-    return seed
+    """``master_seed`` as a 64-bit unsigned int."""
+    return check_bound("master_seed", master_seed, (0, False, False, 2**64 - 1))
 
 
 class RngStream:
@@ -40,9 +38,7 @@ class RngStream:
 
     def __init__(self, master_seed: int, stream_index: int):
         seed = _check_seed(master_seed)
-        index = int(stream_index)
-        if index < 0:
-            raise ValueError(f"stream_index must be non-negative, got {stream_index!r}")
+        index = check_bound("stream_index", stream_index, (0, False))
         ss = np.random.SeedSequence(seed, spawn_key=(index,))
         object.__setattr__(self, "_master_seed", seed)
         object.__setattr__(self, "_stream_index", index)
@@ -83,8 +79,6 @@ def derive_seed(master_seed: int, label: int) -> int:
     word of ``SeedSequence(seed, spawn_key=(label,))``.
     """
     seed = _check_seed(master_seed)
-    key = int(label)
-    if key < 0:
-        raise ValueError(f"label must be non-negative, got {label!r}")
+    key = check_bound("label", label, (0, False))
     ss = np.random.SeedSequence(seed, spawn_key=(key,))
     return int(ss.generate_state(1, np.uint64)[0])

@@ -14,7 +14,9 @@ kind of thread.  A third keeps scipy out of the
 package's module level: each scipy import sits inside a function, so a run
 that calls none of them loads no scipy.  A fourth keeps test-only code out
 of the package: every definition in it, and every module-level constant,
-has a reader in the package itself.
+has a reader in the package itself.  A fifth keeps what
+``exceptions.check_bound`` returns: the value in its bound's type, which a
+caller that drops the result would go on using unconverted.
 """
 import ast
 import re
@@ -255,3 +257,29 @@ def test_every_definition_has_a_production_caller():
     stale = sorted(name for name in PRODUCTION_CALLER_ALLOWLIST
                    if name in named or name not in {n for n, *_ in defined})
     assert not stale, f"allowlisted names that are gone or now called: {stale}"
+
+
+def _dropped_checks(tree):
+    """Line numbers of a ``check_bound(...)`` call whose result is discarded,
+    made on a value that a name, an attribute or a ``getattr(...)`` reads."""
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)):
+            continue
+        call = node.value
+        if getattr(call.func, "id", getattr(call.func, "attr", None)) != "check_bound":
+            continue
+        values = call.args[1:2] + [kw.value for kw in call.keywords if kw.arg == "value"]
+        if any(isinstance(v, (ast.Name, ast.Attribute))
+               or (isinstance(v, ast.Call) and getattr(v.func, "id", None) == "getattr")
+               for v in values):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parent.name == "coldgp"],
+                         ids=lambda p: p.name)
+def test_check_bound_result_is_kept(path):
+    # check_bound returns the value as an int or a float; a caller that checks
+    # a variable and drops the result keeps using the unconverted value
+    lines = sorted(_dropped_checks(ast.parse(path.read_text(encoding="utf-8"))))
+    assert not lines, (f"{path.name} discards check_bound's converted value at lines "
+                       f"{lines}; keep what it returns")

@@ -56,7 +56,7 @@ from .kernels import FAMILIES, KernelSpec, gram, gram_diag
 from .linalg import JITTER_LADDER, SpdFactor, cholesky, log_sum_exp
 from .records import best_temperature, read_csv, write_csv
 from .regression import regression_temperature_sweep
-from .rng import RngStream, derive_seed
+from .rng import derive_seed, random_stream
 
 __version__ = "0.1.0"
 
@@ -87,6 +87,6 @@ __all__ = [
     "JITTER_LADDER", "SpdFactor", "cholesky", "log_sum_exp",
     "best_temperature", "read_csv", "write_csv",
     "regression_temperature_sweep",
-    "RngStream", "derive_seed",
+    "derive_seed", "random_stream",
     "__version__",
 ]

@@ -92,7 +92,7 @@ from .exceptions import (
 from .kernels import KernelSpec, gram, gram_diag
 from .linalg import SpdFactor, cholesky, tril_matmul
 from .regression import conditional
-from .rng import RngStream, derive_seed
+from .rng import derive_seed, random_stream
 
 PROB_FLOOR = 1e-12
 _MAX_BRACKET_SHRINKS = 10_000
@@ -198,14 +198,15 @@ def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
     ``f``) of chains ``idx`` (the classification sampler binds the tempered
     softmax, the tests substitute their own).  Chain i's prior on each class
     row is zero-mean Gaussian with factor prior_scale[i] * prior_lower, and
-    it draws from ``rngs[i]`` alone, in the order of a one-chain transition:
-    the (n, C) normals, stored transposed as chain i's rows of the (k, C, n)
-    normals z, then one call for two uniforms (u for the slice height, u'
-    for the first angle 2 pi * u'), then one uniform u per shrink.  A shrink
-    round moves the brackets of all shrinking chains at once and sets their
-    next angles lo + (hi - lo) * u in one array expression, the bits of one
-    ``Generator.uniform(lo, hi)`` call per chain.  All k prior draws come
-    from one triangular product of prior_lower
+    it draws from ``rngs[i]`` alone (a ``numpy.random.Generator``, such as
+    :func:`~coldgp.rng.random_stream` returns), in the order of a one-chain
+    transition: the (n, C) normals, stored transposed as chain i's rows of
+    the (k, C, n) normals z, then one call for two uniforms (u for the slice
+    height, u' for the first angle 2 pi * u'), then one uniform u per
+    shrink.  A shrink round moves the brackets of all shrinking chains at
+    once and sets their next angles lo + (hi - lo) * u in one array
+    expression, the bits of one ``Generator.uniform(lo, hi)`` call per
+    chain.  All k prior draws come from one triangular product of prior_lower
     (:func:`~coldgp.linalg.tril_matmul`) with the k * (C - 1) columns
     z_c - z_0.  ``prior_lower`` must be lower-triangular, and its strict
     upper triangle is never read.  Each shrink round evaluates the proposals
@@ -233,7 +234,7 @@ def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
     z, u = np.empty((k, c, n)), np.empty((k, 2))
     for i, rng in enumerate(rngs):
         z[i] = rng.standard_normal((n, c)).T
-        u[i] = rng.uniform(size=2)
+        u[i] = rng.random(2)
     with np.errstate(divide="ignore"):
         log_y = ll + np.log(u[:, 0])
     # 2 pi * u is the bits of Generator.uniform(0, 2 pi), which adds it to 0
@@ -275,7 +276,7 @@ def ess_transition(f, g, ll, log_lik, prior_lower, prior_scale, rngs):
         # stream: lo + (hi - lo) * u is the bits of Generator.uniform(lo, hi)
         below = angle < 0.0
         lo, hi = np.where(below, angle, lo), np.where(below, hi, angle)
-        u = np.array([rngs[i].uniform() for i in active.tolist()])
+        u = np.array([rngs[i].random() for i in active.tolist()])
         theta[active] = lo + (hi - lo) * u
     i = active[0]
     raise _chain_error(
@@ -288,7 +289,7 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
                  prior_factor: SpdFactor, readout, wait=None):
     """Sample every (temperature, chain) pair of a grid in one lock-step pass.
 
-    Chain c at grid position j draws from RngStream(seeds[j], c) and starts
+    Chain c at grid position j draws from random_stream(seeds[j], c) and starts
     from the zero latent matrix; all T * n_chains chains advance together
     through ``ess_transition`` on their class contrasts, so a step reads the
     prior factor once.  The whitened samples G are not kept: ``readout`` is
@@ -315,7 +316,7 @@ def _sample_grid(train: LabeledDataset, temps, seeds, config: EssConfig,
     g = np.zeros((k, c, n))
     proposals = np.zeros(k, dtype=np.int64)
     scale = np.sqrt(chain_t)
-    rngs = [RngStream(seed, chain) for seed in seeds for chain in range(n_chains)]
+    rngs = [random_stream(seed, chain) for seed in seeds for chain in range(n_chains)]
     y = train.targets
     # the labels' flat index and the two-class likelihood's label signs,
     # built once for the sweep
@@ -400,12 +401,13 @@ def _softmax(f):
     return e
 
 
-def _chain_prob_means(means, sd, draws_per_sample: int, rng: RngStream):
+def _chain_prob_means(means, sd, draws_per_sample: int, rng):
     """Predictive class probabilities averaged within each chain.
 
     ``means`` is one temperature's C-ordered (n_chains, per_chain, C, p)
-    array of retained test-latent means v^T G (:func:`_sample_grid`) and
-    ``sd`` the (p,) conditional standard deviations sqrt(t * schur).  Each
+    array of retained test-latent means v^T G (:func:`_sample_grid`), ``sd``
+    the (p,) conditional standard deviations sqrt(t * schur) and ``rng`` the
+    generator of :func:`~coldgp.rng.random_stream` that the draws use.  Each
     retained sample adds d = ``draws_per_sample`` softmax draws of its
     (C, p) test latents, in antithetic pairs (Hammersley & Morton 1956): one
     ``standard_normal`` call gives h = ceil(d / 2) sets of (p, C) normals z,
@@ -497,7 +499,7 @@ def classification_temperature_sweep(kernel: KernelSpec, train: LabeledDataset,
         lambda join: _sample_grid(train, temps, seeds, config, prior_factor, cross.T, join))
     ll, acc, se_ll, se_acc = (np.zeros(len(temps)) for _ in range(4))
     for j, t in enumerate(temps):
-        rng = RngStream(seeds[j], config.n_chains)
+        rng = random_stream(seeds[j], config.n_chains)
         chain_means = _chain_prob_means(means[j], np.sqrt(t * schur),
                                         config.draws_per_sample, rng)
         ll[j], acc[j] = classification_metrics(chain_means.mean(axis=0), test.targets)

@@ -114,9 +114,9 @@ def _run_regress_sweep(config: ExperimentConfig):
     rows, log = [], []
     for sigma, per_seed in zip(sigmas, nll):
         for seed_k, values in zip(seeds, per_seed):
-            rows.extend(zip(temps, values.tolist(), repeat(seed_k), repeat(float(sigma))))
+            rows.extend(zip(temps, values.tolist(), repeat(seed_k), repeat(sigma)))
         nll_sum = per_seed.sum(axis=0)
-        log.append(f"assumed_noise_std={float(sigma)!r} "
+        log.append(f"assumed_noise_std={sigma!r} "
                    f"argmin_temperature={best_temperature(temps, nll_sum)!r} "
                    f"mean_test_nll={float(nll_sum.min()) / len(seeds)!r}")
     log.append(f"jitter_used={sorted(jitters)!r}")
@@ -152,9 +152,9 @@ def _run_probe(config: ExperimentConfig):
             scale, p["temperatures"],
             quadrature_tolerance=p["quadrature_tolerance"],
             integration_half_width_sigmas=p["integration_half_width_sigmas"])
-        rows.extend(zip(repeat(float(scale)), p["temperatures"],
+        rows.extend(zip(repeat(scale), p["temperatures"],
                         probability.tolist(), ratio.tolist()))
-        log.append(f"latent_scale={float(scale)!r} "
+        log.append(f"latent_scale={scale!r} "
                    f"zero_temperature_limit={relabel_prob_zero_temperature(scale)!r}")
     return PROBE_HEADER, rows, log
 

@@ -28,7 +28,7 @@ from .exceptions import (
     check_labels,
 )
 from .records import read_csv, write_csv
-from .rng import RngStream
+from .rng import random_stream
 
 CIFAR_TRAIN_FILES = tuple(f"data_batch_{i}.bin" for i in range(1, 6))
 CIFAR_TEST_FILE = "test_batch.bin"
@@ -134,7 +134,7 @@ def gen_rbf_regression(n_train, n_test, noise_std, kernel, seed):
     n_train, n_test, noise_std = _check_rbf_regression(n_train, n_test, noise_std, kernel)
     n = n_train + n_test
     check_array_size("the data Gram (n_train + n_test rows and columns)", (n, n))
-    rng = RngStream(seed, 0)
+    rng = random_stream(seed, 0)
     x = rng.standard_normal(n)[:, None]
     factor = cholesky(gram(kernel, x, x))
     latent = factor.lower @ rng.standard_normal(n)
@@ -165,9 +165,9 @@ def gen_cluster_classification(n_per_class, class_count, dim, separation, seed):
     exhausted, so up to 2*dim distinct centers are available; at separation
     0 every class sits at the origin and the labels are pure noise.  The
     train split has n_per_class points per class, the test split
-    n_per_class // 2 (at least one).  Points are drawn class by class on
-    stream 0 (train) and stream 1 (test).  The arguments are checked first
-    (:func:`_check_clusters`).
+    n_per_class // 2 (at least one).  Each split's noise is one normal draw
+    for all its points, class by class, on stream 0 (train) and stream 1
+    (test).  The arguments are checked first (:func:`_check_clusters`).
     """
     n_per_class, class_count, dim, separation = _check_clusters(n_per_class, class_count, dim,
                                                                 separation)
@@ -179,12 +179,8 @@ def gen_cluster_classification(n_per_class, class_count, dim, separation, seed):
         centers[c, c % dim] = separation * (1.0 if c < dim else -1.0)
 
     def draw(stream: int, count: int):
-        r = RngStream(seed, stream)
-        xs, ys = [], []
-        for c in range(class_count):
-            xs.append(centers[c] + r.standard_normal((count, dim)))
-            ys.append(np.full(count, c, dtype=np.int64))
-        return np.concatenate(xs), np.concatenate(ys)
+        noise = random_stream(seed, stream).standard_normal((class_count * count, dim))
+        return np.repeat(centers, count, axis=0) + noise, np.repeat(np.arange(class_count), count)
 
     n_test_per_class = max(1, n_per_class // 2)
     prov = {"name": "clusters", "seed": int(seed), "separation": separation}
@@ -258,7 +254,7 @@ def load_cifar10(dir_path, keep_classes=None, n_train=CIFAR_N_TRAIN, n_test=CIFA
             raise ConfigError(
                 f"{key}={count} requested but only {pixels.shape[0]} examples match classes {keep}"
             )
-        perm = RngStream(seed, stream).permutation(pixels.shape[0])[:count]
+        perm = random_stream(seed, stream).permutation(pixels.shape[0])[:count]
         chosen = [origin[i] for i in perm]
         return pixels[perm].astype(np.float64) / 255.0, remap[labels[perm]], chosen
 
@@ -276,9 +272,17 @@ def standardize(train: LabeledDataset, test: LabeledDataset):
     Subtracts the scalar mean and divides by the scalar standard deviation
     of every train input entry, from both splits, so test data never leaks
     into the statistics.  Both results are tagged
-    ``"normalize": "global-standardize"`` in their provenance.
+    ``"normalize": "global-standardize"`` in their provenance.  Train inputs
+    so large that their mean or standard deviation overflows raise
+    NonFiniteInputError, naming the file they came from if any; a zero
+    standard deviation raises ZeroVarianceError.
     """
-    mean, std = float(np.mean(train.inputs)), float(np.std(train.inputs))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names an overflow
+        mean, std = float(np.mean(train.inputs)), float(np.std(train.inputs))
+    if not (np.isfinite(mean) and np.isfinite(std)):
+        raise NonFiniteInputError(
+            f"cannot standardize {train.provenance.get('path', 'the train split')}: its inputs' "
+            f"mean ({mean!r}) or standard deviation ({std!r}) overflows float64")
     if std <= 0.0:
         raise ZeroVarianceError("cannot standardize: input standard deviation is zero")
     return tuple(LabeledDataset((data.inputs - mean) / std, data.targets, data.class_count,

@@ -85,6 +85,16 @@ def check_temperatures(grid) -> list:
     return temps
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or the bit length of an int too long for Python to
+    print (past ``sys.get_int_max_str_digits()`` digits), so that an error
+    message about it can always be formed."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<int of {value.bit_length()} bits>"
+
+
 def check_bound(name: str, value, bound, error=ValueError):
     """``value``, in its bound's type, if it lies within ``bound``, else raises
     ``error`` naming ``name``.
@@ -107,7 +117,8 @@ def check_bound(name: str, value, bound, error=ValueError):
     except (TypeError, ValueError):
         number = None
     if number is None or (count and number != value):  # int() truncates a fraction
-        raise error(f"{name} must be {'an integer' if count else 'a number'}, got {value!r}")
+        raise error(f"{name} must be {'an integer' if count else 'a number'}, "
+                    f"got {_shown(value)}")
     for i, v in enumerate((number, number * number) if squared else (number,)):
         # false for NaN
         if not ((least < v if strict else least <= v) and v < math.inf and v <= most):
@@ -116,7 +127,7 @@ def check_bound(name: str, value, bound, error=ValueError):
             relation = (f"{'' if count else 'finite and '}{'>' if strict else '>='} {shown(least)}"
                         f"{f' and <= {shown(most)}' if most < math.inf else ''}")
             what = f"{name} is squared, so its square" if i else name
-            raise error(f"{what} must be {relation}, got {value!r}")
+            raise error(f"{what} must be {relation}, got {_shown(value)}")
     return number
 
 
@@ -129,7 +140,7 @@ def check_array_size(what: str, shape) -> None:
     axes) and the shape, before anything of that size is built.
     """
     if 8 * math.prod(shape) > np.iinfo(np.intp).max:
-        raise ColdGPError(f"{what}: {' x '.join(str(s) for s in shape)} float64 values "
+        raise ColdGPError(f"{what}: {' x '.join(map(_shown, shape))} float64 values "
                           f"exceed the largest array numpy can allocate")
 
 

@@ -20,7 +20,6 @@ from coldgp import (
     EssConfig,
     KernelSpec,
     LabeledDataset,
-    RngStream,
     apply_overrides,
     cholesky,
     classification_temperature_sweep,
@@ -29,6 +28,7 @@ from coldgp import (
     gram,
     load_cifar10,
     load_config,
+    random_stream,
     read_csv,
     relabel_ratio_curve,
     run_experiment,
@@ -177,7 +177,7 @@ def test_sampler_matches_analytic_oracles():
     post_mean = post_cov @ y / s_obs**2
     gauss = lambda props, idx: -0.5 * np.sum((y - props[:, 0]) ** 2, axis=1) / s_obs**2
     lower_g = cholesky(prior_cov).lower
-    rng, half = [RngStream(5, 0)], np.sqrt([0.5])
+    rng, half = [random_stream(5, 0)], np.sqrt([0.5])
     f, g = np.zeros((1, 1, m)), np.zeros((1, 2, m))
     ll = gauss(f, [0])
     for _ in range(1000):
@@ -228,7 +228,7 @@ def test_sampler_matches_analytic_oracles():
         train, [t], [123],
         EssConfig(n_chains=4, burn_in=800, n_samples_per_chain=2500, thinning=2), factor, v)
     probs = _chain_prob_means(means[0], np.sqrt(t * schur_c), 16,
-                              RngStream(123, 4)).mean(axis=0)
+                              random_stream(123, 4)).mean(axis=0)
     gap = float(np.max(np.abs(probs[:, 0] - np.array(p_quad))))
 
     elapsed = time.perf_counter() - started
@@ -278,7 +278,7 @@ def test_sampler_passes_simulation_based_calibration():
     k, scale = chain_t.size, np.sqrt(chain_t)
     log_lik = lambda props, idx: untempered(props[:, 0], labels[idx]) / chain_t[idx]
     f, g = np.zeros((k, 1, n)), np.zeros((k, 2, n))
-    ll, rngs = log_lik(f, np.arange(k)), [RngStream(7, c) for c in range(k)]
+    ll, rngs = log_lik(f, np.arange(k)), [random_stream(7, c) for c in range(k)]
     for _ in range(burn_in):
         f, g, ll, _ = ess_transition(f, g, ll, log_lik, lower, scale, rngs)
     draws = np.empty((n_keep, k, 3))

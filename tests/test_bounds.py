@@ -12,6 +12,7 @@ from coldgp.aleatoric import relabel_disagreement_mc, relabel_ratio_curve
 from coldgp.classification import EssConfig, classification_temperature_sweep
 from coldgp.data import gen_cluster_classification, gen_rbf_regression, load_cifar10
 from coldgp.exceptions import (
+    ColdGPError,
     EmptyInputError,
     IndexOutOfRangeError,
     LabelOutOfRangeError,
@@ -20,7 +21,7 @@ from coldgp.exceptions import (
 )
 from coldgp.kernels import KernelSpec
 from coldgp.regression import _check_noise_stds
-from coldgp.rng import RngStream, derive_seed
+from coldgp.rng import derive_seed, random_stream
 from helpers import write_cifar_fixture
 
 RBF = KernelSpec("rbf")
@@ -58,8 +59,10 @@ COUNTS = {
     "load_cifar10.keep_classes": (
         lambda v, d: load_cifar10(d, [v, 0], n_train=1, n_test=1)[0].provenance["keep_classes"][0],
         LabelOutOfRangeError),
-    "RngStream.master_seed": (lambda v, _: RngStream(v, 0)._master_seed, ValueError),
-    "RngStream.stream_index": (lambda v, _: RngStream(0, v)._stream_index, ValueError),
+    "random_stream.master_seed": (
+        lambda v, _: random_stream(v, 0).bit_generator.seed_seq.entropy, ValueError),
+    "random_stream.stream_index": (
+        lambda v, _: random_stream(0, v).bit_generator.seed_seq.spawn_key[0], ValueError),
 }
 
 
@@ -75,8 +78,8 @@ def test_count_is_an_exact_int_or_the_owners_error(owner, cifar_dir):
 
 def test_seed_and_label_convert_exactly():
     # the largest 64-bit seed, as numpy's unsigned int, is the same seed
-    assert repr(RngStream(np.uint64(SEED_MAX), np.int64(3))) == \
-        f"RngStream(master_seed={SEED_MAX}, stream_index=3)"
+    key = random_stream(np.uint64(SEED_MAX), np.int64(3)).bit_generator.seed_seq
+    assert (key.entropy, key.spawn_key) == (SEED_MAX, (3,))
     assert derive_seed(np.uint64(SEED_MAX), np.int64(3)) == derive_seed(SEED_MAX, 3)
     assert derive_seed(0, 2.0) == derive_seed(0, 2)
     for seed, label in [(1.5, 0), (0, 1.7), (True, 0), (0, "1")]:
@@ -116,6 +119,33 @@ def test_int_past_the_float_range_is_the_owners_error(owner):
             call(value)
     with pytest.raises(error, match="must be a number"):
         call(True)
+
+
+# Each call hands its owner an int past Python's 4,300-digit limit for printing
+# an int: the owner's error, naming the argument, shows the int by its bit length
+HUGE = 10**5000
+TOO_LONG_TO_PRINT = {
+    "KernelSpec.depth": (lambda: KernelSpec("nngp", depth=HUGE), ValueError, "depth"),
+    "KernelSpec.lengthscale": (lambda: KernelSpec("rbf", lengthscale=HUGE), ValueError,
+                               "lengthscale"),
+    "relabel_ratio_curve.temperatures": (lambda: relabel_ratio_curve(1.0, [HUGE]),
+                                         NonPositiveTemperatureError, "temperature"),
+    "gen_cluster_classification.seed": (
+        lambda: gen_cluster_classification(10, 2, 2, 1.0, seed=HUGE), ValueError, "master_seed"),
+    "classification_temperature_sweep.n_chains": (
+        lambda: classification_temperature_sweep(
+            RBF, *gen_cluster_classification(2, 2, 2, 1.0, 0), [1.0],
+            config=EssConfig(n_chains=HUGE)),
+        ColdGPError, "n_chains"),
+}
+
+
+@pytest.mark.parametrize("owner", sorted(TOO_LONG_TO_PRINT))
+def test_int_too_long_to_print_is_the_owners_error(owner):
+    call, error, name = TOO_LONG_TO_PRINT[owner]
+    with pytest.raises(error, match=f"{name}.*<int of {HUGE.bit_length()} bits>") as info:
+        call()
+    assert type(info.value) is error
 
 
 def test_kernel_spec_stores_its_bounds_types():

@@ -33,7 +33,7 @@ from coldgp.exceptions import (
 )
 from coldgp.kernels import KernelSpec, gram, gram_diag
 from coldgp.linalg import cholesky, tril_matmul
-from coldgp.rng import RngStream, derive_seed
+from coldgp.rng import derive_seed, random_stream
 
 from helpers import batch_means_se, conditional_at, count_calls, record_factors
 
@@ -107,9 +107,9 @@ def test_ess_transition_is_deterministic_given_stream():
     loglik = lambda props, idx: -0.5 * np.sum(props**2, axis=(1, 2))
     f0, g0 = np.zeros((1, 1, 3)), np.zeros((1, 2, 3))
     a = ess_transition(f0.copy(), g0.copy(), loglik(f0, [0]), loglik, lower, np.ones(1),
-                       [RngStream(4, 0)])
+                       [random_stream(4, 0)])
     b = ess_transition(f0.copy(), g0.copy(), loglik(f0, [0]), loglik, lower, np.ones(1),
-                       [RngStream(4, 0)])
+                       [random_stream(4, 0)])
     for x, y in zip(a, b):
         np.testing.assert_array_equal(x, y)
 
@@ -119,7 +119,7 @@ def test_ess_transition_nan_likelihood_raises():
     with pytest.raises(NonFiniteLikelihoodError):
         ess_transition(np.zeros((1, 1, 2)), np.zeros((1, 2, 2)), np.zeros(1),
                        lambda props, idx: np.full(1, np.nan), lower, np.ones(1),
-                       [RngStream(0, 0)])
+                       [random_stream(0, 0)])
 
 
 def test_ess_transition_takes_only_contrasts_beside_the_whitened_state():
@@ -130,7 +130,7 @@ def test_ess_transition_takes_only_contrasts_beside_the_whitened_state():
     for f_rows, g_rows in ((2, 2), (3, 3), (1, 3), (0, 1), (1, 1)):
         with pytest.raises(DimensionMismatchError):
             ess_transition(np.zeros((1, f_rows, 4)), np.zeros((1, g_rows, 4)), np.zeros(1),
-                           flat, lower, np.ones(1), [RngStream(0, 0)])
+                           flat, lower, np.ones(1), [random_stream(0, 0)])
 
 
 def test_ess_transition_nan_proposal_in_one_chain_raises():
@@ -142,7 +142,7 @@ def test_ess_transition_nan_proposal_in_one_chain_raises():
         out[np.asarray(idx) == 1] = np.nan
         return out
 
-    rngs = [RngStream(3, c) for c in range(3)]
+    rngs = [random_stream(3, c) for c in range(3)]
     with pytest.raises(NonFiniteLikelihoodError, match="proposal") as info:
         ess_transition(np.zeros((3, 1, 4)), np.zeros((3, 2, 4)), np.zeros(3), loglik, lower,
                        np.ones(3), rngs)
@@ -189,8 +189,8 @@ def _check_batched_transition(k, c):
     def loglik(props, idx):  # a narrow Gaussian per chain, so brackets shrink
         return -8.0 * np.sum((props - target[idx]) ** 2, axis=(1, 2))
 
-    batch_rngs = [RngStream(21, i) for i in range(k)]
-    single_rngs = [RngStream(21, i) for i in range(k)]
+    batch_rngs = [random_stream(21, i) for i in range(k)]
+    single_rngs = [random_stream(21, i) for i in range(k)]
     loop_rngs = [np.random.Generator(np.random.Philox(np.random.SeedSequence(21, spawn_key=(i,))))
                  for i in range(k)]
     f, g = np.zeros((k, c - 1, n)), np.zeros((k, c, n))
@@ -234,7 +234,7 @@ def test_transition_never_reads_the_strict_upper_triangle():
     for factor in (np.tril(dirty), dirty):
         f, g = np.zeros((3, 2, 30)), np.zeros((3, 3, 30))
         ll = loglik(f, np.arange(3))
-        rngs = [RngStream(9, i) for i in range(3)]
+        rngs = [random_stream(9, i) for i in range(3)]
         for _ in range(5):
             f, g, ll, used = ess_transition(f, g, ll, loglik, factor, np.ones(3), rngs)
         runs.append((f, g, ll, used))
@@ -254,7 +254,7 @@ def test_whitened_state_tracks_the_latent_along_a_chain():
     loglik = lambda props, idx: _contrast_log_softmax_sums(props, index) / temps[idx]
     f, g = np.zeros((3, 2, train.n)), np.zeros((3, 3, train.n))
     ll = loglik(f, np.arange(3))
-    rngs = [RngStream(17, i) for i in range(3)]
+    rngs = [random_stream(17, i) for i in range(3)]
     for _ in range(250):
         f, g, ll, _ = ess_transition(f, g, ll, loglik, lower, np.sqrt(temps), rngs)
     for fi, gi in zip(f, _contrasts(g)):
@@ -286,7 +286,7 @@ def test_ess_prior_recovery_constant_likelihood():
     lower = cholesky(sigma).lower
     sigma_hat = lower @ lower.T  # what the sampler actually uses
     const = lambda props, idx: np.zeros(len(idx))
-    stream = [RngStream(2718, 0)]
+    stream = [random_stream(2718, 0)]
     f, g, ll = np.zeros((1, 1, 5)), np.zeros((1, 2, 5)), np.zeros(1)
     draws = np.empty((4000, 5))
     for i in range(4200):
@@ -315,7 +315,7 @@ def test_ess_conjugate_gaussian_posterior():
     post_cov = np.linalg.inv(np.linalg.inv(sigma_hat) + np.eye(4) / s2)
     post_mean = post_cov @ (y / s2)
     loglik = lambda props, idx: -0.5 * np.sum((props[:, 0] - y) ** 2, axis=1) / s2
-    stream = [RngStream(99, 0)]
+    stream = [random_stream(99, 0)]
     f, g = np.zeros((1, 1, 4)), np.zeros((1, 2, 4))
     ll = loglik(f, [0])
     n_keep, burn = 20_000, 1000
@@ -476,7 +476,7 @@ def _per_sample_prob_means(v, samples, sd, draws_per_sample, rng):
 def test_sweep_metrics_match_standalone_predictive(monkeypatch):
     # the sweep's metrics at each grid position must equal, bitwise, the
     # predictive kernel run on that position's retained means and stream
-    # RngStream(derive_seed(seed, j), n_chains); the means, one product per
+    # random_stream(derive_seed(seed, j), n_chains); the means, one product per
     # retained step, must agree with one product per retained sample of G
     train, test = gen_cluster_classification(400, 3, 3, 2.0, seed=1)
     cfg = EssConfig(n_chains=3, burn_in=5, n_samples_per_chain=4, thinning=1,
@@ -490,14 +490,14 @@ def test_sweep_metrics_match_standalone_predictive(monkeypatch):
     samples, _ = _sample_grid(train, temps, seeds, cfg, factor, np.eye(train.n))
     for j, t in enumerate(temps):
         sd = np.sqrt(t * schur)
-        chain_means = _chain_prob_means(means[j], sd, 2, RngStream(derive_seed(9, j), 3))
+        chain_means = _chain_prob_means(means[j], sd, 2, random_stream(derive_seed(9, j), 3))
         ll, acc = classification_metrics(chain_means.mean(axis=0), test.targets)
         assert out["test_log_likelihood"][j] == ll and out["top1_accuracy"][j] == acc
         per_chain = [classification_metrics(cm, test.targets) for cm in chain_means]
         se = [np.std(m, ddof=1) / np.sqrt(3) for m in zip(*per_chain)]
         assert out["mc_se_log_likelihood"][j] == se[0] and out["mc_se_accuracy"][j] == se[1]
         assert se[0] > 0.0
-        ref = _per_sample_prob_means(v, samples[j], sd, 2, RngStream(derive_seed(9, j), 3))
+        ref = _per_sample_prob_means(v, samples[j], sd, 2, random_stream(derive_seed(9, j), 3))
         np.testing.assert_allclose(chain_means, ref, rtol=1e-10, atol=1e-14)
 
 
@@ -671,7 +671,7 @@ def _sequential_sweep(kern, train, test, temps, cfg, seed):
                                                  "mc_se_log_likelihood", "mc_se_accuracy")}
     for j, t in enumerate(temps):
         chain_means = _chain_prob_means(means[j], np.sqrt(t * schur), cfg.draws_per_sample,
-                                        RngStream(seeds[j], cfg.n_chains))
+                                        random_stream(seeds[j], cfg.n_chains))
         out["test_log_likelihood"][j], out["top1_accuracy"][j] = classification_metrics(
             chain_means.mean(axis=0), test.targets)
         per_chain = [classification_metrics(cm, test.targets) for cm in chain_means]
@@ -893,7 +893,7 @@ def test_predictive_probs_rows_sum_to_one():
     v, schur = conditional_at(kern, train.inputs, test.inputs, factor)
     means, _ = _sample_grid(train, [0.3], [11], cfg, factor, v)
     probs = _chain_prob_means(means[0], np.sqrt(0.3 * schur), 3,
-                              RngStream(11, cfg.n_chains))
+                              random_stream(11, cfg.n_chains))
     assert probs.shape == (cfg.n_chains, test.n, 2)
     np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
     assert probs.min() >= 0.0
@@ -904,7 +904,7 @@ def test_predictive_probs_prior_path_is_symmetric():
     # prior draws, so the classes are exchangeable
     t, xs = 1.0, np.array([[0.0], [5.0]])
     sd = np.sqrt(t * gram_diag(KernelSpec("rbf"), xs))
-    probs = _chain_prob_means(np.zeros((1, 1, 2, 2)), sd, 4000, RngStream(0, 1))
+    probs = _chain_prob_means(np.zeros((1, 1, 2, 2)), sd, 4000, random_stream(0, 1))
     np.testing.assert_allclose(probs[0], 0.5, atol=0.03)
 
 
@@ -914,12 +914,12 @@ def test_predictive_probs_prior_path_is_symmetric_at_three_classes():
     # (one draw without its mirror) have no such identity
     t, xs = 1.0, np.array([[0.0], [5.0]])
     sd = np.sqrt(t * gram_diag(KernelSpec("rbf"), xs))
-    probs = _chain_prob_means(np.zeros((1, 1, 3, 2)), sd, 3999, RngStream(0, 1))
+    probs = _chain_prob_means(np.zeros((1, 1, 3, 2)), sd, 3999, random_stream(0, 1))
     np.testing.assert_allclose(probs[0], 1.0 / 3.0, atol=0.03)
 
 
 class _CountingStream:
-    """An RngStream that records the size of every normal draw."""
+    """A random stream that records the size of every normal draw."""
 
     def __init__(self, stream):
         self.stream, self.sizes = stream, []
@@ -943,18 +943,18 @@ def test_predictive_draws_antithetic_pairs(monkeypatch, draws):
     rows = []
     softmax = cls._softmax
     monkeypatch.setattr(cls, "_softmax", lambda f: rows.append(f.copy()) or softmax(f))
-    stream = _CountingStream(RngStream(3, n_chains))
+    stream = _CountingStream(random_stream(3, n_chains))
     probs = _chain_prob_means(means, sd, draws, stream)
     monkeypatch.undo()
 
     half = (draws + 1) // 2
     assert stream.sizes == [(half, p, c)] * (n_chains * per_chain)
     # the stream has advanced by exactly the normals the sizes name
-    fresh = RngStream(3, n_chains)
+    fresh = random_stream(3, n_chains)
     fresh.standard_normal(n_chains * per_chain * half * p * c)
     assert stream.standard_normal(4).tolist() == fresh.standard_normal(4).tolist()
 
-    replay = RngStream(3, n_chains)
+    replay = random_stream(3, n_chains)
     assert len(rows) == n_chains * per_chain
     for i, f in enumerate(rows):
         z = sd * replay.standard_normal((half, p, c)).transpose(0, 2, 1)
@@ -979,8 +979,8 @@ def test_antithetic_predictive_spreads_less_than_independent_draws():
     sd = rng.uniform(0.5, 1.5, p)
     antithetic, independent = [], []
     for seed in range(40):
-        antithetic.append(_chain_prob_means(means, sd, draws, RngStream(seed, 1))[0])
-        z = RngStream(seed, 2).standard_normal((per_chain, draws, p, c)).transpose(0, 1, 3, 2)
+        antithetic.append(_chain_prob_means(means, sd, draws, random_stream(seed, 1))[0])
+        z = random_stream(seed, 2).standard_normal((per_chain, draws, p, c)).transpose(0, 1, 3, 2)
         latents = means[0][:, None] + sd * z
         independent.append(scipy.special.softmax(latents, axis=-2).mean(axis=(0, 1)).T)
     spread = np.std(antithetic, axis=0).mean()

@@ -659,10 +659,11 @@ def _plot_args(results, out=None):
     return args if out is None else args + ["--out", str(out)]
 
 
-def _classify_files_args(dir_path, train_path):
+def _classify_files_args(dir_path, train_path, normalize="none"):
     payload = classify_payload(dir_path / "o")
     test_path = _bytes_file(dir_path / "test.csv", b"x0,label\n0.5,0\n1.5,1\n")
-    payload["data"] = {"source": "file", "train_path": train_path, "test_path": test_path}
+    payload["data"] = {"source": "file", "train_path": train_path, "test_path": test_path,
+                       "normalize": normalize}
     return ["run", "--config", _write_config(dir_path, "c.json", payload)]
 
 
@@ -676,6 +677,10 @@ def _classify_files_args(dir_path, train_path):
     (lambda p: ["run", "--config", str(p)], 2),
     (lambda p: _classify_files_args(p, str(p)), 3),
     (lambda p: _classify_files_args(p, _bytes_file(p / "train.csv", b"label\n0\n1\n")), 3),
+    # finite inputs whose standard deviation, or whose mean, overflows
+    *[(lambda p, rows=rows: _classify_files_args(
+        p, _bytes_file(p / "train.csv", b"x0,label\n" + rows), "global-standardize"), 3)
+      for rows in (b"1e155,0\n-1e155,1\n", b"1e308,0\n1e308,1\n")],
     (lambda p: _plot_args(p), 3),
     (lambda p: _plot_args(_probe_results(p), out=p), 3),
     (lambda p: ["run", "--config", _write_config(p, "p.json", probe_payload(p / "o")),
@@ -687,7 +692,8 @@ def _classify_files_args(dir_path, train_path):
                                       + b"\n1.0,0.5," + b"9" * 200_000 + b",1.0\n")), 3),
 ], ids=["plot-non-numeric-cell", "results-csv-not-utf8", "config-not-utf8",
         "data-file-not-ascii", "config-is-directory", "train-path-is-directory",
-        "data-file-without-inputs", "plot-input-is-directory", "plot-out-is-directory",
+        "data-file-without-inputs", "standardize-std-overflows", "standardize-mean-overflows",
+        "plot-input-is-directory", "plot-out-is-directory",
         "run-out-is-a-file",
         "config-nested-past-recursion-limit", "config-integer-past-digit-limit",
         "results-csv-cell-past-field-limit"])

@@ -308,6 +308,14 @@ class TestNormalization:
         test = LabeledDataset(np.array([[4.0, 5.0]]), [0.0], None, "test")
         with pytest.raises(ZeroVarianceError):
             standardize(flat, test)
+        # finite inputs whose squares overflow give an infinite standard
+        # deviation, and larger ones an infinite mean: neither may scale every
+        # input to zero or NaN
+        for big, what in [(1e155, r"standard deviation \(inf\)"), (1e308, r"mean \(inf\)")]:
+            huge = LabeledDataset(big * np.array([[1.0, 1.0], [1.0, -1.0]]), np.zeros(2), None,
+                                  "train", {"path": "big.csv"})
+            with pytest.raises(NonFiniteInputError, match=f"big.csv.*{what}.*overflows"):
+                standardize(huge, test)
         # standardize takes no scheme; an unknown one is refused where it is named
         raw = {"experiment": "classify-sweep", "kernel": {"family": "nngp", "depth": 2},
                "temperatures": [1.0],

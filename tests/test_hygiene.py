@@ -10,7 +10,8 @@ with it, only ``coldgp.linalg`` loads a shared library through ctypes, and
 only ``coldgp.records`` imports csv or joins or splits text on commas,
 since it owns the one table layout, and only ``coldgp.classification``
 imports threading or contextvars, whose ``_beside`` makes the package's one
-kind of thread.  A third keeps scipy out of the
+kind of thread, and only ``coldgp.rng`` names numpy.random, since its
+``random_stream`` keys every generator.  A third keeps scipy out of the
 package's module level: each scipy import sits inside a function, so a run
 that calls none of them loads no scipy.  A fourth keeps test-only code out
 of the package: every definition in it, and every module-level constant,
@@ -148,6 +149,32 @@ def test_only_beside_makes_threads(path):
                    if kind not in allowed)
     assert not lines, (f"{path.name} imports threading or contextvars, or makes a thread "
                        f"outside classification._beside, at lines {lines}")
+
+
+def _random_module_names(tree):
+    """Line numbers that import numpy.random (``import numpy.random``, ``from
+    numpy.random import ...``, ``from numpy import random``) or read it as an
+    attribute (``np.random``, ``numpy.random``)."""
+    for node in ast.walk(tree):
+        if ((isinstance(node, ast.Import)
+             and any(alias.name.split(".")[:2] == ["numpy", "random"] for alias in node.names))
+                or (isinstance(node, ast.ImportFrom) and node.level == 0
+                    and (node.module.split(".")[:2] == ["numpy", "random"]
+                         or (node.module == "numpy"
+                             and any(alias.name == "random" for alias in node.names))))
+                or (isinstance(node, ast.Attribute) and node.attr == "random"
+                    and isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"})):
+            yield node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in FILES if p.parent.name == "coldgp"
+                                  and p.name != "rng.py"], ids=lambda p: p.name)
+def test_only_rng_names_numpy_random(path):
+    # coldgp.rng.random_stream holds the one keying rule of the package's
+    # generators; any other module draws from the Generator it hands out
+    lines = sorted(set(_random_module_names(ast.parse(path.read_text(encoding="utf-8")))))
+    assert not lines, (f"{path.name} names numpy.random outside coldgp.rng at lines {lines}; "
+                       f"draw from coldgp.rng.random_stream")
 
 
 _LOADERS = {"CDLL", "cdll", "PyDLL", "pydll", "LoadLibrary"}
